@@ -1,0 +1,26 @@
+"""Connection coefficients and derivative operators on the Siegel upper
+half space, with every identity reduced to a machine-checkable residual or
+an exact coefficient match."""
+
+__version__ = "0.1.0"
+
+from .symplectic import (SiegelPoint, SymplecticElement, GeneratorWord,
+                         DimensionError, DegeneracyError, is_symplectic, act,
+                         cocycle, im_of_action, tangent_pushforward,
+                         random_symplectic, random_point)
+from .metric import (MetricPair, enumerate_omega, metric_W, metric_M,
+                     metric_pair, sigma, dM_dZ)
+from .connection import (ConnectionTable, FormCocycle, gamma_closed,
+                         gamma_from_metric, form_cocycle, ds_directional,
+                         mcc_residual, apply_D, d_f_detk, d_trace_form,
+                         equivariance_residual, invariance_residual,
+                         kron_trace)
+from .forms import FormPolynomial, det_dz, trace_form, max_coefficient_diff
+from .functions import TestFunction, random_test_function
+from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
+                        ImInverseField, PolynomialMatrixField,
+                        verify_nabla_transform, verify_G_law, bracket1,
+                        bracket1_transform_residual)
+from .qseries import (QSeries, TaggedSeries, eisenstein, g2_series, delta,
+                      serre_derivative, bracket1_classical, evaluate,
+                      membership_in_Mw, ModularBasis, anomaly_residual)

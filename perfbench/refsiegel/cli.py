@@ -1,0 +1,294 @@
+"""Command line front end: q-expansions, metric/connection tables, and the
+verification suites.
+
+Exit codes: 0 all good, 1 verification failure, 2 usage error, 3 numerical
+degeneracy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+import numpy as np
+
+from . import __version__
+from .connection import gamma_closed, gamma_from_metric
+from .indexing import omega_list
+from .metric import metric_pair
+from .qseries import (SL2_WORDS, TruncationError, anomaly_residual, delta,
+                      eisenstein, g2_series, serre_derivative)
+from .symplectic import DegeneracyError, SiegelPoint
+from .verify import SUITES, run_suite
+
+EXIT_OK = 0
+EXIT_VERIFY_FAIL = 1
+EXIT_USAGE = 2
+EXIT_DEGENERATE = 3
+
+
+class UsageError(ValueError):
+    pass
+
+
+def _parse_g_range(text: str) -> tuple[int, int]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad degree range {text!r}; use N or A..B") from exc
+    if lo < 1 or hi < lo:
+        raise UsageError(f"bad degree range {text!r}")
+    return lo, hi
+
+
+def _parse_complex(text: str) -> complex:
+    try:
+        return complex(text.replace(" ", "").replace("i", "j"))
+    except ValueError as exc:
+        raise UsageError(f"bad complex number {text!r}") from exc
+
+
+def _load_point(args) -> SiegelPoint:
+    if args.point:
+        try:
+            with open(args.point) as handle:
+                return SiegelPoint.from_json(handle.read())
+        except (OSError, KeyError, ValueError) as exc:
+            raise UsageError(f"cannot read point file {args.point}: {exc}")
+    if args.g is None:
+        raise UsageError("either --point FILE or --g N is required")
+    g = args.g
+    return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if out_path:
+        with open(out_path, "w") as handle:
+            handle.write(text + "\n")
+    else:
+        print(text)
+
+
+_QEXP_FORMS = ("E2", "E4", "E6", "Delta", "G2")
+
+
+def _cmd_qexp(args) -> int:
+    if args.form not in _QEXP_FORMS:
+        raise UsageError(f"unknown form {args.form!r}; "
+                         f"choose from {', '.join(_QEXP_FORMS)}")
+    n = args.terms
+    if n < 1:
+        raise UsageError("--terms must be >= 1")
+    if args.form == "G2":
+        tagged = g2_series(n)
+        print("prefactor: pi/3")
+        series = tagged.series
+    elif args.form == "Delta":
+        series = delta(n)
+    else:
+        series = eisenstein(int(args.form[1]), n)
+    print(", ".join(str(c) for c in series.coeffs))
+    return EXIT_OK
+
+
+_SERRE_FORMS = {"E4": (4, eisenstein), "E6": (6, eisenstein)}
+
+
+def _cmd_serre(args) -> int:
+    n = args.terms
+    if n < 1:
+        raise UsageError("--terms must be >= 1")
+    if args.form == "Delta":
+        series = delta(n)
+    elif args.form in _SERRE_FORMS:
+        weight, maker = _SERRE_FORMS[args.form]
+        series = maker(weight, n)
+    else:
+        raise UsageError(f"unknown form {args.form!r}; "
+                         "choose from E4, E6, Delta")
+    out = serre_derivative(series)
+    print(f"weight: {out.weight}")
+    print(", ".join(str(c) for c in out.coeffs))
+    return EXIT_OK
+
+
+def _cmd_anomaly(args) -> int:
+    z = _parse_complex(args.z)
+    if z.imag <= 0:
+        raise UsageError("--z must lie in the upper half plane")
+    if args.gamma not in SL2_WORDS:
+        raise UsageError(f"unknown element {args.gamma!r}; "
+                         f"choose from {', '.join(SL2_WORDS)}")
+    residual = anomaly_residual(SL2_WORDS[args.gamma], z, args.terms)
+    ok = residual < args.tol
+    print(f"gamma={args.gamma} z={z} residual={residual:.3e} "
+          f"tol={args.tol:.1e} {'PASS' if ok else 'FAIL'}")
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+
+
+def _cmd_metric(args) -> int:
+    point = _load_point(args)
+    pair = metric_pair(point)
+    _emit({
+        "g": point.g,
+        "omega": [list(p) for p in pair.omega],
+        "W": pair.W.tolist(),
+        "M": pair.M.tolist(),
+    }, args.out)
+    return EXIT_OK
+
+
+_GAMMA_METHODS = {"closed": None, "metricA": "A", "metricB": "B",
+                  "metricB-expanded": "B-expanded"}
+
+
+def _cmd_gamma(args) -> int:
+    point = _load_point(args)
+    if args.method not in _GAMMA_METHODS:
+        raise UsageError(f"unknown method {args.method!r}; "
+                         f"choose from {', '.join(_GAMMA_METHODS)}")
+    if args.method == "closed":
+        table = gamma_closed(point)
+    else:
+        table = gamma_from_metric(point, _GAMMA_METHODS[args.method])
+    pairs = omega_list(point.g)
+    cutoff = 1e-14 * max(1.0, float(np.abs(table.table).max()))
+    entries = []
+    for k, K in enumerate(pairs):
+        for a, I in enumerate(pairs):
+            for b, J in enumerate(pairs):
+                value = table.table[k, a, b]
+                if abs(value) <= cutoff:
+                    continue
+                entries.append({"K": list(K), "I": list(I), "J": list(J),
+                                "re": value.real, "im": value.imag})
+    _emit({"g": point.g, "method": args.method,
+           "point": json.loads(point.to_json()), "entries": entries},
+          args.out)
+    return EXIT_OK
+
+
+def _parse_weights(text: str) -> tuple[int, ...]:
+    try:
+        ks = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad weight list {text!r}; use e.g. 1,2") from exc
+    if not ks or any(k < 1 for k in ks):
+        raise UsageError(f"bad weight list {text!r}")
+    return ks
+
+
+def _cmd_verify(args) -> int:
+    g_range = _parse_g_range(args.g)
+    if g_range[1] > 5:
+        raise UsageError("degrees above 5 are not supported")
+    if args.suite not in SUITES + ("all",):
+        raise UsageError(f"unknown suite {args.suite!r}; "
+                         f"choose from {', '.join(SUITES + ('all',))}")
+    report = run_suite(args.suite, g_range, seed=args.seed, tol=args.tol,
+                       ks=_parse_weights(args.k))
+    summary = report.summary
+    for record in report.records:
+        if not record.passed and not args.quiet:
+            detail = (f"residual={record.residual:.3e} "
+                      f"tol={record.tolerance:.1e}"
+                      if record.residual is not None else "exact check failed")
+            print(f"FAIL {record.suite}.{record.check} "
+                  f"{json.dumps(record.params, sort_keys=True)} {detail}",
+                  file=sys.stderr)
+    print(f"suite={args.suite} g={g_range[0]}..{g_range[1]} "
+          f"seed={args.seed} total={summary['total']} "
+          f"passed={summary['passed']} failed={summary['failed']}")
+    if args.report:
+        with open(args.report, "w") as handle:
+            json.dump(report.to_dict(include_timings=args.timings), handle,
+                      indent=2, sort_keys=True)
+            handle.write("\n")
+    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="siegel",
+        description="Connection coefficients, derivative operators and "
+                    "exact q-expansion checks on the Siegel upper half "
+                    "space.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("qexp", help="print exact q-expansion coefficients")
+    p.add_argument("--form", required=True,
+                   help="E2, E4, E6, Delta or G2")
+    p.add_argument("--terms", type=int, default=10)
+    p.set_defaults(func=_cmd_qexp)
+
+    p = sub.add_parser("serre", help="weight-raising derivative of a form")
+    p.add_argument("--form", required=True, help="E4, E6 or Delta")
+    p.add_argument("--terms", type=int, default=10)
+    p.set_defaults(func=_cmd_serre)
+
+    p = sub.add_parser("anomaly",
+                       help="check the weight-2 transformation defect")
+    p.add_argument("--z", required=True, help='evaluation point, e.g. "0.2+1.1i"')
+    p.add_argument("--gamma", default="S",
+                   help=f"group element: {', '.join(SL2_WORDS)}")
+    p.add_argument("--terms", type=int, default=300)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.set_defaults(func=_cmd_anomaly)
+
+    p = sub.add_parser("metric", help="emit the metric matrices W and M")
+    p.add_argument("--point", help="SiegelPoint JSON file")
+    p.add_argument("--g", type=int, help="degree (point defaults to i*I)")
+    p.add_argument("--out", help="output JSON file (default stdout)")
+    p.set_defaults(func=_cmd_metric)
+
+    p = sub.add_parser("gamma", help="emit connection coefficients")
+    p.add_argument("--point", help="SiegelPoint JSON file")
+    p.add_argument("--g", type=int, help="degree (point defaults to i*I)")
+    p.add_argument("--method", default="closed",
+                   help="closed, metricA, metricB or metricB-expanded")
+    p.add_argument("--out", help="output JSON file (default stdout)")
+    p.set_defaults(func=_cmd_gamma)
+
+    p = sub.add_parser("verify", help="run verification suites")
+    p.add_argument("--suite", default="all",
+                   help=f"{', '.join(SUITES)} or all")
+    p.add_argument("--g", default="1..5", help="degree range A..B")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", default="1,2",
+                   help="weight parameters for the operators suite")
+    p.add_argument("--tol", type=float, default=None,
+                   help="override every residual tolerance")
+    p.add_argument("--report", help="write the JSON report here")
+    p.add_argument("--timings", action="store_true",
+                   help="include wall times in the report "
+                        "(breaks byte-stability)")
+    p.add_argument("--quiet", action="store_true")
+    p.set_defaults(func=_cmd_verify)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except TruncationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DegeneracyError as exc:
+        print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,541 @@
+"""Connection coefficients on the Siegel upper half space and the induced
+degree-raising operator D on the dZ algebra.
+
+The coefficients Gamma_IJ^K of the Levi-Civita connection of the invariant
+metric are produced three independent ways:
+
+* ``gamma_closed`` -- the closed form: for K = (r, s), the entry is
+  i R_ij / 2^{(1-delta(r,s))(1-delta(I,J))} when one of I, J lies in the
+  column cross Omega_s and the other in the row cross Omega_r (i and j are
+  the complementary indices of I and J in those crosses), and 0 otherwise.
+* ``gamma_from_metric(path="A")`` -- (1/2) sum_L M_KL (dW_IL/dZ_J + dW_JL/dZ_I).
+* ``gamma_from_metric(path="B")`` -- the same after trading the W-derivative
+  for an M-derivative, -(1/2) sum_L (dM_KL/dZ_J W_IL + dM_KL/dZ_I W_JL);
+  ``path="B-expanded"`` evaluates the fully expanded eight-term delta/R
+  expression of that sum.
+
+The operator D acts on forms with function coefficients by
+D(f dZ_{K_1}...dZ_{K_r}) = df dZ_{K_1}...dZ_{K_r}
++ sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}, with
+D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J and df the holomorphic
+differential only.
+
+Everything is evaluated pointwise: a table holds numbers at its base point,
+and coefficient functions supply values and holomorphic gradients there.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .forms import (FormPolynomial, det_dz, max_coefficient_diff,
+                    substitute_basis, trace_form)
+from .functions import (ConstFunction, ProductFunction, PullbackFunction,
+                        TestFunction, coefficient_gradient,
+                        coefficient_value)
+from .indexing import (Pair, basis_matrix, delta, n_index, omega_list,
+                       omega_size, sym_to_coords)
+from .metric import dM_tensor, dW_tensor, metric_pair
+from .symplectic import (SiegelPoint, SymplecticElement, act,
+                         pushforward_matrix, pushforward_matrix_derivative)
+
+
+@dataclass(frozen=True)
+class ConnectionTable:
+    """Coefficients Gamma[K][I][J] at a base point, Omega-ordered."""
+
+    point: SiegelPoint
+    g: int
+    table: np.ndarray  # shape (m, m, m), axes (K, I, J)
+    method: str
+
+    def entry(self, K: Pair, I: Pair, J: Pair) -> complex:
+        g = self.g
+        return complex(self.table[n_index(K, g) - 1,
+                                  n_index(I, g) - 1,
+                                  n_index(J, g) - 1])
+
+
+def _cross_complement(pair: Pair, axis: int) -> int | None:
+    """The index completing `pair` against `axis`, or None if axis not in it."""
+    i, j = pair
+    if i == axis:
+        return j
+    if j == axis:
+        return i
+    return None
+
+
+def gamma_closed(point: SiegelPoint) -> ConnectionTable:
+    """Closed-form coefficient table of the invariant Levi-Civita connection."""
+    g = point.g
+    pairs = omega_list(g)
+    m = len(pairs)
+    R = metric_pair(point).R
+    table = np.zeros((m, m, m), dtype=complex)
+    for k, (r, s) in enumerate(pairs):
+        for a, I in enumerate(pairs):
+            for b, J in enumerate(pairs):
+                i = _cross_complement(I, s)
+                j = _cross_complement(J, r)
+                if i is None or j is None:
+                    # try the mirrored assignment J in the column cross
+                    i = _cross_complement(J, s)
+                    j = _cross_complement(I, r)
+                if i is None or j is None:
+                    continue
+                exponent = (1 - delta(r, s)) * (1 - delta(I, J))
+                table[k, a, b] = 1j * R[i - 1, j - 1] / 2.0 ** exponent
+    table.setflags(write=False)
+    return ConnectionTable(point, g, table, "closed-form")
+
+
+def _gamma_path_a(point: SiegelPoint) -> np.ndarray:
+    pair = metric_pair(point)
+    dW = dW_tensor(pair)  # dW[I, L, J]
+    half = 0.5 * np.einsum("kl,ilj->kij", pair.M, dW)
+    return half + half.transpose(0, 2, 1)
+
+
+def _gamma_path_b(point: SiegelPoint) -> np.ndarray:
+    pair = metric_pair(point)
+    dM = dM_tensor(pair)  # dM[K, L, J]
+    half = -0.5 * np.einsum("klj,il->kij", dM, pair.W)
+    return half + half.transpose(0, 2, 1)
+
+
+def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
+    g = point.g
+    pairs = omega_list(g)
+    m = len(pairs)
+    R = metric_pair(point).R
+
+    def bracket(subject, u, v, y):
+        # delta(subject,u) R_{y v} + delta(subject,v) R_{y u}
+        #   - delta(subject,u) delta(subject,v) R_{y v}
+        return (delta(subject, u) * R[y - 1, v - 1]
+                + delta(subject, v) * R[y - 1, u - 1]
+                - delta(subject, u) * delta(subject, v) * R[y - 1, v - 1])
+
+    table = np.zeros((m, m, m), dtype=complex)
+    for k, (p, q) in enumerate(pairs):
+        for a, (i, j) in enumerate(pairs):
+            for b, (r, s) in enumerate(pairs):
+                first = (delta(q, j) * bracket(p, r, s, i)
+                         + delta(q, i) * bracket(p, r, s, j)
+                         + delta(p, i) * bracket(q, r, s, j)
+                         + delta(p, j) * bracket(q, r, s, i))
+                second = (delta(q, s) * bracket(p, i, j, r)
+                          + delta(q, r) * bracket(p, i, j, s)
+                          + delta(p, r) * bracket(q, i, j, s)
+                          + delta(p, s) * bracket(q, i, j, r))
+                table[k, a, b] = (1j / 2.0 ** (2 + delta(i, j)) * first
+                                  + 1j / 2.0 ** (2 + delta(r, s)) * second)
+    return table
+
+
+def gamma_from_metric(point: SiegelPoint, path: str = "A") -> ConnectionTable:
+    """Levi-Civita coefficients derived from the metric matrices."""
+    if path == "A":
+        table = _gamma_path_a(point)
+    elif path == "B":
+        table = _gamma_path_b(point)
+    elif path == "B-expanded":
+        table = _gamma_path_b_expanded(point)
+    else:
+        raise ValueError(f"unknown derivation path {path!r}")
+    table.setflags(write=False)
+    return ConnectionTable(point, point.g, table, f"metric-{path}")
+
+
+def case_analysis_residual(point: SiegelPoint) -> float:
+    """Exhaustively re-derive the closed-form table from its case analysis.
+
+    For K = (p, p): whenever I and J share the index p, the entry is i R_xy
+    with x, y the complementary indices.  For K = (p, q), p < q, with
+    I = (p, j) in the row of K and J = (r, q) in its column (or the mirror
+    assignment), the entry is i R_pq when j = q and r = p, and i R_jr / 2
+    otherwise.  Entries outside the row/column crosses vanish.  Returns the
+    max absolute discrepancy against gamma_closed (0.0 expected: both sides
+    are assembled from the same R entries).
+    """
+    g = point.g
+    pairs = omega_list(g)
+    R = metric_pair(point).R
+    table = gamma_closed(point)
+
+    def contains(pair: Pair, x: int) -> bool:
+        return pair[0] == x or pair[1] == x
+
+    worst = 0.0
+    for K in pairs:
+        p, q = K
+        for I in pairs:
+            for J in pairs:
+                got = table.entry(K, I, J)
+                in_cross = ((contains(I, q) and contains(J, p))
+                            or (contains(J, q) and contains(I, p)))
+                if not in_cross:
+                    worst = max(worst, abs(got))
+                    continue
+                expected = _bullet_values(p, q, I, J, R)
+                for value in expected:
+                    worst = max(worst, abs(got - value))
+    return worst
+
+
+def _bullet_values(p: int, q: int, I: Pair, J: Pair, R) -> list[complex]:
+    """All case-analysis values whose hypotheses hold for (K, I, J)."""
+    i, j = I
+    r, s = J
+    out: list[complex] = []
+    if p == q:
+        if i == r == p:
+            out.append(1j * R[j - 1, s - 1])
+        if i == s == p:
+            out.append(1j * R[j - 1, r - 1])
+        if j == r == p:
+            out.append(1j * R[i - 1, s - 1])
+        if j == s == p:
+            out.append(1j * R[i - 1, r - 1])
+        return out
+    for (i1, j1), (r1, s1) in (((i, j), (r, s)), ((r, s), (i, j))):
+        # (i1, j1) in the row of Z_pq, (r1, s1) in its column
+        if i1 != p or s1 != q:
+            continue
+        if i1 == j1:
+            out.append(0.5j * R[j1 - 1, r1 - 1])
+        elif j1 == q and r1 == p:
+            out.append(1j * R[p - 1, q - 1])
+        else:
+            out.append(0.5j * R[j1 - 1, r1 - 1])
+    return out
+
+
+@dataclass(frozen=True)
+class FormCocycle:
+    """Row-convention coordinate cocycle: (dW_I)_I = (dZ_I)_I . S."""
+
+    gamma: SymplecticElement
+    point: SiegelPoint
+    S: np.ndarray
+
+
+def form_cocycle(gamma: SymplecticElement, point: SiegelPoint) -> FormCocycle:
+    S = pushforward_matrix(gamma, point)
+    S.setflags(write=False)
+    return FormCocycle(gamma, point, S)
+
+
+def ds_directional(gamma: SymplecticElement, point: SiegelPoint,
+                   V: np.ndarray) -> np.ndarray:
+    """Exact directional derivative of Z -> S(gamma, Z) along symmetric V."""
+    return pushforward_matrix_derivative(gamma, point, V)
+
+
+def connection_matrix_contracted(table: ConnectionTable,
+                                 coords: np.ndarray) -> np.ndarray:
+    """omega(V): entry (I, J) is sum_K Gamma_IK^J coords_K (I row, J column)."""
+    # table axes are (K, I, J): omega_I^J = sum_K Gamma[J][I][K] dZ_K
+    return np.einsum("jik,k->ij", table.table, coords)
+
+
+def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
+                 V: np.ndarray) -> float:
+    """Max-norm defect of S . omega'(V') - omega(V) . S + dS(V), where the
+    primes are the coefficients at gamma(Z) contracted with the pushed-forward
+    tangent.  Vanishes for a family satisfying the modular transformation law.
+
+    Normalized by the magnitude of the three law terms (floored at 1):
+    their scale grows without bound along ill-conditioned group elements,
+    so only a scale-aware defect supports a fixed tolerance.
+    """
+    S = pushforward_matrix(gamma, point)
+    dS = ds_directional(gamma, point, V)
+    image = act(gamma, point)
+    coords = sym_to_coords(np.asarray(V, dtype=complex))
+    coords_image = coords @ S
+    omega_here = connection_matrix_contracted(table_fn(point), coords)
+    omega_image = connection_matrix_contracted(table_fn(image), coords_image)
+    left = S @ omega_image
+    right = omega_here @ S
+    residual = left - right + dS
+    scale = max(1.0, float(np.abs(left).max()), float(np.abs(right).max()),
+                float(np.abs(dS).max()))
+    return float(np.abs(residual).max()) / scale
+
+
+def curvature_quadratics(table: ConnectionTable) -> list[FormPolynomial]:
+    """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms."""
+    m = table.table.shape[0]
+    out = []
+    for k in range(m):
+        terms: dict = {}
+        for a in range(m):
+            c = -table.table[k, a, a]
+            if c != 0:
+                terms[(a, a)] = terms.get((a, a), 0j) + c
+            for b in range(a + 1, m):
+                c = -2.0 * table.table[k, a, b]
+                if c != 0:
+                    terms[(a, b)] = terms.get((a, b), 0j) + c
+        out.append(FormPolynomial(table.g, terms))
+    return out
+
+
+def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
+    """Evaluate D(form) at the table's base point.
+
+    Coefficients of the input may be numbers or point functions; the output
+    has numeric coefficients.  The holomorphic differential of each
+    coefficient is taken with respect to the upper-triangle coordinates.
+    """
+    point = table.point
+    g = table.g
+    quadratics = curvature_quadratics(table)
+    out = FormPolynomial(g, {})
+    for mono, coef in form.terms.items():
+        cval = coefficient_value(coef, point)
+        grad = coefficient_gradient(coef, point, g)
+        terms = {tuple(sorted(mono + (pos,))): grad[pos]
+                 for pos in range(len(grad)) if grad[pos] != 0}
+        out = out + FormPolynomial(g, terms)
+        for t in range(len(mono)):
+            rest = mono[:t] + mono[t + 1:]
+            base = FormPolynomial(g, {rest: cval})
+            out = out + base * quadratics[mono[t]]
+    return out
+
+
+def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
+    """-i (dZ_s.) Y^{-1} (dZ_r.)^t for K = (r, s): the closed quadratic."""
+    g = point.g
+    R = metric_pair(point).R
+    r, s = K
+    pos = _entry_positions(g)
+    terms: dict = {}
+    for i in range(1, g + 1):
+        for j in range(1, g + 1):
+            mono = tuple(sorted((pos[s, i], pos[r, j])))
+            c = -1j * R[i - 1, j - 1]
+            terms[mono] = terms.get(mono, 0j) + c
+    return FormPolynomial(g, terms)
+
+
+def _entry_positions(g: int) -> dict:
+    table = {}
+    for position, (i, j) in enumerate(omega_list(g)):
+        table[i, j] = position
+        table[j, i] = position
+    return table
+
+
+def d_det_closed(point: SiegelPoint) -> FormPolynomial:
+    """-i Tr(Y^{-1} dZ) det(dZ)."""
+    R = metric_pair(point).R
+    return trace_form(R, point.g).scale(-1j) * det_dz(point.g)
+
+
+def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
+    """Factored form of D(f det(dZ)^k):
+    Tr([grad - i k Y^{-1}] f dZ) det(dZ)^k, expanded as a form with numeric
+    coefficients at the base point."""
+    if k < 0:
+        raise ValueError("determinant power must be >= 0")
+    point = table.point
+    g = table.g
+    from .operators import sym_gradient
+    R = metric_pair(point).R
+    nab = sym_gradient(f, point) - 1j * k * coefficient_value(f, point) * R
+    out = trace_form(nab, g)
+    det_power = FormPolynomial.scalar(g, 1.0 + 0j)
+    for _ in range(k):
+        det_power = det_power * det_dz(g)
+    return out * det_power
+
+
+def _entry_fn(Gfield, i: int, j: int):
+    return Gfield[i][j] if isinstance(Gfield, list) else Gfield[i, j]
+
+
+def _require_symmetric_entries(Gfield, g: int) -> None:
+    for i in range(g):
+        for j in range(i + 1, g):
+            a, b = _entry_fn(Gfield, i, j), _entry_fn(Gfield, j, i)
+            if a is b:
+                continue
+            if isinstance(a, TestFunction) and isinstance(b, TestFunction):
+                if a.terms == b.terms:
+                    continue
+            raise ValueError("matrix of functions must be symmetric")
+
+
+def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
+    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of functions:
+    the Kronecker-product derivative term plus the curvature correction
+    -i Tr(G dZ Y^{-1} dZ), with numeric coefficients at the base point."""
+    point = table.point
+    g = table.g
+    pos = _entry_positions(g)
+    R = metric_pair(point).R
+    _require_symmetric_entries(Gfield, g)
+
+    grads = {}
+    values = np.empty((g, g), dtype=complex)
+    for i in range(1, g + 1):
+        for j in range(i, g + 1):
+            fn = _entry_fn(Gfield, i - 1, j - 1)
+            values[i - 1, j - 1] = values[j - 1, i - 1] = coefficient_value(fn, point)
+            grads[i, j] = grads[j, i] = coefficient_gradient(fn, point, g)
+
+    terms: dict = {}
+
+    def add(mono, c):
+        if c != 0:
+            mono = tuple(sorted(mono))
+            terms[mono] = terms.get(mono, 0j) + c
+
+    # sum_{i,j,k,l} partial_kl G_ij dZ_kl dZ_ji with the symmetrized partials
+    for i in range(1, g + 1):
+        for j in range(1, g + 1):
+            grad = grads[i, j]
+            for k in range(1, g + 1):
+                for l in range(1, g + 1):
+                    coordinate = (min(k, l), max(k, l))
+                    partial = grad[n_index(coordinate, g) - 1]
+                    if k != l:
+                        partial = partial / 2.0
+                    add((pos[k, l], pos[j, i]), partial)
+
+    # -i Tr(G dZ Y^{-1} dZ)
+    for x in range(1, g + 1):
+        for u in range(1, g + 1):
+            for w in range(1, g + 1):
+                for v in range(1, g + 1):
+                    c = -1j * values[x - 1, u - 1] * R[w - 1, v - 1]
+                    add((pos[u, w], pos[v, x]), c)
+
+    return FormPolynomial(g, terms)
+
+
+def kron_trace(A, B, C, D) -> complex:
+    """Tr((A kron B)(C kron D)) without forming the Kronecker products."""
+    return complex(np.einsum("ij,kl,lk,ji->", A, B, C, D))
+
+
+def gamma_transform_form(gamma: SymplecticElement, point: SiegelPoint,
+                         form: FormPolynomial) -> FormPolynomial:
+    """Numeric pullback: dZ_K -> sum_L S[L, K] dZ_L at the given point.
+    Coefficients must already be numbers (evaluated at gamma(Z))."""
+    return substitute_basis(form, pushforward_matrix(gamma, point))
+
+
+class _CocycleEntryFunction:
+    """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient."""
+
+    def __init__(self, gamma: SymplecticElement, g: int, l: int, k: int):
+        self.gamma = gamma
+        self.g = g
+        self.l = l
+        self.k = k
+
+    def value(self, point) -> complex:
+        return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
+
+    def gradient(self, point) -> np.ndarray:
+        out = np.empty(omega_size(self.g), dtype=complex)
+        for pos, pair in enumerate(omega_list(self.g)):
+            dS = pushforward_matrix_derivative(
+                self.gamma, point, basis_matrix(pair, self.g, dtype=complex))
+            out[pos] = dS[self.l, self.k]
+        return out
+
+
+def gamma_act_on_form(gamma: SymplecticElement, g: int,
+                      form: FormPolynomial) -> FormPolynomial:
+    """Substitution action on a function-coefficient form: coefficients are
+    pulled back through gamma, generators transform through the cocycle.
+    The result keeps function coefficients."""
+    import numbers
+    from itertools import product
+
+    m = omega_size(g)
+    out = FormPolynomial(g, {})
+    for mono, coef in form.terms.items():
+        base = coef if not isinstance(coef, numbers.Complex) \
+            else ConstFunction(g, coef)
+        pulled = PullbackFunction(gamma, base) \
+            if not isinstance(base, ConstFunction) else base
+        for assignment in product(range(m), repeat=len(mono)):
+            factors = [pulled] + [
+                _CocycleEntryFunction(gamma, g, l, k)
+                for l, k in zip(assignment, mono)]
+            fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
+            out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})
+    return out
+
+
+def _coefficient_scale(*forms: FormPolynomial) -> float:
+    scale = 1.0
+    for form in forms:
+        for coef in form.terms.values():
+            scale = max(scale, abs(complex(coef)))
+    return scale
+
+
+def equivariance_residual(table_fn, gamma: SymplecticElement,
+                          point: SiegelPoint, form: FormPolynomial) -> float:
+    """Max coefficient discrepancy between D(gamma . form) and
+    gamma . (D form), both evaluated at the given point and normalized by
+    the coefficient scale (floored at 1), which is unbounded over random
+    group elements."""
+    image = act(gamma, point)
+    # D(gamma . form) at the point
+    lhs = apply_D(table_fn(point), gamma_act_on_form(gamma, point.g, form))
+    # gamma . (D form): evaluate D(form) at gamma(Z), transport the basis
+    d_at_image = apply_D(table_fn(image), form)
+    rhs = gamma_transform_form(gamma, point, d_at_image)
+    return max_coefficient_diff(lhs, rhs) / _coefficient_scale(lhs, rhs)
+
+
+def invariance_residual(table_fn, gamma: SymplecticElement,
+                        point: SiegelPoint, f, k: int) -> float:
+    """Invariance defect of D(f det(dZ)^k) along gamma, for f extended to a
+    function transforming with determinant weight 2k (see
+    operators.ModularExtension).  The two evaluations agree exactly for the
+    Levi-Civita table; the residual is the numeric defect.
+
+    Normalization: the image-side coefficients carry determinant weight
+    factors that cancel during the pullback, so the defect is measured
+    against the absolute-value transport (the roundoff ceiling of that
+    cancellation), floored at 1.
+    """
+    from .operators import ModularExtension
+
+    image = act(gamma, point)
+    extension = ModularExtension(f, 2 * k, gamma)
+    alpha_here = _f_det_form(f, k, point.g)
+    alpha_image = _f_det_form(extension, k, point.g)
+    here = apply_D(table_fn(point), alpha_here)
+    d_image = apply_D(table_fn(image), alpha_image)
+    S = pushforward_matrix(gamma, point)
+    transported = substitute_basis(d_image, S)
+    ceiling = substitute_basis(
+        d_image.map_coefficients(lambda c: abs(complex(c))), np.abs(S))
+    scale = max(_coefficient_scale(here, transported),
+                _coefficient_scale(ceiling))
+    return max_coefficient_diff(here, transported) / scale
+
+
+def _f_det_form(f, k: int, g: int) -> FormPolynomial:
+    """f . det(dZ)^k with the scalar function folded into each coefficient."""
+    from .functions import ScaledFunction
+    if k == 0:
+        out = FormPolynomial.scalar(g, 1.0 + 0j)
+    else:
+        out = det_dz(g)
+        for _ in range(k - 1):
+            out = out * det_dz(g)
+    return out.map_coefficients(lambda c: ScaledFunction(f, c))

@@ -1,0 +1,350 @@
+"""Scalar test functions on the Siegel upper half space.
+
+A "point function" is anything with value(point) -> complex and
+gradient(point) -> length-|Omega| array of holomorphic coordinate
+derivatives d/dZ_I.  The workhorse is TestFunction, a sparse polynomial in
+the upper-triangle entries Z_I and optionally their conjugates, with exact
+Gaussian-rational coefficients so that derivative bookkeeping stays exact
+until a value is requested at a numeric point.
+
+Small combinators (sums, products, pullback through a group element) build
+the composite coefficients that show up when a group element is pushed
+through a differential form.
+"""
+
+from __future__ import annotations
+
+import numbers
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .indexing import Pair, n_index, omega_list, omega_size
+from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
+
+
+@dataclass(frozen=True)
+class QC:
+    """Gaussian rational re + im*i with exact Fraction parts."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    @classmethod
+    def of(cls, value) -> "QC":
+        if isinstance(value, QC):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls(Fraction(value))
+        if isinstance(value, complex):
+            return cls(Fraction(value.real), Fraction(value.imag))
+        if isinstance(value, float):
+            return cls(Fraction(value))
+        raise TypeError(f"cannot coerce {type(value)} to a Gaussian rational")
+
+    def __add__(self, other: "QC") -> "QC":
+        return QC(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "QC") -> "QC":
+        return QC(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "QC":
+        return QC(-self.re, -self.im)
+
+    def __mul__(self, other: "QC") -> "QC":
+        return QC(self.re * other.re - self.im * other.im,
+                  self.re * other.im + self.im * other.re)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+
+def _point_matrix(point) -> np.ndarray:
+    return point.Z if isinstance(point, SiegelPoint) else np.asarray(point)
+
+
+class TestFunction:
+    """Sparse polynomial in {Z_I} and {conj Z_I}, I in Omega.
+
+    Terms map (holo_exponents, anti_exponents) -> QC coefficient, the
+    exponent tuples having one slot per Omega position.
+    """
+
+    __test__ = False  # not a pytest case, despite the name
+
+    def __init__(self, g: int, terms: dict | None = None):
+        self.g = g
+        self.m = omega_size(g)
+        self.terms = {}
+        for key, coef in (terms or {}).items():
+            coef = QC.of(coef)
+            if coef:
+                self.terms[key] = coef
+
+    @classmethod
+    def constant(cls, g: int, value) -> "TestFunction":
+        m = omega_size(g)
+        zero = (0,) * m
+        return cls(g, {(zero, zero): QC.of(value)})
+
+    @classmethod
+    def coordinate(cls, g: int, pair: Pair, conj: bool = False) -> "TestFunction":
+        m = omega_size(g)
+        pos = n_index(pair, g) - 1
+        exps = tuple(1 if t == pos else 0 for t in range(m))
+        zero = (0,) * m
+        key = (zero, exps) if conj else (exps, zero)
+        return cls(g, {key: QC.of(1)})
+
+    def _binop(self, other, combine):
+        if isinstance(other, (int, Fraction, float, complex, QC)):
+            other = TestFunction.constant(self.g, other)
+        out: dict = dict(self.terms)
+        for key, coef in other.terms.items():
+            combine(out, key, coef)
+        return TestFunction(self.g, out)
+
+    def __add__(self, other):
+        def add(out, key, coef):
+            out[key] = out.get(key, QC()) + coef
+        return self._binop(other, add)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TestFunction(self.g, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, float, complex, QC)):
+            other = TestFunction.constant(self.g, other)
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, float, complex, QC)):
+            other = TestFunction.constant(self.g, other)
+        out: dict = {}
+        for (h1, a1), c1 in self.terms.items():
+            for (h2, a2), c2 in other.terms.items():
+                key = (tuple(x + y for x, y in zip(h1, h2)),
+                       tuple(x + y for x, y in zip(a1, a2)))
+                c = out.get(key, QC()) + c1 * c2
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
+        return TestFunction(self.g, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = TestFunction.constant(self.g, 1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    @property
+    def is_holomorphic(self) -> bool:
+        return all(not any(anti) for (_, anti) in self.terms)
+
+    def partial(self, pair: Pair) -> "TestFunction":
+        """Holomorphic coordinate derivative d/dZ_pair."""
+        pos = n_index(pair, self.g) - 1
+        out: dict = {}
+        for (holo, anti), coef in self.terms.items():
+            e = holo[pos]
+            if e == 0:
+                continue
+            new = list(holo)
+            new[pos] = e - 1
+            key = (tuple(new), anti)
+            out[key] = out.get(key, QC()) + coef * QC.of(e)
+        return TestFunction(self.g, out)
+
+    def value(self, point) -> complex:
+        Z = _point_matrix(point)
+        coords = np.array([Z[i - 1, j - 1] for i, j in omega_list(self.g)])
+        total = 0j
+        for (holo, anti), coef in self.terms.items():
+            term = coef.to_complex()
+            for pos, e in enumerate(holo):
+                if e:
+                    term *= coords[pos] ** e
+            for pos, e in enumerate(anti):
+                if e:
+                    term *= np.conj(coords[pos]) ** e
+            total += term
+        return total
+
+    def gradient(self, point) -> np.ndarray:
+        return np.array([self.partial(pair).value(point)
+                         for pair in omega_list(self.g)])
+
+
+class ConstFunction:
+    def __init__(self, g: int, value):
+        self.g = g
+        self._value = complex(value)
+
+    def value(self, point) -> complex:
+        return self._value
+
+    def gradient(self, point) -> np.ndarray:
+        return np.zeros(omega_size(self.g), dtype=complex)
+
+
+class SumFunction:
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self.g = self.parts[0].g
+
+    def value(self, point) -> complex:
+        return sum(p.value(point) for p in self.parts)
+
+    def gradient(self, point) -> np.ndarray:
+        return sum(p.gradient(point) for p in self.parts)
+
+
+class ProductFunction:
+    def __init__(self, factors):
+        self.factors = list(factors)
+        self.g = self.factors[0].g
+
+    def value(self, point) -> complex:
+        out = 1 + 0j
+        for f in self.factors:
+            out *= f.value(point)
+        return out
+
+    def gradient(self, point) -> np.ndarray:
+        values = [f.value(point) for f in self.factors]
+        grads = [f.gradient(point) for f in self.factors]
+        total = np.zeros_like(grads[0])
+        for t in range(len(self.factors)):
+            rest = 1 + 0j
+            for u, v in enumerate(values):
+                if u != t:
+                    rest *= v
+            total = total + grads[t] * rest
+        return total
+
+
+class ScaledFunction:
+    def __init__(self, fn, scale):
+        self.fn = fn
+        self.g = fn.g
+        self.scale = complex(scale)
+
+    def value(self, point) -> complex:
+        return self.scale * self.fn.value(point)
+
+    def gradient(self, point) -> np.ndarray:
+        return self.scale * self.fn.gradient(point)
+
+
+class PullbackFunction:
+    """z -> f(gamma z); the chain rule runs through the coordinate cocycle."""
+
+    def __init__(self, gamma: SymplecticElement, fn):
+        self.gamma = gamma
+        self.fn = fn
+        self.g = fn.g
+
+    def value(self, point) -> complex:
+        return self.fn.value(act(self.gamma, point))
+
+    def gradient(self, point) -> np.ndarray:
+        S = pushforward_matrix(self.gamma, point)
+        return S @ self.fn.gradient(act(self.gamma, point))
+
+
+def as_point_function(coef, g: int):
+    if isinstance(coef, numbers.Complex):
+        return ConstFunction(g, coef)
+    return coef
+
+
+def coefficient_value(coef, point) -> complex:
+    if isinstance(coef, numbers.Complex):
+        return complex(coef)
+    return coef.value(point)
+
+
+def coefficient_gradient(coef, point, g: int) -> np.ndarray:
+    if isinstance(coef, numbers.Complex):
+        return np.zeros(omega_size(g), dtype=complex)
+    return coef.gradient(point)
+
+
+def fd_gradient(value_fn, point: SiegelPoint, h: float | None = None,
+                order: int = 2) -> np.ndarray:
+    """Central-difference Wirtinger gradient d/dZ_I = (d/dX_I - i d/dY_I)/2
+    of a scalar function given by value_fn(point).
+
+    order=4 uses the five-point stencil; steps in the Y direction are kept
+    small against the smallest eigenvalue of Y so perturbed points stay in
+    the domain.
+    """
+    g = point.g
+    if h is None:
+        scale = float(np.abs(point.Z).max())
+        if order == 2:
+            h = 1e-6 * (1.0 + scale)
+        else:
+            # truncation falls off as h^4, so a small step wins until
+            # roundoff, which stays far below these magnitudes
+            h = 2e-6 * (1.0 + 0.01 * scale)
+    margin = float(np.linalg.eigvalsh(point.Y).min())
+    h = min(h, 0.05 * margin)
+
+    def diff(plus, minus, plus2, minus2):
+        if order == 2:
+            return (plus - minus) / (2 * h)
+        return (minus2 - 8 * minus + 8 * plus - plus2) / (12 * h)
+
+    out = np.empty(omega_size(g), dtype=complex)
+    for pos, (i, j) in enumerate(omega_list(g)):
+        E = np.zeros((g, g))
+        E[i - 1, j - 1] = E[j - 1, i - 1] = 1.0
+
+        def at(dx, dy):
+            return value_fn(SiegelPoint(g, point.X + dx * E,
+                                        point.Y + dy * E))
+        if order == 2:
+            dx = diff(at(h, 0), at(-h, 0), None, None)
+            dy = diff(at(0, h), at(0, -h), None, None)
+        else:
+            dx = diff(at(h, 0), at(-h, 0), at(2 * h, 0), at(-2 * h, 0))
+            dy = diff(at(0, h), at(0, -h), at(0, 2 * h), at(0, -2 * h))
+        out[pos] = 0.5 * (dx - 1j * dy)
+    return out
+
+
+def random_test_function(g: int, seed: int | np.random.Generator,
+                         max_degree: int = 3, n_terms: int = 4,
+                         conj: bool = False) -> TestFunction:
+    """Sparse polynomial with small integer coefficients; holomorphic unless
+    conj is set."""
+    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    m = omega_size(g)
+    terms: dict = {}
+    for _ in range(n_terms):
+        deg = int(rng.integers(0, max_degree + 1))
+        holo = [0] * m
+        anti = [0] * m
+        for _ in range(deg):
+            pos = int(rng.integers(0, m))
+            if conj and rng.integers(0, 4) == 0:
+                anti[pos] += 1
+            else:
+                holo[pos] += 1
+        coef = int(rng.integers(-3, 4)) or 1
+        key = (tuple(holo), tuple(anti))
+        terms[key] = terms.get(key, QC()) + QC.of(coef)
+    fn = TestFunction(g, terms)
+    if not fn.terms:
+        fn = TestFunction.constant(g, 1)
+    return fn

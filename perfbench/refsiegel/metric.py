@@ -1,0 +1,155 @@
+"""The invariant metric on the Siegel upper half space in Omega coordinates.
+
+Writing R = Y^{-1}, the line element Tr(Y^{-1} dZ Y^{-1} dZbar) has
+Omega-indexed Gram matrix
+
+    W[(i,j), (r,s)] = (R_ir R_js + R_jr R_is) / 2^{delta(i,j)+delta(r,s)},
+
+whose explicit inverse is M[(i,j), (r,s)] = Y_ir Y_js + Y_jr Y_is.  Both
+are assembled here together with their holomorphic coordinate derivatives,
+which feed the two metric-side derivations of the connection coefficients.
+
+Derivatives use the Wirtinger convention d/dZ_J = (d/dX_J - i d/dY_J)/2 on
+the independent upper-triangle coordinates, so dY/dZ_J = -(i/2) E_J with
+E_J the symmetric basis direction of coordinate J.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .indexing import (Pair, basis_matrix, n_index, omega_list,
+                       omega_size, row_col_indices, sigma)
+from .symplectic import DegeneracyError, SiegelPoint
+
+# re-exported: enumerate_omega is the public name for the ordered index set
+enumerate_omega = omega_list
+
+__all__ = [
+    "MetricPair", "enumerate_omega", "metric_W", "metric_M", "metric_pair",
+    "sigma", "dM_dZ", "dM_tensor", "dW_tensor", "dR_dZ", "metric_form",
+]
+
+
+def _power_table(g: int) -> np.ndarray:
+    """2^{-delta(i_a, j_a) - delta(i_b, j_b)} over Omega x Omega."""
+    ii, jj = row_col_indices(g)
+    d = (ii == jj).astype(float)
+    return 2.0 ** (-(d[:, None] + d[None, :]))
+
+
+def _pair_gram(Mat: np.ndarray) -> np.ndarray:
+    """Symmetrized rank-2 Gram over Omega: Mat_ir Mat_js + Mat_jr Mat_is."""
+    ii, jj = row_col_indices(Mat.shape[0])
+    return (Mat[np.ix_(ii, ii)] * Mat[np.ix_(jj, jj)]
+            + Mat[np.ix_(jj, ii)] * Mat[np.ix_(ii, jj)])
+
+
+@dataclass(frozen=True)
+class MetricPair:
+    """Gram matrix W, its closed-form inverse M, and the cached R = Y^{-1}."""
+
+    point: SiegelPoint
+    omega: tuple[Pair, ...]
+    W: np.ndarray
+    M: np.ndarray
+    R: np.ndarray
+
+
+def metric_pair(point: SiegelPoint) -> MetricPair:
+    g = point.g
+    Y = point.Y
+    if np.linalg.cond(Y) > 1e12:
+        raise DegeneracyError("imaginary part is numerically singular")
+    cho = np.linalg.cholesky(Y)
+    inv_cho = np.linalg.inv(cho)
+    R = inv_cho.T @ inv_cho
+    # one Newton step tightens the inverse near degenerate points
+    R = R @ (2.0 * np.eye(g) - Y @ R)
+    R = (R + R.T) / 2.0
+    W = _pair_gram(R) * _power_table(g)
+    M = _pair_gram(Y)
+    for Mat in (W, M):
+        Mat.setflags(write=False)
+    return MetricPair(point, tuple(omega_list(g)), W, M, R)
+
+
+def metric_W(point: SiegelPoint) -> np.ndarray:
+    return metric_pair(point).W
+
+
+def metric_M(point: SiegelPoint) -> np.ndarray:
+    return metric_pair(point).M
+
+
+def metric_form(point: SiegelPoint, V1: np.ndarray, V2: np.ndarray) -> complex:
+    """The invariant Hermitian pairing Tr(Y^{-1} V1 Y^{-1} conj(V2))."""
+    R = metric_pair(point).R
+    return complex(np.trace(R @ V1 @ R @ np.conj(V2)))
+
+
+def dR_dZ(point: SiegelPoint, J: Pair, R: np.ndarray | None = None) -> np.ndarray:
+    """Holomorphic derivative of R = Y^{-1} along coordinate J:
+    (i/2) R E_J R."""
+    if R is None:
+        R = metric_pair(point).R
+    E = basis_matrix(J, point.g)
+    return 0.5j * (R @ E @ R)
+
+
+def dW_tensor(pair: MetricPair) -> np.ndarray:
+    """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3."""
+    g = pair.point.g
+    m = omega_size(g)
+    R = pair.R
+    ii, jj = row_col_indices(g)
+    powers = _power_table(g)
+    out = np.empty((m, m, m), dtype=complex)
+    for c, J in enumerate(omega_list(g)):
+        dR = dR_dZ(pair.point, J, R)
+        gram = (dR[np.ix_(ii, ii)] * R[np.ix_(jj, jj)]
+                + R[np.ix_(ii, ii)] * dR[np.ix_(jj, jj)]
+                + dR[np.ix_(jj, ii)] * R[np.ix_(ii, jj)]
+                + R[np.ix_(jj, ii)] * dR[np.ix_(ii, jj)])
+        out[:, :, c] = gram * powers
+    return out
+
+
+def dM_tensor(pair: MetricPair) -> np.ndarray:
+    """dM[a, b, c] = dM_{I_a, I_b} / dZ_{I_c} over Omega^3."""
+    g = pair.point.g
+    m = omega_size(g)
+    Y = pair.point.Y
+    ii, jj = row_col_indices(g)
+    out = np.empty((m, m, m), dtype=complex)
+    for c, J in enumerate(omega_list(g)):
+        E = basis_matrix(J, g)
+        dY = -0.5j * E
+        gram = (dY[np.ix_(ii, ii)] * Y[np.ix_(jj, jj)]
+                + Y[np.ix_(ii, ii)] * dY[np.ix_(jj, jj)]
+                + dY[np.ix_(jj, ii)] * Y[np.ix_(ii, jj)]
+                + Y[np.ix_(jj, ii)] * dY[np.ix_(ii, jj)])
+        out[:, :, c] = gram
+    return out
+
+
+def dM_dZ(point: SiegelPoint, K: Pair, L: Pair, J: Pair) -> complex:
+    """Derivative of M_{K,L} = Y_pa Y_qb + Y_qa Y_pb along coordinate J,
+    written out through the symmetric-entry indicator:
+
+        -(i/2) { s_(p,a),J Y_qb + s_(q,b),J Y_pa
+                 + s_(q,a),J Y_pb + s_(p,b),J Y_qa }.
+    """
+    g = point.g
+    for pair in (K, L, J):
+        n_index(pair, g)
+    p, q = K
+    a, b = L
+    Y = point.Y
+    val = (sigma((p, a), J) * Y[q - 1, b - 1]
+           + sigma((q, b), J) * Y[p - 1, a - 1]
+           + sigma((q, a), J) * Y[p - 1, b - 1]
+           + sigma((p, b), J) * Y[q - 1, a - 1])
+    return -0.5j * val
