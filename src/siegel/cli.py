@@ -20,7 +20,7 @@ from .metric import metric_pair
 from .qseries import (SL2_WORDS, TruncationError, anomaly_residual, delta,
                       eisenstein, g2_series, serre_derivative)
 from .symplectic import DegeneracyError, SiegelPoint
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, worker_count
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -191,6 +191,10 @@ def _cmd_verify(args) -> int:
     if args.suite not in SUITES + ("all",):
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(SUITES + ('all',))}")
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = run_suite(args.suite, g_range, seed=args.seed, tol=args.tol,
                        ks=_parse_weights(args.k))
     summary = report.summary

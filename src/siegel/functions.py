@@ -2,10 +2,12 @@
 
 A "point function" is anything with value(point) -> complex and
 gradient(point) -> length-|Omega| array of holomorphic coordinate
-derivatives d/dZ_I.  The workhorse is TestFunction, a sparse polynomial in
-the upper-triangle entries Z_I and optionally their conjugates, with exact
-Gaussian-rational coefficients so that derivative bookkeeping stays exact
-until a value is requested at a numeric point.
+derivatives d/dZ_I.  Values broadcast: given a stack of points (X and Y of
+shape (..., g, g)), value returns one value per point.  The workhorse is
+TestFunction, a sparse polynomial in the upper-triangle entries Z_I and
+optionally their conjugates, with exact Gaussian-rational coefficients so
+that derivative bookkeeping stays exact until a value is requested at a
+numeric point, where it is evaluated from exponent arrays compiled once.
 
 Small combinators (sums, products, pullback through a group element) build
 the composite coefficients that show up when a group element is pushed
@@ -17,10 +19,12 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .indexing import Pair, n_index, omega_list, omega_size
+from .indexing import (Pair, basis_matrix, n_index, omega_list, omega_size,
+                       row_col_indices)
 from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
 
 
@@ -164,24 +168,49 @@ class TestFunction:
             out[key] = out.get(key, QC()) + coef * QC.of(e)
         return TestFunction(self.g, out)
 
+    @cached_property
+    def _compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(holo, anti, coef): exponent arrays of shape (terms, |Omega|)
+        and the complex coefficient of each term."""
+        keys = list(self.terms)
+        holo = np.array([h for h, _ in keys], dtype=np.int64)
+        anti = np.array([a for _, a in keys], dtype=np.int64)
+        coef = np.array([c.to_complex() for c in self.terms.values()],
+                        dtype=complex)
+        shape = (len(keys), self.m)
+        return holo.reshape(shape), anti.reshape(shape), coef
+
+    def _compiled_gradient(self) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """The partial derivative along each Omega position in the form of
+        _compiled with one more leading axis: exponents of shape (|Omega|,
+        terms, |Omega|) and coefficients of shape (|Omega|, terms).  Built
+        per call, not cached: it is |Omega| times the size of _compiled and
+        would stay alive with every function the verify suites hold."""
+        holo, anti, coef = self._compiled
+        lowered = holo - np.eye(self.m, dtype=np.int64)[:, None, :]
+        return np.maximum(lowered, 0), anti, coef * holo.T
+
+    def _coords(self, point) -> np.ndarray:
+        ii, jj = row_col_indices(self.g)
+        return _point_matrix(point)[..., ii, jj]
+
     def value(self, point) -> complex:
-        Z = _point_matrix(point)
-        coords = np.array([Z[i - 1, j - 1] for i, j in omega_list(self.g)])
-        total = 0j
-        for (holo, anti), coef in self.terms.items():
-            term = coef.to_complex()
-            for pos, e in enumerate(holo):
-                if e:
-                    term *= coords[pos] ** e
-            for pos, e in enumerate(anti):
-                if e:
-                    term *= np.conj(coords[pos]) ** e
-            total += term
-        return total
+        coords = self._coords(point)[..., None, :]
+        return _evaluate(coords, *self._compiled)
 
     def gradient(self, point) -> np.ndarray:
-        return np.array([self.partial(pair).value(point)
-                         for pair in omega_list(self.g)])
+        coords = self._coords(point)[..., None, None, :]
+        return _evaluate(coords, *self._compiled_gradient())
+
+
+def _evaluate(coords: np.ndarray, holo: np.ndarray, anti: np.ndarray,
+              coef: np.ndarray) -> np.ndarray:
+    """sum_t coef_t prod_I coords_I^holo_tI conj(coords_I)^anti_tI, with
+    the term axis last but one in holo and anti and last in coef."""
+    terms = (np.power(coords, holo).prod(axis=-1)
+             * np.power(np.conj(coords), anti).prod(axis=-1))
+    return (terms * coef).sum(axis=-1)
 
 
 class ConstFunction:
@@ -190,7 +219,7 @@ class ConstFunction:
         self._value = complex(value)
 
     def value(self, point) -> complex:
-        return self._value
+        return np.full(np.shape(_point_matrix(point))[:-2], self._value)[()]
 
     def gradient(self, point) -> np.ndarray:
         return np.zeros(omega_size(self.g), dtype=complex)
@@ -261,12 +290,6 @@ class PullbackFunction:
         return S @ self.fn.gradient(act(self.gamma, point))
 
 
-def as_point_function(coef, g: int):
-    if isinstance(coef, numbers.Complex):
-        return ConstFunction(g, coef)
-    return coef
-
-
 def coefficient_value(coef, point) -> complex:
     if isinstance(coef, numbers.Complex):
         return complex(coef)
@@ -282,11 +305,13 @@ def coefficient_gradient(coef, point, g: int) -> np.ndarray:
 def fd_gradient(value_fn, point: SiegelPoint, h: float | None = None,
                 order: int = 2) -> np.ndarray:
     """Central-difference Wirtinger gradient d/dZ_I = (d/dX_I - i d/dY_I)/2
-    of a scalar function given by value_fn(point).
+    of a scalar function given by value_fn.
 
-    order=4 uses the five-point stencil; steps in the Y direction are kept
-    small against the smallest eigenvalue of Y so perturbed points stay in
-    the domain.
+    Every stencil point (each coordinate, X and Y, each offset) goes into
+    one stack of points, and value_fn is called once on it: it must return
+    one value per stacked point.  order=4 uses the five-point stencil;
+    steps in the Y direction are kept small against the smallest eigenvalue
+    of Y so perturbed points stay in the domain.
     """
     g = point.g
     if h is None:
@@ -300,27 +325,24 @@ def fd_gradient(value_fn, point: SiegelPoint, h: float | None = None,
     margin = float(np.linalg.eigvalsh(point.Y).min())
     h = min(h, 0.05 * margin)
 
-    def diff(plus, minus, plus2, minus2):
-        if order == 2:
-            return (plus - minus) / (2 * h)
-        return (minus2 - 8 * minus + 8 * plus - plus2) / (12 * h)
-
-    out = np.empty(omega_size(g), dtype=complex)
-    for pos, (i, j) in enumerate(omega_list(g)):
-        E = np.zeros((g, g))
-        E[i - 1, j - 1] = E[j - 1, i - 1] = 1.0
-
-        def at(dx, dy):
-            return value_fn(SiegelPoint(g, point.X + dx * E,
-                                        point.Y + dy * E))
-        if order == 2:
-            dx = diff(at(h, 0), at(-h, 0), None, None)
-            dy = diff(at(0, h), at(0, -h), None, None)
-        else:
-            dx = diff(at(h, 0), at(-h, 0), at(2 * h, 0), at(-2 * h, 0))
-            dy = diff(at(0, h), at(0, -h), at(0, 2 * h), at(0, -2 * h))
-        out[pos] = 0.5 * (dx - 1j * dy)
-    return out
+    # stencil axes: (X or Y direction, offset, coordinate)
+    offsets = h * np.array([1.0, -1.0] if order == 2
+                           else [1.0, -1.0, 2.0, -2.0])
+    E = np.stack([basis_matrix(pair, g) for pair in omega_list(g)])
+    step = offsets[:, None, None, None] * E
+    still = np.zeros_like(step)
+    stack = SiegelPoint(g, point.X + np.stack([step, still]),
+                        point.Y + np.stack([still, step]))
+    values = np.asarray(value_fn(stack))
+    if values.shape != stack.X.shape[:-2]:
+        raise ValueError(f"value_fn returned shape {values.shape} for a "
+                         f"stack of shape {stack.X.shape[:-2]}")
+    if order == 2:
+        d = (values[:, 0] - values[:, 1]) / (2 * h)
+    else:
+        d = (values[:, 3] - 8 * values[:, 1] + 8 * values[:, 0]
+             - values[:, 2]) / (12 * h)
+    return 0.5 * (d[0] - 1j * d[1])
 
 
 def random_test_function(g: int, seed: int | np.random.Generator,

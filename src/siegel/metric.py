@@ -41,10 +41,13 @@ def _power_table(g: int) -> np.ndarray:
 
 
 def _pair_gram(Mat: np.ndarray) -> np.ndarray:
-    """Symmetrized rank-2 Gram over Omega: Mat_ir Mat_js + Mat_jr Mat_is."""
-    ii, jj = row_col_indices(Mat.shape[0])
-    return (Mat[np.ix_(ii, ii)] * Mat[np.ix_(jj, jj)]
-            + Mat[np.ix_(jj, ii)] * Mat[np.ix_(ii, jj)])
+    """Symmetrized rank-2 Gram over Omega: Mat_ir Mat_js + Mat_jr Mat_is,
+    for one matrix or a stack of them."""
+    ii, jj = row_col_indices(Mat.shape[-1])
+
+    def block(rows, cols):
+        return Mat[..., rows[:, None], cols[None, :]]
+    return block(ii, ii) * block(jj, jj) + block(jj, ii) * block(ii, jj)
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,17 @@ class MetricPair:
 
 
 def metric_pair(point: SiegelPoint) -> MetricPair:
+    """W, M and R at a point, or stacked over a stack of points."""
     g = point.g
     Y = point.Y
-    if np.linalg.cond(Y) > 1e12:
+    if (np.linalg.cond(Y) > 1e12).any():
         raise DegeneracyError("imaginary part is numerically singular")
     cho = np.linalg.cholesky(Y)
     inv_cho = np.linalg.inv(cho)
-    R = inv_cho.T @ inv_cho
+    R = inv_cho.swapaxes(-1, -2) @ inv_cho
     # one Newton step tightens the inverse near degenerate points
     R = R @ (2.0 * np.eye(g) - Y @ R)
-    R = (R + R.T) / 2.0
+    R = (R + R.swapaxes(-1, -2)) / 2.0
     W = _pair_gram(R) * _power_table(g)
     M = _pair_gram(Y)
     for Mat in (W, M):

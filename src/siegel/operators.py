@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import coefficient_value, fd_gradient
+from .functions import _point_matrix, coefficient_value, fd_gradient
 from .indexing import basis_matrix, coords_to_sym, omega_list, omega_size
 from .metric import metric_pair
 from .symplectic import (SiegelPoint, SymplecticElement, act,
@@ -28,15 +28,7 @@ from .symplectic import (SiegelPoint, SymplecticElement, act,
 def sym_gradient(f, point: SiegelPoint) -> np.ndarray:
     """Symmetrized gradient matrix: entry (i, j) is d f / dZ_ij weighted by
     1/2 off the diagonal."""
-    g = point.g
-    grad = f.gradient(point)
-    out = np.zeros((g, g), dtype=complex)
-    for pos, (i, j) in enumerate(omega_list(g)):
-        if i == j:
-            out[i - 1, i - 1] = grad[pos]
-        else:
-            out[i - 1, j - 1] = out[j - 1, i - 1] = grad[pos] / 2.0
-    return out
+    return _sym_from_coords(f.gradient(point), point.g)
 
 
 class ImInverseField:
@@ -95,16 +87,12 @@ class PolynomialMatrixField:
                 out[i, j] = coefficient_value(self.entries[i][j], point)
         return out
 
-    def entry_matrix(self, g: int) -> list:
-        return self.entries
-
 
 class ScalarFunctionField:
     """Degree-one matrix field built from a complex function z -> c(z)."""
 
-    def __init__(self, value_fn, derivative_fn=None):
+    def __init__(self, value_fn):
         self.value_fn = value_fn
-        self.derivative_fn = derivative_fn
 
     def value(self, point) -> np.ndarray:
         z = complex(point.Z[0, 0])
@@ -124,8 +112,9 @@ class QSeriesFunction:
 
     def value(self, point) -> complex:
         from .qseries import evaluate
-        z = complex(point.Z[0, 0]) if hasattr(point, "Z") else complex(point[0, 0])
-        return evaluate(self.series, z)
+        zs = _point_matrix(point)[..., 0, 0]
+        values = [evaluate(self.series, complex(z)) for z in zs.flat]
+        return np.array(values).reshape(zs.shape)[()]
 
     def gradient(self, point) -> np.ndarray:
         from .qseries import evaluate
@@ -177,6 +166,7 @@ class ModularExtension:
         return base, den
 
     def value(self, point) -> complex:
+        """F at a point, or at every point of a stack."""
         base, den = self._parts(point)
         return np.linalg.det(den) ** self.weight * self.f.value(base)
 

@@ -28,47 +28,89 @@ class DimensionError(ValueError):
 
 
 class DegeneracyError(ArithmeticError):
-    """A cocycle factor is numerically singular."""
+    """A cocycle factor is numerically singular, or the image of the action
+    is no longer a valid point."""
 
 
-def _symmetrize(M: np.ndarray, what: str, tol: float = 1e-12) -> np.ndarray:
-    scale = max(1.0, float(np.abs(M).max()))
-    skew = float(np.abs(M - M.T).max())
-    if skew > tol * scale:
-        raise ValueError(f"{what} is not symmetric (asymmetry {skew:.3e})")
-    return (M + M.T) / 2.0
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack of shape (..., g, g)."""
+    return M.swapaxes(-1, -2)
 
 
-def _check_positive_definite(Y: np.ndarray, tol: float = 1e-12) -> None:
-    # leading principal minors, relative tolerance against the entry scale
-    g = Y.shape[0]
-    scale = max(1.0, float(np.abs(Y).max()))
-    for k in range(1, g + 1):
-        minor = float(np.linalg.det(Y[:k, :k]))
-        if minor <= tol * scale**k:
-            raise ValueError(f"imaginary part is not positive definite "
-                             f"(leading minor {k} = {minor:.3e})")
+def _max_abs(M: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of every matrix in a stack."""
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of bad, or None when there is none."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _at(index: tuple[int, ...]) -> str:
+    return f" at stack index {index}" if index else ""
+
+
+_PARTS = ("real part", "imaginary part")
+
+
+def _validated(g: int, X, Y, tol: float = 1e-12
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized, read-only X and Y after one batched pass of checks over
+    every point of a stack: finite entries, symmetry against tol times the
+    entry scale, and Y > 0 by the same relative test on its leading
+    principal minors."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape[-2:] != (g, g) or Y.shape != X.shape:
+        raise DimensionError(f"expected {g}x{g} blocks, got "
+                             f"{X.shape} and {Y.shape}")
+    XY = np.array((X, Y))
+    bad = _first_bad(~np.isfinite(XY).all(axis=(-2, -1)))
+    if bad is not None:
+        raise ValueError(f"{_PARTS[bad[0]]} has non-finite entries"
+                         f"{_at(bad[1:])}")
+    XYt = _mT(XY)
+    skew = _max_abs(XY - XYt)
+    scale = np.maximum(1.0, _max_abs(XY))
+    bad = _first_bad(skew > tol * scale)
+    if bad is not None:
+        raise ValueError(f"{_PARTS[bad[0]]} is not symmetric (asymmetry "
+                         f"{skew[bad]:.3e}){_at(bad[1:])}")
+    XY = (XY + XYt) / 2.0
+    XY.setflags(write=False)
+    X, Y = XY
+    # minor k of Y is the product of the first k squared Cholesky pivots
+    try:
+        L = np.linalg.cholesky(Y)
+    except np.linalg.LinAlgError:
+        bad = _first_bad(np.linalg.eigvalsh(Y)[..., 0] <= 0)
+        raise ValueError(f"imaginary part is not positive definite"
+                         f"{_at(bad or ())}") from None
+    minors = np.multiply.accumulate(
+        np.diagonal(L, axis1=-2, axis2=-1) ** 2, axis=-1)
+    bad = _first_bad(minors <= tol * scale[1][..., None]
+                     ** np.arange(1, g + 1))
+    if bad is not None:
+        raise ValueError(f"imaginary part is not positive definite "
+                         f"(leading minor {bad[-1] + 1} = {minors[bad]:.3e})"
+                         f"{_at(bad[:-1])}")
+    return X, Y
 
 
 @dataclass(frozen=True)
 class SiegelPoint:
-    """A point Z = X + iY with X, Y real symmetric and Y positive definite."""
+    """A point Z = X + iY with X, Y real symmetric and Y positive definite,
+    or a stack of such points when X and Y have shape (..., g, g)."""
 
     g: int
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.shape != (self.g, self.g) or Y.shape != (self.g, self.g):
-            raise DimensionError(f"expected {self.g}x{self.g} blocks, got "
-                                 f"{X.shape} and {Y.shape}")
-        X = _symmetrize(X, "real part")
-        Y = _symmetrize(Y, "imaginary part")
-        _check_positive_definite(Y)
-        X.setflags(write=False)
-        Y.setflags(write=False)
+        X, Y = _validated(self.g, self.X, self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -79,7 +121,7 @@ class SiegelPoint:
     @classmethod
     def from_matrix(cls, Z: np.ndarray) -> "SiegelPoint":
         Z = np.asarray(Z, dtype=complex)
-        return cls(Z.shape[0], Z.real, Z.imag)
+        return cls(Z.shape[-1], Z.real, Z.imag)
 
     @classmethod
     def from_complex(cls, z: complex) -> "SiegelPoint":
@@ -236,26 +278,32 @@ def _cocycle_blocks(gamma: SymplecticElement, point: SiegelPoint):
 
 
 def cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
-    """The automorphy factor C Z + D."""
+    """The automorphy factor C Z + D (one per point of a stack)."""
     _, den = _cocycle_blocks(gamma, point)
     return den
 
 
 def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
-    """Generalized Moebius action (A Z + B)(C Z + D)^{-1}."""
+    """Generalized Moebius action (A Z + B)(C Z + D)^{-1}, applied to every
+    point of a stack; any member failing a check fails the call."""
     Z, den = _cocycle_blocks(gamma, point)
-    if np.linalg.cond(den) > COND_LIMIT:
+    if (np.linalg.cond(den) > COND_LIMIT).any():
         raise DegeneracyError("cocycle factor is numerically singular")
     num = gamma.A @ Z + gamma.B
-    W = np.linalg.solve(den.T, num.T).T
+    den_t = _mT(den)
+    W = _mT(np.linalg.solve(den_t, _mT(num)))
     # one step of iterative refinement: downstream identities divide by
     # Im(gamma Z), so squeeze the solve to its backward-stable limit
-    W = W + np.linalg.solve(den.T, (num - W @ den).T).T
+    W = W + _mT(np.linalg.solve(den_t, _mT(num - W @ den)))
     # the result is symmetric in exact arithmetic; reject only genuine blowup
-    skew = float(np.abs(W - W.T).max())
-    if skew > 1e-6 * max(1.0, float(np.abs(W).max())):
+    Wt = _mT(W)
+    if (_max_abs(W - Wt) > 1e-6 * np.maximum(1.0, _max_abs(W))).any():
         raise DegeneracyError("action lost symmetry beyond roundoff")
-    return SiegelPoint.from_matrix((W + W.T) / 2.0)
+    try:
+        return SiegelPoint.from_matrix((W + Wt) / 2.0)
+    except ValueError as exc:
+        raise DegeneracyError(f"image of the action is not a Siegel point: "
+                              f"{exc}") from exc
 
 
 def im_of_action(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:

@@ -113,7 +113,8 @@ class VerificationReport:
 
 
 class _Collector:
-    """Builds records from case thunks, optionally across worker threads."""
+    """Builds records from case thunks, optionally across worker threads;
+    collect runs the thunks once."""
 
     def __init__(self, suite: str, tol_override: float | None):
         self.suite = suite
@@ -142,19 +143,31 @@ class _Collector:
         self.thunks.append(run)
 
     def collect(self) -> list[CheckRecord]:
-        workers = _worker_count()
+        workers = worker_count()
         if workers == 1:
-            return [thunk() for thunk in self.thunks]
+            # drop each case once its record exists, so the inputs it holds
+            # (and what they cache, such as compiled test functions) do not
+            # all stay alive until the suite ends
+            records = []
+            while self.thunks:
+                records.append(self.thunks.pop(0)())
+            return records
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda t: t(), self.thunks))
 
 
-def _worker_count() -> int:
+def worker_count() -> int:
+    """Worker threads from SIEGEL_THREADS (unset or empty: 1, 0: the CPU
+    count); anything but a non-negative integer is a ValueError."""
     raw = os.environ.get("SIEGEL_THREADS", "1").strip() or "1"
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"SIEGEL_THREADS must be a non-negative integer, "
+                         f"got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def _case_rng(seed: int, *tags) -> np.random.Generator:
@@ -275,8 +288,9 @@ def metric_suite(g_range: tuple[int, int], seed: int,
                             p, q = K
                             a, b = L
                             Y = pt.Y
-                            return (Y[p - 1, a - 1] * Y[q - 1, b - 1]
-                                    + Y[q - 1, a - 1] * Y[p - 1, b - 1])
+                            return (Y[..., p - 1, a - 1] * Y[..., q - 1, b - 1]
+                                    + Y[..., q - 1, a - 1]
+                                    * Y[..., p - 1, b - 1])
                         grad = fd_gradient(entry, point)
                         for c, J in enumerate(pairs):
                             worst = max(worst, abs(grad[c] - dM_dZ(point, K, L, J)))

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from siegel.cli import main
 from siegel.symplectic import DegeneracyError, SiegelPoint
@@ -162,6 +163,36 @@ def test_verify_threads_match_serial(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "verify", "--suite", "qseries", "--seed", "1",
             "--report", str(threaded))
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+@pytest.mark.parametrize("part, bad", [("X", "NaN"), ("Y", "NaN"),
+                                       ("X", "Infinity"), ("Y", "-Infinity")])
+def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
+    blocks = {"X": "[[0.0]]", "Y": "[[1.0]]"}
+    blocks[part] = f"[[{bad}]]"
+    path = tmp_path / "point.json"
+    path.write_text(f'{{"g": 1, "X": {blocks["X"]}, "Y": {blocks["Y"]}}}')
+    code, _, err = run_cli(capsys, "metric", "--point", str(path))
+    assert code == 2
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
+def test_verify_rejects_bad_thread_count(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SIEGEL_THREADS", raw)
+    code, _, err = run_cli(capsys, "verify", "--suite", "qseries")
+    assert code == 2
+    assert "SIEGEL_THREADS" in err
+
+
+def test_verify_degenerate_action_image_exits_3(capsys):
+    # seed 12 draws a metric.pairing_invariance case at g = 5 whose image
+    # under the action fails the positive-definiteness test
+    code, out, err = run_cli(capsys, "verify", "--suite", "metric",
+                             "--g", "5..5", "--seed", "12")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "numerical degeneracy" in err
 
 
 def test_degeneracy_exit_code(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
                           substitute_basis, trace_form)
@@ -8,7 +9,8 @@ from siegel.functions import (QC, ProductFunction, PullbackFunction,
                               TestFunction, fd_gradient,
                               random_test_function)
 from siegel.indexing import omega_list
-from siegel.symplectic import random_point, random_symplectic, act
+from siegel.symplectic import (SiegelPoint, act, random_point,
+                               random_symplectic)
 
 
 def test_gaussian_rational_arithmetic():
@@ -95,6 +97,55 @@ def test_gradient_matches_finite_differences():
     exact = f.gradient(point)
     approx = fd_gradient(f.value, point)
     assert np.abs(exact - approx).max() < 1e-7
+
+
+def _value_by_terms(f, point):
+    """Term-by-term evaluation: (value, sum of the term magnitudes)."""
+    coords = [point.Z[i - 1, j - 1] for i, j in omega_list(f.g)]
+    total, size = 0j, 0.0
+    for (holo, anti), coef in f.terms.items():
+        term = coef.to_complex()
+        for c, e, a in zip(coords, holo, anti):
+            term *= c ** e * np.conj(c) ** a
+        total += term
+        size += abs(term)
+    return total, size
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_value_and_gradient_on_stack_match_each_point(g):
+    rng = np.random.default_rng(80 + g)
+    f = random_test_function(g, rng, n_terms=6, conj=True)
+    points = [random_point(g, rng) for _ in range(5)]
+    stack = SiegelPoint(g, np.stack([p.X for p in points]),
+                        np.stack([p.Y for p in points]))
+    values = f.value(stack)
+    grads = f.gradient(stack)
+    assert values.shape == (5,) and grads.shape == (5, len(omega_list(g)))
+    for value, grad, point in zip(values, grads, points):
+        expect, size = _value_by_terms(f, point)
+        assert abs(f.value(point) - expect) <= 1e-14 * max(1.0, size)
+        assert abs(value - f.value(point)) <= 1e-14 * max(1.0, abs(value))
+        for pos, pair in enumerate(omega_list(g)):
+            expect, size = _value_by_terms(f.partial(pair), point)
+            assert abs(grad[pos] - expect) <= 1e-14 * max(1.0, size)
+
+
+def test_fd_gradient_evaluates_one_stack():
+    g = 3
+    rng = np.random.default_rng(11)
+    f = random_test_function(g, rng)
+    point = random_point(g, rng)
+    for order in (2, 4):
+        calls = []
+
+        def counted(stack):
+            calls.append(stack)
+            return f.value(stack)
+        fd_gradient(counted, point, order=order)
+        assert len(calls) == 1
+    with pytest.raises(ValueError, match="value_fn returned shape"):
+        fd_gradient(lambda stack: 1.0, point)
 
 
 def test_pullback_chain_rule():

@@ -138,8 +138,8 @@ def test_inverse_entry_derivative_finite_differences(g):
                 p, q = K
                 a, b = L
                 Y = pt.Y
-                return (Y[p - 1, a - 1] * Y[q - 1, b - 1]
-                        + Y[q - 1, a - 1] * Y[p - 1, b - 1])
+                return (Y[..., p - 1, a - 1] * Y[..., q - 1, b - 1]
+                        + Y[..., q - 1, a - 1] * Y[..., p - 1, b - 1])
             grad = fd_gradient(entry, point)
             for pos, J in enumerate(pairs):
                 worst = max(worst, abs(grad[pos] - dM_dZ(point, K, L, J)))
@@ -156,7 +156,7 @@ def test_gram_derivative_finite_differences():
     for a in range(len(pairs)):
         for b in range(len(pairs)):
             def entry(pt, a=a, b=b):
-                return metric_pair(pt).W[a, b]
+                return metric_pair(pt).W[..., a, b]
             grad = fd_gradient(entry, point)
             for c in range(len(pairs)):
                 assert abs(grad[c] - dW[a, b, c]) < 1e-7

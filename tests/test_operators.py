@@ -85,6 +85,21 @@ def test_modular_extension_realizes_weight_transform():
     assert abs(got - expect) < 1e-10 * max(1, abs(expect))
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_modular_extension_value_on_stack_matches_each_point(g):
+    rng = np.random.default_rng(90 + g)
+    ext = ModularExtension(random_test_function(g, rng), 4,
+                           random_symplectic(g, 5, rng))
+    points = [random_point(g, rng) for _ in range(5)]
+    stack = SiegelPoint(g, np.stack([p.X for p in points]),
+                        np.stack([p.Y for p in points]))
+    values = ext.value(stack)
+    assert values.shape == (5,)
+    for value, point in zip(values, points):
+        expect = ext.value(point)
+        assert abs(value - expect) <= 1e-14 * max(1.0, abs(expect))
+
+
 def test_modular_extension_gradient_against_finite_differences():
     rng = np.random.default_rng(7)
     for g in (1, 2):

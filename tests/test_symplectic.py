@@ -38,6 +38,53 @@ def test_point_construction_symmetrizes_and_rejects():
         SiegelPoint(2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("part", ["X", "Y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_entries(part, bad):
+    blocks = {"X": np.zeros((2, 2)), "Y": np.eye(2)}
+    blocks[part][1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SiegelPoint(2, blocks["X"], blocks["Y"])
+
+
+@pytest.mark.parametrize("defect, match", [
+    ("asymmetric", "not symmetric"),
+    ("indefinite", "not positive definite"),
+    ("singular", "leading minor 2"),
+    ("nan", "non-finite"),
+])
+def test_stack_with_one_bad_member_raises(defect, match):
+    X = np.zeros((4, 2, 2))
+    Y = np.stack([np.eye(2)] * 4)
+    if defect == "asymmetric":
+        X[2, 0, 1] = 1.0
+    elif defect == "indefinite":
+        Y[2] = np.diag([1.0, -1.0])
+    elif defect == "singular":
+        Y[2] = np.diag([1.0, 1e-14])
+    else:
+        X[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=match + r".*stack index \(2,\)"):
+        SiegelPoint(2, X, Y)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_act_on_stack_matches_each_point(g):
+    rng = np.random.default_rng(70 + g)
+    gamma = random_symplectic(g, 5, rng)
+    points = [random_point(g, rng) for _ in range(6)]
+    # a (2, 3) stack: any number of leading axes broadcasts
+    stack = SiegelPoint(g, np.stack([p.X for p in points]).reshape(2, 3, g, g),
+                        np.stack([p.Y for p in points]).reshape(2, 3, g, g))
+    images = act(gamma, stack).Z.reshape(6, g, g)
+    factors = cocycle(gamma, stack).reshape(6, g, g)
+    for i, point in enumerate(points):
+        expect = act(gamma, point).Z
+        assert (np.abs(images[i] - expect).max()
+                <= 1e-14 * max(1.0, np.abs(expect).max()))
+        np.testing.assert_array_equal(factors[i], cocycle(gamma, point))
+
+
 def test_inversion_fixes_i_identity():
     for g in (1, 2, 3):
         point = SiegelPoint(g, np.zeros((g, g)), np.eye(g))
