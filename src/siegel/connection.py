@@ -35,8 +35,8 @@ from .forms import (FormPolynomial, det_dz, max_coefficient_diff,
 from .functions import (ConstFunction, ProductFunction, PullbackFunction,
                         TestFunction, coefficient_gradient,
                         coefficient_value)
-from .indexing import (Pair, basis_matrix, delta, n_index, omega_list,
-                       omega_size, sym_to_coords)
+from .indexing import (Pair, basis_matrix, delta, entry_positions, n_index,
+                       omega_list, omega_size, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_matrix, pushforward_matrix_derivative)
@@ -314,7 +314,7 @@ def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
     g = point.g
     R = metric_pair(point).R
     r, s = K
-    pos = _entry_positions(g)
+    pos = entry_positions(g)
     terms: dict = {}
     for i in range(1, g + 1):
         for j in range(1, g + 1):
@@ -322,14 +322,6 @@ def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
             c = -1j * R[i - 1, j - 1]
             terms[mono] = terms.get(mono, 0j) + c
     return FormPolynomial(g, terms)
-
-
-def _entry_positions(g: int) -> dict:
-    table = {}
-    for position, (i, j) in enumerate(omega_list(g)):
-        table[i, j] = position
-        table[j, i] = position
-    return table
 
 
 def d_det_closed(point: SiegelPoint) -> FormPolynomial:
@@ -378,7 +370,7 @@ def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
     -i Tr(G dZ Y^{-1} dZ), with numeric coefficients at the base point."""
     point = table.point
     g = table.g
-    pos = _entry_positions(g)
+    pos = entry_positions(g)
     R = metric_pair(point).R
     _require_symmetric_entries(Gfield, g)
 

@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .functions import SumFunction, ProductFunction, ScaledFunction
-from .indexing import Pair, n_index, omega_size
+from .indexing import Pair, entry_positions, n_index, omega_size
 
 Monomial = tuple[int, ...]
 
@@ -129,15 +129,11 @@ class FormPolynomial:
 def det_dz(g: int) -> FormPolynomial:
     """det(dZ) expanded over permutations; entries dZ_ij = dZ_ji collapse
     into the commutative algebra."""
-    positions = np.empty((g, g), dtype=int)
-    from .indexing import omega_list
-    for pos, (i, j) in enumerate(omega_list(g)):
-        positions[i - 1, j - 1] = pos
-        positions[j - 1, i - 1] = pos
+    positions = entry_positions(g)
     terms: dict = {}
     for perm in permutations(range(g)):
         sign = _perm_sign(perm)
-        mono = tuple(sorted(positions[t, perm[t]] for t in range(g)))
+        mono = tuple(sorted(positions[t + 1, perm[t] + 1] for t in range(g)))
         terms[mono] = terms.get(mono, 0j) + sign
     return FormPolynomial(g, terms)
 

@@ -32,6 +32,15 @@ def n_index(pair: Pair, g: int) -> int:
     return (i - 1) * (2 * g - i) // 2 + j
 
 
+def entry_positions(g: int) -> dict[Pair, int]:
+    """0-based Omega position of the entry Z_ij, keyed by both (i, j) and
+    (j, i) (1-based), since Z is symmetric."""
+    table = {}
+    for position, (i, j) in enumerate(omega_list(g)):
+        table[i, j] = table[j, i] = position
+    return table
+
+
 def delta(a, b) -> int:
     return 1 if a == b else 0
 

@@ -1,10 +1,14 @@
 """Exact truncated q-expansions for degree-1 modular forms.
 
-Coefficients are Fractions throughout; floating point appears only in
-``evaluate``.  The weight-2 Eisenstein series is normalized as
-G2 = (pi/3) E2, the unique scaling for which i G2 obeys the same
-transformation defect 2c/(cz+d) as i/y; transcendental prefactors are kept
-as symbolic tags on the series rather than folded into coefficients.
+Coefficients are exact rationals, stored as Python-int numerators over one
+common denominator.  Products multiply the numerator vectors as single
+integers (Kronecker substitution), membership solves are fraction-free
+(Bareiss), and floating point appears only in ``evaluate``.
+
+The weight-2 Eisenstein series is normalized as G2 = (pi/3) E2, the unique
+scaling for which i G2 obeys the same transformation defect 2c/(cz+d) as
+i/y; transcendental prefactors are kept as symbolic tags on the series
+rather than folded into coefficients.
 
 The holomorphic weight-raising derivative is computed in the
 theta-normalization  v_w f = theta f - (w/12) E2 f  with theta = q d/dq,
@@ -14,6 +18,7 @@ which equals (1/2 pi i)(f' - i k G2 f) for w = 2k.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,68 +33,137 @@ class TruncationError(ArithmeticError):
 
 
 class QSeries:
-    """Truncated power series in q with exact rational coefficients."""
+    """Truncated power series in q with exact rational coefficients.
 
-    __slots__ = ("coeffs", "weight")
+    Coefficient m is ``_nums[m] / _den``: integer numerators over one
+    positive common denominator, reduced so that their gcd with it is 1.
+    A series is immutable; ``coeffs`` gives the coefficients as Fractions.
+    """
+
+    __slots__ = ("_nums", "_den", "_weight", "_floats")
 
     def __init__(self, coeffs, weight: int | None = None):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
+        values = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(v.denominator for v in values))
+        self._store([v.numerator * (den // v.denominator) for v in values],
+                    den, weight)
+
+    @classmethod
+    def _exact(cls, nums, den: int, weight: int | None) -> "QSeries":
+        """The series with coefficients nums[m] / den, for den > 0."""
+        series = cls.__new__(cls)
+        series._store(nums, den, weight)
+        return series
+
+    def _store(self, nums, den: int, weight: int | None) -> None:
+        if not nums:
             raise ValueError("series needs at least one coefficient")
-        self.weight = weight
+        common = math.gcd(den, *nums)
+        if common != 1:
+            nums = [c // common for c in nums]
+            den //= common
+        self._nums = tuple(nums)
+        self._den = den
+        self._weight = weight
+        self._floats = None
+
+    @property
+    def weight(self) -> int | None:
+        return self._weight
+
+    def _with_weight(self, weight: int | None) -> "QSeries":
+        return QSeries._exact(self._nums, self._den, weight)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """Each coefficient rounded once to the nearest float (int true
+        division rounds correctly, as float(Fraction) does)."""
+        if self._floats is None:
+            self._floats = tuple(c / self._den for c in self._nums)
+        return self._floats
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._nums)
 
     def __getitem__(self, m: int) -> Fraction:
         return self.coeffs[m]
 
     def truncate(self, n: int) -> "QSeries":
-        return QSeries(self.coeffs[:n], self.weight)
+        return QSeries._exact(self._nums[:n], self._den, self.weight)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(len(self), len(other))
-        return self.coeffs[:n] == other.coeffs[:n]
+        da, db = self._den, other._den
+        return all(a * db == b * da for a, b in zip(self._nums, other._nums))
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        n = min(len(self), len(other))
         w = self.weight if self.weight == other.weight else None
-        return QSeries([self.coeffs[m] + other.coeffs[m] for m in range(n)], w)
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return QSeries._exact([a * fa + b * fb for a, b in zip(self._nums,
+                                                               other._nums)],
+                              den, w)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(len(self), len(other))
-        out = [Fraction(0)] * n
-        for a, ca in enumerate(self.coeffs[:n]):
-            if not ca:
-                continue
-            for b in range(n - a):
-                cb = other.coeffs[b]
-                if cb:
-                    out[a + b] += ca * cb
         w = None
         if self.weight is not None and other.weight is not None:
             w = self.weight + other.weight
-        return QSeries(out, w)
+        return QSeries._exact(_product_head(self._nums[:n], other._nums[:n]),
+                              self._den * other._den, w)
 
     def scale(self, scalar) -> "QSeries":
         scalar = Fraction(scalar)
-        return QSeries([scalar * c for c in self.coeffs], self.weight)
+        return QSeries._exact([scalar.numerator * c for c in self._nums],
+                              scalar.denominator * self._den, self.weight)
 
     def theta(self) -> "QSeries":
         """q d/dq."""
-        return QSeries([m * c for m, c in enumerate(self.coeffs)], None)
+        return QSeries._exact([m * c for m, c in enumerate(self._nums)],
+                              self._den, None)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(Fraction(c, self._den)) for c in self._nums[:6])
         return f"QSeries([{head}, ...], weight={self.weight})"
+
+
+def _product_head(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The first n coefficients of the product of two integer polynomials
+    of length n, by Kronecker substitution: each vector becomes one integer
+    in base 2^(8 size), with a digit wide enough for any product
+    coefficient (at most n max|a| max|b| in magnitude), and one integer
+    multiplication yields every coefficient as a signed digit."""
+    n = len(a)
+    bound = n * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * n
+    size = bound.bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    # half in every digit: adding it makes every signed digit below half in
+    # magnitude non-negative, so packing and unpacking never carry
+    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+
+    def pack(coeffs):
+        return int.from_bytes(b"".join((c + half).to_bytes(size, "little")
+                                       for c in coeffs), "little") - offset
+
+    x = pack(a)
+    product = x * x if b is a else x * pack(b)
+    width = size * n
+    raw = ((product + offset) & ((1 << (8 * width)) - 1)).to_bytes(width,
+                                                                   "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, width, size)]
 
 
 @dataclass(frozen=True)
@@ -120,6 +194,7 @@ def _divisor_sum(m: int, power: int) -> int:
 _EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
 
+@functools.lru_cache(maxsize=32)
 def eisenstein(k: int, n: int) -> QSeries:
     """Normalized E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m for k in {2,4,6}."""
     if k not in _EISENSTEIN_FACTOR:
@@ -127,9 +202,8 @@ def eisenstein(k: int, n: int) -> QSeries:
     if n < 1:
         raise ValueError("need at least one term")
     factor = _EISENSTEIN_FACTOR[k]
-    coeffs = [Fraction(1)] + [Fraction(factor * _divisor_sum(m, k - 1))
-                              for m in range(1, n)]
-    return QSeries(coeffs, weight=k)
+    nums = [1] + [factor * _divisor_sum(m, k - 1) for m in range(1, n)]
+    return QSeries._exact(nums, 1, k)
 
 
 def g2_series(n: int) -> TaggedSeries:
@@ -143,7 +217,7 @@ def delta(n: int) -> QSeries:
     e4 = eisenstein(4, n)
     e6 = eisenstein(6, n)
     out = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
-    return QSeries(out.coeffs, weight=12)
+    return out._with_weight(12)
 
 
 def serre_derivative(f: QSeries, n: int | None = None) -> QSeries:
@@ -154,7 +228,7 @@ def serre_derivative(f: QSeries, n: int | None = None) -> QSeries:
         f = f.truncate(n)
     e2 = eisenstein(2, len(f))
     out = f.theta() - (e2 * f).scale(Fraction(f.weight, 12))
-    return QSeries(out.coeffs, weight=f.weight + 2)
+    return out._with_weight(f.weight + 2)
 
 
 def bracket1_classical(f: QSeries, h: QSeries) -> QSeries:
@@ -163,7 +237,7 @@ def bracket1_classical(f: QSeries, h: QSeries) -> QSeries:
     if f.weight is None or h.weight is None:
         raise ValueError("both series must declare weights")
     out = h * f.theta() - f * h.theta()
-    return QSeries(out.coeffs, weight=f.weight + h.weight + 2)
+    return out._with_weight(f.weight + h.weight + 2)
 
 
 def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
@@ -181,13 +255,14 @@ def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
         raise ValueError("evaluation point must lie in the upper half plane")
     q = cmath.exp(2j * math.pi * z)
     n = len(f)
+    coeffs = f._float_coeffs()
     if n == 1:
         # a length-one series carries no decay information; treat it as an
         # exact constant rather than a truncation
-        return prefactor * complex(float(f.coeffs[0]))
+        return prefactor * complex(coeffs[0])
     p = f.weight if f.weight is not None else 12
     p = max(p, 1)
-    A = max(abs(float(c)) / (m + 1) ** p for m, c in enumerate(f.coeffs))
+    A = max(abs(c) / (m + 1) ** p for m, c in enumerate(coeffs))
     growth = (1.0 + 1.0 / n) ** p
     aq = abs(q)
     if aq * growth >= 1.0:
@@ -205,8 +280,8 @@ def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
             f"tail estimate {tail:.2e} exceeds {tol:.1e}; "
             f"about {need} terms required", required=need)
     total = 0j
-    for c in reversed(f.coeffs):
-        total = total * q + complex(float(c))
+    for c in reversed(coeffs):
+        total = total * q + c
     return prefactor * total
 
 
@@ -235,13 +310,13 @@ class ModularBasis:
                 if rem % 6 != 0:
                     continue
                 b = rem // 6
-                term = QSeries([Fraction(1)] + [Fraction(0)] * (n - 1), 0)
+                term = QSeries._exact([1] + [0] * (n - 1), 1, 0)
                 for _ in range(a):
                     term = term * e4
                 for _ in range(b):
                     term = term * e6
                 self.exponents.append((a, b))
-                self.elements.append(QSeries(term.coeffs, weight=weight))
+                self.elements.append(term._with_weight(weight))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -258,40 +333,48 @@ def membership_in_Mw(f: QSeries, w: int,
     if dim == 0:
         return (f.is_zero(), [] if f.is_zero() else None)
     basis = ModularBasis(w, len(f))
-    coords = _solve_exact([list(b.coeffs) for b in basis.elements],
-                          list(f.coeffs))
+    # the monomials have integer coefficients: scaling them by the
+    # denominator of f keeps the unknowns and makes the system integral
+    coords = _solve_exact([[f._den * c for c in b._nums]
+                           for b in basis.elements], list(f._nums))
     return (coords is not None, coords)
 
 
-def _solve_exact(columns: list[list[Fraction]],
-                 target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j columns[j] = target exactly, or report failure."""
-    n_rows = len(target)
+def _solve_exact(columns: list[list[int]],
+                 target: list[int]) -> list[Fraction] | None:
+    """Solve sum_j x_j columns[j] = target exactly over the integers, or
+    report failure (None).  Free unknowns are set to zero.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of the augmented matrix, so each division by the previous
+    pivot is exact, and each pivot row ends with the last pivot on its
+    diagonal, which is the common denominator of the solution.
+    """
     n_cols = len(columns)
-    rows = [[columns[j][m] for j in range(n_cols)] + [target[m]]
-            for m in range(n_rows)]
+    rows = [list(row) for row in zip(*columns, target)]
     pivots = []
-    rank_row = 0
+    previous = 1
     for col in range(n_cols):
-        pivot = next((r for r in range(rank_row, n_rows) if rows[r][col]), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
         if pivot is None:
             continue
-        rows[rank_row], rows[pivot] = rows[pivot], rows[rank_row]
-        lead = rows[rank_row][col]
-        rows[rank_row] = [v / lead for v in rows[rank_row]]
-        for r in range(n_rows):
-            if r != rank_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r],
-                                                          rows[rank_row])]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead_row = rows[rank]
+        lead = lead_row[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                factor = row[col]
+                rows[r] = [(lead * v - factor * u) // previous
+                           for v, u in zip(row, lead_row)]
+        previous = lead
         pivots.append(col)
-        rank_row += 1
-    for r in range(rank_row, n_rows):
-        if rows[r][n_cols]:
-            return None
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return None
     solution = [Fraction(0)] * n_cols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = rows[row_idx][n_cols]
+    for r, col in enumerate(pivots):
+        solution[col] = Fraction(rows[r][n_cols], previous)
     return solution
 
 

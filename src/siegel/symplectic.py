@@ -100,10 +100,13 @@ def _validated(g: int, X, Y, tol: float = 1e-12
     return X, Y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelPoint:
     """A point Z = X + iY with X, Y real symmetric and Y positive definite,
-    or a stack of such points when X and Y have shape (..., g, g)."""
+    or a stack of such points when X and Y have shape (..., g, g).
+
+    Points compare and hash by identity: their entries are floats.
+    """
 
     g: int
     X: np.ndarray
@@ -145,6 +148,18 @@ def symplectic_j(g: int) -> np.ndarray:
     return J
 
 
+# an integer product whose partial sums are bounded by max|a| max|b| n
+# below this runs in int64; the margin below 2^63 covers the rounding of
+# the bound, which is taken in floating point
+_INT64_SAFE = 2.0 ** 62
+
+
+def _magnitude(a: np.ndarray) -> float:
+    """max|a| of an integer matrix (in floating point, where abs(-2^63)
+    does not wrap)."""
+    return float(np.abs(a, dtype=float).max(initial=0.0))
+
+
 def is_symplectic(M: np.ndarray, tol: float = 1e-12) -> bool:
     """Whether M J M^t = J.  Exact for integer input, residual test else."""
     M = np.asarray(M)
@@ -156,13 +171,19 @@ def is_symplectic(M: np.ndarray, tol: float = 1e-12) -> bool:
     g = M.shape[0] // 2
     J = symplectic_j(g)
     if np.issubdtype(M.dtype, np.integer):
+        if _magnitude(M) ** 2 * 2 * g >= _INT64_SAFE:
+            M = M.astype(object)  # Python ints, which do not wrap
         return bool(np.array_equal(M @ J @ M.T, J))
     return bool(np.abs(M @ J @ M.T - J).max() < tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticElement:
-    """Integer block matrix (A, B; C, D) with M J M^t = J."""
+    """Integer block matrix (A, B; C, D) with M J M^t = J.
+
+    Elements compare by exact value and hash by g and the int64 bytes of
+    their matrix.
+    """
 
     g: int
     A: np.ndarray
@@ -186,6 +207,15 @@ class SymplecticElement:
     @property
     def matrix(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.C, self.D]])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymplecticElement):
+            return NotImplemented
+        return self.g == other.g and np.array_equal(self.matrix,
+                                                    other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.g, self.matrix.tobytes()))
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "SymplecticElement":
@@ -228,9 +258,21 @@ class SymplecticElement:
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.g != other.g:
             raise DimensionError("degree mismatch")
-        return SymplecticElement.from_matrix(self.matrix @ other.matrix)
+        a, b = self.matrix, other.matrix
+        if _magnitude(a) * _magnitude(b) * 2 * self.g >= _INT64_SAFE:
+            a = a.astype(object)  # Python ints, which do not wrap
+        try:
+            product = np.asarray(a @ b, dtype=np.int64)
+        except OverflowError:
+            raise DegeneracyError("product has entries beyond the 64-bit "
+                                  "integer range") from None
+        return SymplecticElement.from_matrix(product)
 
     def inverse(self) -> "SymplecticElement":
+        # -(-2^63) wraps to itself in int64
+        if min(self.B.min(initial=0), self.C.min(initial=0)) == -2 ** 63:
+            raise DegeneracyError("inverse has entries beyond the 64-bit "
+                                  "integer range")
         return SymplecticElement(self.g, self.D.T, -self.B.T,
                                  -self.C.T, self.A.T)
 

@@ -8,7 +8,7 @@ from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
 from siegel.functions import (QC, ProductFunction, PullbackFunction,
                               TestFunction, fd_gradient,
                               random_test_function)
-from siegel.indexing import omega_list
+from siegel.indexing import entry_positions, n_index, omega_list
 from siegel.symplectic import (SiegelPoint, act, random_point,
                                random_symplectic)
 
@@ -45,6 +45,14 @@ def test_det_form_counts():
     assert len(form3.terms) == 5
     cycle_mono = tuple(sorted((1, 2, 4)))  # positions of (1,2), (1,3), (2,3)
     assert form3.terms[cycle_mono] == 2.0
+
+
+def test_entry_positions_cover_both_orders():
+    for g in (1, 2, 3, 4):
+        table = entry_positions(g)
+        assert len(table) == g * g
+        for pos, (i, j) in enumerate(omega_list(g)):
+            assert table[i, j] == table[j, i] == pos == n_index((i, j), g) - 1
 
 
 def test_trace_form_weights():

@@ -1,9 +1,14 @@
+import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siegel.cli import main
 from siegel.qseries import (ModularBasis, QSeries, SL2_WORDS, TaggedSeries,
-                            TruncationError, anomaly_residual,
+                            TruncationError, _solve_exact, anomaly_residual,
                             bracket1_classical, delta, dim_modular_forms,
                             eisenstein, evaluate, g2_series, membership_in_Mw,
                             serre_derivative)
@@ -159,3 +164,196 @@ def test_classical_bracket_cusp_form():
     assert b.coeffs[0] == 0
     with pytest.raises(ValueError):
         bracket1_classical(QSeries([1, 2, 3]), d)
+
+
+# ------------------------------------------- integer arithmetic references
+
+
+def _schoolbook_product(a, b):
+    """Truncated product of two coefficient lists, one Fraction at a time."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return tuple(out)
+
+
+def _gauss_jordan(columns, target):
+    """Fraction Gauss-Jordan solve with free unknowns set to zero."""
+    n_rows, n_cols = len(target), len(columns)
+    rows = [[Fraction(columns[j][m]) for j in range(n_cols)]
+            + [Fraction(target[m])] for m in range(n_rows)]
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [v / rows[rank][col] for v in rows[rank]]
+        for r in range(n_rows):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][n_cols]
+    return solution
+
+
+BIG = 2 ** 64 + 13
+
+PRODUCT_CASES = {
+    "signed": ([3, -1, 0, 7, -5], [-2, 4, -6, 1, 0, 9]),
+    "all_zero": ([0, 0, 0], [1, -2, 3]),
+    "zero_times_zero": ([0, 0], [0, 0]),
+    "length_one": ([-7], [11, 5]),
+    "unequal_lengths": ([1, 2, 3, 4, 5, 6, 7, 8], [-1, 1]),
+    "mixed_denominators": ([Fraction(1, 2), Fraction(-2, 3), 5],
+                           [Fraction(3, 4), 0, Fraction(-7, 6), 1]),
+    "above_2_64": ([BIG, -BIG * 3, 1, -(BIG ** 2)],
+                   [-BIG, 2, BIG ** 3, Fraction(BIG, 3)]),
+    "single_large_digit": ([0, 0, -(2 ** 200)], [0, 2 ** 190 + 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_kronecker_product_matches_schoolbook(case):
+    a, b = PRODUCT_CASES[case]
+    expect = _schoolbook_product(a, b)
+    assert (QSeries(a) * QSeries(b)).coeffs == expect
+    assert (QSeries(b) * QSeries(a)).coeffs == expect
+    square = QSeries(a)
+    assert (square * square).coeffs == _schoolbook_product(a, a)
+
+
+def test_series_store_reduced_integer_numerators():
+    s = QSeries([Fraction(2, 4), Fraction(-3, 6), 1])
+    assert s._nums == (1, -1, 2) and s._den == 2
+    assert s.scale(2)._den == 1
+    zero = QSeries([Fraction(0), Fraction(0, 5)]) * QSeries([1, 2])
+    assert zero._nums == (0, 0) and zero._den == 1
+    third = QSeries([Fraction(1, 3), 2])
+    assert third.truncate(1) == QSeries([Fraction(1, 3)])
+    # truncation reduces again: (3, 2) / 6 keeps 3 / 6 = 1 / 2
+    assert QSeries([Fraction(1, 2), Fraction(1, 3)]).truncate(1)._den == 2
+    assert third != QSeries([Fraction(1, 3), 3])
+    with pytest.raises(ValueError):
+        QSeries([1, 2]).truncate(0)
+
+
+def _random_system(rng, n_rows, n_cols, rank, consistent):
+    """Integer columns of the given rank and a target in or off their span."""
+    basis = [[int(v) for v in rng.integers(-9, 10, size=n_rows)]
+             for _ in range(rank)]
+    columns = []
+    for _ in range(n_cols):
+        mix = [int(v) for v in rng.integers(-3, 4, size=rank)]
+        columns.append([sum(c * vec[m] for c, vec in zip(mix, basis))
+                        for m in range(n_rows)])
+    mix = [int(v) for v in rng.integers(-5, 6, size=n_cols)]
+    target = [sum(c * col[m] for c, col in zip(mix, columns))
+              for m in range(n_rows)]
+    if not consistent:
+        target[int(rng.integers(0, n_rows))] += int(rng.integers(1, 9))
+    return columns, target
+
+
+@pytest.mark.parametrize("n_rows,n_cols,rank,consistent", [
+    (6, 3, 3, True),     # full column rank
+    (3, 3, 3, True),     # square, invertible
+    (6, 4, 2, True),     # rank deficient
+    (5, 3, 1, True),
+    (6, 3, 3, False),    # inconsistent
+    (6, 4, 2, False),    # rank deficient and inconsistent
+    (4, 2, 0, True),     # zero columns, zero target
+])
+def test_bareiss_solve_matches_fraction_gauss_jordan(n_rows, n_cols, rank,
+                                                     consistent):
+    rng = np.random.default_rng(n_rows * 100 + n_cols * 10 + rank)
+    for _ in range(25):
+        columns, target = _random_system(rng, n_rows, n_cols, rank,
+                                         consistent)
+        got = _solve_exact(columns, target)
+        assert got == _gauss_jordan(columns, target)
+        assert (got is not None) == consistent
+        if consistent:
+            assert all(sum(x * col[m] for x, col in zip(got, columns))
+                       == target[m] for m in range(n_rows))
+
+
+def test_bareiss_solve_large_entries_and_inconsistency():
+    columns = [[BIG, 3, -BIG ** 2], [1, BIG, 7]]
+    target = [BIG + 5, 3 + 5 * BIG, 35 - BIG ** 2]
+    assert _solve_exact(columns, target) == [1, 5]
+    assert _solve_exact(columns, [1, 0, 0]) is None
+    assert _solve_exact(columns, [1, 0, 0]) == _gauss_jordan(columns,
+                                                             [1, 0, 0])
+
+
+def test_membership_of_a_series_with_denominators():
+    e6 = eisenstein(6, 40)
+    ok, coords = membership_in_Mw(e6.scale(Fraction(5, 7)), 6)
+    assert ok and coords == [Fraction(5, 7)]
+    e4 = eisenstein(4, 40)
+    mixed = (e4 * e4 * e4).scale(Fraction(1, 3)) + delta(40).scale(
+        Fraction(-2, 5))
+    ok, coords = membership_in_Mw(mixed, 12)
+    # basis order (a, b) lex: E6^2, E4^3
+    assert ok and coords == [Fraction(2, 5 * 1728),
+                             Fraction(1, 3) - Fraction(2, 5 * 1728)]
+
+
+def test_evaluate_rounds_each_coefficient_like_float_of_fraction():
+    f = delta(60).scale(Fraction(1, 7)) + eisenstein(4, 60).scale(
+        Fraction(-3, 11))
+    z = 0.13 + 0.9j
+    q = cmath.exp(2j * math.pi * z)
+    total = 0j
+    for c in reversed(f.coeffs):
+        total = total * q + complex(float(c))
+    assert evaluate(f, z) == total
+
+
+def test_eisenstein_is_reused_across_calls():
+    assert eisenstein(2, 300) is eisenstein(2, 300)
+    assert eisenstein(2, 300) is g2_series(300).series
+    # a shared series cannot be changed under its other holders
+    with pytest.raises(AttributeError):
+        eisenstein(2, 300).weight = 4
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (("serre", "--form", "E6", "--terms", "4"),
+     ["weight: 8", "-1/2, -240, -30960, -525120"]),
+    (("serre", "--form", "Delta", "--terms", "5"),
+     ["weight: 14", "0, 0, 0, 0, 0"]),
+    (("qexp", "--form", "E6", "--terms", "1"), ["1"]),
+])
+def test_cli_golden_strings(capsys, argv, lines):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out.strip().splitlines() == lines
+
+
+# ---------------------------------------------------------- ring laws
+
+_rationals = st.fractions(max_denominator=12).filter(
+    lambda v: abs(v.numerator) < 2 ** 70)
+_coefficients = st.one_of(st.integers(-2 ** 70, 2 ** 70), _rationals)
+_series = st.lists(_coefficients, min_size=1, max_size=9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_series, _series, _series)
+def test_ring_laws_against_fraction_reference(a, b, c):
+    x, y, z = QSeries(a), QSeries(b), QSeries(c)
+    assert (x * y).coeffs == _schoolbook_product(a, b)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    n = min(len(a), len(b), len(c))
+    assert len(x * (y + z)) == n

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from siegel.symplectic import (DimensionError, GeneratorWord,
+from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
                                SiegelPoint, SymplecticElement, act, cocycle,
                                im_of_action, is_symplectic, random_point,
                                random_symplectic, symplectic_j,
@@ -256,3 +256,47 @@ def test_degenerate_cocycle_raises():
         act(gamma, SiegelPoint(1, np.zeros((1, 1)), np.array([[-1.0]])))
     with pytest.raises(DimensionError):
         act(SymplecticElement.identity(2), random_point(3, seed=0))
+
+
+def test_symplectic_elements_compare_and_hash_by_value():
+    a = random_symplectic(2, 4, 7)
+    b = random_symplectic(2, 4, 7)
+    identity = SymplecticElement.identity(2)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a @ a.inverse() == identity
+    assert a != identity
+    assert len({a, b, identity}) == 2
+    assert SymplecticElement.identity(1) != identity
+    assert a != a.matrix.tolist()
+
+
+def test_points_compare_and_hash_by_identity():
+    p = random_point(2, 1)
+    q = random_point(2, 1)
+    assert p == p and p != q
+    assert hash(p) == hash(p)
+    assert len({p, q}) == 2
+
+
+def test_integer_products_never_wrap_around():
+    # det = 1 + 2^64, which wraps to 1 in int64
+    M = np.array([[1, 2 ** 32], [-2 ** 32, 1]], dtype=np.int64)
+    assert not is_symplectic(M)
+    with pytest.raises(ValueError):
+        SymplecticElement.from_matrix(M)
+    # a symplectic element whose check passes 2^63 on the way
+    big = SymplecticElement.translation(np.array([[2 ** 40]]))
+    assert is_symplectic(big.matrix)
+    # the partial-sum bound passes 2^62 but the product fits
+    shift = SymplecticElement.translation(np.array([[2 ** 31]]))
+    back = SymplecticElement.translation(np.array([[-2 ** 31]]))
+    assert shift @ back == SymplecticElement.identity(1)
+    # entries of the product reach 2^80
+    step = big @ SymplecticElement.inversion(1)
+    with pytest.raises(DegeneracyError):
+        step @ big
+    # the inverse would need +2^63
+    lowest = SymplecticElement.translation(np.array([[-2 ** 63]]))
+    with pytest.raises(DegeneracyError):
+        lowest.inverse()
