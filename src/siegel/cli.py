@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from .metric import metric_pair
 from .qseries import (SL2_WORDS, TruncationError, anomaly_residual, delta,
                       eisenstein, g2_series, serre_derivative)
 from .symplectic import DegeneracyError, SiegelPoint
-from .verify import SUITES, run_suite, worker_count
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -53,6 +54,11 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"bad complex number {text!r}") from exc
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {tol}")
+
+
 def _load_point(args) -> SiegelPoint:
     if args.point:
         try:
@@ -63,6 +69,8 @@ def _load_point(args) -> SiegelPoint:
     if args.g is None:
         raise UsageError("either --point FILE or --g N is required")
     g = args.g
+    if g < 1:
+        raise UsageError(f"--g must be >= 1, got {g}")
     return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
 
 
@@ -125,6 +133,9 @@ def _cmd_anomaly(args) -> int:
     if args.gamma not in SL2_WORDS:
         raise UsageError(f"unknown element {args.gamma!r}; "
                          f"choose from {', '.join(SL2_WORDS)}")
+    if args.terms < 1:
+        raise UsageError("--terms must be >= 1")
+    _check_tol(args.tol)
     residual = anomaly_residual(SL2_WORDS[args.gamma], z, args.terms)
     ok = residual < args.tol
     print(f"gamma={args.gamma} z={z} residual={residual:.3e} "
@@ -191,10 +202,10 @@ def _cmd_verify(args) -> int:
     if args.suite not in SUITES + ("all",):
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"choose from {', '.join(SUITES + ('all',))}")
-    try:
-        worker_count()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.tol is not None:
+        _check_tol(args.tol)
     report = run_suite(args.suite, g_range, seed=args.seed, tol=args.tol,
                        ks=_parse_weights(args.k))
     summary = report.summary

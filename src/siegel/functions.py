@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .indexing import (Pair, basis_matrix, n_index, omega_list, omega_size,
-                       row_col_indices)
+                       sym_to_coords)
 from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
 
 
@@ -192,8 +192,7 @@ class TestFunction:
         return np.maximum(lowered, 0), anti, coef * holo.T
 
     def _coords(self, point) -> np.ndarray:
-        ii, jj = row_col_indices(self.g)
-        return _point_matrix(point)[..., ii, jj]
+        return sym_to_coords(_point_matrix(point))
 
     def value(self, point) -> complex:
         coords = self._coords(point)[..., None, :]

@@ -8,6 +8,8 @@ vectors over Omega always use this ordering.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 Pair = tuple[int, int]
@@ -67,23 +69,30 @@ def basis_matrix(pair: Pair, g: int, dtype=float) -> np.ndarray:
 
 
 def sym_to_coords(V: np.ndarray) -> np.ndarray:
-    """Omega-ordered coordinate vector of a symmetric matrix."""
-    g = V.shape[0]
-    return np.array([V[i - 1, j - 1] for i, j in omega_list(g)])
+    """Omega-ordered coordinate vector of a symmetric matrix, or of each
+    matrix in a stack of shape (..., g, g)."""
+    V = np.asarray(V)
+    ii, jj = row_col_indices(V.shape[-1])
+    return V[..., ii, jj]
 
 
 def coords_to_sym(v: np.ndarray, g: int) -> np.ndarray:
-    """Inverse of sym_to_coords."""
-    V = np.zeros((g, g), dtype=np.asarray(v).dtype)
-    for pos, (i, j) in enumerate(omega_list(g)):
-        V[i - 1, j - 1] = v[pos]
-        V[j - 1, i - 1] = v[pos]
+    """Inverse of sym_to_coords, over the last axis of v."""
+    v = np.asarray(v)
+    ii, jj = row_col_indices(g)
+    V = np.zeros(v.shape[:-1] + (g, g), dtype=v.dtype)
+    V[..., ii, jj] = v
+    V[..., jj, ii] = v
     return V
 
 
+@lru_cache(maxsize=16)
 def row_col_indices(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based arrays ii, jj with (ii[a], jj[a]) the a-th pair of Omega."""
+    """0-based read-only arrays ii, jj with (ii[a], jj[a]) the a-th pair of
+    Omega, built once per degree."""
     pairs = omega_list(g)
     ii = np.array([p[0] - 1 for p in pairs])
     jj = np.array([p[1] - 1 for p in pairs])
+    ii.setflags(write=False)
+    jj.setflags(write=False)
     return ii, jj

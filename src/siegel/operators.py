@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import _point_matrix, coefficient_value, fd_gradient
-from .indexing import basis_matrix, coords_to_sym, omega_list, omega_size
+from .indexing import (basis_matrix, coords_to_sym, omega_list, omega_size,
+                       row_col_indices)
 from .metric import metric_pair
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_matrix)
@@ -273,13 +274,11 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
 
 
 def _sym_from_coords(grad: np.ndarray, g: int) -> np.ndarray:
-    out = np.zeros((g, g), dtype=complex)
-    for pos, (i, j) in enumerate(omega_list(g)):
-        if i == j:
-            out[i - 1, i - 1] = grad[pos]
-        else:
-            out[i - 1, j - 1] = out[j - 1, i - 1] = grad[pos] / 2.0
-    return out
+    """Symmetric matrix of a gradient over Omega, off-diagonal entries
+    halved."""
+    grad = np.asarray(grad, dtype=complex)
+    ii, jj = row_col_indices(g)
+    return coords_to_sym(np.where(ii == jj, grad, grad / 2.0), g)
 
 
 def bracket_matrix(f, h, point: SiegelPoint, weights: tuple[int, int] | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,9 +205,12 @@ class SymplecticElement:
         if not is_symplectic(self.matrix):
             raise ValueError("blocks do not satisfy the symplectic relation")
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+        """The read-only 2g x 2g block matrix, built on first access."""
+        M = np.block([[self.A, self.B], [self.C, self.D]])
+        M.setflags(write=False)
+        return M
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticElement):

@@ -1,18 +1,18 @@
 """Batch verification suites with machine-readable reports.
 
-Every check is either a residual test (pass iff residual < tolerance) or an
-exact test (pass iff an identity holds in exact arithmetic).  Case inputs
-are drawn deterministically from the base seed, so a report is reproducible
-given (version, seed, flags).  SIEGEL_THREADS caps worker threads (0 picks
-the CPU count); results are merged in case order either way.
+Each suite is a generator of cases (check, params, kind, fn).  A residual
+case names a tolerance kind and passes iff fn() is below that tolerance; an
+exact case has kind None and passes iff fn() is true.  Case inputs are
+drawn deterministically from the base seed, so a report is reproducible
+given (version, seed, flags).  Cases run serially, each one as soon as it
+is drawn, and records keep the draw order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +29,7 @@ from .functions import fd_gradient, random_test_function
 from .indexing import basis_matrix, omega_list, omega_size, sym_to_coords
 from .metric import dM_dZ, metric_form, metric_pair
 from .operators import (ImInverseField, ModularExtension, QSeriesFunction,
-                        bracket1_transform_residual,
+                        bracket1, bracket1_transform_residual,
                         det_nabla_weight_residual, ig2_field, nabla,
                         sym_gradient, verify_G_law, verify_nabla_transform)
 from .qseries import (QSeries, SL2_WORDS, ModularBasis, anomaly_residual,
@@ -41,6 +41,9 @@ from .symplectic import (SiegelPoint, act, cocycle,
                          tangent_pushforward)
 
 SUITES = ("metric", "connection", "operators", "qseries")
+
+# (check, params, tolerance kind or None for an exact check, fn)
+Cases = Iterator[tuple[str, dict, "str | None", Callable[[], object]]]
 
 # default residual tolerances by check kind
 TOLERANCES = {
@@ -113,61 +116,31 @@ class VerificationReport:
 
 
 class _Collector:
-    """Builds records from case thunks, optionally across worker threads;
-    collect runs the thunks once."""
+    """Runs one suite's cases in draw order and builds their records.  The
+    suite draws its next case only after the previous one ran, so no case's
+    inputs outlive its record."""
 
-    def __init__(self, suite: str, tol_override: float | None):
+    def __init__(self, suite: str, cases: Cases, tol_override: float | None):
         self.suite = suite
+        self.cases = cases
         self.tol_override = tol_override
-        self.thunks = []
-
-    def residual_case(self, check: str, params: dict, kind: str, fn):
-        tol = self.tol_override if self.tol_override is not None \
-            else TOLERANCES[kind]
-
-        def run():
-            start = time.perf_counter()
-            value = float(fn())
-            ms = (time.perf_counter() - start) * 1000.0
-            return CheckRecord(self.suite, check, params, value, None, tol,
-                               value < tol, ms)
-        self.thunks.append(run)
-
-    def exact_case(self, check: str, params: dict, fn):
-        def run():
-            start = time.perf_counter()
-            ok = bool(fn())
-            ms = (time.perf_counter() - start) * 1000.0
-            return CheckRecord(self.suite, check, params, None, ok, None,
-                               ok, ms)
-        self.thunks.append(run)
 
     def collect(self) -> list[CheckRecord]:
-        workers = worker_count()
-        if workers == 1:
-            # drop each case once its record exists, so the inputs it holds
-            # (and what they cache, such as compiled test functions) do not
-            # all stay alive until the suite ends
-            records = []
-            while self.thunks:
-                records.append(self.thunks.pop(0)())
-            return records
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: t(), self.thunks))
-
-
-def worker_count() -> int:
-    """Worker threads from SIEGEL_THREADS (unset or empty: 1, 0: the CPU
-    count); anything but a non-negative integer is a ValueError."""
-    raw = os.environ.get("SIEGEL_THREADS", "1").strip() or "1"
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"SIEGEL_THREADS must be a non-negative integer, "
-                         f"got {raw!r}")
-    return n or os.cpu_count() or 1
+        records = []
+        for check, params, kind, fn in self.cases:
+            start = time.perf_counter()
+            if kind is None:
+                residual, tol = None, None
+                passed = exact = bool(fn())
+            else:
+                residual, exact = float(fn()), None
+                tol = self.tol_override if self.tol_override is not None \
+                    else TOLERANCES[kind]
+                passed = residual < tol
+            ms = (time.perf_counter() - start) * 1000.0
+            records.append(CheckRecord(self.suite, check, params, residual,
+                                       exact, tol, passed, ms))
+        return records
 
 
 def _case_rng(seed: int, *tags) -> np.random.Generator:
@@ -214,35 +187,27 @@ def _clip_range(g_range: tuple[int, int], low: int, high: int) -> range:
 # ---------------------------------------------------------------- metric
 
 
-def metric_suite(g_range: tuple[int, int], seed: int,
-                 tol: float | None = None,
-                 points_per_g: int = 100) -> list[CheckRecord]:
-    col = _Collector("metric", tol)
+def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
     for g in _clip_range(g_range, 1, 5):
-        for case in range(points_per_g):
+        for case in range(100):
             rng = _case_rng(seed, "metric", g, case)
             point = random_point(g, rng)
 
-            def inverse(point=point):
+            def inverse():
                 pair = metric_pair(point)
                 return np.abs(pair.M @ pair.W - np.eye(len(pair.omega))).max()
-            col.residual_case("inverse_pair", {"g": g, "case": case},
-                              "linear", inverse)
+            yield "inverse_pair", {"g": g, "case": case}, "linear", inverse
         for case in range(10):
             rng = _case_rng(seed, "metric-pd", g, case)
             point = random_point(g, rng)
-
-            def positive(point=point):
-                eigs = np.linalg.eigvalsh(metric_pair(point).W)
-                return bool(eigs.min() > 0)
-            col.exact_case("gram_positive_definite", {"g": g, "case": case},
-                           positive)
+            yield ("gram_positive_definite", {"g": g, "case": case}, None,
+                   lambda: np.linalg.eigvalsh(metric_pair(point).W).min() > 0)
         for case in range(10):
             rng = _case_rng(seed, "metric-form", g, case)
             point = random_point(g, rng)
             V1, V2 = _random_tangent(rng, g), _random_tangent(rng, g)
 
-            def recombination(point=point, V1=V1, V2=V2):
+            def recombination():
                 # the block metric [[0, W], [W, 0]] counts each unordered
                 # coordinate pair twice, so the quadratic form is 2 W
                 pair = metric_pair(point)
@@ -250,15 +215,15 @@ def metric_suite(g_range: tuple[int, int], seed: int,
                 v2 = sym_to_coords(V2)
                 total = 2.0 * (v1 @ pair.W @ np.conj(v2))
                 return abs(total - metric_form(point, V1, V2))
-            col.residual_case("trace_form_recombination",
-                              {"g": g, "case": case}, "entry", recombination)
+            yield ("trace_form_recombination", {"g": g, "case": case},
+                   "entry", recombination)
         for case in range(10):
             rng = _case_rng(seed, "metric-inv", g, case)
             point = random_point(g, rng)
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             V1, V2 = _random_tangent(rng, g), _random_tangent(rng, g)
 
-            def invariance(point=point, gamma=gamma, V1=V1, V2=V2, g=g):
+            def invariance():
                 # normalize by the trace summands: the pairing at the image
                 # point contracts large R entries down to an O(1) value
                 before = metric_form(point, V1, V2)
@@ -272,85 +237,73 @@ def metric_suite(g_range: tuple[int, int], seed: int,
                     np.abs(R0 @ V1 @ R0 @ np.conj(V2)).max(),
                     np.abs(R1 @ W1 @ R1 @ np.conj(W2)).max())
                 return abs(after - before) / max(1.0, summand)
-            col.residual_case("pairing_invariance", {"g": g, "case": case},
-                              "linear", invariance)
+            yield ("pairing_invariance", {"g": g, "case": case}, "linear",
+                   invariance)
     for g in _clip_range(g_range, 1, 3):
         for case in range(3):
             rng = _case_rng(seed, "metric-fd", g, case)
             point = random_point(g, rng)
 
-            def derivative_fd(point=point, g=g):
+            def derivative_fd():
                 pairs = omega_list(g)
                 worst = 0.0
-                for K in pairs:
-                    for L in pairs:
-                        def entry(pt, K=K, L=L):
-                            p, q = K
-                            a, b = L
+                for p, q in pairs:
+                    for a, b in pairs:
+                        def entry(pt):
                             Y = pt.Y
                             return (Y[..., p - 1, a - 1] * Y[..., q - 1, b - 1]
                                     + Y[..., q - 1, a - 1]
                                     * Y[..., p - 1, b - 1])
                         grad = fd_gradient(entry, point)
                         for c, J in enumerate(pairs):
-                            worst = max(worst, abs(grad[c] - dM_dZ(point, K, L, J)))
+                            worst = max(worst, abs(
+                                grad[c] - dM_dZ(point, (p, q), (a, b), J)))
                 return worst
-            col.residual_case("inverse_derivative_fd", {"g": g, "case": case},
-                              "fd", derivative_fd)
-    return col.collect()
+            yield ("inverse_derivative_fd", {"g": g, "case": case}, "fd",
+                   derivative_fd)
 
 
 # ------------------------------------------------------------ connection
 
 
-def connection_suite(g_range: tuple[int, int], seed: int,
-                     tol: float | None = None,
-                     points_per_g: int = 20,
-                     mcc_cases: int = 50) -> list[CheckRecord]:
-    col = _Collector("connection", tol)
-
+def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
     for g in _clip_range(g_range, 1, 4):
-        for case in range(points_per_g):
+        for case in range(20):
             rng = _case_rng(seed, "conn-paths", g, case)
             point = random_point(g, rng)
 
-            def agreement(point=point):
+            def agreement():
                 closed = gamma_closed(point).table
                 worst = 0.0
                 for path in ("A", "B", "B-expanded"):
                     worst = max(worst, np.abs(
                         gamma_from_metric(point, path).table - closed).max())
                 return worst
-            col.residual_case("path_agreement", {"g": g, "case": case},
-                              "entry", agreement)
+            yield "path_agreement", {"g": g, "case": case}, "entry", agreement
         for case in range(3):
             rng = _case_rng(seed, "conn-cases", g, case)
             point = random_point(g, rng)
-            col.exact_case("case_analysis", {"g": g, "case": case},
-                           lambda point=point:
-                           case_analysis_residual(point) == 0.0)
-            col.exact_case("symmetry_sparsity", {"g": g, "case": case},
-                           lambda point=point, g=g:
-                           _symmetry_sparsity_exact(point, g))
+            yield ("case_analysis", {"g": g, "case": case}, None,
+                   lambda: case_analysis_residual(point) == 0.0)
+            yield ("symmetry_sparsity", {"g": g, "case": case}, None,
+                   lambda: _symmetry_sparsity_exact(point, g))
     if g_range[0] <= 1 <= g_range[1]:
         for case in range(5):
             rng = _case_rng(seed, "conn-g1", 1, case)
             y = float(rng.uniform(0.5, 3.0))
             x = float(rng.uniform(-1.0, 1.0))
             point = SiegelPoint.from_complex(complex(x, y))
-            col.residual_case("closed_form_degree_one", {"y": y}, "tight",
-                              lambda point=point, y=y:
-                              abs(gamma_closed(point).table[0, 0, 0] - 1j / y))
+            yield ("closed_form_degree_one", {"y": y}, "tight",
+                   lambda: abs(gamma_closed(point).table[0, 0, 0] - 1j / y))
 
     for g in _clip_range(g_range, 1, 3):
-        for case in range(mcc_cases):
+        for case in range(50):
             rng = _case_rng(seed, "conn-mcc", g, case)
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
             V = _random_tangent(rng, g)
-            col.residual_case("modular_law", {"g": g, "case": case}, "mcc",
-                              lambda gamma=gamma, point=point, V=V:
-                              mcc_residual(gamma_closed, gamma, point, V))
+            yield ("modular_law", {"g": g, "case": case}, "mcc",
+                   lambda: mcc_residual(gamma_closed, gamma, point, V))
         for case in range(10):
             rng = _case_rng(seed, "conn-coc", g, case)
             g1 = random_symplectic(g, int(rng.integers(0, 7)), rng)
@@ -358,32 +311,32 @@ def connection_suite(g_range: tuple[int, int], seed: int,
             point = random_point(g, rng)
             V = _random_tangent(rng, g)
 
-            def cocycle_identity(g1=g1, g2=g2, point=point):
+            def cocycle_identity():
                 lhs = cocycle(g1 @ g2, point)
                 rhs = cocycle(g1, act(g2, point)) @ cocycle(g2, point)
                 scale = max(1.0, float(np.abs(lhs).max()))
                 return np.abs(lhs - rhs).max() / scale
-            col.residual_case("cocycle_identity", {"g": g, "case": case},
-                              "entry", cocycle_identity)
+            yield ("cocycle_identity", {"g": g, "case": case}, "entry",
+                   cocycle_identity)
 
-            def action_composition(g1=g1, g2=g2, point=point):
+            def action_composition():
                 lhs = act(g1 @ g2, point).Z
                 rhs = act(g1, act(g2, point)).Z
                 scale = max(1.0, float(np.abs(lhs).max()))
                 return np.abs(lhs - rhs).max() / scale
-            col.residual_case("action_composition", {"g": g, "case": case},
-                              "entry", action_composition)
+            yield ("action_composition", {"g": g, "case": case}, "entry",
+                   action_composition)
 
-            def pushforward_cocycle(g1=g1, g2=g2, point=point):
+            def pushforward_cocycle():
                 S12 = pushforward_matrix(g1 @ g2, point)
                 S = pushforward_matrix(g2, point) @ pushforward_matrix(
                     g1, act(g2, point))
                 scale = max(1.0, float(np.abs(S12).max()))
                 return np.abs(S12 - S).max() / scale
-            col.residual_case("pushforward_cocycle", {"g": g, "case": case},
-                              "entry", pushforward_cocycle)
+            yield ("pushforward_cocycle", {"g": g, "case": case}, "entry",
+                   pushforward_cocycle)
 
-            def ds_fd(g1=g1, point=point, V=V, g=g):
+            def ds_fd():
                 dS = ds_directional(g1, point, V)
                 h = 1e-6 * (1.0 + float(np.abs(point.Z).max()))
                 re, im = V.real, V.imag
@@ -393,8 +346,7 @@ def connection_suite(g_range: tuple[int, int], seed: int,
                     g, point.X - h * re, point.Y - h * im))
                 scale = max(1.0, float(np.abs(dS).max()))
                 return np.abs((Sp - Sm) / (2 * h) - dS).max() / scale
-            col.residual_case("cocycle_derivative_fd",
-                              {"g": g, "case": case}, "fd", ds_fd)
+            yield "cocycle_derivative_fd", {"g": g, "case": case}, "fd", ds_fd
 
     # operator D against the closed quadratic, determinant and trace forms
     for g in _clip_range(g_range, 1, 4):
@@ -403,58 +355,51 @@ def connection_suite(g_range: tuple[int, int], seed: int,
             point = random_point(g, rng)
             table = gamma_closed(point)
 
-            def quadratic(table=table, point=point, g=g):
+            def quadratic():
                 worst = 0.0
                 for K in omega_list(g):
                     got = apply_D(table, FormPolynomial.generator(g, K))
                     worst = max(worst, max_coefficient_diff(
                         got, d_dz_closed(point, K)))
                 return worst
-            col.residual_case("curvature_quadratic", {"g": g, "case": case},
-                              "entry", quadratic)
-
-            col.residual_case("determinant_derivative",
-                              {"g": g, "case": case}, "entry",
-                              lambda table=table, point=point, g=g:
-                              max_coefficient_diff(apply_D(table, det_dz(g)),
-                                                   d_det_closed(point)))
+            yield ("curvature_quadratic", {"g": g, "case": case}, "entry",
+                   quadratic)
+            yield ("determinant_derivative", {"g": g, "case": case}, "entry",
+                   lambda: max_coefficient_diff(apply_D(table, det_dz(g)),
+                                                d_det_closed(point)))
 
             f = random_test_function(g, rng)
             for k in (1, 2):
                 if k == 2 and g > 3:
                     continue
-                col.residual_case(
-                    "scalar_det_power", {"g": g, "k": k, "case": case},
-                    "entry",
-                    lambda table=table, f=f, k=k, g=g: max_coefficient_diff(
-                        d_f_detk(table, f, k),
-                        apply_D(table, _f_det_form(f, k, g))))
+                yield ("scalar_det_power", {"g": g, "k": k, "case": case},
+                       "entry",
+                       lambda: max_coefficient_diff(
+                           d_f_detk(table, f, k),
+                           apply_D(table, _f_det_form(f, k, g))))
 
             entries = _random_symmetric_functions(g, rng)
-            col.residual_case(
-                "trace_form_derivative", {"g": g, "case": case}, "entry",
-                lambda table=table, entries=entries, g=g:
-                max_coefficient_diff(
-                    d_trace_form(table, entries),
-                    apply_D(table, trace_form(np.array(entries, dtype=object),
-                                              g))))
+            yield ("trace_form_derivative", {"g": g, "case": case}, "entry",
+                   lambda: max_coefficient_diff(
+                       d_trace_form(table, entries),
+                       apply_D(table, trace_form(
+                           np.array(entries, dtype=object), g))))
 
-            def leibniz(table=table, g=g, rng_seed=(seed, g, case)):
-                rng2 = _case_rng(*rng_seed, "leibniz")
+            def leibniz():
+                rng2 = _case_rng(seed, g, case, "leibniz")
                 a = _random_numeric_form(g, rng2)
                 b = _random_numeric_form(g, rng2)
                 lhs = apply_D(table, a * b)
                 rhs = apply_D(table, a) * b + a * apply_D(table, b)
                 return max_coefficient_diff(lhs, rhs)
-            col.residual_case("leibniz_rule", {"g": g, "case": case},
-                              "entry", leibniz)
+            yield "leibniz_rule", {"g": g, "case": case}, "entry", leibniz
 
     for case in range(100):
         rng = _case_rng(seed, "kron", case)
         mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                 for _ in range(4)]
 
-        def kron_identity(mats=mats):
+        def kron_identity():
             # the entrywise contraction sum a_ij b_kl c_lk d_ji equals
             # Tr(AD) Tr(BC) and is invariant under swapping the middle pair
             A, B, C, D = mats
@@ -462,8 +407,7 @@ def connection_suite(g_range: tuple[int, int], seed: int,
             swapped = kron_trace(A, C, B, D)
             factored = np.trace(A @ D) * np.trace(B @ C)
             return max(abs(swapped - value), abs(factored - value))
-        col.residual_case("kron_trace_identity", {"case": case}, "kron",
-                          kron_identity)
+        yield "kron_trace_identity", {"case": case}, "kron", kron_identity
 
     for g in _clip_range(g_range, 1, 2):
         for case in range(20):
@@ -471,18 +415,15 @@ def connection_suite(g_range: tuple[int, int], seed: int,
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
             form = _random_function_form(g, rng)
-            col.residual_case("equivariance", {"g": g, "case": case}, "mcc",
-                              lambda gamma=gamma, point=point, form=form:
-                              equivariance_residual(gamma_closed, gamma,
-                                                    point, form))
+            yield ("equivariance", {"g": g, "case": case}, "mcc",
+                   lambda: equivariance_residual(gamma_closed, gamma, point,
+                                                 form))
             f = random_test_function(g, rng)
             k = int(rng.integers(1, 3))
-            col.residual_case("det_power_invariance",
-                              {"g": g, "k": k, "case": case}, "mcc",
-                              lambda gamma=gamma, point=point, f=f, k=k:
-                              invariance_residual(gamma_closed, gamma, point,
-                                                  f, k))
-    return col.collect()
+            yield ("det_power_invariance", {"g": g, "k": k, "case": case},
+                   "mcc",
+                   lambda: invariance_residual(gamma_closed, gamma, point,
+                                               f, k))
 
 
 def _symmetry_sparsity_exact(point: SiegelPoint, g: int) -> bool:
@@ -535,10 +476,7 @@ def _random_function_form(g: int, rng) -> FormPolynomial:
 
 
 def operators_suite(g_range: tuple[int, int], seed: int,
-                    tol: float | None = None,
-                    ks: tuple[int, ...] = (1, 2),
-                    cases_per_gk: int = 30) -> list[CheckRecord]:
-    col = _Collector("operators", tol)
+                    ks: tuple[int, ...] = (1, 2)) -> Cases:
     field = ImInverseField()
 
     for g in _clip_range(g_range, 1, 3):
@@ -547,7 +485,7 @@ def operators_suite(g_range: tuple[int, int], seed: int,
             point = random_point(g, rng)
             f = random_test_function(g, rng)
 
-            def pairing(f=f, point=point, g=g):
+            def pairing():
                 grad = sym_gradient(f, point)
                 worst = 0.0
                 for pair in omega_list(g):
@@ -557,67 +495,59 @@ def operators_suite(g_range: tuple[int, int], seed: int,
                     worst = max(worst,
                                 abs(np.trace(grad @ E) - direct))
                 return worst
-            col.residual_case("gradient_pairing", {"g": g, "case": case},
-                              "entry", pairing)
+            yield "gradient_pairing", {"g": g, "case": case}, "entry", pairing
 
         for k in ks:
-            for case in range(cases_per_gk):
+            for case in range(30):
                 rng = _case_rng(seed, "op-nabla", g, k, case)
                 gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
                 point = random_point(g, rng)
                 f = random_test_function(g, rng)
-                col.residual_case(
-                    "nabla_transform", {"g": g, "k": k, "case": case},
-                    "transform",
-                    lambda f=f, gamma=gamma, point=point, k=k:
-                    verify_nabla_transform(f, gamma, point, k))
-                col.residual_case(
-                    "nabla_transform_fd", {"g": g, "k": k, "case": case},
-                    "fd_loose",
-                    lambda f=f, gamma=gamma, point=point, k=k:
-                    verify_nabla_transform(f, gamma, point, k, grad="fd"))
+                yield ("nabla_transform", {"g": g, "k": k, "case": case},
+                       "transform",
+                       lambda: verify_nabla_transform(f, gamma, point, k))
+                yield ("nabla_transform_fd", {"g": g, "k": k, "case": case},
+                       "fd_loose",
+                       lambda: verify_nabla_transform(f, gamma, point, k,
+                                                      grad="fd"))
 
-                def det_factor(f=f, gamma=gamma, point=point, k=k):
+                def det_factor():
                     value = det_nabla_weight_residual(f, gamma, point, k)
                     return 0.0 if value is None else value
-                col.residual_case(
-                    "det_weight_factor", {"g": g, "k": k, "case": case},
-                    "transform", det_factor)
+                yield ("det_weight_factor", {"g": g, "k": k, "case": case},
+                       "transform", det_factor)
             for case in range(5):
                 rng = _case_rng(seed, "op-ext", g, k, case)
                 gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
                 point = random_point(g, rng)
                 f = random_test_function(g, rng)
 
-                def ext_fd(f=f, gamma=gamma, point=point, k=k):
+                def ext_fd():
                     ext = ModularExtension(f, 2 * k, gamma)
                     exact = ext.gradient(point)
                     approx = ext.gradient_fd(point)
                     scale = max(1.0, float(np.abs(exact).max()))
                     return float(np.abs(exact - approx).max()) / scale
-                col.residual_case("extension_gradient_fd",
-                                  {"g": g, "k": k, "case": case}, "fd",
-                                  ext_fd)
+                yield ("extension_gradient_fd", {"g": g, "k": k, "case": case},
+                       "fd", ext_fd)
 
         for case in range(20):
             rng = _case_rng(seed, "op-glaw", g, case)
             gamma, point = _conditioned_pair(rng, g)
-            col.residual_case("G_law_im_inverse", {"g": g, "case": case},
-                              "entry",
-                              lambda gamma=gamma, point=point:
-                              verify_G_law(field, gamma, point))
+            yield ("G_law_im_inverse", {"g": g, "case": case}, "entry",
+                   lambda: verify_G_law(field, gamma, point))
 
         for case in range(5):
             rng = _case_rng(seed, "op-default", g, case)
             point = random_point(g, rng)
             f = random_test_function(g, rng)
 
-            def same_path(f=f, point=point):
+            def same_path():
                 a = nabla(f, point, 2)
                 b = nabla(f, point, 2, ImInverseField())
                 return np.abs(a - b).max()
-            col.residual_case("default_field_consistency",
-                              {"g": g, "case": case}, "kron", same_path)
+            yield ("default_field_consistency", {"g": g, "case": case},
+                   "kron", same_path)
 
         for case in range(10):
             rng = _case_rng(seed, "op-bracket", g, case)
@@ -626,38 +556,26 @@ def operators_suite(g_range: tuple[int, int], seed: int,
             f = random_test_function(g, rng)
             h = random_test_function(g, rng)
             r = int(rng.integers(1, 3))
-            col.residual_case(
-                "bracket_equal_weight", {"g": g, "r": r, "case": case},
-                "transform",
-                lambda f=f, h=h, r=r, gamma=gamma, point=point:
-                bracket1_transform_residual(f, h, r, r, gamma, point)[0])
-
-            def antisymmetry(f=f, point=point):
-                from .operators import bracket1
-                return bracket1(f, f, point) == 0.0
-            col.exact_case("bracket_antisymmetry", {"g": g, "case": case},
-                           antisymmetry)
-
-            def defect(f=f, h=h, gamma=gamma, point=point):
-                raw, corrected = bracket1_transform_residual(
-                    f, h, 1, 2, gamma, point)
-                return corrected
-            col.residual_case("bracket_defect_prediction",
-                              {"g": g, "r": 1, "s": 2, "case": case},
-                              "transform", defect)
-            col.residual_case(
-                "bracket_weight_corrected",
-                {"g": g, "r": 1, "s": 2, "case": case}, "transform",
-                lambda f=f, h=h, gamma=gamma, point=point:
-                bracket1_transform_residual(f, h, 1, 2, gamma, point,
-                                            weights_corrected=True)[0])
+            yield ("bracket_equal_weight", {"g": g, "r": r, "case": case},
+                   "transform",
+                   lambda: bracket1_transform_residual(f, h, r, r, gamma,
+                                                       point)[0])
+            yield ("bracket_antisymmetry", {"g": g, "case": case}, None,
+                   lambda: bracket1(f, f, point) == 0.0)
+            yield ("bracket_defect_prediction",
+                   {"g": g, "r": 1, "s": 2, "case": case}, "transform",
+                   lambda: bracket1_transform_residual(f, h, 1, 2, gamma,
+                                                       point)[1])
+            yield ("bracket_weight_corrected",
+                   {"g": g, "r": 1, "s": 2, "case": case}, "transform",
+                   lambda: bracket1_transform_residual(
+                       f, h, 1, 2, gamma, point, weights_corrected=True)[0])
 
     if g_range[0] <= 1 <= g_range[1]:
-        _degree_one_holomorphic_cases(col, seed)
-    return col.collect()
+        yield from _degree_one_holomorphic_cases(seed)
 
 
-def _degree_one_holomorphic_cases(col: _Collector, seed: int) -> None:
+def _degree_one_holomorphic_cases(seed: int) -> Cases:
     """g = 1 loop closers: the q-expansion field i G2 satisfies the same
     law as i/y, the resulting operator is holomorphic and matches the exact
     weight-raising derivative."""
@@ -670,116 +588,99 @@ def _degree_one_holomorphic_cases(col: _Collector, seed: int) -> None:
         rng = _case_rng(seed, "op-ig2", case)
         gamma = random_symplectic(1, int(rng.integers(1, 5)), rng)
         point = random_point(1, rng)
-        col.residual_case("ig2_transformation_law", {"case": case}, "series",
-                          lambda gamma=gamma, point=point:
-                          verify_G_law(G2, gamma, point))
+        yield ("ig2_transformation_law", {"case": case}, "series",
+               lambda: verify_G_law(G2, gamma, point))
 
-    sample_points = [complex(0.1 * t - 0.3, 0.9 + 0.13 * t) for t in range(5)]
-    for idx, z in enumerate(sample_points):
-        point = SiegelPoint.from_complex(z)
+    def op(z):
+        return nabla(f, SiegelPoint.from_complex(z), 2, G2)[0, 0]
 
-        def serre_match(point=point, z=z):
-            out = nabla(f, point, 2, G2)[0, 0]
+    for z in (complex(0.1 * t - 0.3, 0.9 + 0.13 * t) for t in range(5)):
+        def serre_match():
+            out = op(z)
             expect = 2j * np.pi * evaluate(v4, z)
             return abs(out - expect) / max(1.0, abs(expect))
-        col.residual_case("ig2_serre_match", {"z": str(z)}, "series_match",
-                          serre_match)
+        yield "ig2_serre_match", {"z": str(z)}, "series_match", serre_match
 
-        def holomorphy(z=z):
+        def holomorphy():
             h = 1e-5
-
-            def op(zz):
-                return nabla(f, SiegelPoint.from_complex(zz), 2, G2)[0, 0]
             dx = (op(z + h) - op(z - h)) / (2 * h)
             dy = (op(z + 1j * h) - op(z - 1j * h)) / (2 * h)
             return abs(0.5 * (dx + 1j * dy))
-        col.residual_case("ig2_holomorphy", {"z": str(z)}, "series",
-                          holomorphy)
+        yield "ig2_holomorphy", {"z": str(z)}, "series", holomorphy
 
 
 # --------------------------------------------------------------- qseries
 
 
-def qseries_suite(seed: int, tol: float | None = None,
-                  n_terms: int = 200) -> list[CheckRecord]:
-    col = _Collector("qseries", tol)
-    e2 = eisenstein(2, n_terms + 10)
-    e4 = eisenstein(4, n_terms + 10)
-    e6 = eisenstein(6, n_terms + 10)
-    dlt = delta(n_terms + 10)
+def qseries_suite() -> Cases:
+    n = 200
+    e2 = eisenstein(2, n + 10)
+    e4 = eisenstein(4, n + 10)
+    e6 = eisenstein(6, n + 10)
+    dlt = delta(n + 10)
 
-    col.exact_case("eisenstein_heads", {}, lambda: (
+    yield "eisenstein_heads", {}, None, lambda: (
         e2.coeffs[:4] == (Fraction(1), Fraction(-24), Fraction(-72),
                           Fraction(-96))
         and e4.coeffs[:3] == (Fraction(1), Fraction(240), Fraction(2160))
         and e6.coeffs[:3] == (Fraction(1), Fraction(-504), Fraction(-16632))
         and dlt.coeffs[:5] == (Fraction(0), Fraction(1), Fraction(-24),
-                               Fraction(252), Fraction(-1472))))
-    col.exact_case("weight_raising_e4", {"n": n_terms}, lambda: (
-        serre_derivative(e4).truncate(n_terms)
-        == e6.scale(Fraction(-1, 3)).truncate(n_terms)))
-    col.exact_case("weight_raising_e6", {"n": n_terms}, lambda: (
-        serre_derivative(e6).truncate(n_terms)
-        == (e4 * e4).scale(Fraction(-1, 2)).truncate(n_terms)))
-    col.exact_case("weight_raising_delta", {"n": n_terms}, lambda:
-                   serre_derivative(dlt).truncate(n_terms).is_zero())
-    col.exact_case("discriminant_relation", {"n": n_terms}, lambda: (
-        (dlt.scale(1728) + e6 * e6).truncate(n_terms)
-        == (e4 * e4 * e4).truncate(n_terms)))
+                               Fraction(252), Fraction(-1472)))
+    yield "weight_raising_e4", {"n": n}, None, lambda: (
+        serre_derivative(e4).truncate(n)
+        == e6.scale(Fraction(-1, 3)).truncate(n))
+    yield "weight_raising_e6", {"n": n}, None, lambda: (
+        serre_derivative(e6).truncate(n)
+        == (e4 * e4).scale(Fraction(-1, 2)).truncate(n))
+    yield ("weight_raising_delta", {"n": n}, None,
+           lambda: serre_derivative(dlt).truncate(n).is_zero())
+    yield "discriminant_relation", {"n": n}, None, lambda: (
+        (dlt.scale(1728) + e6 * e6).truncate(n)
+        == (e4 * e4 * e4).truncate(n))
 
-    def closure(weight):
-        basis = ModularBasis(weight, 60)
-        for element in basis.elements:
-            ok, _ = membership_in_Mw(serre_derivative(element), weight + 2)
-            if not ok:
-                return False
-        return True
     for weight in (4, 6, 8, 10, 12, 14, 16, 20, 24):
-        col.exact_case("weight_raising_closure", {"weight": weight},
-                       lambda weight=weight: closure(weight))
+        yield ("weight_raising_closure", {"weight": weight}, None,
+               lambda: all(membership_in_Mw(serre_derivative(element),
+                                            weight + 2)[0]
+                           for element in ModularBasis(weight, 60).elements))
 
-    col.exact_case("weight_two_membership", {}, lambda: (
+    yield "weight_two_membership", {}, None, lambda: (
         membership_in_Mw(QSeries([0] * 40, 2), 2)[0]
-        and not membership_in_Mw(e2.truncate(40), 2)[0]))
+        and not membership_in_Mw(e2.truncate(40), 2)[0])
 
-    def basis_independent(weight):
-        basis = ModularBasis(weight, 40)
-        if len(basis) != dim_modular_forms(weight):
-            return False
-        rows = np.array([[float(c) for c in b.coeffs[:len(basis) + 3]]
-                         for b in basis.elements])
-        return np.linalg.matrix_rank(rows) == len(basis)
     for weight in (12, 16, 20, 24):
-        col.exact_case("basis_dimension", {"weight": weight},
-                       lambda weight=weight: basis_independent(weight))
+        def basis_independent():
+            basis = ModularBasis(weight, 40)
+            if len(basis) != dim_modular_forms(weight):
+                return False
+            rows = np.array([[float(c) for c in b.coeffs[:len(basis) + 3]]
+                             for b in basis.elements])
+            return np.linalg.matrix_rank(rows) == len(basis)
+        yield "basis_dimension", {"weight": weight}, None, basis_independent
 
     zs = [complex(0.05 * t - 0.2, 0.9 + 0.1 * t) for t in range(10)]
     for name, word in SL2_WORDS.items():
-        for idx, z in enumerate(zs):
-            col.residual_case("g2_anomaly", {"gamma": name, "z": str(z)},
-                              "series",
-                              lambda word=word, z=z:
-                              anomaly_residual(word, z, 300))
+        for z in zs:
+            yield ("g2_anomaly", {"gamma": name, "z": str(z)}, "series",
+                   lambda: anomaly_residual(word, z, 300))
 
-    for idx, z in enumerate(zs[:4]):
+    for z in zs[:4]:
         for series, weight in ((e4, 4), (e6, 6), (dlt, 12)):
-            def modularity(series=series, weight=weight, z=z):
+            def modularity():
                 lhs = evaluate(series.truncate(200), -1 / z)
                 rhs = z ** weight * evaluate(series.truncate(200), z)
                 return abs(lhs - rhs) / max(1.0, abs(rhs))
-            col.residual_case("evaluate_modularity",
-                              {"weight": weight, "z": str(z)},
-                              "series_match", modularity)
+            yield ("evaluate_modularity", {"weight": weight, "z": str(z)},
+                   "series_match", modularity)
 
     def cusp_bracket():
         b = bracket1_classical((e4 * e4 * e4).truncate(60), dlt.truncate(60))
         ok, _ = membership_in_Mw(b, 26)
         return ok and b.coeffs[0] == 0
-    col.exact_case("bracket_cusp_membership", {}, cusp_bracket)
-    col.exact_case("bracket_antisymmetry", {}, lambda:
-                   bracket1_classical(e4.truncate(60),
+    yield "bracket_cusp_membership", {}, None, cusp_bracket
+    yield ("bracket_antisymmetry", {}, None,
+           lambda: bracket1_classical(e4.truncate(60),
                                       e4.truncate(60)).is_zero())
-    return col.collect()
 
 
 # ------------------------------------------------------------------ main
@@ -792,15 +693,15 @@ def run_suite(name: str, g_range: tuple[int, int] = (1, 5), seed: int = 0,
     if name not in SUITES + ("all",):
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITES + ('all',))}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    # generators: only the suites that are run draw any case
+    cases = {"metric": metric_suite(g_range, seed),
+             "connection": connection_suite(g_range, seed),
+             "operators": operators_suite(g_range, seed, ks),
+             "qseries": qseries_suite()}
     names = SUITES if name == "all" else (name,)
     report = VerificationReport(__version__, seed, list(names), g_range)
     for suite in names:
-        if suite == "metric":
-            report.records.extend(metric_suite(g_range, seed, tol))
-        elif suite == "connection":
-            report.records.extend(connection_suite(g_range, seed, tol))
-        elif suite == "operators":
-            report.records.extend(operators_suite(g_range, seed, tol, ks))
-        elif suite == "qseries":
-            report.records.extend(qseries_suite(seed, tol))
+        report.records.extend(_Collector(suite, cases[suite], tol).collect())
     return report

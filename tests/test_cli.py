@@ -155,16 +155,6 @@ def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--g", "x")[0] == 2
 
 
-def test_verify_threads_match_serial(tmp_path, capsys, monkeypatch):
-    serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
-    run_cli(capsys, "verify", "--suite", "qseries", "--seed", "1",
-            "--report", str(serial))
-    monkeypatch.setenv("SIEGEL_THREADS", "4")
-    run_cli(capsys, "verify", "--suite", "qseries", "--seed", "1",
-            "--report", str(threaded))
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 @pytest.mark.parametrize("part, bad", [("X", "NaN"), ("Y", "NaN"),
                                        ("X", "Infinity"), ("Y", "-Infinity")])
 def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
@@ -177,12 +167,25 @@ def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
     assert "non-finite" in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
-def test_verify_rejects_bad_thread_count(monkeypatch, capsys, raw):
-    monkeypatch.setenv("SIEGEL_THREADS", raw)
-    code, _, err = run_cli(capsys, "verify", "--suite", "qseries")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--seed", "-1"),
+    ("verify", "--suite", "qseries", "--seed", "-1"),
+    ("verify", "--suite", "qseries", "--tol", "nan"),
+    ("verify", "--suite", "qseries", "--tol", "inf"),
+    ("verify", "--suite", "qseries", "--tol", "0"),
+    ("verify", "--suite", "qseries", "--tol=-1e-9"),
+    ("gamma", "--g", "0"),
+    ("gamma", "--g", "-2"),
+    ("metric", "--g", "0"),
+    ("anomaly", "--z", "0.1+1i", "--terms", "0"),
+    ("anomaly", "--z", "0.1+1i", "--tol", "nan"),
+    ("anomaly", "--z", "0.1+1i", "--tol", "0"),
+])
+def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "SIEGEL_THREADS" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_verify_degenerate_action_image_exits_3(capsys):

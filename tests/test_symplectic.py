@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
                                SiegelPoint, SymplecticElement, act, cocycle,
                                im_of_action, is_symplectic, random_point,
@@ -300,3 +302,39 @@ def test_integer_products_never_wrap_around():
     lowest = SymplecticElement.translation(np.array([[-2 ** 63]]))
     with pytest.raises(DegeneracyError):
         lowest.inverse()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(g=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       log_lambda_min=st.floats(-11.0, 0.0), log_x=st.floats(-2.0, 8.0),
+       word_length=st.integers(0, 60))
+def test_boundary_points_and_long_words_are_finite_or_degenerate(
+        g, seed, log_lambda_min, log_x, word_length):
+    # Y has smallest eigenvalue 10^log_lambda_min, X entries reach 10^log_x
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    eigs = 10.0 ** rng.uniform(log_lambda_min, 1.0, size=g)
+    eigs[0] = 10.0 ** log_lambda_min
+    Y = (Q * eigs) @ Q.T
+    X = 10.0 ** log_x * rng.uniform(-1.0, 1.0, size=(g, g))
+    try:
+        point = SiegelPoint(g, (X + X.T) / 2, (Y + Y.T) / 2)
+    except ValueError:
+        return  # rejected at construction, as documented
+    gamma = random_symplectic(g, word_length, rng)
+    assert _finite_or_degenerate(lambda: [act(gamma, point).Z])
+    assert _finite_or_degenerate(lambda: _metric_arrays(point))
+    assert _finite_or_degenerate(lambda: [pushforward_matrix(gamma, point)])
+
+
+def _finite_or_degenerate(compute) -> bool:
+    try:
+        arrays = compute()
+    except DegeneracyError:
+        return True
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _metric_arrays(point):
+    pair = metric_pair(point)
+    return pair.W, pair.M, pair.R

@@ -11,6 +11,12 @@ def test_unknown_suite_rejected():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", ["qseries", "metric"])
+def test_negative_seed_rejected(name):
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        run_suite(name, (1, 1), seed=-1)
+
+
 def test_report_invariants():
     report = run_suite("qseries", (1, 1), seed=11)
     assert report.version == __version__
@@ -64,15 +70,6 @@ def test_operators_weight_selection():
               if r.check == "nabla_transform"}
     assert ks_full == {1, 2}
     assert ks_one == {1}
-
-
-def test_worker_threads_do_not_change_records(monkeypatch):
-    monkeypatch.setenv("SIEGEL_THREADS", "3")
-    threaded = run_suite("metric", (1, 2), seed=9)
-    monkeypatch.setenv("SIEGEL_THREADS", "1")
-    serial = run_suite("metric", (1, 2), seed=9)
-    assert json.dumps(threaded.to_dict(), sort_keys=True) \
-        == json.dumps(serial.to_dict(), sort_keys=True)
 
 
 def test_default_tolerances_documented_keys():
