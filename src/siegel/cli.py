@@ -164,25 +164,29 @@ def _cmd_gamma(args) -> int:
     if args.method not in _GAMMA_METHODS:
         raise UsageError(f"unknown method {args.method!r}; "
                          f"choose from {', '.join(_GAMMA_METHODS)}")
-    if args.method == "closed":
-        table = gamma_closed(point)
-    else:
-        table = gamma_from_metric(point, _GAMMA_METHODS[args.method])
-    pairs = omega_list(point.g)
-    cutoff = 1e-14 * max(1.0, float(np.abs(table.table).max()))
-    entries = []
-    for k, K in enumerate(pairs):
-        for a, I in enumerate(pairs):
-            for b, J in enumerate(pairs):
-                value = table.table[k, a, b]
-                if abs(value) <= cutoff:
-                    continue
-                entries.append({"K": list(K), "I": list(I), "J": list(J),
-                                "re": value.real, "im": value.imag})
     _emit({"g": point.g, "method": args.method,
-           "point": json.loads(point.to_json()), "entries": entries},
+           "point": json.loads(point.to_json()),
+           "entries": _table_entries(point, args.method)},
           args.out)
     return EXIT_OK
+
+
+def _table_entries(point: SiegelPoint, method: str) -> list[dict]:
+    """The method's coefficients at the point above 1e-14 of the largest
+    magnitude (floored at 1), in index order.  The table and its index
+    arrays are freed on return, before the output text is built."""
+    if method == "closed":
+        table = gamma_closed(point).table
+    else:
+        table = gamma_from_metric(point, _GAMMA_METHODS[method]).table
+    pairs = omega_list(point.g)
+    magnitude = np.abs(table)
+    cutoff = 1e-14 * max(1.0, float(magnitude.max()))
+    where = np.nonzero(magnitude > cutoff)
+    return [{"K": list(pairs[k]), "I": list(pairs[a]), "J": list(pairs[b]),
+             "re": value.real, "im": value.imag}
+            for k, a, b, value in zip(*(w.tolist() for w in where),
+                                      table[where].tolist())]
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:

@@ -14,6 +14,12 @@ metric are produced three independent ways:
   ``path="B-expanded"`` evaluates the fully expanded eight-term delta/R
   expression of that sum.
 
+The tables are built as arrays.  ``gamma_closed`` scatters i R_ij / 2^e into
+a pattern of (K, I, J) positions, R entries and divisors built once per
+degree; the B-expanded path evaluates its own delta/R expression over
+broadcast (K, I, J) index grids and shares nothing with that pattern, so the
+two stay independent derivations.
+
 The operator D acts on forms with function coefficients by
 D(f dZ_{K_1}...dZ_{K_r}) = df dZ_{K_1}...dZ_{K_r}
 + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}, with
@@ -22,21 +28,26 @@ differential only.
 
 Everything is evaluated pointwise: a table holds numbers at its base point,
 and coefficient functions supply values and holomorphic gradients there.
+``apply_D`` adds every term into one dictionary, in the order of the sum
+above.  The cocycle entries that ``gamma_act_on_form`` puts into
+coefficients share one evaluation of S(gamma, Z) and of its derivatives per
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .forms import (FormPolynomial, det_dz, max_coefficient_diff,
+from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
 from .functions import (ConstFunction, ProductFunction, PullbackFunction,
                         TestFunction, coefficient_gradient,
                         coefficient_value)
-from .indexing import (Pair, basis_matrix, delta, entry_positions, n_index,
-                       omega_list, omega_size, sym_to_coords)
+from .indexing import (Pair, basis_matrix, entry_positions, n_index,
+                       omega_list, omega_size, row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_matrix, pushforward_matrix_derivative)
@@ -58,36 +69,47 @@ class ConnectionTable:
                                   n_index(J, g) - 1])
 
 
-def _cross_complement(pair: Pair, axis: int) -> int | None:
-    """The index completing `pair` against `axis`, or None if axis not in it."""
-    i, j = pair
-    if i == axis:
-        return j
-    if j == axis:
-        return i
-    return None
+@lru_cache(maxsize=16)
+def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+    """Where the closed form is nonzero, built once per degree: the flat
+    (K, I, J) positions, the 0-based R entry (i, j) of each and its divisor
+    2^{(1-delta(r,s))(1-delta(I,J))}.
+
+    For K = (r, s), i completes I against s and j completes J against r;
+    where that fails, the mirrored assignment (J against s, I against r) is
+    tried, so a triple that fits both takes the first."""
+    ii, jj = row_col_indices(g)
+    r, s = ii[:, None, None], jj[:, None, None]
+    I = ii[None, :, None], jj[None, :, None]
+    J = ii[None, None, :], jj[None, None, :]
+
+    def complement(pair, axis):
+        # whether axis is in the pair, and the index completing it there
+        a, b = pair
+        return (a == axis) | (b == axis), np.where(a == axis, b, a)
+
+    (i_in, i1), (j_in, j1) = complement(I, s), complement(J, r)
+    (i_in2, i2), (j_in2, j2) = complement(J, s), complement(I, r)
+    first = i_in & j_in
+    hit = first | (i_in2 & j_in2)
+    halved = (r != s) & ~np.eye(ii.size, dtype=bool)
+    out = (np.flatnonzero(hit), np.where(first, i1, i2)[hit],
+           np.where(first, j1, j2)[hit],
+           np.where(np.broadcast_to(halved, hit.shape)[hit], 2.0, 1.0))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def gamma_closed(point: SiegelPoint) -> ConnectionTable:
     """Closed-form coefficient table of the invariant Levi-Civita connection."""
     g = point.g
-    pairs = omega_list(g)
-    m = len(pairs)
+    m = omega_size(g)
     R = metric_pair(point).R
+    where, i, j, divisor = _closed_pattern(g)
     table = np.zeros((m, m, m), dtype=complex)
-    for k, (r, s) in enumerate(pairs):
-        for a, I in enumerate(pairs):
-            for b, J in enumerate(pairs):
-                i = _cross_complement(I, s)
-                j = _cross_complement(J, r)
-                if i is None or j is None:
-                    # try the mirrored assignment J in the column cross
-                    i = _cross_complement(J, s)
-                    j = _cross_complement(I, r)
-                if i is None or j is None:
-                    continue
-                exponent = (1 - delta(r, s)) * (1 - delta(I, J))
-                table[k, a, b] = 1j * R[i - 1, j - 1] / 2.0 ** exponent
+    table.flat[where] = 1j * R[i, j] / divisor
     table.setflags(write=False)
     return ConnectionTable(point, g, table, "closed-form")
 
@@ -107,32 +129,38 @@ def _gamma_path_b(point: SiegelPoint) -> np.ndarray:
 
 
 def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
-    g = point.g
-    pairs = omega_list(g)
-    m = len(pairs)
+    # axes (K, I, J) = ((p, q), (i, j), (r, s)), 0-based; sums accumulate
+    # in place, in the order of the expression, so few (m, m, m)
+    # temporaries are alive at once
     R = metric_pair(point).R
+    ii, jj = row_col_indices(point.g)
+    p, q = ii[:, None, None], jj[:, None, None]
+    i, j = ii[None, :, None], jj[None, :, None]
+    r, s = ii[None, None, :], jj[None, None, :]
+
+    def delta(a, b):
+        return (a == b).astype(int)
 
     def bracket(subject, u, v, y):
         # delta(subject,u) R_{y v} + delta(subject,v) R_{y u}
         #   - delta(subject,u) delta(subject,v) R_{y v}
-        return (delta(subject, u) * R[y - 1, v - 1]
-                + delta(subject, v) * R[y - 1, u - 1]
-                - delta(subject, u) * delta(subject, v) * R[y - 1, v - 1])
+        du, dv = delta(subject, u), delta(subject, v)
+        out = du * R[y, v]
+        out += dv * R[y, u]
+        out -= du * dv * R[y, v]
+        return out
 
-    table = np.zeros((m, m, m), dtype=complex)
-    for k, (p, q) in enumerate(pairs):
-        for a, (i, j) in enumerate(pairs):
-            for b, (r, s) in enumerate(pairs):
-                first = (delta(q, j) * bracket(p, r, s, i)
-                         + delta(q, i) * bracket(p, r, s, j)
-                         + delta(p, i) * bracket(q, r, s, j)
-                         + delta(p, j) * bracket(q, r, s, i))
-                second = (delta(q, s) * bracket(p, i, j, r)
-                          + delta(q, r) * bracket(p, i, j, s)
-                          + delta(p, r) * bracket(q, i, j, s)
-                          + delta(p, s) * bracket(q, i, j, r))
-                table[k, a, b] = (1j / 2.0 ** (2 + delta(i, j)) * first
-                                  + 1j / 2.0 ** (2 + delta(r, s)) * second)
+    first = delta(q, j) * bracket(p, r, s, i)
+    first += delta(q, i) * bracket(p, r, s, j)
+    first += delta(p, i) * bracket(q, r, s, j)
+    first += delta(p, j) * bracket(q, r, s, i)
+    table = 1j / 2.0 ** (2 + delta(i, j)) * first
+    del first
+    second = delta(q, s) * bracket(p, i, j, r)
+    second += delta(q, r) * bracket(p, i, j, s)
+    second += delta(p, r) * bracket(q, i, j, s)
+    second += delta(p, s) * bracket(q, i, j, r)
+    table += 1j / 2.0 ** (2 + delta(r, s)) * second
     return table
 
 
@@ -270,19 +298,12 @@ def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
 def curvature_quadratics(table: ConnectionTable) -> list[FormPolynomial]:
     """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms."""
     m = table.table.shape[0]
-    out = []
-    for k in range(m):
-        terms: dict = {}
-        for a in range(m):
-            c = -table.table[k, a, a]
-            if c != 0:
-                terms[(a, a)] = terms.get((a, a), 0j) + c
-            for b in range(a + 1, m):
-                c = -2.0 * table.table[k, a, b]
-                if c != 0:
-                    terms[(a, b)] = terms.get((a, b), 0j) + c
-        out.append(FormPolynomial(table.g, terms))
-    return out
+    a, b = np.triu_indices(m)
+    upper = table.table[:, a, b]
+    coefs = 0j + np.where(a == b, -upper, -2.0 * upper)
+    monos = list(zip(a.tolist(), b.tolist()))
+    return [FormPolynomial.canonical(table.g, dict(zip(monos, row)))
+            for row in coefs.tolist()]
 
 
 def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
@@ -291,22 +312,28 @@ def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
     Coefficients of the input may be numbers or point functions; the output
     has numeric coefficients.  The holomorphic differential of each
     coefficient is taken with respect to the upper-triangle coordinates.
+    Terms are accumulated into one dictionary, in the order of the sum
+    df dZ_{K_1}...dZ_{K_r} + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}.
     """
     point = table.point
     g = table.g
     quadratics = curvature_quadratics(table)
-    out = FormPolynomial(g, {})
+    out: dict = {}
     for mono, coef in form.terms.items():
-        cval = coefficient_value(coef, point)
+        cval = complex(coefficient_value(coef, point))
         grad = coefficient_gradient(coef, point, g)
-        terms = {tuple(sorted(mono + (pos,))): grad[pos]
-                 for pos in range(len(grad)) if grad[pos] != 0}
-        out = out + FormPolynomial(g, terms)
+        for pos in range(len(grad)):
+            if grad[pos] != 0:
+                add_term(out, tuple(sorted(mono + (pos,))), grad[pos])
+        if cval == 0:
+            continue
         for t in range(len(mono)):
             rest = mono[:t] + mono[t + 1:]
-            base = FormPolynomial(g, {rest: cval})
-            out = out + base * quadratics[mono[t]]
-    return out
+            for m2, c2 in quadratics[mono[t]].terms.items():
+                c = cval * c2
+                if c != 0:
+                    add_term(out, tuple(sorted(rest + m2)), c)
+    return FormPolynomial.canonical(g, out)
 
 
 def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
@@ -424,25 +451,54 @@ def gamma_transform_form(gamma: SymplecticElement, point: SiegelPoint,
     return substitute_basis(form, pushforward_matrix(gamma, point))
 
 
+class _Cocycle:
+    """Z -> S(gamma, Z) with its coordinate derivatives, kept for the last
+    point asked, so the entry functions of one form share one evaluation
+    per point."""
+
+    def __init__(self, gamma: SymplecticElement, g: int):
+        self.gamma = gamma
+        self.g = g
+        self._point = None
+        self._S = None
+        self._dS = None
+
+    def _at(self, point) -> None:
+        if point is not self._point:
+            self._point, self._S, self._dS = point, None, None
+
+    def S(self, point) -> np.ndarray:
+        self._at(point)
+        if self._S is None:
+            self._S = pushforward_matrix(self.gamma, point)
+        return self._S
+
+    def dS(self, point) -> np.ndarray:
+        """dS[pos] is the derivative of S along the coordinate Z_pos."""
+        self._at(point)
+        if self._dS is None:
+            self._dS = np.stack([
+                pushforward_matrix_derivative(
+                    self.gamma, point, basis_matrix(pair, self.g,
+                                                    dtype=complex))
+                for pair in omega_list(self.g)])
+        return self._dS
+
+
 class _CocycleEntryFunction:
     """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient."""
 
-    def __init__(self, gamma: SymplecticElement, g: int, l: int, k: int):
-        self.gamma = gamma
-        self.g = g
+    def __init__(self, cocycle: _Cocycle, l: int, k: int):
+        self.cocycle = cocycle
+        self.g = cocycle.g
         self.l = l
         self.k = k
 
     def value(self, point) -> complex:
-        return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
+        return complex(self.cocycle.S(point)[self.l, self.k])
 
     def gradient(self, point) -> np.ndarray:
-        out = np.empty(omega_size(self.g), dtype=complex)
-        for pos, pair in enumerate(omega_list(self.g)):
-            dS = pushforward_matrix_derivative(
-                self.gamma, point, basis_matrix(pair, self.g, dtype=complex))
-            out[pos] = dS[self.l, self.k]
-        return out
+        return self.cocycle.dS(point)[:, self.l, self.k].copy()
 
 
 def gamma_act_on_form(gamma: SymplecticElement, g: int,
@@ -454,6 +510,7 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
     from itertools import product
 
     m = omega_size(g)
+    cocycle = _Cocycle(gamma, g)
     out = FormPolynomial(g, {})
     for mono, coef in form.terms.items():
         base = coef if not isinstance(coef, numbers.Complex) \
@@ -462,7 +519,7 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
             if not isinstance(base, ConstFunction) else base
         for assignment in product(range(m), repeat=len(mono)):
             factors = [pulled] + [
-                _CocycleEntryFunction(gamma, g, l, k)
+                _CocycleEntryFunction(cocycle, l, k)
                 for l, k in zip(assignment, mono)]
             fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
             out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})

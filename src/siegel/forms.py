@@ -4,11 +4,19 @@ Monomials are canonical sorted tuples of 0-based Omega positions, so
 dZ_I dZ_J == dZ_J dZ_I by construction.  Coefficients may be plain complex
 numbers or point functions (see functions.py); zero coefficients are never
 stored.
+
+A form's terms keep the order in which their monomials first appeared; a
+sum keeps the left operand's monomials in place and appends new ones, and
+``add_term`` does the same in place for callers that accumulate many terms.
+Forms built from other forms take their keys as already sorted
+(``FormPolynomial.canonical``), and whether a coefficient is a number is
+decided once per coefficient type.
 """
 
 from __future__ import annotations
 
 import numbers
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -19,30 +27,56 @@ from .indexing import Pair, entry_positions, n_index, omega_size
 Monomial = tuple[int, ...]
 
 
+@cache
+def _number_type(cls: type) -> bool:
+    return issubclass(cls, numbers.Complex)
+
+
+def _is_number(coef) -> bool:
+    """Whether a coefficient is a number rather than a point function; the
+    abstract-class test runs once per type."""
+    return _number_type(type(coef))
+
+
 def _coef_add(a, b):
-    if isinstance(a, numbers.Complex) and isinstance(b, numbers.Complex):
+    a_number, b_number = _is_number(a), _is_number(b)
+    if a_number and b_number:
         return complex(a) + complex(b)
     from .functions import ConstFunction
-    g = a.g if not isinstance(a, numbers.Complex) else b.g
-    if isinstance(a, numbers.Complex):
+    g = a.g if not a_number else b.g
+    if a_number:
         a = ConstFunction(g, a)
-    if isinstance(b, numbers.Complex):
+    if b_number:
         b = ConstFunction(g, b)
     return SumFunction([a, b])
 
 
 def _coef_mul(a, b):
-    if isinstance(a, numbers.Complex) and isinstance(b, numbers.Complex):
+    a_number, b_number = _is_number(a), _is_number(b)
+    if a_number and b_number:
         return complex(a) * complex(b)
-    if isinstance(a, numbers.Complex):
+    if a_number:
         return ScaledFunction(b, a)
-    if isinstance(b, numbers.Complex):
+    if b_number:
         return ScaledFunction(a, b)
     return ProductFunction([a, b])
 
 
 def _is_zero(coef) -> bool:
-    return isinstance(coef, numbers.Complex) and complex(coef) == 0
+    return _is_number(coef) and complex(coef) == 0
+
+
+def add_term(terms: dict, mono: Monomial, coef) -> None:
+    """Add coef to terms[mono] in place, a canonical key being assumed;
+    a sum that cancels to zero is removed, and a new key goes last."""
+    if mono in terms:
+        total = _coef_add(terms[mono], coef)
+        if _is_zero(total):
+            del terms[mono]
+        else:
+            terms[mono] = total
+    else:
+        terms[mono] = coef
 
 
 class FormPolynomial:
@@ -57,6 +91,17 @@ class FormPolynomial:
                 self.terms[tuple(sorted(mono))] = coef
 
     @classmethod
+    def canonical(cls, g: int, terms: dict) -> "FormPolynomial":
+        """A form from terms whose monomials are already sorted tuples, so
+        they are not sorted again; zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out.g = g
+        out.m = omega_size(g)
+        out.terms = {mono: coef for mono, coef in terms.items()
+                     if not _is_zero(coef)}
+        return out
+
+    @classmethod
     def generator(cls, g: int, pair: Pair) -> "FormPolynomial":
         return cls(g, {(n_index(pair, g) - 1,): 1.0 + 0j})
 
@@ -67,13 +112,8 @@ class FormPolynomial:
     def __add__(self, other: "FormPolynomial") -> "FormPolynomial":
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            if mono in out:
-                out[mono] = _coef_add(out[mono], coef)
-                if _is_zero(out[mono]):
-                    del out[mono]
-            else:
-                out[mono] = coef
-        return FormPolynomial(self.g, out)
+            add_term(out, mono, coef)
+        return FormPolynomial.canonical(self.g, out)
 
     def __neg__(self) -> "FormPolynomial":
         return self.scale(-1.0)
@@ -91,33 +131,33 @@ class FormPolynomial:
                     out[mono] = _coef_add(out[mono], c)
                 else:
                     out[mono] = c
-        return FormPolynomial(self.g, out)
+        return FormPolynomial.canonical(self.g, out)
 
     def scale(self, scalar) -> "FormPolynomial":
-        return FormPolynomial(
+        return FormPolynomial.canonical(
             self.g, {m: _coef_mul(c, scalar) for m, c in self.terms.items()})
 
     def map_coefficients(self, fn) -> "FormPolynomial":
-        return FormPolynomial(self.g, {m: fn(c) for m, c in self.terms.items()})
+        return FormPolynomial.canonical(
+            self.g, {m: fn(c) for m, c in self.terms.items()})
 
     def evaluate_coefficients(self, point) -> "FormPolynomial":
         """Collapse point-function coefficients to numbers at a point."""
         from .functions import coefficient_value
-        return FormPolynomial(
+        return FormPolynomial.canonical(
             self.g,
             {m: coefficient_value(c, point) for m, c in self.terms.items()})
 
     def prune(self, rel: float = 1e-14) -> "FormPolynomial":
         """Drop numeric coefficients below rel times the largest magnitude."""
-        mags = [abs(complex(c)) for c in self.terms.values()
-                if isinstance(c, numbers.Complex)]
+        mags = [abs(complex(c)) for c in self.terms.values() if _is_number(c)]
         if not mags:
             return self
         cutoff = rel * max(mags)
-        return FormPolynomial(
+        return FormPolynomial.canonical(
             self.g,
             {m: c for m, c in self.terms.items()
-             if not isinstance(c, numbers.Complex) or abs(complex(c)) > cutoff})
+             if not _is_number(c) or abs(complex(c)) > cutoff})
 
     def degrees(self) -> set[int]:
         return {len(m) for m in self.terms}

@@ -160,11 +160,15 @@ class ModularExtension:
         self.weight = weight
         self.gamma = gamma
         self.mu = gamma.inverse()
+        self._last = None
 
     def _parts(self, point: SiegelPoint):
-        base = act(self.mu, point)
-        den = self.gamma.C @ base.Z + self.gamma.D
-        return base, den
+        """(Z(W), C Z(W) + D), reused when asked again for the same point,
+        as value and gradient are at one image point."""
+        if self._last is None or self._last[0] is not point:
+            base = act(self.mu, point)
+            self._last = (point, base, self.gamma.C @ base.Z + self.gamma.D)
+        return self._last[1:]
 
     def value(self, point) -> complex:
         """F at a point, or at every point of a stack."""

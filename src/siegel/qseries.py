@@ -256,9 +256,10 @@ def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
     q = cmath.exp(2j * math.pi * z)
     n = len(f)
     coeffs = f._float_coeffs()
-    if n == 1:
-        # a length-one series carries no decay information; treat it as an
-        # exact constant rather than a truncation
+    if n == 1 and f.weight == 0:
+        # weight-0 forms are constants, so a length-one series of weight 0
+        # is exact; any other length-one series is a truncation like any
+        # other and goes through the tail guard
         return prefactor * complex(coeffs[0])
     p = f.weight if f.weight is not None else 12
     p = max(p, 1)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import omega_list, sym_to_coords
+from .indexing import row_col_indices
 
 COND_LIMIT = 1e12
 
@@ -195,7 +195,9 @@ class SymplecticElement:
     def __post_init__(self):
         blocks = {}
         for name in "ABCD":
-            M = np.asarray(getattr(self, name), dtype=np.int64)
+            # a copy: freezing the caller's own array would make it
+            # read-only under the caller
+            M = np.array(getattr(self, name), dtype=np.int64)
             if M.shape != (self.g, self.g):
                 raise DimensionError(f"block {name} must be {self.g}x{self.g}")
             M.setflags(write=False)
@@ -376,22 +378,29 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
     return (out + out.T) / 2.0
 
 
+def _symmetrized_rows(outer: np.ndarray) -> np.ndarray:
+    """Rows of a cocycle from the stack outer[pos] of g x g products
+    attached to the pairs (a, b) of Omega: the Omega coordinates of
+    outer[pos] + outer[pos]^t off the diagonal, of outer[pos] on it.
+    C-contiguous, so later products see the same memory layout as a
+    row-by-row fill."""
+    ii, jj = row_col_indices(outer.shape[-1])
+    upper = outer[:, ii, jj]
+    S = np.where((ii != jj)[:, None], upper + outer[:, jj, ii], upper)
+    return np.ascontiguousarray(S)
+
+
 def pushforward_matrix(gamma: SymplecticElement,
                        point: SiegelPoint) -> np.ndarray:
-    """Row-convention cocycle S(gamma, Z) on Omega coordinates."""
+    """Row-convention cocycle S(gamma, Z) on Omega coordinates: row (a, b)
+    holds the coordinates of the symmetrized outer product of rows a and b
+    of (C Z + D)^{-1}."""
     Z, den = _cocycle_blocks(gamma, point)
     if np.linalg.cond(den) > COND_LIMIT:
         raise DegeneracyError("cocycle factor is numerically singular")
     Q = np.linalg.inv(den)
-    pairs = omega_list(point.g)
-    m = len(pairs)
-    S = np.empty((m, m), dtype=complex)
-    for pos, (a, b) in enumerate(pairs):
-        qa, qb = Q[a - 1, :], Q[b - 1, :]
-        P = np.outer(qa, qb)
-        P = P + P.T if a != b else P
-        S[pos, :] = sym_to_coords(P)
-    return S
+    ii, jj = row_col_indices(point.g)
+    return _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
 
 
 def pushforward_matrix_derivative(gamma: SymplecticElement,
@@ -402,16 +411,10 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
     Z, den = _cocycle_blocks(gamma, point)
     Q = np.linalg.inv(den)
     dQ = -Q @ (gamma.C @ np.asarray(V, dtype=complex)) @ Q
-    pairs = omega_list(point.g)
-    m = len(pairs)
-    dS = np.empty((m, m), dtype=complex)
-    for pos, (a, b) in enumerate(pairs):
-        qa, qb = Q[a - 1, :], Q[b - 1, :]
-        da, db = dQ[a - 1, :], dQ[b - 1, :]
-        P = np.outer(da, qb) + np.outer(qa, db)
-        P = P + P.T if a != b else P
-        dS[pos, :] = sym_to_coords(P)
-    return dS
+    ii, jj = row_col_indices(point.g)
+    outer = (dQ[ii, :, None] * Q[jj, None, :]
+             + Q[ii, :, None] * dQ[jj, None, :])
+    return _symmetrized_rows(outer)
 
 
 def random_symplectic(g: int, word_length: int,

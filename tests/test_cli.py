@@ -53,6 +53,17 @@ def test_anomaly_pass_and_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("terms", ["1", "2"])
+def test_anomaly_too_few_terms_is_a_truncation_error(capsys, terms):
+    # a one-term expansion is a truncation like any other, not a failed
+    # identity
+    code, out, err = run_cli(capsys, "anomaly", "--z", "0.1+1i",
+                             "--terms", terms)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail estimate") and "terms required" in err
+
+
 def test_metric_default_point(capsys):
     code, out, _ = run_cli(capsys, "metric", "--g", "2")
     assert code == 0

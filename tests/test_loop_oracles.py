@@ -1,0 +1,304 @@
+"""The scalar loops that the connection tables, the cocycle and the dZ
+algebra were first written as, kept as references.
+
+The array forms perform the same floating-point operations in the same
+order, so every comparison here is bit for bit (``tobytes`` equality, and
+for forms the same monomials in the same dictionary order).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import siegel.connection as connection
+from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
+                               gamma_act_on_form, gamma_closed,
+                               gamma_from_metric)
+from siegel.forms import FormPolynomial, add_term, det_dz, trace_form
+from siegel.functions import (coefficient_gradient, coefficient_value,
+                              random_test_function)
+from siegel.indexing import (basis_matrix, delta, omega_list, omega_size,
+                             sym_to_coords)
+from siegel.metric import metric_pair
+from siegel.symplectic import (DegeneracyError, cocycle, pushforward_matrix,
+                               pushforward_matrix_derivative, random_point,
+                               random_symplectic)
+
+
+def _draws(g, count):
+    """Fixed points of degree g, spread from 0.5 to 3."""
+    rng = np.random.default_rng(7000 + g)
+    return [random_point(g, rng, spread=float(rng.uniform(0.5, 3.0)))
+            for _ in range(count)]
+
+
+# ------------------------------------------------------------ tables
+
+
+def _cross_complement(pair, axis):
+    i, j = pair
+    if i == axis:
+        return j
+    if j == axis:
+        return i
+    return None
+
+
+def _gamma_closed_loop(point):
+    pairs = omega_list(point.g)
+    m = len(pairs)
+    R = metric_pair(point).R
+    table = np.zeros((m, m, m), dtype=complex)
+    for k, (r, s) in enumerate(pairs):
+        for a, I in enumerate(pairs):
+            for b, J in enumerate(pairs):
+                i = _cross_complement(I, s)
+                j = _cross_complement(J, r)
+                if i is None or j is None:
+                    i = _cross_complement(J, s)
+                    j = _cross_complement(I, r)
+                if i is None or j is None:
+                    continue
+                exponent = (1 - delta(r, s)) * (1 - delta(I, J))
+                table[k, a, b] = 1j * R[i - 1, j - 1] / 2.0 ** exponent
+    return table
+
+
+def _b_expanded_loop(point):
+    pairs = omega_list(point.g)
+    m = len(pairs)
+    R = metric_pair(point).R
+
+    def bracket(subject, u, v, y):
+        return (delta(subject, u) * R[y - 1, v - 1]
+                + delta(subject, v) * R[y - 1, u - 1]
+                - delta(subject, u) * delta(subject, v) * R[y - 1, v - 1])
+
+    table = np.zeros((m, m, m), dtype=complex)
+    for k, (p, q) in enumerate(pairs):
+        for a, (i, j) in enumerate(pairs):
+            for b, (r, s) in enumerate(pairs):
+                first = (delta(q, j) * bracket(p, r, s, i)
+                         + delta(q, i) * bracket(p, r, s, j)
+                         + delta(p, i) * bracket(q, r, s, j)
+                         + delta(p, j) * bracket(q, r, s, i))
+                second = (delta(q, s) * bracket(p, i, j, r)
+                          + delta(q, r) * bracket(p, i, j, s)
+                          + delta(p, r) * bracket(q, i, j, s)
+                          + delta(p, s) * bracket(q, i, j, r))
+                table[k, a, b] = (1j / 2.0 ** (2 + delta(i, j)) * first
+                                  + 1j / 2.0 ** (2 + delta(r, s)) * second)
+    return table
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_gamma_closed_matches_loop(g):
+    for point in _draws(g, 4 if g <= 5 else 2):
+        assert (gamma_closed(point).table.tobytes()
+                == _gamma_closed_loop(point).tobytes())
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_b_expanded_matches_loop(g):
+    for point in _draws(g, 4):
+        got = gamma_from_metric(point, "B-expanded").table
+        assert got.tobytes() == _b_expanded_loop(point).tobytes()
+
+
+# ------------------------------------------------------------ cocycle
+
+
+def _pushforward_loop(gamma, point):
+    Q = np.linalg.inv(cocycle(gamma, point))
+    pairs = omega_list(point.g)
+    S = np.empty((len(pairs), len(pairs)), dtype=complex)
+    for pos, (a, b) in enumerate(pairs):
+        P = np.outer(Q[a - 1, :], Q[b - 1, :])
+        P = P + P.T if a != b else P
+        S[pos, :] = sym_to_coords(P)
+    return S
+
+
+def _pushforward_derivative_loop(gamma, point, V):
+    Q = np.linalg.inv(cocycle(gamma, point))
+    dQ = -Q @ (gamma.C @ np.asarray(V, dtype=complex)) @ Q
+    pairs = omega_list(point.g)
+    dS = np.empty((len(pairs), len(pairs)), dtype=complex)
+    for pos, (a, b) in enumerate(pairs):
+        P = (np.outer(dQ[a - 1, :], Q[b - 1, :])
+             + np.outer(Q[a - 1, :], dQ[b - 1, :]))
+        P = P + P.T if a != b else P
+        dS[pos, :] = sym_to_coords(P)
+    return dS
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(g=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       word_length=st.integers(0, 12))
+def test_pushforward_matrix_matches_loop(g, seed, word_length):
+    rng = np.random.default_rng(seed)
+    gamma = random_symplectic(g, word_length, rng)
+    point = random_point(g, rng, spread=float(rng.uniform(0.5, 3.0)))
+    try:
+        S = pushforward_matrix(gamma, point)
+    except DegeneracyError:
+        return
+    assert S.flags.c_contiguous
+    assert S.tobytes() == _pushforward_loop(gamma, point).tobytes()
+    V = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
+    for direction in [V + V.T] + [basis_matrix(pair, g, dtype=complex)
+                                  for pair in omega_list(g)]:
+        dS = pushforward_matrix_derivative(gamma, point, direction)
+        assert dS.flags.c_contiguous
+        assert dS.tobytes() == _pushforward_derivative_loop(
+            gamma, point, direction).tobytes()
+
+
+def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
+    calls = []
+
+    def counted(gamma, point):
+        calls.append(point)
+        return pushforward_matrix(gamma, point)
+    monkeypatch.setattr(connection, "pushforward_matrix", counted)
+    g = 2
+    rng = np.random.default_rng(31)
+    gamma = random_symplectic(g, 4, rng)
+    here, there = random_point(g, rng), random_point(g, rng)
+    form = det_dz(g) * FormPolynomial.generator(g, (1, 2))
+    acted = gamma_act_on_form(gamma, g, form)
+    apply_D(gamma_closed(here), acted)
+    assert calls == [here]
+    apply_D(gamma_closed(there), acted)
+    assert calls == [here, there]
+    # each entry function still reads its own entry of S and of dS/dZ
+    for point in (here, there):
+        S = _pushforward_loop(gamma, point)
+        dS = np.stack([_pushforward_derivative_loop(
+            gamma, point, basis_matrix(pair, g, dtype=complex))
+            for pair in omega_list(g)])
+        generator = gamma_act_on_form(gamma, g,
+                                      FormPolynomial.generator(g, (1, 2)))
+        for (l,), fn in generator.terms.items():
+            assert fn.value(point) == S[l, 1]
+            assert np.array_equal(fn.gradient(point), dS[:, l, 1])
+
+
+# ------------------------------------------------------------ dZ algebra
+
+
+def _dict_add(a, b):
+    """Sum of two numeric forms held as dicts: existing monomials keep
+    their place, new ones go last, and cancelled ones are removed."""
+    out = dict(a)
+    for mono, coef in b.items():
+        if mono in out:
+            out[mono] = complex(out[mono]) + complex(coef)
+            if out[mono] == 0:
+                del out[mono]
+        else:
+            out[mono] = coef
+    return out
+
+
+def _dict_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted(m1 + m2))
+            c = complex(c1) * complex(c2)
+            out[mono] = complex(out[mono]) + c if mono in out else c
+    return {mono: c for mono, c in out.items() if complex(c) != 0}
+
+
+def _same_terms(form, reference):
+    values = np.array(list(form.terms.values()), dtype=complex)
+    expected = np.array(list(reference.values()), dtype=complex)
+    return (list(form.terms) == list(reference)
+            and values.tobytes() == expected.tobytes())
+
+
+def _random_terms(g, rng, count):
+    # coefficients from a small set, so sums and products cancel
+    choices = (1.0, -1.0, 0.5j, -0.5j, 2.0 + 1.0j, 0.0)
+    m = omega_size(g)
+    terms = {}
+    for _ in range(count):
+        mono = tuple(sorted(int(v) for v in
+                            rng.integers(0, m, size=int(rng.integers(0, 3)))))
+        terms[mono] = complex(choices[int(rng.integers(0, len(choices)))])
+    return terms
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_form_sum_and_product_match_dict_reference(g):
+    rng = np.random.default_rng(40 + g)
+    for _ in range(40):
+        a = FormPolynomial(g, _random_terms(g, rng, 6))
+        b = FormPolynomial(g, _random_terms(g, rng, 6))
+        assert _same_terms(a + b, _dict_add(a.terms, b.terms))
+        assert _same_terms(a - a, {})
+        assert _same_terms(a * b, _dict_mul(a.terms, b.terms))
+        # in-place accumulation, as apply_D does it: -a removes the
+        # monomials of a that b does not share, and a appends them again
+        terms, reference = {}, {}
+        for form in (a, b, -a, a):
+            for mono, coef in form.terms.items():
+                add_term(terms, mono, coef)
+            reference = _dict_add(reference, form.terms)
+        assert _same_terms(FormPolynomial.canonical(g, terms), reference)
+
+
+def _quadratics_loop(table):
+    m = table.table.shape[0]
+    out = []
+    for k in range(m):
+        terms = {}
+        for a in range(m):
+            c = -table.table[k, a, a]
+            if c != 0:
+                terms[(a, a)] = terms.get((a, a), 0j) + c
+            for b in range(a + 1, m):
+                c = -2.0 * table.table[k, a, b]
+                if c != 0:
+                    terms[(a, b)] = terms.get((a, b), 0j) + c
+        out.append(terms)
+    return out
+
+
+def _apply_D_reference(table, form):
+    point, g = table.point, table.g
+    quadratics = _quadratics_loop(table)
+    out = {}
+    for mono, coef in form.terms.items():
+        cval = coefficient_value(coef, point)
+        grad = coefficient_gradient(coef, point, g)
+        out = _dict_add(out, {tuple(sorted(mono + (pos,))): grad[pos]
+                              for pos in range(len(grad)) if grad[pos] != 0})
+        for t in range(len(mono)):
+            base = {} if complex(cval) == 0 else {mono[:t] + mono[t + 1:]:
+                                                   cval}
+            out = _dict_add(out, _dict_mul(base, quadratics[mono[t]]))
+    return out
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_apply_D_matches_dict_reference(g):
+    rng = np.random.default_rng(60 + g)
+    for point in _draws(g, 2):
+        table = gamma_closed(point)
+        for quadratic, reference in zip(curvature_quadratics(table),
+                                        _quadratics_loop(table)):
+            assert _same_terms(quadratic, reference)
+        f = random_test_function(g, rng)
+        forms = [det_dz(g), _f_det_form(f, 1, g),
+                 FormPolynomial(g, _random_terms(g, rng, 8)),
+                 trace_form(np.array([[f] * g] * g, dtype=object), g)]
+        forms += [FormPolynomial.generator(g, K) for K in omega_list(g)]
+        if g <= 2:
+            gamma = random_symplectic(g, 3, rng)
+            forms.append(gamma_act_on_form(gamma, g, det_dz(g)
+                                           .map_coefficients(lambda c: f)))
+        for form in forms:
+            assert _same_terms(apply_D(table, form),
+                               _apply_D_reference(table, form))

@@ -100,6 +100,29 @@ def test_modular_extension_value_on_stack_matches_each_point(g):
         assert abs(value - expect) <= 1e-14 * max(1.0, abs(expect))
 
 
+def test_modular_extension_reuses_the_action_at_one_point(monkeypatch):
+    import siegel.operators as operators
+    calls = []
+
+    def counted(gamma, point):
+        calls.append(point)
+        return act(gamma, point)
+    monkeypatch.setattr(operators, "act", counted)
+    rng = np.random.default_rng(8)
+    g = 2
+    ext = ModularExtension(random_test_function(g, rng), 4,
+                           random_symplectic(g, 5, rng))
+    here, there = random_point(g, rng), random_point(g, rng)
+    value, gradient = ext.value(here), ext.gradient(here)
+    assert calls == [here]
+    ext.value(there)
+    assert calls == [here, there]
+    # the reused parts give what a fresh extension computes
+    fresh = ModularExtension(ext.f, 4, ext.gamma)
+    assert value == fresh.value(here)
+    assert np.array_equal(gradient, fresh.gradient(here))
+
+
 def test_modular_extension_gradient_against_finite_differences():
     rng = np.random.default_rng(7)
     for g in (1, 2):

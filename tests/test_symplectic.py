@@ -338,3 +338,17 @@ def _finite_or_degenerate(compute) -> bool:
 def _metric_arrays(point):
     pair = metric_pair(point)
     return pair.W, pair.M, pair.R
+
+
+def test_element_copies_the_callers_blocks():
+    I = np.eye(2, dtype=np.int64)
+    B = np.zeros((2, 2), dtype=np.int64)
+    O = np.zeros((2, 2), dtype=np.int64)
+    element = SymplecticElement(2, I, B, O, I)
+    B[0, 0] = 1  # the caller's array stays writable and is not shared
+    I[1, 1] = 5
+    assert element.B[0, 0] == 0 and element.A[1, 1] == 1
+    for block in (element.A, element.B, element.C, element.D):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
