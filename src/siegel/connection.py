@@ -511,7 +511,7 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
 
     m = omega_size(g)
     cocycle = _Cocycle(gamma, g)
-    out = FormPolynomial(g, {})
+    terms: dict = {}
     for mono, coef in form.terms.items():
         base = coef if not isinstance(coef, numbers.Complex) \
             else ConstFunction(g, coef)
@@ -522,8 +522,8 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
                 _CocycleEntryFunction(cocycle, l, k)
                 for l, k in zip(assignment, mono)]
             fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
-            out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})
-    return out
+            add_term(terms, tuple(sorted(assignment)), fn)
+    return FormPolynomial.canonical(g, terms)
 
 
 def _coefficient_scale(*forms: FormPolynomial) -> float:

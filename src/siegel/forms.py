@@ -222,12 +222,15 @@ def max_coefficient_diff(f1: FormPolynomial, f2: FormPolynomial) -> float:
 def substitute_basis(form: FormPolynomial, S: np.ndarray) -> FormPolynomial:
     """Substitute dZ_K -> sum_L S[L, K] dZ_L into a numeric-coefficient form."""
     m = form.m
-    out = FormPolynomial(form.g, {})
+    linear: dict = {}
+    terms: dict = {}
     for mono, coef in form.terms.items():
         expanded = FormPolynomial.scalar(form.g, coef)
         for k in mono:
-            lin = FormPolynomial(form.g,
-                                 {(l,): S[l, k] for l in range(m) if S[l, k] != 0})
-            expanded = expanded * lin
-        out = out + expanded
-    return out
+            if k not in linear:
+                linear[k] = FormPolynomial(
+                    form.g, {(l,): S[l, k] for l in range(m) if S[l, k] != 0})
+            expanded = expanded * linear[k]
+        for out_mono, out_coef in expanded.terms.items():
+            add_term(terms, out_mono, out_coef)
+    return FormPolynomial.canonical(form.g, terms)

@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import (Pair, basis_matrix, n_index, omega_list, omega_size,
-                       sym_to_coords)
+from .indexing import Pair, basis_stack, n_index, omega_size, sym_to_coords
 from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
 
 
@@ -274,19 +273,35 @@ class ScaledFunction:
 
 
 class PullbackFunction:
-    """z -> f(gamma z); the chain rule runs through the coordinate cocycle."""
+    """z -> f(gamma z); the chain rule runs through the coordinate cocycle.
+    The image gamma z and the cocycle of the last point asked are kept, so
+    value and gradient at one point, and every product that holds this
+    function as a factor, share one action and one cocycle."""
 
     def __init__(self, gamma: SymplecticElement, fn):
         self.gamma = gamma
         self.fn = fn
         self.g = fn.g
+        self._point = None
+        self._image = None
+        self._S = None
+
+    def _at(self, point) -> SiegelPoint:
+        """gamma z, kept for the last point asked."""
+        if point is not self._point:
+            self._point, self._image, self._S = point, None, None
+        if self._image is None:
+            self._image = act(self.gamma, point)
+        return self._image
 
     def value(self, point) -> complex:
-        return self.fn.value(act(self.gamma, point))
+        return self.fn.value(self._at(point))
 
     def gradient(self, point) -> np.ndarray:
-        S = pushforward_matrix(self.gamma, point)
-        return S @ self.fn.gradient(act(self.gamma, point))
+        image = self._at(point)
+        if self._S is None:
+            self._S = pushforward_matrix(self.gamma, point)
+        return self._S @ self.fn.gradient(image)
 
 
 def coefficient_value(coef, point) -> complex:
@@ -301,17 +316,22 @@ def coefficient_gradient(coef, point, g: int) -> np.ndarray:
     return coef.gradient(point)
 
 
-def fd_gradient(value_fn, point: SiegelPoint, h: float | None = None,
-                order: int = 2) -> np.ndarray:
+def fd_gradient(value_fn, point: SiegelPoint,
+                h: float | tuple[float, ...] | None = None,
+                order: int = 2) -> np.ndarray | tuple[np.ndarray, ...]:
     """Central-difference Wirtinger gradient d/dZ_I = (d/dX_I - i d/dY_I)/2
     of a scalar function given by value_fn.
 
-    Every stencil point (each coordinate, X and Y, each offset) goes into
-    one stack of points, and value_fn is called once on it: it must return
-    one value per stacked point.  order=4 uses the five-point stencil;
-    steps in the Y direction are kept small against the smallest eigenvalue
-    of Y so perturbed points stay in the domain.
+    h may be one step or a tuple of steps; for a tuple the result is a
+    tuple with one gradient per step.  Every stencil point (each step, X
+    and Y, each offset, each coordinate) goes into one stack of points, and
+    value_fn is called once on it: it must return one value per stacked
+    point.  order=4 uses the five-point stencil.  Each step is clipped to
+    0.05 times the smallest eigenvalue of Y so perturbed points stay in
+    the domain.
     """
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
     g = point.g
     if h is None:
         scale = float(np.abs(point.Z).max())
@@ -321,27 +341,33 @@ def fd_gradient(value_fn, point: SiegelPoint, h: float | None = None,
             # truncation falls off as h^4, so a small step wins until
             # roundoff, which stays far below these magnitudes
             h = 2e-6 * (1.0 + 0.01 * scale)
+    steps = h if isinstance(h, tuple) else (h,)
+    for step in steps:
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError(f"finite-difference step must be finite and "
+                             f"positive, got {step!r}")
     margin = float(np.linalg.eigvalsh(point.Y).min())
-    h = min(h, 0.05 * margin)
+    steps = [min(step, 0.05 * margin) for step in steps]
 
-    # stencil axes: (X or Y direction, offset, coordinate)
-    offsets = h * np.array([1.0, -1.0] if order == 2
-                           else [1.0, -1.0, 2.0, -2.0])
-    E = np.stack([basis_matrix(pair, g) for pair in omega_list(g)])
-    step = offsets[:, None, None, None] * E
-    still = np.zeros_like(step)
-    stack = SiegelPoint(g, point.X + np.stack([step, still]),
-                        point.Y + np.stack([still, step]))
+    # stencil axes: (step, X or Y direction, offset, coordinate)
+    offsets = np.array(steps)[:, None] * np.array(
+        [1.0, -1.0] if order == 2 else [1.0, -1.0, 2.0, -2.0])
+    shift = offsets[:, :, None, None, None] * basis_stack(g)
+    still = np.zeros_like(shift)
+    stack = SiegelPoint(g, point.X + np.stack([shift, still], axis=1),
+                        point.Y + np.stack([still, shift], axis=1))
     values = np.asarray(value_fn(stack))
     if values.shape != stack.X.shape[:-2]:
         raise ValueError(f"value_fn returned shape {values.shape} for a "
                          f"stack of shape {stack.X.shape[:-2]}")
-    if order == 2:
-        d = (values[:, 0] - values[:, 1]) / (2 * h)
-    else:
-        d = (values[:, 3] - 8 * values[:, 1] + 8 * values[:, 0]
-             - values[:, 2]) / (12 * h)
-    return 0.5 * (d[0] - 1j * d[1])
+    grads = []
+    for step, v in zip(steps, values):
+        if order == 2:
+            d = (v[:, 0] - v[:, 1]) / (2 * step)
+        else:
+            d = (v[:, 3] - 8 * v[:, 1] + 8 * v[:, 0] - v[:, 2]) / (12 * step)
+        grads.append(0.5 * (d[0] - 1j * d[1]))
+    return tuple(grads) if isinstance(h, tuple) else grads[0]
 
 
 def random_test_function(g: int, seed: int | np.random.Generator,

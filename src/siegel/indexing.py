@@ -68,6 +68,15 @@ def basis_matrix(pair: Pair, g: int, dtype=float) -> np.ndarray:
     return E
 
 
+@lru_cache(maxsize=16)
+def basis_stack(g: int) -> np.ndarray:
+    """Read-only stack of the basis directions, one per Omega position:
+    basis_stack(g)[a] is basis_matrix of the a-th pair."""
+    E = np.stack([basis_matrix(pair, g) for pair in omega_list(g)])
+    E.setflags(write=False)
+    return E
+
+
 def sym_to_coords(V: np.ndarray) -> np.ndarray:
     """Omega-ordered coordinate vector of a symmetric matrix, or of each
     matrix in a stack of shape (..., g, g)."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import (Pair, basis_matrix, n_index, omega_list,
-                       omega_size, row_col_indices, sigma)
+from .indexing import (Pair, basis_matrix, basis_stack, n_index,
+                       omega_list, row_col_indices, sigma)
 from .symplectic import DegeneracyError, SiegelPoint
 
 # re-exported: enumerate_omega is the public name for the ordered index set
@@ -103,40 +103,47 @@ def dR_dZ(point: SiegelPoint, J: Pair, R: np.ndarray | None = None) -> np.ndarra
     return 0.5j * (R @ E @ R)
 
 
+def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
+    """Derivatives of the Gram Mat_ir Mat_js + Mat_jr Mat_is over Omega
+    along every coordinate, from dMat[..., c], the derivative of Mat along
+    coordinate c: the C-contiguous (m, m, m) array whose [:, :, c] is
+    dMat_ir Mat_js + Mat_ir dMat_js + dMat_jr Mat_is + Mat_jr dMat_is,
+    summed in that order."""
+    ii, jj = row_col_indices(Mat.shape[-1])
+
+    def product(moving_rows, moving_cols, fixed_rows, fixed_cols,
+                moving_first):
+        # written into the gathered (m, m, m) factor, so at most two such
+        # arrays are alive; the factors keep the order of the sum
+        moving = dMat[moving_rows[:, None], moving_cols[None, :]]
+        fixed = Mat[fixed_rows[:, None], fixed_cols[None, :], None]
+        if moving_first:
+            return np.multiply(moving, fixed, out=moving)
+        return np.multiply(fixed, moving, out=moving)
+    out = product(ii, ii, jj, jj, True)
+    out += product(jj, jj, ii, ii, False)
+    out += product(jj, ii, ii, jj, True)
+    out += product(ii, jj, jj, ii, False)
+    return out
+
+
 def dW_tensor(pair: MetricPair) -> np.ndarray:
     """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3."""
     g = pair.point.g
-    m = omega_size(g)
     R = pair.R
-    ii, jj = row_col_indices(g)
-    powers = _power_table(g)
-    out = np.empty((m, m, m), dtype=complex)
-    for c, J in enumerate(omega_list(g)):
-        dR = dR_dZ(pair.point, J, R)
-        gram = (dR[np.ix_(ii, ii)] * R[np.ix_(jj, jj)]
-                + R[np.ix_(ii, ii)] * dR[np.ix_(jj, jj)]
-                + dR[np.ix_(jj, ii)] * R[np.ix_(ii, jj)]
-                + R[np.ix_(jj, ii)] * dR[np.ix_(ii, jj)])
-        out[:, :, c] = gram * powers
+    # dR[..., c] = (i/2) R E_c R, the derivative of R along coordinate c
+    dR = np.moveaxis(0.5j * (R @ basis_stack(g) @ R), 0, -1)
+    out = _pair_gram_derivative(dR, R)
+    out *= _power_table(g)[..., None]
     return out
 
 
 def dM_tensor(pair: MetricPair) -> np.ndarray:
     """dM[a, b, c] = dM_{I_a, I_b} / dZ_{I_c} over Omega^3."""
     g = pair.point.g
-    m = omega_size(g)
-    Y = pair.point.Y
-    ii, jj = row_col_indices(g)
-    out = np.empty((m, m, m), dtype=complex)
-    for c, J in enumerate(omega_list(g)):
-        E = basis_matrix(J, g)
-        dY = -0.5j * E
-        gram = (dY[np.ix_(ii, ii)] * Y[np.ix_(jj, jj)]
-                + Y[np.ix_(ii, ii)] * dY[np.ix_(jj, jj)]
-                + dY[np.ix_(jj, ii)] * Y[np.ix_(ii, jj)]
-                + Y[np.ix_(jj, ii)] * dY[np.ix_(ii, jj)])
-        out[:, :, c] = gram
-    return out
+    # dY/dZ_c = -(i/2) E_c
+    dY = np.moveaxis(-0.5j * basis_stack(g), 0, -1)
+    return _pair_gram_derivative(dY, pair.point.Y)
 
 
 def dM_dZ(point: SiegelPoint, K: Pair, L: Pair, J: Pair) -> complex:

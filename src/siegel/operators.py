@@ -195,13 +195,15 @@ class ModularExtension:
         # chosen step: deep images of long words are truncation-dominated
         # (want small steps) while ill-conditioned inverse cocycles are
         # noise-dominated (want large ones); the stencil pair that agrees
-        # better wins
+        # better wins.  The stencils of all three steps are one stack of
+        # points, so F is evaluated by one validation and one action
         if h is None:
             scale = float(np.abs(point.Z).max())
             h = 2e-5 * (1.0 + 0.01 * scale)
             h = min(h, 0.04 * float(np.linalg.eigvalsh(point.Y).min()))
-        stencils = [fd_gradient(self.value, point, h * f, order=4)
-                    for f in (0.5, 1.0, 2.0)]
+        stencils = fd_gradient(self.value, point,
+                               tuple(h * f for f in (0.5, 1.0, 2.0)),
+                               order=4)
         spread_small = float(np.abs(stencils[0] - stencils[1]).max())
         spread_big = float(np.abs(stencils[1] - stencils[2]).max())
         if spread_small <= spread_big:

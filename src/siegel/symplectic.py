@@ -161,8 +161,41 @@ def _magnitude(a: np.ndarray) -> float:
     return float(np.abs(a, dtype=float).max(initial=0.0))
 
 
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two integer matrices in int64, through Python ints
+    when the partial sums could pass the int64 range; a product beyond
+    that range raises DegeneracyError."""
+    if _magnitude(a) * _magnitude(b) * a.shape[-1] >= _INT64_SAFE:
+        a = a.astype(object)  # Python ints, which do not wrap
+    try:
+        return np.asarray(a @ b, dtype=np.int64)
+    except OverflowError:
+        raise DegeneracyError("product has entries beyond the 64-bit "
+                              "integer range") from None
+
+
+def _blocks_symplectic(A, B, C, D) -> bool:
+    """Whether the integer blocks satisfy M J M^t = J, written as the
+    block identities: A B^t and C D^t symmetric, A D^t - B C^t = I.
+    int64 blocks are multiplied in int64 while the partial sums stay in
+    range; any other integer type, whose own products would wrap sooner
+    (or not fit in int64 at all), goes through Python ints."""
+    g = A.shape[0]
+    blocks = (A, B, C, D)
+    if (any(M.dtype != np.int64 for M in blocks)
+            or max(map(_magnitude, blocks)) ** 2 * 2 * g >= _INT64_SAFE):
+        # Python ints, which do not wrap
+        A, B, C, D = (M.astype(object) for M in blocks)
+    ABt = A @ B.T
+    CDt = C @ D.T
+    return bool(np.array_equal(ABt, ABt.T) and np.array_equal(CDt, CDt.T)
+                and np.array_equal(A @ D.T - B @ C.T,
+                                   np.eye(g, dtype=np.int64)))
+
+
 def is_symplectic(M: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether M J M^t = J.  Exact for integer input, residual test else."""
+    """Whether M J M^t = J.  Exact for integer input (the block identities
+    of the constructor), residual test else."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got {M.shape}")
@@ -170,11 +203,10 @@ def is_symplectic(M: np.ndarray, tol: float = 1e-12) -> bool:
         raise DimensionError(f"symplectic matrices have even size, "
                              f"got {M.shape[0]}")
     g = M.shape[0] // 2
-    J = symplectic_j(g)
     if np.issubdtype(M.dtype, np.integer):
-        if _magnitude(M) ** 2 * 2 * g >= _INT64_SAFE:
-            M = M.astype(object)  # Python ints, which do not wrap
-        return bool(np.array_equal(M @ J @ M.T, J))
+        return _blocks_symplectic(M[:g, :g], M[:g, g:], M[g:, :g],
+                                  M[g:, g:])
+    J = symplectic_j(g)
     return bool(np.abs(M @ J @ M.T - J).max() < tol)
 
 
@@ -204,13 +236,16 @@ class SymplecticElement:
             blocks[name] = M
         for name, M in blocks.items():
             object.__setattr__(self, name, M)
-        if not is_symplectic(self.matrix):
+        if not _blocks_symplectic(*blocks.values()):
             raise ValueError("blocks do not satisfy the symplectic relation")
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The read-only 2g x 2g block matrix, built on first access."""
-        M = np.block([[self.A, self.B], [self.C, self.D]])
+        g = self.g
+        M = np.empty((2 * g, 2 * g), dtype=np.int64)
+        M[:g, :g], M[:g, g:] = self.A, self.B
+        M[g:, :g], M[g:, g:] = self.C, self.D
         M.setflags(write=False)
         return M
 
@@ -264,17 +299,15 @@ class SymplecticElement:
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.g != other.g:
             raise DimensionError("degree mismatch")
-        a, b = self.matrix, other.matrix
-        if _magnitude(a) * _magnitude(b) * 2 * self.g >= _INT64_SAFE:
-            a = a.astype(object)  # Python ints, which do not wrap
-        try:
-            product = np.asarray(a @ b, dtype=np.int64)
-        except OverflowError:
-            raise DegeneracyError("product has entries beyond the 64-bit "
-                                  "integer range") from None
-        return SymplecticElement.from_matrix(product)
+        return SymplecticElement.from_matrix(
+            _int_matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "SymplecticElement":
+        """The exact inverse, built on first call and kept."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "SymplecticElement":
         # -(-2^63) wraps to itself in int64
         if min(self.B.min(initial=0), self.C.min(initial=0)) == -2 ** 63:
             raise DegeneracyError("inverse has entries beyond the 64-bit "
@@ -303,18 +336,24 @@ class GeneratorWord:
     steps: tuple[tuple[str, tuple | None], ...]
 
     def expand(self) -> SymplecticElement:
-        out = SymplecticElement.identity(self.g)
+        """The product of the generators, each validated as it is built;
+        the partial products are integer matrices, and only the final one
+        becomes (and is validated as) an element."""
+        out = np.eye(2 * self.g, dtype=np.int64)
+        inversion = None
         for tag, param in self.steps:
             if tag == "J":
-                step = SymplecticElement.inversion(self.g)
+                if inversion is None:
+                    inversion = SymplecticElement.inversion(self.g)
+                step = inversion
             elif tag == "T":
                 step = SymplecticElement.translation(np.array(param))
             elif tag == "U":
                 step = SymplecticElement.unimodular(np.array(param))
             else:
                 raise ValueError(f"unknown generator tag {tag!r}")
-            out = out @ step
-        return out
+            out = _int_matmul(out, step.matrix)
+        return SymplecticElement.from_matrix(out)
 
 
 def _cocycle_blocks(gamma: SymplecticElement, point: SiegelPoint):

@@ -154,6 +154,38 @@ def test_fd_gradient_evaluates_one_stack():
         assert len(calls) == 1
     with pytest.raises(ValueError, match="value_fn returned shape"):
         fd_gradient(lambda stack: 1.0, point)
+    # several steps: still one stack and one call, one gradient per step
+    calls = []
+
+    def counted(stack):
+        calls.append(stack)
+        return f.value(stack)
+    grads = fd_gradient(counted, point, (1e-4, 2e-4, 4e-4), order=4)
+    assert len(calls) == 1 and len(grads) == 3
+    assert all(grad.shape == (6,) for grad in grads)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 5])
+def test_fd_gradient_rejects_unknown_orders(order):
+    point = random_point(2, seed=4)
+    f = random_test_function(2, 4)
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        fd_gradient(f.value, point, order=order)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf"),
+                               (1e-6, 0.0), (float("nan"), 1e-6)])
+def test_fd_gradient_rejects_steps_that_are_not_finite_and_positive(h):
+    point = random_point(2, seed=5)
+    f = random_test_function(2, 5)
+    calls = []
+
+    def counted(stack):
+        calls.append(stack)
+        return f.value(stack)
+    with pytest.raises(ValueError, match="finite and positive"):
+        fd_gradient(counted, point, h)
+    assert calls == []
 
 
 def test_pullback_chain_rule():

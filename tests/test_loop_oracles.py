@@ -1,28 +1,40 @@
-"""The scalar loops that the connection tables, the cocycle and the dZ
-algebra were first written as, kept as references.
+"""The scalar loops and step-by-step forms that the connection tables, the
+metric derivatives, the cocycle, the finite-difference stencils, the dZ
+algebra and the expansion of group words were first written as, kept as
+references.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
 for forms the same monomials in the same dictionary order).
 """
 
+import numbers
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.connection as connection
+import siegel.functions as functions
 from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
                                gamma_act_on_form, gamma_closed,
                                gamma_from_metric)
-from siegel.forms import FormPolynomial, add_term, det_dz, trace_form
-from siegel.functions import (coefficient_gradient, coefficient_value,
+from siegel.forms import (FormPolynomial, add_term, det_dz,
+                          substitute_basis, trace_form)
+from siegel.functions import (ConstFunction, ProductFunction,
+                              PullbackFunction, coefficient_gradient,
+                              coefficient_value, fd_gradient,
                               random_test_function)
 from siegel.indexing import (basis_matrix, delta, omega_list, omega_size,
-                             sym_to_coords)
-from siegel.metric import metric_pair
-from siegel.symplectic import (DegeneracyError, cocycle, pushforward_matrix,
+                             row_col_indices, sym_to_coords)
+from siegel.metric import _power_table, dM_tensor, dR_dZ, dW_tensor, metric_pair
+from siegel.operators import ModularExtension
+from siegel.symplectic import (DegeneracyError, SiegelPoint,
+                               SymplecticElement, act, cocycle,
+                               pushforward_matrix,
                                pushforward_matrix_derivative, random_point,
-                               random_symplectic)
+                               random_symplectic, random_word)
 
 
 def _draws(g, count):
@@ -105,6 +117,52 @@ def test_b_expanded_matches_loop(g):
         assert got.tobytes() == _b_expanded_loop(point).tobytes()
 
 
+# ------------------------------------------------------------ metric
+
+
+def _dW_loop(pair):
+    g = pair.point.g
+    m = omega_size(g)
+    R = pair.R
+    ii, jj = row_col_indices(g)
+    powers = _power_table(g)
+    out = np.empty((m, m, m), dtype=complex)
+    for c, J in enumerate(omega_list(g)):
+        dR = dR_dZ(pair.point, J, R)
+        gram = (dR[np.ix_(ii, ii)] * R[np.ix_(jj, jj)]
+                + R[np.ix_(ii, ii)] * dR[np.ix_(jj, jj)]
+                + dR[np.ix_(jj, ii)] * R[np.ix_(ii, jj)]
+                + R[np.ix_(jj, ii)] * dR[np.ix_(ii, jj)])
+        out[:, :, c] = gram * powers
+    return out
+
+
+def _dM_loop(pair):
+    g = pair.point.g
+    m = omega_size(g)
+    Y = pair.point.Y
+    ii, jj = row_col_indices(g)
+    out = np.empty((m, m, m), dtype=complex)
+    for c, J in enumerate(omega_list(g)):
+        dY = -0.5j * basis_matrix(J, g)
+        out[:, :, c] = (dY[np.ix_(ii, ii)] * Y[np.ix_(jj, jj)]
+                        + Y[np.ix_(ii, ii)] * dY[np.ix_(jj, jj)]
+                        + dY[np.ix_(jj, ii)] * Y[np.ix_(ii, jj)]
+                        + Y[np.ix_(jj, ii)] * dY[np.ix_(ii, jj)])
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_metric_derivatives_match_loop(g):
+    for point in _draws(g, 4 if g <= 5 else 2):
+        pair = metric_pair(point)
+        for got, expected in ((dW_tensor(pair), _dW_loop(pair)),
+                              (dM_tensor(pair), _dM_loop(pair))):
+            # the einsums of paths A and B see the loop's memory layout
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------ cocycle
 
 
@@ -182,6 +240,54 @@ def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
         for (l,), fn in generator.terms.items():
             assert fn.value(point) == S[l, 1]
             assert np.array_equal(fn.gradient(point), dS[:, l, 1])
+
+
+# ------------------------------------------------------------ stencils
+
+
+def _near_boundary(g, rng, lambda_min):
+    """A point whose Y has smallest eigenvalue lambda_min."""
+    Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    eigs = rng.uniform(1.0, 2.0, size=g)
+    eigs[0] = lambda_min
+    Y = (Q * eigs) @ Q.T
+    X = rng.uniform(-1.0, 1.0, size=(g, g))
+    return SiegelPoint(g, (X + X.T) / 2, (Y + Y.T) / 2)
+
+
+def _gradient_fd_three_calls(ext, point):
+    """ModularExtension.gradient_fd with one fd_gradient call per step."""
+    scale = float(np.abs(point.Z).max())
+    h = 2e-5 * (1.0 + 0.01 * scale)
+    h = min(h, 0.04 * float(np.linalg.eigvalsh(point.Y).min()))
+    stencils = [fd_gradient(ext.value, point, h * f, order=4)
+                for f in (0.5, 1.0, 2.0)]
+    spread_small = float(np.abs(stencils[0] - stencils[1]).max())
+    spread_big = float(np.abs(stencils[1] - stencils[2]).max())
+    if spread_small <= spread_big:
+        return (16.0 * stencils[0] - stencils[1]) / 15.0
+    return (16.0 * stencils[1] - stencils[2]) / 15.0
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_one_stack_of_steps_matches_separate_calls(g):
+    rng = np.random.default_rng(80 + g)
+    points = _draws(g, 2) + [_near_boundary(g, rng, 2e-4)]
+    for point in points:
+        ext = ModularExtension(random_test_function(g, rng), 4,
+                               random_symplectic(g, 4, rng))
+        h = min(2e-5, 0.04 * float(np.linalg.eigvalsh(point.Y).min()))
+        steps = (0.5 * h, h, 2.0 * h)
+        for value_fn, order in ((ext.value, 4), (ext.f.value, 2)):
+            together = fd_gradient(value_fn, point, steps, order=order)
+            for step, grad in zip(steps, together):
+                alone = fd_gradient(value_fn, point, step, order=order)
+                assert grad.tobytes() == alone.tobytes()
+        assert (ext.gradient_fd(point).tobytes()
+                == _gradient_fd_three_calls(ext, point).tobytes())
+    # at the last point, the near-boundary one, the largest step is clipped
+    lambda_min = float(np.linalg.eigvalsh(points[-1].Y).min())
+    assert 2.0 * h > 0.05 * lambda_min
 
 
 # ------------------------------------------------------------ dZ algebra
@@ -302,3 +408,153 @@ def test_apply_D_matches_dict_reference(g):
         for form in forms:
             assert _same_terms(apply_D(table, form),
                                _apply_D_reference(table, form))
+
+
+def _substitute_basis_chain(form, S):
+    """substitute_basis as a chain of + on whole forms."""
+    m = form.m
+    out = FormPolynomial(form.g, {})
+    for mono, coef in form.terms.items():
+        expanded = FormPolynomial.scalar(form.g, coef)
+        for k in mono:
+            lin = FormPolynomial(form.g, {(l,): S[l, k] for l in range(m)
+                                          if S[l, k] != 0})
+            expanded = expanded * lin
+        out = out + expanded
+    return out
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_substitute_basis_matches_chain_of_sums(g):
+    rng = np.random.default_rng(90 + g)
+    m = omega_size(g)
+    for point in _draws(g, 2):
+        gamma = random_symplectic(g, 4, rng)
+        S = pushforward_matrix(gamma, point)
+        # small integer matrices make sums cancel and monomials come back
+        cancelling = rng.integers(-1, 2, size=(m, m)).astype(complex)
+        numeric = apply_D(gamma_closed(point), det_dz(g))
+        forms = [numeric, FormPolynomial(g, _random_terms(g, rng, 8)),
+                 FormPolynomial(g, _random_terms(g, rng, 8))]
+        for form in forms:
+            for matrix in (S, np.abs(S), cancelling):
+                reference = _substitute_basis_chain(form, matrix)
+                assert _same_terms(substitute_basis(form, matrix),
+                                   reference.terms)
+
+
+def _gamma_act_chain(gamma, g, form):
+    """gamma_act_on_form as a chain of + on whole forms."""
+    m = omega_size(g)
+    cocycle_ = connection._Cocycle(gamma, g)
+    out = FormPolynomial(g, {})
+    for mono, coef in form.terms.items():
+        base = coef if not isinstance(coef, numbers.Complex) \
+            else ConstFunction(g, coef)
+        pulled = PullbackFunction(gamma, base) \
+            if not isinstance(base, ConstFunction) else base
+        for assignment in product(range(m), repeat=len(mono)):
+            factors = [pulled] + [
+                connection._CocycleEntryFunction(cocycle_, l, k)
+                for l, k in zip(assignment, mono)]
+            fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
+            out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})
+    return out
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_gamma_act_on_form_matches_chain_of_sums(g):
+    rng = np.random.default_rng(100 + g)
+    for point in _draws(g, 2):
+        gamma = random_symplectic(g, 4, rng)
+        f = random_test_function(g, rng)
+        last = omega_size(g) - 1
+        forms = [det_dz(g), _f_det_form(f, 1, g),
+                 FormPolynomial(g, {(0,): f, (0, last): 2.0,
+                                    (): random_test_function(g, rng)})]
+        for form in forms:
+            got = gamma_act_on_form(gamma, g, form)
+            reference = _gamma_act_chain(gamma, g, form)
+            assert list(got.terms) == list(reference.terms)
+            for fn, ref in zip(got.terms.values(), reference.terms.values()):
+                assert (np.complex128(fn.value(point)).tobytes()
+                        == np.complex128(ref.value(point)).tobytes())
+                assert (fn.gradient(point).tobytes()
+                        == ref.gradient(point).tobytes())
+
+
+# ------------------------------------------------------------ group words
+
+
+def _expand_step_by_step(word):
+    """GeneratorWord.expand as a product of validated elements."""
+    out = SymplecticElement.identity(word.g)
+    for tag, param in word.steps:
+        if tag == "J":
+            step = SymplecticElement.inversion(word.g)
+        elif tag == "T":
+            step = SymplecticElement.translation(np.array(param))
+        else:
+            step = SymplecticElement.unimodular(np.array(param))
+        out = out @ step
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(g=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       word_length=st.integers(0, 12))
+def test_word_expansion_matches_step_by_step_product(g, seed, word_length):
+    word = random_word(g, word_length, np.random.default_rng(seed))
+    expanded = word.expand()
+    reference = _expand_step_by_step(word)
+    assert expanded == reference
+    assert expanded.matrix.tobytes() == reference.matrix.tobytes()
+    for name in "ABCD":
+        block = getattr(expanded, name)
+        assert not block.flags.writeable
+        assert block.tobytes() == getattr(reference, name).tobytes()
+
+
+# ------------------------------------------------------------ reuse
+
+
+def test_pullback_acts_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(gamma, point):
+        calls.append(point)
+        return act(gamma, point)
+    monkeypatch.setattr(functions, "act", counted)
+    g = 2
+    rng = np.random.default_rng(33)
+    gamma = random_symplectic(g, 4, rng)
+    here, there = random_point(g, rng), random_point(g, rng)
+    f = random_test_function(g, rng)
+    # one function coefficient: every assignment's product holds the same
+    # pulled-back function
+    form = FormPolynomial(g, {(0, 2): f, (1,): 3.0})
+    acted = gamma_act_on_form(gamma, g, form)
+    first = apply_D(gamma_closed(here), acted)
+    assert calls == [here]
+    apply_D(gamma_closed(there), acted)
+    assert calls == [here, there]
+    # the kept action gives what a fresh pullback computes
+    fresh = gamma_act_on_form(gamma, g, form)
+    assert _same_terms(first, apply_D(gamma_closed(here), fresh).terms)
+
+
+def test_extensions_on_one_element_share_its_inverse(monkeypatch):
+    gamma = random_symplectic(3, 6, seed=14)
+    built = []
+    post_init = SymplecticElement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(SymplecticElement, "__post_init__", counted)
+    rng = np.random.default_rng(14)
+    extensions = [ModularExtension(random_test_function(3, rng), 2 * k,
+                                   gamma) for k in (1, 2, 3)]
+    assert len(built) == 1
+    assert all(ext.mu is built[0] for ext in extensions)
+    assert gamma @ built[0] == SymplecticElement.identity(3)

@@ -352,3 +352,57 @@ def test_element_copies_the_callers_blocks():
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 1
+
+
+def _reject_both_ways(g, A, B, C, D):
+    """is_symplectic and the constructor both reject the blocks."""
+    M = np.block([[A, B], [C, D]]).astype(np.int64)
+    assert not is_symplectic(M)
+    with pytest.raises(ValueError, match="symplectic relation"):
+        SymplecticElement(g, A, B, C, D)
+    with pytest.raises(ValueError, match="symplectic relation"):
+        SymplecticElement.from_matrix(M)
+
+
+def test_non_symplectic_unimodular_blocks_are_rejected():
+    # diag(U, U) with U unimodular: A D^t = U U^t is not I
+    U = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    O = np.zeros((2, 2), dtype=np.int64)
+    _reject_both_ways(2, U, O, O, U)
+    # diag(U, U^-t) is the embedding, which passes both checks
+    embedding = SymplecticElement.unimodular(U)
+    assert is_symplectic(embedding.matrix)
+
+
+def test_translation_with_a_non_symmetric_block_is_rejected():
+    # A B^t = B^t is not symmetric
+    I = np.eye(2, dtype=np.int64)
+    O = np.zeros((2, 2), dtype=np.int64)
+    _reject_both_ways(2, I, np.array([[0, 1], [0, 0]]), O, I)
+
+
+def test_entries_near_2_31_are_checked_in_python_ints():
+    # B = C = 2^31 ones(4): B C^t = 2^64 ones(4), which wraps to 0 in
+    # int64, so a wrapped check would see A D^t - B C^t = I
+    g = 4
+    I = np.eye(g, dtype=np.int64)
+    big = np.full((g, g), 2 ** 31, dtype=np.int64)
+    assert np.array_equal(I - big @ big.T, I)  # what int64 would see
+    _reject_both_ways(g, I, big, big, I)
+    # the same in narrower and unsigned integer types: 2^15 ones(4) wraps
+    # the products of int32, and uint64 does not fit int64 arithmetic
+    small = np.full((g, g), 2 ** 15, dtype=np.int32)
+    M32 = np.block([[I.astype(np.int32), small], [small, I.astype(np.int32)]])
+    assert not is_symplectic(M32)
+    assert not is_symplectic(np.block([[I, big], [big, I]]).astype(np.uint64))
+    assert is_symplectic(SymplecticElement.translation(small).matrix
+                         .astype(np.int32))
+    # a symplectic element with entries near 2^31 is accepted
+    near = SymplecticElement.translation(big - 1)
+    assert is_symplectic(near.matrix)
+    assert near @ near.inverse() == SymplecticElement.identity(g)
+
+
+def test_inverse_is_built_once():
+    gamma = random_symplectic(3, 6, seed=12)
+    assert gamma.inverse() is gamma.inverse()
