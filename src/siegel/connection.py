@@ -29,9 +29,9 @@ differential only.
 Everything is evaluated pointwise: a table holds numbers at its base point,
 and coefficient functions supply values and holomorphic gradients there.
 ``apply_D`` adds every term into one dictionary, in the order of the sum
-above.  The cocycle entries that ``gamma_act_on_form`` puts into
-coefficients share one evaluation of S(gamma, Z) and of its derivatives per
-point.
+above.  The cocycle entries and pullbacks that ``gamma_act_on_form`` puts
+into coefficients share one evaluation of gamma Z, S(gamma, Z) and its
+derivatives per point, kept on the point.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
 from .functions import (ConstFunction, ProductFunction, PullbackFunction,
                         TestFunction, coefficient_gradient,
                         coefficient_value)
-from .indexing import (Pair, basis_matrix, entry_positions, n_index,
-                       omega_list, omega_size, row_col_indices, sym_to_coords)
+from .indexing import (Pair, entry_positions, n_index, omega_list,
+                       omega_size, row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .symplectic import (SiegelPoint, SymplecticElement, act,
-                         pushforward_matrix, pushforward_matrix_derivative)
+                         pushforward_derivatives, pushforward_matrix,
+                         pushforward_matrix_derivative)
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,8 @@ def _bullet_values(p: int, q: int, I: Pair, J: Pair, R) -> list[complex]:
 
 @dataclass(frozen=True)
 class FormCocycle:
-    """Row-convention coordinate cocycle: (dW_I)_I = (dZ_I)_I . S."""
+    """Row-convention coordinate cocycle: (dW_I)_I = (dZ_I)_I . S, with S
+    the read-only pushforward_matrix(gamma, point)."""
 
     gamma: SymplecticElement
     point: SiegelPoint
@@ -252,9 +254,8 @@ class FormCocycle:
 
 
 def form_cocycle(gamma: SymplecticElement, point: SiegelPoint) -> FormCocycle:
-    S = pushforward_matrix(gamma, point)
-    S.setflags(write=False)
-    return FormCocycle(gamma, point, S)
+    """Alias of pushforward_matrix, kept with its gamma and point."""
+    return FormCocycle(gamma, point, pushforward_matrix(gamma, point))
 
 
 def ds_directional(gamma: SymplecticElement, point: SiegelPoint,
@@ -451,54 +452,22 @@ def gamma_transform_form(gamma: SymplecticElement, point: SiegelPoint,
     return substitute_basis(form, pushforward_matrix(gamma, point))
 
 
-class _Cocycle:
-    """Z -> S(gamma, Z) with its coordinate derivatives, kept for the last
-    point asked, so the entry functions of one form share one evaluation
-    per point."""
-
-    def __init__(self, gamma: SymplecticElement, g: int):
-        self.gamma = gamma
-        self.g = g
-        self._point = None
-        self._S = None
-        self._dS = None
-
-    def _at(self, point) -> None:
-        if point is not self._point:
-            self._point, self._S, self._dS = point, None, None
-
-    def S(self, point) -> np.ndarray:
-        self._at(point)
-        if self._S is None:
-            self._S = pushforward_matrix(self.gamma, point)
-        return self._S
-
-    def dS(self, point) -> np.ndarray:
-        """dS[pos] is the derivative of S along the coordinate Z_pos."""
-        self._at(point)
-        if self._dS is None:
-            self._dS = np.stack([
-                pushforward_matrix_derivative(
-                    self.gamma, point, basis_matrix(pair, self.g,
-                                                    dtype=complex))
-                for pair in omega_list(self.g)])
-        return self._dS
-
-
 class _CocycleEntryFunction:
-    """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient."""
+    """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient.  S and its
+    coordinate derivatives are kept on the point, so the entry functions
+    of one form share one evaluation per point."""
 
-    def __init__(self, cocycle: _Cocycle, l: int, k: int):
-        self.cocycle = cocycle
-        self.g = cocycle.g
+    def __init__(self, gamma: SymplecticElement, l: int, k: int):
+        self.gamma = gamma
+        self.g = gamma.g
         self.l = l
         self.k = k
 
     def value(self, point) -> complex:
-        return complex(self.cocycle.S(point)[self.l, self.k])
+        return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
 
     def gradient(self, point) -> np.ndarray:
-        return self.cocycle.dS(point)[:, self.l, self.k].copy()
+        return pushforward_derivatives(self.gamma, point)[:, self.l, self.k]
 
 
 def gamma_act_on_form(gamma: SymplecticElement, g: int,
@@ -510,7 +479,6 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
     from itertools import product
 
     m = omega_size(g)
-    cocycle = _Cocycle(gamma, g)
     terms: dict = {}
     for mono, coef in form.terms.items():
         base = coef if not isinstance(coef, numbers.Complex) \
@@ -519,7 +487,7 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
             if not isinstance(base, ConstFunction) else base
         for assignment in product(range(m), repeat=len(mono)):
             factors = [pulled] + [
-                _CocycleEntryFunction(cocycle, l, k)
+                _CocycleEntryFunction(gamma, l, k)
                 for l, k in zip(assignment, mono)]
             fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
             add_term(terms, tuple(sorted(assignment)), fn)

@@ -190,25 +190,42 @@ class TestFunction:
         lowered = holo - np.eye(self.m, dtype=np.int64)[:, None, :]
         return np.maximum(lowered, 0), anti, coef * holo.T
 
-    def _coords(self, point) -> np.ndarray:
-        return sym_to_coords(_point_matrix(point))
-
     def value(self, point) -> complex:
-        coords = self._coords(point)[..., None, :]
-        return _evaluate(coords, *self._compiled)
+        """The value at a point or at every point of a stack, computed
+        once per point object (kept on the point) and read-only."""
+        if isinstance(point, SiegelPoint):
+            return point.derived(_test_value, self)
+        return _test_value(self, point)
 
     def gradient(self, point) -> np.ndarray:
-        coords = self._coords(point)[..., None, None, :]
-        return _evaluate(coords, *self._compiled_gradient())
+        """The holomorphic coordinate gradient, kept and read-only as the
+        value is."""
+        if isinstance(point, SiegelPoint):
+            return point.derived(_test_gradient, self)
+        return _test_gradient(self, point)
+
+
+def _test_value(fn: TestFunction, point) -> complex:
+    coords = sym_to_coords(_point_matrix(point))[..., None, :]
+    return _evaluate(coords, *fn._compiled)
+
+
+def _test_gradient(fn: TestFunction, point) -> np.ndarray:
+    coords = sym_to_coords(_point_matrix(point))[..., None, None, :]
+    return _evaluate(coords, *fn._compiled_gradient())
 
 
 def _evaluate(coords: np.ndarray, holo: np.ndarray, anti: np.ndarray,
               coef: np.ndarray) -> np.ndarray:
     """sum_t coef_t prod_I coords_I^holo_tI conj(coords_I)^anti_tI, with
-    the term axis last but one in holo and anti and last in coef."""
+    the term axis last but one in holo and anti and last in coef; an array
+    result is read-only."""
     terms = (np.power(coords, holo).prod(axis=-1)
              * np.power(np.conj(coords), anti).prod(axis=-1))
-    return (terms * coef).sum(axis=-1)
+    out = (terms * coef).sum(axis=-1)
+    if isinstance(out, np.ndarray):  # not the scalar of one point's value
+        out.setflags(write=False)
+    return out
 
 
 class ConstFunction:
@@ -274,34 +291,21 @@ class ScaledFunction:
 
 class PullbackFunction:
     """z -> f(gamma z); the chain rule runs through the coordinate cocycle.
-    The image gamma z and the cocycle of the last point asked are kept, so
-    value and gradient at one point, and every product that holds this
-    function as a factor, share one action and one cocycle."""
+    The image gamma z and the cocycle are kept on the point (see act), so
+    value and gradient at one point, and every pullback along gamma there,
+    share one action and one cocycle."""
 
     def __init__(self, gamma: SymplecticElement, fn):
         self.gamma = gamma
         self.fn = fn
         self.g = fn.g
-        self._point = None
-        self._image = None
-        self._S = None
-
-    def _at(self, point) -> SiegelPoint:
-        """gamma z, kept for the last point asked."""
-        if point is not self._point:
-            self._point, self._image, self._S = point, None, None
-        if self._image is None:
-            self._image = act(self.gamma, point)
-        return self._image
 
     def value(self, point) -> complex:
-        return self.fn.value(self._at(point))
+        return self.fn.value(act(self.gamma, point))
 
     def gradient(self, point) -> np.ndarray:
-        image = self._at(point)
-        if self._S is None:
-            self._S = pushforward_matrix(self.gamma, point)
-        return self._S @ self.fn.gradient(image)
+        return (pushforward_matrix(self.gamma, point)
+                @ self.fn.gradient(act(self.gamma, point)))
 
 
 def coefficient_value(coef, point) -> complex:

@@ -52,7 +52,8 @@ def _pair_gram(Mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricPair:
-    """Gram matrix W, its closed-form inverse M, and the cached R = Y^{-1}."""
+    """Gram matrix W, its closed-form inverse M, and the cached R = Y^{-1},
+    all read-only."""
 
     point: SiegelPoint
     omega: tuple[Pair, ...]
@@ -61,8 +62,7 @@ class MetricPair:
     R: np.ndarray
 
 
-def metric_pair(point: SiegelPoint) -> MetricPair:
-    """W, M and R at a point, or stacked over a stack of points."""
+def _metric_arrays(point: SiegelPoint) -> tuple:
     g = point.g
     Y = point.Y
     if (np.linalg.cond(Y) > 1e12).any():
@@ -75,16 +75,25 @@ def metric_pair(point: SiegelPoint) -> MetricPair:
     R = (R + R.swapaxes(-1, -2)) / 2.0
     W = _pair_gram(R) * _power_table(g)
     M = _pair_gram(Y)
-    for Mat in (W, M):
+    for Mat in (W, M, R):
         Mat.setflags(write=False)
-    return MetricPair(point, tuple(omega_list(g)), W, M, R)
+    return tuple(omega_list(g)), W, M, R
+
+
+def metric_pair(point: SiegelPoint) -> MetricPair:
+    """W, M and R at a point, or stacked over a stack of points.  The
+    arrays are computed once per point object, kept on the point and
+    read-only; each call wraps them in a new MetricPair."""
+    return MetricPair(point, *point.derived(_metric_arrays))
 
 
 def metric_W(point: SiegelPoint) -> np.ndarray:
+    """Alias of metric_pair(point).W."""
     return metric_pair(point).W
 
 
 def metric_M(point: SiegelPoint) -> np.ndarray:
+    """Alias of metric_pair(point).M."""
     return metric_pair(point).M
 
 

@@ -22,7 +22,7 @@ from .functions import _point_matrix, coefficient_value, fd_gradient
 from .indexing import (basis_matrix, coords_to_sym, omega_list, omega_size,
                        row_col_indices)
 from .metric import metric_pair
-from .symplectic import (SiegelPoint, SymplecticElement, act,
+from .symplectic import (SiegelPoint, SymplecticElement, act, cocycle,
                          pushforward_matrix)
 
 
@@ -118,9 +118,13 @@ class QSeriesFunction:
         return np.array(values).reshape(zs.shape)[()]
 
     def gradient(self, point) -> np.ndarray:
+        """The gradient at a point, or at every point of a stack, with
+        shape (..., 1)."""
         from .qseries import evaluate
-        z = complex(point.Z[0, 0]) if hasattr(point, "Z") else complex(point[0, 0])
-        return np.array([2j * np.pi * evaluate(self.theta_series, z)])
+        zs = _point_matrix(point)[..., 0, 0]
+        values = [2j * np.pi * evaluate(self.theta_series, complex(z))
+                  for z in zs.flat]
+        return np.array(values).reshape(zs.shape + (1,))
 
 
 def ig2_field(n_terms: int = 300) -> ScalarFunctionField:
@@ -160,15 +164,12 @@ class ModularExtension:
         self.weight = weight
         self.gamma = gamma
         self.mu = gamma.inverse()
-        self._last = None
 
     def _parts(self, point: SiegelPoint):
-        """(Z(W), C Z(W) + D), reused when asked again for the same point,
-        as value and gradient are at one image point."""
-        if self._last is None or self._last[0] is not point:
-            base = act(self.mu, point)
-            self._last = (point, base, self.gamma.C @ base.Z + self.gamma.D)
-        return self._last[1:]
+        """(Z(W), C Z(W) + D), both kept on the points by act and cocycle,
+        so value and gradient at one image point share them."""
+        base = act(self.mu, point)
+        return base, cocycle(self.gamma, base)
 
     def value(self, point) -> complex:
         """F at a point, or at every point of a stack."""
@@ -214,7 +215,7 @@ class ModularExtension:
 def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
     """Max-norm defect of (CZ+D)^{-1} G(gamma Z) - G(Z)(CZ+D)^t - 2 C^t,
     normalized by the magnitude of the two sides (floored at 1)."""
-    den = gamma.C @ point.Z + gamma.D
+    den = cocycle(gamma, point)
     lhs = np.linalg.solve(den, G.value(act(gamma, point)))
     rhs = G.value(point) @ den.T + 2.0 * gamma.C.T
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
@@ -222,9 +223,8 @@ def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
 
 
 def _transform_frame(gamma: SymplecticElement, point: SiegelPoint):
-    Z = point.Z
-    j = gamma.C @ Z + gamma.D
-    jt = Z @ gamma.C.T + gamma.D.T
+    j = cocycle(gamma, point)
+    jt = point.Z @ gamma.C.T + gamma.D.T
     return j, jt, complex(np.linalg.det(j))
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import row_col_indices
+from .indexing import basis_stack, row_col_indices
 
 COND_LIMIT = 1e12
 
@@ -55,6 +55,8 @@ def _at(index: tuple[int, ...]) -> str:
 
 
 _PARTS = ("real part", "imaginary part")
+
+_MISSING = object()
 
 
 def _validated(g: int, X, Y, tol: float = 1e-12
@@ -106,7 +108,10 @@ class SiegelPoint:
     """A point Z = X + iY with X, Y real symmetric and Y positive definite,
     or a stack of such points when X and Y have shape (..., g, g).
 
-    Points compare and hash by identity: their entries are floats.
+    Points compare and hash by identity: their entries are floats.  Each
+    point keeps one memo of what is derived from it: its images under the
+    action, its cocycles, its metric and the values of test functions at
+    it (see ``derived``).  Z, X, Y and every memoized array are read-only.
     """
 
     g: int
@@ -118,9 +123,30 @@ class SiegelPoint:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
-    @property
+    @cached_property
     def Z(self) -> np.ndarray:
-        return self.X + 1j * self.Y
+        """X + iY, built on first access and read-only."""
+        Z = self.X + 1j * self.Y
+        Z.setflags(write=False)
+        return Z
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def derived(self, build, *args):
+        """build(*args, self), computed on the first request and kept on
+        this point under the key (build, *args), so every later request
+        returns the same object.  Group elements in args compare by value,
+        so equal elements share one entry.  A build that raises stores
+        nothing.  The memo lives and dies with the point; builders return
+        read-only values."""
+        key = (build,) + args
+        memo = self._memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = build(*args, self)
+        return value
 
     @classmethod
     def from_matrix(cls, Z: np.ndarray) -> "SiegelPoint":
@@ -356,24 +382,23 @@ class GeneratorWord:
         return SymplecticElement.from_matrix(out)
 
 
-def _cocycle_blocks(gamma: SymplecticElement, point: SiegelPoint):
+def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
     if gamma.g != point.g:
         raise DimensionError(f"degree mismatch: element has g={gamma.g}, "
                              f"point has g={point.g}")
-    Z = point.Z
-    return Z, gamma.C @ Z + gamma.D
-
-
-def cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
-    """The automorphy factor C Z + D (one per point of a stack)."""
-    _, den = _cocycle_blocks(gamma, point)
+    den = gamma.C @ point.Z + gamma.D
+    den.setflags(write=False)
     return den
 
 
-def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
-    """Generalized Moebius action (A Z + B)(C Z + D)^{-1}, applied to every
-    point of a stack; any member failing a check fails the call."""
-    Z, den = _cocycle_blocks(gamma, point)
+def cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
+    """The automorphy factor C Z + D (one per point of a stack), computed
+    once per (gamma, point) and kept on the point, read-only."""
+    return point.derived(_cocycle, gamma)
+
+
+def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
+    Z, den = point.Z, point.derived(_cocycle, gamma)
     if (np.linalg.cond(den) > COND_LIMIT).any():
         raise DegeneracyError("cocycle factor is numerically singular")
     num = gamma.A @ Z + gamma.B
@@ -393,10 +418,18 @@ def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
                               f"{exc}") from exc
 
 
+def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
+    """Generalized Moebius action (A Z + B)(C Z + D)^{-1}, applied to every
+    point of a stack; any member failing a check fails the call.  The image
+    is built (and validated) once per (gamma, point) and kept on the point:
+    asking again returns the same image object."""
+    return point.derived(_act, gamma)
+
+
 def im_of_action(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
     """Imaginary part of gamma(Z), computed as
     ((C Zbar + D)^t)^{-1} Y (C Z + D)^{-1}."""
-    Z, den = _cocycle_blocks(gamma, point)
+    Z, den = point.Z, point.derived(_cocycle, gamma)
     den_bar = gamma.C @ Z.conj() + gamma.D
     W = np.linalg.solve(den_bar.T, point.Y.astype(complex))
     W = np.linalg.solve(den.T, W.T).T
@@ -410,7 +443,7 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
     V = np.asarray(V, dtype=complex)
     if np.abs(V - V.T).max() > 1e-12 * max(1.0, np.abs(V).max()):
         raise ValueError("tangent matrix must be symmetric")
-    Z, den = _cocycle_blocks(gamma, point)
+    Z, den = point.Z, point.derived(_cocycle, gamma)
     left = Z @ gamma.C.T + gamma.D.T
     out = np.linalg.solve(left, V)
     out = np.linalg.solve(den.T, out.T).T
@@ -429,17 +462,25 @@ def _symmetrized_rows(outer: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(S)
 
 
-def pushforward_matrix(gamma: SymplecticElement,
-                       point: SiegelPoint) -> np.ndarray:
-    """Row-convention cocycle S(gamma, Z) on Omega coordinates: row (a, b)
-    holds the coordinates of the symmetrized outer product of rows a and b
-    of (C Z + D)^{-1}."""
-    Z, den = _cocycle_blocks(gamma, point)
+def _pushforward_matrix(gamma: SymplecticElement,
+                        point: SiegelPoint) -> np.ndarray:
+    den = point.derived(_cocycle, gamma)
     if np.linalg.cond(den) > COND_LIMIT:
         raise DegeneracyError("cocycle factor is numerically singular")
     Q = np.linalg.inv(den)
     ii, jj = row_col_indices(point.g)
-    return _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
+    S = _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
+    S.setflags(write=False)
+    return S
+
+
+def pushforward_matrix(gamma: SymplecticElement,
+                       point: SiegelPoint) -> np.ndarray:
+    """Row-convention cocycle S(gamma, Z) on Omega coordinates: row (a, b)
+    holds the coordinates of the symmetrized outer product of rows a and b
+    of (C Z + D)^{-1}.  Computed once per (gamma, point) and kept on the
+    point, read-only."""
+    return point.derived(_pushforward_matrix, gamma)
 
 
 def pushforward_matrix_derivative(gamma: SymplecticElement,
@@ -447,13 +488,28 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
                                   V: np.ndarray) -> np.ndarray:
     """Directional derivative of Z -> S(gamma, Z) along the symmetric V,
     from d(C Z + D)^{-1} = -(C Z + D)^{-1} C V (C Z + D)^{-1}."""
-    Z, den = _cocycle_blocks(gamma, point)
-    Q = np.linalg.inv(den)
+    Q = np.linalg.inv(point.derived(_cocycle, gamma))
     dQ = -Q @ (gamma.C @ np.asarray(V, dtype=complex)) @ Q
     ii, jj = row_col_indices(point.g)
     outer = (dQ[ii, :, None] * Q[jj, None, :]
              + Q[ii, :, None] * dQ[jj, None, :])
     return _symmetrized_rows(outer)
+
+
+def _pushforward_derivatives(gamma: SymplecticElement,
+                             point: SiegelPoint) -> np.ndarray:
+    dS = np.stack([pushforward_matrix_derivative(gamma, point, E)
+                   for E in basis_stack(point.g)])
+    dS.setflags(write=False)
+    return dS
+
+
+def pushforward_derivatives(gamma: SymplecticElement,
+                            point: SiegelPoint) -> np.ndarray:
+    """The coordinate derivatives of Z -> S(gamma, Z): dS[pos] is the
+    derivative along Z_pos.  Computed once per (gamma, point) and kept on
+    the point, read-only."""
+    return point.derived(_pushforward_derivatives, gamma)
 
 
 def random_symplectic(g: int, word_length: int,

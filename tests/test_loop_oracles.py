@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.connection as connection
-import siegel.functions as functions
+import siegel.symplectic as symplectic
 from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
                                gamma_act_on_form, gamma_closed,
                                gamma_from_metric)
@@ -213,12 +213,21 @@ def test_pushforward_matrix_matches_loop(g, seed, word_length):
 
 
 def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
-    calls = []
+    # repeat requests are memo hits, so count the builds behind the memo
+    calls, derivative_calls = [], []
+    build_S = symplectic._pushforward_matrix
+    build_dS = symplectic._pushforward_derivatives
 
     def counted(gamma, point):
         calls.append(point)
-        return pushforward_matrix(gamma, point)
-    monkeypatch.setattr(connection, "pushforward_matrix", counted)
+        return build_S(gamma, point)
+
+    def counted_derivatives(gamma, point):
+        derivative_calls.append(point)
+        return build_dS(gamma, point)
+    monkeypatch.setattr(symplectic, "_pushforward_matrix", counted)
+    monkeypatch.setattr(symplectic, "_pushforward_derivatives",
+                        counted_derivatives)
     g = 2
     rng = np.random.default_rng(31)
     gamma = random_symplectic(g, 4, rng)
@@ -227,8 +236,10 @@ def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
     acted = gamma_act_on_form(gamma, g, form)
     apply_D(gamma_closed(here), acted)
     assert calls == [here]
+    assert derivative_calls == [here]
     apply_D(gamma_closed(there), acted)
     assert calls == [here, there]
+    assert derivative_calls == [here, there]
     # each entry function still reads its own entry of S and of dS/dZ
     for point in (here, there):
         S = _pushforward_loop(gamma, point)
@@ -446,7 +457,6 @@ def test_substitute_basis_matches_chain_of_sums(g):
 def _gamma_act_chain(gamma, g, form):
     """gamma_act_on_form as a chain of + on whole forms."""
     m = omega_size(g)
-    cocycle_ = connection._Cocycle(gamma, g)
     out = FormPolynomial(g, {})
     for mono, coef in form.terms.items():
         base = coef if not isinstance(coef, numbers.Complex) \
@@ -455,7 +465,7 @@ def _gamma_act_chain(gamma, g, form):
             if not isinstance(base, ConstFunction) else base
         for assignment in product(range(m), repeat=len(mono)):
             factors = [pulled] + [
-                connection._CocycleEntryFunction(cocycle_, l, k)
+                connection._CocycleEntryFunction(gamma, l, k)
                 for l, k in zip(assignment, mono)]
             fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
             out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})
@@ -519,12 +529,14 @@ def test_word_expansion_matches_step_by_step_product(g, seed, word_length):
 
 
 def test_pullback_acts_once_per_point(monkeypatch):
+    # repeat requests are memo hits, so count the builds behind act
     calls = []
+    build = symplectic._act
 
     def counted(gamma, point):
         calls.append(point)
-        return act(gamma, point)
-    monkeypatch.setattr(functions, "act", counted)
+        return build(gamma, point)
+    monkeypatch.setattr(symplectic, "_act", counted)
     g = 2
     rng = np.random.default_rng(33)
     gamma = random_symplectic(g, 4, rng)

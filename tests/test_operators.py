@@ -101,13 +101,15 @@ def test_modular_extension_value_on_stack_matches_each_point(g):
 
 
 def test_modular_extension_reuses_the_action_at_one_point(monkeypatch):
-    import siegel.operators as operators
+    # repeat requests are memo hits, so count the builds behind act
+    import siegel.symplectic as symplectic
     calls = []
+    build = symplectic._act
 
     def counted(gamma, point):
         calls.append(point)
-        return act(gamma, point)
-    monkeypatch.setattr(operators, "act", counted)
+        return build(gamma, point)
+    monkeypatch.setattr(symplectic, "_act", counted)
     rng = np.random.default_rng(8)
     g = 2
     ext = ModularExtension(random_test_function(g, rng), 4,
@@ -281,6 +283,19 @@ def test_qseries_function_and_ig2_field():
         gamma = random_symplectic(1, int(rng.integers(1, 5)), rng)
         p = random_point(1, rng)
         assert verify_G_law(G2, gamma, p) < 1e-6
+
+
+def test_qseries_function_gradient_broadcasts_over_a_stack():
+    f = QSeriesFunction(eisenstein(4, 200))
+    zs = (0.21 + 1.4j, -0.3 + 0.9j)
+    stack = SiegelPoint(1, np.array([[[z.real]] for z in zs]),
+                        np.array([[[z.imag]] for z in zs]))
+    grads = f.gradient(stack)
+    assert grads.shape == (2, 1)
+    for z, grad in zip(zs, grads):
+        single = f.gradient(SiegelPoint.from_complex(z))
+        assert single.shape == (1,)
+        assert grad.tobytes() == single.tobytes()
 
 
 def test_ig2_operator_matches_exact_weight_raising():

@@ -1,0 +1,107 @@
+"""The memo on each SiegelPoint: what is derived from a point is computed
+once per point object, shared by every caller, and read-only."""
+
+import numpy as np
+import pytest
+
+import siegel.metric as metric
+import siegel.symplectic as symplectic
+from siegel.connection import apply_D, gamma_act_on_form, gamma_closed, \
+    gamma_from_metric
+from siegel.forms import FormPolynomial
+from siegel.functions import random_test_function
+from siegel.operators import ImInverseField
+from siegel.symplectic import (DegeneracyError, SiegelPoint,
+                               SymplecticElement, act, cocycle,
+                               pushforward_derivatives, pushforward_matrix,
+                               random_point, random_symplectic)
+
+
+def _count(monkeypatch, module, name):
+    """Points at which module.name, a builder behind the memo, runs."""
+    calls = []
+    build = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args[-1])
+        return build(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_metric_pair_is_computed_once_per_point(monkeypatch):
+    calls = _count(monkeypatch, metric, "_metric_arrays")
+    point, other = random_point(3, seed=4), random_point(3, seed=5)
+    first = metric.metric_pair(point)
+    field = ImInverseField().value(point)
+    closed = gamma_closed(point).table
+    for path in ("A", "B", "B-expanded"):
+        gamma_from_metric(point, path)
+    assert calls == [point]
+    metric.metric_pair(other)
+    assert calls == [point, other]
+    again = metric.metric_pair(point)
+    assert again.R is first.R and again.W is first.W and again.M is first.M
+    assert np.array_equal(field, 1j * first.R)
+    assert np.array_equal(closed, gamma_closed(point).table)
+
+
+def test_two_function_monomials_share_one_action_and_cocycle(monkeypatch):
+    acts = _count(monkeypatch, symplectic, "_act")
+    cocycles = _count(monkeypatch, symplectic, "_pushforward_matrix")
+    g = 2
+    rng = np.random.default_rng(12)
+    gamma = random_symplectic(g, 5, rng)
+    here, there = random_point(g, rng), random_point(g, rng)
+    form = FormPolynomial(g, {(0,): random_test_function(g, rng),
+                              (1, 2): random_test_function(g, rng)})
+    acted = gamma_act_on_form(gamma, g, form)
+    apply_D(gamma_closed(here), acted)
+    assert acts == [here] and cocycles == [here]
+    apply_D(gamma_closed(there), acted)
+    assert acts == [here, there] and cocycles == [here, there]
+
+
+def test_derived_arrays_are_read_only():
+    g = 2
+    gamma = random_symplectic(g, 4, seed=3)
+    point = random_point(g, seed=3)
+    f = random_test_function(g, seed=3)
+    stack = SiegelPoint(g, np.stack([point.X, point.X]),
+                        np.stack([point.Y, point.Y]))
+    arrays = [point.Z, metric.metric_pair(point).R,
+              metric.metric_pair(point).W, metric.metric_pair(point).M,
+              cocycle(gamma, point), pushforward_matrix(gamma, point),
+              pushforward_derivatives(gamma, point), act(gamma, point).Z,
+              f.value(stack), f.gradient(point)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_a_failed_action_is_not_kept(monkeypatch):
+    calls = _count(monkeypatch, symplectic, "_act")
+    # C Z + D = -Z with cond(Z) about 2e12, above the limit of 1e12
+    point = SiegelPoint(2, 1e12 * np.ones((2, 2)), np.eye(2))
+    gamma = SymplecticElement.inversion(2)
+    for _ in range(2):
+        with pytest.raises(DegeneracyError):
+            act(gamma, point)
+    assert calls == [point, point]
+
+
+def test_equal_elements_share_one_entry():
+    g = 3
+    gamma = random_symplectic(g, 6, seed=8)
+    twin = SymplecticElement.from_matrix(gamma.matrix.copy())
+    assert twin is not gamma and twin == gamma
+    point = random_point(g, seed=8)
+    assert act(twin, point) is act(gamma, point)
+    assert pushforward_matrix(twin, point) is pushforward_matrix(gamma, point)
+    assert cocycle(twin, point) is cocycle(gamma, point)
+    # and a fresh point, which shares nothing, gets the same bits
+    fresh = SiegelPoint(g, point.X, point.Y)
+    assert act(twin, fresh).Z.tobytes() == act(gamma, point).Z.tobytes()
+    assert (pushforward_matrix(twin, fresh).tobytes()
+            == pushforward_matrix(gamma, point).tobytes())
