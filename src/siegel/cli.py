@@ -74,13 +74,72 @@ def _load_point(args) -> SiegelPoint:
     return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(pieces: list[str], out_path: str | None) -> None:
+    """Write the pieces of a text and a newline, to the file or stdout."""
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text + "\n")
+            handle.writelines(pieces)
+            handle.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+
+
+# The table commands write their JSON text directly, in exactly the layout
+# of json.dumps(payload, indent=2, sort_keys=True): a list or object opened
+# at nesting depth d puts its items at 2(d+1) spaces and its closing bracket
+# at 2d.  A value is a list of pieces of text, written one after another, so
+# a table of thousands of entries is neither run through the pure-Python
+# indenting encoder nor copied into one string.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Every value of a real array, flattened, spelled as json spells a
+    float: float.__repr__, and NaN, Infinity or -Infinity."""
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _list_pieces(items: list[str], depth: int) -> list[str]:
+    """A list whose items are finished texts."""
+    if not items:
+        return ["[]"]
+    inner = "\n" + "  " * (depth + 1)
+    pieces = ["," + inner] * (2 * len(items) + 1)
+    pieces[0] = "[" + inner
+    pieces[1::2] = items
+    pieces[-1] = "\n" + "  " * depth + "]"
+    return pieces
+
+
+def _object_pieces(fields: dict[str, list[str]], depth: int) -> list[str]:
+    """An object whose field values are given as pieces, in key order."""
+    inner = "\n" + "  " * (depth + 1)
+    pieces = []
+    for key in sorted(fields):
+        pieces.append(f",{inner}{json.dumps(key)}: ")
+        pieces.extend(fields[key])
+    pieces[0] = "{" + pieces[0][1:]
+    pieces.append("\n" + "  " * depth + "}")
+    return pieces
+
+
+def _matrix_pieces(values: np.ndarray, depth: int) -> list[str]:
+    """A real matrix as a list of rows of floats."""
+    texts = _float_texts(values)
+    n = values.shape[-1]
+    return _list_pieces(["".join(_list_pieces(texts[row:row + n], depth + 1))
+                         for row in range(0, len(texts), n)], depth)
+
+
+def _pair_texts(g: int, depth: int) -> list[str]:
+    """Each pair of Omega as a list of its two indices."""
+    return ["".join(_list_pieces([str(i), str(j)], depth))
+            for i, j in omega_list(g)]
 
 
 _QEXP_FORMS = ("E2", "E4", "E6", "Delta", "G2")
@@ -146,12 +205,12 @@ def _cmd_anomaly(args) -> int:
 def _cmd_metric(args) -> int:
     point = _load_point(args)
     pair = metric_pair(point)
-    _emit({
-        "g": point.g,
-        "omega": [list(p) for p in pair.omega],
-        "W": pair.W.tolist(),
-        "M": pair.M.tolist(),
-    }, args.out)
+    _emit(_object_pieces({
+        "g": [str(point.g)],
+        "omega": _list_pieces(_pair_texts(point.g, 2), 1),
+        "W": _matrix_pieces(pair.W, 1),
+        "M": _matrix_pieces(pair.M, 1),
+    }, 0), args.out)
     return EXIT_OK
 
 
@@ -164,29 +223,44 @@ def _cmd_gamma(args) -> int:
     if args.method not in _GAMMA_METHODS:
         raise UsageError(f"unknown method {args.method!r}; "
                          f"choose from {', '.join(_GAMMA_METHODS)}")
-    _emit({"g": point.g, "method": args.method,
-           "point": json.loads(point.to_json()),
-           "entries": _table_entries(point, args.method)},
-          args.out)
+    _emit(_object_pieces({
+        "g": [str(point.g)],
+        "method": [json.dumps(args.method)],
+        "point": _object_pieces({"g": [str(point.g)],
+                                 "X": _matrix_pieces(point.X, 2),
+                                 "Y": _matrix_pieces(point.Y, 2)}, 1),
+        "entries": _list_pieces(_entry_texts(point, args.method), 1),
+    }, 0), args.out)
     return EXIT_OK
 
 
-def _table_entries(point: SiegelPoint, method: str) -> list[dict]:
+def _table_entries(point: SiegelPoint, method: str
+                   ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The method's coefficients at the point above 1e-14 of the largest
-    magnitude (floored at 1), in index order.  The table and its index
-    arrays are freed on return, before the output text is built."""
+    magnitude (floored at 1), in index order: their index arrays (K, I, J)
+    and their values.  The table is freed on return, before the output
+    text is built."""
     if method == "closed":
         table = gamma_closed(point).table
     else:
         table = gamma_from_metric(point, _GAMMA_METHODS[method]).table
-    pairs = omega_list(point.g)
     magnitude = np.abs(table)
     cutoff = 1e-14 * max(1.0, float(magnitude.max()))
     where = np.nonzero(magnitude > cutoff)
-    return [{"K": list(pairs[k]), "I": list(pairs[a]), "J": list(pairs[b]),
-             "re": value.real, "im": value.imag}
-            for k, a, b, value in zip(*(w.tolist() for w in where),
-                                      table[where].tolist())]
+    return where, table[where]
+
+
+def _entry_texts(point: SiegelPoint, method: str) -> list[str]:
+    """One object {"I", "J", "K", "im", "re"} per entry of the table, at
+    depth 2; the text of each pair is built once."""
+    (k, a, b), values = _table_entries(point, method)
+    pairs = _pair_texts(point.g, 3)
+    template = "".join(_object_pieces(
+        dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2))
+    return [template % (pairs[i], pairs[j], pairs[n], im, re)
+            for n, i, j, re, im in zip(k.tolist(), a.tolist(), b.tolist(),
+                                       _float_texts(values.real),
+                                       _float_texts(values.imag))]
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:

@@ -183,11 +183,13 @@ class ModularExtension:
         S_mu = pushforward_matrix(self.mu, point)
         fval = self.f.value(base)
         fgrad = self.f.gradient(base)
-        out = np.empty(omega_size(self.g), dtype=complex)
+        # row pos of S_mu, as a symmetric matrix, is dZ/dW_pos
+        traces = np.trace(P @ coords_to_sym(S_mu, self.g), axis1=-2, axis2=-1)
         chain = S_mu @ fgrad
+        out = np.empty(omega_size(self.g), dtype=complex)
+        # scalar arithmetic: a vectorized product rounds differently
         for pos in range(out.size):
-            T = coords_to_sym(S_mu[pos, :], self.g)
-            out[pos] = det_pow * (self.weight * np.trace(P @ T) * fval
+            out[pos] = det_pow * (self.weight * traces[pos] * fval
                                   + chain[pos])
         return out
 

@@ -59,6 +59,21 @@ _PARTS = ("real part", "imaginary part")
 _MISSING = object()
 
 
+# below this magnitude a - b and a + b of two finite floats cannot overflow
+_HALF_RANGE = 2.0 ** 1023
+
+
+def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
+    """max|a - b| and (a + b) / 2 over a stack with entries of magnitude
+    2^1023 or more.  An overflowed skew is infinite, and is rejected as
+    asymmetry; where the sum overflowed, the sum of the halves, exact at
+    that magnitude, replaces it."""
+    with np.errstate(over="ignore"):
+        skew = _max_abs(XY - XYt)
+        mean = (XY + XYt) / 2.0
+    return skew, np.where(np.isfinite(mean), mean, XY / 2.0 + XYt / 2.0)
+
+
 def _validated(g: int, X, Y, tol: float = 1e-12
                ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized, read-only X and Y after one batched pass of checks over
@@ -76,13 +91,16 @@ def _validated(g: int, X, Y, tol: float = 1e-12
         raise ValueError(f"{_PARTS[bad[0]]} has non-finite entries"
                          f"{_at(bad[1:])}")
     XYt = _mT(XY)
-    skew = _max_abs(XY - XYt)
     scale = np.maximum(1.0, _max_abs(XY))
+    if scale.max() < _HALF_RANGE:
+        skew, mean = _max_abs(XY - XYt), (XY + XYt) / 2.0
+    else:
+        skew, mean = _skew_and_mean_near_overflow(XY, XYt)
     bad = _first_bad(skew > tol * scale)
     if bad is not None:
         raise ValueError(f"{_PARTS[bad[0]]} is not symmetric (asymmetry "
                          f"{skew[bad]:.3e}){_at(bad[1:])}")
-    XY = (XY + XYt) / 2.0
+    XY = mean
     XY.setflags(write=False)
     X, Y = XY
     # minor k of Y is the product of the first k squared Cholesky pivots
@@ -101,6 +119,27 @@ def _validated(g: int, X, Y, tol: float = 1e-12
                          f"(leading minor {bad[-1] + 1} = {minors[bad]:.3e})"
                          f"{_at(bad[:-1])}")
     return X, Y
+
+
+def _json_object(text: str, *keys: str) -> tuple[int, dict]:
+    """The degree and the fields of a JSON object with an integer "g" and
+    the given keys; ValueError for any other text, KeyError for a missing
+    key."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with keys g, "
+                         f"{', '.join(keys)}; got {type(data).__name__}")
+    g = data["g"]
+    if type(g) is not int:  # a bool is an int to isinstance
+        raise ValueError(f"g must be an integer, got {g!r}")
+    return g, data
+
+
+def _json_array(data: dict, key: str, dtype) -> np.ndarray:
+    try:
+        return np.array(data[key], dtype=dtype)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{key} is not a matrix of numbers ({exc})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +202,8 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SiegelPoint":
-        data = json.loads(text)
-        return cls(int(data["g"]), np.array(data["X"], dtype=float),
-                   np.array(data["Y"], dtype=float))
+        g, data = _json_object(text, "X", "Y")
+        return cls(g, *(_json_array(data, key, float) for key in "XY"))
 
 
 def symplectic_j(g: int) -> np.ndarray:
@@ -348,9 +386,8 @@ class SymplecticElement:
 
     @classmethod
     def from_json(cls, text: str) -> "SymplecticElement":
-        data = json.loads(text)
-        return cls(int(data["g"]), *(np.array(data[k], dtype=np.int64)
-                                     for k in "ABCD"))
+        g, data = _json_object(text, "A", "B", "C", "D")
+        return cls(g, *(_json_array(data, key, np.int64) for key in "ABCD"))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import siegel.cli as cli_module
 from siegel.cli import main
-from siegel.symplectic import DegeneracyError, SiegelPoint
+from siegel.connection import gamma_closed, gamma_from_metric
+from siegel.indexing import omega_list, omega_size
+from siegel.metric import metric_pair
+from siegel.symplectic import DegeneracyError, SiegelPoint, random_point
 
 
 def run_cli(capsys, *argv):
@@ -210,11 +216,206 @@ def test_verify_degenerate_action_image_exits_3(capsys):
 
 
 def test_degeneracy_exit_code(monkeypatch, capsys):
-    import siegel.cli as cli_module
-
     def boom(point):
         raise DegeneracyError("forced")
     monkeypatch.setattr(cli_module, "metric_pair", boom)
     code, _, err = run_cli(capsys, "metric", "--g", "1")
     assert code == 3
     assert "degeneracy" in err
+
+
+# ------------------------------------------------- table output oracles
+#
+# The table commands write their JSON text directly.  The reference below
+# is how that text was first produced: a payload of Python lists and
+# dicts, encoded by json.dumps(payload, indent=2, sort_keys=True).  The
+# comparison is byte for byte.
+
+_METHODS = {"closed": None, "metricA": "A", "metricB": "B",
+            "metricB-expanded": "B-expanded"}
+
+
+def _old_gamma_text(point, method, table=None):
+    if table is None:
+        table = (gamma_closed(point) if method == "closed" else
+                 gamma_from_metric(point, _METHODS[method])).table
+    pairs = omega_list(point.g)
+    magnitude = np.abs(table)
+    cutoff = 1e-14 * max(1.0, float(magnitude.max()))
+    where = np.nonzero(magnitude > cutoff)
+    entries = [{"K": list(pairs[k]), "I": list(pairs[a]),
+                "J": list(pairs[b]), "re": value.real, "im": value.imag}
+               for k, a, b, value in zip(*(w.tolist() for w in where),
+                                         table[where].tolist())]
+    return json.dumps({"g": point.g, "method": method,
+                       "point": json.loads(point.to_json()),
+                       "entries": entries}, indent=2, sort_keys=True)
+
+
+def _old_metric_text(point, pair):
+    return json.dumps({"g": point.g,
+                       "omega": [list(p) for p in pair.omega],
+                       "W": pair.W.tolist(), "M": pair.M.tolist()},
+                      indent=2, sort_keys=True)
+
+
+def _point_source(tmp_path, g, where):
+    """The CLI arguments naming the point, and the point the CLI reads."""
+    if where == "iI":
+        return ["--g", str(g)], SiegelPoint(g, np.zeros((g, g)), np.eye(g))
+    path = tmp_path / "point.json"
+    path.write_text(random_point(g, 500 + g, spread=2.0).to_json())
+    return ["--point", str(path)], SiegelPoint.from_json(path.read_text())
+
+
+def _assert_same_text(got, expected):
+    # one short excerpt, not pytest's diff of two texts of up to a megabyte
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        pytest.fail(f"texts differ at character {at} (lengths {len(got)} "
+                    f"and {len(expected)}): {got[at - 40:at + 40]!r} != "
+                    f"{expected[at - 40:at + 40]!r}")
+
+
+def _both_outputs(tmp_path, capsys, argv):
+    """The text on stdout and in --out, each with its trailing newline."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    out_path = tmp_path / "out.json"
+    code, quiet, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, quiet, err) == (0, "", "")
+    return out, out_path.read_text()
+
+
+_GAMMA_CASES = [(method, g) for g in range(1, 9) for method in _METHODS
+                if method != "metricB-expanded" or g <= 5]
+
+
+@pytest.mark.parametrize("where", ["iI", "random"])
+@pytest.mark.parametrize("method, g", _GAMMA_CASES)
+def test_gamma_output_is_byte_identical_to_json_dumps(tmp_path, capsys,
+                                                      method, g, where):
+    source, point = _point_source(tmp_path, g, where)
+    expected = _old_gamma_text(point, method) + "\n"
+    stdout, written = _both_outputs(tmp_path, capsys,
+                                    ["gamma", *source, "--method", method])
+    _assert_same_text(stdout, expected)
+    _assert_same_text(written, expected)
+
+
+@pytest.mark.parametrize("where", ["iI", "random"])
+@pytest.mark.parametrize("g", range(1, 9))
+def test_metric_output_is_byte_identical_to_json_dumps(tmp_path, capsys, g,
+                                                       where):
+    source, point = _point_source(tmp_path, g, where)
+    expected = _old_metric_text(point, metric_pair(point)) + "\n"
+    stdout, written = _both_outputs(tmp_path, capsys, ["metric", *source])
+    _assert_same_text(stdout, expected)
+    _assert_same_text(written, expected)
+
+
+_EXTREMES = [np.inf, -np.inf, -0.0, 5e-324, np.nan, 1e308, -2.5]
+
+
+def _extreme_table(g, values, seed):
+    """A table of degree g holding the given complex values, scattered over
+    a table of moderate entries."""
+    m = omega_size(g)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-1.0, 1.0, (m, m, m)) * 1j
+    flat = table.reshape(-1)
+    flat[rng.choice(flat.size, len(values), replace=False)] = values
+    return table
+
+
+@pytest.mark.parametrize("name, values", [
+    # a NaN magnitude makes the largest magnitude NaN and the cutoff 1e-14,
+    # so every infinite magnitude is listed, some with a NaN part
+    ("non-finite", [complex(v, w) for v in _EXTREMES for w in _EXTREMES]),
+    # without a NaN, an infinite magnitude raises the cutoff to inf
+    ("infinite", [complex(np.inf, 1.0), complex(-2.0, -np.inf)]),
+    # the signed zero and the smallest subnormal are listed beside large
+    # parts
+    ("signed-zero-subnormal",
+     [complex(-0.0, 1.0), complex(1.0, -0.0), complex(5e-324, -2.0),
+      complex(3.0, 5e-324), complex(np.nan, 1.0), complex(1e-15, 0.0),
+      complex(-0.0, -0.0)]),
+    ("all-zero", None),
+])
+def test_gamma_output_of_extreme_tables(monkeypatch, tmp_path, capsys, name,
+                                        values):
+    g = 3
+    if values is None:
+        table = np.zeros((6, 6, 6), dtype=complex)
+    else:
+        table = _extreme_table(g, values, seed=len(values))
+    monkeypatch.setattr(cli_module, "gamma_closed",
+                        lambda point: SimpleNamespace(table=table))
+    point = SiegelPoint(g, np.zeros((g, g)), np.eye(g))
+    expected = _old_gamma_text(point, "closed", table) + "\n"
+    stdout, written = _both_outputs(tmp_path, capsys, ["gamma", "--g", "3"])
+    _assert_same_text(stdout, expected)
+    _assert_same_text(written, expected)
+    listed = {
+        "non-finite": ('"re": Infinity', '"re": -Infinity', '"im": NaN'),
+        "signed-zero-subnormal": ('"re": -0.0', '"im": 5e-324'),
+    }.get(name, ('"entries": [],',))
+    for text in listed:
+        assert text in stdout
+
+
+def test_metric_output_spells_non_finite_values_as_json(monkeypatch,
+                                                        tmp_path, capsys):
+    g = 2
+    point = SiegelPoint(g, np.zeros((g, g)), np.eye(g))
+    real = metric_pair(point)
+    W = np.array(real.W)
+    M = np.array(real.M)
+    W.reshape(-1)[:7] = _EXTREMES
+    M.reshape(-1)[-7:] = _EXTREMES
+    pair = SimpleNamespace(omega=real.omega, W=W, M=M)
+    monkeypatch.setattr(cli_module, "metric_pair", lambda point: pair)
+    expected = _old_metric_text(point, pair) + "\n"
+    stdout, written = _both_outputs(tmp_path, capsys, ["metric", "--g", "2"])
+    _assert_same_text(stdout, expected)
+    _assert_same_text(written, expected)
+    for text in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
+        assert text in stdout
+
+
+@pytest.mark.parametrize("command", ["gamma", "metric"])
+@pytest.mark.parametrize("text", [
+    '"hello"',
+    '[1, 2]',
+    'null',
+    '{"g": null, "X": [[0.0]], "Y": [[1.0]]}',
+    '{"g": true, "X": [[0.0]], "Y": [[1.0]]}',
+    '{"g": 1.7, "X": [[0.0]], "Y": [[1.0]]}',
+    '{"g": 1.0, "X": [[0.0]], "Y": [[1.0]]}',
+    '{"g": "1", "X": [[0.0]], "Y": [[1.0]]}',
+    '{"g": 1, "X": {"a": 1}, "Y": [[1.0]]}',
+    pytest.param('{"g": 1, "X": [[1%s]], "Y": [[1.0]]}' % ("0" * 400),
+                 id="integer-beyond-float"),
+    '{"g": 1, "X": [[0.0]]}',
+    '{"g": 1, "X": [[0.0]], "Y": [[1.0]]',
+])
+def test_malformed_point_files_are_usage_errors(tmp_path, capsys, command,
+                                                text):
+    path = tmp_path / "point.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--point", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot read")
+
+
+def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text('{"g": 1, "X": [[1e308]], "Y": [[1.0]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "gamma", "--point", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["point"]["X"] == [[1e308]]
+    assert "Infinity" not in out

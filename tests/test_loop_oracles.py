@@ -1,7 +1,7 @@
 """The scalar loops and step-by-step forms that the connection tables, the
-metric derivatives, the cocycle, the finite-difference stencils, the dZ
-algebra and the expansion of group words were first written as, kept as
-references.
+metric derivatives, the cocycle, the finite-difference stencils, the
+gradient of a modular extension, the dZ algebra and the expansion of group
+words were first written as, kept as references.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
@@ -26,8 +26,8 @@ from siegel.functions import (ConstFunction, ProductFunction,
                               PullbackFunction, coefficient_gradient,
                               coefficient_value, fd_gradient,
                               random_test_function)
-from siegel.indexing import (basis_matrix, delta, omega_list, omega_size,
-                             row_col_indices, sym_to_coords)
+from siegel.indexing import (basis_matrix, coords_to_sym, delta, omega_list,
+                             omega_size, row_col_indices, sym_to_coords)
 from siegel.metric import _power_table, dM_tensor, dR_dZ, dW_tensor, metric_pair
 from siegel.operators import ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
@@ -299,6 +299,37 @@ def test_one_stack_of_steps_matches_separate_calls(g):
     # at the last point, the near-boundary one, the largest step is clipped
     lambda_min = float(np.linalg.eigvalsh(points[-1].Y).min())
     assert 2.0 * h > 0.05 * lambda_min
+
+
+def _extension_gradient_loop(ext, point):
+    """ModularExtension.gradient with one matrix and one trace per
+    coordinate."""
+    base = act(ext.mu, point)
+    den = cocycle(ext.gamma, base)
+    det_pow = np.linalg.det(den) ** ext.weight
+    P = np.linalg.solve(den, ext.gamma.C.astype(complex))
+    S_mu = pushforward_matrix(ext.mu, point)
+    fval = ext.f.value(base)
+    fgrad = ext.f.gradient(base)
+    out = np.empty(omega_size(ext.g), dtype=complex)
+    chain = S_mu @ fgrad
+    for pos in range(out.size):
+        T = coords_to_sym(S_mu[pos, :], ext.g)
+        out[pos] = det_pow * (ext.weight * np.trace(P @ T) * fval
+                              + chain[pos])
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_extension_gradient_matches_loop(g):
+    rng = np.random.default_rng(90 + g)
+    for weight, point in zip((0, 2, 4, 6), _draws(g, 4)):
+        ext = ModularExtension(random_test_function(g, rng), weight,
+                               random_symplectic(g, 3, rng))
+        # fresh points, so neither side reads what the other memoized
+        again = SiegelPoint(g, point.X, point.Y)
+        assert (ext.gradient(point).tobytes()
+                == _extension_gradient_loop(ext, again).tobytes())
 
 
 # ------------------------------------------------------------ dZ algebra

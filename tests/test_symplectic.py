@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,38 @@ def test_point_rejects_non_finite_entries(part, bad):
     blocks[part][1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         SiegelPoint(2, blocks["X"], blocks["Y"])
+
+
+@pytest.mark.parametrize("X", [
+    [[1e308]],
+    [[1e308, 1.5e308], [1.5e308, -1.7e308]],
+    [[1.7976931348623157e308, -0.0], [-0.0, 5e-324]],
+], ids=["1x1", "2x2", "extremes"])
+def test_symmetric_entries_near_the_largest_float_keep_their_bits(X):
+    X = np.array(X)
+    Y = np.eye(len(X))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = SiegelPoint(len(X), X, Y)
+    assert point.X.tobytes() == X.tobytes()
+    assert point.Y.tobytes() == Y.tobytes()
+
+
+def test_near_symmetric_entries_near_the_largest_float_stay_finite():
+    a = 1.7e308
+    b = np.nextafter(a, np.inf)
+    X = np.array([[a, a], [b, -a]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = SiegelPoint(2, X, np.eye(2))
+    assert np.isfinite(point.X).all()
+    assert np.array_equal(point.X, point.X.T)
+    assert point.X[0, 1] in (a, b)
+    # far from symmetric, a - b overflows and is rejected, not accepted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            SiegelPoint(2, np.array([[0.0, a], [-a, 0.0]]), np.eye(2))
 
 
 @pytest.mark.parametrize("defect, match", [
@@ -248,6 +281,28 @@ def test_json_round_trips():
     data = json.loads(gamma.to_json())
     assert set(data) == {"g", "A", "B", "C", "D"}
     assert all(isinstance(v, int) for row in data["A"] for v in row)
+
+
+@pytest.mark.parametrize("cls, blocks", [
+    (SiegelPoint, '"X": [[0.0]], "Y": [[1.0]]'),
+    (SymplecticElement, '"A": [[1]], "B": [[0]], "C": [[0]], "D": [[1]]'),
+])
+@pytest.mark.parametrize("text, match", [
+    ('"hello"', "expected a JSON object"),
+    ("[1, 2]", "expected a JSON object"),
+    ('{{"g": null, {blocks}}}', "g must be an integer"),
+    ('{{"g": true, {blocks}}}', "g must be an integer"),
+    ('{{"g": 1.7, {blocks}}}', "g must be an integer"),
+    ('{{"g": 1.0, {blocks}}}', "g must be an integer"),
+    ('{{{blocks}, "g": 1, "{first}": {{"a": 1}}}}', "not a matrix of numbers"),
+])
+def test_json_rejects_what_is_not_an_object_of_degree_and_blocks(
+        cls, blocks, text, match):
+    # the later duplicate key replaces the first block
+    text = text.format(blocks=blocks, first=blocks[1])
+    with pytest.raises(ValueError, match=match):
+        cls.from_json(text)
+    assert cls.from_json(f'{{"g": 1, {blocks}}}').g == 1
 
 
 def test_degenerate_cocycle_raises():
