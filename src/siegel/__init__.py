@@ -4,18 +4,19 @@ an exact coefficient match."""
 
 __version__ = "0.1.0"
 
+from .indexing import omega_list
 from .symplectic import (SiegelPoint, SymplecticElement, GeneratorWord,
                          DimensionError, DegeneracyError, is_symplectic, act,
                          cocycle, im_of_action, tangent_pushforward,
+                         pushforward_matrix, pushforward_matrix_derivative,
                          random_symplectic, random_point)
-from .metric import (MetricPair, enumerate_omega, metric_W, metric_M,
-                     metric_pair, sigma, dM_dZ)
-from .connection import (ConnectionTable, FormCocycle, gamma_closed,
-                         gamma_from_metric, form_cocycle, ds_directional,
+from .metric import MetricPair, metric_pair, sigma, dM_dZ
+from .connection import (ConnectionTable, gamma_closed, gamma_from_metric,
                          mcc_residual, apply_D, d_f_detk, d_trace_form,
                          equivariance_residual, invariance_residual,
                          kron_trace)
-from .forms import FormPolynomial, det_dz, trace_form, max_coefficient_diff
+from .forms import (FormPolynomial, det_dz, trace_form, max_coefficient_diff,
+                    substitute_basis)
 from .functions import TestFunction, random_test_function
 from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
                         ImInverseField, PolynomialMatrixField,

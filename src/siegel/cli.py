@@ -8,6 +8,7 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -187,6 +188,8 @@ def _cmd_serre(args) -> int:
 
 def _cmd_anomaly(args) -> int:
     z = _parse_complex(args.z)
+    if not cmath.isfinite(z):
+        raise UsageError(f"--z must be finite, got {args.z!r}")
     if z.imag <= 0:
         raise UsageError("--z must lie in the upper half plane")
     if args.gamma not in SL2_WORDS:

@@ -36,15 +36,17 @@ derivatives per point, kept on the point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
 from .functions import (ConstFunction, ProductFunction, PullbackFunction,
-                        TestFunction, coefficient_gradient,
+                        ScaledFunction, TestFunction, coefficient_gradient,
                         coefficient_value)
 from .indexing import (Pair, entry_positions, n_index, omega_list,
                        omega_size, row_col_indices, sym_to_coords)
@@ -243,27 +245,6 @@ def _bullet_values(p: int, q: int, I: Pair, J: Pair, R) -> list[complex]:
     return out
 
 
-@dataclass(frozen=True)
-class FormCocycle:
-    """Row-convention coordinate cocycle: (dW_I)_I = (dZ_I)_I . S, with S
-    the read-only pushforward_matrix(gamma, point)."""
-
-    gamma: SymplecticElement
-    point: SiegelPoint
-    S: np.ndarray
-
-
-def form_cocycle(gamma: SymplecticElement, point: SiegelPoint) -> FormCocycle:
-    """Alias of pushforward_matrix, kept with its gamma and point."""
-    return FormCocycle(gamma, point, pushforward_matrix(gamma, point))
-
-
-def ds_directional(gamma: SymplecticElement, point: SiegelPoint,
-                   V: np.ndarray) -> np.ndarray:
-    """Exact directional derivative of Z -> S(gamma, Z) along symmetric V."""
-    return pushforward_matrix_derivative(gamma, point, V)
-
-
 def connection_matrix_contracted(table: ConnectionTable,
                                  coords: np.ndarray) -> np.ndarray:
     """omega(V): entry (I, J) is sum_K Gamma_IK^J coords_K (I row, J column)."""
@@ -282,7 +263,7 @@ def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
     so only a scale-aware defect supports a fixed tolerance.
     """
     S = pushforward_matrix(gamma, point)
-    dS = ds_directional(gamma, point, V)
+    dS = pushforward_matrix_derivative(gamma, point, V)
     image = act(gamma, point)
     coords = sym_to_coords(np.asarray(V, dtype=complex))
     coords_image = coords @ S
@@ -445,13 +426,6 @@ def kron_trace(A, B, C, D) -> complex:
     return complex(np.einsum("ij,kl,lk,ji->", A, B, C, D))
 
 
-def gamma_transform_form(gamma: SymplecticElement, point: SiegelPoint,
-                         form: FormPolynomial) -> FormPolynomial:
-    """Numeric pullback: dZ_K -> sum_L S[L, K] dZ_L at the given point.
-    Coefficients must already be numbers (evaluated at gamma(Z))."""
-    return substitute_basis(form, pushforward_matrix(gamma, point))
-
-
 class _CocycleEntryFunction:
     """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient.  S and its
     coordinate derivatives are kept on the point, so the entry functions
@@ -475,9 +449,6 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
     """Substitution action on a function-coefficient form: coefficients are
     pulled back through gamma, generators transform through the cocycle.
     The result keeps function coefficients."""
-    import numbers
-    from itertools import product
-
     m = omega_size(g)
     terms: dict = {}
     for mono, coef in form.terms.items():
@@ -513,7 +484,7 @@ def equivariance_residual(table_fn, gamma: SymplecticElement,
     lhs = apply_D(table_fn(point), gamma_act_on_form(gamma, point.g, form))
     # gamma . (D form): evaluate D(form) at gamma(Z), transport the basis
     d_at_image = apply_D(table_fn(image), form)
-    rhs = gamma_transform_form(gamma, point, d_at_image)
+    rhs = substitute_basis(d_at_image, pushforward_matrix(gamma, point))
     return max_coefficient_diff(lhs, rhs) / _coefficient_scale(lhs, rhs)
 
 
@@ -548,7 +519,6 @@ def invariance_residual(table_fn, gamma: SymplecticElement,
 
 def _f_det_form(f, k: int, g: int) -> FormPolynomial:
     """f . det(dZ)^k with the scalar function folded into each coefficient."""
-    from .functions import ScaledFunction
     if k == 0:
         out = FormPolynomial.scalar(g, 1.0 + 0j)
     else:

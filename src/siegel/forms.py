@@ -21,8 +21,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .functions import SumFunction, ProductFunction, ScaledFunction
-from .indexing import Pair, entry_positions, n_index, omega_size
+from .functions import (ConstFunction, ProductFunction, ScaledFunction,
+                        SumFunction, coefficient_value)
+from .indexing import Pair, entry_positions, n_index, omega_list, omega_size
 
 Monomial = tuple[int, ...]
 
@@ -42,7 +43,6 @@ def _coef_add(a, b):
     a_number, b_number = _is_number(a), _is_number(b)
     if a_number and b_number:
         return complex(a) + complex(b)
-    from .functions import ConstFunction
     g = a.g if not a_number else b.g
     if a_number:
         a = ConstFunction(g, a)
@@ -143,7 +143,6 @@ class FormPolynomial:
 
     def evaluate_coefficients(self, point) -> "FormPolynomial":
         """Collapse point-function coefficients to numbers at a point."""
-        from .functions import coefficient_value
         return FormPolynomial.canonical(
             self.g,
             {m: coefficient_value(c, point) for m, c in self.terms.items()})
@@ -198,7 +197,6 @@ def _perm_sign(perm) -> float:
 def trace_form(Gmat, g: int) -> FormPolynomial:
     """Tr(G dZ) = sum_ij G_ij dZ_ji as a degree-1 form.  G may hold numbers
     or point functions; it must be symmetric."""
-    from .indexing import omega_list
     terms: dict = {}
     for pos, (i, j) in enumerate(omega_list(g)):
         entry = Gmat[i - 1][j - 1] if isinstance(Gmat, list) else Gmat[i - 1, j - 1]

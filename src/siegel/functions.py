@@ -66,10 +66,6 @@ class QC:
         return complex(self.re) + 1j * complex(self.im)
 
 
-def _point_matrix(point) -> np.ndarray:
-    return point.Z if isinstance(point, SiegelPoint) else np.asarray(point)
-
-
 class TestFunction:
     """Sparse polynomial in {Z_I} and {conj Z_I}, I in Omega.
 
@@ -190,28 +186,24 @@ class TestFunction:
         lowered = holo - np.eye(self.m, dtype=np.int64)[:, None, :]
         return np.maximum(lowered, 0), anti, coef * holo.T
 
-    def value(self, point) -> complex:
+    def value(self, point: SiegelPoint) -> complex:
         """The value at a point or at every point of a stack, computed
         once per point object (kept on the point) and read-only."""
-        if isinstance(point, SiegelPoint):
-            return point.derived(_test_value, self)
-        return _test_value(self, point)
+        return point.derived(_test_value, self)
 
-    def gradient(self, point) -> np.ndarray:
+    def gradient(self, point: SiegelPoint) -> np.ndarray:
         """The holomorphic coordinate gradient, kept and read-only as the
         value is."""
-        if isinstance(point, SiegelPoint):
-            return point.derived(_test_gradient, self)
-        return _test_gradient(self, point)
+        return point.derived(_test_gradient, self)
 
 
-def _test_value(fn: TestFunction, point) -> complex:
-    coords = sym_to_coords(_point_matrix(point))[..., None, :]
+def _test_value(fn: TestFunction, point: SiegelPoint) -> complex:
+    coords = sym_to_coords(point.Z)[..., None, :]
     return _evaluate(coords, *fn._compiled)
 
 
-def _test_gradient(fn: TestFunction, point) -> np.ndarray:
-    coords = sym_to_coords(_point_matrix(point))[..., None, None, :]
+def _test_gradient(fn: TestFunction, point: SiegelPoint) -> np.ndarray:
+    coords = sym_to_coords(point.Z)[..., None, None, :]
     return _evaluate(coords, *fn._compiled_gradient())
 
 
@@ -234,7 +226,7 @@ class ConstFunction:
         self._value = complex(value)
 
     def value(self, point) -> complex:
-        return np.full(np.shape(_point_matrix(point))[:-2], self._value)[()]
+        return np.full(point.X.shape[:-2], self._value)[()]
 
     def gradient(self, point) -> np.ndarray:
         return np.zeros(omega_size(self.g), dtype=complex)

@@ -20,17 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import (Pair, basis_matrix, basis_stack, n_index,
-                       omega_list, row_col_indices, sigma)
+from .indexing import (Pair, basis_stack, n_index, omega_list,
+                       row_col_indices, sigma)
 from .symplectic import DegeneracyError, SiegelPoint
-
-# re-exported: enumerate_omega is the public name for the ordered index set
-enumerate_omega = omega_list
-
-__all__ = [
-    "MetricPair", "enumerate_omega", "metric_W", "metric_M", "metric_pair",
-    "sigma", "dM_dZ", "dM_tensor", "dW_tensor", "dR_dZ", "metric_form",
-]
 
 
 def _power_table(g: int) -> np.ndarray:
@@ -67,8 +59,8 @@ def _metric_arrays(point: SiegelPoint) -> tuple:
     Y = point.Y
     if (np.linalg.cond(Y) > 1e12).any():
         raise DegeneracyError("imaginary part is numerically singular")
-    cho = np.linalg.cholesky(Y)
-    inv_cho = np.linalg.inv(cho)
+    # the Cholesky factor of Y that validating the point computed
+    inv_cho = np.linalg.inv(point.cholesky)
     R = inv_cho.swapaxes(-1, -2) @ inv_cho
     # one Newton step tightens the inverse near degenerate points
     R = R @ (2.0 * np.eye(g) - Y @ R)
@@ -87,29 +79,16 @@ def metric_pair(point: SiegelPoint) -> MetricPair:
     return MetricPair(point, *point.derived(_metric_arrays))
 
 
-def metric_W(point: SiegelPoint) -> np.ndarray:
-    """Alias of metric_pair(point).W."""
-    return metric_pair(point).W
-
-
-def metric_M(point: SiegelPoint) -> np.ndarray:
-    """Alias of metric_pair(point).M."""
-    return metric_pair(point).M
-
-
 def metric_form(point: SiegelPoint, V1: np.ndarray, V2: np.ndarray) -> complex:
     """The invariant Hermitian pairing Tr(Y^{-1} V1 Y^{-1} conj(V2))."""
     R = metric_pair(point).R
     return complex(np.trace(R @ V1 @ R @ np.conj(V2)))
 
 
-def dR_dZ(point: SiegelPoint, J: Pair, R: np.ndarray | None = None) -> np.ndarray:
-    """Holomorphic derivative of R = Y^{-1} along coordinate J:
-    (i/2) R E_J R."""
-    if R is None:
-        R = metric_pair(point).R
-    E = basis_matrix(J, point.g)
-    return 0.5j * (R @ E @ R)
+def dR_tensor(R: np.ndarray) -> np.ndarray:
+    """dR[c] = dR/dZ_{I_c} = (i/2) R E_c R, the holomorphic derivative of
+    R = Y^{-1} along every coordinate, for one R."""
+    return 0.5j * (R @ basis_stack(R.shape[-1]) @ R)
 
 
 def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
@@ -140,9 +119,7 @@ def dW_tensor(pair: MetricPair) -> np.ndarray:
     """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3."""
     g = pair.point.g
     R = pair.R
-    # dR[..., c] = (i/2) R E_c R, the derivative of R along coordinate c
-    dR = np.moveaxis(0.5j * (R @ basis_stack(g) @ R), 0, -1)
-    out = _pair_gram_derivative(dR, R)
+    out = _pair_gram_derivative(np.moveaxis(dR_tensor(R), 0, -1), R)
     out *= _power_table(g)[..., None]
     return out
 

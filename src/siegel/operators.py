@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import _point_matrix, coefficient_value, fd_gradient
-from .indexing import (basis_matrix, coords_to_sym, omega_list, omega_size,
-                       row_col_indices)
-from .metric import metric_pair
+from .functions import coefficient_value, fd_gradient
+from .indexing import coords_to_sym, omega_size, row_col_indices
+from .metric import dR_tensor, metric_pair
+from .qseries import evaluate, g2_series
 from .symplectic import (SiegelPoint, SymplecticElement, act, cocycle,
                          pushforward_matrix)
 
@@ -59,13 +59,9 @@ class _ImInverseEntry:
         return complex(1j * metric_pair(point).R[self.p - 1, self.q - 1])
 
     def gradient(self, point) -> np.ndarray:
-        # d(i R)/dZ_J = i (i/2) R E_J R = -(1/2) R E_J R
-        R = metric_pair(point).R
-        out = np.empty(omega_size(self.g), dtype=complex)
-        for pos, pair in enumerate(omega_list(self.g)):
-            E = basis_matrix(pair, self.g)
-            out[pos] = -0.5 * (R @ E @ R)[self.p - 1, self.q - 1]
-        return out
+        # d(i R)/dZ_J = i dR/dZ_J
+        dR = dR_tensor(metric_pair(point).R)
+        return 1j * dR[:, self.p - 1, self.q - 1]
 
 
 class PolynomialMatrixField:
@@ -111,17 +107,15 @@ class QSeriesFunction:
         self.series = series.truncate(n_terms) if n_terms else series
         self.theta_series = self.series.theta()
 
-    def value(self, point) -> complex:
-        from .qseries import evaluate
-        zs = _point_matrix(point)[..., 0, 0]
+    def value(self, point: SiegelPoint) -> complex:
+        zs = point.Z[..., 0, 0]
         values = [evaluate(self.series, complex(z)) for z in zs.flat]
         return np.array(values).reshape(zs.shape)[()]
 
-    def gradient(self, point) -> np.ndarray:
+    def gradient(self, point: SiegelPoint) -> np.ndarray:
         """The gradient at a point, or at every point of a stack, with
         shape (..., 1)."""
-        from .qseries import evaluate
-        zs = _point_matrix(point)[..., 0, 0]
+        zs = point.Z[..., 0, 0]
         values = [2j * np.pi * evaluate(self.theta_series, complex(z))
                   for z in zs.flat]
         return np.array(values).reshape(zs.shape + (1,))
@@ -130,7 +124,6 @@ class QSeriesFunction:
 def ig2_field(n_terms: int = 300) -> ScalarFunctionField:
     """The holomorphic degree-one field i G2 = i (pi/3) E2, evaluated from
     its q-expansion."""
-    from .qseries import evaluate, g2_series
     tagged = g2_series(n_terms)
     return ScalarFunctionField(lambda z: 1j * evaluate(tagged, z))
 
@@ -226,8 +219,8 @@ def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
 
 def _transform_frame(gamma: SymplecticElement, point: SiegelPoint):
     j = cocycle(gamma, point)
-    jt = point.Z @ gamma.C.T + gamma.D.T
-    return j, jt, complex(np.linalg.det(j))
+    # Z C^t + D^t, as Z is symmetric
+    return j, j.T, complex(np.linalg.det(j))
 
 
 def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,

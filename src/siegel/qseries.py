@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .symplectic import DegeneracyError
+
 
 class TruncationError(ArithmeticError):
     """Requested evaluation cannot meet the tail tolerance."""
@@ -390,13 +392,26 @@ SL2_WORDS = {
 
 def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
                      n: int = 300) -> float:
-    """|i G2(gamma z)/(cz+d)^2 - i G2(z) - 2c/(cz+d)| at a point."""
+    """|i G2(gamma z)/(cz+d)^2 - i G2(z) - 2c/(cz+d)| at a point.
+
+    ValueError for a z that is not finite; DegeneracyError when gamma z
+    leaves the representable upper half plane (not finite, or its
+    imaginary part rounds to 0) or (cz+d)^2 overflows or rounds to 0."""
     a, b, c, d = abcd
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
+    if not cmath.isfinite(z):
+        raise ValueError(f"evaluation point must be finite, got {z}")
     g2 = g2_series(n)
     den = c * z + d
     gz = (a * z + b) / den
-    lhs = 1j * evaluate(g2, gz) / den ** 2
+    if not (cmath.isfinite(gz) and gz.imag > 0):
+        raise DegeneracyError(f"image {gz} of {z} is not in the "
+                              f"representable upper half plane")
+    factor = den * den  # inf past the float range, where ** would raise
+    if factor == 0 or not cmath.isfinite(factor):
+        raise DegeneracyError(f"automorphy factor (cz+d)^2 at {z} is not "
+                              f"representable")
+    lhs = 1j * evaluate(g2, gz) / factor
     rhs = 1j * evaluate(g2, z) + 2.0 * c / den
     return abs(lhs - rhs)

@@ -14,7 +14,7 @@ they are applied to a point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,11 +75,11 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
 
 
 def _validated(g: int, X, Y, tol: float = 1e-12
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized, read-only X and Y after one batched pass of checks over
-    every point of a stack: finite entries, symmetry against tol times the
-    entry scale, and Y > 0 by the same relative test on its leading
-    principal minors."""
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetrized, read-only X and Y, and the read-only lower Cholesky
+    factor of Y, after one batched pass of checks over every point of a
+    stack: finite entries, symmetry against tol times the entry scale, and
+    Y > 0 by the same relative test on its leading principal minors."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
@@ -118,7 +118,8 @@ def _validated(g: int, X, Y, tol: float = 1e-12
         raise ValueError(f"imaginary part is not positive definite "
                          f"(leading minor {bad[-1] + 1} = {minors[bad]:.3e})"
                          f"{_at(bad[:-1])}")
-    return X, Y
+    L.setflags(write=False)
+    return X, Y, L
 
 
 def _json_object(text: str, *keys: str) -> tuple[int, dict]:
@@ -136,8 +137,19 @@ def _json_object(text: str, *keys: str) -> tuple[int, dict]:
 
 
 def _json_array(data: dict, key: str, dtype) -> np.ndarray:
+    """data[key] as an array; its entries must be JSON integers for an
+    integer dtype and JSON numbers else (a bool, a string or null is not
+    coerced)."""
+    integer = np.issubdtype(dtype, np.integer)
+    entries = np.array(data[key], dtype=object)
+    for entry in entries.flat:
+        if type(entry) not in ((int,) if integer else (int, float)):
+            # a bool is an int to isinstance
+            raise ValueError(f"{key} is not a matrix of numbers: {entry!r} "
+                             f"is not a JSON "
+                             f"{'integer' if integer else 'number'}")
     try:
-        return np.array(data[key], dtype=dtype)
+        return entries.astype(dtype)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{key} is not a matrix of numbers ({exc})") from None
 
@@ -150,17 +162,21 @@ class SiegelPoint:
     Points compare and hash by identity: their entries are floats.  Each
     point keeps one memo of what is derived from it: its images under the
     action, its cocycles, its metric and the values of test functions at
-    it (see ``derived``).  Z, X, Y and every memoized array are read-only.
+    it (see ``derived``).  ``cholesky`` is the lower Cholesky factor of Y
+    that validation computed.  Z, X, Y, the factor and every memoized
+    array are read-only.
     """
 
     g: int
     X: np.ndarray
     Y: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X, Y = _validated(self.g, self.X, self.Y)
+        X, Y, L = _validated(self.g, self.X, self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "cholesky", L)
 
     @cached_property
     def Z(self) -> np.ndarray:
@@ -434,10 +450,35 @@ def cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
     return point.derived(_cocycle, gamma)
 
 
-def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
-    Z, den = point.Z, point.derived(_cocycle, gamma)
-    if (np.linalg.cond(den) > COND_LIMIT).any():
+def _cocycle_condition(gamma: SymplecticElement,
+                       point: SiegelPoint) -> np.ndarray:
+    cond = np.linalg.cond(point.derived(_cocycle, gamma))
+    if (cond > COND_LIMIT).any():
         raise DegeneracyError("cocycle factor is numerically singular")
+    if isinstance(cond, np.ndarray):  # not the scalar of one point
+        cond.setflags(write=False)
+    return cond
+
+
+def cocycle_condition(gamma: SymplecticElement,
+                      point: SiegelPoint) -> np.ndarray:
+    """cond(C Z + D) (one per point of a stack); DegeneracyError when any
+    exceeds COND_LIMIT.  Tested once per (gamma, point) and kept on the
+    point; the action and the pushforward rely on this test."""
+    return point.derived(_cocycle_condition, gamma)
+
+
+def _cocycle_inverse(gamma: SymplecticElement,
+                     point: SiegelPoint) -> np.ndarray:
+    point.derived(_cocycle_condition, gamma)
+    Q = np.linalg.inv(point.derived(_cocycle, gamma))
+    Q.setflags(write=False)
+    return Q
+
+
+def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
+    point.derived(_cocycle_condition, gamma)
+    Z, den = point.Z, point.derived(_cocycle, gamma)
     num = gamma.A @ Z + gamma.B
     den_t = _mT(den)
     W = _mT(np.linalg.solve(den_t, _mT(num)))
@@ -480,10 +521,9 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
     V = np.asarray(V, dtype=complex)
     if np.abs(V - V.T).max() > 1e-12 * max(1.0, np.abs(V).max()):
         raise ValueError("tangent matrix must be symmetric")
-    Z, den = point.Z, point.derived(_cocycle, gamma)
-    left = Z @ gamma.C.T + gamma.D.T
-    out = np.linalg.solve(left, V)
-    out = np.linalg.solve(den.T, out.T).T
+    den_t = point.derived(_cocycle, gamma).T  # Z C^t + D^t, Z symmetric
+    out = np.linalg.solve(den_t, V)
+    out = np.linalg.solve(den_t, out.T).T
     return (out + out.T) / 2.0
 
 
@@ -501,10 +541,7 @@ def _symmetrized_rows(outer: np.ndarray) -> np.ndarray:
 
 def _pushforward_matrix(gamma: SymplecticElement,
                         point: SiegelPoint) -> np.ndarray:
-    den = point.derived(_cocycle, gamma)
-    if np.linalg.cond(den) > COND_LIMIT:
-        raise DegeneracyError("cocycle factor is numerically singular")
-    Q = np.linalg.inv(den)
+    Q = point.derived(_cocycle_inverse, gamma)
     ii, jj = row_col_indices(point.g)
     S = _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
     S.setflags(write=False)
@@ -524,8 +561,9 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
                                   point: SiegelPoint,
                                   V: np.ndarray) -> np.ndarray:
     """Directional derivative of Z -> S(gamma, Z) along the symmetric V,
-    from d(C Z + D)^{-1} = -(C Z + D)^{-1} C V (C Z + D)^{-1}."""
-    Q = np.linalg.inv(point.derived(_cocycle, gamma))
+    from d(C Z + D)^{-1} = -(C Z + D)^{-1} C V (C Z + D)^{-1}, with the
+    inverse that pushforward_matrix keeps on the point."""
+    Q = point.derived(_cocycle_inverse, gamma)
     dQ = -Q @ (gamma.C @ np.asarray(V, dtype=complex)) @ Q
     ii, jj = row_col_indices(point.g)
     outer = (dQ[ii, :, None] * Q[jj, None, :]

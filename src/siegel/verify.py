@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .connection import (apply_D, case_analysis_residual, d_det_closed,
-                         d_dz_closed, d_f_detk, d_trace_form, ds_directional,
+                         d_dz_closed, d_f_detk, d_trace_form,
                          equivariance_residual, gamma_closed,
                          gamma_from_metric, invariance_residual, kron_trace,
                          mcc_residual, _f_det_form)
@@ -36,8 +36,9 @@ from .qseries import (QSeries, SL2_WORDS, ModularBasis, anomaly_residual,
                       bracket1_classical, delta, dim_modular_forms,
                       eisenstein, evaluate, membership_in_Mw,
                       serre_derivative)
-from .symplectic import (SiegelPoint, act, cocycle,
-                         pushforward_matrix, random_point, random_symplectic,
+from .symplectic import (SiegelPoint, act, cocycle, cocycle_condition,
+                         pushforward_matrix, pushforward_matrix_derivative,
+                         random_point, random_symplectic,
                          tangent_pushforward)
 
 SUITES = ("metric", "connection", "operators", "qseries")
@@ -171,8 +172,8 @@ def _conditioned_pair(rng, g: int, max_word: int = 6, cap: float = 1e5,
     for _ in range(attempts):
         gamma = random_symplectic(g, int(rng.integers(0, max_word + 1)), rng)
         point = random_point(g, rng)
-        den = gamma.C @ point.Z + gamma.D
-        product = np.linalg.cond(den) * np.linalg.cond(act(gamma, point).Y)
+        product = (cocycle_condition(gamma, point)
+                   * np.linalg.cond(act(gamma, point).Y))
         if product < best_product:
             best, best_product = (gamma, point), product
         if product <= cap:
@@ -337,7 +338,7 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                    pushforward_cocycle)
 
             def ds_fd():
-                dS = ds_directional(g1, point, V)
+                dS = pushforward_matrix_derivative(g1, point, V)
                 h = 1e-6 * (1.0 + float(np.abs(point.Z).max()))
                 re, im = V.real, V.imag
                 Sp = pushforward_matrix(g1, SiegelPoint(
@@ -488,10 +489,9 @@ def operators_suite(g_range: tuple[int, int], seed: int,
             def pairing():
                 grad = sym_gradient(f, point)
                 worst = 0.0
-                for pair in omega_list(g):
+                for pos, pair in enumerate(omega_list(g)):
                     E = basis_matrix(pair, g, dtype=complex)
-                    direct = (f.gradient(point)
-                              [omega_list(g).index(pair)])
+                    direct = f.gradient(point)[pos]
                     worst = max(worst,
                                 abs(np.trace(grad @ E) - direct))
                 return worst

@@ -197,12 +197,32 @@ def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
     ("anomaly", "--z", "0.1+1i", "--terms", "0"),
     ("anomaly", "--z", "0.1+1i", "--tol", "nan"),
     ("anomaly", "--z", "0.1+1i", "--tol", "0"),
+    ("anomaly", "--z", "nan+1i"),
+    ("anomaly", "--z", "0+nani"),
+    ("anomaly", "--z", "nan+nani", "--gamma", "T"),
 ])
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("z, gamma", [
+    ("1e200+1i", "S"),      # Im(-1/z) rounds to 0
+    ("1e308+1e308i", "S"),  # -1/z rounds to 0
+    ("0+5e-324i", "S"),     # -1/z overflows
+    ("0+5e-324i", "W"),     # Im((z + 1)/(z + 2)) rounds to 0
+    ("0+1e-300i", "S"),     # (cz+d)^2 rounds to 0
+    ("0+1e300i", "ST"),     # (cz+d)^2 overflows
+])
+def test_anomaly_image_outside_the_upper_half_plane_exits_3(capsys, z,
+                                                            gamma):
+    code, out, err = run_cli(capsys, "anomaly", "--z", z, "--gamma", gamma)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: numerical degeneracy: ")
 
 
 def test_verify_degenerate_action_image_exits_3(capsys):
@@ -399,6 +419,10 @@ def test_metric_output_spells_non_finite_values_as_json(monkeypatch,
                  id="integer-beyond-float"),
     '{"g": 1, "X": [[0.0]]}',
     '{"g": 1, "X": [[0.0]], "Y": [[1.0]]',
+    '{"g": 1, "X": [["0.5"]], "Y": [[1.0]]}',
+    '{"g": 1, "X": [[0.5]], "Y": [[true]]}',
+    '{"g": 1, "X": [[null]], "Y": [[1.0]]}',
+    '{"g": 2, "X": [[0.0, 0.0], [0.0, false]], "Y": [[1, 0], [0, 1]]}',
 ])
 def test_malformed_point_files_are_usage_errors(tmp_path, capsys, command,
                                                 text):

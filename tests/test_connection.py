@@ -3,19 +3,19 @@ import pytest
 
 from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                d_dz_closed, d_f_detk, d_trace_form,
-                               ds_directional, equivariance_residual,
-                               form_cocycle, gamma_closed, gamma_from_metric,
-                               gamma_transform_form, invariance_residual,
+                               equivariance_residual, gamma_closed,
+                               gamma_from_metric, invariance_residual,
                                kron_trace, mcc_residual, _f_det_form)
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
-                          trace_form)
+                          substitute_basis, trace_form)
 from siegel.functions import ConstFunction, TestFunction, \
     random_test_function
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import metric_pair
 from siegel.operators import ImInverseField
 from siegel.symplectic import (SiegelPoint, SymplecticElement, act,
-                               pushforward_matrix, random_point,
+                               pushforward_matrix,
+                               pushforward_matrix_derivative, random_point,
                                random_symplectic)
 
 
@@ -96,12 +96,12 @@ def test_symmetry_and_sparsity(g):
 def test_form_cocycle_basics():
     point = random_point(2, seed=21)
     B = np.array([[1, 0], [0, -2]])
-    S = form_cocycle(SymplecticElement.translation(B), point).S
+    S = pushforward_matrix(SymplecticElement.translation(B), point)
     np.testing.assert_allclose(S, np.eye(3), atol=1e-14)
 
     z = 0.2 + 0.9j
-    S1 = form_cocycle(SymplecticElement.inversion(1),
-                      SiegelPoint.from_complex(z)).S
+    S1 = pushforward_matrix(SymplecticElement.inversion(1),
+                            SiegelPoint.from_complex(z))
     assert abs(S1[0, 0] - 1 / z ** 2) < 1e-14
 
 
@@ -122,12 +122,14 @@ def test_cocycle_derivative():
     point = random_point(2, seed=31)
     B = np.array([[2, 1], [1, 0]])
     V = np.array([[0.5, 0.1], [0.1, -0.2]], dtype=complex)
-    dS = ds_directional(SymplecticElement.translation(B), point, V)
+    dS = pushforward_matrix_derivative(SymplecticElement.translation(B),
+                                       point, V)
     assert np.abs(dS).max() == 0.0
 
     z, v = 0.4 + 1.1j, 0.3 - 0.7j
-    got = ds_directional(SymplecticElement.inversion(1),
-                         SiegelPoint.from_complex(z), np.array([[v]]))
+    got = pushforward_matrix_derivative(SymplecticElement.inversion(1),
+                                        SiegelPoint.from_complex(z),
+                                        np.array([[v]]))
     assert abs(got[0, 0] - (-2 * v / z ** 3)) < 1e-13
 
 
@@ -137,7 +139,7 @@ def test_cocycle_derivative_finite_differences():
     point = random_point(2, rng)
     V = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     V = (V + V.T) / 2
-    dS = ds_directional(gamma, point, V)
+    dS = pushforward_matrix_derivative(gamma, point, V)
     h = 1e-6
     Sp = pushforward_matrix(gamma, SiegelPoint(2, point.X + h * V.real,
                                                point.Y + h * V.imag))
@@ -351,7 +353,7 @@ def test_gamma_transform_form_det_weight():
     rng = np.random.default_rng(121)
     gamma = random_symplectic(g, 5, rng)
     point = random_point(g, rng)
-    transformed = gamma_transform_form(gamma, point, det_dz(g))
+    transformed = substitute_basis(det_dz(g), pushforward_matrix(gamma, point))
     detj = np.linalg.det(gamma.C @ point.Z + gamma.D)
     expect = det_dz(g).scale(detj ** -2)
     assert max_coefficient_diff(transformed, expect) < 1e-12 * max(

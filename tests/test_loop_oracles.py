@@ -28,8 +28,8 @@ from siegel.functions import (ConstFunction, ProductFunction,
                               random_test_function)
 from siegel.indexing import (basis_matrix, coords_to_sym, delta, omega_list,
                              omega_size, row_col_indices, sym_to_coords)
-from siegel.metric import _power_table, dM_tensor, dR_dZ, dW_tensor, metric_pair
-from siegel.operators import ModularExtension
+from siegel.metric import _power_table, dM_tensor, dW_tensor, metric_pair
+from siegel.operators import ImInverseField, ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_matrix,
@@ -128,7 +128,7 @@ def _dW_loop(pair):
     powers = _power_table(g)
     out = np.empty((m, m, m), dtype=complex)
     for c, J in enumerate(omega_list(g)):
-        dR = dR_dZ(pair.point, J, R)
+        dR = 0.5j * (R @ basis_matrix(J, g) @ R)
         gram = (dR[np.ix_(ii, ii)] * R[np.ix_(jj, jj)]
                 + R[np.ix_(ii, ii)] * dR[np.ix_(jj, jj)]
                 + dR[np.ix_(jj, ii)] * R[np.ix_(ii, jj)]
@@ -161,6 +161,22 @@ def test_metric_derivatives_match_loop(g):
             # the einsums of paths A and B see the loop's memory layout
             assert got.flags.c_contiguous
             assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_im_inverse_entry_gradient_matches_loop(g):
+    # the entry gradient reads dR from the expression dW_tensor uses; the
+    # loop it replaced formed -(1/2) R E_J R per coordinate.  Equal in
+    # value: only the sign of a zero may differ
+    entries = ImInverseField().entry_matrix(g)
+    for point in _draws(g, 3):
+        R = metric_pair(point).R
+        for p, q in omega_list(g):
+            expected = np.array(
+                [-0.5 * (R @ basis_matrix(J, g) @ R)[p - 1, q - 1]
+                 for J in omega_list(g)], dtype=complex)
+            got = entries[p - 1][q - 1].gradient(point)
+            assert np.array_equal(got, expected)
 
 
 # ------------------------------------------------------------ cocycle

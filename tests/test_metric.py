@@ -3,44 +3,43 @@ import pytest
 
 from siegel.functions import fd_gradient
 from siegel.indexing import delta, n_index, omega_list, sym_to_coords
-from siegel.metric import (dM_dZ, dW_tensor, enumerate_omega, metric_M,
-                           metric_W, metric_form, metric_pair, sigma)
+from siegel.metric import dM_dZ, dW_tensor, metric_form, metric_pair, sigma
 from siegel.symplectic import SiegelPoint, act, random_point, \
     random_symplectic, tangent_pushforward
 
 
 def test_enumerate_omega_order_and_rank():
-    assert enumerate_omega(1) == [(1, 1)]
-    assert enumerate_omega(3) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
-                                  (3, 3)]
+    assert omega_list(1) == [(1, 1)]
+    assert omega_list(3) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
+                             (3, 3)]
     assert n_index((2, 3), 3) == 5
     assert n_index((2, 2), 3) == 4
     for g in range(1, 6):
-        pairs = enumerate_omega(g)
+        pairs = omega_list(g)
         assert len(pairs) == g * (g + 1) // 2
         for pos, pair in enumerate(pairs):
             assert n_index(pair, g) == pos + 1
     with pytest.raises(ValueError):
-        enumerate_omega(0)
+        omega_list(0)
 
 
 def test_gram_matrix_degree_one():
     y = 1.3
-    W = metric_W(SiegelPoint.from_complex(0.2 + 1j * y))
+    W = metric_pair(SiegelPoint.from_complex(0.2 + 1j * y)).W
     assert abs(W[0, 0] - 1 / (2 * y * y)) < 1e-14
 
 
 def test_gram_matrix_degree_two_identity():
     point = SiegelPoint(2, np.zeros((2, 2)), np.eye(2))
-    np.testing.assert_allclose(metric_W(point), np.diag([0.5, 1.0, 0.5]),
+    np.testing.assert_allclose(metric_pair(point).W, np.diag([0.5, 1.0, 0.5]),
                                atol=1e-15)
-    np.testing.assert_allclose(metric_M(point), np.diag([2.0, 1.0, 2.0]),
+    np.testing.assert_allclose(metric_pair(point).M, np.diag([2.0, 1.0, 2.0]),
                                atol=1e-15)
 
 
 def test_inverse_pair_degree_one():
     y = 0.8
-    M = metric_M(SiegelPoint.from_complex(1j * y))
+    M = metric_pair(SiegelPoint.from_complex(1j * y)).M
     assert abs(M[0, 0] - 2 * y * y) < 1e-14
 
 
@@ -60,7 +59,7 @@ def test_gram_positive_definite():
     for g in (1, 2, 3, 4, 5):
         for _ in range(10):
             assert np.linalg.eigvalsh(
-                metric_W(random_point(g, rng))).min() > 0
+                metric_pair(random_point(g, rng)).W).min() > 0
 
 
 def test_recombination_against_trace_form():
@@ -164,4 +163,5 @@ def test_gram_derivative_finite_differences():
 
 def test_degenerate_metric_rejected():
     with pytest.raises(ValueError):
-        metric_W(SiegelPoint(2, np.zeros((2, 2)), np.diag([1.0, 1e-14])))
+        metric_pair(SiegelPoint(2, np.zeros((2, 2)),
+                                np.diag([1.0, 1e-14]))).W

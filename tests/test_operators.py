@@ -3,6 +3,7 @@ import pytest
 
 from siegel.functions import TestFunction, fd_gradient, random_test_function
 from siegel.indexing import omega_list
+from siegel.metric import metric_pair
 from siegel.operators import (ImInverseField, ModularExtension,
                               PolynomialMatrixField, QSeriesFunction,
                               bracket1, bracket1_transform_residual,
@@ -12,6 +13,17 @@ from siegel.operators import (ImInverseField, ModularExtension,
 from siegel.qseries import eisenstein, evaluate, serre_derivative
 from siegel.symplectic import (SiegelPoint, SymplecticElement, act,
                                random_point, random_symplectic)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_im_inverse_entries_have_the_fd_gradient(g):
+    point = random_point(g, seed=60 + g)
+    entries = ImInverseField().entry_matrix(g)
+    for p, q in omega_list(g):
+        approx = fd_gradient(
+            lambda pt: 1j * metric_pair(pt).R[..., p - 1, q - 1], point)
+        exact = entries[p - 1][q - 1].gradient(point)
+        np.testing.assert_allclose(exact, approx, atol=1e-7)
 
 
 def test_sym_gradient_coordinates():

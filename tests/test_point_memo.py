@@ -14,7 +14,8 @@ from siegel.operators import ImInverseField
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_derivatives, pushforward_matrix,
-                               random_point, random_symplectic)
+                               pushforward_matrix_derivative, random_point,
+                               random_symplectic)
 
 
 def _count(monkeypatch, module, name):
@@ -105,3 +106,108 @@ def test_equal_elements_share_one_entry():
     assert act(twin, fresh).Z.tobytes() == act(gamma, point).Z.tobytes()
     assert (pushforward_matrix(twin, fresh).tobytes()
             == pushforward_matrix(gamma, point).tobytes())
+
+
+def _count_linalg(monkeypatch, name):
+    """The arrays that np.linalg.name runs on, in call order."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_cocycle_is_tested_and_inverted_once_per_element_and_point(
+        monkeypatch):
+    g = 3
+    rng = np.random.default_rng(21)
+    gamma = random_symplectic(g, 6, rng)
+    here, there = random_point(g, rng), random_point(g, rng)
+    tested = _count(monkeypatch, symplectic, "_cocycle_condition")
+    inverted = _count(monkeypatch, symplectic, "_cocycle_inverse")
+    conds = _count_linalg(monkeypatch, "cond")
+    invs = _count_linalg(monkeypatch, "inv")
+    for point in (here, there):
+        for _ in range(2):
+            act(gamma, point)
+            pushforward_matrix(gamma, point)
+            pushforward_derivatives(gamma, point)
+            pushforward_matrix_derivative(gamma, point, np.eye(g))
+    assert tested == [here, there] and inverted == [here, there]
+    assert len(conds) == len(invs) == 2
+    for calls in (conds, invs):
+        assert calls[0] is cocycle(gamma, here)
+        assert calls[1] is cocycle(gamma, there)
+    # in the other order the same single test and inverse serve act
+    fresh = SiegelPoint(g, here.X, here.Y)
+    pushforward_derivatives(gamma, fresh)
+    act(gamma, fresh)
+    pushforward_matrix(gamma, fresh)
+    assert tested[2:] == inverted[2:] == [fresh]
+    assert len(conds) == len(invs) == 3
+
+
+def test_kept_inverse_is_the_one_pushforward_uses():
+    g = 2
+    gamma = random_symplectic(g, 5, seed=6)
+    point = random_point(g, seed=6)
+    S = pushforward_matrix(gamma, point)
+    Q = point.derived(symplectic._cocycle_inverse, gamma)
+    assert Q is point.derived(symplectic._cocycle_inverse, gamma)
+    assert Q.tobytes() == np.linalg.inv(cocycle(gamma, point)).tobytes()
+    ii, jj = np.triu_indices(g)
+    assert S.tobytes() == symplectic._symmetrized_rows(
+        Q[ii, :, None] * Q[jj, None, :]).tobytes()
+
+
+def test_y_is_factored_once_per_point(monkeypatch):
+    factors = _count_linalg(monkeypatch, "cholesky")
+    rng = np.random.default_rng(9)
+    for g in (1, 3):
+        point = random_point(g, rng)
+        stack = SiegelPoint(g, np.stack([point.X, point.X]),
+                            np.stack([point.Y, 2.0 * point.Y]))
+        factored = [point.Y, stack.Y]
+        assert len(factors) == 2
+        assert all(a is b for a, b in zip(factors, factored))
+        for p in (point, stack):
+            metric.metric_pair(p)
+            ImInverseField().value(p)
+        gamma_closed(point)
+        assert len(factors) == 2
+        factors.clear()
+    # the kept factor is the one numpy gives for Y
+    assert point.cholesky.tobytes() == np.linalg.cholesky(point.Y).tobytes()
+
+
+def test_kept_factor_and_inverse_are_read_only():
+    g = 2
+    gamma = random_symplectic(g, 5, seed=2)
+    point = random_point(g, seed=2)
+    stack = SiegelPoint(g, np.stack([point.X, point.X]),
+                        np.stack([point.Y, point.Y]))
+    pushforward_matrix(gamma, point)
+    act(gamma, stack)
+    arrays = [point.cholesky, stack.cholesky,
+              point.derived(symplectic._cocycle_inverse, gamma),
+              symplectic.cocycle_condition(gamma, stack)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_a_failed_condition_test_is_not_kept(monkeypatch):
+    tested = _count(monkeypatch, symplectic, "_cocycle_condition")
+    inverted = _count(monkeypatch, symplectic, "_cocycle_inverse")
+    # C Z + D = -Z with cond(Z) about 2e12, above the limit of 1e12
+    point = SiegelPoint(2, 1e12 * np.ones((2, 2)), np.eye(2))
+    gamma = SymplecticElement.inversion(2)
+    for call in (act, pushforward_matrix, act, pushforward_derivatives):
+        with pytest.raises(DegeneracyError):
+            call(gamma, point)
+    assert tested == [point] * 4
+    assert inverted == [point] * 2

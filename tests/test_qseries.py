@@ -12,6 +12,7 @@ from siegel.qseries import (ModularBasis, QSeries, SL2_WORDS, TaggedSeries,
                             bracket1_classical, delta, dim_modular_forms,
                             eisenstein, evaluate, g2_series, membership_in_Mw,
                             serre_derivative)
+from siegel.symplectic import DegeneracyError
 
 
 def test_eisenstein_heads():
@@ -143,6 +144,26 @@ def test_g2_normalization_and_anomaly():
     for name, word in SL2_WORDS.items():
         for z in zs:
             assert anomaly_residual(word, z, 300) < 1e-6
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0),
+                               complex(0.0, math.nan),
+                               complex(math.inf, 1.0)])
+def test_anomaly_rejects_a_point_that_is_not_finite(z):
+    with pytest.raises(ValueError, match="must be finite"):
+        anomaly_residual(SL2_WORDS["S"], z, 300)
+
+
+@pytest.mark.parametrize("word, z, what", [
+    ("S", 1e200 + 1j, "image"),
+    ("W", 5e-324j, "image"),
+    ("S", 1e-300j, "automorphy factor"),
+    ("ST", 1e300j, "automorphy factor"),
+])
+def test_anomaly_image_outside_the_upper_half_plane_is_a_degeneracy(
+        word, z, what):
+    with pytest.raises(DegeneracyError, match=what):
+        anomaly_residual(SL2_WORDS[word], z, 300)
 
 
 def test_anomaly_translation_is_periodicity():

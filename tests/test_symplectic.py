@@ -305,6 +305,30 @@ def test_json_rejects_what_is_not_an_object_of_degree_and_blocks(
     assert cls.from_json(f'{{"g": 1, {blocks}}}').g == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"g": 1, "X": [["0.5"]], "Y": [[1.0]]}',
+    '{"g": 1, "X": [[0.5]], "Y": [[true]]}',
+    '{"g": 1, "X": [[0.5]], "Y": [[null]]}',
+    '{"g": 1, "X": [[0.5]], "Y": [[{"y": 1.0}]]}',
+])
+def test_point_json_entries_must_be_numbers(text):
+    with pytest.raises(ValueError, match="is not a JSON number"):
+        SiegelPoint.from_json(text)
+
+
+@pytest.mark.parametrize("A", ["1.7", "1.0", "true", '"1"', "null"])
+def test_element_json_blocks_must_be_integers(A):
+    text = f'{{"g": 1, "A": [[{A}]], "B": [[0]], "C": [[0]], "D": [[1]]}}'
+    with pytest.raises(ValueError, match="is not a JSON integer"):
+        SymplecticElement.from_json(text)
+
+
+def test_json_integers_are_numbers_for_points():
+    point = SiegelPoint.from_json('{"g": 1, "X": [[0]], "Y": [[2]]}')
+    assert point.X.dtype == point.Y.dtype == float
+    assert (point.X[0, 0], point.Y[0, 0]) == (0.0, 2.0)
+
+
 def test_degenerate_cocycle_raises():
     # force a huge condition number through the raw matrix path
     gamma = SymplecticElement.inversion(1)

@@ -77,3 +77,68 @@ def test_default_tolerances_documented_keys():
     assert TOLERANCES["mcc"] == 1e-8
     assert TOLERANCES["transform"] == 1e-7
     assert TOLERANCES["series"] == 1e-6
+
+
+# records per (suite, check) of the default job, siegel verify --suite all
+# --g 1..5 --seed 0, in the order each check first appears
+_DEFAULT_JOB = {
+    ("metric", "inverse_pair"): 500,
+    ("metric", "gram_positive_definite"): 50,
+    ("metric", "trace_form_recombination"): 50,
+    ("metric", "pairing_invariance"): 50,
+    ("metric", "inverse_derivative_fd"): 9,
+    ("connection", "path_agreement"): 80,
+    ("connection", "case_analysis"): 12,
+    ("connection", "symmetry_sparsity"): 12,
+    ("connection", "closed_form_degree_one"): 5,
+    ("connection", "modular_law"): 150,
+    ("connection", "cocycle_identity"): 30,
+    ("connection", "action_composition"): 30,
+    ("connection", "pushforward_cocycle"): 30,
+    ("connection", "cocycle_derivative_fd"): 30,
+    ("connection", "curvature_quadratic"): 12,
+    ("connection", "determinant_derivative"): 12,
+    ("connection", "scalar_det_power"): 21,
+    ("connection", "trace_form_derivative"): 12,
+    ("connection", "leibniz_rule"): 12,
+    ("connection", "kron_trace_identity"): 100,
+    ("connection", "equivariance"): 40,
+    ("connection", "det_power_invariance"): 40,
+    ("operators", "gradient_pairing"): 30,
+    ("operators", "nabla_transform"): 180,
+    ("operators", "nabla_transform_fd"): 180,
+    ("operators", "det_weight_factor"): 180,
+    ("operators", "extension_gradient_fd"): 30,
+    ("operators", "G_law_im_inverse"): 60,
+    ("operators", "default_field_consistency"): 15,
+    ("operators", "bracket_equal_weight"): 30,
+    ("operators", "bracket_antisymmetry"): 30,
+    ("operators", "bracket_defect_prediction"): 30,
+    ("operators", "bracket_weight_corrected"): 30,
+    ("operators", "ig2_transformation_law"): 5,
+    ("operators", "ig2_serre_match"): 5,
+    ("operators", "ig2_holomorphy"): 5,
+    ("qseries", "eisenstein_heads"): 1,
+    ("qseries", "weight_raising_e4"): 1,
+    ("qseries", "weight_raising_e6"): 1,
+    ("qseries", "weight_raising_delta"): 1,
+    ("qseries", "discriminant_relation"): 1,
+    ("qseries", "weight_raising_closure"): 9,
+    ("qseries", "weight_two_membership"): 1,
+    ("qseries", "basis_dimension"): 4,
+    ("qseries", "g2_anomaly"): 50,
+    ("qseries", "evaluate_modularity"): 12,
+    ("qseries", "bracket_cusp_membership"): 1,
+    ("qseries", "bracket_antisymmetry"): 1,
+}
+
+
+def test_default_job_counts():
+    report = run_suite("all", (1, 5), 0)
+    counts = {}
+    for record in report.records:
+        key = (record.suite, record.check)
+        counts[key] = counts.get(key, 0) + 1
+    assert len(report.records) == 2180 == sum(_DEFAULT_JOB.values())
+    assert list(counts.items()) == list(_DEFAULT_JOB.items())
+    assert report.summary == {"total": 2180, "passed": 2180, "failed": 0}
