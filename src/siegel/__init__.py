@@ -19,9 +19,8 @@ from .forms import (FormPolynomial, det_dz, trace_form, max_coefficient_diff,
                     substitute_basis)
 from .functions import TestFunction, random_test_function
 from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
-                        ImInverseField, PolynomialMatrixField,
-                        verify_nabla_transform, verify_G_law, bracket1,
-                        bracket1_transform_residual)
+                        ImInverseField, verify_nabla_transform, verify_G_law,
+                        bracket1, bracket1_transform_residual)
 from .qseries import (QSeries, TaggedSeries, eisenstein, g2_series, delta,
                       serre_derivative, bracket1_classical, evaluate,
                       membership_in_Mw, ModularBasis, anomaly_residual)

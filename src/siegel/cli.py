@@ -49,8 +49,13 @@ def _parse_g_range(text: str) -> tuple[int, int]:
 
 
 def _parse_complex(text: str) -> complex:
+    """A complex number written with a final i (or j) for the imaginary
+    unit; an i elsewhere, as in "inf", is left alone."""
+    spelled = text.replace(" ", "")
+    if spelled.endswith("i"):
+        spelled = spelled[:-1] + "j"
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        return complex(spelled)
     except ValueError as exc:
         raise UsageError(f"bad complex number {text!r}") from exc
 

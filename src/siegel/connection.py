@@ -36,7 +36,6 @@ derivatives per point, kept on the point.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -47,10 +46,11 @@ from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
 from .functions import (ConstFunction, ProductFunction, PullbackFunction,
                         ScaledFunction, TestFunction, coefficient_gradient,
-                        coefficient_value)
+                        coefficient_value, is_number)
 from .indexing import (Pair, entry_positions, n_index, omega_list,
                        omega_size, row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
+from .operators import ModularExtension, sym_gradient
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_derivatives, pushforward_matrix,
                          pushforward_matrix_derivative)
@@ -347,7 +347,6 @@ def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
         raise ValueError("determinant power must be >= 0")
     point = table.point
     g = table.g
-    from .operators import sym_gradient
     R = metric_pair(point).R
     nab = sym_gradient(f, point) - 1j * k * coefficient_value(f, point) * R
     out = trace_form(nab, g)
@@ -357,14 +356,10 @@ def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
     return out * det_power
 
 
-def _entry_fn(Gfield, i: int, j: int):
-    return Gfield[i][j] if isinstance(Gfield, list) else Gfield[i, j]
-
-
 def _require_symmetric_entries(Gfield, g: int) -> None:
     for i in range(g):
         for j in range(i + 1, g):
-            a, b = _entry_fn(Gfield, i, j), _entry_fn(Gfield, j, i)
+            a, b = Gfield[i][j], Gfield[j][i]
             if a is b:
                 continue
             if isinstance(a, TestFunction) and isinstance(b, TestFunction):
@@ -374,9 +369,10 @@ def _require_symmetric_entries(Gfield, g: int) -> None:
 
 
 def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
-    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of functions:
-    the Kronecker-product derivative term plus the curvature correction
-    -i Tr(G dZ Y^{-1} dZ), with numeric coefficients at the base point."""
+    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of functions,
+    read as G[i][j]: the Kronecker-product derivative term plus the
+    curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric coefficients
+    at the base point."""
     point = table.point
     g = table.g
     pos = entry_positions(g)
@@ -387,7 +383,7 @@ def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
     values = np.empty((g, g), dtype=complex)
     for i in range(1, g + 1):
         for j in range(i, g + 1):
-            fn = _entry_fn(Gfield, i - 1, j - 1)
+            fn = Gfield[i - 1][j - 1]
             values[i - 1, j - 1] = values[j - 1, i - 1] = coefficient_value(fn, point)
             grads[i, j] = grads[j, i] = coefficient_gradient(fn, point, g)
 
@@ -452,8 +448,7 @@ def gamma_act_on_form(gamma: SymplecticElement, g: int,
     m = omega_size(g)
     terms: dict = {}
     for mono, coef in form.terms.items():
-        base = coef if not isinstance(coef, numbers.Complex) \
-            else ConstFunction(g, coef)
+        base = ConstFunction(g, coef) if is_number(coef) else coef
         pulled = PullbackFunction(gamma, base) \
             if not isinstance(base, ConstFunction) else base
         for assignment in product(range(m), repeat=len(mono)):
@@ -500,8 +495,6 @@ def invariance_residual(table_fn, gamma: SymplecticElement,
     against the absolute-value transport (the roundoff ceiling of that
     cancellation), floored at 1.
     """
-    from .operators import ModularExtension
-
     image = act(gamma, point)
     extension = ModularExtension(f, 2 * k, gamma)
     alpha_here = _f_det_form(f, k, point.g)

@@ -15,32 +15,19 @@ decided once per coefficient type.
 
 from __future__ import annotations
 
-import numbers
-from functools import cache
 from itertools import permutations
 
 import numpy as np
 
 from .functions import (ConstFunction, ProductFunction, ScaledFunction,
-                        SumFunction, coefficient_value)
+                        SumFunction, is_number)
 from .indexing import Pair, entry_positions, n_index, omega_list, omega_size
 
 Monomial = tuple[int, ...]
 
 
-@cache
-def _number_type(cls: type) -> bool:
-    return issubclass(cls, numbers.Complex)
-
-
-def _is_number(coef) -> bool:
-    """Whether a coefficient is a number rather than a point function; the
-    abstract-class test runs once per type."""
-    return _number_type(type(coef))
-
-
 def _coef_add(a, b):
-    a_number, b_number = _is_number(a), _is_number(b)
+    a_number, b_number = is_number(a), is_number(b)
     if a_number and b_number:
         return complex(a) + complex(b)
     g = a.g if not a_number else b.g
@@ -52,7 +39,7 @@ def _coef_add(a, b):
 
 
 def _coef_mul(a, b):
-    a_number, b_number = _is_number(a), _is_number(b)
+    a_number, b_number = is_number(a), is_number(b)
     if a_number and b_number:
         return complex(a) * complex(b)
     if a_number:
@@ -63,7 +50,7 @@ def _coef_mul(a, b):
 
 
 def _is_zero(coef) -> bool:
-    return _is_number(coef) and complex(coef) == 0
+    return is_number(coef) and complex(coef) == 0
 
 
 def add_term(terms: dict, mono: Monomial, coef) -> None:
@@ -141,26 +128,6 @@ class FormPolynomial:
         return FormPolynomial.canonical(
             self.g, {m: fn(c) for m, c in self.terms.items()})
 
-    def evaluate_coefficients(self, point) -> "FormPolynomial":
-        """Collapse point-function coefficients to numbers at a point."""
-        return FormPolynomial.canonical(
-            self.g,
-            {m: coefficient_value(c, point) for m, c in self.terms.items()})
-
-    def prune(self, rel: float = 1e-14) -> "FormPolynomial":
-        """Drop numeric coefficients below rel times the largest magnitude."""
-        mags = [abs(complex(c)) for c in self.terms.values() if _is_number(c)]
-        if not mags:
-            return self
-        cutoff = rel * max(mags)
-        return FormPolynomial.canonical(
-            self.g,
-            {m: c for m, c in self.terms.items()
-             if not _is_number(c) or abs(complex(c)) > cutoff})
-
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
     def __repr__(self):
         return f"FormPolynomial(g={self.g}, {len(self.terms)} terms)"
 
@@ -195,13 +162,13 @@ def _perm_sign(perm) -> float:
 
 
 def trace_form(Gmat, g: int) -> FormPolynomial:
-    """Tr(G dZ) = sum_ij G_ij dZ_ji as a degree-1 form.  G may hold numbers
-    or point functions; it must be symmetric."""
+    """Tr(G dZ) = sum_ij G_ij dZ_ji as a degree-1 form.  G, read as
+    G[i][j], may be a nested list or an array of numbers or point
+    functions; it must be symmetric."""
     terms: dict = {}
     for pos, (i, j) in enumerate(omega_list(g)):
-        entry = Gmat[i - 1][j - 1] if isinstance(Gmat, list) else Gmat[i - 1, j - 1]
         weight = 1.0 if i == j else 2.0
-        coef = _coef_mul(entry, weight)
+        coef = _coef_mul(Gmat[i - 1][j - 1], weight)
         if not _is_zero(coef):
             terms[(pos,)] = coef
     return FormPolynomial(g, terms)

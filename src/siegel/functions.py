@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class TestFunction:
         for _ in range(n):
             out = out * self
         return out
-
-    @property
-    def is_holomorphic(self) -> bool:
-        return all(not any(anti) for (_, anti) in self.terms)
 
     def partial(self, pair: Pair) -> "TestFunction":
         """Holomorphic coordinate derivative d/dZ_pair."""
@@ -300,14 +296,25 @@ class PullbackFunction:
                 @ self.fn.gradient(act(self.gamma, point)))
 
 
+@cache
+def _number_type(cls: type) -> bool:
+    return issubclass(cls, numbers.Complex)
+
+
+def is_number(coef) -> bool:
+    """Whether a coefficient is a number rather than a point function; the
+    abstract-class test runs once per type."""
+    return _number_type(type(coef))
+
+
 def coefficient_value(coef, point) -> complex:
-    if isinstance(coef, numbers.Complex):
+    if is_number(coef):
         return complex(coef)
     return coef.value(point)
 
 
 def coefficient_gradient(coef, point, g: int) -> np.ndarray:
-    if isinstance(coef, numbers.Complex):
+    if is_number(coef):
         return np.zeros(omega_size(g), dtype=complex)
     return coef.gradient(point)
 

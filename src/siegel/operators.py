@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import coefficient_value, fd_gradient
+from .functions import fd_gradient
 from .indexing import coords_to_sym, omega_size, row_col_indices
 from .metric import dR_tensor, metric_pair
 from .qseries import evaluate, g2_series
 from .symplectic import (SiegelPoint, SymplecticElement, act, cocycle,
                          pushforward_matrix)
+
+# below this |det nabla_k f| the relative determinant defect is not reported
+_DET_FLOOR = 1e-8
 
 
 def sym_gradient(f, point: SiegelPoint) -> np.ndarray:
@@ -64,27 +67,6 @@ class _ImInverseEntry:
         return 1j * dR[:, self.p - 1, self.q - 1]
 
 
-class PolynomialMatrixField:
-    """Symmetric matrix of scalar point functions."""
-
-    def __init__(self, entries):
-        from .connection import _require_symmetric_entries
-        self.entries = [list(row) for row in entries]
-        g = len(self.entries)
-        for i in range(g):
-            if len(self.entries[i]) != g:
-                raise ValueError("entries must form a square matrix")
-        _require_symmetric_entries(self.entries, g)
-
-    def value(self, point) -> np.ndarray:
-        g = len(self.entries)
-        out = np.empty((g, g), dtype=complex)
-        for i in range(g):
-            for j in range(g):
-                out[i, j] = coefficient_value(self.entries[i][j], point)
-        return out
-
-
 class ScalarFunctionField:
     """Degree-one matrix field built from a complex function z -> c(z)."""
 
@@ -102,10 +84,10 @@ class QSeriesFunction:
     The gradient uses f'(z) = 2 pi i (theta f)(z), exact at the series level.
     """
 
-    def __init__(self, series, n_terms: int | None = None):
+    def __init__(self, series):
         self.g = 1
-        self.series = series.truncate(n_terms) if n_terms else series
-        self.theta_series = self.series.theta()
+        self.series = series
+        self.theta_series = series.theta()
 
     def value(self, point: SiegelPoint) -> complex:
         zs = point.Z[..., 0, 0]
@@ -136,8 +118,9 @@ def nabla(f, point: SiegelPoint, k: int, G=None) -> np.ndarray:
     return sym_gradient(f, point) - k * field.value(point) * f.value(point)
 
 
-def det_nabla(f, point: SiegelPoint, k: int, G=None) -> complex:
-    return complex(np.linalg.det(nabla(f, point, k, G)))
+def det_nabla(f, point: SiegelPoint, k: int) -> complex:
+    """det nabla_k f at the point, with G = i Y^{-1}."""
+    return complex(np.linalg.det(nabla(f, point, k)))
 
 
 class ModularExtension:
@@ -186,17 +169,16 @@ class ModularExtension:
                                   + chain[pos])
         return out
 
-    def gradient_fd(self, point, h: float | None = None) -> np.ndarray:
+    def gradient_fd(self, point) -> np.ndarray:
         # Richardson-extrapolated fourth-order stencils at an adaptively
         # chosen step: deep images of long words are truncation-dominated
         # (want small steps) while ill-conditioned inverse cocycles are
         # noise-dominated (want large ones); the stencil pair that agrees
         # better wins.  The stencils of all three steps are one stack of
         # points, so F is evaluated by one validation and one action
-        if h is None:
-            scale = float(np.abs(point.Z).max())
-            h = 2e-5 * (1.0 + 0.01 * scale)
-            h = min(h, 0.04 * float(np.linalg.eigvalsh(point.Y).min()))
+        scale = float(np.abs(point.Z).max())
+        h = 2e-5 * (1.0 + 0.01 * scale)
+        h = min(h, 0.04 * float(np.linalg.eigvalsh(point.Y).min()))
         stencils = fd_gradient(self.value, point,
                                tuple(h * f for f in (0.5, 1.0, 2.0)),
                                order=4)
@@ -224,24 +206,24 @@ def _transform_frame(gamma: SymplecticElement, point: SiegelPoint):
 
 
 def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
-                           k: int, G=None, grad: str = "exact") -> float:
+                           k: int, grad: str = "exact") -> float:
     """Residual of nabla_k F (gamma Z) = det(CZ+D)^{2k} (CZ+D) nabla_k f(Z)
-    (ZC^t+D^t), with F the weight-2k extension of f along gamma.
+    (ZC^t+D^t), with F the weight-2k extension of f along gamma and
+    G = i Y^{-1}.
 
     The max-norm defect is normalized by the magnitude of the compared
     sides (floored at 1): the determinant weight factor makes the raw scale
     unbounded over random group elements, so only a scale-aware residual
     supports a fixed tolerance.
     """
-    field = G if G is not None else ImInverseField()
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
     j, jt, detj = _transform_frame(gamma, point)
     if grad == "exact":
-        lhs = (sym_gradient(extension, image)
-               - k * field.value(image) * extension.value(image))
-        here = nabla(f, point, k, field)
+        lhs = nabla(extension, image, k)
+        here = nabla(f, point, k)
     elif grad == "fd":
+        field = ImInverseField()
         lhs = (_sym_from_coords(extension.gradient_fd(image), point.g)
                - k * field.value(image) * extension.value(image))
         here = (_sym_from_coords(fd_gradient(f.value, point), point.g)
@@ -254,24 +236,20 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
 
 
 def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
-                              k: int, G=None,
-                              floor: float = 1e-8) -> float | None:
+                              k: int) -> float | None:
     """Relative defect of det nabla_k F (gamma Z) =
-    det(CZ+D)^{2gk+2} det nabla_k f(Z); None when the determinant is below
-    the floor (relative error is meaningless near zeros)."""
-    field = G if G is not None else ImInverseField()
+    det(CZ+D)^{2gk+2} det nabla_k f(Z), with G = i Y^{-1}; None when
+    |det nabla_k f(Z)| is at most _DET_FLOOR (relative error is meaningless
+    near zeros)."""
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
     _, _, detj = _transform_frame(gamma, point)
-    g = point.g
-    here = det_nabla(f, point, k, field)
-    if abs(here) <= floor:
+    here = det_nabla(f, point, k)
+    if abs(here) <= _DET_FLOOR:
         return None
-    lhs = complex(np.linalg.det(
-        sym_gradient(extension, image)
-        - k * field.value(image) * extension.value(image)))
-    rhs = detj ** (2 * g * k + 2) * here
-    return abs(lhs - rhs) / max(abs(rhs), floor)
+    lhs = det_nabla(extension, image, k)
+    rhs = detj ** (2 * point.g * k + 2) * here
+    return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
 
 
 def _sym_from_coords(grad: np.ndarray, g: int) -> np.ndarray:
@@ -295,11 +273,9 @@ def bracket_matrix(f, h, point: SiegelPoint, weights: tuple[int, int] | None = N
     return s * hv * gf - r * fv * gh
 
 
-def bracket1(f, h, point: SiegelPoint,
-             weights: tuple[int, int] | None = None) -> complex:
-    """det(h grad f - f grad h); the experimental weight-corrected variant
-    is enabled by passing weights=(r, s)."""
-    return complex(np.linalg.det(bracket_matrix(f, h, point, weights)))
+def bracket1(f, h, point: SiegelPoint) -> complex:
+    """det(h grad f - f grad h)."""
+    return complex(np.linalg.det(bracket_matrix(f, h, point)))
 
 
 def bracket1_transform_residual(f, h, r: int, s: int,

@@ -25,6 +25,9 @@ from fractions import Fraction
 
 from .symplectic import DegeneracyError
 
+# largest estimated truncation tail that evaluate accepts
+_TAIL_TOL = 1e-9
+
 
 class TruncationError(ArithmeticError):
     """Requested evaluation cannot meet the tail tolerance."""
@@ -222,12 +225,10 @@ def delta(n: int) -> QSeries:
     return out._with_weight(12)
 
 
-def serre_derivative(f: QSeries, n: int | None = None) -> QSeries:
+def serre_derivative(f: QSeries) -> QSeries:
     """theta f - (w/12) E2 f, exact, of weight w + 2."""
     if f.weight is None:
         raise ValueError("input series must declare its weight")
-    if n is not None:
-        f = f.truncate(n)
     e2 = eisenstein(2, len(f))
     out = f.theta() - (e2 * f).scale(Fraction(f.weight, 12))
     return out._with_weight(f.weight + 2)
@@ -242,16 +243,16 @@ def bracket1_classical(f: QSeries, h: QSeries) -> QSeries:
     return out._with_weight(f.weight + h.weight + 2)
 
 
-def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
-             tol: float = 1e-9) -> complex:
+def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
     """Evaluate at q = exp(2 pi i z), guarding the truncation tail.
 
     The tail is estimated through |c_m| <= A (m+1)^p with p the declared
     weight (12 when undeclared) and A fitted to the stored coefficients; a
-    TruncationError reports the length that would meet the tolerance.
+    TruncationError reports the length that would bring it to _TAIL_TOL.
     """
+    prefactor = 1.0
     if isinstance(f, TaggedSeries):
-        prefactor = prefactor * f.prefactor()
+        prefactor = f.prefactor()
         f = f.series
     if z.imag <= 0:
         raise ValueError("evaluation point must lie in the upper half plane")
@@ -272,15 +273,15 @@ def evaluate(f: QSeries | TaggedSeries, z: complex, prefactor: complex = 1.0,
         raise TruncationError("q too large for a geometric tail estimate",
                               required=4 * n)
     tail = A * (n + 1) ** p * aq ** n / (1.0 - aq * growth)
-    if tail > tol:
+    if tail > _TAIL_TOL:
         need = n
         while need < 10 ** 7:
             need *= 2
             est = A * (need + 1) ** p * aq ** need / (1.0 - aq * growth)
-            if est <= tol:
+            if est <= _TAIL_TOL:
                 break
         raise TruncationError(
-            f"tail estimate {tail:.2e} exceeds {tol:.1e}; "
+            f"tail estimate {tail:.2e} exceeds {_TAIL_TOL:.1e}; "
             f"about {need} terms required", required=need)
     total = 0j
     for c in reversed(coeffs):
@@ -325,13 +326,14 @@ class ModularBasis:
         return len(self.elements)
 
 
-def membership_in_Mw(f: QSeries, w: int,
-                     margin: int = 5) -> tuple[bool, list[Fraction] | None]:
+def membership_in_Mw(f: QSeries,
+                     w: int) -> tuple[bool, list[Fraction] | None]:
     """Exact membership of f in the weight-w space; returns coordinates on
-    the E4-E6 monomial basis when it is a member."""
+    the E4-E6 monomial basis when it is a member.  f needs five
+    coefficients beyond the dimension of the space."""
     dim = dim_modular_forms(w)
-    if len(f) < dim + margin:
-        raise ValueError(f"need at least {dim + margin} coefficients, "
+    if len(f) < dim + 5:
+        raise ValueError(f"need at least {dim + 5} coefficients, "
                          f"have {len(f)}")
     if dim == 0:
         return (f.is_zero(), [] if f.is_zero() else None)

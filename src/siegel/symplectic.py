@@ -23,6 +23,9 @@ from .indexing import basis_stack, row_col_indices
 
 COND_LIMIT = 1e12
 
+# relative tolerance of point validation: symmetry and the leading minors
+_POINT_TOL = 1e-12
+
 
 class DimensionError(ValueError):
     """Matrix sizes incompatible with the requested operation."""
@@ -74,12 +77,12 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
     return skew, np.where(np.isfinite(mean), mean, XY / 2.0 + XYt / 2.0)
 
 
-def _validated(g: int, X, Y, tol: float = 1e-12
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _validated(g: int, X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetrized, read-only X and Y, and the read-only lower Cholesky
     factor of Y, after one batched pass of checks over every point of a
-    stack: finite entries, symmetry against tol times the entry scale, and
-    Y > 0 by the same relative test on its leading principal minors."""
+    stack: finite entries, symmetry against _POINT_TOL times the entry
+    scale, and Y > 0 by the same relative test on its leading principal
+    minors."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
@@ -96,7 +99,7 @@ def _validated(g: int, X, Y, tol: float = 1e-12
         skew, mean = _max_abs(XY - XYt), (XY + XYt) / 2.0
     else:
         skew, mean = _skew_and_mean_near_overflow(XY, XYt)
-    bad = _first_bad(skew > tol * scale)
+    bad = _first_bad(skew > _POINT_TOL * scale)
     if bad is not None:
         raise ValueError(f"{_PARTS[bad[0]]} is not symmetric (asymmetry "
                          f"{skew[bad]:.3e}){_at(bad[1:])}")
@@ -112,7 +115,7 @@ def _validated(g: int, X, Y, tol: float = 1e-12
                          f"{_at(bad or ())}") from None
     minors = np.multiply.accumulate(
         np.diagonal(L, axis1=-2, axis2=-1) ** 2, axis=-1)
-    bad = _first_bad(minors <= tol * scale[1][..., None]
+    bad = _first_bad(minors <= _POINT_TOL * scale[1][..., None]
                      ** np.arange(1, g + 1))
     if bad is not None:
         raise ValueError(f"imaginary part is not positive definite "
@@ -222,13 +225,6 @@ class SiegelPoint:
         return cls(g, *(_json_array(data, key, float) for key in "XY"))
 
 
-def symplectic_j(g: int) -> np.ndarray:
-    J = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    J[:g, g:] = np.eye(g, dtype=np.int64)
-    J[g:, :g] = -np.eye(g, dtype=np.int64)
-    return J
-
-
 # an integer product whose partial sums are bounded by max|a| max|b| n
 # below this runs in int64; the margin below 2^63 covers the rounding of
 # the bound, which is taken in floating point
@@ -273,21 +269,21 @@ def _blocks_symplectic(A, B, C, D) -> bool:
                                    np.eye(g, dtype=np.int64)))
 
 
-def is_symplectic(M: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether M J M^t = J.  Exact for integer input (the block identities
-    of the constructor), residual test else."""
+def is_symplectic(M: np.ndarray) -> bool:
+    """Whether the integer matrix M satisfies M J M^t = J, tested exactly by
+    the block identities of the constructor; ValueError for any other
+    dtype."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got {M.shape}")
     if M.shape[0] % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, "
                              f"got {M.shape[0]}")
+    if not np.issubdtype(M.dtype, np.integer):
+        raise ValueError(f"is_symplectic takes integer matrices, got "
+                         f"dtype {M.dtype}")
     g = M.shape[0] // 2
-    if np.issubdtype(M.dtype, np.integer):
-        return _blocks_symplectic(M[:g, :g], M[:g, g:], M[g:, :g],
-                                  M[g:, g:])
-    J = symplectic_j(g)
-    return bool(np.abs(M @ J @ M.T - J).max() < tol)
+    return _blocks_symplectic(M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:])
 
 
 @dataclass(frozen=True, eq=False)

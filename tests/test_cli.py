@@ -198,6 +198,7 @@ def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
     ("anomaly", "--z", "0.1+1i", "--tol", "nan"),
     ("anomaly", "--z", "0.1+1i", "--tol", "0"),
     ("anomaly", "--z", "nan+1i"),
+    ("anomaly", "--z", "inf+1i"),
     ("anomaly", "--z", "0+nani"),
     ("anomaly", "--z", "nan+nani", "--gamma", "T"),
 ])
@@ -206,6 +207,15 @@ def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("z", ["inf+1i", "inf+infi", "nan+1i", "0+nani"])
+def test_non_finite_z_is_reported_as_not_finite(capsys, z):
+    # only a final i is the imaginary unit, so the i of "inf" is kept
+    code, out, err = run_cli(capsys, "anomaly", "--z", z)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --z must be finite, got {z!r}\n"
 
 
 @pytest.mark.parametrize("z, gamma", [

@@ -24,15 +24,13 @@ def test_gaussian_rational_arithmetic():
     assert QC.of(2 + 1j) == QC(Fraction(2), Fraction(1))
 
 
-def test_form_commutativity_and_pruning():
+def test_form_commutativity():
     g = 2
     d11 = FormPolynomial.generator(g, (1, 1))
     d12 = FormPolynomial.generator(g, (1, 2))
     assert (d11 * d12).terms == (d12 * d11).terms
     diff = d11 * d12 - d12 * d11
     assert not diff.terms
-    noisy = FormPolynomial(g, {(0,): 1.0, (1,): 1e-20})
-    assert list(noisy.prune().terms) == [(0,)]
 
 
 def test_det_form_counts():
@@ -84,7 +82,7 @@ def test_test_function_exact_derivatives():
     expect = 2 * z[0, 0] * z[0, 1]
     assert abs(df.value(point) - expect) < 1e-14
     assert f.partial((2, 2)).value(point) == 0
-    assert f.is_holomorphic
+    assert not any(any(anti) for _, anti in f.terms)
 
 
 def test_test_function_conjugate_variables():
@@ -92,7 +90,7 @@ def test_test_function_conjugate_variables():
     f = TestFunction.coordinate(g, (1, 1), conj=True)
     point = random_point(1, seed=2)
     assert abs(f.value(point) - np.conj(point.Z[0, 0])) < 1e-15
-    assert not f.is_holomorphic
+    assert any(any(anti) for _, anti in f.terms)
     # holomorphic partial ignores the conjugate variable
     assert not f.partial((1, 1)).terms
 
@@ -220,8 +218,6 @@ def test_degree_mixing_with_functions():
     point = random_point(g, seed=3)
     assert abs(scaled.terms[(0,)].value(point)
                - 2 * point.Z[0, 0]) < 1e-14
-    collapsed = scaled.evaluate_coefficients(point)
-    assert isinstance(collapsed.terms[(0,)], complex)
 
 
 def test_max_coefficient_diff_over_union():

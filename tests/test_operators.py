@@ -5,7 +5,7 @@ from siegel.functions import TestFunction, fd_gradient, random_test_function
 from siegel.indexing import omega_list
 from siegel.metric import metric_pair
 from siegel.operators import (ImInverseField, ModularExtension,
-                              PolynomialMatrixField, QSeriesFunction,
+                              QSeriesFunction, ScalarFunctionField,
                               bracket1, bracket1_transform_residual,
                               det_nabla, det_nabla_weight_residual, ig2_field,
                               nabla, sym_gradient, verify_G_law,
@@ -200,10 +200,8 @@ def test_G_law_im_inverse(g):
 
 
 def test_G_law_fails_for_wrong_field():
-    # a polynomial G violates the law for a generic inversion word
-    g = 1
-    entries = [[TestFunction.coordinate(g, (1, 1))]]
-    field = PolynomialMatrixField(entries)
+    # a polynomial G(z) = z violates the law for a generic inversion word
+    field = ScalarFunctionField(lambda z: z)
     gamma = SymplecticElement.inversion(1)
     point = SiegelPoint.from_complex(0.3 + 0.8j)
     assert verify_G_law(field, gamma, point) > 1e-3

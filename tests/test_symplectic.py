@@ -9,19 +9,28 @@ from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
                                SiegelPoint, SymplecticElement, act, cocycle,
                                im_of_action, is_symplectic, random_point,
-                               random_symplectic, symplectic_j,
-                               tangent_pushforward, pushforward_matrix)
+                               random_symplectic, tangent_pushforward,
+                               pushforward_matrix)
 
 
 def test_is_symplectic_identity_and_j():
     for g in (1, 2, 3):
         assert is_symplectic(np.eye(2 * g, dtype=np.int64))
-        assert is_symplectic(symplectic_j(g))
+        # the inversion element's matrix is J
+        assert is_symplectic(SymplecticElement.inversion(g).matrix)
 
 
 def test_is_symplectic_rejects_scaling():
     M = np.diag([2, 1, 1, 1]).astype(np.int64)
     assert not is_symplectic(M)
+
+
+def test_is_symplectic_rejects_float_matrices():
+    # a float matrix is refused, not tested by residual, even when it is J
+    J = SymplecticElement.inversion(2).matrix.astype(float)
+    for M in (np.eye(4), J):
+        with pytest.raises(ValueError, match="integer matrices"):
+            is_symplectic(M)
 
 
 def test_is_symplectic_dimension_errors():
