@@ -80,10 +80,19 @@ def _load_point(args) -> SiegelPoint:
     return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
 
 
+def _open_for_writing(path: str):
+    """The file at path, opened for writing; a path that cannot be written
+    (a missing directory, a directory) is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(pieces: list[str], out_path: str | None) -> None:
     """Write the pieces of a text and a newline, to the file or stdout."""
     if out_path:
-        with open(out_path, "w") as handle:
+        with _open_for_writing(out_path) as handle:
             handle.writelines(pieces)
             handle.write("\n")
     else:
@@ -307,7 +316,7 @@ def _cmd_verify(args) -> int:
           f"seed={args.seed} total={summary['total']} "
           f"passed={summary['passed']} failed={summary['failed']}")
     if args.report:
-        with open(args.report, "w") as handle:
+        with _open_for_writing(args.report) as handle:
             json.dump(report.to_dict(include_timings=args.timings), handle,
                       indent=2, sort_keys=True)
             handle.write("\n")

@@ -18,7 +18,13 @@ The tables are built as arrays.  ``gamma_closed`` scatters i R_ij / 2^e into
 a pattern of (K, I, J) positions, R entries and divisors built once per
 degree; the B-expanded path evaluates its own delta/R expression over
 broadcast (K, I, J) index grids and shares nothing with that pattern, so the
-two stay independent derivations.
+two stay independent derivations.  Paths A and B contract over L with
+stacked BLAS matrix products (M dW[I] for each I, W dM[K] for each K).
+BLAS sums in its own blocked order, so their tables are not bit-equal to an
+index-order sum (or to the einsum these paths once used); they agree with it
+to a few ulps of the magnitude of the summed terms.  ``gamma_closed``,
+B-expanded, W, M, dW and dM are index arithmetic in a fixed order, and the
+loop oracles in ``tests/test_loop_oracles.py`` pin them bit for bit.
 
 The operator D acts on forms with function coefficients by
 D(f dZ_{K_1}...dZ_{K_r}) = df dZ_{K_1}...dZ_{K_r}
@@ -120,14 +126,16 @@ def gamma_closed(point: SiegelPoint) -> ConnectionTable:
 def _gamma_path_a(point: SiegelPoint) -> np.ndarray:
     pair = metric_pair(point)
     dW = dW_tensor(pair)  # dW[I, L, J]
-    half = 0.5 * np.einsum("kl,ilj->kij", pair.M, dW)
+    # one matrix product per I: (M dW[I])[K, J], then axes to (K, I, J)
+    half = 0.5 * (pair.M @ dW).transpose(1, 0, 2)
     return half + half.transpose(0, 2, 1)
 
 
 def _gamma_path_b(point: SiegelPoint) -> np.ndarray:
     pair = metric_pair(point)
     dM = dM_tensor(pair)  # dM[K, L, J]
-    half = -0.5 * np.einsum("klj,il->kij", dM, pair.W)
+    # one matrix product per K: (W dM[K])[I, J]
+    half = -0.5 * (pair.W @ dM)
     return half + half.transpose(0, 2, 1)
 
 

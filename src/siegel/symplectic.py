@@ -225,6 +225,17 @@ class SiegelPoint:
         return cls(g, *(_json_array(data, key, float) for key in "XY"))
 
 
+def _min_y_eigenvalue(point: SiegelPoint) -> float:
+    return float(np.linalg.eigvalsh(point.Y).min())
+
+
+def min_y_eigenvalue(point: SiegelPoint) -> float:
+    """The smallest eigenvalue of Y (over every member of a stack), which
+    bounds the finite-difference steps at the point; computed once per
+    point and kept on it."""
+    return point.derived(_min_y_eigenvalue)
+
+
 # an integer product whose partial sums are bounded by max|a| max|b| n
 # below this runs in int64; the margin below 2^63 covers the rounding of
 # the bound, which is taken in floating point

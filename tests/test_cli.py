@@ -172,6 +172,23 @@ def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--g", "x")[0] == 2
 
 
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--g", "2", "--out"],
+    ["metric", "--g", "2", "--out"],
+    ["verify", "--suite", "qseries", "--g", "1", "--report"],
+])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv,
+                                                 target):
+    path = (tmp_path if target == "directory"
+            else tmp_path / "missing" / "out.json")
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err == f"error: cannot write {path}: " + (
+        "Is a directory" if target == "directory"
+        else "No such file or directory") + "\n"
+
+
 @pytest.mark.parametrize("part, bad", [("X", "NaN"), ("Y", "NaN"),
                                        ("X", "Infinity"), ("Y", "-Infinity")])
 def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):

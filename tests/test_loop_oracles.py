@@ -5,7 +5,10 @@ words were first written as, kept as references.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
-for forms the same monomials in the same dictionary order).
+for forms the same monomials in the same dictionary order).  The one
+exception is the contraction over L in metric paths A and B: BLAS sums it
+in its own blocked order, so those tables are compared with the loop within
+a few ulps of the magnitude of the summed terms.
 """
 
 import numbers
@@ -117,6 +120,42 @@ def test_b_expanded_matches_loop(g):
         assert got.tobytes() == _b_expanded_loop(point).tobytes()
 
 
+def _metric_path_loop(point, path):
+    """Path A, (1/2) sum_L M_KL dW_ILJ, or path B, -(1/2) sum_L W_IL dM_KLJ,
+    summed over L in index order, each symmetrized in (I, J); and the
+    largest sum of the terms' magnitudes, the scale of their rounding."""
+    pair = metric_pair(point)
+    M, W, dW, dM = pair.M, pair.W, dW_tensor(pair), dM_tensor(pair)
+    m = M.shape[0]
+    half = np.zeros((m, m, m), dtype=complex)
+    magnitude = np.zeros((m, m, m))
+    for l in range(m):
+        # axes (K, I, J)
+        if path == "A":
+            term = M[:, None, l, None] * dW[None, :, l, :]
+        else:
+            term = dM[:, None, l, :] * W[None, :, l, None]
+        half += term
+        magnitude += np.abs(term)
+    half = (0.5 if path == "A" else -0.5) * half
+    return half + half.transpose(0, 2, 1), float(magnitude.max())
+
+
+@pytest.mark.parametrize("path", ["A", "B"])
+@pytest.mark.parametrize("g", range(1, 9))
+def test_metric_path_matches_loop(g, path):
+    # the BLAS contraction rounds in its own order: at most about one ulp
+    # of the largest sum of term magnitudes was measured (g = 1..8, spreads
+    # 0.5 to 3); relative to max|Gamma| that can be several ulps, because
+    # the terms cancel
+    for point in _draws(g, 4 if g <= 5 else 2):
+        got = gamma_from_metric(point, path).table
+        expected, scale = _metric_path_loop(point, path)
+        assert got.shape == expected.shape
+        assert (np.abs(got - expected).max()
+                <= 4 * np.finfo(float).eps * scale)
+
+
 # ------------------------------------------------------------ metric
 
 
@@ -158,7 +197,9 @@ def test_metric_derivatives_match_loop(g):
         pair = metric_pair(point)
         for got, expected in ((dW_tensor(pair), _dW_loop(pair)),
                               (dM_tensor(pair), _dM_loop(pair))):
-            # the einsums of paths A and B see the loop's memory layout
+            # paths A and B multiply by each slice dW[I] and dM[K]; in a
+            # C-contiguous stack every slice is a matrix numpy hands to BLAS
+            # as it is, without a copy
             assert got.flags.c_contiguous
             assert got.tobytes() == expected.tobytes()
 

@@ -10,7 +10,7 @@ from siegel.connection import apply_D, gamma_act_on_form, gamma_closed, \
     gamma_from_metric
 from siegel.forms import FormPolynomial
 from siegel.functions import random_test_function
-from siegel.operators import ImInverseField
+from siegel.operators import ImInverseField, ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_derivatives, pushforward_matrix,
@@ -211,3 +211,21 @@ def test_a_failed_condition_test_is_not_kept(monkeypatch):
             call(gamma, point)
     assert tested == [point] * 4
     assert inverted == [point] * 2
+
+
+def test_y_eigenvalues_are_computed_once_per_fd_gradient(monkeypatch):
+    # gradient_fd clips its step at 0.04 lambda_min(Y) and fd_gradient
+    # clips each step at 0.05 lambda_min(Y); both read the one kept value
+    eigs = _count_linalg(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(17)
+    for g in (1, 2, 3):
+        ext = ModularExtension(random_test_function(g, rng), 4,
+                               random_symplectic(g, 4, rng))
+        point = random_point(g, rng)
+        ext.gradient_fd(point)
+        assert len(eigs) == 1 and eigs[0] is point.Y
+        ext.gradient_fd(point)
+        assert len(eigs) == 1
+        assert (symplectic.min_y_eigenvalue(point)
+                == float(np.linalg.eigvalsh(point.Y).min()))
+        eigs.clear()
