@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .indexing import omega_list
 from .symplectic import (SiegelPoint, SymplecticElement, GeneratorWord,
                          DimensionError, DegeneracyError, is_symplectic, act,
-                         cocycle, im_of_action, tangent_pushforward,
+                         cocycle, tangent_pushforward,
                          pushforward_matrix, pushforward_matrix_derivative,
                          random_symplectic, random_point)
 from .metric import MetricPair, metric_pair, sigma, dM_dZ

@@ -24,8 +24,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .indexing import Pair, basis_stack, n_index, omega_size, sym_to_coords
-from .symplectic import (SiegelPoint, SymplecticElement, act, min_y_eigenvalue,
-                         pushforward_matrix)
+from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
 
 
 @dataclass(frozen=True)
@@ -350,7 +349,7 @@ def fd_gradient(value_fn, point: SiegelPoint,
         if not (np.isfinite(step) and step > 0):
             raise ValueError(f"finite-difference step must be finite and "
                              f"positive, got {step!r}")
-    margin = min_y_eigenvalue(point)
+    margin = float(point.spectrum.min())
     steps = [min(step, 0.05 * margin) for step in steps]
 
     # stencil axes: (step, X or Y direction, offset, coordinate)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .indexing import (Pair, basis_stack, n_index, omega_list,
                        row_col_indices, sigma)
-from .symplectic import DegeneracyError, SiegelPoint
+from .symplectic import SiegelPoint
 
 
 def _power_table(g: int) -> np.ndarray:
@@ -57,9 +57,8 @@ class MetricPair:
 def _metric_arrays(point: SiegelPoint) -> tuple:
     g = point.g
     Y = point.Y
-    if (np.linalg.cond(Y) > 1e12).any():
-        raise DegeneracyError("imaginary part is numerically singular")
-    # the Cholesky factor of Y that validating the point computed
+    # the Cholesky factor of Y that validating the point computed, after
+    # it held cond(Y) to COND_LIMIT
     inv_cho = np.linalg.inv(point.cholesky)
     R = inv_cho.swapaxes(-1, -2) @ inv_cho
     # one Newton step tightens the inverse near degenerate points

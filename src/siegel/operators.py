@@ -23,7 +23,7 @@ from .indexing import coords_to_sym, omega_size, row_col_indices
 from .metric import dR_tensor, metric_pair
 from .qseries import evaluate, g2_series
 from .symplectic import (SiegelPoint, SymplecticElement, act, cocycle,
-                         min_y_eigenvalue, pushforward_matrix)
+                         pushforward_matrix)
 
 # below this |det nabla_k f| the relative determinant defect is not reported
 _DET_FLOOR = 1e-8
@@ -178,7 +178,7 @@ class ModularExtension:
         # points, so F is evaluated by one validation and one action
         scale = float(np.abs(point.Z).max())
         h = 2e-5 * (1.0 + 0.01 * scale)
-        h = min(h, 0.04 * min_y_eigenvalue(point))
+        h = min(h, 0.04 * float(point.spectrum.min()))
         stencils = fd_gradient(self.value, point,
                                tuple(h * f for f in (0.5, 1.0, 2.0)),
                                order=4)

@@ -21,9 +21,10 @@ import numpy as np
 
 from .indexing import basis_stack, row_col_indices
 
+# largest condition number accepted for Y of a point and for C Z + D
 COND_LIMIT = 1e12
 
-# relative tolerance of point validation: symmetry and the leading minors
+# relative tolerance of the symmetry test of point validation
 _POINT_TOL = 1e-12
 
 
@@ -77,12 +78,12 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
     return skew, np.where(np.isfinite(mean), mean, XY / 2.0 + XYt / 2.0)
 
 
-def _validated(g: int, X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetrized, read-only X and Y, and the read-only lower Cholesky
-    factor of Y, after one batched pass of checks over every point of a
-    stack: finite entries, symmetry against _POINT_TOL times the entry
-    scale, and Y > 0 by the same relative test on its leading principal
-    minors."""
+def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
+    """Symmetrized, read-only X and Y, the read-only ascending eigenvalues
+    of Y and its read-only lower Cholesky factor, after one batched pass of
+    checks over every point of a stack: finite entries, symmetry against
+    _POINT_TOL times the entry scale, and one spectral test of Y, which
+    must have lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
@@ -106,23 +107,22 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     XY = mean
     XY.setflags(write=False)
     X, Y = XY
-    # minor k of Y is the product of the first k squared Cholesky pivots
-    try:
-        L = np.linalg.cholesky(Y)
-    except np.linalg.LinAlgError:
-        bad = _first_bad(np.linalg.eigvalsh(Y)[..., 0] <= 0)
-        raise ValueError(f"imaginary part is not positive definite"
-                         f"{_at(bad or ())}") from None
-    minors = np.multiply.accumulate(
-        np.diagonal(L, axis1=-2, axis2=-1) ** 2, axis=-1)
-    bad = _first_bad(minors <= _POINT_TOL * scale[1][..., None]
-                     ** np.arange(1, g + 1))
+    spectrum = np.linalg.eigvalsh(Y)
+    low, high = spectrum[..., 0], spectrum[..., -1]
+    bad = _first_bad(low <= 0)
     if bad is not None:
         raise ValueError(f"imaginary part is not positive definite "
-                         f"(leading minor {bad[-1] + 1} = {minors[bad]:.3e})"
-                         f"{_at(bad[:-1])}")
+                         f"(lambda_min = {low[bad]:.3e}){_at(bad)}")
+    bad = _first_bad(high / COND_LIMIT > low)
+    if bad is not None:
+        raise ValueError(f"imaginary part is numerically singular "
+                         f"(eigenvalues {low[bad]:.3e} to {high[bad]:.3e}, "
+                         f"condition number above {COND_LIMIT:.0e})"
+                         f"{_at(bad)}")
+    L = np.linalg.cholesky(Y)
+    spectrum.setflags(write=False)
     L.setflags(write=False)
-    return X, Y, L
+    return X, Y, spectrum, L
 
 
 def _json_object(text: str, *keys: str) -> tuple[int, dict]:
@@ -165,20 +165,23 @@ class SiegelPoint:
     Points compare and hash by identity: their entries are floats.  Each
     point keeps one memo of what is derived from it: its images under the
     action, its cocycles, its metric and the values of test functions at
-    it (see ``derived``).  ``cholesky`` is the lower Cholesky factor of Y
-    that validation computed.  Z, X, Y, the factor and every memoized
-    array are read-only.
+    it (see ``derived``).  ``spectrum`` holds the eigenvalues of Y in
+    ascending order, shape (..., g), and ``cholesky`` the lower Cholesky
+    factor of Y, both as validation computed them.  Z, X, Y, the spectrum,
+    the factor and every memoized array are read-only.
     """
 
     g: int
     X: np.ndarray
     Y: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
     cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X, Y, L = _validated(self.g, self.X, self.Y)
+        X, Y, spectrum, L = _validated(self.g, self.X, self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "cholesky", L)
 
     @cached_property
@@ -223,17 +226,6 @@ class SiegelPoint:
     def from_json(cls, text: str) -> "SiegelPoint":
         g, data = _json_object(text, "X", "Y")
         return cls(g, *(_json_array(data, key, float) for key in "XY"))
-
-
-def _min_y_eigenvalue(point: SiegelPoint) -> float:
-    return float(np.linalg.eigvalsh(point.Y).min())
-
-
-def min_y_eigenvalue(point: SiegelPoint) -> float:
-    """The smallest eigenvalue of Y (over every member of a stack), which
-    bounds the finite-difference steps at the point; computed once per
-    point and kept on it."""
-    return point.derived(_min_y_eigenvalue)
 
 
 # an integer product whose partial sums are bounded by max|a| max|b| n
@@ -509,17 +501,6 @@ def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     is built (and validated) once per (gamma, point) and kept on the point:
     asking again returns the same image object."""
     return point.derived(_act, gamma)
-
-
-def im_of_action(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
-    """Imaginary part of gamma(Z), computed as
-    ((C Zbar + D)^t)^{-1} Y (C Z + D)^{-1}."""
-    Z, den = point.Z, point.derived(_cocycle, gamma)
-    den_bar = gamma.C @ Z.conj() + gamma.D
-    W = np.linalg.solve(den_bar.T, point.Y.astype(complex))
-    W = np.linalg.solve(den.T, W.T).T
-    W = (W + W.T) / 2.0
-    return W.real
 
 
 def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,

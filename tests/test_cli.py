@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import siegel.cli as cli_module
+import siegel.verify as verify_module
 from siegel.cli import main
 from siegel.connection import gamma_closed, gamma_from_metric
 from siegel.indexing import omega_list, omega_size
@@ -252,11 +253,14 @@ def test_anomaly_image_outside_the_upper_half_plane_exits_3(capsys, z,
     assert err.startswith("error: numerical degeneracy: ")
 
 
-def test_verify_degenerate_action_image_exits_3(capsys):
-    # seed 12 draws a metric.pairing_invariance case at g = 5 whose image
-    # under the action fails the positive-definiteness test
+def test_verify_degenerate_action_image_exits_3(monkeypatch, capsys):
+    # the first metric.pairing_invariance case meets an image of the
+    # action that is not a Siegel point
+    def degenerate(gamma, point):
+        raise DegeneracyError("image of the action is not a Siegel point")
+    monkeypatch.setattr(verify_module, "act", degenerate)
     code, out, err = run_cli(capsys, "verify", "--suite", "metric",
-                             "--g", "5..5", "--seed", "12")
+                             "--g", "1..1", "--seed", "0")
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "numerical degeneracy" in err
@@ -450,6 +454,8 @@ def test_metric_output_spells_non_finite_values_as_json(monkeypatch,
     '{"g": 1, "X": [[0.5]], "Y": [[true]]}',
     '{"g": 1, "X": [[null]], "Y": [[1.0]]}',
     '{"g": 2, "X": [[0.0, 0.0], [0.0, false]], "Y": [[1, 0], [0, 1]]}',
+    pytest.param('{"g": 2, "X": [[0, 0], [0, 0]], "Y": [[1, 0], [0, 1e-13]]}',
+                 id="cond-Y-above-limit"),
 ])
 def test_malformed_point_files_are_usage_errors(tmp_path, capsys, command,
                                                 text):

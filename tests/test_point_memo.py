@@ -191,7 +191,7 @@ def test_kept_factor_and_inverse_are_read_only():
                         np.stack([point.Y, point.Y]))
     pushforward_matrix(gamma, point)
     act(gamma, stack)
-    arrays = [point.cholesky, stack.cholesky,
+    arrays = [point.spectrum, stack.spectrum, point.cholesky, stack.cholesky,
               point.derived(symplectic._cocycle_inverse, gamma),
               symplectic.cocycle_condition(gamma, stack)]
     for array in arrays:
@@ -213,19 +213,36 @@ def test_a_failed_condition_test_is_not_kept(monkeypatch):
     assert inverted == [point] * 2
 
 
-def test_y_eigenvalues_are_computed_once_per_fd_gradient(monkeypatch):
+def test_y_spectrum_is_computed_once_per_point_at_construction(
+        monkeypatch):
     # gradient_fd clips its step at 0.04 lambda_min(Y) and fd_gradient
-    # clips each step at 0.05 lambda_min(Y); both read the one kept value
+    # clips each step at 0.05 lambda_min(Y); both read the spectrum that
+    # validation kept, so the only spectra computed are those of the
+    # stencil stacks gradient_fd builds
     eigs = _count_linalg(monkeypatch, "eigvalsh")
     rng = np.random.default_rng(17)
     for g in (1, 2, 3):
         ext = ModularExtension(random_test_function(g, rng), 4,
                                random_symplectic(g, 4, rng))
         point = random_point(g, rng)
-        ext.gradient_fd(point)
         assert len(eigs) == 1 and eigs[0] is point.Y
-        ext.gradient_fd(point)
-        assert len(eigs) == 1
-        assert (symplectic.min_y_eigenvalue(point)
-                == float(np.linalg.eigvalsh(point.Y).min()))
+        assert point.spectrum.tobytes() == \
+            np.linalg.eigvalsh(point.Y).tobytes()
         eigs.clear()
+        for _ in range(2):
+            ext.gradient_fd(point)
+        assert eigs and all(Y is not point.Y and Y.ndim > 2 for Y in eigs)
+        eigs.clear()
+
+
+def test_metric_pair_computes_no_condition_number(monkeypatch):
+    # validation held cond(Y) to COND_LIMIT; the metric relies on it
+    conds = _count_linalg(monkeypatch, "cond")
+    rng = np.random.default_rng(19)
+    for g in (1, 2, 3, 4):
+        points = [random_point(g, rng) for _ in range(3)]
+        stack = SiegelPoint(g, np.stack([p.X for p in points]),
+                            np.stack([p.Y for p in points]))
+        for point in points + [stack]:
+            metric.metric_pair(point)
+    assert conds == []

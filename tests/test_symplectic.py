@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
                                SiegelPoint, SymplecticElement, act, cocycle,
-                               im_of_action, is_symplectic, random_point,
-                               random_symplectic, tangent_pushforward,
-                               pushforward_matrix)
+                               is_symplectic, random_point, random_symplectic,
+                               tangent_pushforward, pushforward_matrix)
 
 
 def test_is_symplectic_identity_and_j():
@@ -48,6 +47,44 @@ def test_point_construction_symmetrizes_and_rejects():
         SiegelPoint(2, np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError, match="positive definite"):
         SiegelPoint(2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
+
+
+# Y = L L^t with L = [[1, 0], [10, 1.2e-5]]: every Cholesky pivot is
+# above 1e-12 max|Y|, but cond(Y) = 7.1e13
+_L = np.array([[1.0, 0.0], [10.0, 1.2e-5]])
+_ILL_CONDITIONED = _L @ _L.T
+
+
+def test_y_is_accepted_by_its_condition_number_alone():
+    # cond(Y) = 1000, far inside COND_LIMIT, while its leading minor 5
+    # is far below max|Y|^5
+    Y = np.diag([1000.0, 1.0, 1.0, 1.0, 1.0])
+    point = SiegelPoint(5, np.zeros((5, 5)), Y)
+    np.testing.assert_array_equal(point.spectrum, [1.0] * 4 + [1000.0])
+    assert np.array_equal(point.cholesky, np.sqrt(Y))
+
+
+@pytest.mark.parametrize("Y", [np.diag([1.0, 1e-14]), _ILL_CONDITIONED],
+                         ids=["diagonal", "pivots-pass"])
+def test_y_above_the_condition_limit_is_rejected(Y):
+    assert np.linalg.cond(Y) > 1e13
+    with pytest.raises(ValueError, match="numerically singular"):
+        SiegelPoint(2, np.zeros((2, 2)), Y)
+
+
+def test_zero_y_is_not_positive_definite():
+    # lambda_max <= COND_LIMIT lambda_min holds for Y = 0
+    with pytest.raises(ValueError, match="not positive definite"):
+        SiegelPoint(2, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_stack_names_its_ill_conditioned_member():
+    Y = np.stack([np.diag([1000.0, 1.0, 1.0, 1.0, 1.0]), np.eye(5),
+                  np.eye(5)])
+    Y[2, :2, :2] = _ILL_CONDITIONED
+    with pytest.raises(ValueError,
+                       match=r"numerically singular.*stack index \(2,\)"):
+        SiegelPoint(5, np.zeros((3, 5, 5)), Y)
 
 
 @pytest.mark.parametrize("part", ["X", "Y"])
@@ -94,7 +131,7 @@ def test_near_symmetric_entries_near_the_largest_float_stay_finite():
 @pytest.mark.parametrize("defect, match", [
     ("asymmetric", "not symmetric"),
     ("indefinite", "not positive definite"),
-    ("singular", "leading minor 2"),
+    ("singular", "numerically singular"),
     ("nan", "non-finite"),
 ])
 def test_stack_with_one_bad_member_raises(defect, match):
@@ -178,25 +215,38 @@ def test_action_and_cocycle_composition(g):
         assert np.abs(c_left - c_right).max() < 1e-10 * scale
 
 
-def test_im_of_action_matches_action():
+def _im_by_congruence(gamma, point):
+    """Im gamma(Z) as ((C Zbar + D)^t)^{-1} Y (C Z + D)^{-1}, a second
+    formula for the imaginary part of the image."""
+    den = gamma.C @ point.Z + gamma.D
+    den_bar = gamma.C @ point.Z.conj() + gamma.D
+    W = np.linalg.solve(den_bar.T, point.Y.astype(complex))
+    W = np.linalg.solve(den.T, W.T).T
+    return ((W + W.T) / 2.0).real
+
+
+def test_imaginary_part_of_the_action_matches_the_congruence():
     B = np.array([[1, 0], [0, 2]])
     point = random_point(2, seed=2)
-    assert np.abs(im_of_action(SymplecticElement.translation(B), point)
-                  - point.Y).max() < 1e-14
+    gamma = SymplecticElement.translation(B)
+    assert np.abs(act(gamma, point).Y - point.Y).max() < 1e-14
+    assert np.abs(_im_by_congruence(gamma, point) - point.Y).max() < 1e-14
     # degree one inversion: Im(-1/(iy)) = 1/y
     y = 1.7
-    got = im_of_action(SymplecticElement.inversion(1),
-                       SiegelPoint.from_complex(1j * y))
-    assert abs(got[0, 0] - 1 / y) < 1e-14
+    point = SiegelPoint.from_complex(1j * y)
+    gamma = SymplecticElement.inversion(1)
+    assert abs(act(gamma, point).Y[0, 0] - 1 / y) < 1e-14
+    assert abs(_im_by_congruence(gamma, point)[0, 0] - 1 / y) < 1e-14
 
     rng = np.random.default_rng(3)
     for _ in range(5):
         gamma = random_symplectic(3, 5, rng)
         point = random_point(3, rng)
-        expected = act(gamma, point).Y
-        got = im_of_action(gamma, point)
-        assert np.abs(got - expected).max() < 1e-10
-        assert np.linalg.eigvalsh(got).min() > 0
+        image = act(gamma, point)
+        expected = _im_by_congruence(gamma, point)
+        assert np.abs(image.Y - expected).max() < 1e-10
+        assert np.linalg.eigvalsh(expected).min() > 0
+        assert image.spectrum[0] > 0
 
 
 def test_tangent_pushforward_basics():

@@ -6,6 +6,13 @@ from siegel import __version__
 from siegel.verify import TOLERANCES, run_suite
 
 
+@pytest.mark.parametrize("seed, g", [(12, 5), (30, 5), (44, 5), (47, 4)])
+def test_well_conditioned_images_are_not_degenerate(seed, g):
+    # each seed draws a metric case whose image under the action has
+    # cond(Y) far below COND_LIMIT and leading minors far below max|Y|^k
+    run_suite("metric", (g, g), seed)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
