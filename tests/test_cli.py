@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import siegel.cli as cli_module
 import siegel.verify as verify_module
-from siegel.cli import main
+from siegel.cli import build_parser, main
 from siegel.connection import gamma_closed, gamma_from_metric
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import metric_pair
@@ -476,3 +477,91 @@ def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["point"]["X"] == [[1e308]]
     assert "Infinity" not in out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    try:
+        for argv in (["qexp", "--form", "E4", "--terms", "3"],
+                     ["metric", "--g", "1"], ["gamma", "--g", "2"],
+                     ["gamma", "--method", "nope"]):
+            run_cli(capsys, *argv)
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+    finally:
+        cli_module._parser.cache_clear()
+
+
+_SEQUENCE = (
+    ("gamma", "--g", "2", "--method", "metricB", "--out", "F"),
+    ("gamma", "--g", "2"),
+    ("verify", "--suite", "qseries", "--timings", "--report", "R1"),
+    ("verify", "--suite", "qseries", "--report", "R2"),
+    ("gamma", "--method", "nope"),
+    ("gamma", "--g"),
+    ("--version",),
+    ("metric", "--g", "2"),
+)
+
+
+def _run_sequence(capsys, fresh):
+    """Exit code (or SystemExit code), stdout, stderr and the bytes of F,
+    R1 and R2 after each call of _SEQUENCE, run in the current directory.
+    With fresh, every call builds its own parser."""
+    results = []
+    for argv in _SEQUENCE:
+        if fresh:
+            cli_module._parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        files = {name: Path(name).read_bytes()
+                 for name in ("F", "R1", "R2") if Path(name).exists()}
+        results.append((code, out, err, files))
+    return results
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch,
+                                                     capsys):
+    runs = {}
+    for fresh in (True, False):
+        directory = tmp_path / ("fresh" if fresh else "shared")
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        cli_module._parser.cache_clear()
+        runs[fresh] = _run_sequence(capsys, fresh)
+    cli_module._parser.cache_clear()
+
+    shared = runs[False]
+    for argv, got, want in zip(_SEQUENCE, shared, runs[True]):
+        assert got[:3] == want[:3], argv
+        assert got[3].keys() == want[3].keys(), argv
+        # R1 holds wall times
+        assert all(got[3][name] == want[3][name]
+                   for name in got[3] if name != "R1"), argv
+
+    first, second, timed, untimed, bad_method, bad_usage, version, metric = \
+        shared
+    assert first[0] == 0 and first[1] == ""
+    assert json.loads(first[3]["F"])["method"] == "metricB"
+    # the second gamma writes to stdout with the default method, F is kept
+    assert second[0] == 0 and second[3]["F"] == first[3]["F"]
+    assert json.loads(second[1])["method"] == "closed"
+    assert all("ms" in r for r in json.loads(timed[3]["R1"])["records"])
+    assert untimed[0] == 0
+    assert all("ms" not in r for r in json.loads(untimed[3]["R2"])["records"])
+    # --g 2 of the calls before does not carry over
+    assert bad_method[:3] == (2, "", "error: either --point FILE or --g N "
+                                     "is required\n")
+    assert bad_usage[0] == ("SystemExit", 2)
+    assert version[:2] == (("SystemExit", 0), "0.1.0\n")
+    assert metric[0] == 0 and json.loads(metric[1])["g"] == 2
