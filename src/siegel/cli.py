@@ -113,11 +113,15 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """Every value of a real array, flattened, spelled as json spells a
-    float: float.__repr__, and NaN, Infinity or -Infinity."""
-    texts = list(map(float.__repr__, values.ravel().tolist()))
-    if not np.isfinite(values).all():
-        texts = [_NON_FINITE.get(text, text) for text in texts]
-    return texts
+    float: float.__repr__, and NaN, Infinity or -Infinity.  Each distinct
+    bit pattern is spelled once; keying by bits, not by value, keeps -0.0
+    apart from 0.0."""
+    bits, where = np.unique(np.asarray(values, dtype=np.float64).ravel()
+                            .view(np.uint64), return_inverse=True)
+    spelled = np.array([_NON_FINITE.get(text, text) for text in
+                        map(float.__repr__, bits.view(np.float64).tolist())],
+                       dtype=object)
+    return spelled[where].tolist()
 
 
 def _list_pieces(items: list[str], depth: int) -> list[str]:

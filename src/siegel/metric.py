@@ -22,7 +22,7 @@ import numpy as np
 
 from .indexing import (Pair, basis_stack, n_index, omega_list,
                        row_col_indices, sigma)
-from .symplectic import SiegelPoint
+from .symplectic import DegeneracyError, SiegelPoint
 
 
 def _power_table(g: int) -> np.ndarray:
@@ -60,12 +60,18 @@ def _metric_arrays(point: SiegelPoint) -> tuple:
     # the Cholesky factor of Y that validating the point computed, after
     # it held cond(Y) to COND_LIMIT
     inv_cho = np.linalg.inv(point.cholesky)
-    R = inv_cho.swapaxes(-1, -2) @ inv_cho
-    # one Newton step tightens the inverse near degenerate points
-    R = R @ (2.0 * np.eye(g) - Y @ R)
-    R = (R + R.swapaxes(-1, -2)) / 2.0
-    W = _pair_gram(R) * _power_table(g)
-    M = _pair_gram(Y)
+    # Y^-1 of a subnormal Y, or the Grams Y (x) Y and Y^-1 (x) Y^-1 of a Y
+    # near either end of the float range, overflow: a degeneracy.  W holds
+    # the squares of R's entries, so a non-finite R leaves W non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = inv_cho.swapaxes(-1, -2) @ inv_cho
+        # one Newton step tightens the inverse near degenerate points
+        R = R @ (2.0 * np.eye(g) - Y @ R)
+        R = (R + R.swapaxes(-1, -2)) / 2.0
+        W = _pair_gram(R) * _power_table(g)
+        M = _pair_gram(Y)
+    if not (np.isfinite(W).all() and np.isfinite(M).all()):
+        raise DegeneracyError("the metric overflows the float range")
     for Mat in (W, M, R):
         Mat.setflags(write=False)
     return tuple(omega_list(g)), W, M, R

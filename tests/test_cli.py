@@ -436,6 +436,35 @@ def test_metric_output_spells_non_finite_values_as_json(monkeypatch,
         assert text in stdout
 
 
+def _complex_parts():
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    values[::2, 1] = complex(-0.0, 0.0)
+    values[1::2, 3] = complex(0.0, -0.0)
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(np.tile([0.5, -0.5, 1 / 3, 0.5], 50), id="repeats"),
+    pytest.param(np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -0.0]), id="signed-zero"),
+    pytest.param(np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                           0x7FF0000000000001, 0xFFF4000000000123,
+                           0x7FFFFFFFFFFFFFFF, 0x7FF8000000000000],
+                          dtype=np.uint64).view(np.float64), id="nan-payloads"),
+    pytest.param(np.array([np.inf, -np.inf, 5e-324, -5e-324,
+                           1.7976931348623157e308, -1.7976931348623157e308,
+                           np.inf, 5e-324]), id="range-ends"),
+    pytest.param(np.arange(12.0).reshape(3, 4) % 5 - 2.0, id="matrix"),
+    pytest.param(_complex_parts().real, id="real-view"),
+    pytest.param(_complex_parts().imag, id="imag-view"),
+    pytest.param(_complex_parts().real.T, id="transposed-view"),
+    pytest.param(np.zeros(0), id="empty"),
+])
+def test_float_texts_spell_each_value_as_json(values):
+    assert cli_module._float_texts(values) == [
+        json.dumps(x) for x in values.ravel().tolist()]
+
+
 @pytest.mark.parametrize("command", ["gamma", "metric"])
 @pytest.mark.parametrize("text", [
     '"hello"',
@@ -477,6 +506,21 @@ def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["point"]["X"] == [[1e308]]
     assert "Infinity" not in out
+
+
+@pytest.mark.parametrize("command", ["metric", "gamma"])
+@pytest.mark.parametrize("y", ["1e308", "1e-320"])
+def test_point_whose_metric_leaves_the_float_range_exits_3(tmp_path, capsys,
+                                                           command, y):
+    # Y (x) Y overflows at 1e308, Y^-1 at the subnormal 1e-320
+    path = tmp_path / "point.json"
+    path.write_text('{"g": 1, "X": [[0.0]], "Y": [[%s]]}' % y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--point", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "numerical degeneracy" in err
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

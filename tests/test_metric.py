@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from siegel.functions import fd_gradient
 from siegel.indexing import delta, n_index, omega_list, sym_to_coords
 from siegel.metric import dM_dZ, dW_tensor, metric_form, metric_pair, sigma
-from siegel.symplectic import SiegelPoint, act, random_point, \
+from siegel.symplectic import DegeneracyError, SiegelPoint, act, random_point, \
     random_symplectic, tangent_pushforward
 
 
@@ -165,3 +167,27 @@ def test_degenerate_metric_rejected():
     with pytest.raises(ValueError):
         metric_pair(SiegelPoint(2, np.zeros((2, 2)),
                                 np.diag([1.0, 1e-14]))).W
+
+
+@pytest.mark.parametrize("Y", [
+    [[1e308]],                  # Y (x) Y overflows, Y^-1 (x) Y^-1 is 0
+    [[1e-320]],                 # Y^-1 overflows
+    [[1e200, 0.0], [0.0, 3e200]],
+])
+def test_metric_beyond_the_float_range_is_a_degeneracy(Y):
+    g = len(Y)
+    point = SiegelPoint(g, np.zeros((g, g)), np.array(Y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="float range"):
+            metric_pair(point)
+
+
+def test_metric_near_the_float_range_is_kept():
+    # W = 1 / (2 y^2) = 5e-301 and M = 2 y^2 = 2e300 are representable
+    y = 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = metric_pair(SiegelPoint.from_complex(1j * y))
+    assert abs(pair.W[0, 0] / (1 / (2 * y * y)) - 1) < 1e-14
+    assert abs(pair.M[0, 0] / (2 * y * y) - 1) < 1e-14
