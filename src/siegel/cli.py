@@ -259,15 +259,17 @@ def _cmd_gamma(args) -> int:
 def _table_entries(point: SiegelPoint, method: str
                    ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The method's coefficients at the point above 1e-14 of the largest
-    magnitude (floored at 1), in index order: their index arrays (K, I, J)
-    and their values.  The table is freed on return, before the output
-    text is built."""
+    magnitude, in index order: their index arrays (K, I, J) and their
+    values.  The cutoff is relative, as Gamma scales as Y^{-1}.  The table
+    is freed on return, before the output text is built."""
     if method == "closed":
         table = gamma_closed(point).table
     else:
         table = gamma_from_metric(point, _GAMMA_METHODS[method]).table
     magnitude = np.abs(table)
-    cutoff = 1e-14 * max(1.0, float(magnitude.max()))
+    largest = float(magnitude.max())
+    # a NaN entry leaves no largest magnitude; then the floor 1e-14 holds
+    cutoff = 1e-14 if np.isnan(largest) else 1e-14 * largest
     where = np.nonzero(magnitude > cutoff)
     return where, table[where]
 

@@ -33,15 +33,17 @@ D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J and df the holomorphic
 differential only.
 
 Everything is evaluated pointwise: a table holds numbers at its base point,
-and coefficient functions supply values and holomorphic gradients there.
-``apply_D`` adds every term into one dictionary, in the order of the sum
-above.  The cocycle entries and pullbacks that ``gamma_act_on_form`` puts
-into coefficients share one evaluation of gamma Z, S(gamma, Z) and its
-derivatives per point, kept on the point.
+and a form's coefficients are numbers or jets there (``functions.Jet``, a
+value and a holomorphic gradient), which is all that D reads.  ``apply_D``
+adds every term into one dictionary, in the order of the sum above.
+``gamma_act_on_form`` builds its jets from one gamma Z, one S(gamma, Z) and
+one set of its derivatives at the point: a pulled-back coefficient is
+(f(gamma Z), S grad f(gamma Z)) and a cocycle entry is (S[L, K], dS[:, L, K]).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -50,9 +52,7 @@ import numpy as np
 
 from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
-from .functions import (ConstFunction, ProductFunction, PullbackFunction,
-                        ScaledFunction, TestFunction, coefficient_gradient,
-                        coefficient_value, is_number)
+from .functions import Jet
 from .indexing import (Pair, entry_positions, n_index, omega_list,
                        omega_size, row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
@@ -299,22 +299,22 @@ def curvature_quadratics(table: ConnectionTable) -> list[FormPolynomial]:
 def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
     """Evaluate D(form) at the table's base point.
 
-    Coefficients of the input may be numbers or point functions; the output
-    has numeric coefficients.  The holomorphic differential of each
-    coefficient is taken with respect to the upper-triangle coordinates.
-    Terms are accumulated into one dictionary, in the order of the sum
+    Coefficients of the input are numbers or jets at that point; the output
+    has numeric coefficients.  The holomorphic differential of a jet is its
+    gradient over the upper-triangle coordinates.  Terms are accumulated
+    into one dictionary, in the order of the sum
     df dZ_{K_1}...dZ_{K_r} + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}.
     """
-    point = table.point
-    g = table.g
     quadratics = curvature_quadratics(table)
     out: dict = {}
     for mono, coef in form.terms.items():
-        cval = complex(coefficient_value(coef, point))
-        grad = coefficient_gradient(coef, point, g)
-        for pos in range(len(grad)):
-            if grad[pos] != 0:
-                add_term(out, tuple(sorted(mono + (pos,))), grad[pos])
+        if isinstance(coef, Jet):
+            cval = complex(coef.value)
+            for pos, d in enumerate(coef.grad):
+                if d != 0:
+                    add_term(out, tuple(sorted(mono + (pos,))), d)
+        else:
+            cval = complex(coef)
         if cval == 0:
             continue
         for t in range(len(mono)):
@@ -323,7 +323,7 @@ def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
                 c = cval * c2
                 if c != 0:
                     add_term(out, tuple(sorted(rest + m2)), c)
-    return FormPolynomial.canonical(g, out)
+    return FormPolynomial.canonical(table.g, out)
 
 
 def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
@@ -356,7 +356,7 @@ def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
     point = table.point
     g = table.g
     R = metric_pair(point).R
-    nab = sym_gradient(f, point) - 1j * k * coefficient_value(f, point) * R
+    nab = sym_gradient(f, point) - 1j * k * f.value(point) * R
     out = trace_form(nab, g)
     det_power = FormPolynomial.scalar(g, 1.0 + 0j)
     for _ in range(k):
@@ -365,22 +365,22 @@ def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
 
 
 def _require_symmetric_entries(Gfield, g: int) -> None:
+    """Entries (i, j) and (j, i) must be one jet, or equal in value and in
+    gradient."""
     for i in range(g):
         for j in range(i + 1, g):
             a, b = Gfield[i][j], Gfield[j][i]
-            if a is b:
+            if a is b or (a.value == b.value
+                          and np.array_equal(a.grad, b.grad)):
                 continue
-            if isinstance(a, TestFunction) and isinstance(b, TestFunction):
-                if a.terms == b.terms:
-                    continue
-            raise ValueError("matrix of functions must be symmetric")
+            raise ValueError("matrix of jets must be symmetric")
 
 
 def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
-    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of functions,
-    read as G[i][j]: the Kronecker-product derivative term plus the
-    curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric coefficients
-    at the base point."""
+    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of jets at the
+    table's base point, read as G[i][j]: the Kronecker-product derivative
+    term plus the curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric
+    coefficients at the base point."""
     point = table.point
     g = table.g
     pos = entry_positions(g)
@@ -391,9 +391,9 @@ def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
     values = np.empty((g, g), dtype=complex)
     for i in range(1, g + 1):
         for j in range(i, g + 1):
-            fn = Gfield[i - 1][j - 1]
-            values[i - 1, j - 1] = values[j - 1, i - 1] = coefficient_value(fn, point)
-            grads[i, j] = grads[j, i] = coefficient_gradient(fn, point, g)
+            jet = Gfield[i - 1][j - 1]
+            values[i - 1, j - 1] = values[j - 1, i - 1] = jet.value
+            grads[i, j] = grads[j, i] = jet.grad
 
     terms: dict = {}
 
@@ -430,42 +430,37 @@ def kron_trace(A, B, C, D) -> complex:
     return complex(np.einsum("ij,kl,lk,ji->", A, B, C, D))
 
 
-class _CocycleEntryFunction:
-    """Z -> S(gamma, Z)[L, K] with analytic coordinate gradient.  S and its
-    coordinate derivatives are kept on the point, so the entry functions
-    of one form share one evaluation per point."""
-
-    def __init__(self, gamma: SymplecticElement, l: int, k: int):
-        self.gamma = gamma
-        self.g = gamma.g
-        self.l = l
-        self.k = k
-
-    def value(self, point) -> complex:
-        return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
-
-    def gradient(self, point) -> np.ndarray:
-        return pushforward_derivatives(self.gamma, point)[:, self.l, self.k]
+def _jets_at(form: FormPolynomial, point: SiegelPoint) -> FormPolynomial:
+    """The form with each coefficient replaced by its jet at point: a
+    point function's from Jet.at, a number's with a zero gradient."""
+    zero = np.zeros(omega_size(point.g), dtype=complex)
+    return form.map_coefficients(
+        lambda c: Jet(complex(c), zero) if isinstance(c, numbers.Number)
+        else Jet.at(c, point))
 
 
-def gamma_act_on_form(gamma: SymplecticElement, g: int,
+def gamma_act_on_form(gamma: SymplecticElement, point: SiegelPoint,
                       form: FormPolynomial) -> FormPolynomial:
-    """Substitution action on a function-coefficient form: coefficients are
-    pulled back through gamma, generators transform through the cocycle.
-    The result keeps function coefficients."""
-    m = omega_size(g)
+    """gamma . form at point, for a form with number or point-function
+    coefficients: each coefficient is pulled back through gamma, and each
+    generator dZ_K becomes sum_L S[L, K] dZ_L.  The result has jet
+    coefficients at point: a pullback is (f(gamma Z), S grad f(gamma Z)), a
+    cocycle entry is (S[L, K], dS[:, L, K]), and a term is the jet product
+    of its pullback and its entries."""
+    m = omega_size(point.g)
+    S = pushforward_matrix(gamma, point)
+    dS = pushforward_derivatives(gamma, point)
+    entries = [[Jet(complex(S[l, k]), dS[:, l, k]) for k in range(m)]
+               for l in range(m)]
     terms: dict = {}
-    for mono, coef in form.terms.items():
-        base = ConstFunction(g, coef) if is_number(coef) else coef
-        pulled = PullbackFunction(gamma, base) \
-            if not isinstance(base, ConstFunction) else base
+    for mono, coef in _jets_at(form, act(gamma, point)).terms.items():
+        pulled = Jet(coef.value, S @ coef.grad)
         for assignment in product(range(m), repeat=len(mono)):
-            factors = [pulled] + [
-                _CocycleEntryFunction(gamma, l, k)
-                for l, k in zip(assignment, mono)]
-            fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
-            add_term(terms, tuple(sorted(assignment)), fn)
-    return FormPolynomial.canonical(g, terms)
+            jet = Jet.product([pulled] + [
+                entries[l][k] for l, k in zip(assignment, mono)]) \
+                if mono else pulled
+            add_term(terms, tuple(sorted(assignment)), jet)
+    return FormPolynomial.canonical(point.g, terms)
 
 
 def _coefficient_scale(*forms: FormPolynomial) -> float:
@@ -484,9 +479,9 @@ def equivariance_residual(table_fn, gamma: SymplecticElement,
     group elements."""
     image = act(gamma, point)
     # D(gamma . form) at the point
-    lhs = apply_D(table_fn(point), gamma_act_on_form(gamma, point.g, form))
+    lhs = apply_D(table_fn(point), gamma_act_on_form(gamma, point, form))
     # gamma . (D form): evaluate D(form) at gamma(Z), transport the basis
-    d_at_image = apply_D(table_fn(image), form)
+    d_at_image = apply_D(table_fn(image), _jets_at(form, image))
     rhs = substitute_basis(d_at_image, pushforward_matrix(gamma, point))
     return max_coefficient_diff(lhs, rhs) / _coefficient_scale(lhs, rhs)
 
@@ -505,8 +500,8 @@ def invariance_residual(table_fn, gamma: SymplecticElement,
     """
     image = act(gamma, point)
     extension = ModularExtension(f, 2 * k, gamma)
-    alpha_here = _f_det_form(f, k, point.g)
-    alpha_image = _f_det_form(extension, k, point.g)
+    alpha_here = _f_det_form(f, k, point)
+    alpha_image = _f_det_form(extension, k, image)
     here = apply_D(table_fn(point), alpha_here)
     d_image = apply_D(table_fn(image), alpha_image)
     S = pushforward_matrix(gamma, point)
@@ -518,12 +513,15 @@ def invariance_residual(table_fn, gamma: SymplecticElement,
     return max_coefficient_diff(here, transported) / scale
 
 
-def _f_det_form(f, k: int, g: int) -> FormPolynomial:
-    """f . det(dZ)^k with the scalar function folded into each coefficient."""
+def _f_det_form(f, k: int, point: SiegelPoint) -> FormPolynomial:
+    """f det(dZ)^k at point: det(dZ)^k with each coefficient scaled by the
+    jet of the point function f there."""
+    g = point.g
+    jet = Jet.at(f, point)
     if k == 0:
         out = FormPolynomial.scalar(g, 1.0 + 0j)
     else:
         out = det_dz(g)
         for _ in range(k - 1):
             out = out * det_dz(g)
-    return out.map_coefficients(lambda c: ScaledFunction(f, c))
+    return out.map_coefficients(lambda c: c * jet)

@@ -1,16 +1,17 @@
 """Commutative polynomial algebra on the generators dZ_I, I in Omega.
 
 Monomials are canonical sorted tuples of 0-based Omega positions, so
-dZ_I dZ_J == dZ_J dZ_I by construction.  Coefficients may be plain complex
-numbers or point functions (see functions.py); zero coefficients are never
-stored.
+dZ_I dZ_J == dZ_J dZ_I by construction.  Coefficients are numbers or jets
+at one point (``functions.Jet``: a value and a holomorphic gradient there),
+combined by plain ``+`` and ``*``; zero coefficients are never stored, and
+a jet is never zero.  A form may also hold point functions that no
+arithmetic touches, as the input of ``connection.gamma_act_on_form``.
 
 A form's terms keep the order in which their monomials first appeared; a
 sum keeps the left operand's monomials in place and appends new ones, and
 ``add_term`` does the same in place for callers that accumulate many terms.
 Forms built from other forms take their keys as already sorted
-(``FormPolynomial.canonical``), and whether a coefficient is a number is
-decided once per coefficient type.
+(``FormPolynomial.canonical``).
 """
 
 from __future__ import annotations
@@ -19,46 +20,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .functions import (ConstFunction, ProductFunction, ScaledFunction,
-                        SumFunction, is_number)
 from .indexing import Pair, entry_positions, n_index, omega_list, omega_size
 
 Monomial = tuple[int, ...]
-
-
-def _coef_add(a, b):
-    a_number, b_number = is_number(a), is_number(b)
-    if a_number and b_number:
-        return complex(a) + complex(b)
-    g = a.g if not a_number else b.g
-    if a_number:
-        a = ConstFunction(g, a)
-    if b_number:
-        b = ConstFunction(g, b)
-    return SumFunction([a, b])
-
-
-def _coef_mul(a, b):
-    a_number, b_number = is_number(a), is_number(b)
-    if a_number and b_number:
-        return complex(a) * complex(b)
-    if a_number:
-        return ScaledFunction(b, a)
-    if b_number:
-        return ScaledFunction(a, b)
-    return ProductFunction([a, b])
-
-
-def _is_zero(coef) -> bool:
-    return is_number(coef) and complex(coef) == 0
 
 
 def add_term(terms: dict, mono: Monomial, coef) -> None:
     """Add coef to terms[mono] in place, a canonical key being assumed;
     a sum that cancels to zero is removed, and a new key goes last."""
     if mono in terms:
-        total = _coef_add(terms[mono], coef)
-        if _is_zero(total):
+        total = terms[mono] + coef
+        if total == 0:
             del terms[mono]
         else:
             terms[mono] = total
@@ -74,7 +46,7 @@ class FormPolynomial:
         self.m = omega_size(g)
         self.terms: dict[Monomial, object] = {}
         for mono, coef in (terms or {}).items():
-            if not _is_zero(coef):
+            if coef != 0:
                 self.terms[tuple(sorted(mono))] = coef
 
     @classmethod
@@ -85,7 +57,7 @@ class FormPolynomial:
         out.g = g
         out.m = omega_size(g)
         out.terms = {mono: coef for mono, coef in terms.items()
-                     if not _is_zero(coef)}
+                     if coef != 0}
         return out
 
     @classmethod
@@ -113,16 +85,16 @@ class FormPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                c = _coef_mul(c1, c2)
+                c = c1 * c2
                 if mono in out:
-                    out[mono] = _coef_add(out[mono], c)
+                    out[mono] = out[mono] + c
                 else:
                     out[mono] = c
         return FormPolynomial.canonical(self.g, out)
 
     def scale(self, scalar) -> "FormPolynomial":
         return FormPolynomial.canonical(
-            self.g, {m: _coef_mul(c, scalar) for m, c in self.terms.items()})
+            self.g, {m: c * scalar for m, c in self.terms.items()})
 
     def map_coefficients(self, fn) -> "FormPolynomial":
         return FormPolynomial.canonical(
@@ -163,15 +135,11 @@ def _perm_sign(perm) -> float:
 
 def trace_form(Gmat, g: int) -> FormPolynomial:
     """Tr(G dZ) = sum_ij G_ij dZ_ji as a degree-1 form.  G, read as
-    G[i][j], may be a nested list or an array of numbers or point
-    functions; it must be symmetric."""
-    terms: dict = {}
-    for pos, (i, j) in enumerate(omega_list(g)):
-        weight = 1.0 if i == j else 2.0
-        coef = _coef_mul(Gmat[i - 1][j - 1], weight)
-        if not _is_zero(coef):
-            terms[(pos,)] = coef
-    return FormPolynomial(g, terms)
+    G[i][j], may be a nested list or an array of numbers or jets; it must
+    be symmetric."""
+    return FormPolynomial(g, {
+        (pos,): Gmat[i - 1][j - 1] * (1.0 + 0j if i == j else 2.0 + 0j)
+        for pos, (i, j) in enumerate(omega_list(g))})
 
 
 def max_coefficient_diff(f1: FormPolynomial, f2: FormPolynomial) -> float:

@@ -9,22 +9,22 @@ optionally their conjugates, with exact Gaussian-rational coefficients so
 that derivative bookkeeping stays exact until a value is requested at a
 numeric point, where it is evaluated from exponent arrays compiled once.
 
-Small combinators (sums, products, pullback through a group element) build
-the composite coefficients that show up when a group element is pushed
-through a differential form.
+A Jet is what the form layer keeps of a point function: its value and
+holomorphic gradient at one point (``Jet.at``).  Jets add, scale and
+multiply by the Leibniz rule, so the coefficients that show up when a group
+element is pushed through a differential form are built at the point, once.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .indexing import Pair, basis_stack, n_index, omega_size, sym_to_coords
-from .symplectic import SiegelPoint, SymplecticElement, act, pushforward_matrix
+from .symplectic import SiegelPoint
 
 
 @dataclass(frozen=True)
@@ -216,107 +216,55 @@ def _evaluate(coords: np.ndarray, holo: np.ndarray, anti: np.ndarray,
     return out
 
 
-class ConstFunction:
-    def __init__(self, g: int, value):
-        self.g = g
-        self._value = complex(value)
+class Jet:
+    """The 1-jet of a function at one point: its value there and its
+    holomorphic gradient d/dZ_I, a length-|Omega| array.
 
-    def value(self, point) -> complex:
-        return np.full(point.X.shape[:-2], self._value)[()]
+    Jets add to jets, scale by numbers and multiply by the Leibniz rule, so
+    a form with jet coefficients is a form at its point.  A jet never
+    equals 0: a form keeps every jet it is given.  ``__array_ufunc__ =
+    None`` makes a numpy scalar times a jet defer to the jet."""
 
-    def gradient(self, point) -> np.ndarray:
-        return np.zeros(omega_size(self.g), dtype=complex)
+    __slots__ = ("value", "grad")
+    __array_ufunc__ = None
 
+    def __init__(self, value, grad: np.ndarray):
+        self.value = value
+        self.grad = grad
 
-class SumFunction:
-    def __init__(self, parts):
-        self.parts = list(parts)
-        self.g = self.parts[0].g
+    @classmethod
+    def at(cls, fn, point: SiegelPoint) -> "Jet":
+        """The jet at point of a point function: anything with
+        value(point) and gradient(point)."""
+        return cls(fn.value(point), fn.gradient(point))
 
-    def value(self, point) -> complex:
-        return sum(p.value(point) for p in self.parts)
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(self.value + other.value, self.grad + other.grad)
 
-    def gradient(self, point) -> np.ndarray:
-        return sum(p.gradient(point) for p in self.parts)
+    def __mul__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet.product((self, other))
+        scale = complex(other)
+        return Jet(scale * self.value, scale * self.grad)
 
+    __rmul__ = __mul__
 
-class ProductFunction:
-    def __init__(self, factors):
-        self.factors = list(factors)
-        self.g = self.factors[0].g
-
-    def value(self, point) -> complex:
-        out = 1 + 0j
-        for f in self.factors:
-            out *= f.value(point)
-        return out
-
-    def gradient(self, point) -> np.ndarray:
-        values = [f.value(point) for f in self.factors]
-        grads = [f.gradient(point) for f in self.factors]
-        total = np.zeros_like(grads[0])
-        for t in range(len(self.factors)):
+    @staticmethod
+    def product(factors) -> "Jet":
+        """The jet of a product: the values multiplied in order, and the
+        gradient sum_t grad f_t prod_{u != t} f_u, each partial product in
+        factor order and the sum in t order."""
+        value = 1 + 0j
+        for f in factors:
+            value *= f.value
+        grad = np.zeros_like(factors[0].grad)
+        for t, f in enumerate(factors):
             rest = 1 + 0j
-            for u, v in enumerate(values):
+            for u, other in enumerate(factors):
                 if u != t:
-                    rest *= v
-            total = total + grads[t] * rest
-        return total
-
-
-class ScaledFunction:
-    def __init__(self, fn, scale):
-        self.fn = fn
-        self.g = fn.g
-        self.scale = complex(scale)
-
-    def value(self, point) -> complex:
-        return self.scale * self.fn.value(point)
-
-    def gradient(self, point) -> np.ndarray:
-        return self.scale * self.fn.gradient(point)
-
-
-class PullbackFunction:
-    """z -> f(gamma z); the chain rule runs through the coordinate cocycle.
-    The image gamma z and the cocycle are kept on the point (see act), so
-    value and gradient at one point, and every pullback along gamma there,
-    share one action and one cocycle."""
-
-    def __init__(self, gamma: SymplecticElement, fn):
-        self.gamma = gamma
-        self.fn = fn
-        self.g = fn.g
-
-    def value(self, point) -> complex:
-        return self.fn.value(act(self.gamma, point))
-
-    def gradient(self, point) -> np.ndarray:
-        return (pushforward_matrix(self.gamma, point)
-                @ self.fn.gradient(act(self.gamma, point)))
-
-
-@cache
-def _number_type(cls: type) -> bool:
-    return issubclass(cls, numbers.Complex)
-
-
-def is_number(coef) -> bool:
-    """Whether a coefficient is a number rather than a point function; the
-    abstract-class test runs once per type."""
-    return _number_type(type(coef))
-
-
-def coefficient_value(coef, point) -> complex:
-    if is_number(coef):
-        return complex(coef)
-    return coef.value(point)
-
-
-def coefficient_gradient(coef, point, g: int) -> np.ndarray:
-    if is_number(coef):
-        return np.zeros(omega_size(g), dtype=complex)
-    return coef.gradient(point)
+                    rest *= other.value
+            grad = grad + f.grad * rest
+        return Jet(value, grad)
 
 
 def fd_gradient(value_fn, point: SiegelPoint,

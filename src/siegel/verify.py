@@ -25,7 +25,7 @@ from .connection import (apply_D, case_analysis_residual, d_det_closed,
                          gamma_from_metric, invariance_residual, kron_trace,
                          mcc_residual, _f_det_form)
 from .forms import (FormPolynomial, det_dz, max_coefficient_diff, trace_form)
-from .functions import fd_gradient, random_test_function
+from .functions import Jet, fd_gradient, random_test_function
 from .indexing import basis_matrix, omega_list, omega_size, sym_to_coords
 from .metric import dM_dZ, metric_form, metric_pair
 from .operators import (ImInverseField, ModularExtension, QSeriesFunction,
@@ -378,13 +378,17 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                        "entry",
                        lambda: max_coefficient_diff(
                            d_f_detk(table, f, k),
-                           apply_D(table, _f_det_form(f, k, g))))
+                           apply_D(table, _f_det_form(f, k, point))))
 
             entries = _random_symmetric_functions(g, rng)
+
+            def trace_derivative():
+                jets = [[Jet.at(fn, point) for fn in row] for row in entries]
+                return max_coefficient_diff(
+                    d_trace_form(table, jets),
+                    apply_D(table, trace_form(jets, g)))
             yield ("trace_form_derivative", {"g": g, "case": case}, "entry",
-                   lambda: max_coefficient_diff(
-                       d_trace_form(table, entries),
-                       apply_D(table, trace_form(entries, g))))
+                   trace_derivative)
 
             def leibniz():
                 rng2 = _case_rng(seed, g, case, "leibniz")

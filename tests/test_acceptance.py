@@ -17,7 +17,7 @@ from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                kron_trace, mcc_residual, _f_det_form)
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
                           trace_form)
-from siegel.functions import random_test_function
+from siegel.functions import Jet, random_test_function
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import metric_pair
 from siegel.operators import (ImInverseField, QSeriesFunction,
@@ -139,12 +139,12 @@ def test_criterion_05_form_identities():
             f = random_test_function(g, rng)
             worst = max(worst, max_coefficient_diff(
                 d_f_detk(table, f, k),
-                apply_D(table, _f_det_form(f, k, g))))
+                apply_D(table, _f_det_form(f, k, point))))
         entries = [[None] * g for _ in range(g)]
         for i in range(g):
             for j in range(i, g):
                 fn = random_test_function(g, rng, max_degree=2, n_terms=3)
-                entries[i][j] = entries[j][i] = fn
+                entries[i][j] = entries[j][i] = Jet.at(fn, point)
         worst = max(worst, max_coefficient_diff(
             d_trace_form(table, entries),
             apply_D(table, trace_form(np.array(entries, dtype=object), g))))

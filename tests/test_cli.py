@@ -120,6 +120,28 @@ def test_gamma_from_point_file(tmp_path, capsys):
         assert abs(by_key[key] - complex(e["re"], e["im"])) < 1e-10
 
 
+@pytest.mark.parametrize("method", sorted(cli_module._GAMMA_METHODS))
+def test_gamma_cutoff_is_relative_to_the_table(tmp_path, capsys, method):
+    # Gamma scales as Y^{-1}: at Y = 1e20 I every entry is about 1e-20, and
+    # each must still be listed, with the pattern and values of Y = I scaled
+    g = 2
+    tables = {}
+    for y in (1.0, 1e20):
+        path = tmp_path / f"point-{y}.json"
+        path.write_text(SiegelPoint(g, np.zeros((g, g)),
+                                    y * np.eye(g)).to_json())
+        code, out, err = run_cli(capsys, "gamma", "--point", str(path),
+                                 "--method", method)
+        assert code == 0 and err == ""
+        tables[y] = {(tuple(e["K"]), tuple(e["I"]), tuple(e["J"])):
+                     complex(e["re"], e["im"])
+                     for e in json.loads(out)["entries"]}
+    assert len(tables[1.0]) == 8
+    assert tables[1e20].keys() == tables[1.0].keys()
+    for key, value in tables[1.0].items():
+        assert abs(tables[1e20][key] * 1e20 - value) < 1e-12 * abs(value)
+
+
 def test_gamma_rejects_bad_method(capsys):
     code, _, err = run_cli(capsys, "gamma", "--g", "1", "--method", "x")
     assert code == 2
@@ -293,7 +315,8 @@ def _old_gamma_text(point, method, table=None):
                  gamma_from_metric(point, _METHODS[method])).table
     pairs = omega_list(point.g)
     magnitude = np.abs(table)
-    cutoff = 1e-14 * max(1.0, float(magnitude.max()))
+    largest = float(magnitude.max())
+    cutoff = 1e-14 if np.isnan(largest) else 1e-14 * largest
     where = np.nonzero(magnitude > cutoff)
     entries = [{"K": list(pairs[k]), "I": list(pairs[a]),
                 "J": list(pairs[b]), "re": value.real, "im": value.imag}

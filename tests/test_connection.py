@@ -8,8 +8,7 @@ from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                kron_trace, mcc_residual, _f_det_form)
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
                           substitute_basis, trace_form)
-from siegel.functions import ConstFunction, TestFunction, \
-    random_test_function
+from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import metric_pair
 from siegel.operators import ImInverseField
@@ -259,7 +258,7 @@ def test_scalar_det_power_against_expansion():
     z22 = TestFunction.coordinate(g, (2, 2))
     f = z11 * z22
     got = d_f_detk(table, f, 1)
-    expect = apply_D(table, _f_det_form(f, 1, g))
+    expect = apply_D(table, _f_det_form(f, 1, point))
     assert max_coefficient_diff(got, expect) < 1e-12
 
 
@@ -267,7 +266,7 @@ def test_trace_form_derivative_constant_degree_one():
     y = 0.9
     point = SiegelPoint.from_complex(0.2 + 1j * y)
     table = gamma_closed(point)
-    G = [[ConstFunction(1, 2.5)]]
+    G = [[Jet.at(TestFunction.constant(1, 2.5), point)]]
     out = d_trace_form(table, G)
     assert set(out.terms) == {(0, 0)}
     assert abs(out.terms[(0, 0)] - (-1j * 2.5 / y)) < 1e-14
@@ -282,7 +281,7 @@ def test_trace_form_derivative_polynomial(g):
     for i in range(g):
         for j in range(i, g):
             f = random_test_function(g, rng, max_degree=2, n_terms=3)
-            entries[i][j] = entries[j][i] = f
+            entries[i][j] = entries[j][i] = Jet.at(f, point)
     got = d_trace_form(table, entries)
     expect = apply_D(table, trace_form(np.array(entries, dtype=object), g))
     assert max_coefficient_diff(got, expect) < 1e-10
@@ -292,10 +291,33 @@ def test_trace_form_derivative_im_inverse_field():
     g = 2
     point = random_point(g, seed=71)
     table = gamma_closed(point)
-    entries = ImInverseField().entry_matrix(g)
+    entries = [[Jet.at(fn, point) for fn in row]
+               for row in ImInverseField().entry_matrix(g)]
     got = d_trace_form(table, entries)
     expect = apply_D(table, trace_form(np.array(entries, dtype=object), g))
     assert max_coefficient_diff(got, expect) < 1e-10
+
+
+def test_trace_form_derivative_requires_symmetric_jets():
+    g = 2
+    rng = np.random.default_rng(73)
+    point = random_point(g, rng)
+    table = gamma_closed(point)
+    f = random_test_function(g, rng, max_degree=2, n_terms=3)
+    diagonal = Jet.at(random_test_function(g, rng), point)
+    off = Jet.at(f, point)
+    same = d_trace_form(table, [[diagonal, off], [off, diagonal]])
+    # equal jets built apart, at a fresh point with its own arrays
+    twin = Jet.at(f, SiegelPoint(g, point.X, point.Y))
+    assert twin is not off and twin.grad is not off.grad
+    apart = d_trace_form(table, [[diagonal, off], [twin, diagonal]])
+    assert max_coefficient_diff(same, apart) == 0.0
+    # a different value, or the same value with another gradient
+    other = Jet.at(f + 1, point)
+    tilted = Jet(off.value, off.grad + np.eye(omega_size(g))[0])
+    for wrong in (other, tilted):
+        with pytest.raises(ValueError, match="symmetric"):
+            d_trace_form(table, [[diagonal, off], [wrong, diagonal]])
 
 
 def test_kron_trace_contraction():

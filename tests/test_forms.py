@@ -5,8 +5,8 @@ import pytest
 
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
                           substitute_basis, trace_form)
-from siegel.functions import (QC, ProductFunction, PullbackFunction,
-                              TestFunction, fd_gradient,
+from siegel.connection import gamma_act_on_form
+from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
                               random_test_function)
 from siegel.indexing import entry_positions, n_index, omega_list
 from siegel.symplectic import (SiegelPoint, act, random_point,
@@ -191,23 +191,32 @@ def test_pullback_chain_rule():
     rng = np.random.default_rng(8)
     gamma = random_symplectic(g, 4, rng)
     f = random_test_function(g, rng)
-    pulled = PullbackFunction(gamma, f)
     point = random_point(g, rng)
-    assert abs(pulled.value(point) - f.value(act(gamma, point))) < 1e-12
-    exact = pulled.gradient(point)
-    approx = fd_gradient(pulled.value, point)
-    assert np.abs(exact - approx).max() < 1e-6 * max(1, np.abs(exact).max())
+    pulled = gamma_act_on_form(gamma, point,
+                               FormPolynomial.scalar(g, f)).terms[()]
+    assert abs(pulled.value - f.value(act(gamma, point))) < 1e-12
+    approx = fd_gradient(lambda p: f.value(act(gamma, p)), point)
+    assert np.abs(pulled.grad - approx).max() < \
+        1e-6 * max(1, np.abs(pulled.grad).max())
 
 
 def test_product_function_rule():
-    g = 1
+    # the product, sum and scaling rules of jets, against exact polynomials
+    g = 2
     rng = np.random.default_rng(9)
-    f = random_test_function(g, rng)
-    h = random_test_function(g, rng)
-    prod = ProductFunction([f, h])
+    f, h, k = (random_test_function(g, rng) for _ in range(3))
     point = random_point(g, rng)
-    direct = (f * h).gradient(point)
-    assert np.abs(prod.gradient(point) - direct).max() < 1e-12
+    jf, jh, jk = (Jet.at(fn, point) for fn in (f, h, k))
+    for jet, fn in ((jf * jh, f * h), (Jet.product([jf, jh, jk]), f * h * k),
+                    (jf + jh, f + h),
+                    (jf * (0.5 - 1j), f * QC(Fraction(1, 2), Fraction(-1)))):
+        exact = Jet.at(fn, point)
+        assert abs(jet.value - exact.value) < 1e-12 * max(1, abs(exact.value))
+        assert np.abs(jet.grad - exact.grad).max() < \
+            1e-12 * max(1, np.abs(exact.grad).max())
+    # a jet is never zero, so a form keeps it
+    assert not jf == 0
+    assert FormPolynomial(g, {(0,): jf}).terms[(0,)] is jf
 
 
 def test_degree_mixing_with_functions():

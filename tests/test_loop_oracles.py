@@ -1,7 +1,8 @@
 """The scalar loops and step-by-step forms that the connection tables, the
 metric derivatives, the cocycle, the finite-difference stencils, the
-gradient of a modular extension, the dZ algebra and the expansion of group
-words were first written as, kept as references.
+gradient of a modular extension, the dZ algebra, the point-function
+coefficients that jets replaced and the expansion of group words were first
+written as, kept as references.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
@@ -18,24 +19,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import siegel.connection as connection
 import siegel.symplectic as symplectic
 from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
                                gamma_act_on_form, gamma_closed,
                                gamma_from_metric)
 from siegel.forms import (FormPolynomial, add_term, det_dz,
                           substitute_basis, trace_form)
-from siegel.functions import (ConstFunction, ProductFunction,
-                              PullbackFunction, coefficient_gradient,
-                              coefficient_value, fd_gradient,
-                              random_test_function)
+from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.indexing import (basis_matrix, coords_to_sym, delta, omega_list,
                              omega_size, row_col_indices, sym_to_coords)
 from siegel.metric import _power_table, dM_tensor, dW_tensor, metric_pair
 from siegel.operators import ImInverseField, ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
-                               pushforward_matrix,
+                               pushforward_derivatives, pushforward_matrix,
                                pushforward_matrix_derivative, random_point,
                                random_symplectic, random_word)
 
@@ -290,24 +287,25 @@ def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
     gamma = random_symplectic(g, 4, rng)
     here, there = random_point(g, rng), random_point(g, rng)
     form = det_dz(g) * FormPolynomial.generator(g, (1, 2))
-    acted = gamma_act_on_form(gamma, g, form)
-    apply_D(gamma_closed(here), acted)
+    apply_D(gamma_closed(here), gamma_act_on_form(gamma, here, form))
     assert calls == [here]
     assert derivative_calls == [here]
-    apply_D(gamma_closed(there), acted)
+    apply_D(gamma_closed(there), gamma_act_on_form(gamma, there, form))
     assert calls == [here, there]
     assert derivative_calls == [here, there]
-    # each entry function still reads its own entry of S and of dS/dZ
+    # each entry jet still holds its own entry of S and of dS/dZ
     for point in (here, there):
         S = _pushforward_loop(gamma, point)
         dS = np.stack([_pushforward_derivative_loop(
             gamma, point, basis_matrix(pair, g, dtype=complex))
             for pair in omega_list(g)])
-        generator = gamma_act_on_form(gamma, g,
+        generator = gamma_act_on_form(gamma, point,
                                       FormPolynomial.generator(g, (1, 2)))
-        for (l,), fn in generator.terms.items():
-            assert fn.value(point) == S[l, 1]
-            assert np.array_equal(fn.gradient(point), dS[:, l, 1])
+        for (l,), jet in generator.terms.items():
+            assert jet.value == S[l, 1]
+            assert np.array_equal(jet.grad, dS[:, l, 1])
+    assert calls == [here, there]
+    assert derivative_calls == [here, there]
 
 
 # ------------------------------------------------------------ stencils
@@ -387,6 +385,114 @@ def test_extension_gradient_matches_loop(g):
         again = SiegelPoint(g, point.X, point.Y)
         assert (ext.gradient(point).tobytes()
                 == _extension_gradient_loop(ext, again).tobytes())
+
+
+# ------------------------------------------------------------ point functions
+
+
+class _ConstFunction:
+    def __init__(self, g, value):
+        self.g = g
+        self._value = complex(value)
+
+    def value(self, point):
+        return np.full(point.X.shape[:-2], self._value)[()]
+
+    def gradient(self, point):
+        return np.zeros(omega_size(self.g), dtype=complex)
+
+
+class _SumFunction:
+    def __init__(self, parts):
+        self.parts = list(parts)
+        self.g = self.parts[0].g
+
+    def value(self, point):
+        return sum(p.value(point) for p in self.parts)
+
+    def gradient(self, point):
+        return sum(p.gradient(point) for p in self.parts)
+
+
+class _ProductFunction:
+    def __init__(self, factors):
+        self.factors = list(factors)
+        self.g = self.factors[0].g
+
+    def value(self, point):
+        out = 1 + 0j
+        for f in self.factors:
+            out *= f.value(point)
+        return out
+
+    def gradient(self, point):
+        values = [f.value(point) for f in self.factors]
+        grads = [f.gradient(point) for f in self.factors]
+        total = np.zeros_like(grads[0])
+        for t in range(len(self.factors)):
+            rest = 1 + 0j
+            for u, v in enumerate(values):
+                if u != t:
+                    rest *= v
+            total = total + grads[t] * rest
+        return total
+
+
+class _ScaledFunction:
+    def __init__(self, fn, scale):
+        self.fn = fn
+        self.g = fn.g
+        self.scale = complex(scale)
+
+    def value(self, point):
+        return self.scale * self.fn.value(point)
+
+    def gradient(self, point):
+        return self.scale * self.fn.gradient(point)
+
+
+class _PullbackFunction:
+    """z -> f(gamma z), by the chain rule through the coordinate cocycle."""
+
+    def __init__(self, gamma, fn):
+        self.gamma = gamma
+        self.fn = fn
+        self.g = fn.g
+
+    def value(self, point):
+        return self.fn.value(act(self.gamma, point))
+
+    def gradient(self, point):
+        return (pushforward_matrix(self.gamma, point)
+                @ self.fn.gradient(act(self.gamma, point)))
+
+
+class _CocycleEntryFunction:
+    """Z -> S(gamma, Z)[L, K] with its coordinate gradient."""
+
+    def __init__(self, gamma, l, k):
+        self.gamma = gamma
+        self.g = gamma.g
+        self.l = l
+        self.k = k
+
+    def value(self, point):
+        return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
+
+    def gradient(self, point):
+        return pushforward_derivatives(self.gamma, point)[:, self.l, self.k]
+
+
+def _coefficient_value(coef, point):
+    if isinstance(coef, numbers.Complex):
+        return complex(coef)
+    return coef.value(point)
+
+
+def _coefficient_gradient(coef, point, g):
+    if isinstance(coef, numbers.Complex):
+        return np.zeros(omega_size(g), dtype=complex)
+    return coef.gradient(point)
 
 
 # ------------------------------------------------------------ dZ algebra
@@ -471,13 +577,15 @@ def _quadratics_loop(table):
     return out
 
 
-def _apply_D_reference(table, form):
+def _apply_D_reference(table, terms):
+    """D at the table's point of a form held as a dict of numbers and
+    point functions, each evaluated there."""
     point, g = table.point, table.g
     quadratics = _quadratics_loop(table)
     out = {}
-    for mono, coef in form.terms.items():
-        cval = coefficient_value(coef, point)
-        grad = coefficient_gradient(coef, point, g)
+    for mono, coef in terms.items():
+        cval = _coefficient_value(coef, point)
+        grad = _coefficient_gradient(coef, point, g)
         out = _dict_add(out, {tuple(sorted(mono + (pos,))): grad[pos]
                               for pos in range(len(grad)) if grad[pos] != 0})
         for t in range(len(mono)):
@@ -496,17 +604,26 @@ def test_apply_D_matches_dict_reference(g):
                                         _quadratics_loop(table)):
             assert _same_terms(quadratic, reference)
         f = random_test_function(g, rng)
-        forms = [det_dz(g), _f_det_form(f, 1, g),
-                 FormPolynomial(g, _random_terms(g, rng, 8)),
-                 trace_form(np.array([[f] * g] * g, dtype=object), g)]
-        forms += [FormPolynomial.generator(g, K) for K in omega_list(g)]
+        jet = Jet.at(f, point)
+        # each form beside its reference: numbers, or point functions
+        # built from the combinators the jets replaced
+        numeric = [det_dz(g), FormPolynomial(g, _random_terms(g, rng, 8))]
+        numeric += [FormPolynomial.generator(g, K) for K in omega_list(g)]
+        pairs = [(form, form.terms) for form in numeric]
+        pairs.append((_f_det_form(f, 1, point),
+                      {mono: _ScaledFunction(f, c)
+                       for mono, c in det_dz(g).terms.items()}))
+        pairs.append((trace_form(np.array([[jet] * g] * g, dtype=object), g),
+                      {(pos,): _ScaledFunction(f, 1.0 if i == j else 2.0)
+                       for pos, (i, j) in enumerate(omega_list(g))}))
         if g <= 2:
             gamma = random_symplectic(g, 3, rng)
-            forms.append(gamma_act_on_form(gamma, g, det_dz(g)
-                                           .map_coefficients(lambda c: f)))
-        for form in forms:
+            form = det_dz(g).map_coefficients(lambda c: f)
+            pairs.append((gamma_act_on_form(gamma, point, form),
+                          _gamma_act_reference(gamma, g, form)))
+        for form, reference in pairs:
             assert _same_terms(apply_D(table, form),
-                               _apply_D_reference(table, form))
+                               _apply_D_reference(table, reference))
 
 
 def _substitute_basis_chain(form, S):
@@ -542,22 +659,33 @@ def test_substitute_basis_matches_chain_of_sums(g):
                                    reference.terms)
 
 
-def _gamma_act_chain(gamma, g, form):
-    """gamma_act_on_form as a chain of + on whole forms."""
+def _gamma_act_reference(gamma, g, form):
+    """gamma_act_on_form with point-function coefficients: one product of
+    the pullback and the cocycle entry functions per assignment, summed per
+    monomial as the dZ algebra summed them."""
     m = omega_size(g)
-    out = FormPolynomial(g, {})
+    out = {}
     for mono, coef in form.terms.items():
         base = coef if not isinstance(coef, numbers.Complex) \
-            else ConstFunction(g, coef)
-        pulled = PullbackFunction(gamma, base) \
-            if not isinstance(base, ConstFunction) else base
+            else _ConstFunction(g, coef)
+        pulled = _PullbackFunction(gamma, base) \
+            if not isinstance(base, _ConstFunction) else base
         for assignment in product(range(m), repeat=len(mono)):
-            factors = [pulled] + [
-                connection._CocycleEntryFunction(gamma, l, k)
-                for l, k in zip(assignment, mono)]
-            fn = ProductFunction(factors) if len(factors) > 1 else factors[0]
-            out = out + FormPolynomial(g, {tuple(sorted(assignment)): fn})
+            factors = [pulled] + [_CocycleEntryFunction(gamma, l, k)
+                                  for l, k in zip(assignment, mono)]
+            fn = _ProductFunction(factors) if len(factors) > 1 \
+                else factors[0]
+            key = tuple(sorted(assignment))
+            out[key] = _SumFunction([out[key], fn]) if key in out else fn
     return out
+
+
+def _zero_signless(x):
+    """The bytes of x with -0.0 read as 0.0: _SumFunction adds with sum(),
+    which starts from the integer 0, and a jet sum does not, so an exact
+    zero may carry either sign; every other value is compared bit for
+    bit."""
+    return (np.asarray(x, dtype=complex) + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -567,18 +695,19 @@ def test_gamma_act_on_form_matches_chain_of_sums(g):
         gamma = random_symplectic(g, 4, rng)
         f = random_test_function(g, rng)
         last = omega_size(g) - 1
-        forms = [det_dz(g), _f_det_form(f, 1, g),
+        forms = [det_dz(g),
+                 det_dz(g).map_coefficients(lambda c: _ScaledFunction(f, c)),
                  FormPolynomial(g, {(0,): f, (0, last): 2.0,
                                     (): random_test_function(g, rng)})]
         for form in forms:
-            got = gamma_act_on_form(gamma, g, form)
-            reference = _gamma_act_chain(gamma, g, form)
-            assert list(got.terms) == list(reference.terms)
-            for fn, ref in zip(got.terms.values(), reference.terms.values()):
-                assert (np.complex128(fn.value(point)).tobytes()
-                        == np.complex128(ref.value(point)).tobytes())
-                assert (fn.gradient(point).tobytes()
-                        == ref.gradient(point).tobytes())
+            got = gamma_act_on_form(gamma, point, form)
+            reference = _gamma_act_reference(gamma, g, form)
+            assert list(got.terms) == list(reference)
+            for jet, ref in zip(got.terms.values(), reference.values()):
+                assert _zero_signless(jet.value) == \
+                    _zero_signless(ref.value(point))
+                assert _zero_signless(jet.grad) == \
+                    _zero_signless(ref.gradient(point))
 
 
 # ------------------------------------------------------------ group words
@@ -633,14 +762,15 @@ def test_pullback_acts_once_per_point(monkeypatch):
     # one function coefficient: every assignment's product holds the same
     # pulled-back function
     form = FormPolynomial(g, {(0, 2): f, (1,): 3.0})
-    acted = gamma_act_on_form(gamma, g, form)
-    first = apply_D(gamma_closed(here), acted)
+    first = apply_D(gamma_closed(here), gamma_act_on_form(gamma, here, form))
     assert calls == [here]
-    apply_D(gamma_closed(there), acted)
+    apply_D(gamma_closed(there), gamma_act_on_form(gamma, there, form))
     assert calls == [here, there]
-    # the kept action gives what a fresh pullback computes
-    fresh = gamma_act_on_form(gamma, g, form)
-    assert _same_terms(first, apply_D(gamma_closed(here), fresh).terms)
+    # the kept action gives what a fresh point computes
+    fresh = SiegelPoint(g, here.X, here.Y)
+    again = apply_D(gamma_closed(fresh), gamma_act_on_form(gamma, fresh, form))
+    assert calls == [here, there, fresh]
+    assert _same_terms(first, again.terms)
 
 
 def test_extensions_on_one_element_share_its_inverse(monkeypatch):

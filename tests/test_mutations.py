@@ -1,0 +1,99 @@
+"""The mutation catalogue: each mutant breaks one formula in memory, and
+some check of the report must then fail.
+
+A mutant is an in-memory patch, undone after its test: either a patched
+attribute, or a function recompiled from its source with one expression
+replaced.  Each run is the connection suite at seed 0 over g = 1..2, where
+the form layer's checks (``equivariance``, ``det_power_invariance`` and
+``scalar_det_power``) all run.
+"""
+
+import inspect
+import textwrap
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import siegel.connection as connection
+from siegel.functions import Jet
+from siegel.verify import run_suite
+
+G_RANGE = (1, 2)
+
+
+def _failing_checks() -> Counter:
+    report = run_suite("connection", G_RANGE, seed=0)
+    return Counter(r.check for r in report.records if not r.passed)
+
+
+def _replace_in_source(monkeypatch, module, name, old, new):
+    """Recompile module.name from its source with the expression old
+    replaced by new; old must occur exactly once."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} not found once in {name}"
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getfile(module), "exec"),
+         vars(module).copy(), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def _product_without_first_gradient(monkeypatch):
+    # the jet product drops the gradient of its first factor, which in
+    # gamma_act_on_form is the pulled-back coefficient
+    product = Jet.product
+
+    def mutant(factors):
+        first = factors[0]
+        return product([Jet(first.value, np.zeros_like(first.grad))]
+                       + list(factors[1:]))
+    monkeypatch.setattr(Jet, "product", staticmethod(mutant))
+
+
+def _pullback_without_cocycle(monkeypatch):
+    _replace_in_source(monkeypatch, connection, "gamma_act_on_form",
+                       "Jet(coef.value, S @ coef.grad)",
+                       "Jet(coef.value, coef.grad)")
+
+
+def _cocycle_entries_without_derivatives(monkeypatch):
+    _replace_in_source(monkeypatch, connection, "gamma_act_on_form",
+                       "Jet(complex(S[l, k]), dS[:, l, k])",
+                       "Jet(complex(S[l, k]), 0 * dS[:, l, k])")
+
+
+def _jet_with_zero_gradient(monkeypatch):
+    def mutant(cls, fn, point):
+        grad = fn.gradient(point)
+        return cls(fn.value(point), np.zeros_like(grad))
+    monkeypatch.setattr(Jet, "at", classmethod(mutant))
+
+
+# mutant -> the checks that must fail under it.  Two checks do not catch
+# the zero-gradient jet: trace_form_derivative, whose two sides read the
+# same jets, and equivariance, whose two sides both take their df terms
+# from Jet.at, and those terms transform into each other on their own
+MUTANTS = {
+    "product_without_pullback_gradient": (
+        _product_without_first_gradient, {"equivariance"}),
+    "pullback_gradient_without_S": (
+        _pullback_without_cocycle, {"equivariance"}),
+    "cocycle_entries_without_dS": (
+        _cocycle_entries_without_derivatives, {"equivariance"}),
+    "jet_with_zero_gradient": (
+        _jet_with_zero_gradient,
+        {"scalar_det_power", "det_power_invariance"}),
+}
+
+
+def test_the_unmutated_suite_passes():
+    assert _failing_checks() == Counter()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(monkeypatch, name):
+    patch, caught_by = MUTANTS[name]
+    patch(monkeypatch)
+    failing = _failing_checks()
+    missed = {check for check in caught_by if not failing[check]}
+    assert not missed, f"{name} passes {sorted(missed)}"

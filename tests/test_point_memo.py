@@ -50,17 +50,18 @@ def test_metric_pair_is_computed_once_per_point(monkeypatch):
 def test_two_function_monomials_share_one_action_and_cocycle(monkeypatch):
     acts = _count(monkeypatch, symplectic, "_act")
     cocycles = _count(monkeypatch, symplectic, "_pushforward_matrix")
+    derivatives = _count(monkeypatch, symplectic, "_pushforward_derivatives")
     g = 2
     rng = np.random.default_rng(12)
     gamma = random_symplectic(g, 5, rng)
     here, there = random_point(g, rng), random_point(g, rng)
     form = FormPolynomial(g, {(0,): random_test_function(g, rng),
                               (1, 2): random_test_function(g, rng)})
-    acted = gamma_act_on_form(gamma, g, form)
-    apply_D(gamma_closed(here), acted)
-    assert acts == [here] and cocycles == [here]
-    apply_D(gamma_closed(there), acted)
-    assert acts == [here, there] and cocycles == [here, there]
+    built = []
+    for point in (here, there):
+        built.append(point)
+        apply_D(gamma_closed(point), gamma_act_on_form(gamma, point, form))
+        assert acts == cocycles == derivatives == built
 
 
 def test_derived_arrays_are_read_only():
