@@ -12,6 +12,7 @@ import cmath
 import functools
 import json
 import math
+import shlex
 import sys
 
 import numpy as np
@@ -251,7 +252,7 @@ def _cmd_gamma(args) -> int:
         "point": _object_pieces({"g": [str(point.g)],
                                  "X": _matrix_pieces(point.X, 2),
                                  "Y": _matrix_pieces(point.Y, 2)}, 1),
-        "entries": _list_pieces(_entry_texts(point, args.method), 1),
+        "entries": [_entry_texts(point, args.method)],
     }, 0), args.out)
     return EXIT_OK
 
@@ -274,17 +275,31 @@ def _table_entries(point: SiegelPoint, method: str
     return where, table[where]
 
 
-def _entry_texts(point: SiegelPoint, method: str) -> list[str]:
-    """One object {"I", "J", "K", "im", "re"} per entry of the table, at
-    depth 2; the text of each pair is built once."""
+def _entry_texts(point: SiegelPoint, method: str) -> str:
+    """The entry list at depth 1, one object {"I", "J", "K", "im", "re"}
+    per entry of the table, as one text.  Each field's text is built once
+    per pair, gathered per entry by the index arrays, and every piece is
+    joined once, so no text is built per entry."""
     (k, a, b), values = _table_entries(point, method)
+    if not values.size:
+        return "[]"
+    # the fixed texts of the layout, read off the writers' own templates
+    start, between, end = "".join(_list_pieces(["%s"] * 2, 1)).split("%s")
+    key_i, key_j, key_k, key_im, key_re, close = "".join(_object_pieces(
+        dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2)).split("%s")
     pairs = _pair_texts(point.g, 3)
-    template = "".join(_object_pieces(
-        dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2))
-    return [template % (pairs[i], pairs[j], pairs[n], im, re)
-            for n, i, j, re, im in zip(k.tolist(), a.tolist(), b.tolist(),
-                                       _float_texts(values.real),
-                                       _float_texts(values.imag))]
+    texts_i = np.array([close + between + key_i + t for t in pairs], object)
+    texts_j = np.array([key_j + t for t in pairs], object)
+    texts_k = np.array([key_k + t + key_im for t in pairs], object)
+    pieces = [key_re] * (6 * values.size)
+    pieces[0::6] = texts_i[a].tolist()
+    pieces[1::6] = texts_j[b].tolist()
+    pieces[2::6] = texts_k[k].tolist()
+    pieces[3::6] = _float_texts(values.imag)
+    pieces[5::6] = _float_texts(values.real)
+    pieces[0] = start + key_i + pairs[a[0]]
+    pieces.append(close + end)
+    return "".join(pieces)
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -412,6 +427,13 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneracyError as exc:
         print(f"error: numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError:
+        # a table too large to allocate; metric and gamma build their whole
+        # text before they open --out or write to stdout
+        request = shlex.join(sys.argv[1:] if argv is None else argv)
+        print(f"error: not enough memory for: siegel {request}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

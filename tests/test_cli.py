@@ -298,6 +298,24 @@ def test_degeneracy_exit_code(monkeypatch, capsys):
     assert "degeneracy" in err
 
 
+@pytest.mark.parametrize("command, target", [("gamma", "gamma_closed"),
+                                             ("metric", "metric_pair")])
+def test_table_too_large_to_allocate_is_a_usage_error(monkeypatch, tmp_path,
+                                                      capsys, command,
+                                                      target):
+    def out_of_memory(point):
+        raise MemoryError
+    monkeypatch.setattr(cli_module, target, out_of_memory)
+    out_file = tmp_path / "table.json"
+    code, out, err = run_cli(capsys, command, "--g", "3",
+                             "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: not enough memory for: siegel {command} "
+                   f"--g 3 --out {out_file}\n")
+    assert not out_file.exists()
+
+
 # ------------------------------------------------- table output oracles
 #
 # The table commands write their JSON text directly.  The reference below

@@ -5,7 +5,8 @@ A mutant is an in-memory patch, undone after its test: either a patched
 attribute, or a function recompiled from its source with one expression
 replaced.  Each run is the connection suite at seed 0 over g = 1..2, where
 the form layer's checks (``equivariance``, ``det_power_invariance`` and
-``scalar_det_power``) all run.
+``scalar_det_power``) all run.  A jet's gradient is also compared with a
+central-difference gradient, which no suite check does.
 """
 
 import inspect
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 import siegel.connection as connection
-from siegel.functions import Jet
+from siegel.functions import Jet, fd_gradient, random_test_function
+from siegel.symplectic import random_point
 from siegel.verify import run_suite
 
 G_RANGE = (1, 2)
@@ -25,6 +27,20 @@ G_RANGE = (1, 2)
 def _failing_checks() -> Counter:
     report = run_suite("connection", G_RANGE, seed=0)
     return Counter(r.check for r in report.records if not r.passed)
+
+
+def _jet_gradient_error(g: int) -> float:
+    """The largest difference, relative to max(1, |FD gradient|), between
+    Jet.at's gradient and fd_gradient for four random test functions."""
+    rng = np.random.default_rng(70 + g)
+    point = random_point(g, rng)
+    worst = 0.0
+    for _ in range(4):
+        fn = random_test_function(g, rng, conj=True)
+        approx = fd_gradient(fn.value, point)
+        error = np.abs(Jet.at(fn, point).grad - approx).max()
+        worst = max(worst, error / max(1.0, np.abs(approx).max()))
+    return worst
 
 
 def _replace_in_source(monkeypatch, module, name, old, new):
@@ -72,7 +88,8 @@ def _jet_with_zero_gradient(monkeypatch):
 # mutant -> the checks that must fail under it.  Two checks do not catch
 # the zero-gradient jet: trace_form_derivative, whose two sides read the
 # same jets, and equivariance, whose two sides both take their df terms
-# from Jet.at, and those terms transform into each other on their own
+# from Jet.at, and those terms transform into each other on their own.
+# The comparison with fd_gradient at the end of this module catches it too
 MUTANTS = {
     "product_without_pullback_gradient": (
         _product_without_first_gradient, {"equivariance"}),
@@ -97,3 +114,14 @@ def test_mutant_is_caught(monkeypatch, name):
     failing = _failing_checks()
     missed = {check for check in caught_by if not failing[check]}
     assert not missed, f"{name} passes {sorted(missed)}"
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_jet_gradient_matches_fd_gradient(g):
+    assert _jet_gradient_error(g) < 1e-7
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_zero_gradient_jet_fails_the_fd_comparison(monkeypatch, g):
+    _jet_with_zero_gradient(monkeypatch)
+    assert _jet_gradient_error(g) > 0.1
