@@ -14,6 +14,7 @@ import json
 import math
 import shlex
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return spelled[where].tolist()
 
 
-def _list_pieces(items: list[str], depth: int) -> list[str]:
+def _list_pieces(items: Sequence[str], depth: int) -> list[str]:
     """A list whose items are finished texts."""
     if not items:
         return ["[]"]
@@ -157,10 +158,12 @@ def _matrix_pieces(values: np.ndarray, depth: int) -> list[str]:
                          for row in range(0, len(texts), n)], depth)
 
 
-def _pair_texts(g: int, depth: int) -> list[str]:
-    """Each pair of Omega as a list of its two indices."""
-    return ["".join(_list_pieces([str(i), str(j)], depth))
-            for i, j in omega_list(g)]
+@functools.lru_cache(maxsize=32)
+def _pair_texts(g: int, depth: int) -> tuple[str, ...]:
+    """Each pair of Omega as a list of its two indices, built once per
+    degree and depth."""
+    return tuple("".join(_list_pieces([str(i), str(j)], depth))
+                 for i, j in omega_list(g))
 
 
 _QEXP_FORMS = ("E2", "E4", "E6", "Delta", "G2")
@@ -271,33 +274,52 @@ def _table_entries(point: SiegelPoint, method: str
     largest = float(magnitude.max())
     # a NaN entry leaves no largest magnitude; then the floor 1e-14 holds
     cutoff = 1e-14 if np.isnan(largest) else 1e-14 * largest
-    where = np.nonzero(magnitude > cutoff)
-    return where, table[where]
+    where = np.flatnonzero(magnitude > cutoff)
+    return np.unravel_index(where, table.shape), table.take(where)
+
+
+@functools.cache
+def _entry_layout() -> tuple[str, ...]:
+    """The fixed texts of the entry list's layout, read off the writers'
+    own templates: the list's start, separator and end, then the keys of
+    an entry object and its closing bracket."""
+    start, between, end = "".join(_list_pieces(["%s"] * 2, 1)).split("%s")
+    return (start, between, end) + tuple("".join(_object_pieces(
+        dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2)).split("%s"))
+
+
+@functools.lru_cache(maxsize=16)
+def _field_texts(g: int) -> tuple[np.ndarray, ...]:
+    """Per pair of Omega, the read-only texts of an entry's "I" field (with
+    the close of the previous entry), "J" field and "K" field (with the
+    "im" key), built once per degree."""
+    _, between, _, key_i, key_j, key_k, key_im, _, close = _entry_layout()
+    pairs = _pair_texts(g, 3)
+    texts = (np.array([close + between + key_i + t for t in pairs], object),
+             np.array([key_j + t for t in pairs], object),
+             np.array([key_k + t + key_im for t in pairs], object))
+    for column in texts:
+        column.setflags(write=False)
+    return texts
 
 
 def _entry_texts(point: SiegelPoint, method: str) -> str:
     """The entry list at depth 1, one object {"I", "J", "K", "im", "re"}
     per entry of the table, as one text.  Each field's text is built once
-    per pair, gathered per entry by the index arrays, and every piece is
-    joined once, so no text is built per entry."""
+    per pair and degree, gathered per entry by the index arrays, and every
+    piece is joined once, so no text is built per entry."""
     (k, a, b), values = _table_entries(point, method)
     if not values.size:
         return "[]"
-    # the fixed texts of the layout, read off the writers' own templates
-    start, between, end = "".join(_list_pieces(["%s"] * 2, 1)).split("%s")
-    key_i, key_j, key_k, key_im, key_re, close = "".join(_object_pieces(
-        dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2)).split("%s")
-    pairs = _pair_texts(point.g, 3)
-    texts_i = np.array([close + between + key_i + t for t in pairs], object)
-    texts_j = np.array([key_j + t for t in pairs], object)
-    texts_k = np.array([key_k + t + key_im for t in pairs], object)
+    start, _, end, key_i, _, _, _, key_re, close = _entry_layout()
+    texts_i, texts_j, texts_k = _field_texts(point.g)
     pieces = [key_re] * (6 * values.size)
     pieces[0::6] = texts_i[a].tolist()
     pieces[1::6] = texts_j[b].tolist()
     pieces[2::6] = texts_k[k].tolist()
     pieces[3::6] = _float_texts(values.imag)
     pieces[5::6] = _float_texts(values.real)
-    pieces[0] = start + key_i + pairs[a[0]]
+    pieces[0] = start + key_i + _pair_texts(point.g, 3)[a[0]]
     pieces.append(close + end)
     return "".join(pieces)
 

@@ -17,6 +17,7 @@ E_J the symmetric basis direction of coordinate J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,21 +26,53 @@ from .indexing import (Pair, basis_stack, n_index, omega_list,
 from .symplectic import DegeneracyError, SiegelPoint
 
 
+@lru_cache(maxsize=16)
 def _power_table(g: int) -> np.ndarray:
-    """2^{-delta(i_a, j_a) - delta(i_b, j_b)} over Omega x Omega."""
+    """2^{-delta(i_a, j_a) - delta(i_b, j_b)} over Omega x Omega, read-only
+    and built once per degree."""
     ii, jj = row_col_indices(g)
     d = (ii == jj).astype(float)
-    return 2.0 ** (-(d[:, None] + d[None, :]))
+    table = 2.0 ** (-(d[:, None] + d[None, :]))
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=16)
+def _pair_gram_plan(g: int) -> np.ndarray:
+    """The flat positions in a g x g matrix of the four (m, m) factors of
+    the pair Gram, (i_a, i_b), (j_a, j_b), (j_a, i_b) and (i_a, j_b), as
+    one read-only (4, m, m) array built once per degree."""
+    ii, jj = row_col_indices(g)
+    plan = np.stack([rows[:, None] * g + cols[None, :]
+                     for rows, cols in ((ii, ii), (jj, jj), (jj, ii),
+                                        (ii, jj))])
+    plan.setflags(write=False)
+    return plan
+
+
+@lru_cache(maxsize=16)
+def _omega(g: int) -> tuple[Pair, ...]:
+    """Omega as a tuple, built once per degree."""
+    return tuple(omega_list(g))
+
+
+@lru_cache(maxsize=16)
+def _two_identity(g: int) -> np.ndarray:
+    """2 I of size g, read-only and built once per degree."""
+    two = 2.0 * np.eye(g)
+    two.setflags(write=False)
+    return two
 
 
 def _pair_gram(Mat: np.ndarray) -> np.ndarray:
     """Symmetrized rank-2 Gram over Omega: Mat_ir Mat_js + Mat_jr Mat_is,
-    for one matrix or a stack of them."""
-    ii, jj = row_col_indices(Mat.shape[-1])
-
-    def block(rows, cols):
-        return Mat[..., rows[:, None], cols[None, :]]
-    return block(ii, ii) * block(jj, jj) + block(jj, ii) * block(ii, jj)
+    for one matrix or a stack of them.  The four factors are gathered by
+    one flat take."""
+    g = Mat.shape[-1]
+    factors = Mat.reshape(Mat.shape[:-2] + (g * g,)).take(
+        _pair_gram_plan(g), axis=-1)
+    ii_ii, jj_jj, jj_ii, ii_jj = (factors[..., k, :, :] for k in range(4))
+    return ii_ii * jj_jj + jj_ii * ii_jj
 
 
 @dataclass(frozen=True)
@@ -66,15 +99,18 @@ def _metric_arrays(point: SiegelPoint) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         R = inv_cho.swapaxes(-1, -2) @ inv_cho
         # one Newton step tightens the inverse near degenerate points
-        R = R @ (2.0 * np.eye(g) - Y @ R)
+        R = R @ (_two_identity(g) - Y @ R)
         R = (R + R.swapaxes(-1, -2)) / 2.0
-        W = _pair_gram(R) * _power_table(g)
-        M = _pair_gram(Y)
-    if not (np.isfinite(W).all() and np.isfinite(M).all()):
+        # the Grams of Y and R as one stack, gathered once; M is the first
+        grams = _pair_gram(np.array((Y, R)))
+        M = grams[0]
+        W = grams[1] * _power_table(g)
+    # W is the Gram of R times powers of 2, finite exactly where it is
+    if not np.isfinite(grams).all():
         raise DegeneracyError("the metric overflows the float range")
     for Mat in (W, M, R):
         Mat.setflags(write=False)
-    return tuple(omega_list(g)), W, M, R
+    return _omega(g), W, M, R
 
 
 def metric_pair(point: SiegelPoint) -> MetricPair:

@@ -16,14 +16,16 @@ holomorphic polynomials.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .functions import fd_gradient
 from .indexing import coords_to_sym, omega_size, row_col_indices
 from .metric import dR_tensor, metric_pair
 from .qseries import evaluate, g2_series
-from .symplectic import (SiegelPoint, SymplecticElement, act, cocycle,
-                         pushforward_matrix)
+from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
+                         act, cocycle, pushforward_matrix)
 
 # below this |det nabla_k f| the relative determinant defect is not reported
 _DET_FLOOR = 1e-8
@@ -205,6 +207,19 @@ def _transform_frame(gamma: SymplecticElement, point: SiegelPoint):
     return j, j.T, complex(np.linalg.det(j))
 
 
+def _weight_factor(detj: complex, exponent: int) -> complex:
+    """det(CZ+D)^exponent as a Python complex; DegeneracyError when the
+    power leaves the float range."""
+    try:
+        factor = detj ** exponent
+    except OverflowError:
+        factor = None
+    if factor is None or not cmath.isfinite(factor):
+        raise DegeneracyError(f"weight factor det(CZ+D)^{exponent} "
+                              f"overflows the float range")
+    return factor
+
+
 def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
                            k: int, grad: str = "exact") -> float:
     """Residual of nabla_k F (gamma Z) = det(CZ+D)^{2k} (CZ+D) nabla_k f(Z)
@@ -219,6 +234,7 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
     j, jt, detj = _transform_frame(gamma, point)
+    factor = _weight_factor(detj, 2 * k)
     if grad == "exact":
         lhs = nabla(extension, image, k)
         here = nabla(f, point, k)
@@ -230,7 +246,7 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
                 - k * field.value(point) * f.value(point))
     else:
         raise ValueError(f"unknown gradient mode {grad!r}")
-    rhs = detj ** (2 * k) * (j @ here @ jt)
+    rhs = factor * (j @ here @ jt)
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     return float(np.abs(lhs - rhs).max()) / scale
 
@@ -247,8 +263,9 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
     here = det_nabla(f, point, k)
     if abs(here) <= _DET_FLOOR:
         return None
+    factor = _weight_factor(detj, 2 * point.g * k + 2)
     lhs = det_nabla(extension, image, k)
-    rhs = detj ** (2 * point.g * k + 2) * here
+    rhs = factor * here
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
 
 
@@ -294,15 +311,16 @@ def bracket1_transform_residual(f, h, r: int, s: int,
     H = ModularExtension(h, 2 * s, gamma)
     image = act(gamma, point)
     j, jt, detj = _transform_frame(gamma, point)
+    factor = _weight_factor(detj, 2 * r + 2 * s)
     weights = (r, s) if weights_corrected else None
     here = bracket_matrix(f, h, point, weights)
     there = bracket_matrix(F, H, image, weights)
-    main = detj ** (2 * r + 2 * s) * (j @ here @ jt)
+    main = factor * (j @ here @ jt)
     scale = max(1.0, float(np.abs(there).max()), float(np.abs(main).max()))
     raw = float(np.abs(there - main).max()) / scale
     if weights_corrected:
         return raw, raw
-    defect = (detj ** (2 * r + 2 * s) * 2.0 * (r - s)
+    defect = (factor * 2.0 * (r - s)
               * f.value(point) * h.value(point) * (gamma.C @ jt))
     corrected = float(np.abs(there - main - defect).max()) / scale
     return raw, corrected

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,7 +48,8 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
 
 
 def _first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first True entry of bad, or None when there is none."""
+    """Index of the first True entry of bad, or None when there is none.
+    Validation calls it only once a test has failed, to say where."""
     if not bad.any():
         return None
     return tuple(int(i) for i in np.argwhere(bad)[0])
@@ -83,25 +84,31 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
     of Y and its read-only lower Cholesky factor, after one batched pass of
     checks over every point of a stack: finite entries, symmetry against
     _POINT_TOL times the entry scale, and one spectral test of Y, which
-    must have lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min."""
+    must have lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min.
+
+    The finiteness test is folded into the entry scale: a NaN or infinite
+    entry leaves max|entry| non-finite.  Each test is one reduction over
+    the stack; only a failed one looks for the first bad member."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
         raise DimensionError(f"expected {g}x{g} blocks, got "
                              f"{X.shape} and {Y.shape}")
     XY = np.array((X, Y))
-    bad = _first_bad(~np.isfinite(XY).all(axis=(-2, -1)))
-    if bad is not None:
+    scale = np.maximum(1.0, _max_abs(XY))
+    top = scale.max()
+    if top < _HALF_RANGE:
+        XYt = _mT(XY)
+        skew, mean = _max_abs(XY - XYt), (XY + XYt) / 2.0
+    elif np.isfinite(top):
+        skew, mean = _skew_and_mean_near_overflow(XY, _mT(XY))
+    else:
+        bad = _first_bad(~np.isfinite(XY).all(axis=(-2, -1)))
         raise ValueError(f"{_PARTS[bad[0]]} has non-finite entries"
                          f"{_at(bad[1:])}")
-    XYt = _mT(XY)
-    scale = np.maximum(1.0, _max_abs(XY))
-    if scale.max() < _HALF_RANGE:
-        skew, mean = _max_abs(XY - XYt), (XY + XYt) / 2.0
-    else:
-        skew, mean = _skew_and_mean_near_overflow(XY, XYt)
-    bad = _first_bad(skew > _POINT_TOL * scale)
-    if bad is not None:
+    asymmetric = skew > _POINT_TOL * scale
+    if asymmetric.any():
+        bad = _first_bad(asymmetric)
         raise ValueError(f"{_PARTS[bad[0]]} is not symmetric (asymmetry "
                          f"{skew[bad]:.3e}){_at(bad[1:])}")
     XY = mean
@@ -109,12 +116,12 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
     X, Y = XY
     spectrum = np.linalg.eigvalsh(Y)
     low, high = spectrum[..., 0], spectrum[..., -1]
-    bad = _first_bad(low <= 0)
-    if bad is not None:
-        raise ValueError(f"imaginary part is not positive definite "
-                         f"(lambda_min = {low[bad]:.3e}){_at(bad)}")
-    bad = _first_bad(high / COND_LIMIT > low)
-    if bad is not None:
+    if ((low <= 0) | (high / COND_LIMIT > low)).any():
+        bad = _first_bad(low <= 0)
+        if bad is not None:
+            raise ValueError(f"imaginary part is not positive definite "
+                             f"(lambda_min = {low[bad]:.3e}){_at(bad)}")
+        bad = _first_bad(high / COND_LIMIT > low)
         raise ValueError(f"imaginary part is numerically singular "
                          f"(eigenvalues {low[bad]:.3e} to {high[bad]:.3e}, "
                          f"condition number above {COND_LIMIT:.0e})"
@@ -253,29 +260,33 @@ def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                               "integer range") from None
 
 
-def _blocks_symplectic(A, B, C, D) -> bool:
-    """Whether the integer blocks satisfy M J M^t = J, written as the
-    block identities: A B^t and C D^t symmetric, A D^t - B C^t = I.
-    int64 blocks are multiplied in int64 while the partial sums stay in
-    range; any other integer type, whose own products would wrap sooner
-    (or not fit in int64 at all), goes through Python ints."""
-    g = A.shape[0]
-    blocks = (A, B, C, D)
-    if (any(M.dtype != np.int64 for M in blocks)
-            or max(map(_magnitude, blocks)) ** 2 * 2 * g >= _INT64_SAFE):
-        # Python ints, which do not wrap
-        A, B, C, D = (M.astype(object) for M in blocks)
-    ABt = A @ B.T
-    CDt = C @ D.T
-    return bool(np.array_equal(ABt, ABt.T) and np.array_equal(CDt, CDt.T)
-                and np.array_equal(A @ D.T - B @ C.T,
-                                   np.eye(g, dtype=np.int64)))
+@lru_cache(maxsize=16)
+def _symplectic_form(g: int) -> np.ndarray:
+    """The read-only int64 matrix J = (O, I; -I, O) of degree g, built once
+    per degree."""
+    J = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    J[:g, g:] = np.eye(g, dtype=np.int64)
+    J[g:, :g] = -J[:g, g:]
+    J.setflags(write=False)
+    return J
+
+
+def _blocks_symplectic(M: np.ndarray) -> bool:
+    """Whether the integer block matrix M = (A, B; C, D) satisfies
+    M J M^t = J, tested as one exact product.  An int64 M is multiplied in
+    int64 while the partial sums, at most 2g max|M|^2, stay in range; any
+    other integer type, whose own products would wrap sooner (or not fit
+    in int64 at all), goes through Python ints."""
+    J = _symplectic_form(M.shape[0] // 2)
+    if (M.dtype != np.int64
+            or _magnitude(M) ** 2 * M.shape[0] >= _INT64_SAFE):
+        M = M.astype(object)  # Python ints, which do not wrap
+    return bool((M @ J @ M.T == J).all())
 
 
 def is_symplectic(M: np.ndarray) -> bool:
     """Whether the integer matrix M satisfies M J M^t = J, tested exactly by
-    the block identities of the constructor; ValueError for any other
-    dtype."""
+    the product of the constructor; ValueError for any other dtype."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got {M.shape}")
@@ -285,8 +296,39 @@ def is_symplectic(M: np.ndarray) -> bool:
     if not np.issubdtype(M.dtype, np.integer):
         raise ValueError(f"is_symplectic takes integer matrices, got "
                          f"dtype {M.dtype}")
-    g = M.shape[0] // 2
-    return _blocks_symplectic(M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:])
+    return _blocks_symplectic(M)
+
+
+def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
+    """The 2g x 2g int64 matrix of one generator: "J" the inversion
+    (O, I; -I, O), "T" the translation (I, B; O, I) by the symmetric
+    integer matrix param, "U" the embedding (U, O; O, U^-t) of the
+    unimodular integer matrix param.  The matrix is not tested against
+    M J M^t = J; the element built from it (or from a product of such
+    matrices) is.  The inversion's is the shared read-only J."""
+    if tag == "J":
+        return _symplectic_form(g)
+    M = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    if tag == "T":
+        B = np.asarray(param, dtype=np.int64)
+        if not np.array_equal(B, B.T):
+            raise ValueError("translation block must be symmetric")
+        if B.shape != (g, g):
+            raise DimensionError(f"block B must be {g}x{g}")
+        M[:g, g:] = B
+        M[:g, :g] = M[g:, g:] = np.eye(g, dtype=np.int64)
+    elif tag == "U":
+        U = np.asarray(param, dtype=np.int64)
+        if round(abs(np.linalg.det(U.astype(float)))) != 1:
+            raise ValueError("embedding block must be unimodular")
+        if U.shape != (g, g):
+            raise DimensionError(f"block A must be {g}x{g}")
+        M[:g, :g] = U
+        M[g:, g:] = np.rint(np.linalg.inv(U.astype(float))).astype(
+            np.int64).T
+    else:
+        raise ValueError(f"unknown generator tag {tag!r}")
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +336,7 @@ class SymplecticElement:
     """Integer block matrix (A, B; C, D) with M J M^t = J.
 
     Elements compare by exact value and hash by g and the int64 bytes of
-    their matrix.
+    their matrix; the hash is computed once per element.
     """
 
     g: int
@@ -302,31 +344,33 @@ class SymplecticElement:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    # the read-only 2g x 2g block matrix, assembled by the constructor
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        g = self.g
         blocks = {}
         for name in "ABCD":
             # a copy: freezing the caller's own array would make it
             # read-only under the caller
             M = np.array(getattr(self, name), dtype=np.int64)
-            if M.shape != (self.g, self.g):
-                raise DimensionError(f"block {name} must be {self.g}x{self.g}")
+            if M.shape != (g, g):
+                raise DimensionError(f"block {name} must be {g}x{g}")
             M.setflags(write=False)
             blocks[name] = M
         for name, M in blocks.items():
             object.__setattr__(self, name, M)
-        if not _blocks_symplectic(*blocks.values()):
+        M = np.empty((2 * g, 2 * g), dtype=np.int64)
+        M[:g, :g], M[:g, g:] = blocks["A"], blocks["B"]
+        M[g:, :g], M[g:, g:] = blocks["C"], blocks["D"]
+        if not _blocks_symplectic(M):
             raise ValueError("blocks do not satisfy the symplectic relation")
+        M.setflags(write=False)
+        object.__setattr__(self, "matrix", M)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only 2g x 2g block matrix, built on first access."""
-        g = self.g
-        M = np.empty((2 * g, 2 * g), dtype=np.int64)
-        M[:g, :g], M[:g, g:] = self.A, self.B
-        M[g:, :g], M[g:, g:] = self.C, self.D
-        M.setflags(write=False)
-        return M
+    def _hash(self) -> int:
+        return hash((self.g, self.matrix.tobytes()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticElement):
@@ -335,7 +379,7 @@ class SymplecticElement:
                                                     other.matrix)
 
     def __hash__(self) -> int:
-        return hash((self.g, self.matrix.tobytes()))
+        return self._hash
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "SymplecticElement":
@@ -351,29 +395,17 @@ class SymplecticElement:
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticElement":
-        I = np.eye(g, dtype=np.int64)
-        O = np.zeros((g, g), dtype=np.int64)
-        return cls(g, O, I, -I, O)
+        return cls.from_matrix(_generator_matrix(g, "J", None))
 
     @classmethod
     def translation(cls, B: np.ndarray) -> "SymplecticElement":
         B = np.asarray(B, dtype=np.int64)
-        if not np.array_equal(B, B.T):
-            raise ValueError("translation block must be symmetric")
-        g = B.shape[0]
-        I = np.eye(g, dtype=np.int64)
-        O = np.zeros((g, g), dtype=np.int64)
-        return cls(g, I, B, O, I)
+        return cls.from_matrix(_generator_matrix(B.shape[0], "T", B))
 
     @classmethod
     def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
         U = np.asarray(U, dtype=np.int64)
-        if round(abs(np.linalg.det(U.astype(float)))) != 1:
-            raise ValueError("embedding block must be unimodular")
-        g = U.shape[0]
-        O = np.zeros((g, g), dtype=np.int64)
-        Uinv_t = np.rint(np.linalg.inv(U.astype(float))).astype(np.int64).T
-        return cls(g, U, O, O, Uinv_t)
+        return cls.from_matrix(_generator_matrix(U.shape[0], "U", U))
 
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.g != other.g:
@@ -414,23 +446,14 @@ class GeneratorWord:
     steps: tuple[tuple[str, tuple | None], ...]
 
     def expand(self) -> SymplecticElement:
-        """The product of the generators, each validated as it is built;
-        the partial products are integer matrices, and only the final one
-        becomes (and is validated as) an element."""
+        """The product of the generators as one group element.  Each
+        generator's matrix is built with its own checks (a symmetric T, a
+        unimodular U, a known tag) and multiplied in exactly, in int64 or
+        through Python ints (see _int_matmul); only the product becomes,
+        and is validated as, an element, by one test of M J M^t = J."""
         out = np.eye(2 * self.g, dtype=np.int64)
-        inversion = None
         for tag, param in self.steps:
-            if tag == "J":
-                if inversion is None:
-                    inversion = SymplecticElement.inversion(self.g)
-                step = inversion
-            elif tag == "T":
-                step = SymplecticElement.translation(np.array(param))
-            elif tag == "U":
-                step = SymplecticElement.unimodular(np.array(param))
-            else:
-                raise ValueError(f"unknown generator tag {tag!r}")
-            out = _int_matmul(out, step.matrix)
+            out = _int_matmul(out, _generator_matrix(self.g, tag, param))
         return SymplecticElement.from_matrix(out)
 
 

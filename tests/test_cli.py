@@ -298,6 +298,39 @@ def test_degeneracy_exit_code(monkeypatch, capsys):
     assert "degeneracy" in err
 
 
+@pytest.mark.parametrize("argv, exponent", [
+    # nabla case 16 at g = 3, k = 21 draws |det(CZ+D)| = 683, whose power
+    # 2gk + 2 = 128 is beyond the float range
+    (("--suite", "operators", "--g", "3", "--k", "21"), 128),
+    (("--suite", "all", "--g", "1..5", "--k", "24"), 146),
+])
+def test_weight_factor_overflow_is_a_degeneracy(capsys, tmp_path, argv,
+                                                exponent):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", *argv, "--quiet",
+                             "--report", str(report))
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: numerical degeneracy: weight factor "
+                   f"det(CZ+D)^{exponent} overflows the float range\n")
+    assert not report.exists()
+
+
+def test_writer_texts_are_built_once_per_degree_and_read_only():
+    assert cli_module._entry_layout() is cli_module._entry_layout()
+    for g in (1, 4):
+        pairs = cli_module._pair_texts(g, 3)
+        assert isinstance(pairs, tuple) and len(pairs) == omega_size(g)
+        assert pairs is cli_module._pair_texts(g, 3)
+        columns = cli_module._field_texts(g)
+        assert columns is cli_module._field_texts(g)
+        for column in columns:
+            assert column.shape == (omega_size(g),)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = ""
+
+
 @pytest.mark.parametrize("command, target", [("gamma", "gamma_closed"),
                                              ("metric", "metric_pair")])
 def test_table_too_large_to_allocate_is_a_usage_error(monkeypatch, tmp_path,

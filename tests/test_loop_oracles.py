@@ -1,8 +1,9 @@
 """The scalar loops and step-by-step forms that the connection tables, the
-metric derivatives, the cocycle, the finite-difference stencils, the
-gradient of a modular extension, the dZ algebra, the point-function
-coefficients that jets replaced and the expansion of group words were first
-written as, kept as references.
+metric and its derivatives, the cocycle, the finite-difference stencils,
+the gradient of a modular extension, the dZ algebra, the point-function
+coefficients that jets replaced, the expansion of group words and the
+symplectic test (as three block identities) were first written as, kept as
+references.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
@@ -186,6 +187,27 @@ def _dM_loop(pair):
                         + dY[np.ix_(jj, ii)] * Y[np.ix_(ii, jj)]
                         + Y[np.ix_(jj, ii)] * dY[np.ix_(ii, jj)])
     return out
+
+
+def _pair_gram_loop(Mat, powers):
+    """W or M entry by entry: (Mat_ir Mat_js + Mat_jr Mat_is) times the
+    power of 2 of the entry, or alone when powers is None."""
+    pairs = list(zip(*row_col_indices(Mat.shape[-1])))
+    out = np.empty((len(pairs), len(pairs)))
+    for a, (i, j) in enumerate(pairs):
+        for b, (r, s) in enumerate(pairs):
+            value = Mat[i, r] * Mat[j, s] + Mat[j, r] * Mat[i, s]
+            out[a, b] = value if powers is None else value * powers[a, b]
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_metric_matches_loop(g):
+    for point in _draws(g, 4 if g <= 5 else 2):
+        pair = metric_pair(point)
+        assert pair.W.tobytes() == _pair_gram_loop(
+            pair.R, _power_table(g)).tobytes()
+        assert pair.M.tobytes() == _pair_gram_loop(point.Y, None).tobytes()
 
 
 @pytest.mark.parametrize("g", range(1, 9))
@@ -740,6 +762,67 @@ def test_word_expansion_matches_step_by_step_product(g, seed, word_length):
         block = getattr(expanded, name)
         assert not block.flags.writeable
         assert block.tobytes() == getattr(reference, name).tobytes()
+
+
+def _block_identities(M):
+    """M J M^t = J for the integer matrix M = (A, B; C, D), as the three
+    block identities A B^t and C D^t symmetric and A D^t - B C^t = I, in
+    Python ints."""
+    g = M.shape[0] // 2
+    M = M.astype(object)
+    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
+    ABt, CDt = A @ B.T, C @ D.T
+    return bool((ABt == ABt.T).all() and (CDt == CDt.T).all()
+                and (A @ D.T - B @ C.T == np.eye(g, dtype=np.int64)).all())
+
+
+# entries at the edges of the int64 fast path and of the integer types
+_EDGE_ENTRIES = (2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, -2 ** 31, 2 ** 32,
+                 2 ** 62, -2 ** 63)
+
+
+@st.composite
+def _integer_block_matrices(draw):
+    """An integer matrix of size 2g in int64, int32 or uint64 (entries
+    wrap into the type): an element whose translation block may hold an
+    entry near 2^31, the same with one entry moved, or arbitrary small and
+    edge entries."""
+    g = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("element", "moved", "arbitrary")))
+    if kind == "arbitrary":
+        entries = draw(st.lists(st.one_of(st.integers(-3, 3),
+                                          st.sampled_from(_EDGE_ENTRIES)),
+                                min_size=4 * g * g, max_size=4 * g * g))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        B = rng.integers(-2, 3, size=(g, g))
+        B[0, 0] = draw(st.one_of(st.integers(-2, 2),
+                                 st.sampled_from(_EDGE_ENTRIES[:5])))
+        B = np.triu(B) + np.triu(B, 1).T
+        element = (random_symplectic(g, 3, rng)
+                   @ SymplecticElement.translation(B))
+        entries = element.matrix.ravel().tolist()
+        if kind == "moved":
+            at = draw(st.integers(0, len(entries) - 1))
+            entries[at] += draw(st.sampled_from((1, -1, 2 ** 32)))
+    dtype = draw(st.sampled_from((np.int64, np.int32, np.uint64)))
+    wrapped = np.array([v % 2 ** 64 for v in entries], dtype=np.uint64)
+    return wrapped.astype(dtype).reshape(2 * g, 2 * g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(M=_integer_block_matrices())
+def test_one_product_check_matches_the_block_identities(M):
+    expected = _block_identities(M)
+    assert symplectic._blocks_symplectic(M) is expected
+    assert symplectic.is_symplectic(M) is expected
+    if M.dtype == np.int64:
+        if expected:
+            assert SymplecticElement.from_matrix(M).matrix.tobytes() == \
+                M.tobytes()
+        else:
+            with pytest.raises(ValueError, match="symplectic relation"):
+                SymplecticElement.from_matrix(M)
 
 
 # ------------------------------------------------------------ reuse

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import siegel.metric as metric
 from siegel.functions import fd_gradient
 from siegel.indexing import delta, n_index, omega_list, sym_to_coords
 from siegel.metric import dM_dZ, dW_tensor, metric_form, metric_pair, sigma
@@ -191,3 +192,17 @@ def test_metric_near_the_float_range_is_kept():
         pair = metric_pair(SiegelPoint.from_complex(1j * y))
     assert abs(pair.W[0, 0] / (1 / (2 * y * y)) - 1) < 1e-14
     assert abs(pair.M[0, 0] / (2 * y * y) - 1) < 1e-14
+
+
+@pytest.mark.parametrize("g", [1, 3, 5])
+def test_per_degree_plans_are_built_once_and_read_only(g):
+    for build in (metric._power_table, metric._pair_gram_plan,
+                  metric._two_identity):
+        plan = build(g)
+        assert plan is build(g)
+        assert not plan.flags.writeable
+        with pytest.raises(ValueError):
+            plan[0, 0] = 0
+    omega = metric._omega(g)
+    assert isinstance(omega, tuple) and list(omega) == omega_list(g)
+    assert metric_pair(random_point(g, seed=g)).omega is omega

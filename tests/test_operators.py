@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from siegel.operators import (ImInverseField, ModularExtension,
                               nabla, sym_gradient, verify_G_law,
                               verify_nabla_transform)
 from siegel.qseries import eisenstein, evaluate, serre_derivative
-from siegel.symplectic import (SiegelPoint, SymplecticElement, act,
+from siegel.symplectic import (DegeneracyError, SiegelPoint,
+                               SymplecticElement, act,
                                random_point, random_symplectic)
 
 
@@ -342,3 +345,33 @@ def test_ig2_operator_output_is_holomorphic():
     dx = (op_im(z + h) - op_im(z - h)) / (2 * h)
     dy = (op_im(z + 1j * h) - op_im(z - 1j * h)) / (2 * h)
     assert abs(0.5 * (dx + 1j * dy)) > 1e-3
+
+
+# (1, 0; N, 1) sends i to i / (N i + 1), with det(C Z + D) = N i + 1
+_STEEP = SymplecticElement(1, *(np.array([[v]]) for v in (1, 0, 10 ** 6, 1)))
+
+
+@pytest.mark.parametrize("name, residual", [
+    # det(CZ+D)^{2k} with k = 30: |N i + 1|^60 is about 1e360
+    ("nabla_transform", lambda f, point: verify_nabla_transform(
+        f, _STEEP, point, 30)),
+    ("nabla_transform_fd", lambda f, point: verify_nabla_transform(
+        f, _STEEP, point, 30, grad="fd")),
+    # det(CZ+D)^{2gk+2} = (N i + 1)^62
+    ("det_weight_factor", lambda f, point: det_nabla_weight_residual(
+        f, _STEEP, point, 30)),
+    # det(CZ+D)^{2r+2s} = (N i + 1)^120
+    ("bracket", lambda f, point: bracket1_transform_residual(
+        f, f, 30, 30, _STEEP, point)),
+])
+def test_weight_factor_beyond_the_float_range_is_a_degeneracy(name,
+                                                              residual):
+    point = SiegelPoint.from_complex(1j)
+    f = random_test_function(1, np.random.default_rng(5))
+    assert abs(det_nabla(f, point, 30)) > 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError,
+                           match=r"weight factor det\(CZ\+D\)\^\d+ "
+                                 r"overflows the float range"):
+            residual(f, point)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import siegel.symplectic as symplectic
 from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
                                SiegelPoint, SymplecticElement, act, cocycle,
@@ -147,6 +148,65 @@ def test_stack_with_one_bad_member_raises(defect, match):
         X[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match=match + r".*stack index \(2,\)"):
         SiegelPoint(2, X, Y)
+
+
+def _stack_with_defect(defect):
+    """A (2, 3) stack of degree-two points, i*I but for one defect."""
+    X = np.zeros((2, 3, 2, 2))
+    Y = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+    if defect == "nan-X":
+        X[1, 2, 0, 1] = np.nan
+    elif defect == "inf-Y":
+        Y[1, 0, 1, 1] = np.inf
+    elif defect == "minus-inf-X":
+        X[0, 2, 1, 1] = -np.inf
+    elif defect == "asymmetric-X":
+        X[1, 1, 0, 1] = 0.5
+    elif defect == "asymmetric-Y":
+        Y[0, 2, 1, 0] = 1e-3
+    elif defect == "indefinite":
+        Y[1, 1] = np.diag([2.0, -0.5])
+    elif defect == "zero":
+        Y[1, 0] = 0.0
+    elif defect == "singular":
+        Y[0, 1] = np.diag([4.0, 1e-12])
+    elif defect == "singular-then-indefinite":
+        Y[0, 1] = np.diag([4.0, 1e-12])
+        Y[1, 2] = np.diag([-1.0, 3.0])
+    return X, Y
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan-X", "real part has non-finite entries at stack index (1, 2)"),
+    ("inf-Y", "imaginary part has non-finite entries at stack index (1, 0)"),
+    ("minus-inf-X", "real part has non-finite entries at stack index (0, 2)"),
+    ("asymmetric-X", "real part is not symmetric (asymmetry 5.000e-01) "
+                     "at stack index (1, 1)"),
+    ("asymmetric-Y", "imaginary part is not symmetric (asymmetry "
+                     "1.000e-03) at stack index (0, 2)"),
+    ("indefinite", "imaginary part is not positive definite (lambda_min = "
+                   "-5.000e-01) at stack index (1, 1)"),
+    ("zero", "imaginary part is not positive definite (lambda_min = "
+             "0.000e+00) at stack index (1, 0)"),
+    ("singular", "imaginary part is numerically singular (eigenvalues "
+                 "1.000e-12 to 4.000e+00, condition number above 1e+12) "
+                 "at stack index (0, 1)"),
+    # a member that is not positive definite is named before an earlier
+    # ill-conditioned one
+    ("singular-then-indefinite", "imaginary part is not positive definite "
+                                 "(lambda_min = -1.000e+00) at stack index "
+                                 "(1, 2)"),
+])
+def test_stack_member_failure_keeps_its_message_and_index(defect, message):
+    X, Y = _stack_with_defect(defect)
+    with pytest.raises(ValueError) as info:
+        SiegelPoint(2, X, Y)
+    assert str(info.value) == message
+    # the same member alone fails with the same message, without an index
+    at = tuple(int(i) for i in message.rsplit("(", 1)[1][:-1].split(","))
+    with pytest.raises(ValueError) as info:
+        SiegelPoint(2, X[at], Y[at])
+    assert str(info.value) == message.rsplit(" at stack index", 1)[0]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -317,6 +377,47 @@ def test_generator_word_expansion_is_symplectic():
     assert is_symplectic(word.expand().matrix)
     with pytest.raises(ValueError, match="unknown generator"):
         GeneratorWord(2, (("X", None),)).expand()
+
+
+def test_word_expansion_validates_only_the_product(monkeypatch):
+    checked = []
+    check = symplectic._blocks_symplectic
+
+    def counted(M):
+        checked.append(M.copy())
+        return check(M)
+    monkeypatch.setattr(symplectic, "_blocks_symplectic", counted)
+    word = GeneratorWord(2, (("J", None), ("T", ((1, 2), (2, 0))),
+                             ("U", ((1, 1), (0, 1))), ("J", None),
+                             ("T", ((0, -1), (-1, 3)))))
+    element = word.expand()
+    assert len(checked) == 1
+    assert checked[0].tobytes() == element.matrix.tobytes()
+
+
+@pytest.mark.parametrize("tag, param, match", [
+    ("T", ((0, 1), (2, 0)), "translation block must be symmetric"),
+    ("U", ((2, 0), (0, 1)), "embedding block must be unimodular"),
+    ("U", ((1, 2), (2, 4)), "embedding block must be unimodular"),
+])
+def test_bad_generators_are_rejected_in_words_and_alone(tag, param, match):
+    word = GeneratorWord(2, (("J", None), (tag, param), ("J", None)))
+    with pytest.raises(ValueError, match=match):
+        word.expand()
+    build = (SymplecticElement.translation if tag == "T"
+             else SymplecticElement.unimodular)
+    with pytest.raises(ValueError, match=match):
+        build(np.array(param))
+
+
+def test_the_symplectic_form_is_built_once_and_read_only():
+    for g in (1, 2, 5):
+        J = symplectic._symplectic_form(g)
+        assert J is symplectic._symplectic_form(g)
+        assert not J.flags.writeable
+        assert J.tobytes() == SymplecticElement.inversion(g).matrix.tobytes()
+        # a one-letter word of the inversion does not hand out the shared J
+        assert GeneratorWord(g, (("J", None),)).expand().matrix is not J
 
 
 def test_inverse_is_exact_group_inverse():
