@@ -5,13 +5,13 @@ an exact coefficient match."""
 __version__ = "0.1.0"
 
 from .indexing import omega_list
-from .symplectic import (SiegelPoint, SymplecticElement, GeneratorWord,
-                         DimensionError, DegeneracyError, is_symplectic, act,
+from .symplectic import (SiegelPoint, SymplecticElement, DimensionError,
+                         DegeneracyError, is_symplectic, act,
                          cocycle, tangent_pushforward,
                          pushforward_matrix, pushforward_matrix_derivative,
                          random_symplectic, random_point)
 from .metric import MetricPair, metric_pair, sigma, dM_dZ
-from .connection import (ConnectionTable, gamma_closed, gamma_from_metric,
+from .connection import (gamma_closed, gamma_from_metric,
                          mcc_residual, apply_D, d_f_detk, d_trace_form,
                          equivariance_residual, invariance_residual,
                          kron_trace)
@@ -19,7 +19,7 @@ from .forms import (FormPolynomial, det_dz, trace_form, max_coefficient_diff,
                     substitute_basis)
 from .functions import TestFunction, random_test_function
 from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
-                        ImInverseField, verify_nabla_transform, verify_G_law,
+                        im_inverse, verify_nabla_transform, verify_G_law,
                         bracket1, bracket1_transform_residual)
 from .qseries import (QSeries, TaggedSeries, eisenstein, g2_series, delta,
                       serre_derivative, bracket1_classical, evaluate,

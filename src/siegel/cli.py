@@ -73,7 +73,7 @@ def _load_point(args) -> SiegelPoint:
         try:
             with open(args.point) as handle:
                 return SiegelPoint.from_json(handle.read())
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read point file {args.point}: {exc}")
     if args.g is None:
         raise UsageError("either --point FILE or --g N is required")
@@ -267,9 +267,9 @@ def _table_entries(point: SiegelPoint, method: str
     values.  The cutoff is relative, as Gamma scales as Y^{-1}.  The table
     is freed on return, before the output text is built."""
     if method == "closed":
-        table = gamma_closed(point).table
+        table = gamma_closed(point)
     else:
-        table = gamma_from_metric(point, _GAMMA_METHODS[method]).table
+        table = gamma_from_metric(point, _GAMMA_METHODS[method])
     magnitude = np.abs(table)
     largest = float(magnitude.max())
     # a NaN entry leaves no largest magnitude; then the floor 1e-14 holds
@@ -331,6 +331,8 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad weight list {text!r}; use e.g. 1,2") from exc
     if not ks or any(k < 1 for k in ks):
         raise UsageError(f"bad weight list {text!r}")
+    if len(set(ks)) < len(ks):
+        raise UsageError(f"repeated weight in {text!r}")
     return ks
 
 
@@ -347,6 +349,9 @@ def _cmd_verify(args) -> int:
         _check_tol(args.tol)
     report = run_suite(args.suite, g_range, seed=args.seed, tol=args.tol,
                        ks=_parse_weights(args.k))
+    if not report.records:
+        raise UsageError(f"suite {args.suite} draws no check at "
+                         f"g={g_range[0]}..{g_range[1]}")
     summary = report.summary
     for record in report.records:
         if not record.passed and not args.quiet:

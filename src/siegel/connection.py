@@ -14,17 +14,19 @@ metric are produced three independent ways:
   ``path="B-expanded"`` evaluates the fully expanded eight-term delta/R
   expression of that sum.
 
-The tables are built as arrays.  ``gamma_closed`` scatters i R_ij / 2^e into
-a pattern of (K, I, J) positions, R entries and divisors built once per
-degree; the B-expanded path evaluates its own delta/R expression over
-broadcast (K, I, J) index grids and shares nothing with that pattern, so the
-two stay independent derivations.  Paths A and B contract over L with
-stacked BLAS matrix products (M dW[I] for each I, W dM[K] for each K).
-BLAS sums in its own blocked order, so their tables are not bit-equal to an
-index-order sum (or to the einsum these paths once used); they agree with it
-to a few ulps of the magnitude of the summed terms.  ``gamma_closed``,
-B-expanded, W, M, dW and dM are index arithmetic in a fixed order, and the
-loop oracles in ``tests/test_loop_oracles.py`` pin them bit for bit.
+Each derivation returns its table as a read-only (m, m, m) complex array
+with axes (K, I, J), Omega-ordered.  ``gamma_closed`` scatters
+i R_ij / 2^e into a pattern of (K, I, J) positions, R entries and divisors
+built once per degree; the B-expanded path evaluates its own delta/R
+expression over broadcast (K, I, J) index grids and shares nothing with
+that pattern, so the two stay independent derivations.  Paths A and B
+contract over L with stacked BLAS matrix products (M dW[I] for each I,
+W dM[K] for each K).  BLAS sums in its own blocked order, so their tables
+are not bit-equal to an index-order sum (or to the einsum these paths once
+used); they agree with it to a few ulps of the magnitude of the summed
+terms.  ``gamma_closed``, B-expanded, W, M, dW and dM are index arithmetic
+in a fixed order, and the loop oracles in ``tests/test_loop_oracles.py``
+pin them bit for bit.
 
 The operator D acts on forms with function coefficients by
 D(f dZ_{K_1}...dZ_{K_r}) = df dZ_{K_1}...dZ_{K_r}
@@ -44,7 +46,6 @@ one set of its derivatives at the point: a pulled-back coefficient is
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -60,22 +61,6 @@ from .operators import ModularExtension, sym_gradient
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_derivatives, pushforward_matrix,
                          pushforward_matrix_derivative)
-
-
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Coefficients Gamma[K][I][J] at a base point, Omega-ordered."""
-
-    point: SiegelPoint
-    g: int
-    table: np.ndarray  # shape (m, m, m), axes (K, I, J)
-    method: str
-
-    def entry(self, K: Pair, I: Pair, J: Pair) -> complex:
-        g = self.g
-        return complex(self.table[n_index(K, g) - 1,
-                                  n_index(I, g) - 1,
-                                  n_index(J, g) - 1])
 
 
 @lru_cache(maxsize=16)
@@ -111,8 +96,9 @@ def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return out
 
 
-def gamma_closed(point: SiegelPoint) -> ConnectionTable:
-    """Closed-form coefficient table of the invariant Levi-Civita connection."""
+def gamma_closed(point: SiegelPoint) -> np.ndarray:
+    """Closed-form coefficient table of the invariant Levi-Civita connection,
+    read-only, axes (K, I, J)."""
     g = point.g
     m = omega_size(g)
     R = metric_pair(point).R
@@ -120,7 +106,7 @@ def gamma_closed(point: SiegelPoint) -> ConnectionTable:
     table = np.zeros((m, m, m), dtype=complex)
     table.flat[where] = 1j * R[i, j] / divisor
     table.setflags(write=False)
-    return ConnectionTable(point, g, table, "closed-form")
+    return table
 
 
 def _gamma_path_a(point: SiegelPoint) -> np.ndarray:
@@ -175,8 +161,9 @@ def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
     return table
 
 
-def gamma_from_metric(point: SiegelPoint, path: str = "A") -> ConnectionTable:
-    """Levi-Civita coefficients derived from the metric matrices."""
+def gamma_from_metric(point: SiegelPoint, path: str = "A") -> np.ndarray:
+    """Levi-Civita coefficients derived from the metric matrices, read-only,
+    axes (K, I, J)."""
     if path == "A":
         table = _gamma_path_a(point)
     elif path == "B":
@@ -186,7 +173,7 @@ def gamma_from_metric(point: SiegelPoint, path: str = "A") -> ConnectionTable:
     else:
         raise ValueError(f"unknown derivation path {path!r}")
     table.setflags(write=False)
-    return ConnectionTable(point, point.g, table, f"metric-{path}")
+    return table
 
 
 def case_analysis_residual(point: SiegelPoint) -> float:
@@ -209,11 +196,10 @@ def case_analysis_residual(point: SiegelPoint) -> float:
         return pair[0] == x or pair[1] == x
 
     worst = 0.0
-    for K in pairs:
-        p, q = K
-        for I in pairs:
-            for J in pairs:
-                got = table.entry(K, I, J)
+    for k, (p, q) in enumerate(pairs):
+        for a, I in enumerate(pairs):
+            for b, J in enumerate(pairs):
+                got = complex(table[k, a, b])
                 in_cross = ((contains(I, q) and contains(J, p))
                             or (contains(J, q) and contains(I, p)))
                 if not in_cross:
@@ -253,18 +239,19 @@ def _bullet_values(p: int, q: int, I: Pair, J: Pair, R) -> list[complex]:
     return out
 
 
-def connection_matrix_contracted(table: ConnectionTable,
+def connection_matrix_contracted(table: np.ndarray,
                                  coords: np.ndarray) -> np.ndarray:
     """omega(V): entry (I, J) is sum_K Gamma_IK^J coords_K (I row, J column)."""
     # table axes are (K, I, J): omega_I^J = sum_K Gamma[J][I][K] dZ_K
-    return np.einsum("jik,k->ij", table.table, coords)
+    return np.einsum("jik,k->ij", table, coords)
 
 
-def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
+def mcc_residual(gamma: SymplecticElement, point: SiegelPoint,
                  V: np.ndarray) -> float:
     """Max-norm defect of S . omega'(V') - omega(V) . S + dS(V), where the
-    primes are the coefficients at gamma(Z) contracted with the pushed-forward
-    tangent.  Vanishes for a family satisfying the modular transformation law.
+    primes are the closed-form coefficients at gamma(Z) contracted with the
+    pushed-forward tangent.  Vanishes for a family satisfying the modular
+    transformation law.
 
     Normalized by the magnitude of the three law terms (floored at 1):
     their scale grows without bound along ill-conditioned group elements,
@@ -275,8 +262,9 @@ def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
     image = act(gamma, point)
     coords = sym_to_coords(np.asarray(V, dtype=complex))
     coords_image = coords @ S
-    omega_here = connection_matrix_contracted(table_fn(point), coords)
-    omega_image = connection_matrix_contracted(table_fn(image), coords_image)
+    omega_here = connection_matrix_contracted(gamma_closed(point), coords)
+    omega_image = connection_matrix_contracted(gamma_closed(image),
+                                               coords_image)
     left = S @ omega_image
     right = omega_here @ S
     residual = left - right + dS
@@ -285,18 +273,18 @@ def mcc_residual(table_fn, gamma: SymplecticElement, point: SiegelPoint,
     return float(np.abs(residual).max()) / scale
 
 
-def curvature_quadratics(table: ConnectionTable) -> list[FormPolynomial]:
-    """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms."""
-    m = table.table.shape[0]
-    a, b = np.triu_indices(m)
-    upper = table.table[:, a, b]
+def curvature_quadratics(table: np.ndarray, g: int) -> list[FormPolynomial]:
+    """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms of
+    degree g."""
+    a, b = np.triu_indices(table.shape[0])
+    upper = table[:, a, b]
     coefs = 0j + np.where(a == b, -upper, -2.0 * upper)
     monos = list(zip(a.tolist(), b.tolist()))
-    return [FormPolynomial.canonical(table.g, dict(zip(monos, row)))
+    return [FormPolynomial.canonical(g, dict(zip(monos, row)))
             for row in coefs.tolist()]
 
 
-def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
+def apply_D(table: np.ndarray, form: FormPolynomial) -> FormPolynomial:
     """Evaluate D(form) at the table's base point.
 
     Coefficients of the input are numbers or jets at that point; the output
@@ -305,7 +293,7 @@ def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
     into one dictionary, in the order of the sum
     df dZ_{K_1}...dZ_{K_r} + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}.
     """
-    quadratics = curvature_quadratics(table)
+    quadratics = curvature_quadratics(table, form.g)
     out: dict = {}
     for mono, coef in form.terms.items():
         if isinstance(coef, Jet):
@@ -323,7 +311,7 @@ def apply_D(table: ConnectionTable, form: FormPolynomial) -> FormPolynomial:
                 c = cval * c2
                 if c != 0:
                     add_term(out, tuple(sorted(rest + m2)), c)
-    return FormPolynomial.canonical(table.g, out)
+    return FormPolynomial.canonical(form.g, out)
 
 
 def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
@@ -347,14 +335,13 @@ def d_det_closed(point: SiegelPoint) -> FormPolynomial:
     return trace_form(R, point.g).scale(-1j) * det_dz(point.g)
 
 
-def d_f_detk(table: ConnectionTable, f, k: int) -> FormPolynomial:
+def d_f_detk(point: SiegelPoint, f, k: int) -> FormPolynomial:
     """Factored form of D(f det(dZ)^k):
     Tr([grad - i k Y^{-1}] f dZ) det(dZ)^k, expanded as a form with numeric
-    coefficients at the base point."""
+    coefficients at the point."""
     if k < 0:
         raise ValueError("determinant power must be >= 0")
-    point = table.point
-    g = table.g
+    g = point.g
     R = metric_pair(point).R
     nab = sym_gradient(f, point) - 1j * k * f.value(point) * R
     out = trace_form(nab, g)
@@ -376,13 +363,12 @@ def _require_symmetric_entries(Gfield, g: int) -> None:
             raise ValueError("matrix of jets must be symmetric")
 
 
-def d_trace_form(table: ConnectionTable, Gfield) -> FormPolynomial:
+def d_trace_form(point: SiegelPoint, Gfield) -> FormPolynomial:
     """Closed form of D(Tr(G dZ)) for a symmetric matrix G of jets at the
-    table's base point, read as G[i][j]: the Kronecker-product derivative
-    term plus the curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric
-    coefficients at the base point."""
-    point = table.point
-    g = table.g
+    point, read as G[i][j]: the Kronecker-product derivative term plus the
+    curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric coefficients
+    at the point."""
+    g = point.g
     pos = entry_positions(g)
     R = metric_pair(point).R
     _require_symmetric_entries(Gfield, g)
@@ -471,27 +457,28 @@ def _coefficient_scale(*forms: FormPolynomial) -> float:
     return scale
 
 
-def equivariance_residual(table_fn, gamma: SymplecticElement,
-                          point: SiegelPoint, form: FormPolynomial) -> float:
+def equivariance_residual(gamma: SymplecticElement, point: SiegelPoint,
+                          form: FormPolynomial) -> float:
     """Max coefficient discrepancy between D(gamma . form) and
-    gamma . (D form), both evaluated at the given point and normalized by
-    the coefficient scale (floored at 1), which is unbounded over random
-    group elements."""
+    gamma . (D form), both evaluated with the closed-form coefficients at
+    the given point and normalized by the coefficient scale (floored at 1),
+    which is unbounded over random group elements."""
     image = act(gamma, point)
     # D(gamma . form) at the point
-    lhs = apply_D(table_fn(point), gamma_act_on_form(gamma, point, form))
+    lhs = apply_D(gamma_closed(point), gamma_act_on_form(gamma, point, form))
     # gamma . (D form): evaluate D(form) at gamma(Z), transport the basis
-    d_at_image = apply_D(table_fn(image), _jets_at(form, image))
+    d_at_image = apply_D(gamma_closed(image), _jets_at(form, image))
     rhs = substitute_basis(d_at_image, pushforward_matrix(gamma, point))
     return max_coefficient_diff(lhs, rhs) / _coefficient_scale(lhs, rhs)
 
 
-def invariance_residual(table_fn, gamma: SymplecticElement,
-                        point: SiegelPoint, f, k: int) -> float:
+def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
+                        k: int) -> float:
     """Invariance defect of D(f det(dZ)^k) along gamma, for f extended to a
     function transforming with determinant weight 2k (see
     operators.ModularExtension).  The two evaluations agree exactly for the
-    Levi-Civita table; the residual is the numeric defect.
+    Levi-Civita table, here the closed form; the residual is the numeric
+    defect.
 
     Normalization: the image-side coefficients carry determinant weight
     factors that cancel during the pullback, so the defect is measured
@@ -502,8 +489,8 @@ def invariance_residual(table_fn, gamma: SymplecticElement,
     extension = ModularExtension(f, 2 * k, gamma)
     alpha_here = _f_det_form(f, k, point)
     alpha_image = _f_det_form(extension, k, image)
-    here = apply_D(table_fn(point), alpha_here)
-    d_image = apply_D(table_fn(image), alpha_image)
+    here = apply_D(gamma_closed(point), alpha_here)
+    d_image = apply_D(gamma_closed(image), alpha_image)
     S = pushforward_matrix(gamma, point)
     transported = substitute_basis(d_image, S)
     ceiling = substitute_basis(

@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indexing import (Pair, basis_stack, n_index, omega_list,
-                       row_col_indices, sigma)
+from .indexing import Pair, basis_stack, n_index, row_col_indices, sigma
 from .symplectic import DegeneracyError, SiegelPoint
 
 
@@ -51,12 +50,6 @@ def _pair_gram_plan(g: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _omega(g: int) -> tuple[Pair, ...]:
-    """Omega as a tuple, built once per degree."""
-    return tuple(omega_list(g))
-
-
-@lru_cache(maxsize=16)
 def _two_identity(g: int) -> np.ndarray:
     """2 I of size g, read-only and built once per degree."""
     two = 2.0 * np.eye(g)
@@ -81,7 +74,6 @@ class MetricPair:
     all read-only."""
 
     point: SiegelPoint
-    omega: tuple[Pair, ...]
     W: np.ndarray
     M: np.ndarray
     R: np.ndarray
@@ -110,7 +102,7 @@ def _metric_arrays(point: SiegelPoint) -> tuple:
         raise DegeneracyError("the metric overflows the float range")
     for Mat in (W, M, R):
         Mat.setflags(write=False)
-    return _omega(g), W, M, R
+    return W, M, R
 
 
 def metric_pair(point: SiegelPoint) -> MetricPair:

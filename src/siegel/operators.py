@@ -22,7 +22,7 @@ import numpy as np
 
 from .functions import fd_gradient
 from .indexing import coords_to_sym, omega_size, row_col_indices
-from .metric import dR_tensor, metric_pair
+from .metric import metric_pair
 from .qseries import evaluate, g2_series
 from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
                          act, cocycle, pushforward_matrix)
@@ -37,47 +37,9 @@ def sym_gradient(f, point: SiegelPoint) -> np.ndarray:
     return _sym_from_coords(f.gradient(point), point.g)
 
 
-class ImInverseField:
-    """The non-holomorphic matrix i (Im Z)^{-1} with exact entry rules."""
-
-    def value(self, point: SiegelPoint) -> np.ndarray:
-        return 1j * metric_pair(point).R
-
-    def entry_matrix(self, g: int) -> list:
-        entries = [[None] * g for _ in range(g)]
-        for p in range(1, g + 1):
-            for q in range(p, g + 1):
-                fn = _ImInverseEntry(g, p, q)
-                entries[p - 1][q - 1] = entries[q - 1][p - 1] = fn
-        return entries
-
-
-class _ImInverseEntry:
-    """Entry (p, q) of i (Im Z)^{-1} as a point function."""
-
-    def __init__(self, g: int, p: int, q: int):
-        self.g = g
-        self.p = p
-        self.q = q
-
-    def value(self, point) -> complex:
-        return complex(1j * metric_pair(point).R[self.p - 1, self.q - 1])
-
-    def gradient(self, point) -> np.ndarray:
-        # d(i R)/dZ_J = i dR/dZ_J
-        dR = dR_tensor(metric_pair(point).R)
-        return 1j * dR[:, self.p - 1, self.q - 1]
-
-
-class ScalarFunctionField:
-    """Degree-one matrix field built from a complex function z -> c(z)."""
-
-    def __init__(self, value_fn):
-        self.value_fn = value_fn
-
-    def value(self, point) -> np.ndarray:
-        z = complex(point.Z[0, 0])
-        return np.array([[self.value_fn(z)]], dtype=complex)
+def im_inverse(point: SiegelPoint) -> np.ndarray:
+    """The non-holomorphic matrix field i (Im Z)^{-1} at the point."""
+    return 1j * metric_pair(point).R
 
 
 class QSeriesFunction:
@@ -105,19 +67,23 @@ class QSeriesFunction:
         return np.array(values).reshape(zs.shape + (1,))
 
 
-def ig2_field(n_terms: int = 300) -> ScalarFunctionField:
-    """The holomorphic degree-one field i G2 = i (pi/3) E2, evaluated from
-    its q-expansion."""
+def ig2_field(n_terms: int = 300):
+    """The holomorphic degree-one field i G2 = i (pi/3) E2 as a function of
+    the point, evaluated from its q-expansion."""
     tagged = g2_series(n_terms)
-    return ScalarFunctionField(lambda z: 1j * evaluate(tagged, z))
+
+    def field(point: SiegelPoint) -> np.ndarray:
+        z = complex(point.Z[0, 0])
+        return np.array([[1j * evaluate(tagged, z)]], dtype=complex)
+    return field
 
 
-def nabla(f, point: SiegelPoint, k: int, G=None) -> np.ndarray:
-    """(grad - k G) f at the point; G defaults to i Y^{-1}."""
+def nabla(f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
+    """(grad - k G) f at the point, for a matrix field G given as a function
+    of the point; G defaults to i Y^{-1}."""
     if k < 0:
         raise ValueError("weight parameter must be >= 0")
-    field = G if G is not None else ImInverseField()
-    return sym_gradient(f, point) - k * field.value(point) * f.value(point)
+    return sym_gradient(f, point) - k * G(point) * f.value(point)
 
 
 def det_nabla(f, point: SiegelPoint, k: int) -> complex:
@@ -195,8 +161,8 @@ def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
     """Max-norm defect of (CZ+D)^{-1} G(gamma Z) - G(Z)(CZ+D)^t - 2 C^t,
     normalized by the magnitude of the two sides (floored at 1)."""
     den = cocycle(gamma, point)
-    lhs = np.linalg.solve(den, G.value(act(gamma, point)))
-    rhs = G.value(point) @ den.T + 2.0 * gamma.C.T
+    lhs = np.linalg.solve(den, G(act(gamma, point)))
+    rhs = G(point) @ den.T + 2.0 * gamma.C.T
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     return float(np.abs(lhs - rhs).max()) / scale
 
@@ -239,11 +205,10 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
         lhs = nabla(extension, image, k)
         here = nabla(f, point, k)
     elif grad == "fd":
-        field = ImInverseField()
         lhs = (_sym_from_coords(extension.gradient_fd(image), point.g)
-               - k * field.value(image) * extension.value(image))
+               - k * im_inverse(image) * extension.value(image))
         here = (_sym_from_coords(fd_gradient(f.value, point), point.g)
-                - k * field.value(point) * f.value(point))
+                - k * im_inverse(point) * f.value(point))
     else:
         raise ValueError(f"unknown gradient mode {grad!r}")
     rhs = factor * (j @ here @ jt)

@@ -134,12 +134,15 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
 
 def _json_object(text: str, *keys: str) -> tuple[int, dict]:
     """The degree and the fields of a JSON object with an integer "g" and
-    the given keys; ValueError for any other text, KeyError for a missing
-    key."""
+    the given keys; ValueError for any other text, a missing key
+    included."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with keys g, "
                          f"{', '.join(keys)}; got {type(data).__name__}")
+    for key in ("g",) + keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
     g = data["g"]
     if type(g) is not int:  # a bool is an int to isinstance
         raise ValueError(f"g must be an integer, got {g!r}")
@@ -437,26 +440,6 @@ class SymplecticElement:
         return cls(g, *(_json_array(data, key, np.int64) for key in "ABCD"))
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A word in the generators: inversion, symmetric translation,
-    unimodular embedding.  Expanding the word gives an exact group element."""
-
-    g: int
-    steps: tuple[tuple[str, tuple | None], ...]
-
-    def expand(self) -> SymplecticElement:
-        """The product of the generators as one group element.  Each
-        generator's matrix is built with its own checks (a symmetric T, a
-        unimodular U, a known tag) and multiplied in exactly, in int64 or
-        through Python ints (see _int_matmul); only the product becomes,
-        and is validated as, an element, by one test of M J M^t = J."""
-        out = np.eye(2 * self.g, dtype=np.int64)
-        for tag, param in self.steps:
-            out = _int_matmul(out, _generator_matrix(self.g, tag, param))
-        return SymplecticElement.from_matrix(out)
-
-
 def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
     if gamma.g != point.g:
         raise DimensionError(f"degree mismatch: element has g={gamma.g}, "
@@ -600,24 +583,23 @@ def pushforward_derivatives(gamma: SymplecticElement,
 
 def random_symplectic(g: int, word_length: int,
                       seed: int | np.random.Generator) -> SymplecticElement:
-    """Deterministic product of word_length random generators."""
-    return random_word(g, word_length, seed).expand()
-
-
-def random_word(g: int, word_length: int,
-                seed: int | np.random.Generator) -> GeneratorWord:
+    """Deterministic product of word_length random generators: inversions,
+    symmetric translations and unimodular embeddings.  Each generator's
+    matrix is built as it is drawn, with its own checks (a symmetric T, a
+    unimodular U), and multiplied into the product exactly, in int64 or
+    through Python ints (see _int_matmul); only the product becomes, and
+    is validated as, an element, by one test of M J M^t = J."""
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
-    steps = []
+    out = np.eye(2 * g, dtype=np.int64)
     for _ in range(word_length):
         kind = rng.integers(0, 3)
         if kind == 0:
-            steps.append(("J", None))
+            tag, param = "J", None
         elif kind == 1:
             B = rng.integers(-2, 3, size=(g, g))
-            B = np.triu(B) + np.triu(B, 1).T
-            steps.append(("T", tuple(map(tuple, B.tolist()))))
+            tag, param = "T", np.triu(B) + np.triu(B, 1).T
         else:
             U = np.eye(g, dtype=np.int64)
             for _ in range(int(rng.integers(1, 4))):
@@ -628,8 +610,9 @@ def random_word(g: int, word_length: int,
                     U[0, 0] *= -1 if rng.integers(0, 2) else 1
                 else:
                     U[j, :] += int(rng.integers(-2, 3)) * U[i, :]
-            steps.append(("U", tuple(map(tuple, U.tolist()))))
-    return GeneratorWord(g, tuple(steps))
+            tag, param = "U", U
+        out = _int_matmul(out, _generator_matrix(g, tag, param))
+    return SymplecticElement.from_matrix(out)
 
 
 def random_point(g: int, seed: int | np.random.Generator,

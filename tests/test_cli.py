@@ -196,6 +196,44 @@ def test_verify_usage_errors(capsys):
     assert run_cli(capsys, "verify", "--g", "x")[0] == 2
 
 
+@pytest.mark.parametrize("g, shown", [("4..5", "4..5"), ("5", "5..5")])
+def test_verify_request_without_checks_is_a_usage_error(tmp_path, capsys, g,
+                                                        shown):
+    # the operators suite covers g = 1..3
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "operators",
+                             "--g", g, "--report", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: suite operators draws no check at g={shown}\n"
+    assert not report.exists()
+
+
+def test_verify_all_above_the_operators_degrees_still_runs(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--g",
+                             "4..5", "--report", str(report))
+    assert (code, err) == (0, "")
+    data = json.loads(report.read_text())
+    assert out == (f"suite=all g=4..5 seed=0 total="
+                   f"{data['summary']['total']} passed="
+                   f"{data['summary']['total']} failed=0\n")
+    assert ({record["suite"] for record in data["records"]}
+            == {"metric", "connection", "qseries"})
+    assert {record["params"].get("g") for record in data["records"]
+            if record["suite"] == "metric"} == {4, 5}
+
+
+@pytest.mark.parametrize("weights", ["1,1", "2,1,2"])
+def test_verify_repeated_weight_is_a_usage_error(tmp_path, capsys, weights):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "operators",
+                             "--g", "1", "--k", weights,
+                             "--report", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: repeated weight in {weights!r}\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("target", ["missing_directory", "directory"])
 @pytest.mark.parametrize("argv", [
     ["gamma", "--g", "2", "--out"],
@@ -363,7 +401,7 @@ _METHODS = {"closed": None, "metricA": "A", "metricB": "B",
 def _old_gamma_text(point, method, table=None):
     if table is None:
         table = (gamma_closed(point) if method == "closed" else
-                 gamma_from_metric(point, _METHODS[method])).table
+                 gamma_from_metric(point, _METHODS[method]))
     pairs = omega_list(point.g)
     magnitude = np.abs(table)
     largest = float(magnitude.max())
@@ -380,7 +418,7 @@ def _old_gamma_text(point, method, table=None):
 
 def _old_metric_text(point, pair):
     return json.dumps({"g": point.g,
-                       "omega": [list(p) for p in pair.omega],
+                       "omega": [list(p) for p in omega_list(point.g)],
                        "W": pair.W.tolist(), "M": pair.M.tolist()},
                       indent=2, sort_keys=True)
 
@@ -476,8 +514,7 @@ def test_gamma_output_of_extreme_tables(monkeypatch, tmp_path, capsys, name,
         table = np.zeros((6, 6, 6), dtype=complex)
     else:
         table = _extreme_table(g, values, seed=len(values))
-    monkeypatch.setattr(cli_module, "gamma_closed",
-                        lambda point: SimpleNamespace(table=table))
+    monkeypatch.setattr(cli_module, "gamma_closed", lambda point: table)
     point = SiegelPoint(g, np.zeros((g, g)), np.eye(g))
     expected = _old_gamma_text(point, "closed", table) + "\n"
     stdout, written = _both_outputs(tmp_path, capsys, ["gamma", "--g", "3"])
@@ -500,7 +537,7 @@ def test_metric_output_spells_non_finite_values_as_json(monkeypatch,
     M = np.array(real.M)
     W.reshape(-1)[:7] = _EXTREMES
     M.reshape(-1)[-7:] = _EXTREMES
-    pair = SimpleNamespace(omega=real.omega, W=W, M=M)
+    pair = SimpleNamespace(W=W, M=M)
     monkeypatch.setattr(cli_module, "metric_pair", lambda point: pair)
     expected = _old_metric_text(point, pair) + "\n"
     stdout, written = _both_outputs(tmp_path, capsys, ["metric", "--g", "2"])
@@ -569,6 +606,20 @@ def test_malformed_point_files_are_usage_errors(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("command", ["gamma", "metric"])
+@pytest.mark.parametrize("missing", ["g", "X", "Y"])
+def test_point_file_missing_a_key_names_it(tmp_path, capsys, command,
+                                           missing):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({key: value for key, value in
+                                (("g", 1), ("X", [[0.0]]), ("Y", [[1.0]]))
+                                if key != missing}))
+    code, out, err = run_cli(capsys, command, "--point", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read point file {path}: "
+                   f"missing key '{missing}'\n")
 
 
 def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The scalar loops and step-by-step forms that the connection tables, the
 metric and its derivatives, the cocycle, the finite-difference stencils,
 the gradient of a modular extension, the dZ algebra, the point-function
-coefficients that jets replaced, the expansion of group words and the
+coefficients that jets replaced, the product of random generators and the
 symplectic test (as three block identities) were first written as, kept as
 references.
 
@@ -29,13 +29,14 @@ from siegel.forms import (FormPolynomial, add_term, det_dz,
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.indexing import (basis_matrix, coords_to_sym, delta, omega_list,
                              omega_size, row_col_indices, sym_to_coords)
-from siegel.metric import _power_table, dM_tensor, dW_tensor, metric_pair
-from siegel.operators import ImInverseField, ModularExtension
+from siegel.metric import (_power_table, dM_tensor, dR_tensor, dW_tensor,
+                           metric_pair)
+from siegel.operators import ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_derivatives, pushforward_matrix,
                                pushforward_matrix_derivative, random_point,
-                               random_symplectic, random_word)
+                               random_symplectic)
 
 
 def _draws(g, count):
@@ -107,14 +108,14 @@ def _b_expanded_loop(point):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_gamma_closed_matches_loop(g):
     for point in _draws(g, 4 if g <= 5 else 2):
-        assert (gamma_closed(point).table.tobytes()
+        assert (gamma_closed(point).tobytes()
                 == _gamma_closed_loop(point).tobytes())
 
 
 @pytest.mark.parametrize("g", range(1, 6))
 def test_b_expanded_matches_loop(g):
     for point in _draws(g, 4):
-        got = gamma_from_metric(point, "B-expanded").table
+        got = gamma_from_metric(point, "B-expanded")
         assert got.tobytes() == _b_expanded_loop(point).tobytes()
 
 
@@ -147,7 +148,7 @@ def test_metric_path_matches_loop(g, path):
     # 0.5 to 3); relative to max|Gamma| that can be several ulps, because
     # the terms cancel
     for point in _draws(g, 4 if g <= 5 else 2):
-        got = gamma_from_metric(point, path).table
+        got = gamma_from_metric(point, path)
         expected, scale = _metric_path_loop(point, path)
         assert got.shape == expected.shape
         assert (np.abs(got - expected).max()
@@ -225,17 +226,18 @@ def test_metric_derivatives_match_loop(g):
 
 @pytest.mark.parametrize("g", range(1, 6))
 def test_im_inverse_entry_gradient_matches_loop(g):
-    # the entry gradient reads dR from the expression dW_tensor uses; the
-    # loop it replaced formed -(1/2) R E_J R per coordinate.  Equal in
-    # value: only the sign of a zero may differ
-    entries = ImInverseField().entry_matrix(g)
+    # the gradients of the entries of i Y^{-1} are i dR_tensor(R), the
+    # expression dW_tensor uses; the loop it replaced formed
+    # -(1/2) R E_J R per coordinate.  Equal in value: only the sign of a
+    # zero may differ
     for point in _draws(g, 3):
         R = metric_pair(point).R
+        dR = dR_tensor(R)
         for p, q in omega_list(g):
             expected = np.array(
                 [-0.5 * (R @ basis_matrix(J, g) @ R)[p - 1, q - 1]
                  for J in omega_list(g)], dtype=complex)
-            got = entries[p - 1][q - 1].gradient(point)
+            got = 1j * dR[:, p - 1, q - 1]
             assert np.array_equal(got, expected)
 
 
@@ -583,26 +585,26 @@ def test_form_sum_and_product_match_dict_reference(g):
 
 
 def _quadratics_loop(table):
-    m = table.table.shape[0]
+    m = table.shape[0]
     out = []
     for k in range(m):
         terms = {}
         for a in range(m):
-            c = -table.table[k, a, a]
+            c = -table[k, a, a]
             if c != 0:
                 terms[(a, a)] = terms.get((a, a), 0j) + c
             for b in range(a + 1, m):
-                c = -2.0 * table.table[k, a, b]
+                c = -2.0 * table[k, a, b]
                 if c != 0:
                     terms[(a, b)] = terms.get((a, b), 0j) + c
         out.append(terms)
     return out
 
 
-def _apply_D_reference(table, terms):
-    """D at the table's point of a form held as a dict of numbers and
-    point functions, each evaluated there."""
-    point, g = table.point, table.g
+def _apply_D_reference(point, table, terms):
+    """D at the point, with the table there, of a form held as a dict of
+    numbers and point functions, each evaluated there."""
+    g = point.g
     quadratics = _quadratics_loop(table)
     out = {}
     for mono, coef in terms.items():
@@ -622,7 +624,7 @@ def test_apply_D_matches_dict_reference(g):
     rng = np.random.default_rng(60 + g)
     for point in _draws(g, 2):
         table = gamma_closed(point)
-        for quadratic, reference in zip(curvature_quadratics(table),
+        for quadratic, reference in zip(curvature_quadratics(table, g),
                                         _quadratics_loop(table)):
             assert _same_terms(quadratic, reference)
         f = random_test_function(g, rng)
@@ -645,7 +647,7 @@ def test_apply_D_matches_dict_reference(g):
                           _gamma_act_reference(gamma, g, form)))
         for form, reference in pairs:
             assert _same_terms(apply_D(table, form),
-                               _apply_D_reference(table, reference))
+                               _apply_D_reference(point, table, reference))
 
 
 def _substitute_basis_chain(form, S):
@@ -732,19 +734,32 @@ def test_gamma_act_on_form_matches_chain_of_sums(g):
                     _zero_signless(ref.gradient(point))
 
 
-# ------------------------------------------------------------ group words
+# ------------------------------------------------------- random elements
 
 
-def _expand_step_by_step(word):
-    """GeneratorWord.expand as a product of validated elements."""
-    out = SymplecticElement.identity(word.g)
-    for tag, param in word.steps:
-        if tag == "J":
-            step = SymplecticElement.inversion(word.g)
-        elif tag == "T":
-            step = SymplecticElement.translation(np.array(param))
+def _draw_step_by_step(g, word_length, rng):
+    """random_symplectic as a product of validated elements, each generator
+    redrawn by a copy of its draw loop."""
+    out = SymplecticElement.identity(g)
+    for _ in range(word_length):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            step = SymplecticElement.inversion(g)
+        elif kind == 1:
+            B = rng.integers(-2, 3, size=(g, g))
+            step = SymplecticElement.translation(np.triu(B)
+                                                 + np.triu(B, 1).T)
         else:
-            step = SymplecticElement.unimodular(np.array(param))
+            U = np.eye(g, dtype=np.int64)
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = rng.integers(0, g, size=2)
+                if g > 1 and i == j:
+                    j = (j + 1) % g
+                if g == 1:
+                    U[0, 0] *= -1 if rng.integers(0, 2) else 1
+                else:
+                    U[j, :] += int(rng.integers(-2, 3)) * U[i, :]
+            step = SymplecticElement.unimodular(U)
         out = out @ step
     return out
 
@@ -753,13 +768,15 @@ def _expand_step_by_step(word):
 @given(g=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        word_length=st.integers(0, 12))
 def test_word_expansion_matches_step_by_step_product(g, seed, word_length):
-    word = random_word(g, word_length, np.random.default_rng(seed))
-    expanded = word.expand()
-    reference = _expand_step_by_step(word)
-    assert expanded == reference
-    assert expanded.matrix.tobytes() == reference.matrix.tobytes()
+    rng, reference_rng = (np.random.default_rng(seed) for _ in range(2))
+    drawn = random_symplectic(g, word_length, rng)
+    reference = _draw_step_by_step(g, word_length, reference_rng)
+    # the same draws, in the same order
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert drawn == reference
+    assert drawn.matrix.tobytes() == reference.matrix.tobytes()
     for name in "ABCD":
-        block = getattr(expanded, name)
+        block = getattr(drawn, name)
         assert not block.flags.writeable
         assert block.tobytes() == getattr(reference, name).tobytes()
 

@@ -203,6 +203,3 @@ def test_per_degree_plans_are_built_once_and_read_only(g):
         assert not plan.flags.writeable
         with pytest.raises(ValueError):
             plan[0, 0] = 0
-    omega = metric._omega(g)
-    assert isinstance(omega, tuple) and list(omega) == omega_list(g)
-    assert metric_pair(random_point(g, seed=g)).omega is omega

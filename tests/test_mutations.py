@@ -5,7 +5,9 @@ A mutant is an in-memory patch, undone after its test: either a patched
 attribute, or a function recompiled from its source with one expression
 replaced.  Each run is the connection suite at seed 0 over g = 1..2, where
 the form layer's checks (``equivariance``, ``det_power_invariance`` and
-``scalar_det_power``) all run.  A jet's gradient is also compared with a
+``scalar_det_power``) all run, and so do the checks that read the
+closed-form coefficients (``modular_law``, ``path_agreement`` and
+``curvature_quadratic``).  A jet's gradient is also compared with a
 central-difference gradient, which no suite check does.
 """
 
@@ -78,6 +80,13 @@ def _cocycle_entries_without_derivatives(monkeypatch):
                        "Jet(complex(S[l, k]), 0 * dS[:, l, k])")
 
 
+def _closed_form_undivided(monkeypatch):
+    # every closed-form entry with divisor 1: the entries that the
+    # off-diagonal K halve come out twice their size
+    _replace_in_source(monkeypatch, connection, "_closed_pattern",
+                       "2.0, 1.0", "1.0, 1.0")
+
+
 def _jet_with_zero_gradient(monkeypatch):
     def mutant(cls, fn, point):
         grad = fn.gradient(point)
@@ -89,8 +98,15 @@ def _jet_with_zero_gradient(monkeypatch):
 # the zero-gradient jet: trace_form_derivative, whose two sides read the
 # same jets, and equivariance, whose two sides both take their df terms
 # from Jet.at, and those terms transform into each other on their own.
-# The comparison with fd_gradient at the end of this module catches it too
+# The comparison with fd_gradient at the end of this module catches it too.
+# The closed-form mutant reaches the three residuals that evaluate the
+# closed form themselves (modular_law, equivariance, det_power_invariance)
+# and curvature_quadratic, which reads 0.0 on the unmutated code
 MUTANTS = {
+    "closed_form_undivided": (
+        _closed_form_undivided,
+        {"modular_law", "equivariance", "det_power_invariance",
+         "path_agreement", "curvature_quadratic"}),
     "product_without_pullback_gradient": (
         _product_without_first_gradient, {"equivariance"}),
     "pullback_gradient_without_S": (

@@ -10,7 +10,7 @@ from siegel.connection import apply_D, gamma_act_on_form, gamma_closed, \
     gamma_from_metric
 from siegel.forms import FormPolynomial
 from siegel.functions import random_test_function
-from siegel.operators import ImInverseField, ModularExtension
+from siegel.operators import ModularExtension, im_inverse
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_derivatives, pushforward_matrix,
@@ -34,8 +34,8 @@ def test_metric_pair_is_computed_once_per_point(monkeypatch):
     calls = _count(monkeypatch, metric, "_metric_arrays")
     point, other = random_point(3, seed=4), random_point(3, seed=5)
     first = metric.metric_pair(point)
-    field = ImInverseField().value(point)
-    closed = gamma_closed(point).table
+    field = im_inverse(point)
+    closed = gamma_closed(point)
     for path in ("A", "B", "B-expanded"):
         gamma_from_metric(point, path)
     assert calls == [point]
@@ -44,7 +44,7 @@ def test_metric_pair_is_computed_once_per_point(monkeypatch):
     again = metric.metric_pair(point)
     assert again.R is first.R and again.W is first.W and again.M is first.M
     assert np.array_equal(field, 1j * first.R)
-    assert np.array_equal(closed, gamma_closed(point).table)
+    assert np.array_equal(closed, gamma_closed(point))
 
 
 def test_two_function_monomials_share_one_action_and_cocycle(monkeypatch):
@@ -176,7 +176,7 @@ def test_y_is_factored_once_per_point(monkeypatch):
         assert all(a is b for a, b in zip(factors, factored))
         for p in (point, stack):
             metric.metric_pair(p)
-            ImInverseField().value(p)
+            im_inverse(p)
         gamma_closed(point)
         assert len(factors) == 2
         factors.clear()

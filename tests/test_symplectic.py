@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
 from siegel.metric import metric_pair
-from siegel.symplectic import (DegeneracyError, DimensionError, GeneratorWord,
-                               SiegelPoint, SymplecticElement, act, cocycle,
+from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
+                               SymplecticElement, act, cocycle,
                                is_symplectic, random_point, random_symplectic,
                                tangent_pushforward, pushforward_matrix)
 
@@ -373,10 +373,14 @@ def test_random_symplectic_contract():
 
 
 def test_generator_word_expansion_is_symplectic():
-    word = GeneratorWord(2, (("J", None), ("T", ((1, 2), (2, 0)))))
-    assert is_symplectic(word.expand().matrix)
+    # the generator matrices random_symplectic multiplies, and their product
+    J = symplectic._generator_matrix(2, "J", None)
+    T = symplectic._generator_matrix(2, "T", np.array([[1, 2], [2, 0]]))
+    U = symplectic._generator_matrix(2, "U", np.array([[1, 1], [0, 1]]))
+    for M in (J, T, U, symplectic._int_matmul(J, T), J @ T @ U):
+        assert is_symplectic(M)
     with pytest.raises(ValueError, match="unknown generator"):
-        GeneratorWord(2, (("X", None),)).expand()
+        symplectic._generator_matrix(2, "X", None)
 
 
 def test_word_expansion_validates_only_the_product(monkeypatch):
@@ -387,12 +391,11 @@ def test_word_expansion_validates_only_the_product(monkeypatch):
         checked.append(M.copy())
         return check(M)
     monkeypatch.setattr(symplectic, "_blocks_symplectic", counted)
-    word = GeneratorWord(2, (("J", None), ("T", ((1, 2), (2, 0))),
-                             ("U", ((1, 1), (0, 1))), ("J", None),
-                             ("T", ((0, -1), (-1, 3)))))
-    element = word.expand()
-    assert len(checked) == 1
-    assert checked[0].tobytes() == element.matrix.tobytes()
+    for length in (0, 1, 8):
+        checked.clear()
+        element = random_symplectic(2, length, seed=length)
+        assert len(checked) == 1
+        assert checked[0].tobytes() == element.matrix.tobytes()
 
 
 @pytest.mark.parametrize("tag, param, match", [
@@ -401,9 +404,10 @@ def test_word_expansion_validates_only_the_product(monkeypatch):
     ("U", ((1, 2), (2, 4)), "embedding block must be unimodular"),
 ])
 def test_bad_generators_are_rejected_in_words_and_alone(tag, param, match):
-    word = GeneratorWord(2, (("J", None), (tag, param), ("J", None)))
+    # the generator matrix random_symplectic builds for each draw, and the
+    # element built from it alone
     with pytest.raises(ValueError, match=match):
-        word.expand()
+        symplectic._generator_matrix(2, tag, np.array(param))
     build = (SymplecticElement.translation if tag == "T"
              else SymplecticElement.unimodular)
     with pytest.raises(ValueError, match=match):
@@ -416,8 +420,12 @@ def test_the_symplectic_form_is_built_once_and_read_only():
         assert J is symplectic._symplectic_form(g)
         assert not J.flags.writeable
         assert J.tobytes() == SymplecticElement.inversion(g).matrix.tobytes()
-        # a one-letter word of the inversion does not hand out the shared J
-        assert GeneratorWord(g, (("J", None),)).expand().matrix is not J
+        # an inversion, built or drawn, does not hand out the shared J
+        drawn = next(element for element in (
+            random_symplectic(g, 1, seed) for seed in range(100))
+            if element == SymplecticElement.inversion(g))
+        assert SymplecticElement.inversion(g).matrix is not J
+        assert drawn.matrix is not J
 
 
 def test_inverse_is_exact_group_inverse():
@@ -463,6 +471,18 @@ def test_json_rejects_what_is_not_an_object_of_degree_and_blocks(
     with pytest.raises(ValueError, match=match):
         cls.from_json(text)
     assert cls.from_json(f'{{"g": 1, {blocks}}}').g == 1
+
+
+@pytest.mark.parametrize("cls, keys", [(SiegelPoint, "gXY"),
+                                       (SymplecticElement, "gABCD")])
+def test_json_names_a_missing_key(cls, keys):
+    fields = {"g": 1, "X": [[0.0]], "Y": [[1.0]],
+              "A": [[1]], "B": [[0]], "C": [[0]], "D": [[1]]}
+    for missing in keys:
+        text = json.dumps({key: fields[key] for key in keys
+                           if key != missing})
+        with pytest.raises(ValueError, match=f"^missing key '{missing}'$"):
+            cls.from_json(text)
 
 
 @pytest.mark.parametrize("text", [

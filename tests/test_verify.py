@@ -24,6 +24,14 @@ def test_negative_seed_rejected(name):
         run_suite(name, (1, 1), seed=-1)
 
 
+@pytest.mark.parametrize("ks", [(1, 1), (2, 1, 2)])
+def test_repeated_weight_rejected(ks):
+    # each weight names its records by (check, params); a repeat would run
+    # its cases twice under the same names
+    with pytest.raises(ValueError, match="repeated weight"):
+        run_suite("operators", (1, 1), seed=0, ks=ks)
+
+
 def test_report_invariants():
     report = run_suite("qseries", (1, 1), seed=11)
     assert report.version == __version__
