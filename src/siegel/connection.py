@@ -54,8 +54,8 @@ import numpy as np
 from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
 from .functions import Jet
-from .indexing import (Pair, entry_positions, n_index, omega_list,
-                       omega_size, row_col_indices, sym_to_coords)
+from .indexing import (Pair, entry_positions, omega_list, omega_size,
+                       row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .operators import ModularExtension, sym_gradient
 from .symplectic import (SiegelPoint, SymplecticElement, act,
@@ -344,11 +344,15 @@ def d_f_detk(point: SiegelPoint, f, k: int) -> FormPolynomial:
     g = point.g
     R = metric_pair(point).R
     nab = sym_gradient(f, point) - 1j * k * f.value(point) * R
-    out = trace_form(nab, g)
-    det_power = FormPolynomial.scalar(g, 1.0 + 0j)
+    return trace_form(nab, g) * _det_power(g, k)
+
+
+def _det_power(g: int, k: int) -> FormPolynomial:
+    """det(dZ)^k, multiplied out from the scalar 1."""
+    out = FormPolynomial.scalar(g, 1.0 + 0j)
     for _ in range(k):
-        det_power = det_power * det_dz(g)
-    return out * det_power
+        out = out * det_dz(g)
+    return out
 
 
 def _require_symmetric_entries(Gfield, g: int) -> None:
@@ -394,8 +398,7 @@ def d_trace_form(point: SiegelPoint, Gfield) -> FormPolynomial:
             grad = grads[i, j]
             for k in range(1, g + 1):
                 for l in range(1, g + 1):
-                    coordinate = (min(k, l), max(k, l))
-                    partial = grad[n_index(coordinate, g) - 1]
+                    partial = grad[pos[k, l]]
                     if k != l:
                         partial = partial / 2.0
                     add((pos[k, l], pos[j, i]), partial)
@@ -503,12 +506,5 @@ def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
 def _f_det_form(f, k: int, point: SiegelPoint) -> FormPolynomial:
     """f det(dZ)^k at point: det(dZ)^k with each coefficient scaled by the
     jet of the point function f there."""
-    g = point.g
     jet = Jet.at(f, point)
-    if k == 0:
-        out = FormPolynomial.scalar(g, 1.0 + 0j)
-    else:
-        out = det_dz(g)
-        for _ in range(k - 1):
-            out = out * det_dz(g)
-    return out.map_coefficients(lambda c: c * jet)
+    return _det_power(point.g, k).map_coefficients(lambda c: c * jet)

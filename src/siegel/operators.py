@@ -167,17 +167,11 @@ def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
     return float(np.abs(lhs - rhs).max()) / scale
 
 
-def _transform_frame(gamma: SymplecticElement, point: SiegelPoint):
-    j = cocycle(gamma, point)
-    # Z C^t + D^t, as Z is symmetric
-    return j, j.T, complex(np.linalg.det(j))
-
-
-def _weight_factor(detj: complex, exponent: int) -> complex:
-    """det(CZ+D)^exponent as a Python complex; DegeneracyError when the
-    power leaves the float range."""
+def _weight_factor(j: np.ndarray, exponent: int) -> complex:
+    """det(j)^exponent, for the cocycle j = CZ+D, as a Python complex;
+    DegeneracyError when the power leaves the float range."""
     try:
-        factor = detj ** exponent
+        factor = complex(np.linalg.det(j)) ** exponent
     except OverflowError:
         factor = None
     if factor is None or not cmath.isfinite(factor):
@@ -199,8 +193,8 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
     """
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
-    j, jt, detj = _transform_frame(gamma, point)
-    factor = _weight_factor(detj, 2 * k)
+    j = cocycle(gamma, point)
+    factor = _weight_factor(j, 2 * k)
     if grad == "exact":
         lhs = nabla(extension, image, k)
         here = nabla(f, point, k)
@@ -211,7 +205,8 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
                 - k * im_inverse(point) * f.value(point))
     else:
         raise ValueError(f"unknown gradient mode {grad!r}")
-    rhs = factor * (j @ here @ jt)
+    # j.T = Z C^t + D^t, as Z is symmetric
+    rhs = factor * (j @ here @ j.T)
     scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     return float(np.abs(lhs - rhs).max()) / scale
 
@@ -224,11 +219,10 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
     near zeros)."""
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
-    _, _, detj = _transform_frame(gamma, point)
     here = det_nabla(f, point, k)
     if abs(here) <= _DET_FLOOR:
         return None
-    factor = _weight_factor(detj, 2 * point.g * k + 2)
+    factor = _weight_factor(cocycle(gamma, point), 2 * point.g * k + 2)
     lhs = det_nabla(extension, image, k)
     rhs = factor * here
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
@@ -275,17 +269,17 @@ def bracket1_transform_residual(f, h, r: int, s: int,
     F = ModularExtension(f, 2 * r, gamma)
     H = ModularExtension(h, 2 * s, gamma)
     image = act(gamma, point)
-    j, jt, detj = _transform_frame(gamma, point)
-    factor = _weight_factor(detj, 2 * r + 2 * s)
+    j = cocycle(gamma, point)
+    factor = _weight_factor(j, 2 * r + 2 * s)
     weights = (r, s) if weights_corrected else None
     here = bracket_matrix(f, h, point, weights)
     there = bracket_matrix(F, H, image, weights)
-    main = factor * (j @ here @ jt)
+    main = factor * (j @ here @ j.T)
     scale = max(1.0, float(np.abs(there).max()), float(np.abs(main).max()))
     raw = float(np.abs(there - main).max()) / scale
     if weights_corrected:
         return raw, raw
     defect = (factor * 2.0 * (r - s)
-              * f.value(point) * h.value(point) * (gamma.C @ jt))
+              * f.value(point) * h.value(point) * (gamma.C @ j.T))
     corrected = float(np.abs(there - main - defect).max()) / scale
     return raw, corrected

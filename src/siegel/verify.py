@@ -11,6 +11,7 @@ is drawn, and records keep the draw order.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -44,6 +45,9 @@ from .symplectic import (SiegelPoint, act, cocycle, cocycle_condition,
 
 SUITES = ("metric", "connection", "operators", "qseries")
 
+# the highest degree any suite draws a case at: the metric suite's
+MAX_DEGREE = 5
+
 # (check, params, tolerance kind or None for an exact check, fn)
 Cases = Iterator[tuple[str, dict, "str | None", Callable[[], object]]]
 
@@ -60,6 +64,10 @@ TOLERANCES = {
     "series_match": 1e-8,
     "kron": 1e-12,
 }
+
+
+class UsageError(ValueError):
+    pass
 
 
 @dataclass
@@ -191,7 +199,7 @@ def _clip_range(g_range: tuple[int, int], low: int, high: int) -> range:
 
 
 def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
-    for g in _clip_range(g_range, 1, 5):
+    for g in _clip_range(g_range, 1, MAX_DEGREE):
         for case in range(100):
             rng = _case_rng(seed, "metric", g, case)
             point = random_point(g, rng)
@@ -687,17 +695,36 @@ def qseries_suite() -> Cases:
 # ------------------------------------------------------------------ main
 
 
-def run_suite(name: str, g_range: tuple[int, int] = (1, 5), seed: int = 0,
-              tol: float | None = None,
+def run_suite(name: str, g_range: tuple[int, int] = (1, MAX_DEGREE),
+              seed: int = 0, tol: float | None = None,
               ks: tuple[int, ...] = (1, 2)) -> VerificationReport:
-    """Run one suite or all of them; deterministic per (version, seed)."""
+    """Run one suite or all of them; deterministic per (version, seed).
+
+    The whole request is checked before any case is drawn, and a malformed
+    one raises UsageError: an unknown suite, a degree range outside
+    1 <= A <= B <= MAX_DEGREE, a negative seed, a tolerance override that
+    is not finite and positive, or weights ks that are empty, below 1 or
+    repeated.  So is a request whose suite draws no check at its degrees.
+    """
     if name not in SUITES + ("all",):
-        raise ValueError(f"unknown suite {name!r}; choose from "
+        raise UsageError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITES + ('all',))}")
+    lo, hi = g_range
+    if not 1 <= lo <= hi <= MAX_DEGREE:
+        raise UsageError(f"bad degree range {lo}..{hi}; "
+                         f"use A..B with 1 <= A <= B <= {MAX_DEGREE}")
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be finite and positive, got {tol}")
+    # each weight names its records by (check, params), so a repeat would
+    # run its cases twice under the same names
+    spelled = ",".join(map(str, ks))
+    if not ks or min(ks) < 1:
+        raise UsageError(f"bad weight list {spelled!r}; "
+                         "use one or more weights >= 1")
     if len(set(ks)) < len(ks):
-        raise ValueError(f"repeated weight in ks={ks}")
+        raise UsageError(f"repeated weight in {spelled!r}")
     # generators: only the suites that are run draw any case
     cases = {"metric": metric_suite(g_range, seed),
              "connection": connection_suite(g_range, seed),
@@ -707,4 +734,6 @@ def run_suite(name: str, g_range: tuple[int, int] = (1, 5), seed: int = 0,
     report = VerificationReport(__version__, seed, list(names), g_range)
     for suite in names:
         report.records.extend(_Collector(suite, cases[suite], tol).collect())
+    if not report.records:
+        raise UsageError(f"suite {name} draws no check at g={lo}..{hi}")
     return report

@@ -223,6 +223,21 @@ def test_verify_all_above_the_operators_degrees_still_runs(tmp_path, capsys):
             if record["suite"] == "metric"} == {4, 5}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--tol", "inf"), "tol must be finite and positive, got inf"),
+    (("--g", "2..9"), "bad degree range 2..9; use A..B with 1 <= A <= B <= 5"),
+])
+def test_verify_malformed_request_is_one_error_line(tmp_path, capsys, argv,
+                                                    message):
+    # the request is refused before any case runs, so no report is written
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", *argv,
+                             "--report", str(report))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("weights", ["1,1", "2,1,2"])
 def test_verify_repeated_weight_is_a_usage_error(tmp_path, capsys, weights):
     report = tmp_path / "report.json"

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+import siegel.verify as verify_module
 from siegel import __version__
-from siegel.verify import TOLERANCES, run_suite
+from siegel.verify import TOLERANCES, UsageError, run_suite
 
 
 @pytest.mark.parametrize("seed, g", [(12, 5), (30, 5), (44, 5), (47, 4)])
@@ -30,6 +31,49 @@ def test_repeated_weight_rejected(ks):
     # its cases twice under the same names
     with pytest.raises(ValueError, match="repeated weight"):
         run_suite("operators", (1, 1), seed=0, ks=ks)
+
+
+@pytest.fixture
+def collected(monkeypatch):
+    """The suites whose collector is called; a suite that draws a case
+    fails the test."""
+    suites = []
+
+    def collect(self):
+        suites.append(self.suite)
+        for check, *_ in self.cases:
+            pytest.fail(f"{self.suite} drew a {check} case")
+        return []
+    monkeypatch.setattr(verify_module._Collector, "collect", collect)
+    return suites
+
+
+@pytest.mark.parametrize("name, g_range, kwargs, message", [
+    ("metric", (1, 1), {"tol": float("inf")}, "tol must be finite"),
+    ("metric", (1, 1), {"tol": float("nan")}, "tol must be finite"),
+    ("metric", (1, 1), {"tol": 0.0}, "tol must be finite"),
+    ("metric", (1, 1), {"tol": -1.0}, "tol must be finite"),
+    ("all", (0, 1), {}, "bad degree range 0..1"),
+    ("all", (5, 1), {}, "bad degree range 5..1"),
+    ("all", (6, 7), {}, "bad degree range 6..7"),
+    ("all", (2, 9), {}, "bad degree range 2..9"),
+    ("all", (1, 2), {"ks": ()}, "bad weight list ''"),
+    ("all", (1, 2), {"ks": (0,)}, "bad weight list '0'"),
+    ("all", (1, 2), {"ks": (-1,)}, "bad weight list '-1'"),
+])
+def test_malformed_request_draws_no_case(collected, name, g_range, kwargs,
+                                         message):
+    with pytest.raises(UsageError, match=message):
+        run_suite(name, g_range, 0, **kwargs)
+    assert collected == []
+
+
+def test_request_without_checks_is_a_usage_error(collected):
+    # the operators suite covers g = 1..3
+    with pytest.raises(UsageError,
+                       match=r"^suite operators draws no check at g=4\.\.5$"):
+        run_suite("operators", (4, 5), 0)
+    assert collected == ["operators"]
 
 
 def test_report_invariants():
@@ -94,8 +138,9 @@ def test_default_tolerances_documented_keys():
     assert TOLERANCES["series"] == 1e-6
 
 
-# records per (suite, check) of the default job, siegel verify --suite all
-# --g 1..5 --seed 0, in the order each check first appears
+# records per (suite, check) of the full job, run_suite("all", (1, 5)), in
+# the order each check first appears; every seed draws these counts, the
+# default job siegel verify --suite all --g 1..5 --seed 0 among them
 _DEFAULT_JOB = {
     ("metric", "inverse_pair"): 500,
     ("metric", "gram_positive_definite"): 50,
@@ -148,8 +193,8 @@ _DEFAULT_JOB = {
 }
 
 
-def test_default_job_counts():
-    report = run_suite("all", (1, 5), 0)
+def test_default_job_counts(full_job_report):
+    report = full_job_report
     counts = {}
     for record in report.records:
         key = (record.suite, record.check)
