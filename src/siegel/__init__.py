@@ -10,7 +10,7 @@ from .symplectic import (SiegelPoint, SymplecticElement, DimensionError,
                          cocycle, tangent_pushforward,
                          pushforward_matrix, pushforward_matrix_derivative,
                          random_symplectic, random_point)
-from .metric import MetricPair, metric_pair, sigma, dM_dZ
+from .metric import MetricPair, metric_pair
 from .connection import (gamma_closed, gamma_from_metric,
                          mcc_residual, apply_D, d_f_detk, d_trace_form,
                          equivariance_residual, invariance_residual,

@@ -12,6 +12,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import shlex
 import sys
 from collections.abc import Sequence
@@ -72,11 +73,11 @@ def _load_point(args) -> SiegelPoint:
     return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
 
 
-def _open_for_writing(path: str):
+def _open_for_writing(path: str, mode: str = "w"):
     """The file at path, opened for writing; a path that cannot be written
     (a missing directory, a directory) is a usage error."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -317,8 +318,16 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 def _cmd_verify(args) -> int:
     g_range = _parse_g_range(args.g)
+    ks = _parse_weights(args.k)
+    # an unwritable report path is refused before any case runs; the probe
+    # appends nothing and removes a file it made, so the path stays as is
+    if args.report:
+        existed = os.path.lexists(args.report)
+        _open_for_writing(args.report, "a").close()
+        if not existed:
+            os.remove(args.report)
     report = run_suite(args.suite, g_range, seed=args.seed, tol=args.tol,
-                       ks=_parse_weights(args.k))
+                       ks=ks)
     summary = report.summary
     for record in report.records:
         if not record.passed and not args.quiet:
@@ -332,10 +341,8 @@ def _cmd_verify(args) -> int:
           f"seed={args.seed} total={summary['total']} "
           f"passed={summary['passed']} failed={summary['failed']}")
     if args.report:
-        with _open_for_writing(args.report) as handle:
-            json.dump(report.to_dict(include_timings=args.timings), handle,
-                      indent=2, sort_keys=True)
-            handle.write("\n")
+        _emit([json.dumps(report.to_dict(include_timings=args.timings),
+                          indent=2, sort_keys=True)], args.report)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
@@ -368,19 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_anomaly)
 
-    p = sub.add_parser("metric", help="emit the metric matrices W and M")
-    p.add_argument("--point", help="SiegelPoint JSON file")
-    p.add_argument("--g", type=int, help="degree (point defaults to i*I)")
-    p.add_argument("--out", help="output JSON file (default stdout)")
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser("gamma", help="emit connection coefficients")
-    p.add_argument("--point", help="SiegelPoint JSON file")
-    p.add_argument("--g", type=int, help="degree (point defaults to i*I)")
-    p.add_argument("--method", default="closed",
-                   help="closed, metricA, metricB or metricB-expanded")
-    p.add_argument("--out", help="output JSON file (default stdout)")
-    p.set_defaults(func=_cmd_gamma)
+    for name, text, func in (
+            ("metric", "emit the metric matrices W and M", _cmd_metric),
+            ("gamma", "emit connection coefficients", _cmd_gamma)):
+        p = sub.add_parser(name, help=text)
+        # a point file or a degree, not both
+        where = p.add_mutually_exclusive_group()
+        where.add_argument("--point", help="SiegelPoint JSON file")
+        where.add_argument("--g", type=int,
+                           help="degree (point defaults to i*I)")
+        if name == "gamma":
+            p.add_argument("--method", default="closed", help="closed, "
+                           "metricA, metricB or metricB-expanded")
+        p.add_argument("--out", help="output JSON file (default stdout)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all",

@@ -57,7 +57,7 @@ from .functions import Jet
 from .indexing import (Pair, entry_positions, omega_list, omega_size,
                        row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
-from .operators import ModularExtension, sym_gradient
+from .operators import ModularExtension, nabla, relative_residual
 from .symplectic import (SiegelPoint, SymplecticElement, act,
                          pushforward_derivatives, pushforward_matrix,
                          pushforward_matrix_derivative)
@@ -191,17 +191,12 @@ def case_analysis_residual(point: SiegelPoint) -> float:
     pairs = omega_list(g)
     R = metric_pair(point).R
     table = gamma_closed(point)
-
-    def contains(pair: Pair, x: int) -> bool:
-        return pair[0] == x or pair[1] == x
-
     worst = 0.0
     for k, (p, q) in enumerate(pairs):
         for a, I in enumerate(pairs):
             for b, J in enumerate(pairs):
                 got = complex(table[k, a, b])
-                in_cross = ((contains(I, q) and contains(J, p))
-                            or (contains(J, q) and contains(I, p)))
+                in_cross = (q in I and p in J) or (q in J and p in I)
                 if not in_cross:
                     worst = max(worst, abs(got))
                     continue
@@ -267,10 +262,7 @@ def mcc_residual(gamma: SymplecticElement, point: SiegelPoint,
                                                coords_image)
     left = S @ omega_image
     right = omega_here @ S
-    residual = left - right + dS
-    scale = max(1.0, float(np.abs(left).max()), float(np.abs(right).max()),
-                float(np.abs(dS).max()))
-    return float(np.abs(residual).max()) / scale
+    return relative_residual(left - right + dS, left, right, dS)
 
 
 def curvature_quadratics(table: np.ndarray, g: int) -> list[FormPolynomial]:
@@ -336,15 +328,12 @@ def d_det_closed(point: SiegelPoint) -> FormPolynomial:
 
 
 def d_f_detk(point: SiegelPoint, f, k: int) -> FormPolynomial:
-    """Factored form of D(f det(dZ)^k):
-    Tr([grad - i k Y^{-1}] f dZ) det(dZ)^k, expanded as a form with numeric
+    """Factored form of D(f det(dZ)^k): Tr(nabla_k f dZ) det(dZ)^k, with
+    nabla_k f = (grad - i k Y^{-1}) f, expanded as a form with numeric
     coefficients at the point."""
     if k < 0:
         raise ValueError("determinant power must be >= 0")
-    g = point.g
-    R = metric_pair(point).R
-    nab = sym_gradient(f, point) - 1j * k * f.value(point) * R
-    return trace_form(nab, g) * _det_power(g, k)
+    return trace_form(nabla(f, point, k), point.g) * _det_power(point.g, k)
 
 
 def _det_power(g: int, k: int) -> FormPolynomial:

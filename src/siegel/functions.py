@@ -38,12 +38,10 @@ class QC:
     def of(cls, value) -> "QC":
         if isinstance(value, QC):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction, float)):
             return cls(Fraction(value))
         if isinstance(value, complex):
             return cls(Fraction(value.real), Fraction(value.imag))
-        if isinstance(value, float):
-            return cls(Fraction(value))
         raise TypeError(f"cannot coerce {type(value)} to a Gaussian rational")
 
     def __add__(self, other: "QC") -> "QC":
@@ -99,18 +97,17 @@ class TestFunction:
         key = (zero, exps) if conj else (exps, zero)
         return cls(g, {key: QC.of(1)})
 
-    def _binop(self, other, combine):
+    def _lift(self, other) -> "TestFunction":
+        """other, with a number made a constant function."""
         if isinstance(other, (int, Fraction, float, complex, QC)):
-            other = TestFunction.constant(self.g, other)
-        out: dict = dict(self.terms)
-        for key, coef in other.terms.items():
-            combine(out, key, coef)
-        return TestFunction(self.g, out)
+            return TestFunction.constant(self.g, other)
+        return other
 
     def __add__(self, other):
-        def add(out, key, coef):
+        out: dict = dict(self.terms)
+        for key, coef in self._lift(other).terms.items():
             out[key] = out.get(key, QC()) + coef
-        return self._binop(other, add)
+        return TestFunction(self.g, out)
 
     __radd__ = __add__
 
@@ -118,13 +115,10 @@ class TestFunction:
         return TestFunction(self.g, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, QC)):
-            other = TestFunction.constant(self.g, other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex, QC)):
-            other = TestFunction.constant(self.g, other)
+        other = self._lift(other)
         out: dict = {}
         for (h1, a1), c1 in self.terms.items():
             for (h2, a2), c2 in other.terms.items():
@@ -271,15 +265,17 @@ def fd_gradient(value_fn, point: SiegelPoint,
                 h: float | tuple[float, ...] | None = None,
                 order: int = 2) -> np.ndarray | tuple[np.ndarray, ...]:
     """Central-difference Wirtinger gradient d/dZ_I = (d/dX_I - i d/dY_I)/2
-    of a scalar function given by value_fn.
+    of a function given by value_fn.
 
     h may be one step or a tuple of steps; for a tuple the result is a
     tuple with one gradient per step.  Every stencil point (each step, X
     and Y, each offset, each coordinate) goes into one stack of points, and
     value_fn is called once on it: it must return one value per stacked
-    point.  order=4 uses the five-point stencil.  Each step is clipped to
-    0.05 times the smallest eigenvalue of Y so perturbed points stay in
-    the domain.
+    point.  A value may be an array: the returned shape starts with the
+    stack's and may carry trailing axes, and the gradient axis comes first
+    in the result, of shape (|Omega|,) + the trailing axes.  order=4 uses
+    the five-point stencil.  Each step is clipped to 0.05 times the
+    smallest eigenvalue of Y so perturbed points stay in the domain.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
@@ -308,9 +304,10 @@ def fd_gradient(value_fn, point: SiegelPoint,
     stack = SiegelPoint(g, point.X + np.stack([shift, still], axis=1),
                         point.Y + np.stack([still, shift], axis=1))
     values = np.asarray(value_fn(stack))
-    if values.shape != stack.X.shape[:-2]:
+    leading = stack.X.shape[:-2]
+    if values.shape[:len(leading)] != leading:
         raise ValueError(f"value_fn returned shape {values.shape} for a "
-                         f"stack of shape {stack.X.shape[:-2]}")
+                         f"stack of shape {leading}")
     grads = []
     for step, v in zip(steps, values):
         if order == 2:

@@ -43,21 +43,6 @@ def entry_positions(g: int) -> dict[Pair, int]:
     return table
 
 
-def delta(a, b) -> int:
-    return 1 if a == b else 0
-
-
-def sigma(pa: Pair, rs: Pair) -> int:
-    """1 if Z_pa and Z_rs are the same entry of a symmetric matrix, else 0.
-
-    Unlike the Kronecker delta on ordered pairs, this identifies (p, a)
-    with (a, p).
-    """
-    p, a = pa
-    r, s = rs
-    return 1 if (p == r and a == s) or (p == s and a == r) else 0
-
-
 def basis_matrix(pair: Pair, g: int, dtype=float) -> np.ndarray:
     """Symmetric coordinate direction for Z_pair: E_ij + E_ji off the
     diagonal, E_ii on it."""

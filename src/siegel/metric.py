@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indexing import Pair, basis_stack, n_index, row_col_indices, sigma
+from .indexing import basis_stack, row_col_indices
 from .symplectic import DegeneracyError, SiegelPoint
 
 
@@ -164,22 +164,3 @@ def dM_tensor(pair: MetricPair) -> np.ndarray:
     dY = np.moveaxis(-0.5j * basis_stack(g), 0, -1)
     return _pair_gram_derivative(dY, pair.point.Y)
 
-
-def dM_dZ(point: SiegelPoint, K: Pair, L: Pair, J: Pair) -> complex:
-    """Derivative of M_{K,L} = Y_pa Y_qb + Y_qa Y_pb along coordinate J,
-    written out through the symmetric-entry indicator:
-
-        -(i/2) { s_(p,a),J Y_qb + s_(q,b),J Y_pa
-                 + s_(q,a),J Y_pb + s_(p,b),J Y_qa }.
-    """
-    g = point.g
-    for pair in (K, L, J):
-        n_index(pair, g)
-    p, q = K
-    a, b = L
-    Y = point.Y
-    val = (sigma((p, a), J) * Y[q - 1, b - 1]
-           + sigma((q, b), J) * Y[p - 1, a - 1]
-           + sigma((q, a), J) * Y[p - 1, b - 1]
-           + sigma((p, b), J) * Y[q - 1, a - 1])
-    return -0.5j * val

@@ -31,6 +31,14 @@ from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
 _DET_FLOOR = 1e-8
 
 
+def relative_residual(defect, *sides) -> float:
+    """max|defect| over the largest max|side|, floored at 1, so that a fixed
+    tolerance holds for sides that grow without bound along ill-conditioned
+    group elements.  A side with a NaN entry never sets the scale."""
+    scale = max(max(1.0, float(np.abs(side).max())) for side in sides)
+    return float(np.abs(defect).max()) / scale
+
+
 def sym_gradient(f, point: SiegelPoint) -> np.ndarray:
     """Symmetrized gradient matrix: entry (i, j) is d f / dZ_ij weighted by
     1/2 off the diagonal."""
@@ -83,7 +91,12 @@ def nabla(f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
     of the point; G defaults to i Y^{-1}."""
     if k < 0:
         raise ValueError("weight parameter must be >= 0")
-    return sym_gradient(f, point) - k * G(point) * f.value(point)
+    return _nabla(f.gradient(point), f, point, k, G)
+
+
+def _nabla(grad, f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
+    """(grad - k G) f at the point, from grad, f's gradient over Omega."""
+    return _sym_from_coords(grad, point.g) - k * G(point) * f.value(point)
 
 
 def det_nabla(f, point: SiegelPoint, k: int) -> complex:
@@ -163,8 +176,7 @@ def verify_G_law(G, gamma: SymplecticElement, point: SiegelPoint) -> float:
     den = cocycle(gamma, point)
     lhs = np.linalg.solve(den, G(act(gamma, point)))
     rhs = G(point) @ den.T + 2.0 * gamma.C.T
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale
+    return relative_residual(lhs - rhs, lhs, rhs)
 
 
 def _weight_factor(j: np.ndarray, exponent: int) -> complex:
@@ -199,16 +211,13 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
         lhs = nabla(extension, image, k)
         here = nabla(f, point, k)
     elif grad == "fd":
-        lhs = (_sym_from_coords(extension.gradient_fd(image), point.g)
-               - k * im_inverse(image) * extension.value(image))
-        here = (_sym_from_coords(fd_gradient(f.value, point), point.g)
-                - k * im_inverse(point) * f.value(point))
+        lhs = _nabla(extension.gradient_fd(image), extension, image, k)
+        here = _nabla(fd_gradient(f.value, point), f, point, k)
     else:
         raise ValueError(f"unknown gradient mode {grad!r}")
     # j.T = Z C^t + D^t, as Z is symmetric
     rhs = factor * (j @ here @ j.T)
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale
+    return relative_residual(lhs - rhs, lhs, rhs)
 
 
 def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
@@ -275,11 +284,9 @@ def bracket1_transform_residual(f, h, r: int, s: int,
     here = bracket_matrix(f, h, point, weights)
     there = bracket_matrix(F, H, image, weights)
     main = factor * (j @ here @ j.T)
-    scale = max(1.0, float(np.abs(there).max()), float(np.abs(main).max()))
-    raw = float(np.abs(there - main).max()) / scale
+    raw = relative_residual(there - main, there, main)
     if weights_corrected:
         return raw, raw
     defect = (factor * 2.0 * (r - s)
               * f.value(point) * h.value(point) * (gamma.C @ j.T))
-    corrected = float(np.abs(there - main - defect).max()) / scale
-    return raw, corrected
+    return raw, relative_residual(there - main - defect, there, main)

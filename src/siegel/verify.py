@@ -27,12 +27,12 @@ from .connection import (apply_D, case_analysis_residual, d_det_closed,
                          mcc_residual, _f_det_form)
 from .forms import (FormPolynomial, det_dz, max_coefficient_diff, trace_form)
 from .functions import Jet, fd_gradient, random_test_function
-from .indexing import basis_matrix, omega_list, omega_size, sym_to_coords
-from .metric import dM_dZ, metric_form, metric_pair
+from .indexing import basis_stack, omega_list, omega_size, sym_to_coords
+from .metric import dM_tensor, metric_form, metric_pair
 from .operators import (ModularExtension, QSeriesFunction, bracket1,
                         bracket1_transform_residual,
                         det_nabla_weight_residual, ig2_field, im_inverse,
-                        nabla, sym_gradient, verify_G_law,
+                        nabla, relative_residual, sym_gradient, verify_G_law,
                         verify_nabla_transform)
 from .qseries import (QSeries, SL2_WORDS, ModularBasis, anomaly_residual,
                       bracket1_classical, delta, dim_modular_forms,
@@ -256,20 +256,11 @@ def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
             point = random_point(g, rng)
 
             def derivative_fd():
-                pairs = omega_list(g)
-                worst = 0.0
-                for p, q in pairs:
-                    for a, b in pairs:
-                        def entry(pt):
-                            Y = pt.Y
-                            return (Y[..., p - 1, a - 1] * Y[..., q - 1, b - 1]
-                                    + Y[..., q - 1, a - 1]
-                                    * Y[..., p - 1, b - 1])
-                        grad = fd_gradient(entry, point)
-                        for c, J in enumerate(pairs):
-                            worst = max(worst, abs(
-                                grad[c] - dM_dZ(point, (p, q), (a, b), J)))
-                return worst
+                # one stencil stack for every entry of M; the gradient axis
+                # comes first, dM_tensor's derivative axis last
+                grad = fd_gradient(lambda pt: metric_pair(pt).M, point)
+                exact = dM_tensor(metric_pair(point))
+                return np.abs(np.moveaxis(grad, 0, -1) - exact).max()
             yield ("inverse_derivative_fd", {"g": g, "case": case}, "fd",
                    derivative_fd)
 
@@ -325,16 +316,14 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
             def cocycle_identity():
                 lhs = cocycle(g1 @ g2, point)
                 rhs = cocycle(g1, act(g2, point)) @ cocycle(g2, point)
-                scale = max(1.0, float(np.abs(lhs).max()))
-                return np.abs(lhs - rhs).max() / scale
+                return relative_residual(lhs - rhs, lhs)
             yield ("cocycle_identity", {"g": g, "case": case}, "entry",
                    cocycle_identity)
 
             def action_composition():
                 lhs = act(g1 @ g2, point).Z
                 rhs = act(g1, act(g2, point)).Z
-                scale = max(1.0, float(np.abs(lhs).max()))
-                return np.abs(lhs - rhs).max() / scale
+                return relative_residual(lhs - rhs, lhs)
             yield ("action_composition", {"g": g, "case": case}, "entry",
                    action_composition)
 
@@ -342,8 +331,7 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 S12 = pushforward_matrix(g1 @ g2, point)
                 S = pushforward_matrix(g2, point) @ pushforward_matrix(
                     g1, act(g2, point))
-                scale = max(1.0, float(np.abs(S12).max()))
-                return np.abs(S12 - S).max() / scale
+                return relative_residual(S12 - S, S12)
             yield ("pushforward_cocycle", {"g": g, "case": case}, "entry",
                    pushforward_cocycle)
 
@@ -355,8 +343,7 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                     g, point.X + h * re, point.Y + h * im))
                 Sm = pushforward_matrix(g1, SiegelPoint(
                     g, point.X - h * re, point.Y - h * im))
-                scale = max(1.0, float(np.abs(dS).max()))
-                return np.abs((Sp - Sm) / (2 * h) - dS).max() / scale
+                return relative_residual((Sp - Sm) / (2 * h) - dS, dS)
             yield "cocycle_derivative_fd", {"g": g, "case": case}, "fd", ds_fd
 
     # operator D against the closed quadratic, determinant and trace forms
@@ -401,8 +388,8 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
 
             def leibniz():
                 rng2 = _case_rng(seed, g, case, "leibniz")
-                a = _random_numeric_form(g, rng2)
-                b = _random_numeric_form(g, rng2)
+                a = _random_form(g, rng2, 4, _random_number)
+                b = _random_form(g, rng2, 4, _random_number)
                 lhs = apply_D(table, a * b)
                 rhs = apply_D(table, a) * b + a * apply_D(table, b)
                 return max_coefficient_diff(lhs, rhs)
@@ -428,7 +415,8 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
             rng = _case_rng(seed, "conn-equi", g, case)
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
-            form = _random_function_form(g, rng)
+            form = _random_form(g, rng, 3, lambda rng: random_test_function(
+                g, rng, max_degree=2, n_terms=2))
             yield ("equivariance", {"g": g, "case": case}, "mcc",
                    lambda: equivariance_residual(gamma, point, form))
             f = random_test_function(g, rng)
@@ -463,24 +451,20 @@ def _random_symmetric_functions(g: int, rng) -> list:
     return entries
 
 
-def _random_numeric_form(g: int, rng) -> FormPolynomial:
+def _random_form(g: int, rng, n_terms: int, coefficient) -> FormPolynomial:
+    """A form of n_terms monomials of degree 0 to 2, each drawn before its
+    coefficient, which coefficient(rng) draws."""
     m = omega_size(g)
     terms = {}
-    for _ in range(4):
+    for _ in range(n_terms):
         deg = int(rng.integers(0, 3))
         mono = tuple(sorted(int(rng.integers(0, m)) for _ in range(deg)))
-        terms[mono] = complex(rng.standard_normal(), rng.standard_normal())
+        terms[mono] = coefficient(rng)
     return FormPolynomial(g, terms)
 
 
-def _random_function_form(g: int, rng) -> FormPolynomial:
-    m = omega_size(g)
-    terms = {}
-    for _ in range(3):
-        deg = int(rng.integers(0, 3))
-        mono = tuple(sorted(int(rng.integers(0, m)) for _ in range(deg)))
-        terms[mono] = random_test_function(g, rng, max_degree=2, n_terms=2)
-    return FormPolynomial(g, terms)
+def _random_number(rng) -> complex:
+    return complex(rng.standard_normal(), rng.standard_normal())
 
 
 # ------------------------------------------------------------- operators
@@ -495,14 +479,10 @@ def operators_suite(g_range: tuple[int, int], seed: int,
             f = random_test_function(g, rng)
 
             def pairing():
-                grad = sym_gradient(f, point)
-                worst = 0.0
-                for pos, pair in enumerate(omega_list(g)):
-                    E = basis_matrix(pair, g, dtype=complex)
-                    direct = f.gradient(point)[pos]
-                    worst = max(worst,
-                                abs(np.trace(grad @ E) - direct))
-                return worst
+                # Tr(grad E_I) against d f / dZ_I, for every direction E_I
+                paired = np.trace(sym_gradient(f, point) @ basis_stack(g),
+                                  axis1=-2, axis2=-1)
+                return np.abs(paired - f.gradient(point)).max()
             yield "gradient_pairing", {"g": g, "case": case}, "entry", pairing
 
         for k in ks:
@@ -534,8 +514,7 @@ def operators_suite(g_range: tuple[int, int], seed: int,
                     ext = ModularExtension(f, 2 * k, gamma)
                     exact = ext.gradient(point)
                     approx = ext.gradient_fd(point)
-                    scale = max(1.0, float(np.abs(exact).max()))
-                    return float(np.abs(exact - approx).max()) / scale
+                    return relative_residual(exact - approx, exact)
                 yield ("extension_gradient_fd", {"g": g, "k": k, "case": case},
                        "fd", ext_fd)
 

@@ -87,6 +87,19 @@ def test_metric_requires_point_or_degree(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("command", ["metric", "gamma"])
+def test_point_and_degree_together_are_refused(tmp_path, capsys, command):
+    # a point file and a degree name two points; neither is dropped
+    path = tmp_path / "p2.json"
+    path.write_text(random_point(2, seed=1).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--point", str(path), "--g", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_gamma_degree_one_single_entry(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--g", "1", "--method", "closed")
     assert code == 0
@@ -264,6 +277,46 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv,
     assert err == f"error: cannot write {path}: " + (
         "Is a directory" if target == "directory"
         else "No such file or directory") + "\n"
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_report_is_refused_before_any_case(tmp_path, monkeypatch,
+                                                      capsys, target):
+    path = (tmp_path if target == "directory"
+            else tmp_path / "missing" / "r.json")
+
+    def run_suite(*args, **kwargs):
+        pytest.fail("a case was drawn for an unwritable report")
+    monkeypatch.setattr(cli_module, "run_suite", run_suite)
+    code, out, err = run_cli(capsys, "verify", "--suite", "qseries",
+                             "--report", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: " + (
+        "Is a directory" if target == "directory"
+        else "No such file or directory") + "\n"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("failure, code", [
+    (DegeneracyError("singular"), 3),
+    (verify_module.UsageError("refused"), 2),
+])
+def test_aborted_run_leaves_the_report_path_as_it_was(
+        tmp_path, monkeypatch, capsys, existing, failure, code):
+    report = tmp_path / "report.json"
+    if existing:
+        report.write_text("kept\n")
+
+    def run_suite(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(cli_module, "run_suite", run_suite)
+    got, out, _ = run_cli(capsys, "verify", "--report", str(report))
+    assert (got, out) == (code, "")
+    if existing:
+        assert report.read_text() == "kept\n"
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("part, bad", [("X", "NaN"), ("Y", "NaN"),

@@ -9,6 +9,7 @@ from siegel.connection import gamma_act_on_form
 from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
                               random_test_function)
 from siegel.indexing import entry_positions, n_index, omega_list
+from siegel.metric import metric_pair
 from siegel.symplectic import (SiegelPoint, act, random_point,
                                random_symplectic)
 
@@ -161,6 +162,34 @@ def test_fd_gradient_evaluates_one_stack():
     grads = fd_gradient(counted, point, (1e-4, 2e-4, 4e-4), order=4)
     assert len(calls) == 1 and len(grads) == 3
     assert all(grad.shape == (6,) for grad in grads)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_fd_gradient_of_an_array_value_matches_each_entry(g):
+    # M over every stacked point: the stack's axes, then (m, m); the
+    # gradient axis comes first, so entry (a, b) is whole[:, a, b]
+    point = random_point(g, seed=40 + g)
+    m = g * (g + 1) // 2
+    for order in (2, 4):
+        whole = fd_gradient(lambda pt: metric_pair(pt).M, point, order=order)
+        assert whole.shape == (m, m, m)
+        for a in range(m):
+            for b in range(m):
+                alone = fd_gradient(
+                    lambda pt: metric_pair(pt).M[..., a, b], point,
+                    order=order)
+                assert np.array_equal(whole[:, a, b], alone)
+
+
+@pytest.mark.parametrize("value_fn", [
+    lambda stack: metric_pair(stack).M[0],
+    lambda stack: np.ones(stack.X.shape[1:-2]),
+    lambda stack: np.ones(5),
+])
+def test_fd_gradient_rejects_a_value_of_the_wrong_leading_shape(value_fn):
+    point = random_point(2, seed=6)
+    with pytest.raises(ValueError, match="value_fn returned shape"):
+        fd_gradient(value_fn, point)
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 5])

@@ -27,7 +27,7 @@ from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
 from siegel.forms import (FormPolynomial, add_term, det_dz,
                           substitute_basis, trace_form)
 from siegel.functions import Jet, fd_gradient, random_test_function
-from siegel.indexing import (basis_matrix, coords_to_sym, delta, omega_list,
+from siegel.indexing import (basis_matrix, coords_to_sym, omega_list,
                              omega_size, row_col_indices, sym_to_coords)
 from siegel.metric import (_power_table, dM_tensor, dR_tensor, dW_tensor,
                            metric_pair)
@@ -37,6 +37,10 @@ from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                pushforward_derivatives, pushforward_matrix,
                                pushforward_matrix_derivative, random_point,
                                random_symplectic)
+
+
+def delta(a, b) -> int:
+    return 1 if a == b else 0
 
 
 def _draws(g, count):

@@ -5,8 +5,8 @@ import pytest
 
 import siegel.metric as metric
 from siegel.functions import fd_gradient
-from siegel.indexing import delta, n_index, omega_list, sym_to_coords
-from siegel.metric import dM_dZ, dW_tensor, metric_form, metric_pair, sigma
+from siegel.indexing import n_index, omega_list, sym_to_coords
+from siegel.metric import dM_tensor, dW_tensor, metric_form, metric_pair
 from siegel.symplectic import DegeneracyError, SiegelPoint, act, random_point, \
     random_symplectic, tangent_pushforward
 
@@ -98,34 +98,20 @@ def test_pairing_invariance_under_action():
             assert abs(after - before) < 1e-9 * max(1.0, abs(before) * 100)
 
 
-def test_sigma_identifies_symmetric_entries():
-    assert sigma((2, 1), (1, 2)) == 1
-    assert sigma((1, 1), (1, 1)) == 1
-    assert sigma((1, 3), (2, 3)) == 0
-
-
-def test_sigma_delta_relation():
-    # sigma = d_(pa),(rs) + d_(pa),(sr) - product
-    for p in range(1, 4):
-        for a in range(1, 4):
-            for r in range(1, 4):
-                for s in range(r, 4):
-                    d1 = delta((p, a), (r, s))
-                    d2 = delta((p, a), (s, r))
-                    assert sigma((p, a), (r, s)) == d1 + d2 - d1 * d2
-
-
 def test_inverse_entry_derivative_degree_one():
     # d(2y^2)/dz via dY/dz = -i/2 gives -2iy
     y = 1.25
     point = SiegelPoint.from_complex(0.3 + 1j * y)
-    got = dM_dZ(point, (1, 1), (1, 1), (1, 1))
+    got = dM_tensor(metric_pair(point))[0, 0, 0]
     assert abs(got - (-2j * y)) < 1e-14
 
 
 def test_inverse_entry_derivative_disjoint_indices():
-    point = random_point(4, seed=3)
-    assert dM_dZ(point, (1, 1), (2, 2), (3, 4)) == 0
+    # M_(1,1),(2,2) = 2 Y_12^2 does not move with Z_34
+    g = 4
+    point = random_point(g, seed=3)
+    K, L, J = (n_index(pair, g) - 1 for pair in ((1, 1), (2, 2), (3, 4)))
+    assert dM_tensor(metric_pair(point))[K, L, J] == 0
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -133,9 +119,10 @@ def test_inverse_entry_derivative_finite_differences(g):
     rng = np.random.default_rng(60 + g)
     point = random_point(g, rng)
     pairs = omega_list(g)
+    dM = dM_tensor(metric_pair(point))
     worst = 0.0
-    for K in pairs:
-        for L in pairs:
+    for k, K in enumerate(pairs):
+        for l, L in enumerate(pairs):
             def entry(pt, K=K, L=L):
                 p, q = K
                 a, b = L
@@ -143,8 +130,7 @@ def test_inverse_entry_derivative_finite_differences(g):
                 return (Y[..., p - 1, a - 1] * Y[..., q - 1, b - 1]
                         + Y[..., q - 1, a - 1] * Y[..., p - 1, b - 1])
             grad = fd_gradient(entry, point)
-            for pos, J in enumerate(pairs):
-                worst = max(worst, abs(grad[pos] - dM_dZ(point, K, L, J)))
+            worst = max(worst, np.abs(grad - dM[k, l]).max())
     assert worst < 1e-7
 
 

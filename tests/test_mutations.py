@@ -3,12 +3,15 @@ some check of the report must then fail.
 
 A mutant is an in-memory patch, undone after its test: either a patched
 attribute, or a function recompiled from its source with one expression
-replaced.  Each run is the connection suite at seed 0 over g = 1..2, where
-the form layer's checks (``equivariance``, ``det_power_invariance`` and
-``scalar_det_power``) all run, and so do the checks that read the
-closed-form coefficients (``modular_law``, ``path_agreement`` and
-``curvature_quadratic``).  A jet's gradient is also compared with a
-central-difference gradient, which no suite check does.
+replaced.  Each run is one suite at seed 0 over g = 1..2.  For most
+mutants it is the connection suite, where the form layer's checks
+(``equivariance``, ``det_power_invariance`` and ``scalar_det_power``) all
+run, and so do the checks that read the closed-form coefficients
+(``modular_law``, ``path_agreement`` and ``curvature_quadratic``).  The
+gradient-matrix mutant runs the operators suite, where
+``gradient_pairing`` reads the symmetrized gradient.  A jet's gradient is
+also compared with a central-difference gradient, which no suite check
+does.
 """
 
 import inspect
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import siegel.connection as connection
+import siegel.operators as operators
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.symplectic import random_point
 from siegel.verify import run_suite
@@ -26,8 +30,8 @@ from siegel.verify import run_suite
 G_RANGE = (1, 2)
 
 
-def _failing_checks() -> Counter:
-    report = run_suite("connection", G_RANGE, seed=0)
+def _failing_checks(suite: str = "connection") -> Counter:
+    report = run_suite(suite, G_RANGE, seed=0)
     return Counter(r.check for r in report.records if not r.passed)
 
 
@@ -87,6 +91,13 @@ def _closed_form_undivided(monkeypatch):
                        "2.0, 1.0", "1.0, 1.0")
 
 
+def _gradient_matrix_unhalved(monkeypatch):
+    # the off-diagonal entries of the symmetrized gradient are not halved,
+    # so Tr(grad E_ij) counts d f / dZ_ij twice
+    _replace_in_source(monkeypatch, operators, "_sym_from_coords",
+                       "grad / 2.0", "grad")
+
+
 def _jet_with_zero_gradient(monkeypatch):
     def mutant(cls, fn, point):
         grad = fn.gradient(point)
@@ -94,40 +105,47 @@ def _jet_with_zero_gradient(monkeypatch):
     monkeypatch.setattr(Jet, "at", classmethod(mutant))
 
 
-# mutant -> the checks that must fail under it.  Two checks do not catch
+# mutant -> its patch, its suite and the checks that must fail under it.  Two checks do not catch
 # the zero-gradient jet: trace_form_derivative, whose two sides read the
 # same jets, and equivariance, whose two sides both take their df terms
 # from Jet.at, and those terms transform into each other on their own.
 # The comparison with fd_gradient at the end of this module catches it too.
 # The closed-form mutant reaches the three residuals that evaluate the
 # closed form themselves (modular_law, equivariance, det_power_invariance)
-# and curvature_quadratic, which reads 0.0 on the unmutated code
+# and curvature_quadratic, which reads 0.0 on the unmutated code.  The
+# unhalved gradient matrix reaches gradient_pairing, which also reads 0.0
+# on the unmutated code, and the operator laws built on the gradient
 MUTANTS = {
     "closed_form_undivided": (
-        _closed_form_undivided,
+        _closed_form_undivided, "connection",
         {"modular_law", "equivariance", "det_power_invariance",
          "path_agreement", "curvature_quadratic"}),
     "product_without_pullback_gradient": (
-        _product_without_first_gradient, {"equivariance"}),
+        _product_without_first_gradient, "connection", {"equivariance"}),
     "pullback_gradient_without_S": (
-        _pullback_without_cocycle, {"equivariance"}),
+        _pullback_without_cocycle, "connection", {"equivariance"}),
     "cocycle_entries_without_dS": (
-        _cocycle_entries_without_derivatives, {"equivariance"}),
+        _cocycle_entries_without_derivatives, "connection",
+        {"equivariance"}),
     "jet_with_zero_gradient": (
-        _jet_with_zero_gradient,
+        _jet_with_zero_gradient, "connection",
         {"scalar_det_power", "det_power_invariance"}),
+    "gradient_matrix_unhalved": (
+        _gradient_matrix_unhalved, "operators",
+        {"gradient_pairing", "nabla_transform"}),
 }
 
 
 def test_the_unmutated_suite_passes():
     assert _failing_checks() == Counter()
+    assert _failing_checks("operators") == Counter()
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_caught(monkeypatch, name):
-    patch, caught_by = MUTANTS[name]
+    patch, suite, caught_by = MUTANTS[name]
     patch(monkeypatch)
-    failing = _failing_checks()
+    failing = _failing_checks(suite)
     missed = {check for check in caught_by if not failing[check]}
     assert not missed, f"{name} passes {sorted(missed)}"
 

@@ -4,6 +4,7 @@ import pytest
 
 import siegel.verify as verify_module
 from siegel import __version__
+from siegel.functions import fd_gradient
 from siegel.verify import TOLERANCES, UsageError, run_suite
 
 
@@ -31,6 +32,23 @@ def test_repeated_weight_rejected(ks):
     # its cases twice under the same names
     with pytest.raises(ValueError, match="repeated weight"):
         run_suite("operators", (1, 1), seed=0, ks=ks)
+
+
+def test_inverse_derivative_fd_makes_one_fd_gradient_call_per_case(
+        monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fd_gradient(*args, **kwargs)
+    monkeypatch.setattr(verify_module, "fd_gradient", counted)
+    cases = [case for case in verify_module.metric_suite((1, 3), seed=0)
+             if case[0] == "inverse_derivative_fd"]
+    assert len(cases) == 9
+    for check, params, kind, fn in cases:
+        before = len(calls)
+        assert fn() < TOLERANCES[kind]
+        assert len(calls) == before + 1, params
 
 
 @pytest.fixture
