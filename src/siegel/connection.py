@@ -54,7 +54,8 @@ import numpy as np
 from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
                     substitute_basis, trace_form)
 from .functions import Jet
-from .indexing import (Pair, entry_positions, omega_list, omega_size,
+from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
+                       omega_size, position, position_table,
                        row_col_indices, sym_to_coords)
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
@@ -111,17 +112,16 @@ def gamma_closed(point: SiegelPoint) -> np.ndarray:
 
 def _gamma_path_a(point: SiegelPoint) -> np.ndarray:
     pair = metric_pair(point)
-    dW = dW_tensor(pair)  # dW[I, L, J]
+    dW = dW_tensor(pair.R)  # dW[I, L, J]
     # one matrix product per I: (M dW[I])[K, J], then axes to (K, I, J)
     half = 0.5 * (pair.M @ dW).transpose(1, 0, 2)
     return half + half.transpose(0, 2, 1)
 
 
 def _gamma_path_b(point: SiegelPoint) -> np.ndarray:
-    pair = metric_pair(point)
-    dM = dM_tensor(pair)  # dM[K, L, J]
+    dM = dM_tensor(point.Y)  # dM[K, L, J]
     # one matrix product per K: (W dM[K])[I, J]
-    half = -0.5 * (pair.W @ dM)
+    half = -0.5 * (metric_pair(point).W @ dM)
     return half + half.transpose(0, 2, 1)
 
 
@@ -311,12 +311,13 @@ def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
     g = point.g
     R = metric_pair(point).R
     r, s = K
-    pos = entry_positions(g)
+    position((min(K), max(K)), g)  # ValueError for a K outside Omega
+    pos = position_table(g).tolist()
     terms: dict = {}
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            mono = tuple(sorted((pos[s, i], pos[r, j])))
-            c = -1j * R[i - 1, j - 1]
+    for i in range(g):
+        for j in range(g):
+            mono = tuple(sorted((pos[s - 1][i], pos[r - 1][j])))
+            c = -1j * R[i, j]
             terms[mono] = terms.get(mono, 0j) + c
     return FormPolynomial(g, terms)
 
@@ -362,17 +363,14 @@ def d_trace_form(point: SiegelPoint, Gfield) -> FormPolynomial:
     curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric coefficients
     at the point."""
     g = point.g
-    pos = entry_positions(g)
+    pos = position_table(g).tolist()
     R = metric_pair(point).R
     _require_symmetric_entries(Gfield, g)
-
-    grads = {}
-    values = np.empty((g, g), dtype=complex)
-    for i in range(1, g + 1):
-        for j in range(i, g + 1):
-            jet = Gfield[i - 1][j - 1]
-            values[i - 1, j - 1] = values[j - 1, i - 1] = jet.value
-            grads[i, j] = grads[j, i] = jet.grad
+    upper = [Gfield[i][j] for i, j in zip(*row_col_indices(g))]
+    values = coords_to_sym(np.array([jet.value for jet in upper],
+                                    dtype=complex), g)
+    # partials[pos[i][j]][k, l]: d G_ij / dZ_kl, halved off the diagonal
+    partials = covector_to_sym([jet.grad for jet in upper], g)
 
     terms: dict = {}
 
@@ -382,23 +380,20 @@ def d_trace_form(point: SiegelPoint, Gfield) -> FormPolynomial:
             terms[mono] = terms.get(mono, 0j) + c
 
     # sum_{i,j,k,l} partial_kl G_ij dZ_kl dZ_ji with the symmetrized partials
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            grad = grads[i, j]
-            for k in range(1, g + 1):
-                for l in range(1, g + 1):
-                    partial = grad[pos[k, l]]
-                    if k != l:
-                        partial = partial / 2.0
-                    add((pos[k, l], pos[j, i]), partial)
+    for i in range(g):
+        for j in range(g):
+            partial = partials[pos[i][j]]
+            for k in range(g):
+                for l in range(g):
+                    add((pos[k][l], pos[j][i]), partial[k, l])
 
     # -i Tr(G dZ Y^{-1} dZ)
-    for x in range(1, g + 1):
-        for u in range(1, g + 1):
-            for w in range(1, g + 1):
-                for v in range(1, g + 1):
-                    c = -1j * values[x - 1, u - 1] * R[w - 1, v - 1]
-                    add((pos[u, w], pos[v, x]), c)
+    for x in range(g):
+        for u in range(g):
+            for w in range(g):
+                for v in range(g):
+                    c = -1j * values[x, u] * R[w, v]
+                    add((pos[u][w], pos[v][x]), c)
 
     return FormPolynomial(g, terms)
 

@@ -20,7 +20,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .indexing import Pair, entry_positions, n_index, omega_list, omega_size
+from .indexing import (Pair, omega_size, position, position_table,
+                       sym_to_covector)
 
 Monomial = tuple[int, ...]
 
@@ -39,7 +40,9 @@ def add_term(terms: dict, mono: Monomial, coef) -> None:
 
 
 class FormPolynomial:
-    """Sparse element of the commutative dZ algebra."""
+    """Sparse element of the commutative dZ algebra.  The constructor
+    sorts each key; coefficients of keys that sort to one monomial add,
+    and a sum that cancels is dropped."""
 
     def __init__(self, g: int, terms: dict | None = None):
         self.g = g
@@ -47,7 +50,7 @@ class FormPolynomial:
         self.terms: dict[Monomial, object] = {}
         for mono, coef in (terms or {}).items():
             if coef != 0:
-                self.terms[tuple(sorted(mono))] = coef
+                add_term(self.terms, tuple(sorted(mono)), coef)
 
     @classmethod
     def canonical(cls, g: int, terms: dict) -> "FormPolynomial":
@@ -62,7 +65,7 @@ class FormPolynomial:
 
     @classmethod
     def generator(cls, g: int, pair: Pair) -> "FormPolynomial":
-        return cls(g, {(n_index(pair, g) - 1,): 1.0 + 0j})
+        return cls(g, {(position(pair, g),): 1.0 + 0j})
 
     @classmethod
     def scalar(cls, g: int, coef) -> "FormPolynomial":
@@ -107,11 +110,11 @@ class FormPolynomial:
 def det_dz(g: int) -> FormPolynomial:
     """det(dZ) expanded over permutations; entries dZ_ij = dZ_ji collapse
     into the commutative algebra."""
-    positions = entry_positions(g)
+    positions = position_table(g).tolist()
     terms: dict = {}
     for perm in permutations(range(g)):
         sign = _perm_sign(perm)
-        mono = tuple(sorted(positions[t + 1, perm[t] + 1] for t in range(g)))
+        mono = tuple(sorted(positions[t][perm[t]] for t in range(g)))
         terms[mono] = terms.get(mono, 0j) + sign
     return FormPolynomial(g, terms)
 
@@ -136,10 +139,11 @@ def _perm_sign(perm) -> float:
 def trace_form(Gmat, g: int) -> FormPolynomial:
     """Tr(G dZ) = sum_ij G_ij dZ_ji as a degree-1 form.  G, read as
     G[i][j], may be a nested list or an array of numbers or jets; it must
-    be symmetric."""
-    return FormPolynomial(g, {
-        (pos,): Gmat[i - 1][j - 1] * (1.0 + 0j if i == j else 2.0 + 0j)
-        for pos, (i, j) in enumerate(omega_list(g))})
+    be symmetric and g x g (ValueError for another size)."""
+    covector = sym_to_covector(Gmat)
+    if covector.shape != (omega_size(g),):
+        raise ValueError(f"expected a {g}x{g} matrix, got {np.shape(Gmat)}")
+    return FormPolynomial(g, {(pos,): c for pos, c in enumerate(covector)})
 
 
 def max_coefficient_diff(f1: FormPolynomial, f2: FormPolynomial) -> float:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import Pair, basis_stack, n_index, omega_size, sym_to_coords
+from .indexing import Pair, basis_stack, omega_size, position, sym_to_coords
 from .symplectic import SiegelPoint
 
 
@@ -91,7 +91,7 @@ class TestFunction:
     @classmethod
     def coordinate(cls, g: int, pair: Pair, conj: bool = False) -> "TestFunction":
         m = omega_size(g)
-        pos = n_index(pair, g) - 1
+        pos = position(pair, g)
         exps = tuple(1 if t == pos else 0 for t in range(m))
         zero = (0,) * m
         key = (zero, exps) if conj else (exps, zero)
@@ -141,7 +141,7 @@ class TestFunction:
 
     def partial(self, pair: Pair) -> "TestFunction":
         """Holomorphic coordinate derivative d/dZ_pair."""
-        pos = n_index(pair, self.g) - 1
+        pos = position(pair, self.g)
         out: dict = {}
         for (holo, anti), coef in self.terms.items():
             e = holo[pos]

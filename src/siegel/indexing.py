@@ -4,6 +4,10 @@ The index set Omega = {(i, j) : 1 <= i <= j <= g} is kept in dictionary
 order throughout the package, so that the list position of a pair I agrees
 with the rank function N(i, j) = (i-1)(2g-i)/2 + j (1-based).  Coordinate
 vectors over Omega always use this ordering.
+
+This module is the one place that knows the layout: the position table,
+the two pairs of conversions between symmetric matrices and Omega vectors
+(coordinates, and covectors paired with dZ) and the basis directions.
 """
 
 from __future__ import annotations
@@ -26,40 +30,36 @@ def omega_list(g: int) -> list[Pair]:
     return [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
 
 
-def n_index(pair: Pair, g: int) -> int:
-    """1-based rank of a pair in the dictionary order on Omega."""
-    i, j = pair
-    if not (1 <= i <= j <= g):
-        raise ValueError(f"{pair} is not an upper-triangle index for g={g}")
-    return (i - 1) * (2 * g - i) // 2 + j
-
-
-def entry_positions(g: int) -> dict[Pair, int]:
-    """0-based Omega position of the entry Z_ij, keyed by both (i, j) and
-    (j, i) (1-based), since Z is symmetric."""
-    table = {}
-    for position, (i, j) in enumerate(omega_list(g)):
-        table[i, j] = table[j, i] = position
-    return table
-
-
-def basis_matrix(pair: Pair, g: int, dtype=float) -> np.ndarray:
-    """Symmetric coordinate direction for Z_pair: E_ij + E_ji off the
-    diagonal, E_ii on it."""
-    i, j = pair
-    E = np.zeros((g, g), dtype=dtype)
-    E[i - 1, j - 1] = 1
-    E[j - 1, i - 1] = 1
-    return E
+@lru_cache(maxsize=16)
+def row_col_indices(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based read-only arrays ii, jj with (ii[a], jj[a]) the a-th pair of
+    Omega, built once per degree."""
+    pairs = omega_list(g)
+    ii = np.array([p[0] - 1 for p in pairs])
+    jj = np.array([p[1] - 1 for p in pairs])
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
 
 
 @lru_cache(maxsize=16)
-def basis_stack(g: int) -> np.ndarray:
-    """Read-only stack of the basis directions, one per Omega position:
-    basis_stack(g)[a] is basis_matrix of the a-th pair."""
-    E = np.stack([basis_matrix(pair, g) for pair in omega_list(g)])
-    E.setflags(write=False)
-    return E
+def position_table(g: int) -> np.ndarray:
+    """0-based read-only (g, g) table of Omega positions: entry [i, j] is
+    the position of Z_{i+1, j+1}, in both orders since Z is symmetric."""
+    ii, jj = row_col_indices(g)
+    table = np.empty((g, g), dtype=int)
+    table[ii, jj] = table[jj, ii] = np.arange(ii.size)
+    table.setflags(write=False)
+    return table
+
+
+def position(pair: Pair, g: int) -> int:
+    """Omega position of a caller's 1-based upper-triangle pair;
+    ValueError for a pair outside Omega."""
+    i, j = pair
+    if not (1 <= i <= j <= g):
+        raise ValueError(f"{pair} is not an upper-triangle index for g={g}")
+    return int(position_table(g)[i - 1, j - 1])
 
 
 def sym_to_coords(V: np.ndarray) -> np.ndarray:
@@ -80,13 +80,28 @@ def coords_to_sym(v: np.ndarray, g: int) -> np.ndarray:
     return V
 
 
+def sym_to_covector(G) -> np.ndarray:
+    """The components v_I of Tr(G dZ) = sum_I v_I dZ_I over Omega: the
+    diagonal entries of the symmetric G, and twice the ones above it.  G,
+    read as G[i][j], may hold numbers or jets."""
+    G = np.asarray(G)
+    ii, jj = row_col_indices(G.shape[-1])
+    return G[..., ii, jj] * np.where(ii == jj, 1.0 + 0j, 2.0 + 0j)
+
+
+def covector_to_sym(v: np.ndarray, g: int) -> np.ndarray:
+    """Inverse of sym_to_covector, over the last axis of v: the symmetric
+    matrix of a covector (a gradient over Omega), its off-diagonal
+    entries halved."""
+    v = np.asarray(v, dtype=complex)
+    ii, jj = row_col_indices(g)
+    return coords_to_sym(np.where(ii == jj, v, v / 2.0), g)
+
+
 @lru_cache(maxsize=16)
-def row_col_indices(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based read-only arrays ii, jj with (ii[a], jj[a]) the a-th pair of
-    Omega, built once per degree."""
-    pairs = omega_list(g)
-    ii = np.array([p[0] - 1 for p in pairs])
-    jj = np.array([p[1] - 1 for p in pairs])
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
+def basis_stack(g: int) -> np.ndarray:
+    """Read-only stack of the symmetric basis directions, one per Omega
+    position: E_ij + E_ji off the diagonal, E_ii on it."""
+    E = coords_to_sym(np.eye(omega_size(g)), g)
+    E.setflags(write=False)
+    return E

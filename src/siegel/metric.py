@@ -16,8 +16,8 @@ E_J the symmetric basis direction of coordinate J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,18 +68,16 @@ def _pair_gram(Mat: np.ndarray) -> np.ndarray:
     return ii_ii * jj_jj + jj_ii * ii_jj
 
 
-@dataclass(frozen=True)
-class MetricPair:
-    """Gram matrix W, its closed-form inverse M, and the cached R = Y^{-1},
-    all read-only."""
+class MetricPair(NamedTuple):
+    """Gram matrix W, its closed-form inverse M, and R = Y^{-1}, all
+    read-only."""
 
-    point: SiegelPoint
     W: np.ndarray
     M: np.ndarray
     R: np.ndarray
 
 
-def _metric_arrays(point: SiegelPoint) -> tuple:
+def _metric_pair(point: SiegelPoint) -> MetricPair:
     g = point.g
     Y = point.Y
     # the Cholesky factor of Y that validating the point computed, after
@@ -102,14 +100,13 @@ def _metric_arrays(point: SiegelPoint) -> tuple:
         raise DegeneracyError("the metric overflows the float range")
     for Mat in (W, M, R):
         Mat.setflags(write=False)
-    return W, M, R
+    return MetricPair(W, M, R)
 
 
 def metric_pair(point: SiegelPoint) -> MetricPair:
-    """W, M and R at a point, or stacked over a stack of points.  The
-    arrays are computed once per point object, kept on the point and
-    read-only; each call wraps them in a new MetricPair."""
-    return MetricPair(point, *point.derived(_metric_arrays))
+    """W, M and R at a point or over a stack of points: the one MetricPair
+    kept on the point, computed on the first call."""
+    return point.derived(_metric_pair)
 
 
 def metric_form(point: SiegelPoint, V1: np.ndarray, V2: np.ndarray) -> complex:
@@ -148,19 +145,18 @@ def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def dW_tensor(pair: MetricPair) -> np.ndarray:
-    """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3."""
-    g = pair.point.g
-    R = pair.R
+def dW_tensor(R: np.ndarray) -> np.ndarray:
+    """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3, from the
+    R = Y^{-1} of one point."""
     out = _pair_gram_derivative(np.moveaxis(dR_tensor(R), 0, -1), R)
-    out *= _power_table(g)[..., None]
+    out *= _power_table(R.shape[-1])[..., None]
     return out
 
 
-def dM_tensor(pair: MetricPair) -> np.ndarray:
-    """dM[a, b, c] = dM_{I_a, I_b} / dZ_{I_c} over Omega^3."""
-    g = pair.point.g
+def dM_tensor(Y: np.ndarray) -> np.ndarray:
+    """dM[a, b, c] = dM_{I_a, I_b} / dZ_{I_c} over Omega^3, from the Y of
+    one point."""
     # dY/dZ_c = -(i/2) E_c
-    dY = np.moveaxis(-0.5j * basis_stack(g), 0, -1)
-    return _pair_gram_derivative(dY, pair.point.Y)
+    dY = np.moveaxis(-0.5j * basis_stack(Y.shape[-1]), 0, -1)
+    return _pair_gram_derivative(dY, Y)
 

@@ -21,7 +21,7 @@ import cmath
 import numpy as np
 
 from .functions import fd_gradient
-from .indexing import coords_to_sym, omega_size, row_col_indices
+from .indexing import coords_to_sym, covector_to_sym, omega_size
 from .metric import metric_pair
 from .qseries import evaluate, g2_series
 from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
@@ -42,7 +42,7 @@ def relative_residual(defect, *sides) -> float:
 def sym_gradient(f, point: SiegelPoint) -> np.ndarray:
     """Symmetrized gradient matrix: entry (i, j) is d f / dZ_ij weighted by
     1/2 off the diagonal."""
-    return _sym_from_coords(f.gradient(point), point.g)
+    return covector_to_sym(f.gradient(point), point.g)
 
 
 def im_inverse(point: SiegelPoint) -> np.ndarray:
@@ -96,7 +96,7 @@ def nabla(f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
 
 def _nabla(grad, f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
     """(grad - k G) f at the point, from grad, f's gradient over Omega."""
-    return _sym_from_coords(grad, point.g) - k * G(point) * f.value(point)
+    return covector_to_sym(grad, point.g) - k * G(point) * f.value(point)
 
 
 def det_nabla(f, point: SiegelPoint, k: int) -> complex:
@@ -235,14 +235,6 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
     lhs = det_nabla(extension, image, k)
     rhs = factor * here
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
-
-
-def _sym_from_coords(grad: np.ndarray, g: int) -> np.ndarray:
-    """Symmetric matrix of a gradient over Omega, off-diagonal entries
-    halved."""
-    grad = np.asarray(grad, dtype=complex)
-    ii, jj = row_col_indices(g)
-    return coords_to_sym(np.where(ii == jj, grad, grad / 2.0), g)
 
 
 def bracket_matrix(f, h, point: SiegelPoint, weights: tuple[int, int] | None = None) -> np.ndarray:

@@ -93,9 +93,6 @@ class QSeries:
     def __len__(self) -> int:
         return len(self._nums)
 
-    def __getitem__(self, m: int) -> Fraction:
-        return self.coeffs[m]
-
     def truncate(self, n: int) -> "QSeries":
         return QSeries._exact(self._nums[:n], self._den, self.weight)
 
@@ -304,7 +301,6 @@ class ModularBasis:
     def __init__(self, weight: int, n: int):
         self.weight = weight
         self.n = n
-        self.exponents: list[tuple[int, int]] = []
         self.elements: list[QSeries] = []
         if weight >= 0 and weight % 2 == 0:
             e4 = eisenstein(4, n)
@@ -319,7 +315,6 @@ class ModularBasis:
                     term = term * e4
                 for _ in range(b):
                     term = term * e6
-                self.exponents.append((a, b))
                 self.elements.append(term._with_weight(weight))
 
     def __len__(self) -> int:

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .indexing import basis_stack, row_col_indices
+from .indexing import basis_stack, row_col_indices, sym_to_coords
 
 # largest condition number accepted for Y of a point and for C Z + D
 COND_LIMIT = 1e12
@@ -274,6 +274,15 @@ def _symplectic_form(g: int) -> np.ndarray:
     return J
 
 
+def _integer_matrix(M, what: str) -> np.ndarray:
+    """M as an array; ValueError unless its dtype is an integer type."""
+    M = np.asarray(M)
+    if not np.issubdtype(M.dtype, np.integer):
+        raise ValueError(f"{what}: integer matrices only, got dtype "
+                         f"{M.dtype}")
+    return M
+
+
 def _blocks_symplectic(M: np.ndarray) -> bool:
     """Whether the integer block matrix M = (A, B; C, D) satisfies
     M J M^t = J, tested as one exact product.  An int64 M is multiplied in
@@ -296,10 +305,7 @@ def is_symplectic(M: np.ndarray) -> bool:
     if M.shape[0] % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, "
                              f"got {M.shape[0]}")
-    if not np.issubdtype(M.dtype, np.integer):
-        raise ValueError(f"is_symplectic takes integer matrices, got "
-                         f"dtype {M.dtype}")
-    return _blocks_symplectic(M)
+    return _blocks_symplectic(_integer_matrix(M, "is_symplectic"))
 
 
 def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
@@ -313,7 +319,7 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
         return _symplectic_form(g)
     M = np.zeros((2 * g, 2 * g), dtype=np.int64)
     if tag == "T":
-        B = np.asarray(param, dtype=np.int64)
+        B = _integer_matrix(param, "translation block")
         if not np.array_equal(B, B.T):
             raise ValueError("translation block must be symmetric")
         if B.shape != (g, g):
@@ -321,7 +327,7 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
         M[:g, g:] = B
         M[:g, :g] = M[g:, g:] = np.eye(g, dtype=np.int64)
     elif tag == "U":
-        U = np.asarray(param, dtype=np.int64)
+        U = _integer_matrix(param, "embedding block")
         if round(abs(np.linalg.det(U.astype(float)))) != 1:
             raise ValueError("embedding block must be unimodular")
         if U.shape != (g, g):
@@ -338,8 +344,10 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
 class SymplecticElement:
     """Integer block matrix (A, B; C, D) with M J M^t = J.
 
-    Elements compare by exact value and hash by g and the int64 bytes of
-    their matrix; the hash is computed once per element.
+    The element keeps one read-only int64 2g x 2g matrix; A, B, C and D are
+    read-only views of its blocks.  Elements compare by exact value and
+    hash by g and the bytes of that matrix; the hash is computed once per
+    element.
     """
 
     g: int
@@ -347,29 +355,26 @@ class SymplecticElement:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    # the read-only 2g x 2g block matrix, assembled by the constructor
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.g
-        blocks = {}
-        for name in "ABCD":
-            # a copy: freezing the caller's own array would make it
-            # read-only under the caller
-            M = np.array(getattr(self, name), dtype=np.int64)
-            if M.shape != (g, g):
-                raise DimensionError(f"block {name} must be {g}x{g}")
-            M.setflags(write=False)
-            blocks[name] = M
-        for name, M in blocks.items():
-            object.__setattr__(self, name, M)
+        top, bottom = slice(0, g), slice(g, 2 * g)
+        blocks = {"A": (top, top), "B": (top, bottom), "C": (bottom, top),
+                  "D": (bottom, bottom)}
+        # a new matrix, so that the caller's arrays stay writable
         M = np.empty((2 * g, 2 * g), dtype=np.int64)
-        M[:g, :g], M[:g, g:] = blocks["A"], blocks["B"]
-        M[g:, :g], M[g:, g:] = blocks["C"], blocks["D"]
+        for name, at in blocks.items():
+            block = _integer_matrix(getattr(self, name), f"block {name}")
+            if block.shape != (g, g):
+                raise DimensionError(f"block {name} must be {g}x{g}")
+            M[at] = block
         if not _blocks_symplectic(M):
             raise ValueError("blocks do not satisfy the symplectic relation")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
+        for name, at in blocks.items():
+            object.__setattr__(self, name, M[at])
 
     @cached_property
     def _hash(self) -> int:
@@ -386,15 +391,13 @@ class SymplecticElement:
 
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "SymplecticElement":
-        M = np.asarray(M, dtype=np.int64)
+        M = np.asarray(M)
         g = M.shape[0] // 2
         return cls(g, M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:])
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        I = np.eye(g, dtype=np.int64)
-        O = np.zeros((g, g), dtype=np.int64)
-        return cls(g, I, O, O, I)
+        return cls.from_matrix(np.eye(2 * g, dtype=np.int64))
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticElement":
@@ -402,13 +405,11 @@ class SymplecticElement:
 
     @classmethod
     def translation(cls, B: np.ndarray) -> "SymplecticElement":
-        B = np.asarray(B, dtype=np.int64)
-        return cls.from_matrix(_generator_matrix(B.shape[0], "T", B))
+        return cls.from_matrix(_generator_matrix(np.shape(B)[0], "T", B))
 
     @classmethod
     def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
-        U = np.asarray(U, dtype=np.int64)
-        return cls.from_matrix(_generator_matrix(U.shape[0], "U", U))
+        return cls.from_matrix(_generator_matrix(np.shape(U)[0], "U", U))
 
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.g != other.g:
@@ -522,15 +523,15 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
 
 
 def _symmetrized_rows(outer: np.ndarray) -> np.ndarray:
-    """Rows of a cocycle from the stack outer[pos] of g x g products
-    attached to the pairs (a, b) of Omega: the Omega coordinates of
-    outer[pos] + outer[pos]^t off the diagonal, of outer[pos] on it.
-    C-contiguous, so later products see the same memory layout as a
-    row-by-row fill."""
+    """Rows of a cocycle: row pos = (a, b) holds the Omega coordinates of
+    the pushed-forward basis direction E_pos, from outer[pos], the product
+    of rows a and b: outer[pos] + outer[pos]^t for a != b, outer[pos] for
+    a = b.  Made C-contiguous (sym_to_coords of a stack is not), the
+    layout of a row-by-row fill, which the loop oracle and later BLAS
+    products rely on."""
     ii, jj = row_col_indices(outer.shape[-1])
-    upper = outer[:, ii, jj]
-    S = np.where((ii != jj)[:, None], upper + outer[:, jj, ii], upper)
-    return np.ascontiguousarray(S)
+    pushed = np.where((ii != jj)[:, None, None], outer + _mT(outer), outer)
+    return np.ascontiguousarray(sym_to_coords(pushed))
 
 
 def _pushforward_matrix(gamma: SymplecticElement,

@@ -191,6 +191,12 @@ def test_derivative_of_generator_closed_form(g):
     for K in omega_list(g):
         got = apply_D(table, FormPolynomial.generator(g, K))
         assert max_coefficient_diff(got, d_dz_closed(point, K)) < 1e-12
+    # either order of K names one quadratic; a K outside Omega is refused
+    assert (d_dz_closed(point, (2, 1)).terms
+            == d_dz_closed(point, (1, 2)).terms)
+    for K in ((0, 1), (1, g + 1)):
+        with pytest.raises(ValueError, match="upper-triangle"):
+            d_dz_closed(point, K)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -8,7 +8,8 @@ from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
 from siegel.connection import gamma_act_on_form
 from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
                               random_test_function)
-from siegel.indexing import entry_positions, n_index, omega_list
+from siegel.indexing import (covector_to_sym, omega_list, position,
+                             position_table, sym_to_covector)
 from siegel.metric import metric_pair
 from siegel.symplectic import (SiegelPoint, act, random_point,
                                random_symplectic)
@@ -48,10 +49,40 @@ def test_det_form_counts():
 
 def test_entry_positions_cover_both_orders():
     for g in (1, 2, 3, 4):
-        table = entry_positions(g)
-        assert len(table) == g * g
+        table = position_table(g)
+        assert table.shape == (g, g) and not table.flags.writeable
         for pos, (i, j) in enumerate(omega_list(g)):
-            assert table[i, j] == table[j, i] == pos == n_index((i, j), g) - 1
+            assert (table[i - 1, j - 1] == table[j - 1, i - 1] == pos
+                    == position((i, j), g))
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (0, 1), (1, 3)])
+def test_a_callers_pair_outside_omega_is_refused(pair):
+    # (2, 1) is below the diagonal; (0, 1) and (1, 3) lie outside g = 2
+    with pytest.raises(ValueError, match="upper-triangle"):
+        FormPolynomial.generator(2, pair)
+    with pytest.raises(ValueError, match="upper-triangle"):
+        TestFunction.coordinate(2, pair)
+    with pytest.raises(ValueError, match="upper-triangle"):
+        TestFunction.coordinate(2, (1, 1)).partial(pair)
+
+
+def test_keys_that_sort_to_one_monomial_add():
+    form = FormPolynomial(2, {(1, 0): 1.0, (0, 1): 2.0})
+    assert form.terms == {(0, 1): 3.0}
+    cancelled = FormPolynomial(2, {(1, 0): 1.0, (0, 1): -1.0, (2,): 4.0})
+    assert cancelled.terms == {(2,): 4.0}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_covector_conversions_are_inverse(g):
+    rng = np.random.default_rng(80 + g)
+    v = rng.standard_normal(g * (g + 1) // 2) + 0j
+    G = covector_to_sym(v, g)
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(sym_to_covector(G), v)
+    # Tr(G dZ) pairs the matrix with each basis direction as v does
+    assert trace_form(G, g).terms == {(pos,): c for pos, c in enumerate(v)}
 
 
 def test_trace_form_weights():
@@ -62,6 +93,10 @@ def test_trace_form_weights():
     assert form.terms[(pos[(1, 1)],)] == 1.0
     assert form.terms[(pos[(1, 2)],)] == 4.0  # 2 G_12
     assert form.terms[(pos[(2, 2)],)] == 5.0
+    # a matrix of another size is refused, not read in part
+    for wrong in (np.eye(3), np.eye(1)):
+        with pytest.raises(ValueError, match="2x2"):
+            trace_form(wrong, g)
 
 
 def test_substitute_basis_expands_linearly():

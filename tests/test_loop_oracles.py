@@ -27,8 +27,8 @@ from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
 from siegel.forms import (FormPolynomial, add_term, det_dz,
                           substitute_basis, trace_form)
 from siegel.functions import Jet, fd_gradient, random_test_function
-from siegel.indexing import (basis_matrix, coords_to_sym, omega_list,
-                             omega_size, row_col_indices, sym_to_coords)
+from siegel.indexing import (coords_to_sym, omega_list, omega_size,
+                             row_col_indices, sym_to_coords)
 from siegel.metric import (_power_table, dM_tensor, dR_tensor, dW_tensor,
                            metric_pair)
 from siegel.operators import ModularExtension
@@ -41,6 +41,15 @@ from siegel.symplectic import (DegeneracyError, SiegelPoint,
 
 def delta(a, b) -> int:
     return 1 if a == b else 0
+
+
+def _basis_matrix(pair, g, dtype=float):
+    """Symmetric coordinate direction for Z_pair, written out entry by
+    entry: E_ij + E_ji off the diagonal, E_ii on it."""
+    i, j = pair
+    E = np.zeros((g, g), dtype=dtype)
+    E[i - 1, j - 1] = E[j - 1, i - 1] = 1
+    return E
 
 
 def _draws(g, count):
@@ -127,8 +136,8 @@ def _metric_path_loop(point, path):
     """Path A, (1/2) sum_L M_KL dW_ILJ, or path B, -(1/2) sum_L W_IL dM_KLJ,
     summed over L in index order, each symmetrized in (I, J); and the
     largest sum of the terms' magnitudes, the scale of their rounding."""
-    pair = metric_pair(point)
-    M, W, dW, dM = pair.M, pair.W, dW_tensor(pair), dM_tensor(pair)
+    W, M, R = metric_pair(point)
+    dW, dM = dW_tensor(R), dM_tensor(point.Y)
     m = M.shape[0]
     half = np.zeros((m, m, m), dtype=complex)
     magnitude = np.zeros((m, m, m))
@@ -162,15 +171,14 @@ def test_metric_path_matches_loop(g, path):
 # ------------------------------------------------------------ metric
 
 
-def _dW_loop(pair):
-    g = pair.point.g
+def _dW_loop(R):
+    g = R.shape[-1]
     m = omega_size(g)
-    R = pair.R
     ii, jj = row_col_indices(g)
     powers = _power_table(g)
     out = np.empty((m, m, m), dtype=complex)
     for c, J in enumerate(omega_list(g)):
-        dR = 0.5j * (R @ basis_matrix(J, g) @ R)
+        dR = 0.5j * (R @ _basis_matrix(J, g) @ R)
         gram = (dR[np.ix_(ii, ii)] * R[np.ix_(jj, jj)]
                 + R[np.ix_(ii, ii)] * dR[np.ix_(jj, jj)]
                 + dR[np.ix_(jj, ii)] * R[np.ix_(ii, jj)]
@@ -179,14 +187,13 @@ def _dW_loop(pair):
     return out
 
 
-def _dM_loop(pair):
-    g = pair.point.g
+def _dM_loop(Y):
+    g = Y.shape[-1]
     m = omega_size(g)
-    Y = pair.point.Y
     ii, jj = row_col_indices(g)
     out = np.empty((m, m, m), dtype=complex)
     for c, J in enumerate(omega_list(g)):
-        dY = -0.5j * basis_matrix(J, g)
+        dY = -0.5j * _basis_matrix(J, g)
         out[:, :, c] = (dY[np.ix_(ii, ii)] * Y[np.ix_(jj, jj)]
                         + Y[np.ix_(ii, ii)] * dY[np.ix_(jj, jj)]
                         + dY[np.ix_(jj, ii)] * Y[np.ix_(ii, jj)]
@@ -218,9 +225,9 @@ def test_metric_matches_loop(g):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_metric_derivatives_match_loop(g):
     for point in _draws(g, 4 if g <= 5 else 2):
-        pair = metric_pair(point)
-        for got, expected in ((dW_tensor(pair), _dW_loop(pair)),
-                              (dM_tensor(pair), _dM_loop(pair))):
+        R = metric_pair(point).R
+        for got, expected in ((dW_tensor(R), _dW_loop(R)),
+                              (dM_tensor(point.Y), _dM_loop(point.Y))):
             # paths A and B multiply by each slice dW[I] and dM[K]; in a
             # C-contiguous stack every slice is a matrix numpy hands to BLAS
             # as it is, without a copy
@@ -239,7 +246,7 @@ def test_im_inverse_entry_gradient_matches_loop(g):
         dR = dR_tensor(R)
         for p, q in omega_list(g):
             expected = np.array(
-                [-0.5 * (R @ basis_matrix(J, g) @ R)[p - 1, q - 1]
+                [-0.5 * (R @ _basis_matrix(J, g) @ R)[p - 1, q - 1]
                  for J in omega_list(g)], dtype=complex)
             got = 1j * dR[:, p - 1, q - 1]
             assert np.array_equal(got, expected)
@@ -286,7 +293,7 @@ def test_pushforward_matrix_matches_loop(g, seed, word_length):
     assert S.flags.c_contiguous
     assert S.tobytes() == _pushforward_loop(gamma, point).tobytes()
     V = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
-    for direction in [V + V.T] + [basis_matrix(pair, g, dtype=complex)
+    for direction in [V + V.T] + [_basis_matrix(pair, g, dtype=complex)
                                   for pair in omega_list(g)]:
         dS = pushforward_matrix_derivative(gamma, point, direction)
         assert dS.flags.c_contiguous
@@ -325,7 +332,7 @@ def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
     for point in (here, there):
         S = _pushforward_loop(gamma, point)
         dS = np.stack([_pushforward_derivative_loop(
-            gamma, point, basis_matrix(pair, g, dtype=complex))
+            gamma, point, _basis_matrix(pair, g, dtype=complex))
             for pair in omega_list(g)])
         generator = gamma_act_on_form(gamma, point,
                                       FormPolynomial.generator(g, (1, 2)))

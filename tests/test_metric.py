@@ -5,7 +5,8 @@ import pytest
 
 import siegel.metric as metric
 from siegel.functions import fd_gradient
-from siegel.indexing import n_index, omega_list, sym_to_coords
+from siegel.indexing import (omega_list, position, position_table,
+                             sym_to_coords)
 from siegel.metric import dM_tensor, dW_tensor, metric_form, metric_pair
 from siegel.symplectic import DegeneracyError, SiegelPoint, act, random_point, \
     random_symplectic, tangent_pushforward
@@ -15,13 +16,13 @@ def test_enumerate_omega_order_and_rank():
     assert omega_list(1) == [(1, 1)]
     assert omega_list(3) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
                              (3, 3)]
-    assert n_index((2, 3), 3) == 5
-    assert n_index((2, 2), 3) == 4
+    assert position((2, 3), 3) == position_table(3)[2, 1] == 4
+    assert position((2, 2), 3) == position_table(3)[1, 1] == 3
     for g in range(1, 6):
         pairs = omega_list(g)
         assert len(pairs) == g * (g + 1) // 2
         for pos, pair in enumerate(pairs):
-            assert n_index(pair, g) == pos + 1
+            assert position(pair, g) == pos
     with pytest.raises(ValueError):
         omega_list(0)
 
@@ -102,7 +103,7 @@ def test_inverse_entry_derivative_degree_one():
     # d(2y^2)/dz via dY/dz = -i/2 gives -2iy
     y = 1.25
     point = SiegelPoint.from_complex(0.3 + 1j * y)
-    got = dM_tensor(metric_pair(point))[0, 0, 0]
+    got = dM_tensor(point.Y)[0, 0, 0]
     assert abs(got - (-2j * y)) < 1e-14
 
 
@@ -110,8 +111,8 @@ def test_inverse_entry_derivative_disjoint_indices():
     # M_(1,1),(2,2) = 2 Y_12^2 does not move with Z_34
     g = 4
     point = random_point(g, seed=3)
-    K, L, J = (n_index(pair, g) - 1 for pair in ((1, 1), (2, 2), (3, 4)))
-    assert dM_tensor(metric_pair(point))[K, L, J] == 0
+    K, L, J = (position(pair, g) for pair in ((1, 1), (2, 2), (3, 4)))
+    assert dM_tensor(point.Y)[K, L, J] == 0
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -119,7 +120,7 @@ def test_inverse_entry_derivative_finite_differences(g):
     rng = np.random.default_rng(60 + g)
     point = random_point(g, rng)
     pairs = omega_list(g)
-    dM = dM_tensor(metric_pair(point))
+    dM = dM_tensor(point.Y)
     worst = 0.0
     for k, K in enumerate(pairs):
         for l, L in enumerate(pairs):
@@ -138,8 +139,7 @@ def test_gram_derivative_finite_differences():
     # the analytic dW tensor drives one of the coefficient derivations
     g = 2
     point = random_point(g, seed=17)
-    pair = metric_pair(point)
-    dW = dW_tensor(pair)
+    dW = dW_tensor(metric_pair(point).R)
     pairs = omega_list(g)
     for a in range(len(pairs)):
         for b in range(len(pairs)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from siegel.functions import TestFunction, fd_gradient, random_test_function
-from siegel.indexing import omega_list
+from siegel.indexing import basis_stack, omega_list
 from siegel.metric import dR_tensor, metric_pair
 from siegel.operators import (ModularExtension, QSeriesFunction, bracket1,
                               bracket1_transform_residual, det_nabla,
@@ -51,9 +51,7 @@ def test_sym_gradient_pairing_with_determinant():
            - z[0][0] * z[1][2] * z[2][1] - z[0][1] * z[1][0] * z[2][2])
     grad = sym_gradient(det, point)
     direct = det.gradient(point)
-    from siegel.indexing import basis_matrix
-    for pos, pair in enumerate(omega_list(g)):
-        E = basis_matrix(pair, g, dtype=complex)
+    for pos, E in enumerate(basis_stack(g)):
         assert abs(np.trace(grad @ E) - direct[pos]) < 1e-10
 
 

@@ -31,7 +31,7 @@ def _count(monkeypatch, module, name):
 
 
 def test_metric_pair_is_computed_once_per_point(monkeypatch):
-    calls = _count(monkeypatch, metric, "_metric_arrays")
+    calls = _count(monkeypatch, metric, "_metric_pair")
     point, other = random_point(3, seed=4), random_point(3, seed=5)
     first = metric.metric_pair(point)
     field = im_inverse(point)
@@ -41,8 +41,8 @@ def test_metric_pair_is_computed_once_per_point(monkeypatch):
     assert calls == [point]
     metric.metric_pair(other)
     assert calls == [point, other]
-    again = metric.metric_pair(point)
-    assert again.R is first.R and again.W is first.W and again.M is first.M
+    assert metric.metric_pair(point) is first
+    assert first._fields == ("W", "M", "R")
     assert np.array_equal(field, 1j * first.R)
     assert np.array_equal(closed, gamma_closed(point))
 

@@ -349,14 +349,13 @@ def test_pushforward_composition(g):
 
 
 def test_pushforward_matrix_agrees_with_tangent_map():
-    from siegel.indexing import basis_matrix, omega_list, sym_to_coords
+    from siegel.indexing import basis_stack, sym_to_coords
     rng = np.random.default_rng(11)
     gamma = random_symplectic(2, 5, rng)
     point = random_point(2, rng)
     S = pushforward_matrix(gamma, point)
-    for pos, pair in enumerate(omega_list(2)):
-        direct = tangent_pushforward(gamma, point,
-                                     basis_matrix(pair, 2, dtype=complex))
+    for pos, E in enumerate(basis_stack(2)):
+        direct = tangent_pushforward(gamma, point, E)
         np.testing.assert_allclose(S[pos, :], sym_to_coords(direct),
                                    atol=1e-12)
 
@@ -582,7 +581,7 @@ def test_boundary_points_and_long_words_are_finite_or_degenerate(
         return  # rejected at construction, as documented
     gamma = random_symplectic(g, word_length, rng)
     assert _finite_or_degenerate(lambda: [act(gamma, point).Z])
-    assert _finite_or_degenerate(lambda: _metric_arrays(point))
+    assert _finite_or_degenerate(lambda: metric_pair(point))
     assert _finite_or_degenerate(lambda: [pushforward_matrix(gamma, point)])
 
 
@@ -592,11 +591,6 @@ def _finite_or_degenerate(compute) -> bool:
     except DegeneracyError:
         return True
     return all(np.isfinite(a).all() for a in arrays)
-
-
-def _metric_arrays(point):
-    pair = metric_pair(point)
-    return pair.W, pair.M, pair.R
 
 
 def test_element_copies_the_callers_blocks():
@@ -621,6 +615,34 @@ def _reject_both_ways(g, A, B, C, D):
         SymplecticElement(g, A, B, C, D)
     with pytest.raises(ValueError, match="symplectic relation"):
         SymplecticElement.from_matrix(M)
+
+
+def test_element_blocks_are_views_of_its_one_matrix():
+    element = random_symplectic(3, 6, seed=14)
+    g = element.g
+    for block, (rows, cols) in zip(
+            (element.A, element.B, element.C, element.D),
+            ((0, 0), (0, g), (g, 0), (g, g))):
+        assert np.shares_memory(block, element.matrix)
+        assert np.array_equal(block,
+                              element.matrix[rows:rows + g, cols:cols + g])
+
+
+@pytest.mark.parametrize("build", ["constructor", "from_matrix",
+                                   "translation", "unimodular"])
+def test_float_blocks_are_refused_not_truncated(build):
+    # each of these floats truncates to the identity's entries
+    identity = np.array([[1.9]]), np.array([[0.7]]), np.array([[0.0]]), \
+        np.array([[1.2]])
+    calls = {
+        "constructor": lambda: SymplecticElement(1, *identity),
+        "from_matrix": lambda: SymplecticElement.from_matrix(
+            np.array([[1.9, 0.7], [0.0, 1.2]])),
+        "translation": lambda: SymplecticElement.translation([[0.7]]),
+        "unimodular": lambda: SymplecticElement.unimodular([[1.2]]),
+    }
+    with pytest.raises(ValueError, match="integer matrices only"):
+        calls[build]()
 
 
 def test_non_symplectic_unimodular_blocks_are_rejected():
