@@ -38,21 +38,21 @@ Everything is evaluated pointwise: a table holds numbers at its base point,
 and a form's coefficients are numbers or jets there (``functions.Jet``, a
 value and a holomorphic gradient), which is all that D reads.  ``apply_D``
 adds every term into one dictionary, in the order of the sum above.
-``gamma_act_on_form`` builds its jets from one gamma Z, one S(gamma, Z) and
-one set of its derivatives at the point: a pulled-back coefficient is
-(f(gamma Z), S grad f(gamma Z)) and a cocycle entry is (S[L, K], dS[:, L, K]).
+
+Forms at Z and at gamma Z are compared by evaluation
+(``FormPolynomial.evaluate``) at the fixed probe vectors v of the degree:
+with S = S(gamma, Z) and w = S^t v, a form P at gamma Z transported to Z
+is P(w), so no coefficient of a transported form is ever multiplied out.
 """
 
 from __future__ import annotations
 
 import numbers
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .forms import (FormPolynomial, add_term, det_dz, max_coefficient_diff,
-                    substitute_basis, trace_form)
+from .forms import FormPolynomial, add_term, det_dz, probe_vectors, trace_form
 from .functions import Jet
 from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
                        omega_size, position, position_table,
@@ -60,8 +60,7 @@ from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
 from .metric import dM_tensor, dW_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
 from .symplectic import (SiegelPoint, SymplecticElement, act,
-                         pushforward_derivatives, pushforward_matrix,
-                         pushforward_matrix_derivative)
+                         pushforward_matrix, pushforward_matrix_derivative)
 
 
 @lru_cache(maxsize=16)
@@ -412,51 +411,52 @@ def _jets_at(form: FormPolynomial, point: SiegelPoint) -> FormPolynomial:
         else Jet.at(c, point))
 
 
-def gamma_act_on_form(gamma: SymplecticElement, point: SiegelPoint,
-                      form: FormPolynomial) -> FormPolynomial:
-    """gamma . form at point, for a form with number or point-function
-    coefficients: each coefficient is pulled back through gamma, and each
-    generator dZ_K becomes sum_L S[L, K] dZ_L.  The result has jet
-    coefficients at point: a pullback is (f(gamma Z), S grad f(gamma Z)), a
-    cocycle entry is (S[L, K], dS[:, L, K]), and a term is the jet product
-    of its pullback and its entries."""
-    m = omega_size(point.g)
+def _transported_D(gamma: SymplecticElement, point: SiegelPoint,
+                   jets: FormPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """D(gamma . alpha) at point, evaluated at each probe vector v, for
+    alpha = sum_mu f_mu dZ^mu given by its jets at gamma Z; and the summed
+    magnitude of its terms at each v, the two parts of u counted apart.
+
+    gamma . alpha is sum_mu f_mu(gamma Z) theta^mu with theta_K =
+    sum_L S[L, K] dZ_L.  At v, theta is w = S^t v, the differential of
+    f_mu(gamma Z) is grad f_mu . w, and D(theta)(v) is
+    u = dS(V)^t v - S^t q with V the matrix of v and
+    q_K = sum_{I,J} Gamma_IJ^K(Z) v_I v_J; so the value is
+    sum_mu (grad f_mu . w) w^mu + f_mu sum_t u_{mu_t} w^{mu minus t}."""
+    v = probe_vectors(point.g)
     S = pushforward_matrix(gamma, point)
-    dS = pushforward_derivatives(gamma, point)
-    entries = [[Jet(complex(S[l, k]), dS[:, l, k]) for k in range(m)]
-               for l in range(m)]
-    terms: dict = {}
-    for mono, coef in _jets_at(form, act(gamma, point)).terms.items():
-        pulled = Jet(coef.value, S @ coef.grad)
-        for assignment in product(range(m), repeat=len(mono)):
-            jet = Jet.product([pulled] + [
-                entries[l][k] for l, k in zip(assignment, mono)]) \
-                if mono else pulled
-            add_term(terms, tuple(sorted(assignment)), jet)
-    return FormPolynomial.canonical(point.g, terms)
-
-
-def _coefficient_scale(*forms: FormPolynomial) -> float:
-    scale = 1.0
-    for form in forms:
-        for coef in form.terms.values():
-            scale = max(scale, abs(complex(coef)))
-    return scale
+    dS = np.stack([pushforward_matrix_derivative(gamma, point, V)
+                   for V in coords_to_sym(v, point.g)])
+    q = np.einsum("kij,pi,pj->pk", gamma_closed(point), v, v)
+    w = v @ S
+    # u = dS(V)^t v - S^t q, kept as its two parts
+    parts = (np.einsum("pl,plk->pk", v, dS), -(q @ S))
+    value, size = np.zeros(len(v), dtype=complex), np.zeros(len(v))
+    for mono, jet in jets.terms.items():
+        terms = [(w @ jet.grad) * w[:, list(mono)].prod(axis=-1)]
+        for t in range(len(mono)):
+            rest = w[:, list(mono[:t] + mono[t + 1:])].prod(axis=-1)
+            terms += [jet.value * part[:, mono[t]] * rest for part in parts]
+        value = value + sum(terms)
+        size = size + sum(np.abs(term) for term in terms)
+    return value, size
 
 
 def equivariance_residual(gamma: SymplecticElement, point: SiegelPoint,
                           form: FormPolynomial) -> float:
-    """Max coefficient discrepancy between D(gamma . form) and
-    gamma . (D form), both evaluated with the closed-form coefficients at
-    the given point and normalized by the coefficient scale (floored at 1),
-    which is unbounded over random group elements."""
+    """Largest defect between D(gamma . form) and gamma . (D form) at the
+    probe vectors v of the degree, both with the closed-form coefficients.
+    The left side is built at the point (_transported_D); the right side is
+    apply_D at gamma Z, evaluated at w = S^t v.  The defect is normalized
+    by the larger of the two sides and the summed magnitude of the left
+    side's terms over the probes (floored at 1), which is unbounded over
+    random group elements."""
     image = act(gamma, point)
-    # D(gamma . form) at the point
-    lhs = apply_D(gamma_closed(point), gamma_act_on_form(gamma, point, form))
-    # gamma . (D form): evaluate D(form) at gamma(Z), transport the basis
-    d_at_image = apply_D(gamma_closed(image), _jets_at(form, image))
-    rhs = substitute_basis(d_at_image, pushforward_matrix(gamma, point))
-    return max_coefficient_diff(lhs, rhs) / _coefficient_scale(lhs, rhs)
+    jets = _jets_at(form, image)
+    left, size = _transported_D(gamma, point, jets)
+    right = apply_D(gamma_closed(image), jets).evaluate(
+        probe_vectors(point.g) @ pushforward_matrix(gamma, point))
+    return relative_residual(left - right, left, right, size)
 
 
 def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
@@ -464,27 +464,27 @@ def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
     """Invariance defect of D(f det(dZ)^k) along gamma, for f extended to a
     function transforming with determinant weight 2k (see
     operators.ModularExtension).  The two evaluations agree exactly for the
-    Levi-Civita table, here the closed form; the residual is the numeric
-    defect.
+    Levi-Civita table, here the closed form; the residual is the largest
+    numeric defect between D at the point, evaluated at each probe vector
+    v, and D at gamma Z, evaluated at w = S^t v.
 
     Normalization: the image-side coefficients carry determinant weight
     factors that cancel during the pullback, so the defect is measured
     against the absolute-value transport (the roundoff ceiling of that
-    cancellation), floored at 1.
+    cancellation): the image form with absolute coefficients at |S|^t |v|,
+    floored at 1.
     """
     image = act(gamma, point)
     extension = ModularExtension(f, 2 * k, gamma)
-    alpha_here = _f_det_form(f, k, point)
-    alpha_image = _f_det_form(extension, k, image)
-    here = apply_D(gamma_closed(point), alpha_here)
-    d_image = apply_D(gamma_closed(image), alpha_image)
+    here = apply_D(gamma_closed(point), _f_det_form(f, k, point))
+    d_image = apply_D(gamma_closed(image), _f_det_form(extension, k, image))
     S = pushforward_matrix(gamma, point)
-    transported = substitute_basis(d_image, S)
-    ceiling = substitute_basis(
-        d_image.map_coefficients(lambda c: abs(complex(c))), np.abs(S))
-    scale = max(_coefficient_scale(here, transported),
-                _coefficient_scale(ceiling))
-    return max_coefficient_diff(here, transported) / scale
+    v = probe_vectors(point.g)
+    at_here = here.evaluate(v)
+    transported = d_image.evaluate(v @ S)
+    ceiling = d_image.map_coefficients(lambda c: abs(complex(c))).evaluate(
+        np.abs(v) @ np.abs(S))
+    return relative_residual(at_here - transported, at_here, ceiling)
 
 
 def _f_det_form(f, k: int, point: SiegelPoint) -> FormPolynomial:

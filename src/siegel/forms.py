@@ -5,7 +5,14 @@ dZ_I dZ_J == dZ_J dZ_I by construction.  Coefficients are numbers or jets
 at one point (``functions.Jet``: a value and a holomorphic gradient there),
 combined by plain ``+`` and ``*``; zero coefficients are never stored, and
 a jet is never zero.  A form may also hold point functions that no
-arithmetic touches, as the input of ``connection.gamma_act_on_form``.
+arithmetic touches, as the input of ``connection.equivariance_residual``.
+
+A form of degree d is a homogeneous polynomial function of the tangent
+vector v (the Omega coordinates of dZ): ``evaluate`` gives its value.  Two
+forms are equal when they agree at generic vectors (Schwartz, J. ACM 1980;
+Zippel, EUROSAM 1979), so identities across a group element are compared
+at the fixed ``probe_vectors`` of each degree instead of coefficient by
+coefficient.
 
 A form's terms keep the order in which their monomials first appeared; a
 sum keeps the left operand's monomials in place and appends new ones, and
@@ -16,6 +23,7 @@ Forms built from other forms take their keys as already sorted
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -103,6 +111,16 @@ class FormPolynomial:
         return FormPolynomial.canonical(
             self.g, {m: fn(c) for m, c in self.terms.items()})
 
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
+        """The value sum_mono c prod_t v[mono_t] at the tangent vector v,
+        or at each vector of a stack of shape (..., |Omega|); numeric
+        coefficients only."""
+        v = np.asarray(v, dtype=complex)
+        out = np.zeros(v.shape[:-1], dtype=complex)
+        for mono, coef in self.terms.items():
+            out += complex(coef) * v[..., list(mono)].prod(axis=-1)
+        return out
+
     def __repr__(self):
         return f"FormPolynomial(g={self.g}, {len(self.terms)} terms)"
 
@@ -156,18 +174,13 @@ def max_coefficient_diff(f1: FormPolynomial, f2: FormPolynomial) -> float:
     return worst
 
 
-def substitute_basis(form: FormPolynomial, S: np.ndarray) -> FormPolynomial:
-    """Substitute dZ_K -> sum_L S[L, K] dZ_L into a numeric-coefficient form."""
-    m = form.m
-    linear: dict = {}
-    terms: dict = {}
-    for mono, coef in form.terms.items():
-        expanded = FormPolynomial.scalar(form.g, coef)
-        for k in mono:
-            if k not in linear:
-                linear[k] = FormPolynomial(
-                    form.g, {(l,): S[l, k] for l in range(m) if S[l, k] != 0})
-            expanded = expanded * linear[k]
-        for out_mono, out_coef in expanded.terms.items():
-            add_term(terms, out_mono, out_coef)
-    return FormPolynomial.canonical(form.g, terms)
+@lru_cache(maxsize=16)
+def probe_vectors(g: int) -> np.ndarray:
+    """Three fixed complex tangent vectors of degree g, shape (3, |Omega|),
+    each scaled to max-norm 1; drawn from a fixed seed on first use and
+    read-only."""
+    rng = np.random.default_rng(20240601 + g)
+    v = rng.standard_normal((3, omega_size(g), 2)) @ np.array([1.0, 1j])
+    v /= np.abs(v).max(axis=1, keepdims=True)
+    v.setflags(write=False)
+    return v

@@ -10,9 +10,8 @@ that derivative bookkeeping stays exact until a value is requested at a
 numeric point, where it is evaluated from exponent arrays compiled once.
 
 A Jet is what the form layer keeps of a point function: its value and
-holomorphic gradient at one point (``Jet.at``).  Jets add, scale and
-multiply by the Leibniz rule, so the coefficients that show up when a group
-element is pushed through a differential form are built at the point, once.
+holomorphic gradient at one point (``Jet.at``).  Jets add and scale by
+numbers, which is all the dZ algebra does to a coefficient that D reads.
 """
 
 from __future__ import annotations
@@ -214,10 +213,10 @@ class Jet:
     """The 1-jet of a function at one point: its value there and its
     holomorphic gradient d/dZ_I, a length-|Omega| array.
 
-    Jets add to jets, scale by numbers and multiply by the Leibniz rule, so
-    a form with jet coefficients is a form at its point.  A jet never
-    equals 0: a form keeps every jet it is given.  ``__array_ufunc__ =
-    None`` makes a numpy scalar times a jet defer to the jet."""
+    Jets add to jets and scale by numbers, so a form with jet coefficients
+    is a form at its point.  A jet never equals 0: a form keeps every jet
+    it is given.  ``__array_ufunc__ = None`` makes a numpy scalar times a
+    jet defer to the jet."""
 
     __slots__ = ("value", "grad")
     __array_ufunc__ = None
@@ -236,29 +235,10 @@ class Jet:
         return Jet(self.value + other.value, self.grad + other.grad)
 
     def __mul__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return Jet.product((self, other))
         scale = complex(other)
         return Jet(scale * self.value, scale * self.grad)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def product(factors) -> "Jet":
-        """The jet of a product: the values multiplied in order, and the
-        gradient sum_t grad f_t prod_{u != t} f_u, each partial product in
-        factor order and the sum in t order."""
-        value = 1 + 0j
-        for f in factors:
-            value *= f.value
-        grad = np.zeros_like(factors[0].grad)
-        for t, f in enumerate(factors):
-            rest = 1 + 0j
-            for u, other in enumerate(factors):
-                if u != t:
-                    rest *= other.value
-            grad = grad + f.grad * rest
-        return Jet(value, grad)
 
 
 def fd_gradient(value_fn, point: SiegelPoint,

@@ -246,11 +246,14 @@ def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
     The tail is estimated through |c_m| <= A (m+1)^p with p the declared
     weight (12 when undeclared) and A fitted to the stored coefficients; a
     TruncationError reports the length that would bring it to _TAIL_TOL.
+    ValueError for a z that is not finite or not in the upper half plane.
     """
     prefactor = 1.0
     if isinstance(f, TaggedSeries):
         prefactor = f.prefactor()
         f = f.series
+    if not cmath.isfinite(z):
+        raise ValueError(f"evaluation point must be finite, got {z}")
     if z.imag <= 0:
         raise ValueError("evaluation point must lie in the upper half plane")
     q = cmath.exp(2j * math.pi * z)

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .indexing import basis_stack, row_col_indices, sym_to_coords
+from .indexing import row_col_indices, sym_to_coords
 
 # largest condition number accepted for Y of a point and for C Z + D
 COND_LIMIT = 1e12
@@ -283,6 +283,15 @@ def _integer_matrix(M, what: str) -> np.ndarray:
     return M
 
 
+def _int64_entries(M, what: str) -> np.ndarray:
+    """M as an integer array whose entries fit int64, the type an element
+    keeps; ValueError else (a uint64 entry of 2^63 or more would wrap)."""
+    M = _integer_matrix(M, what)
+    if M.dtype == np.uint64 and M.max(initial=0) > np.iinfo(np.int64).max:
+        raise ValueError(f"{what}: entries beyond the 64-bit integer range")
+    return M
+
+
 def _blocks_symplectic(M: np.ndarray) -> bool:
     """Whether the integer block matrix M = (A, B; C, D) satisfies
     M J M^t = J, tested as one exact product.  An int64 M is multiplied in
@@ -319,7 +328,7 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
         return _symplectic_form(g)
     M = np.zeros((2 * g, 2 * g), dtype=np.int64)
     if tag == "T":
-        B = _integer_matrix(param, "translation block")
+        B = _int64_entries(param, "translation block")
         if not np.array_equal(B, B.T):
             raise ValueError("translation block must be symmetric")
         if B.shape != (g, g):
@@ -327,7 +336,7 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
         M[:g, g:] = B
         M[:g, :g] = M[g:, g:] = np.eye(g, dtype=np.int64)
     elif tag == "U":
-        U = _integer_matrix(param, "embedding block")
+        U = _int64_entries(param, "embedding block")
         if round(abs(np.linalg.det(U.astype(float)))) != 1:
             raise ValueError("embedding block must be unimodular")
         if U.shape != (g, g):
@@ -365,7 +374,7 @@ class SymplecticElement:
         # a new matrix, so that the caller's arrays stay writable
         M = np.empty((2 * g, 2 * g), dtype=np.int64)
         for name, at in blocks.items():
-            block = _integer_matrix(getattr(self, name), f"block {name}")
+            block = _int64_entries(getattr(self, name), f"block {name}")
             if block.shape != (g, g):
                 raise DimensionError(f"block {name} must be {g}x{g}")
             M[at] = block
@@ -564,22 +573,6 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
     outer = (dQ[ii, :, None] * Q[jj, None, :]
              + Q[ii, :, None] * dQ[jj, None, :])
     return _symmetrized_rows(outer)
-
-
-def _pushforward_derivatives(gamma: SymplecticElement,
-                             point: SiegelPoint) -> np.ndarray:
-    dS = np.stack([pushforward_matrix_derivative(gamma, point, E)
-                   for E in basis_stack(point.g)])
-    dS.setflags(write=False)
-    return dS
-
-
-def pushforward_derivatives(gamma: SymplecticElement,
-                            point: SiegelPoint) -> np.ndarray:
-    """The coordinate derivatives of Z -> S(gamma, Z): dS[pos] is the
-    derivative along Z_pos.  Computed once per (gamma, point) and kept on
-    the point, read-only."""
-    return point.derived(_pushforward_derivatives, gamma)
 
 
 def random_symplectic(g: int, word_length: int,

@@ -5,9 +5,10 @@ from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                d_dz_closed, d_f_detk, d_trace_form,
                                equivariance_residual, gamma_closed,
                                gamma_from_metric, invariance_residual,
-                               kron_trace, mcc_residual, _f_det_form)
+                               kron_trace, mcc_residual, _det_power,
+                               _f_det_form)
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
-                          substitute_basis, trace_form)
+                          probe_vectors, trace_form)
 from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import dR_tensor, metric_pair
@@ -378,13 +379,35 @@ def test_invariance_of_weighted_det_power(g):
 
 
 def test_gamma_transform_form_det_weight():
-    # det(dZ) transforms with det(CZ+D)^{-2}
+    # det(dZ) transforms with det(CZ+D)^{-2}: det(dZ) at S^t v is
+    # det(CZ+D)^{-2} det(dZ) at v
     g = 2
     rng = np.random.default_rng(121)
     gamma = random_symplectic(g, 5, rng)
     point = random_point(g, rng)
-    transformed = substitute_basis(det_dz(g), pushforward_matrix(gamma, point))
+    v = probe_vectors(g)
+    transformed = det_dz(g).evaluate(v @ pushforward_matrix(gamma, point))
     detj = np.linalg.det(gamma.C @ point.Z + gamma.D)
-    expect = det_dz(g).scale(detj ** -2)
-    assert max_coefficient_diff(transformed, expect) < 1e-12 * max(
+    expect = detj ** -2 * det_dz(g).evaluate(v)
+    assert np.abs(transformed - expect).max() < 1e-12 * max(
         1, abs(detj ** -2))
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_transport_residuals_beyond_degree_two(g):
+    # the evaluated checks reach degrees the coefficient transport could
+    # not: a random form of degree <= 2 and f det(dZ)^k for equivariance,
+    # and D(f det(dZ)^k) for invariance
+    rng = np.random.default_rng(1200 + g)
+    m = omega_size(g)
+    for k in (1, 2):
+        gamma = random_symplectic(g, int(rng.integers(1, 7)), rng)
+        point = random_point(g, rng)
+        f = random_test_function(g, rng)
+        terms = {tuple(sorted(int(i) for i in rng.integers(0, m, size=d))):
+                 random_test_function(g, rng, max_degree=2, n_terms=2)
+                 for d in (0, 1, 2)}
+        for form in (FormPolynomial(g, terms),
+                     _det_power(g, k).map_coefficients(lambda c: c * f)):
+            assert equivariance_residual(gamma, point, form) < 1e-8
+        assert invariance_residual(gamma, point, f, k) < 1e-8

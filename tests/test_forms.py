@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
-                          substitute_basis, trace_form)
-from siegel.connection import gamma_act_on_form
+                          probe_vectors, trace_form)
+from siegel.connection import _transported_D
 from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
                               random_test_function)
 from siegel.indexing import (covector_to_sym, omega_list, position,
@@ -100,11 +100,18 @@ def test_trace_form_weights():
 
 
 def test_substitute_basis_expands_linearly():
+    # transport through S is evaluation at S^t v: 2 dZ^2 at 3 v
     g = 1
     form = FormPolynomial(g, {(0, 0): 2.0})
     S = np.array([[3.0 + 0j]])
-    out = substitute_basis(form, S)
-    assert out.terms[(0, 0)] == 18.0
+    assert form.evaluate(np.array([1.0]) @ S) == 18.0
+    v = np.array([[1.0], [-0.5j]])
+    assert np.array_equal(form.evaluate(v @ S), [18.0, -4.5])
+    # a stack of vectors gives one value each, and a generator reads its
+    # own coordinate
+    assert np.array_equal(
+        FormPolynomial.generator(2, (1, 2)).evaluate(probe_vectors(2)),
+        probe_vectors(2)[:, 1])
 
 
 def test_test_function_exact_derivatives():
@@ -256,24 +263,29 @@ def test_pullback_chain_rule():
     gamma = random_symplectic(g, 4, rng)
     f = random_test_function(g, rng)
     point = random_point(g, rng)
-    pulled = gamma_act_on_form(gamma, point,
-                               FormPolynomial.scalar(g, f)).terms[()]
-    assert abs(pulled.value - f.value(act(gamma, point))) < 1e-12
+    # D(gamma . f)(v) of a function f is the differential of f(gamma Z)
+    # at v, against a central-difference gradient of f(gamma Z)
+    jet = Jet.at(f, act(gamma, point))
+    pulled = _transported_D(gamma, point, FormPolynomial.scalar(g, jet))[0]
     approx = fd_gradient(lambda p: f.value(act(gamma, p)), point)
-    assert np.abs(pulled.grad - approx).max() < \
-        1e-6 * max(1, np.abs(pulled.grad).max())
+    expected = probe_vectors(g) @ approx
+    assert np.abs(pulled - expected).max() < \
+        1e-6 * max(1, np.abs(expected).max())
 
 
 def test_product_function_rule():
-    # the product, sum and scaling rules of jets, against exact polynomials
+    # the sum and scaling rules of jets, against exact polynomials; a jet
+    # is multiplied by numbers only
     g = 2
     rng = np.random.default_rng(9)
-    f, h, k = (random_test_function(g, rng) for _ in range(3))
+    f, h = (random_test_function(g, rng) for _ in range(2))
     point = random_point(g, rng)
-    jf, jh, jk = (Jet.at(fn, point) for fn in (f, h, k))
-    for jet, fn in ((jf * jh, f * h), (Jet.product([jf, jh, jk]), f * h * k),
-                    (jf + jh, f + h),
-                    (jf * (0.5 - 1j), f * QC(Fraction(1, 2), Fraction(-1)))):
+    jf, jh = (Jet.at(fn, point) for fn in (f, h))
+    with pytest.raises(TypeError):
+        jf * jh
+    for jet, fn in ((jf + jh, f + h),
+                    (jf * (0.5 - 1j), f * QC(Fraction(1, 2), Fraction(-1))),
+                    (np.complex128(2j) * jf, f * QC(im=Fraction(2)))):
         exact = Jet.at(fn, point)
         assert abs(jet.value - exact.value) < 1e-12 * max(1, abs(exact.value))
         assert np.abs(jet.grad - exact.grad).max() < \

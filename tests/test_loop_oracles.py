@@ -3,7 +3,11 @@ metric and its derivatives, the cocycle, the finite-difference stencils,
 the gradient of a modular extension, the dZ algebra, the point-function
 coefficients that jets replaced, the product of random generators and the
 symplectic test (as three block identities) were first written as, kept as
-references.
+references.  So are the coefficient transports that evaluation at probe
+vectors replaced, gamma . form and the substitution dZ_K -> sum_L S[L, K]
+dZ_L: the evaluated sides of ``equivariance_residual`` and
+``invariance_residual`` must equal those coefficient forms evaluated at the
+probes.
 
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
@@ -21,22 +25,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
-from siegel.connection import (_f_det_form, apply_D, curvature_quadratics,
-                               gamma_act_on_form, gamma_closed,
+from siegel.connection import (_f_det_form, _jets_at, _transported_D,
+                               apply_D, curvature_quadratics,
+                               equivariance_residual, gamma_closed,
                                gamma_from_metric)
-from siegel.forms import (FormPolynomial, add_term, det_dz,
-                          substitute_basis, trace_form)
+from siegel.forms import (FormPolynomial, add_term, det_dz, probe_vectors,
+                          trace_form)
 from siegel.functions import Jet, fd_gradient, random_test_function
-from siegel.indexing import (coords_to_sym, omega_list, omega_size,
-                             row_col_indices, sym_to_coords)
+from siegel.indexing import (basis_stack, coords_to_sym, omega_list,
+                             omega_size, row_col_indices, sym_to_coords)
 from siegel.metric import (_power_table, dM_tensor, dR_tensor, dW_tensor,
                            metric_pair)
 from siegel.operators import ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
-                               pushforward_derivatives, pushforward_matrix,
-                               pushforward_matrix_derivative, random_point,
-                               random_symplectic)
+                               pushforward_matrix,
+                               pushforward_matrix_derivative,
+                               random_point, random_symplectic)
 
 
 def delta(a, b) -> int:
@@ -303,44 +308,35 @@ def test_pushforward_matrix_matches_loop(g, seed, word_length):
 
 def test_cocycle_entries_are_one_evaluation_per_point(monkeypatch):
     # repeat requests are memo hits, so count the builds behind the memo
-    calls, derivative_calls = [], []
+    calls = []
     build_S = symplectic._pushforward_matrix
-    build_dS = symplectic._pushforward_derivatives
 
     def counted(gamma, point):
         calls.append(point)
         return build_S(gamma, point)
-
-    def counted_derivatives(gamma, point):
-        derivative_calls.append(point)
-        return build_dS(gamma, point)
     monkeypatch.setattr(symplectic, "_pushforward_matrix", counted)
-    monkeypatch.setattr(symplectic, "_pushforward_derivatives",
-                        counted_derivatives)
     g = 2
     rng = np.random.default_rng(31)
     gamma = random_symplectic(g, 4, rng)
     here, there = random_point(g, rng), random_point(g, rng)
     form = det_dz(g) * FormPolynomial.generator(g, (1, 2))
-    apply_D(gamma_closed(here), gamma_act_on_form(gamma, here, form))
+    equivariance_residual(gamma, here, form)
     assert calls == [here]
-    assert derivative_calls == [here]
-    apply_D(gamma_closed(there), gamma_act_on_form(gamma, there, form))
+    equivariance_residual(gamma, there, form)
     assert calls == [here, there]
-    assert derivative_calls == [here, there]
-    # each entry jet still holds its own entry of S and of dS/dZ
+    # each entry jet of the coefficient transport holds its own entry of S
+    # and of dS/dZ
     for point in (here, there):
         S = _pushforward_loop(gamma, point)
         dS = np.stack([_pushforward_derivative_loop(
             gamma, point, _basis_matrix(pair, g, dtype=complex))
             for pair in omega_list(g)])
-        generator = gamma_act_on_form(gamma, point,
-                                      FormPolynomial.generator(g, (1, 2)))
+        generator = _gamma_act_on_form(gamma, point,
+                                       FormPolynomial.generator(g, (1, 2)))
         for (l,), jet in generator.terms.items():
             assert jet.value == S[l, 1]
             assert np.array_equal(jet.grad, dS[:, l, 1])
     assert calls == [here, there]
-    assert derivative_calls == [here, there]
 
 
 # ------------------------------------------------------------ stencils
@@ -515,7 +511,7 @@ class _CocycleEntryFunction:
         return complex(pushforward_matrix(self.gamma, point)[self.l, self.k])
 
     def gradient(self, point):
-        return pushforward_derivatives(self.gamma, point)[:, self.l, self.k]
+        return _pushforward_derivatives(self.gamma, point)[:, self.l, self.k]
 
 
 def _coefficient_value(coef, point):
@@ -654,15 +650,82 @@ def test_apply_D_matches_dict_reference(g):
         if g <= 2:
             gamma = random_symplectic(g, 3, rng)
             form = det_dz(g).map_coefficients(lambda c: f)
-            pairs.append((gamma_act_on_form(gamma, point, form),
+            pairs.append((_gamma_act_on_form(gamma, point, form),
                           _gamma_act_reference(gamma, g, form)))
         for form, reference in pairs:
             assert _same_terms(apply_D(table, form),
                                _apply_D_reference(point, table, reference))
 
 
+# ------------------------------------- the coefficient transport, by hand
+
+
+def _jet_product(factors):
+    """The jet of a product: the values multiplied in order, and the
+    gradient sum_t grad f_t prod_{u != t} f_u, each partial product in
+    factor order and the sum in t order."""
+    value = 1 + 0j
+    for f in factors:
+        value *= f.value
+    grad = np.zeros_like(factors[0].grad)
+    for t, f in enumerate(factors):
+        rest = 1 + 0j
+        for u, other in enumerate(factors):
+            if u != t:
+                rest *= other.value
+        grad = grad + f.grad * rest
+    return Jet(value, grad)
+
+
+def _pushforward_derivatives(gamma, point):
+    """dS[pos], the derivative of Z -> S(gamma, Z) along Z_pos."""
+    return np.stack([pushforward_matrix_derivative(gamma, point, E)
+                     for E in basis_stack(point.g)])
+
+
+def _gamma_act_on_form(gamma, point, form):
+    """gamma . form at point, for a form with number or point-function
+    coefficients: each coefficient is pulled back through gamma, and each
+    generator dZ_K becomes sum_L S[L, K] dZ_L.  The result has jet
+    coefficients at point: a pullback is (f(gamma Z), S grad f(gamma Z)), a
+    cocycle entry is (S[L, K], dS[:, L, K]), and a term is the jet product
+    of its pullback and its entries."""
+    m = omega_size(point.g)
+    S = pushforward_matrix(gamma, point)
+    dS = _pushforward_derivatives(gamma, point)
+    entries = [[Jet(complex(S[l, k]), dS[:, l, k]) for k in range(m)]
+               for l in range(m)]
+    terms = {}
+    for mono, coef in _jets_at(form, act(gamma, point)).terms.items():
+        pulled = Jet(coef.value, S @ coef.grad)
+        for assignment in product(range(m), repeat=len(mono)):
+            jet = _jet_product([pulled] + [
+                entries[l][k] for l, k in zip(assignment, mono)]) \
+                if mono else pulled
+            add_term(terms, tuple(sorted(assignment)), jet)
+    return FormPolynomial.canonical(point.g, terms)
+
+
+def _substitute_basis(form, S):
+    """Substitute dZ_K -> sum_L S[L, K] dZ_L into a numeric-coefficient
+    form."""
+    m = form.m
+    linear = {}
+    terms = {}
+    for mono, coef in form.terms.items():
+        expanded = FormPolynomial.scalar(form.g, coef)
+        for k in mono:
+            if k not in linear:
+                linear[k] = FormPolynomial(
+                    form.g, {(l,): S[l, k] for l in range(m) if S[l, k] != 0})
+            expanded = expanded * linear[k]
+        for out_mono, out_coef in expanded.terms.items():
+            add_term(terms, out_mono, out_coef)
+    return FormPolynomial.canonical(form.g, terms)
+
+
 def _substitute_basis_chain(form, S):
-    """substitute_basis as a chain of + on whole forms."""
+    """_substitute_basis as a chain of + on whole forms."""
     m = form.m
     out = FormPolynomial(form.g, {})
     for mono, coef in form.terms.items():
@@ -690,12 +753,12 @@ def test_substitute_basis_matches_chain_of_sums(g):
         for form in forms:
             for matrix in (S, np.abs(S), cancelling):
                 reference = _substitute_basis_chain(form, matrix)
-                assert _same_terms(substitute_basis(form, matrix),
+                assert _same_terms(_substitute_basis(form, matrix),
                                    reference.terms)
 
 
 def _gamma_act_reference(gamma, g, form):
-    """gamma_act_on_form with point-function coefficients: one product of
+    """_gamma_act_on_form with point-function coefficients: one product of
     the pullback and the cocycle entry functions per assignment, summed per
     monomial as the dZ algebra summed them."""
     m = omega_size(g)
@@ -735,7 +798,7 @@ def test_gamma_act_on_form_matches_chain_of_sums(g):
                  FormPolynomial(g, {(0,): f, (0, last): 2.0,
                                     (): random_test_function(g, rng)})]
         for form in forms:
-            got = gamma_act_on_form(gamma, point, form)
+            got = _gamma_act_on_form(gamma, point, form)
             reference = _gamma_act_reference(gamma, g, form)
             assert list(got.terms) == list(reference)
             for jet, ref in zip(got.terms.values(), reference.values()):
@@ -743,6 +806,40 @@ def test_gamma_act_on_form_matches_chain_of_sums(g):
                     _zero_signless(ref.value(point))
                 assert _zero_signless(jet.grad) == \
                     _zero_signless(ref.gradient(point))
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_evaluated_sides_match_the_coefficient_transport(g):
+    # D(gamma . form) built at the point, and D(form) at gamma Z read at
+    # S^t v, against the coefficient forms of the transport evaluated at
+    # each probe v, within 1e-12 of the summed magnitude of each evaluated
+    # side's terms: the left side's own, and for the right side the image
+    # form with absolute coefficients at |S|^t |v|
+    rng = np.random.default_rng(110 + g)
+    v = probe_vectors(g)
+    for point in _draws(g, 3):
+        gamma = random_symplectic(g, 4, rng)
+        image = act(gamma, point)
+        S = pushforward_matrix(gamma, point)
+        f = random_test_function(g, rng)
+        last = omega_size(g) - 1
+        forms = [det_dz(g).map_coefficients(lambda c: c * f),
+                 FormPolynomial(g, {(0,): f, (0, last): 2.0,
+                                    (): random_test_function(g, rng)})]
+        for form in forms:
+            jets = _jets_at(form, image)
+            d_image = apply_D(gamma_closed(image), jets)
+            left, left_size = _transported_D(gamma, point, jets)
+            right = d_image.evaluate(v @ S)
+            right_size = d_image.map_coefficients(abs).evaluate(
+                abs(v) @ abs(S)).real
+            expected = (apply_D(gamma_closed(point),
+                                _gamma_act_on_form(gamma, point, form)),
+                        _substitute_basis(d_image, S))
+            for got, size, coefficients in zip(
+                    (left, right), (left_size, right_size), expected):
+                assert (abs(got - coefficients.evaluate(v))
+                        <= 1e-12 * size).all()
 
 
 # ------------------------------------------------------- random elements
@@ -870,18 +967,18 @@ def test_pullback_acts_once_per_point(monkeypatch):
     gamma = random_symplectic(g, 4, rng)
     here, there = random_point(g, rng), random_point(g, rng)
     f = random_test_function(g, rng)
-    # one function coefficient: every assignment's product holds the same
-    # pulled-back function
+    # one function coefficient and one number: both sides read the one
+    # image of each point
     form = FormPolynomial(g, {(0, 2): f, (1,): 3.0})
-    first = apply_D(gamma_closed(here), gamma_act_on_form(gamma, here, form))
+    first = equivariance_residual(gamma, here, form)
     assert calls == [here]
-    apply_D(gamma_closed(there), gamma_act_on_form(gamma, there, form))
+    equivariance_residual(gamma, there, form)
     assert calls == [here, there]
     # the kept action gives what a fresh point computes
     fresh = SiegelPoint(g, here.X, here.Y)
-    again = apply_D(gamma_closed(fresh), gamma_act_on_form(gamma, fresh, form))
+    again = equivariance_residual(gamma, fresh, form)
     assert calls == [here, there, fresh]
-    assert _same_terms(first, again.terms)
+    assert again == first
 
 
 def test_extensions_on_one_element_share_its_inverse(monkeypatch):

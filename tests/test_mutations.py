@@ -4,13 +4,15 @@ some check of the report must then fail.
 A mutant is an in-memory patch, undone after its test: either a patched
 attribute, or a function recompiled from its source with one expression
 replaced and bound in every module that binds the original.  Each run is
-one suite at seed 0 over g = 1..2.  Every mutant runs the connection suite,
-where the form layer's checks (``equivariance``, ``det_power_invariance``,
-``scalar_det_power`` and ``trace_form_derivative``) all run, and so do the
-checks that read the closed-form coefficients (``modular_law``,
-``path_agreement``, ``case_analysis`` and ``curvature_quadratic``).  The
-gradient-matrix mutant also runs the operators suite, where
-``gradient_pairing`` reads the symmetrized gradient.  A jet's gradient is
+one suite at seed 0 over g = 1..2, the suite or suites whose checks read
+the mutated formula.  The connection suite holds the form layer's checks
+(``equivariance``, ``det_power_invariance``, ``scalar_det_power`` and
+``trace_form_derivative``) and the checks that read the closed-form
+coefficients (``modular_law``, ``path_agreement``, ``case_analysis`` and
+``curvature_quadratic``).  Three mutants break the left side of
+``equivariance``, D(gamma . alpha) evaluated at a probe vector.  The
+operators suite holds the laws of the gradient, of G = i Y^-1 and of the
+brackets, and the qseries suite the Serre derivative.  A jet's gradient is
 also compared with a central-difference gradient, which no suite check
 does.
 """
@@ -25,6 +27,9 @@ import pytest
 
 import siegel.connection as connection
 import siegel.indexing as indexing
+import siegel.metric as metric
+import siegel.operators as operators
+import siegel.qseries as qseries
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.symplectic import random_point
 from siegel.verify import run_suite
@@ -69,27 +74,24 @@ def _replace_in_source(monkeypatch, module, name, old, new):
 
 
 def _product_without_first_gradient(monkeypatch):
-    # the jet product drops the gradient of its first factor, which in
-    # gamma_act_on_form is the pulled-back coefficient
-    product = Jet.product
-
-    def mutant(factors):
-        first = factors[0]
-        return product([Jet(first.value, np.zeros_like(first.grad))]
-                       + list(factors[1:]))
-    monkeypatch.setattr(Jet, "product", staticmethod(mutant))
+    # the left side of equivariance drops its pulled-back gradient term,
+    # (grad f . w) w^mu
+    _replace_in_source(monkeypatch, connection, "_transported_D",
+                       "terms = [(w @ jet.grad) * w[:, list(mono)]"
+                       ".prod(axis=-1)]", "terms = []")
 
 
 def _pullback_without_cocycle(monkeypatch):
-    _replace_in_source(monkeypatch, connection, "gamma_act_on_form",
-                       "Jet(coef.value, S @ coef.grad)",
-                       "Jet(coef.value, coef.grad)")
+    # the pulled-back gradient is paired with v instead of w = S^t v
+    _replace_in_source(monkeypatch, connection, "_transported_D",
+                       "(w @ jet.grad)", "(v @ jet.grad)")
 
 
 def _cocycle_entries_without_derivatives(monkeypatch):
-    _replace_in_source(monkeypatch, connection, "gamma_act_on_form",
-                       "Jet(complex(S[l, k]), dS[:, l, k])",
-                       "Jet(complex(S[l, k]), 0 * dS[:, l, k])")
+    # D(theta)(v) = u loses dS(V)^t v and keeps only -S^t q
+    _replace_in_source(monkeypatch, connection, "_transported_D",
+                       'parts = (np.einsum("pl,plk->pk", v, dS), -(q @ S))',
+                       "parts = (-(q @ S),)")
 
 
 def _closed_form_undivided(monkeypatch):
@@ -104,6 +106,29 @@ def _gradient_matrix_unhalved(monkeypatch):
     # so Tr(grad E_ij) counts d f / dZ_ij twice
     _replace_in_source(monkeypatch, indexing, "covector_to_sym",
                        "v / 2.0", "v")
+
+
+def _dR_factor_doubled(monkeypatch):
+    # dR/dZ = (i/2) R E R loses its half
+    _replace_in_source(monkeypatch, metric, "dR_tensor", "0.5j", "1.0j")
+
+
+def _serre_weight_over_six(monkeypatch):
+    # the Serre derivative subtracts (w/6) E2 f instead of (w/12) E2 f
+    _replace_in_source(monkeypatch, qseries, "serre_derivative",
+                       "Fraction(f.weight, 12)", "Fraction(f.weight, 6)")
+
+
+def _G_law_without_factor_two(monkeypatch):
+    # the G law's inhomogeneous term 2 C^t loses its 2
+    _replace_in_source(monkeypatch, operators, "verify_G_law",
+                       "2.0 * gamma.C.T", "gamma.C.T")
+
+
+def _bracket_weights_swapped(monkeypatch):
+    # s h grad f - r f grad h with the weights r and s exchanged
+    _replace_in_source(monkeypatch, operators, "bracket_matrix",
+                       "r, s = weights", "s, r = weights")
 
 
 def _jet_with_zero_gradient(monkeypatch):
@@ -126,7 +151,10 @@ def _jet_with_zero_gradient(monkeypatch):
 # gradient_pairing, also 0.0 on the unmutated code, the operator laws built
 # on the gradient, and the closed forms of D that read a gradient as a
 # matrix: scalar_det_power through nabla, trace_form_derivative through
-# the jets' partials
+# the jets' partials.  dR reaches the checks only through dW, which only
+# metric path A reads; the Serre derivative is read by the classical
+# weight-raising checks and by the degree-one i G2 check of the operators
+# suite
 MUTANTS = {
     "closed_form_undivided": (
         _closed_form_undivided,
@@ -149,12 +177,25 @@ MUTANTS = {
         _gradient_matrix_unhalved,
         {"operators": {"gradient_pairing", "nabla_transform"},
          "connection": {"scalar_det_power", "trace_form_derivative"}}),
+    "dR_factor_doubled": (
+        _dR_factor_doubled, {"connection": {"path_agreement"}}),
+    "serre_weight_over_six": (
+        _serre_weight_over_six,
+        {"qseries": {"weight_raising_e4", "weight_raising_e6",
+                     "weight_raising_delta", "weight_raising_closure"},
+         "operators": {"ig2_serre_match"}}),
+    "G_law_without_factor_two": (
+        _G_law_without_factor_two,
+        {"operators": {"G_law_im_inverse", "ig2_transformation_law"}}),
+    "bracket_weights_swapped": (
+        _bracket_weights_swapped,
+        {"operators": {"bracket_weight_corrected"}}),
 }
 
 
 def test_the_unmutated_suite_passes():
-    assert _failing_checks() == Counter()
-    assert _failing_checks("operators") == Counter()
+    for suite in ("connection", "operators", "qseries"):
+        assert _failing_checks(suite) == Counter()
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))

@@ -6,16 +6,16 @@ import pytest
 
 import siegel.metric as metric
 import siegel.symplectic as symplectic
-from siegel.connection import apply_D, gamma_act_on_form, gamma_closed, \
+from siegel.connection import equivariance_residual, gamma_closed, \
     gamma_from_metric
 from siegel.forms import FormPolynomial
 from siegel.functions import random_test_function
 from siegel.operators import ModularExtension, im_inverse
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
-                               pushforward_derivatives, pushforward_matrix,
-                               pushforward_matrix_derivative, random_point,
-                               random_symplectic)
+                               pushforward_matrix,
+                               pushforward_matrix_derivative,
+                               random_point, random_symplectic)
 
 
 def _count(monkeypatch, module, name):
@@ -50,7 +50,6 @@ def test_metric_pair_is_computed_once_per_point(monkeypatch):
 def test_two_function_monomials_share_one_action_and_cocycle(monkeypatch):
     acts = _count(monkeypatch, symplectic, "_act")
     cocycles = _count(monkeypatch, symplectic, "_pushforward_matrix")
-    derivatives = _count(monkeypatch, symplectic, "_pushforward_derivatives")
     g = 2
     rng = np.random.default_rng(12)
     gamma = random_symplectic(g, 5, rng)
@@ -60,8 +59,8 @@ def test_two_function_monomials_share_one_action_and_cocycle(monkeypatch):
     built = []
     for point in (here, there):
         built.append(point)
-        apply_D(gamma_closed(point), gamma_act_on_form(gamma, point, form))
-        assert acts == cocycles == derivatives == built
+        equivariance_residual(gamma, point, form)
+        assert acts == cocycles == built
 
 
 def test_derived_arrays_are_read_only():
@@ -74,7 +73,7 @@ def test_derived_arrays_are_read_only():
     arrays = [point.Z, metric.metric_pair(point).R,
               metric.metric_pair(point).W, metric.metric_pair(point).M,
               cocycle(gamma, point), pushforward_matrix(gamma, point),
-              pushforward_derivatives(gamma, point), act(gamma, point).Z,
+              act(gamma, point).Z,
               f.value(stack), f.gradient(point)]
     for array in arrays:
         assert not array.flags.writeable
@@ -135,7 +134,6 @@ def test_cocycle_is_tested_and_inverted_once_per_element_and_point(
         for _ in range(2):
             act(gamma, point)
             pushforward_matrix(gamma, point)
-            pushforward_derivatives(gamma, point)
             pushforward_matrix_derivative(gamma, point, np.eye(g))
     assert tested == [here, there] and inverted == [here, there]
     assert len(conds) == len(invs) == 2
@@ -144,7 +142,7 @@ def test_cocycle_is_tested_and_inverted_once_per_element_and_point(
         assert calls[1] is cocycle(gamma, there)
     # in the other order the same single test and inverse serve act
     fresh = SiegelPoint(g, here.X, here.Y)
-    pushforward_derivatives(gamma, fresh)
+    pushforward_matrix_derivative(gamma, fresh, np.eye(g))
     act(gamma, fresh)
     pushforward_matrix(gamma, fresh)
     assert tested[2:] == inverted[2:] == [fresh]
@@ -207,7 +205,9 @@ def test_a_failed_condition_test_is_not_kept(monkeypatch):
     # C Z + D = -Z with cond(Z) about 2e12, above the limit of 1e12
     point = SiegelPoint(2, 1e12 * np.ones((2, 2)), np.eye(2))
     gamma = SymplecticElement.inversion(2)
-    for call in (act, pushforward_matrix, act, pushforward_derivatives):
+    for call in (act, pushforward_matrix, act,
+                 lambda gamma, point: pushforward_matrix_derivative(
+                     gamma, point, np.eye(2))):
         with pytest.raises(DegeneracyError):
             call(gamma, point)
     assert tested == [point] * 4

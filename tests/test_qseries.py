@@ -130,6 +130,16 @@ def test_evaluate_tail_guard():
         evaluate(short, 0.3 - 1j)
 
 
+@pytest.mark.parametrize("z", [complex(0, math.nan), complex(math.nan, 1),
+                               complex(math.inf, 1), complex(0, math.inf)])
+def test_evaluate_refuses_a_point_that_is_not_finite(z):
+    # NaN compares false with 0, so the half-plane test alone let it through
+    # and the value came out nan+nanj
+    for f in (eisenstein(4, 50), g2_series(50)):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(f, z)
+
+
 def test_g2_normalization_and_anomaly():
     tagged = g2_series(50)
     assert isinstance(tagged, TaggedSeries)

@@ -645,6 +645,29 @@ def test_float_blocks_are_refused_not_truncated(build):
         calls[build]()
 
 
+@pytest.mark.parametrize("build", ["constructor", "from_matrix",
+                                   "translation", "unimodular"])
+def test_uint64_entries_beyond_int64_are_refused_not_wrapped(build):
+    # 2^64 - 1 wraps to -1 in int64: diag(A, A) would be read as -I, the
+    # translation by B as the one by -1, and (1, B; 0, 1) as unimodular
+    big = np.array([[2 ** 64 - 1]], dtype=np.uint64)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    calls = {
+        "constructor": lambda: SymplecticElement(1, big, zero, zero, big),
+        "from_matrix": lambda: SymplecticElement.from_matrix(
+            np.block([[big, zero], [zero, big]])),
+        "translation": lambda: SymplecticElement.translation(big),
+        "unimodular": lambda: SymplecticElement.unimodular(
+            np.array([[1, 2 ** 64 - 1], [0, 1]], dtype=np.uint64)),
+    }
+    with pytest.raises(ValueError, match="64-bit integer range"):
+        calls[build]()
+    # a uint64 entry inside the range is taken as it is
+    one = np.ones((1, 1), dtype=np.uint64)
+    assert SymplecticElement(1, one, zero, zero, one) == \
+        SymplecticElement.identity(1)
+
+
 def test_non_symplectic_unimodular_blocks_are_rejected():
     # diag(U, U) with U unimodular: A D^t = U U^t is not I
     U = np.array([[1, 1], [0, 1]], dtype=np.int64)
