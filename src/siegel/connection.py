@@ -19,14 +19,22 @@ with axes (K, I, J), Omega-ordered.  ``gamma_closed`` scatters
 i R_ij / 2^e into a pattern of (K, I, J) positions, R entries and divisors
 built once per degree; the B-expanded path evaluates its own delta/R
 expression over broadcast (K, I, J) index grids and shares nothing with
-that pattern, so the two stay independent derivations.  Paths A and B
-contract over L with stacked BLAS matrix products (M dW[I] for each I,
-W dM[K] for each K).  BLAS sums in its own blocked order, so their tables
-are not bit-equal to an index-order sum (or to the einsum these paths once
-used); they agree with it to a few ulps of the magnitude of the summed
-terms.  ``gamma_closed``, B-expanded, W, M, dW and dM are index arithmetic
-in a fixed order, and the loop oracles in ``tests/test_loop_oracles.py``
-pin them bit for bit.
+that pattern, so the two stay independent derivations.
+
+Paths A and B build neither dW nor dM: by the product rule of the pair
+Gram, each sum over L folds into g x g matrices.  For I = (i1, i2) and
+K = (k1, k2), path A is 2^{-delta(i1,i2)} (Q + Q^t)[i1, i2] with
+Q = dR_J Mt_K R, Mt_K[l1, l2] = M[K, (l1, l2)] / 2, and path B is
+-(P + P^t)[k1, k2] with P = dY_J Wt_I Y, Wt_I[l1, l2] = W[I, (l1, l2)]
+halved off the diagonal.  dR and dY (``metric.dR_tensor``, ``dY_tensor``)
+are i times real matrices, so the products are real and i is restored
+once.  Each path is one BLAS product of a (m g, g) and a (g, g m) stack,
+m^2 g^3 multiply-adds, then an (m, m, m) gather at the Omega pairs, where
+contracting an m^3 derivative tensor took m^4.  BLAS sums in its own
+order, so these tables agree with an index-order sum over L to a few ulps
+of the magnitude of the summed terms.  ``gamma_closed``, B-expanded, W, M
+and dM are index arithmetic in a fixed order, and the loop oracles in
+``tests/test_loop_oracles.py`` pin them bit for bit.
 
 The operator D acts on forms with function coefficients by
 D(f dZ_{K_1}...dZ_{K_r}) = df dZ_{K_1}...dZ_{K_r}
@@ -57,10 +65,11 @@ from .functions import Jet
 from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
                        omega_size, position, position_table,
                        row_col_indices, sym_to_coords)
-from .metric import dM_tensor, dW_tensor, metric_pair
+from .metric import dR_tensor, dY_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
-from .symplectic import (SiegelPoint, SymplecticElement, act,
-                         pushforward_matrix, pushforward_matrix_derivative)
+from .symplectic import (DimensionError, SiegelPoint, SymplecticElement,
+                         act, pushforward_matrix,
+                         pushforward_matrix_derivative)
 
 
 @lru_cache(maxsize=16)
@@ -96,9 +105,17 @@ def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return out
 
 
+def _require_one_point(point: SiegelPoint) -> None:
+    if point.Y.ndim != 2:
+        raise DimensionError(
+            "a connection table is built at one point, got a stack of "
+            f"shape {point.Y.shape[:-2]}")
+
+
 def gamma_closed(point: SiegelPoint) -> np.ndarray:
     """Closed-form coefficient table of the invariant Levi-Civita connection,
-    read-only, axes (K, I, J)."""
+    read-only, axes (K, I, J); DimensionError for a stack of points."""
+    _require_one_point(point)
     g = point.g
     m = omega_size(g)
     R = metric_pair(point).R
@@ -109,19 +126,44 @@ def gamma_closed(point: SiegelPoint) -> np.ndarray:
     return table
 
 
+def _symmetrized_times_i(half: np.ndarray) -> np.ndarray:
+    """i (half + half with I and J exchanged), with +0.0 real parts."""
+    table = np.zeros(half.shape, dtype=complex)
+    np.add(half, half.transpose(0, 2, 1), out=table.imag)
+    return table
+
+
 def _gamma_path_a(point: SiegelPoint) -> np.ndarray:
+    # 2^{-delta(i1,i2)} (Q + Q^t)[i1, i2] with Q = dR_J Mt_K R
+    g = point.g
+    m = omega_size(g)
     pair = metric_pair(point)
-    dW = dW_tensor(pair.R)  # dW[I, L, J]
-    # one matrix product per I: (M dW[I])[K, J], then axes to (K, I, J)
-    half = 0.5 * (pair.M @ dW).transpose(1, 0, 2)
-    return half + half.transpose(0, 2, 1)
+    ii, jj = row_col_indices(g)
+    # [(K, i2), a] = (R Mt_K)[i2, a] against [a, (i1, J)] = Im dR_J[a, i1]
+    left = (pair.R @ (0.5 * coords_to_sym(pair.M, g))).reshape(m * g, g)
+    right = dR_tensor(pair.R).imag.transpose(1, 2, 0).reshape(g, g * m)
+    Q = (left @ right).reshape(m, g * g, m)  # [K, (i2, i1), J] = Im Q[i1, i2]
+    half = Q[:, jj * g + ii]
+    half += Q[:, ii * g + jj]
+    half *= np.where(ii == jj, 0.5, 1.0)[:, None]
+    return _symmetrized_times_i(half)
 
 
 def _gamma_path_b(point: SiegelPoint) -> np.ndarray:
-    dM = dM_tensor(point.Y)  # dM[K, L, J]
-    # one matrix product per K: (W dM[K])[I, J]
-    half = -0.5 * (metric_pair(point).W @ dM)
-    return half + half.transpose(0, 2, 1)
+    # -(P + P^t)[k1, k2] with P = dY_J Wt_I Y
+    g = point.g
+    m = omega_size(g)
+    ii, jj = row_col_indices(g)
+    halved = np.where(ii == jj, 1.0, 0.5)
+    Wt = coords_to_sym(metric_pair(point).W * halved, g)
+    # [(k2, I), a] = (Y Wt_I)[k2, a] against [a, (k1, J)] = -Im dY_J[a, k1]
+    left = (Wt.reshape(m * g, g) @ point.Y).reshape(m, g, g)
+    left = left.transpose(2, 0, 1).reshape(g * m, g)
+    right = -dY_tensor(g).imag.transpose(1, 2, 0).reshape(g, g * m)
+    P = (left @ right).reshape(g, m, g, m)  # [k2, I, k1, J] = -Im P[k1, k2]
+    half = P[jj, :, ii]
+    half += P[ii, :, jj]
+    return _symmetrized_times_i(half)
 
 
 def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
@@ -162,7 +204,8 @@ def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
 
 def gamma_from_metric(point: SiegelPoint, path: str = "A") -> np.ndarray:
     """Levi-Civita coefficients derived from the metric matrices, read-only,
-    axes (K, I, J)."""
+    axes (K, I, J); DimensionError for a stack of points."""
+    _require_one_point(point)
     if path == "A":
         table = _gamma_path_a(point)
     elif path == "B":

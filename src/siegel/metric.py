@@ -6,8 +6,10 @@ Omega-indexed Gram matrix
     W[(i,j), (r,s)] = (R_ir R_js + R_jr R_is) / 2^{delta(i,j)+delta(r,s)},
 
 whose explicit inverse is M[(i,j), (r,s)] = Y_ir Y_js + Y_jr Y_is.  Both
-are assembled here together with their holomorphic coordinate derivatives,
-which feed the two metric-side derivations of the connection coefficients.
+are assembled here, with the holomorphic coordinate derivatives of R and
+Y that the two metric-side derivations of the connection coefficients
+contract against them, and with dM, which the metric suite compares with
+finite differences.
 
 Derivatives use the Wirtinger convention d/dZ_J = (d/dX_J - i d/dY_J)/2 on
 the independent upper-triangle coordinates, so dY/dZ_J = -(i/2) E_J with
@@ -121,6 +123,12 @@ def dR_tensor(R: np.ndarray) -> np.ndarray:
     return 0.5j * (R @ basis_stack(R.shape[-1]) @ R)
 
 
+def dY_tensor(g: int) -> np.ndarray:
+    """dY[c] = dY/dZ_{I_c} = -(i/2) E_c, the holomorphic derivative of Y
+    along every coordinate."""
+    return -0.5j * basis_stack(g)
+
+
 def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
     """Derivatives of the Gram Mat_ir Mat_js + Mat_jr Mat_is over Omega
     along every coordinate, from dMat[..., c], the derivative of Mat along
@@ -145,18 +153,9 @@ def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def dW_tensor(R: np.ndarray) -> np.ndarray:
-    """dW[a, b, c] = dW_{I_a, I_b} / dZ_{I_c} over Omega^3, from the
-    R = Y^{-1} of one point."""
-    out = _pair_gram_derivative(np.moveaxis(dR_tensor(R), 0, -1), R)
-    out *= _power_table(R.shape[-1])[..., None]
-    return out
-
-
 def dM_tensor(Y: np.ndarray) -> np.ndarray:
     """dM[a, b, c] = dM_{I_a, I_b} / dZ_{I_c} over Omega^3, from the Y of
     one point."""
-    # dY/dZ_c = -(i/2) E_c
-    dY = np.moveaxis(-0.5j * basis_stack(Y.shape[-1]), 0, -1)
-    return _pair_gram_derivative(dY, Y)
+    return _pair_gram_derivative(np.moveaxis(dY_tensor(Y.shape[-1]), 0, -1),
+                                 Y)
 

@@ -12,8 +12,8 @@ from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
 from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import omega_list, omega_size
 from siegel.metric import dR_tensor, metric_pair
-from siegel.symplectic import (SiegelPoint, SymplecticElement, act,
-                               pushforward_matrix,
+from siegel.symplectic import (DimensionError, SiegelPoint, SymplecticElement,
+                               act, pushforward_matrix,
                                pushforward_matrix_derivative, random_point,
                                random_symplectic)
 
@@ -52,10 +52,10 @@ def test_closed_form_mixed_entry_degree_two():
     assert abs(table[1, 0, 2] - 0.5j * R[1, 0]) < 1e-15
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 8, 10, 12])
 def test_three_derivations_agree(g):
-    # up to g = 8, the highest degree gamma tables are requested at;
-    # B-expanded up to g = 6
+    # up to g = 12, past g = 8, the highest degree gamma tables are
+    # requested at; B-expanded up to g = 6
     rng = np.random.default_rng(300 + g)
     paths = ("A", "B", "B-expanded") if g <= 6 else ("A", "B")
     for _ in range(5):
@@ -64,6 +64,18 @@ def test_three_derivations_agree(g):
         for path in paths:
             table = gamma_from_metric(point, path)
             assert np.abs(table - closed).max() < 1e-10
+
+
+def test_tables_are_built_at_one_point():
+    # a stack of points used to die in a numpy broadcast
+    rng = np.random.default_rng(7)
+    stack = SiegelPoint.from_matrix(
+        np.stack([random_point(2, rng).Z for _ in range(3)]))
+    with pytest.raises(DimensionError, match="one point"):
+        gamma_closed(stack)
+    for path in ("A", "B", "B-expanded"):
+        with pytest.raises(DimensionError, match="one point"):
+            gamma_from_metric(stack, path)
 
 
 def test_unknown_derivation_path():

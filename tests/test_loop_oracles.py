@@ -12,9 +12,11 @@ probes.
 The array forms perform the same floating-point operations in the same
 order, so every comparison here is bit for bit (``tobytes`` equality, and
 for forms the same monomials in the same dictionary order).  The one
-exception is the contraction over L in metric paths A and B: BLAS sums it
-in its own blocked order, so those tables are compared with the loop within
-a few ulps of the magnitude of the summed terms.
+exception is metric paths A and B: they sum over L through products of
+g x g factors, in BLAS's blocked order, so those tables are compared with
+the loop over L within a few ulps of the magnitude of the summed terms.
+The loop's dW, which the library no longer builds, is checked against
+finite differences of W.
 """
 
 import numbers
@@ -34,8 +36,7 @@ from siegel.forms import (FormPolynomial, add_term, det_dz, probe_vectors,
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.indexing import (basis_stack, coords_to_sym, omega_list,
                              omega_size, row_col_indices, sym_to_coords)
-from siegel.metric import (_power_table, dM_tensor, dR_tensor, dW_tensor,
-                           metric_pair)
+from siegel.metric import _power_table, dM_tensor, dR_tensor, metric_pair
 from siegel.operators import ModularExtension
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
@@ -142,7 +143,7 @@ def _metric_path_loop(point, path):
     summed over L in index order, each symmetrized in (I, J); and the
     largest sum of the terms' magnitudes, the scale of their rounding."""
     W, M, R = metric_pair(point)
-    dW, dM = dW_tensor(R), dM_tensor(point.Y)
+    dW, dM = _dW_loop(R), dM_tensor(point.Y)
     m = M.shape[0]
     half = np.zeros((m, m, m), dtype=complex)
     magnitude = np.zeros((m, m, m))
@@ -161,9 +162,9 @@ def _metric_path_loop(point, path):
 @pytest.mark.parametrize("path", ["A", "B"])
 @pytest.mark.parametrize("g", range(1, 9))
 def test_metric_path_matches_loop(g, path):
-    # the BLAS contraction rounds in its own order: at most about one ulp
-    # of the largest sum of term magnitudes was measured (g = 1..8, spreads
-    # 0.5 to 3); relative to max|Gamma| that can be several ulps, because
+    # the g x g factor products round in their own order: at most about
+    # two ulps of the largest sum of term magnitudes were measured
+    # (g = 1..8); relative to max|Gamma| that can be several ulps, because
     # the terms cancel
     for point in _draws(g, 4 if g <= 5 else 2):
         got = gamma_from_metric(point, path)
@@ -230,20 +231,31 @@ def test_metric_matches_loop(g):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_metric_derivatives_match_loop(g):
     for point in _draws(g, 4 if g <= 5 else 2):
-        R = metric_pair(point).R
-        for got, expected in ((dW_tensor(R), _dW_loop(R)),
-                              (dM_tensor(point.Y), _dM_loop(point.Y))):
-            # paths A and B multiply by each slice dW[I] and dM[K]; in a
-            # C-contiguous stack every slice is a matrix numpy hands to BLAS
-            # as it is, without a copy
-            assert got.flags.c_contiguous
-            assert got.tobytes() == expected.tobytes()
+        got = dM_tensor(point.Y)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _dM_loop(point.Y).tobytes()
+
+
+def test_gram_derivative_finite_differences():
+    # the loop's dW, which path A's oracle contracts, against central
+    # differences of W
+    g = 2
+    point = random_point(g, seed=17)
+    dW = _dW_loop(metric_pair(point).R)
+    pairs = omega_list(g)
+    for a in range(len(pairs)):
+        for b in range(len(pairs)):
+            def entry(pt, a=a, b=b):
+                return metric_pair(pt).W[..., a, b]
+            grad = fd_gradient(entry, point)
+            for c in range(len(pairs)):
+                assert abs(grad[c] - dW[a, b, c]) < 1e-7
 
 
 @pytest.mark.parametrize("g", range(1, 6))
 def test_im_inverse_entry_gradient_matches_loop(g):
     # the gradients of the entries of i Y^{-1} are i dR_tensor(R), the
-    # expression dW_tensor uses; the loop it replaced formed
+    # expression path A reads; the loop it replaced formed
     # -(1/2) R E_J R per coordinate.  Equal in value: only the sign of a
     # zero may differ
     for point in _draws(g, 3):

@@ -7,7 +7,7 @@ import siegel.metric as metric
 from siegel.functions import fd_gradient
 from siegel.indexing import (omega_list, position, position_table,
                              sym_to_coords)
-from siegel.metric import dM_tensor, dW_tensor, metric_form, metric_pair
+from siegel.metric import dM_tensor, metric_form, metric_pair
 from siegel.symplectic import DegeneracyError, SiegelPoint, act, random_point, \
     random_symplectic, tangent_pushforward
 
@@ -133,21 +133,6 @@ def test_inverse_entry_derivative_finite_differences(g):
             grad = fd_gradient(entry, point)
             worst = max(worst, np.abs(grad - dM[k, l]).max())
     assert worst < 1e-7
-
-
-def test_gram_derivative_finite_differences():
-    # the analytic dW tensor drives one of the coefficient derivations
-    g = 2
-    point = random_point(g, seed=17)
-    dW = dW_tensor(metric_pair(point).R)
-    pairs = omega_list(g)
-    for a in range(len(pairs)):
-        for b in range(len(pairs)):
-            def entry(pt, a=a, b=b):
-                return metric_pair(pt).W[..., a, b]
-            grad = fd_gradient(entry, point)
-            for c in range(len(pairs)):
-                assert abs(grad[c] - dW[a, b, c]) < 1e-7
 
 
 def test_degenerate_metric_rejected():

@@ -113,6 +113,20 @@ def _dR_factor_doubled(monkeypatch):
     _replace_in_source(monkeypatch, metric, "dR_tensor", "0.5j", "1.0j")
 
 
+def _pair_matrix_of_W_unhalved(monkeypatch):
+    # path B's Wt_I keeps W[I, L] off the diagonal, where it counts the
+    # pair L twice and must be halved
+    _replace_in_source(monkeypatch, connection, "_gamma_path_b",
+                       "np.where(ii == jj, 1.0, 0.5)",
+                       "np.where(ii == jj, 1.0, 1.0)")
+
+
+def _pair_matrix_of_M_unhalved(monkeypatch):
+    # path A's Mt_K loses the half that folds in dW's powers of 2
+    _replace_in_source(monkeypatch, connection, "_gamma_path_a",
+                       "0.5 * coords_to_sym", "1.0 * coords_to_sym")
+
+
 def _serre_weight_over_six(monkeypatch):
     # the Serre derivative subtracts (w/6) E2 f instead of (w/12) E2 f
     _replace_in_source(monkeypatch, qseries, "serre_derivative",
@@ -151,8 +165,10 @@ def _jet_with_zero_gradient(monkeypatch):
 # gradient_pairing, also 0.0 on the unmutated code, the operator laws built
 # on the gradient, and the closed forms of D that read a gradient as a
 # matrix: scalar_det_power through nabla, trace_form_derivative through
-# the jets' partials.  dR reaches the checks only through dW, which only
-# metric path A reads; the Serre derivative is read by the classical
+# the jets' partials.  dR reaches the checks only through metric path A,
+# which contracts it with the pair matrices Mt_K; path B contracts dY with
+# the pair matrices Wt_I, and path_agreement alone reads either pair
+# matrix.  The Serre derivative is read by the classical
 # weight-raising checks and by the degree-one i G2 check of the operators
 # suite
 MUTANTS = {
@@ -179,6 +195,10 @@ MUTANTS = {
          "connection": {"scalar_det_power", "trace_form_derivative"}}),
     "dR_factor_doubled": (
         _dR_factor_doubled, {"connection": {"path_agreement"}}),
+    "pair_matrix_of_W_unhalved": (
+        _pair_matrix_of_W_unhalved, {"connection": {"path_agreement"}}),
+    "pair_matrix_of_M_unhalved": (
+        _pair_matrix_of_M_unhalved, {"connection": {"path_agreement"}}),
     "serre_weight_over_six": (
         _serre_weight_over_six,
         {"qseries": {"weight_raising_e4", "weight_raising_e6",

@@ -10,7 +10,8 @@ from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                is_symplectic, random_point, random_symplectic,
-                               tangent_pushforward, pushforward_matrix)
+                               tangent_pushforward, pushforward_matrix,
+                               pushforward_matrix_derivative)
 
 
 def test_is_symplectic_identity_and_j():
@@ -321,6 +322,21 @@ def test_tangent_pushforward_basics():
         atol=1e-14)
     with pytest.raises(ValueError, match="symmetric"):
         tangent_pushforward(ident, point, np.array([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pushforward", [
+    tangent_pushforward, pushforward_matrix_derivative],
+    ids=["tangent_pushforward", "pushforward_matrix_derivative"])
+def test_non_finite_tangent_is_refused(pushforward, bad):
+    # NaN passes the symmetry test, since it compares false, and the
+    # result came out NaN everywhere; inf did too, with a RuntimeWarning
+    point = random_point(2, seed=7)
+    gamma = random_symplectic(2, 4, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            pushforward(gamma, point, np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_tangent_pushforward_degree_one_inversion():
