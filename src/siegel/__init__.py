@@ -15,7 +15,7 @@ from .connection import (gamma_closed, gamma_from_metric,
                          mcc_residual, apply_D, d_f_detk, d_trace_form,
                          equivariance_residual, invariance_residual,
                          kron_trace)
-from .forms import FormPolynomial, det_dz, trace_form, max_coefficient_diff
+from .forms import FormPolynomial, det_dz, trace_form
 from .functions import TestFunction, random_test_function
 from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
                         im_inverse, verify_nabla_transform, verify_G_law,

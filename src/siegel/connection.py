@@ -44,13 +44,18 @@ differential only.
 
 Everything is evaluated pointwise: a table holds numbers at its base point,
 and a form's coefficients are numbers or jets there (``functions.Jet``, a
-value and a holomorphic gradient), which is all that D reads.  ``apply_D``
-adds every term into one dictionary, in the order of the sum above.
+value and a holomorphic gradient), which is all that D reads.  D is never
+multiplied out: ``apply_D`` evaluates D(form) at tangent vectors v, with
+q_K(v) = -sum_{I,J} Gamma_IJ^K v_I v_J standing for D(dZ_K).  Its closed
+forms are matrix formulas at V, the symmetric matrix of v:
+D(dZ_K) = -i (V R V)[s, r] for K = (r, s), D(det dZ) = -i tr(R V) det V,
+D(f det(dZ)^k) = tr(nabla_k f V) det(V)^k and
+D(Tr(G dZ)) = tr(dG(V) V) - i tr(G V R V), with R = Y^{-1}.
 
-Forms at Z and at gamma Z are compared by evaluation
-(``FormPolynomial.evaluate``) at the fixed probe vectors v of the degree:
-with S = S(gamma, Z) and w = S^t v, a form P at gamma Z transported to Z
-is P(w), so no coefficient of a transported form is ever multiplied out.
+Forms are compared, at one point and across gamma, by evaluation at the
+fixed probe vectors v of the degree (``forms.probe_vectors``): with
+S = S(gamma, Z) and w = S^t v, a form P at gamma Z transported to Z is
+P(w), so no coefficient of a transported form is ever multiplied out.
 """
 
 from __future__ import annotations
@@ -60,11 +65,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import FormPolynomial, add_term, det_dz, probe_vectors, trace_form
+from .forms import FormPolynomial, det_dz, probe_vectors
 from .functions import Jet
 from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
-                       omega_size, position, position_table,
-                       row_col_indices, sym_to_coords)
+                       omega_size, row_col_indices, sym_to_coords)
 from .metric import dR_tensor, dY_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
 from .symplectic import (DimensionError, SiegelPoint, SymplecticElement,
@@ -307,76 +311,55 @@ def mcc_residual(gamma: SymplecticElement, point: SiegelPoint,
     return relative_residual(left - right + dS, left, right, dS)
 
 
-def curvature_quadratics(table: np.ndarray, g: int) -> list[FormPolynomial]:
-    """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms of
-    degree g."""
-    a, b = np.triu_indices(table.shape[0])
-    upper = table[:, a, b]
-    coefs = 0j + np.where(a == b, -upper, -2.0 * upper)
-    monos = list(zip(a.tolist(), b.tolist()))
-    return [FormPolynomial.canonical(g, dict(zip(monos, row)))
-            for row in coefs.tolist()]
+def apply_D(table: np.ndarray, form: FormPolynomial,
+            v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(form) at the table's base point, evaluated at each tangent vector
+    of the stack v, shape (..., |Omega|); and the summed magnitude of its
+    terms at each v.
 
-
-def apply_D(table: np.ndarray, form: FormPolynomial) -> FormPolynomial:
-    """Evaluate D(form) at the table's base point.
-
-    Coefficients of the input are numbers or jets at that point; the output
-    has numeric coefficients.  The holomorphic differential of a jet is its
-    gradient over the upper-triangle coordinates.  Terms are accumulated
-    into one dictionary, in the order of the sum
-    df dZ_{K_1}...dZ_{K_r} + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}.
-    """
-    quadratics = curvature_quadratics(table, form.g)
-    out: dict = {}
+    Coefficients of the form are numbers or jets at that point.  With
+    q_K = -sum_{I,J} Gamma_IJ^K v_I v_J, the value of D(c dZ^mu) at v is
+    (grad c . v) v^mu + c sum_t q_{mu_t} v^{mu minus t}: the differential
+    of the coefficient, and the derivative of the monomial along q."""
+    v = np.asarray(v, dtype=complex)
+    q = -np.einsum("kij,...i,...j->...k", table, v, v)
+    value = np.zeros(v.shape[:-1], dtype=complex)
+    size = np.zeros(v.shape[:-1])
     for mono, coef in form.terms.items():
+        terms = []
         if isinstance(coef, Jet):
-            cval = complex(coef.value)
-            for pos, d in enumerate(coef.grad):
-                if d != 0:
-                    add_term(out, tuple(sorted(mono + (pos,))), d)
-        else:
-            cval = complex(coef)
-        if cval == 0:
-            continue
+            terms.append((v @ coef.grad) * v[..., list(mono)].prod(axis=-1))
+            coef = coef.value
         for t in range(len(mono)):
-            rest = mono[:t] + mono[t + 1:]
-            for m2, c2 in quadratics[mono[t]].terms.items():
-                c = cval * c2
-                if c != 0:
-                    add_term(out, tuple(sorted(rest + m2)), c)
-    return FormPolynomial.canonical(form.g, out)
+            rest = v[..., list(mono[:t] + mono[t + 1:])].prod(axis=-1)
+            terms.append(coef * q[..., mono[t]] * rest)
+        value = value + sum(terms)
+        size = size + sum(np.abs(term) for term in terms)
+    return value, size
 
 
-def d_dz_closed(point: SiegelPoint, K: Pair) -> FormPolynomial:
-    """-i (dZ_s.) Y^{-1} (dZ_r.)^t for K = (r, s): the closed quadratic."""
-    g = point.g
-    R = metric_pair(point).R
-    r, s = K
-    position((min(K), max(K)), g)  # ValueError for a K outside Omega
-    pos = position_table(g).tolist()
-    terms: dict = {}
-    for i in range(g):
-        for j in range(g):
-            mono = tuple(sorted((pos[s - 1][i], pos[r - 1][j])))
-            c = -1j * R[i, j]
-            terms[mono] = terms.get(mono, 0j) + c
-    return FormPolynomial(g, terms)
+def _trace(A: np.ndarray) -> np.ndarray:
+    """The trace of a matrix, or of each matrix of a stack."""
+    return np.trace(A, axis1=-2, axis2=-1)
 
 
-def d_det_closed(point: SiegelPoint) -> FormPolynomial:
-    """-i Tr(Y^{-1} dZ) det(dZ)."""
-    R = metric_pair(point).R
-    return trace_form(R, point.g).scale(-1j) * det_dz(point.g)
+def d_dz_closed(point: SiegelPoint, V: np.ndarray) -> np.ndarray:
+    """-i V Y^{-1} V at the symmetric V, or at each matrix of a stack:
+    entry [s, r] is D(dZ_K) at V for K = (r, s)."""
+    return -1j * (V @ metric_pair(point).R @ V)
 
 
-def d_f_detk(point: SiegelPoint, f, k: int) -> FormPolynomial:
-    """Factored form of D(f det(dZ)^k): Tr(nabla_k f dZ) det(dZ)^k, with
-    nabla_k f = (grad - i k Y^{-1}) f, expanded as a form with numeric
-    coefficients at the point."""
+def d_det_closed(point: SiegelPoint, V: np.ndarray) -> np.ndarray:
+    """D(det dZ) at V: -i Tr(Y^{-1} V) det V."""
+    return -1j * _trace(metric_pair(point).R @ V) * np.linalg.det(V)
+
+
+def d_f_detk(point: SiegelPoint, f, k: int, V: np.ndarray) -> np.ndarray:
+    """Factored form of D(f det(dZ)^k) at V: Tr(nabla_k f V) det(V)^k,
+    with nabla_k f = (grad - i k Y^{-1}) f at the point."""
     if k < 0:
         raise ValueError("determinant power must be >= 0")
-    return trace_form(nabla(f, point, k), point.g) * _det_power(point.g, k)
+    return _trace(nabla(f, point, k) @ V) * np.linalg.det(V) ** k
 
 
 def _det_power(g: int, k: int) -> FormPolynomial:
@@ -399,45 +382,20 @@ def _require_symmetric_entries(Gfield, g: int) -> None:
             raise ValueError("matrix of jets must be symmetric")
 
 
-def d_trace_form(point: SiegelPoint, Gfield) -> FormPolynomial:
-    """Closed form of D(Tr(G dZ)) for a symmetric matrix G of jets at the
-    point, read as G[i][j]: the Kronecker-product derivative term plus the
-    curvature correction -i Tr(G dZ Y^{-1} dZ), with numeric coefficients
-    at the point."""
+def d_trace_form(point: SiegelPoint, Gfield, V: np.ndarray) -> np.ndarray:
+    """Closed form of D(Tr(G dZ)) at V for a symmetric matrix G of jets at
+    the point, read as G[i][j]: Tr(dG(V) V) - i Tr(G V Y^{-1} V), with
+    dG(V)_ij = Tr(dG_ij V) and dG_ij the gradient of G_ij read as a
+    symmetric matrix, its off-diagonal entries halved."""
     g = point.g
-    pos = position_table(g).tolist()
-    R = metric_pair(point).R
     _require_symmetric_entries(Gfield, g)
     upper = [Gfield[i][j] for i, j in zip(*row_col_indices(g))]
-    values = coords_to_sym(np.array([jet.value for jet in upper],
-                                    dtype=complex), g)
-    # partials[pos[i][j]][k, l]: d G_ij / dZ_kl, halved off the diagonal
+    G = coords_to_sym(np.array([jet.value for jet in upper], dtype=complex),
+                      g)
     partials = covector_to_sym([jet.grad for jet in upper], g)
-
-    terms: dict = {}
-
-    def add(mono, c):
-        if c != 0:
-            mono = tuple(sorted(mono))
-            terms[mono] = terms.get(mono, 0j) + c
-
-    # sum_{i,j,k,l} partial_kl G_ij dZ_kl dZ_ji with the symmetrized partials
-    for i in range(g):
-        for j in range(g):
-            partial = partials[pos[i][j]]
-            for k in range(g):
-                for l in range(g):
-                    add((pos[k][l], pos[j][i]), partial[k, l])
-
-    # -i Tr(G dZ Y^{-1} dZ)
-    for x in range(g):
-        for u in range(g):
-            for w in range(g):
-                for v in range(g):
-                    c = -1j * values[x, u] * R[w, v]
-                    add((pos[u][w], pos[v][x]), c)
-
-    return FormPolynomial(g, terms)
+    dG = coords_to_sym(np.einsum("akl,...lk->...a", partials, V), g)
+    R = metric_pair(point).R
+    return _trace(dG @ V) - 1j * _trace(G @ V @ R @ V)
 
 
 def kron_trace(A, B, C, D) -> complex:
@@ -497,8 +455,8 @@ def equivariance_residual(gamma: SymplecticElement, point: SiegelPoint,
     image = act(gamma, point)
     jets = _jets_at(form, image)
     left, size = _transported_D(gamma, point, jets)
-    right = apply_D(gamma_closed(image), jets).evaluate(
-        probe_vectors(point.g) @ pushforward_matrix(gamma, point))
+    w = probe_vectors(point.g) @ pushforward_matrix(gamma, point)
+    right = apply_D(gamma_closed(image), jets, w)[0]
     return relative_residual(left - right, left, right, size)
 
 
@@ -513,21 +471,18 @@ def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
 
     Normalization: the image-side coefficients carry determinant weight
     factors that cancel during the pullback, so the defect is measured
-    against the absolute-value transport (the roundoff ceiling of that
-    cancellation): the image form with absolute coefficients at |S|^t |v|,
-    floored at 1.
+    against the summed magnitude of D's terms on both sides (floored at
+    1), not against the values, which cancel.
     """
     image = act(gamma, point)
     extension = ModularExtension(f, 2 * k, gamma)
-    here = apply_D(gamma_closed(point), _f_det_form(f, k, point))
-    d_image = apply_D(gamma_closed(image), _f_det_form(extension, k, image))
-    S = pushforward_matrix(gamma, point)
     v = probe_vectors(point.g)
-    at_here = here.evaluate(v)
-    transported = d_image.evaluate(v @ S)
-    ceiling = d_image.map_coefficients(lambda c: abs(complex(c))).evaluate(
-        np.abs(v) @ np.abs(S))
-    return relative_residual(at_here - transported, at_here, ceiling)
+    here, here_size = apply_D(gamma_closed(point),
+                              _f_det_form(f, k, point), v)
+    there, there_size = apply_D(gamma_closed(image),
+                                _f_det_form(extension, k, image),
+                                v @ pushforward_matrix(gamma, point))
+    return relative_residual(here - there, here_size, there_size)
 
 
 def _f_det_form(f, k: int, point: SiegelPoint) -> FormPolynomial:

@@ -1,22 +1,21 @@
-"""Commutative polynomial algebra on the generators dZ_I, I in Omega.
+"""Commutative polynomial algebra on the generators dZ_I, I in Omega: the
+input type of the operator D (``connection.apply_D``).
 
 Monomials are canonical sorted tuples of 0-based Omega positions, so
 dZ_I dZ_J == dZ_J dZ_I by construction.  Coefficients are numbers or jets
-at one point (``functions.Jet``: a value and a holomorphic gradient there),
-combined by plain ``+`` and ``*``; zero coefficients are never stored, and
-a jet is never zero.  A form may also hold point functions that no
-arithmetic touches, as the input of ``connection.equivariance_residual``.
+at one point (``functions.Jet``: a value and a holomorphic gradient there);
+zero coefficients are never stored, and a jet is never zero.  A form may
+also hold point functions that no arithmetic touches, as the input of
+``connection.equivariance_residual``.  Forms are built, multiplied and
+mapped coefficient by coefficient, and read only by evaluation.
 
 A form of degree d is a homogeneous polynomial function of the tangent
 vector v (the Omega coordinates of dZ): ``evaluate`` gives its value.  Two
 forms are equal when they agree at generic vectors (Schwartz, J. ACM 1980;
-Zippel, EUROSAM 1979), so identities across a group element are compared
-at the fixed ``probe_vectors`` of each degree instead of coefficient by
-coefficient.
+Zippel, EUROSAM 1979), so forms, and D of a form, are compared at the
+fixed ``probe_vectors`` of each degree, never coefficient by coefficient.
 
-A form's terms keep the order in which their monomials first appeared; a
-sum keeps the left operand's monomials in place and appends new ones, and
-``add_term`` does the same in place for callers that accumulate many terms.
+A form's terms keep the order in which their monomials first appeared.
 Forms built from other forms take their keys as already sorted
 (``FormPolynomial.canonical``).
 """
@@ -34,19 +33,6 @@ from .indexing import (Pair, omega_size, position, position_table,
 Monomial = tuple[int, ...]
 
 
-def add_term(terms: dict, mono: Monomial, coef) -> None:
-    """Add coef to terms[mono] in place, a canonical key being assumed;
-    a sum that cancels to zero is removed, and a new key goes last."""
-    if mono in terms:
-        total = terms[mono] + coef
-        if total == 0:
-            del terms[mono]
-        else:
-            terms[mono] = total
-    else:
-        terms[mono] = coef
-
-
 class FormPolynomial:
     """Sparse element of the commutative dZ algebra.  The constructor
     sorts each key; coefficients of keys that sort to one monomial add,
@@ -54,11 +40,16 @@ class FormPolynomial:
 
     def __init__(self, g: int, terms: dict | None = None):
         self.g = g
-        self.m = omega_size(g)
         self.terms: dict[Monomial, object] = {}
         for mono, coef in (terms or {}).items():
-            if coef != 0:
-                add_term(self.terms, tuple(sorted(mono)), coef)
+            if coef == 0:
+                continue
+            mono = tuple(sorted(mono))
+            total = self.terms[mono] + coef if mono in self.terms else coef
+            if total == 0:
+                del self.terms[mono]
+            else:
+                self.terms[mono] = total
 
     @classmethod
     def canonical(cls, g: int, terms: dict) -> "FormPolynomial":
@@ -66,7 +57,6 @@ class FormPolynomial:
         they are not sorted again; zero coefficients are dropped."""
         out = cls.__new__(cls)
         out.g = g
-        out.m = omega_size(g)
         out.terms = {mono: coef for mono, coef in terms.items()
                      if coef != 0}
         return out
@@ -79,18 +69,6 @@ class FormPolynomial:
     def scalar(cls, g: int, coef) -> "FormPolynomial":
         return cls(g, {(): coef})
 
-    def __add__(self, other: "FormPolynomial") -> "FormPolynomial":
-        out = dict(self.terms)
-        for mono, coef in other.terms.items():
-            add_term(out, mono, coef)
-        return FormPolynomial.canonical(self.g, out)
-
-    def __neg__(self) -> "FormPolynomial":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "FormPolynomial") -> "FormPolynomial":
-        return self + other.scale(-1.0)
-
     def __mul__(self, other: "FormPolynomial") -> "FormPolynomial":
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -102,10 +80,6 @@ class FormPolynomial:
                 else:
                     out[mono] = c
         return FormPolynomial.canonical(self.g, out)
-
-    def scale(self, scalar) -> "FormPolynomial":
-        return FormPolynomial.canonical(
-            self.g, {m: c * scalar for m, c in self.terms.items()})
 
     def map_coefficients(self, fn) -> "FormPolynomial":
         return FormPolynomial.canonical(
@@ -162,16 +136,6 @@ def trace_form(Gmat, g: int) -> FormPolynomial:
     if covector.shape != (omega_size(g),):
         raise ValueError(f"expected a {g}x{g} matrix, got {np.shape(Gmat)}")
     return FormPolynomial(g, {(pos,): c for pos, c in enumerate(covector)})
-
-
-def max_coefficient_diff(f1: FormPolynomial, f2: FormPolynomial) -> float:
-    """Max |c1 - c2| over the union of monomials; numeric coefficients only."""
-    worst = 0.0
-    for mono in set(f1.terms) | set(f2.terms):
-        c1 = complex(f1.terms.get(mono, 0j))
-        c2 = complex(f2.terms.get(mono, 0j))
-        worst = max(worst, abs(c1 - c2))
-    return worst
 
 
 @lru_cache(maxsize=16)

@@ -519,21 +519,26 @@ def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     return point.derived(_act, gamma)
 
 
-def _finite_tangent(V) -> np.ndarray:
-    """V as a complex array; ValueError for a NaN or infinite entry."""
+def _tangent(V, g: int) -> np.ndarray:
+    """V as a complex array, the one gate for a tangent matrix: ValueError
+    for a NaN or infinite entry, DimensionError for a shape other than
+    g x g, ValueError for a V that is not symmetric."""
     V = np.asarray(V, dtype=complex)
     if not np.isfinite(V).all():
         raise ValueError("tangent matrix must be finite")
+    if V.shape != (g, g):
+        raise DimensionError(
+            f"expected a {g}x{g} tangent matrix, got shape {V.shape}")
+    if np.abs(V - V.T).max() > 1e-12 * max(1.0, np.abs(V).max()):
+        raise ValueError("tangent matrix must be symmetric")
     return V
 
 
 def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
                         V: np.ndarray) -> np.ndarray:
     """Differential of the action: (Z C^t + D^t)^{-1} V (C Z + D)^{-1};
-    ValueError for a V that is not finite or not symmetric."""
-    V = _finite_tangent(V)
-    if np.abs(V - V.T).max() > 1e-12 * max(1.0, np.abs(V).max()):
-        raise ValueError("tangent matrix must be symmetric")
+    V passes the tangent gate (_tangent)."""
+    V = _tangent(V, point.g)
     den_t = point.derived(_cocycle, gamma).T  # Z C^t + D^t, Z symmetric
     out = np.linalg.solve(den_t, V)
     out = np.linalg.solve(den_t, out.T).T
@@ -575,9 +580,9 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
                                   V: np.ndarray) -> np.ndarray:
     """Directional derivative of Z -> S(gamma, Z) along the symmetric V,
     from d(C Z + D)^{-1} = -(C Z + D)^{-1} C V (C Z + D)^{-1}, with the
-    inverse that pushforward_matrix keeps on the point; ValueError for a V
-    that is not finite."""
-    V = _finite_tangent(V)
+    inverse that pushforward_matrix keeps on the point; V passes the
+    tangent gate (_tangent)."""
+    V = _tangent(V, point.g)
     Q = point.derived(_cocycle_inverse, gamma)
     dQ = -Q @ (gamma.C @ V) @ Q
     ii, jj = row_col_indices(point.g)

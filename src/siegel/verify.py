@@ -25,9 +25,10 @@ from .connection import (apply_D, case_analysis_residual, d_det_closed,
                          equivariance_residual, gamma_closed,
                          gamma_from_metric, invariance_residual, kron_trace,
                          mcc_residual, _f_det_form)
-from .forms import (FormPolynomial, det_dz, max_coefficient_diff, trace_form)
+from .forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from .functions import Jet, fd_gradient, random_test_function
-from .indexing import basis_stack, omega_list, omega_size, sym_to_coords
+from .indexing import (basis_stack, coords_to_sym, omega_list, omega_size,
+                       sym_to_coords)
 from .metric import dM_tensor, metric_form, metric_pair
 from .operators import (ModularExtension, QSeriesFunction, bracket1,
                         bracket1_transform_residual,
@@ -346,25 +347,30 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 return relative_residual((Sp - Sm) / (2 * h) - dS, dS)
             yield "cocycle_derivative_fd", {"g": g, "case": case}, "fd", ds_fd
 
-    # operator D against the closed quadratic, determinant and trace forms
+    # operator D against the closed quadratic, determinant and trace forms,
+    # all evaluated at the probe vectors v, with V the matrices of v
     for g in _clip_range(g_range, 1, 4):
+        v = probe_vectors(g)
+        V = coords_to_sym(v, g)
         for case in range(3):
             rng = _case_rng(seed, "conn-D", g, case)
             point = random_point(g, rng)
             table = gamma_closed(point)
 
             def quadratic():
+                closed = d_dz_closed(point, V)
                 worst = 0.0
-                for K in omega_list(g):
-                    got = apply_D(table, FormPolynomial.generator(g, K))
-                    worst = max(worst, max_coefficient_diff(
-                        got, d_dz_closed(point, K)))
+                for r, s in omega_list(g):
+                    got = apply_D(table, FormPolynomial.generator(g, (r, s)),
+                                  v)
+                    worst = max(worst, _against_closed(
+                        got, closed[:, s - 1, r - 1]))
                 return worst
             yield ("curvature_quadratic", {"g": g, "case": case}, "entry",
                    quadratic)
             yield ("determinant_derivative", {"g": g, "case": case}, "entry",
-                   lambda: max_coefficient_diff(apply_D(table, det_dz(g)),
-                                                d_det_closed(point)))
+                   lambda: _against_closed(apply_D(table, det_dz(g), v),
+                                           d_det_closed(point, V)))
 
             f = random_test_function(g, rng)
             for k in (1, 2):
@@ -372,17 +378,16 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                     continue
                 yield ("scalar_det_power", {"g": g, "k": k, "case": case},
                        "entry",
-                       lambda: max_coefficient_diff(
-                           d_f_detk(point, f, k),
-                           apply_D(table, _f_det_form(f, k, point))))
+                       lambda: _against_closed(
+                           apply_D(table, _f_det_form(f, k, point), v),
+                           d_f_detk(point, f, k, V)))
 
             entries = _random_symmetric_functions(g, rng)
 
             def trace_derivative():
                 jets = [[Jet.at(fn, point) for fn in row] for row in entries]
-                return max_coefficient_diff(
-                    d_trace_form(point, jets),
-                    apply_D(table, trace_form(jets, g)))
+                return _against_closed(apply_D(table, trace_form(jets, g), v),
+                                       d_trace_form(point, jets, V))
             yield ("trace_form_derivative", {"g": g, "case": case}, "entry",
                    trace_derivative)
 
@@ -390,9 +395,12 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 rng2 = _case_rng(seed, g, case, "leibniz")
                 a = _random_form(g, rng2, 4, _random_number)
                 b = _random_form(g, rng2, 4, _random_number)
-                lhs = apply_D(table, a * b)
-                rhs = apply_D(table, a) * b + a * apply_D(table, b)
-                return max_coefficient_diff(lhs, rhs)
+                lhs, size = apply_D(table, a * b, v)
+                da, a_size = apply_D(table, a, v)
+                db, b_size = apply_D(table, b, v)
+                av, bv = a.evaluate(v), b.evaluate(v)
+                return relative_residual(lhs - (da * bv + av * db), size,
+                                         a_size * abs(bv) + abs(av) * b_size)
             yield "leibniz_rule", {"g": g, "case": case}, "entry", leibniz
 
     for case in range(100):
@@ -424,6 +432,14 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
             yield ("det_power_invariance", {"g": g, "k": k, "case": case},
                    "mcc",
                    lambda: invariance_residual(gamma, point, f, k))
+
+
+def _against_closed(evaluated, closed) -> float:
+    """The defect of D evaluated at the probes, (value, summed magnitude of
+    its terms) from apply_D, against a closed form there, relative to that
+    magnitude (floored at 1)."""
+    value, size = evaluated
+    return relative_residual(value - closed, size)
 
 
 def _symmetry_sparsity_exact(point: SiegelPoint, g: int) -> bool:

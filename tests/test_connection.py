@@ -7,10 +7,9 @@ from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                gamma_from_metric, invariance_residual,
                                kron_trace, mcc_residual, _det_power,
                                _f_det_form)
-from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
-                          probe_vectors, trace_form)
+from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.functions import Jet, TestFunction, random_test_function
-from siegel.indexing import omega_list, omega_size
+from siegel.indexing import coords_to_sym, omega_list, omega_size
 from siegel.metric import dR_tensor, metric_pair
 from siegel.symplectic import (DimensionError, SiegelPoint, SymplecticElement,
                                act, pushforward_matrix,
@@ -188,36 +187,42 @@ def test_modular_law_corpus(g):
         assert mcc_residual(gamma, point, V) < 1e-8
 
 
+def _probes(g):
+    """The probe vectors of the degree and their symmetric matrices."""
+    v = probe_vectors(g)
+    return v, coords_to_sym(v, g)
+
+
 def test_derivative_of_generator_degree_one():
     y = 1.1
     point = SiegelPoint.from_complex(0.5 + 1j * y)
     table = gamma_closed(point)
-    out = apply_D(table, FormPolynomial.generator(1, (1, 1)))
-    assert set(out.terms) == {(0, 0)}
-    assert abs(out.terms[(0, 0)] - (-1j / y)) < 1e-14
+    v, _ = _probes(1)
+    out = apply_D(table, FormPolynomial.generator(1, (1, 1)), v)[0]
+    # D(dZ) = -i/y dZ^2
+    assert np.abs(out - (-1j / y) * v[:, 0] ** 2).max() < 1e-14
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_derivative_of_generator_closed_form(g):
     point = random_point(g, seed=700 + g)
     table = gamma_closed(point)
-    for K in omega_list(g):
-        got = apply_D(table, FormPolynomial.generator(g, K))
-        assert max_coefficient_diff(got, d_dz_closed(point, K)) < 1e-12
-    # either order of K names one quadratic; a K outside Omega is refused
-    assert (d_dz_closed(point, (2, 1)).terms
-            == d_dz_closed(point, (1, 2)).terms)
-    for K in ((0, 1), (1, g + 1)):
-        with pytest.raises(ValueError, match="upper-triangle"):
-            d_dz_closed(point, K)
+    v, V = _probes(g)
+    closed = d_dz_closed(point, V)
+    for r, s in omega_list(g):
+        got = apply_D(table, FormPolynomial.generator(g, (r, s)), v)[0]
+        assert np.abs(got - closed[:, s - 1, r - 1]).max() < 1e-12
+        # either order of K names one quadratic: V Y^{-1} V is symmetric
+        assert np.abs(got - closed[:, r - 1, s - 1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_derivative_of_determinant(g):
     point = random_point(g, seed=800 + g)
     table = gamma_closed(point)
-    got = apply_D(table, det_dz(g))
-    assert max_coefficient_diff(got, d_det_closed(point)) < 1e-10
+    v, V = _probes(g)
+    got = apply_D(table, det_dz(g), v)[0]
+    assert np.abs(got - d_det_closed(point, V)).max() < 1e-10
 
 
 def test_derivative_raises_degree_and_leibniz():
@@ -226,6 +231,7 @@ def test_derivative_raises_degree_and_leibniz():
     table = gamma_closed(point)
     rng = np.random.default_rng(52)
     m = omega_size(g)
+    v, _ = _probes(g)
     for _ in range(5):
         a_terms = {tuple(sorted(rng.integers(0, m, size=rng.integers(0, 3)))):
                    complex(rng.standard_normal()) for _ in range(3)}
@@ -233,13 +239,18 @@ def test_derivative_raises_degree_and_leibniz():
                    complex(rng.standard_normal()) for _ in range(3)}
         a = FormPolynomial(g, a_terms)
         b = FormPolynomial(g, b_terms)
-        lhs = apply_D(table, a * b)
-        rhs = apply_D(table, a) * b + a * apply_D(table, b)
-        assert max_coefficient_diff(lhs, rhs) < 1e-10
-        degrees_in = {len(mono) for mono in (a * b).terms}
-        degrees_out = {len(mono) for mono in lhs.terms}
-        if degrees_in and degrees_out:
-            assert degrees_out <= {d + 1 for d in degrees_in}
+        lhs = apply_D(table, a * b, v)[0]
+        rhs = (apply_D(table, a, v)[0] * b.evaluate(v)
+               + a.evaluate(v) * apply_D(table, b, v)[0])
+        assert np.abs(lhs - rhs).max() < 1e-10
+        # D of a form of degree d has degree d + 1: at 2v it is 2^(d+1)
+        # times its value at v, exactly, since powers of 2 scale exactly
+        for d in {len(mono) for mono in (a * b).terms}:
+            part = FormPolynomial(g, {mono: c for mono, c in
+                                      (a * b).terms.items()
+                                      if len(mono) == d})
+            assert np.array_equal(apply_D(table, part, 2 * v)[0],
+                                  2 ** (d + 1) * apply_D(table, part, v)[0])
 
 
 def test_scalar_det_power_cases():
@@ -247,23 +258,22 @@ def test_scalar_det_power_cases():
     g = 2
     point = random_point(g, seed=61)
     f = random_test_function(g, np.random.default_rng(62))
-    out = d_f_detk(point, f, 0)
-    grad = f.gradient(point)
-    for pos, pair in enumerate(omega_list(g)):
-        expect = grad[pos]
-        got = out.terms.get((pos,), 0j)
-        assert abs(got - expect) < 1e-12
+    v, V = _probes(g)
+    out = d_f_detk(point, f, 0, V)
+    assert np.abs(out - v @ f.gradient(point)).max() < 1e-12
 
     # degree one: (f' - i k f / y) dz^{k+1}
     y = 1.3
     p1 = SiegelPoint.from_complex(0.1 + 1j * y)
     f1 = TestFunction.coordinate(1, (1, 1)) ** 2
+    v1, V1 = _probes(1)
     for k in (1, 2):
-        out = d_f_detk(p1, f1, k)
+        out = d_f_detk(p1, f1, k, V1)
         z = p1.Z[0, 0]
-        expect = 2 * z - 1j * k * z * z / y
-        key = tuple([0] * (k + 1))
-        assert abs(out.terms[key] - expect) < 1e-13
+        expect = (2 * z - 1j * k * z * z / y) * v1[:, 0] ** (k + 1)
+        assert np.abs(out - expect).max() < 1e-13
+    with pytest.raises(ValueError, match="power"):
+        d_f_detk(point, f, -1, V)
 
 
 def test_scalar_det_power_against_expansion():
@@ -273,18 +283,19 @@ def test_scalar_det_power_against_expansion():
     z11 = TestFunction.coordinate(g, (1, 1))
     z22 = TestFunction.coordinate(g, (2, 2))
     f = z11 * z22
-    got = d_f_detk(point, f, 1)
-    expect = apply_D(table, _f_det_form(f, 1, point))
-    assert max_coefficient_diff(got, expect) < 1e-12
+    v, V = _probes(g)
+    got = d_f_detk(point, f, 1, V)
+    expect = apply_D(table, _f_det_form(f, 1, point), v)[0]
+    assert np.abs(got - expect).max() < 1e-12
 
 
 def test_trace_form_derivative_constant_degree_one():
     y = 0.9
     point = SiegelPoint.from_complex(0.2 + 1j * y)
     G = [[Jet.at(TestFunction.constant(1, 2.5), point)]]
-    out = d_trace_form(point, G)
-    assert set(out.terms) == {(0, 0)}
-    assert abs(out.terms[(0, 0)] - (-1j * 2.5 / y)) < 1e-14
+    v, V = _probes(1)
+    out = d_trace_form(point, G, V)
+    assert np.abs(out - (-1j * 2.5 / y) * v[:, 0] ** 2).max() < 1e-14
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -297,9 +308,11 @@ def test_trace_form_derivative_polynomial(g):
         for j in range(i, g):
             f = random_test_function(g, rng, max_degree=2, n_terms=3)
             entries[i][j] = entries[j][i] = Jet.at(f, point)
-    got = d_trace_form(point, entries)
-    expect = apply_D(table, trace_form(np.array(entries, dtype=object), g))
-    assert max_coefficient_diff(got, expect) < 1e-10
+    v, V = _probes(g)
+    got = d_trace_form(point, entries, V)
+    expect = apply_D(table, trace_form(np.array(entries, dtype=object), g),
+                     v)[0]
+    assert np.abs(got - expect).max() < 1e-10
 
 
 def test_trace_form_derivative_im_inverse_field():
@@ -314,9 +327,11 @@ def test_trace_form_derivative_im_inverse_field():
         for q in range(p, g):
             entries[p][q] = entries[q][p] = Jet(complex(1j * R[p, q]),
                                                 1j * dR[:, p, q])
-    got = d_trace_form(point, entries)
-    expect = apply_D(table, trace_form(np.array(entries, dtype=object), g))
-    assert max_coefficient_diff(got, expect) < 1e-10
+    v, V = _probes(g)
+    got = d_trace_form(point, entries, V)
+    expect = apply_D(table, trace_form(np.array(entries, dtype=object), g),
+                     v)[0]
+    assert np.abs(got - expect).max() < 1e-10
 
 
 def test_trace_form_derivative_requires_symmetric_jets():
@@ -326,18 +341,19 @@ def test_trace_form_derivative_requires_symmetric_jets():
     f = random_test_function(g, rng, max_degree=2, n_terms=3)
     diagonal = Jet.at(random_test_function(g, rng), point)
     off = Jet.at(f, point)
-    same = d_trace_form(point, [[diagonal, off], [off, diagonal]])
+    _, V = _probes(g)
+    same = d_trace_form(point, [[diagonal, off], [off, diagonal]], V)
     # equal jets built apart, at a fresh point with its own arrays
     twin = Jet.at(f, SiegelPoint(g, point.X, point.Y))
     assert twin is not off and twin.grad is not off.grad
-    apart = d_trace_form(point, [[diagonal, off], [twin, diagonal]])
-    assert max_coefficient_diff(same, apart) == 0.0
+    apart = d_trace_form(point, [[diagonal, off], [twin, diagonal]], V)
+    assert np.array_equal(same, apart)
     # a different value, or the same value with another gradient
     other = Jet.at(f + 1, point)
     tilted = Jet(off.value, off.grad + np.eye(omega_size(g))[0])
     for wrong in (other, tilted):
         with pytest.raises(ValueError, match="symmetric"):
-            d_trace_form(point, [[diagonal, off], [wrong, diagonal]])
+            d_trace_form(point, [[diagonal, off], [wrong, diagonal]], V)
 
 
 def test_kron_trace_contraction():

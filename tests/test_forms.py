@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegel.forms import (FormPolynomial, det_dz, max_coefficient_diff,
-                          probe_vectors, trace_form)
+from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.connection import _transported_D
 from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
                               random_test_function)
@@ -31,8 +30,8 @@ def test_form_commutativity():
     d11 = FormPolynomial.generator(g, (1, 1))
     d12 = FormPolynomial.generator(g, (1, 2))
     assert (d11 * d12).terms == (d12 * d11).terms
-    diff = d11 * d12 - d12 * d11
-    assert not diff.terms
+    v = probe_vectors(g)
+    assert np.array_equal((d11 * d12).evaluate(v), (d12 * d11).evaluate(v))
 
 
 def test_det_form_counts():
@@ -299,14 +298,7 @@ def test_degree_mixing_with_functions():
     g = 1
     f = TestFunction.coordinate(g, (1, 1))
     form = FormPolynomial(g, {(0,): f})
-    scaled = form.scale(2.0)
+    scaled = form.map_coefficients(lambda c: c * 2.0)
     point = random_point(g, seed=3)
     assert abs(scaled.terms[(0,)].value(point)
                - 2 * point.Z[0, 0]) < 1e-14
-
-
-def test_max_coefficient_diff_over_union():
-    g = 1
-    a = FormPolynomial(g, {(0,): 1.0})
-    b = FormPolynomial(g, {(0,): 1.0, (0, 0): 0.5})
-    assert max_coefficient_diff(a, b) == 0.5

@@ -7,11 +7,14 @@ references.  So are the coefficient transports that evaluation at probe
 vectors replaced, gamma . form and the substitution dZ_K -> sum_L S[L, K]
 dZ_L: the evaluated sides of ``equivariance_residual`` and
 ``invariance_residual`` must equal those coefficient forms evaluated at the
-probes.
+probes.  So is D coefficient by coefficient, with the curvature quadratics
+and the closed forms of D multiplied out as forms: ``apply_D`` and the
+matrix closed forms at the probes must equal them evaluated there, within a
+few ulps of the summed magnitude of the evaluated terms.
 
-The array forms perform the same floating-point operations in the same
-order, so every comparison here is bit for bit (``tobytes`` equality, and
-for forms the same monomials in the same dictionary order).  The one
+Otherwise the array forms perform the same floating-point operations in
+the same order, so every comparison is bit for bit (``tobytes`` equality,
+and for forms the same monomials in the same dictionary order).  The other
 exception is metric paths A and B: they sum over L through products of
 g x g factors, in BLAS's blocked order, so those tables are compared with
 the loop over L within a few ulps of the magnitude of the summed terms.
@@ -27,17 +30,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
-from siegel.connection import (_f_det_form, _jets_at, _transported_D,
-                               apply_D, curvature_quadratics,
+from siegel.connection import (_det_power, _f_det_form, _jets_at,
+                               _transported_D, apply_D, d_det_closed,
+                               d_dz_closed, d_f_detk, d_trace_form,
                                equivariance_residual, gamma_closed,
                                gamma_from_metric)
-from siegel.forms import (FormPolynomial, add_term, det_dz, probe_vectors,
-                          trace_form)
+from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.indexing import (basis_stack, coords_to_sym, omega_list,
-                             omega_size, row_col_indices, sym_to_coords)
+                             omega_size, position_table, row_col_indices,
+                             sym_to_coords)
 from siegel.metric import _power_table, dM_tensor, dR_tensor, metric_pair
-from siegel.operators import ModularExtension
+from siegel.operators import ModularExtension, nabla
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                pushforward_matrix,
@@ -584,21 +588,42 @@ def _random_terms(g, rng, count):
     return terms
 
 
+def _add_term(terms, mono, coef):
+    """Add coef to terms[mono] in place, a canonical key being assumed;
+    a sum that cancels to zero is removed, and a new key goes last."""
+    if mono in terms:
+        total = terms[mono] + coef
+        if total == 0:
+            del terms[mono]
+        else:
+            terms[mono] = total
+    else:
+        terms[mono] = coef
+
+
+def _form_sum(a, b):
+    """a + b as the dZ algebra added forms: a's monomials in place, new
+    ones appended."""
+    return FormPolynomial.canonical(a.g, _dict_add(a.terms, b.terms))
+
+
+def _scaled(form, scalar):
+    return form.map_coefficients(lambda c: c * scalar)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_form_sum_and_product_match_dict_reference(g):
     rng = np.random.default_rng(40 + g)
     for _ in range(40):
         a = FormPolynomial(g, _random_terms(g, rng, 6))
         b = FormPolynomial(g, _random_terms(g, rng, 6))
-        assert _same_terms(a + b, _dict_add(a.terms, b.terms))
-        assert _same_terms(a - a, {})
         assert _same_terms(a * b, _dict_mul(a.terms, b.terms))
-        # in-place accumulation, as apply_D does it: -a removes the
-        # monomials of a that b does not share, and a appends them again
+        # in-place accumulation, as the coefficient D does it: -a removes
+        # the monomials of a that b does not share, and a appends them
         terms, reference = {}, {}
-        for form in (a, b, -a, a):
+        for form in (a, b, _scaled(a, -1.0), a):
             for mono, coef in form.terms.items():
-                add_term(terms, mono, coef)
+                _add_term(terms, mono, coef)
             reference = _dict_add(reference, form.terms)
         assert _same_terms(FormPolynomial.canonical(g, terms), reference)
 
@@ -638,12 +663,130 @@ def _apply_D_reference(point, table, terms):
     return out
 
 
+# ------------------------------------------ D coefficient by coefficient
+
+
+def _curvature_quadratics(table, g):
+    """D(dZ_K) = -sum_{I,J} Gamma_IJ^K dZ_I dZ_J for each K, as forms of
+    degree 2."""
+    a, b = np.triu_indices(table.shape[0])
+    upper = table[:, a, b]
+    coefs = 0j + np.where(a == b, -upper, -2.0 * upper)
+    monos = list(zip(a.tolist(), b.tolist()))
+    return [FormPolynomial.canonical(g, dict(zip(monos, row)))
+            for row in coefs.tolist()]
+
+
+def _apply_D_coefficients(table, form):
+    """D(form) at the table's base point as a form with numeric
+    coefficients, from a form with number or jet coefficients there: every
+    term is added into one dictionary, in the order of the sum
+    df dZ_{K_1}...dZ_{K_r} + sum_t f dZ_{K_1}...D(dZ_{K_t})...dZ_{K_r}."""
+    quadratics = _curvature_quadratics(table, form.g)
+    out = {}
+    for mono, coef in form.terms.items():
+        if isinstance(coef, Jet):
+            cval = complex(coef.value)
+            for pos, d in enumerate(coef.grad):
+                if d != 0:
+                    _add_term(out, tuple(sorted(mono + (pos,))), d)
+        else:
+            cval = complex(coef)
+        if cval == 0:
+            continue
+        for t in range(len(mono)):
+            rest = mono[:t] + mono[t + 1:]
+            for m2, c2 in quadratics[mono[t]].terms.items():
+                c = cval * c2
+                if c != 0:
+                    _add_term(out, tuple(sorted(rest + m2)), c)
+    return FormPolynomial.canonical(form.g, out)
+
+
+def _max_coefficient_diff(f1, f2):
+    """Max |c1 - c2| over the union of monomials; numeric coefficients
+    only."""
+    worst = 0.0
+    for mono in set(f1.terms) | set(f2.terms):
+        c1 = complex(f1.terms.get(mono, 0j))
+        c2 = complex(f2.terms.get(mono, 0j))
+        worst = max(worst, abs(c1 - c2))
+    return worst
+
+
+def test_max_coefficient_diff_over_union():
+    g = 1
+    a = FormPolynomial(g, {(0,): 1.0})
+    b = FormPolynomial(g, {(0,): 1.0, (0, 0): 0.5})
+    assert _max_coefficient_diff(a, b) == 0.5
+
+
+def _d_dz_closed_dict(point, K):
+    """-i (dZ_s.) Y^{-1} (dZ_r.)^t for K = (r, s): the closed quadratic."""
+    g = point.g
+    R = metric_pair(point).R
+    r, s = K
+    pos = position_table(g).tolist()
+    terms = {}
+    for i in range(g):
+        for j in range(g):
+            mono = tuple(sorted((pos[s - 1][i], pos[r - 1][j])))
+            terms[mono] = terms.get(mono, 0j) - 1j * R[i, j]
+    return FormPolynomial(g, terms)
+
+
+def _d_trace_form_loop(point, Gfield):
+    """D(Tr(G dZ)) for a symmetric matrix G of jets, read as G[i][j]: the
+    Kronecker-product derivative term plus the curvature correction
+    -i Tr(G dZ Y^{-1} dZ), with numeric coefficients at the point."""
+    g = point.g
+    pos = position_table(g).tolist()
+    R = metric_pair(point).R
+    values = np.array([[Gfield[i][j].value for j in range(g)]
+                       for i in range(g)], dtype=complex)
+    terms = {}
+
+    def add(mono, c):
+        if c != 0:
+            mono = tuple(sorted(mono))
+            terms[mono] = terms.get(mono, 0j) + c
+
+    # sum_{i,j,k,l} partial_kl G_ij dZ_kl dZ_ji, the partial halved off
+    # the diagonal
+    for i in range(g):
+        for j in range(g):
+            grad = Gfield[i][j].grad
+            for k in range(g):
+                for l in range(g):
+                    half = 1.0 if k == l else 0.5
+                    add((pos[k][l], pos[j][i]), half * grad[pos[k][l]])
+    # -i Tr(G dZ Y^{-1} dZ)
+    for x in range(g):
+        for u in range(g):
+            for w in range(g):
+                for v in range(g):
+                    add((pos[u][w], pos[v][x]), -1j * values[x, u] * R[w, v])
+    return FormPolynomial(g, terms)
+
+
+def _random_jets(g, point, rng):
+    """A symmetric g x g matrix of jets of random test functions."""
+    jets = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            fn = random_test_function(g, rng, max_degree=2, n_terms=3)
+            jets[i][j] = jets[j][i] = Jet.at(fn, point)
+    return jets
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_apply_D_matches_dict_reference(g):
+    # the coefficient D, against the point-function dicts that jets
+    # replaced, bit for bit
     rng = np.random.default_rng(60 + g)
     for point in _draws(g, 2):
         table = gamma_closed(point)
-        for quadratic, reference in zip(curvature_quadratics(table, g),
+        for quadratic, reference in zip(_curvature_quadratics(table, g),
                                         _quadratics_loop(table)):
             assert _same_terms(quadratic, reference)
         f = random_test_function(g, rng)
@@ -665,8 +808,71 @@ def test_apply_D_matches_dict_reference(g):
             pairs.append((_gamma_act_on_form(gamma, point, form),
                           _gamma_act_reference(gamma, g, form)))
         for form, reference in pairs:
-            assert _same_terms(apply_D(table, form),
+            assert _same_terms(_apply_D_coefficients(table, form),
                                _apply_D_reference(point, table, reference))
+
+
+def _ulps_of_terms(size, coefficients, v):
+    """A few ulps of the summed magnitude of the evaluated terms: the
+    larger of apply_D's own sum, size, and the sum over the terms of a
+    coefficient form at v, which also counts the terms that make up each
+    coefficient, such as the m^2 of each Gamma contraction q_K."""
+    summed = coefficients.map_coefficients(abs).evaluate(abs(v)).real
+    return 8 * np.finfo(float).eps * np.maximum(size, summed)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_evaluated_D_matches_the_coefficient_D(g):
+    # apply_D at the probes against the coefficient D evaluated there
+    rng = np.random.default_rng(130 + g)
+    v = probe_vectors(g)
+    for point in _draws(g, 2):
+        table = gamma_closed(point)
+        f = random_test_function(g, rng)
+        forms = [FormPolynomial.generator(g, K) for K in omega_list(g)]
+        forms += [det_dz(g), trace_form(_random_jets(g, point, rng), g)]
+        forms += [_f_det_form(f, k, point) for k in (1, 2)
+                  if k == 1 or g <= 3]
+        forms += [FormPolynomial(g, _random_terms(g, rng, 8))
+                  for _ in range(2)]
+        for form in forms:
+            value, size = apply_D(table, form, v)
+            coefficients = _apply_D_coefficients(table, form)
+            assert (abs(value - coefficients.evaluate(v))
+                    <= _ulps_of_terms(size, coefficients, v)).all()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_closed_forms_at_V_match_their_coefficient_forms(g):
+    # each closed form at the matrices V of the probes against the same
+    # closed form multiplied out as a form and evaluated at the probes,
+    # on the scale of D's own terms on that input
+    rng = np.random.default_rng(140 + g)
+    v = probe_vectors(g)
+    V = coords_to_sym(v, g)
+    for point in _draws(g, 2):
+        table = gamma_closed(point)
+        R = metric_pair(point).R
+        quadratics = d_dz_closed(point, V)
+        # (input of D, closed form at V, closed form as a form)
+        cases = [(FormPolynomial.generator(g, (r, s)),
+                  quadratics[:, s - 1, r - 1],
+                  _d_dz_closed_dict(point, (r, s)))
+                 for r, s in omega_list(g)]
+        cases.append((det_dz(g), d_det_closed(point, V),
+                      _scaled(trace_form(R, g), -1j) * det_dz(g)))
+        f = random_test_function(g, rng)
+        for k in (1, 2) if g <= 3 else (1,):
+            cases.append((_f_det_form(f, k, point), d_f_detk(point, f, k, V),
+                          trace_form(nabla(f, point, k), g)
+                          * _det_power(g, k)))
+        jets = _random_jets(g, point, rng)
+        cases.append((trace_form(jets, g), d_trace_form(point, jets, V),
+                      _d_trace_form_loop(point, jets)))
+        for form, closed, coefficients in cases:
+            size = apply_D(table, form, v)[1]
+            assert (abs(closed - coefficients.evaluate(v))
+                    <= _ulps_of_terms(size, coefficients, v)).all()
 
 
 # ------------------------------------- the coefficient transport, by hand
@@ -714,14 +920,14 @@ def _gamma_act_on_form(gamma, point, form):
             jet = _jet_product([pulled] + [
                 entries[l][k] for l, k in zip(assignment, mono)]) \
                 if mono else pulled
-            add_term(terms, tuple(sorted(assignment)), jet)
+            _add_term(terms, tuple(sorted(assignment)), jet)
     return FormPolynomial.canonical(point.g, terms)
 
 
 def _substitute_basis(form, S):
     """Substitute dZ_K -> sum_L S[L, K] dZ_L into a numeric-coefficient
     form."""
-    m = form.m
+    m = omega_size(form.g)
     linear = {}
     terms = {}
     for mono, coef in form.terms.items():
@@ -732,13 +938,13 @@ def _substitute_basis(form, S):
                     form.g, {(l,): S[l, k] for l in range(m) if S[l, k] != 0})
             expanded = expanded * linear[k]
         for out_mono, out_coef in expanded.terms.items():
-            add_term(terms, out_mono, out_coef)
+            _add_term(terms, out_mono, out_coef)
     return FormPolynomial.canonical(form.g, terms)
 
 
 def _substitute_basis_chain(form, S):
     """_substitute_basis as a chain of + on whole forms."""
-    m = form.m
+    m = omega_size(form.g)
     out = FormPolynomial(form.g, {})
     for mono, coef in form.terms.items():
         expanded = FormPolynomial.scalar(form.g, coef)
@@ -746,7 +952,7 @@ def _substitute_basis_chain(form, S):
             lin = FormPolynomial(form.g, {(l,): S[l, k] for l in range(m)
                                           if S[l, k] != 0})
             expanded = expanded * lin
-        out = out + expanded
+        out = _form_sum(out, expanded)
     return out
 
 
@@ -759,7 +965,7 @@ def test_substitute_basis_matches_chain_of_sums(g):
         S = pushforward_matrix(gamma, point)
         # small integer matrices make sums cancel and monomials come back
         cancelling = rng.integers(-1, 2, size=(m, m)).astype(complex)
-        numeric = apply_D(gamma_closed(point), det_dz(g))
+        numeric = _apply_D_coefficients(gamma_closed(point), det_dz(g))
         forms = [numeric, FormPolynomial(g, _random_terms(g, rng, 8)),
                  FormPolynomial(g, _random_terms(g, rng, 8))]
         for form in forms:
@@ -840,13 +1046,14 @@ def test_evaluated_sides_match_the_coefficient_transport(g):
                                     (): random_test_function(g, rng)})]
         for form in forms:
             jets = _jets_at(form, image)
-            d_image = apply_D(gamma_closed(image), jets)
+            d_image = _apply_D_coefficients(gamma_closed(image), jets)
             left, left_size = _transported_D(gamma, point, jets)
-            right = d_image.evaluate(v @ S)
+            right = apply_D(gamma_closed(image), jets, v @ S)[0]
             right_size = d_image.map_coefficients(abs).evaluate(
                 abs(v) @ abs(S)).real
-            expected = (apply_D(gamma_closed(point),
-                                _gamma_act_on_form(gamma, point, form)),
+            expected = (_apply_D_coefficients(
+                            gamma_closed(point),
+                            _gamma_act_on_form(gamma, point, form)),
                         _substitute_basis(d_image, S))
             for got, size, coefficients in zip(
                     (left, right), (left_size, right_size), expected):

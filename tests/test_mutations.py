@@ -9,10 +9,11 @@ the mutated formula.  The connection suite holds the form layer's checks
 (``equivariance``, ``det_power_invariance``, ``scalar_det_power`` and
 ``trace_form_derivative``) and the checks that read the closed-form
 coefficients (``modular_law``, ``path_agreement``, ``case_analysis`` and
-``curvature_quadratic``).  Three mutants break the left side of
-``equivariance``, D(gamma . alpha) evaluated at a probe vector.  The
-operators suite holds the laws of the gradient, of G = i Y^-1 and of the
-brackets, and the qseries suite the Serre derivative.  A jet's gradient is
+``curvature_quadratic``).  One mutant breaks the evaluator of D,
+``apply_D``, and three break the left side of ``equivariance``,
+D(gamma . alpha) evaluated at a probe vector.  The operators suite holds
+the laws of the gradient, of G = i Y^-1 and of the brackets, and the
+qseries suite the Serre derivative.  A jet's gradient is
 also compared with a central-difference gradient, which no suite check
 does.
 """
@@ -94,6 +95,13 @@ def _cocycle_entries_without_derivatives(monkeypatch):
                        "parts = (-(q @ S),)")
 
 
+def _curvature_sign_flipped(monkeypatch):
+    # the evaluator of D moves the monomials along +q, not along
+    # q_K = -sum_{I,J} Gamma_IJ^K v_I v_J
+    _replace_in_source(monkeypatch, connection, "apply_D",
+                       "q = -np.einsum(", "q = np.einsum(")
+
+
 def _closed_form_undivided(monkeypatch):
     # every closed-form entry with divisor 1: the entries that the
     # off-diagonal K halve come out twice their size
@@ -165,7 +173,11 @@ def _jet_with_zero_gradient(monkeypatch):
 # gradient_pairing, also 0.0 on the unmutated code, the operator laws built
 # on the gradient, and the closed forms of D that read a gradient as a
 # matrix: scalar_det_power through nabla, trace_form_derivative through
-# the jets' partials.  dR reaches the checks only through metric path A,
+# the jets' partials.  The flipped sign of q in apply_D fails every check
+# that compares apply_D with something else: the four closed forms of D at
+# the probe matrices, equivariance, whose left side builds D(theta) apart,
+# and det_power_invariance; not leibniz_rule, since D with either sign of
+# q is a derivation.  dR reaches the checks only through metric path A,
 # which contracts it with the pair matrices Mt_K; path B contracts dY with
 # the pair matrices Wt_I, and path_agreement alone reads either pair
 # matrix.  The Serre derivative is read by the classical
@@ -179,6 +191,11 @@ MUTANTS = {
                         "curvature_quadratic", "case_analysis",
                         "trace_form_derivative", "determinant_derivative",
                         "scalar_det_power"}}),
+    "curvature_sign_flipped": (
+        _curvature_sign_flipped,
+        {"connection": {"curvature_quadratic", "determinant_derivative",
+                        "scalar_det_power", "trace_form_derivative",
+                        "equivariance", "det_power_invariance"}}),
     "product_without_pullback_gradient": (
         _product_without_first_gradient, {"connection": {"equivariance"}}),
     "pullback_gradient_without_S": (

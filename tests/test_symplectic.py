@@ -339,6 +339,21 @@ def test_non_finite_tangent_is_refused(pushforward, bad):
             pushforward(gamma, point, np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("pushforward", [
+    tangent_pushforward, pushforward_matrix_derivative],
+    ids=["tangent_pushforward", "pushforward_matrix_derivative"])
+def test_tangent_of_another_shape_or_not_symmetric_is_refused(pushforward):
+    # pushforward_matrix_derivative returned a matrix for a V that is not
+    # symmetric, and a 3 x 3 V at g = 2 died in numpy's matmul
+    point = random_point(2, seed=7)
+    gamma = random_symplectic(2, 4, 3)
+    with pytest.raises(ValueError, match="symmetric"):
+        pushforward(gamma, point, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for wrong in (np.eye(3), np.eye(1), np.ones(2)):
+        with pytest.raises(DimensionError, match="2x2 tangent"):
+            pushforward(gamma, point, wrong)
+
+
 def test_tangent_pushforward_degree_one_inversion():
     z = 0.4 + 1.3j
     v = 0.7 - 0.2j

@@ -45,3 +45,18 @@ def test_every_span_target_resolves(target):
 def test_the_collector_the_tracer_wraps_exists():
     verify = importlib.import_module("siegel.verify")
     assert callable(verify._Collector.collect)
+
+
+def test_pinned_form_layer_names_are_live_code():
+    # the connection suite calls apply_D, FormPolynomial.__mul__ and
+    # det_dz: the tracer's form-layer spans count work the suite does
+    run_suite = importlib.import_module("siegel.verify").run_suite
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        run_suite("connection", (1, 2), 0)
+    finally:
+        spans.uninstall()
+    calls = {name: entry["calls"] for name, entry in spans.aggregate().items()}
+    for name in ("connection.apply_D", "forms.mul", "forms.det_dz"):
+        assert calls[name] >= 1, name
