@@ -20,6 +20,6 @@ from .functions import TestFunction, random_test_function
 from .operators import (sym_gradient, nabla, det_nabla, ModularExtension,
                         im_inverse, verify_nabla_transform, verify_G_law,
                         bracket1, bracket1_transform_residual)
-from .qseries import (QSeries, TaggedSeries, eisenstein, g2_series, delta,
+from .qseries import (QSeries, G2_FACTOR, eisenstein, g2_series, delta,
                       serre_derivative, bracket1_classical, evaluate,
                       membership_in_Mw, ModularBasis, anomaly_residual)

@@ -162,7 +162,7 @@ _SERIES = {"E2": lambda n: eisenstein(2, n),
            "E4": lambda n: eisenstein(4, n),
            "E6": lambda n: eisenstein(6, n),
            "Delta": lambda n: delta(n),
-           "G2": lambda n: g2_series(n).series}
+           "G2": lambda n: g2_series(n)}
 
 
 def _named_series(form: str, terms: int, names: Sequence[str]) -> QSeries:

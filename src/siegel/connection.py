@@ -315,7 +315,7 @@ def apply_D(table: np.ndarray, form: FormPolynomial,
             v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D(form) at the table's base point, evaluated at each tangent vector
     of the stack v, shape (..., |Omega|); and the summed magnitude of its
-    terms at each v.
+    terms at each v, counting the m^2 products inside each q_K.
 
     Coefficients of the form are numbers or jets at that point.  With
     q_K = -sum_{I,J} Gamma_IJ^K v_I v_J, the value of D(c dZ^mu) at v is
@@ -323,18 +323,25 @@ def apply_D(table: np.ndarray, form: FormPolynomial,
     of the coefficient, and the derivative of the monomial along q."""
     v = np.asarray(v, dtype=complex)
     q = -np.einsum("kij,...i,...j->...k", table, v, v)
+    q_size = np.einsum("kij,...i,...j->...k", np.abs(table), np.abs(v),
+                       np.abs(v))
     value = np.zeros(v.shape[:-1], dtype=complex)
     size = np.zeros(v.shape[:-1])
     for mono, coef in form.terms.items():
-        terms = []
+        terms, sizes = [], []
         if isinstance(coef, Jet):
             terms.append((v @ coef.grad) * v[..., list(mono)].prod(axis=-1))
+            sizes.append(np.abs(terms[-1]))
             coef = coef.value
         for t in range(len(mono)):
             rest = v[..., list(mono[:t] + mono[t + 1:])].prod(axis=-1)
             terms.append(coef * q[..., mono[t]] * rest)
+            # |c| q_size |rest| bounds |term| but for rounding, which can
+            # tip it below when q_K is a single product (g = 1)
+            sizes.append(np.maximum(np.abs(terms[-1]), abs(coef)
+                                    * q_size[..., mono[t]] * np.abs(rest)))
         value = value + sum(terms)
-        size = size + sum(np.abs(term) for term in terms)
+        size = size + sum(sizes)
     return value, size
 
 
@@ -399,7 +406,8 @@ def d_trace_form(point: SiegelPoint, Gfield, V: np.ndarray) -> np.ndarray:
 
 
 def kron_trace(A, B, C, D) -> complex:
-    """Tr((A kron B)(C kron D)) without forming the Kronecker products."""
+    """Tr((A kron B)(D kron C)) = Tr(AD) Tr(BC), the sum of
+    a_ij b_kl c_lk d_ji, without forming the Kronecker products."""
     return complex(np.einsum("ij,kl,lk,ji->", A, B, C, D))
 
 

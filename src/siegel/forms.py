@@ -112,20 +112,9 @@ def det_dz(g: int) -> FormPolynomial:
 
 
 def _perm_sign(perm) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the number of inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1.0 if inversions % 2 else 1.0
 
 
 def trace_form(Gmat, g: int) -> FormPolynomial:

@@ -303,7 +303,7 @@ def random_test_function(g: int, seed: int | np.random.Generator,
                          conj: bool = False) -> TestFunction:
     """Sparse polynomial with small integer coefficients; holomorphic unless
     conj is set."""
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = np.random.default_rng(seed)
     m = omega_size(g)
     terms: dict = {}
     for _ in range(n_terms):

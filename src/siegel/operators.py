@@ -23,7 +23,7 @@ import numpy as np
 from .functions import fd_gradient
 from .indexing import coords_to_sym, covector_to_sym, omega_size
 from .metric import metric_pair
-from .qseries import evaluate, g2_series
+from .qseries import G2_FACTOR, evaluate, g2_series
 from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
                          act, cocycle, pushforward_matrix)
 
@@ -78,11 +78,12 @@ class QSeriesFunction:
 def ig2_field(n_terms: int = 300):
     """The holomorphic degree-one field i G2 = i (pi/3) E2 as a function of
     the point, evaluated from its q-expansion."""
-    tagged = g2_series(n_terms)
+    e2 = g2_series(n_terms)
 
     def field(point: SiegelPoint) -> np.ndarray:
         z = complex(point.Z[0, 0])
-        return np.array([[1j * evaluate(tagged, z)]], dtype=complex)
+        return np.array([[1j * (G2_FACTOR * evaluate(e2, z))]],
+                        dtype=complex)
     return field
 
 
@@ -237,15 +238,14 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
 
 
-def bracket_matrix(f, h, point: SiegelPoint, weights: tuple[int, int] | None = None) -> np.ndarray:
-    """h grad f - f grad h; with weights (r, s) given, the weight-corrected
-    variant s h grad f - r f grad h."""
+def bracket_matrix(f, h, point: SiegelPoint,
+                   weights: tuple[int, int] = (1, 1)) -> np.ndarray:
+    """s h grad f - r f grad h for weights (r, s); the default (1, 1) gives
+    h grad f - f grad h."""
     gf = sym_gradient(f, point)
     gh = sym_gradient(h, point)
     fv = f.value(point)
     hv = h.value(point)
-    if weights is None:
-        return hv * gf - fv * gh
     r, s = weights
     return s * hv * gf - r * fv * gh
 
@@ -272,7 +272,7 @@ def bracket1_transform_residual(f, h, r: int, s: int,
     image = act(gamma, point)
     j = cocycle(gamma, point)
     factor = _weight_factor(j, 2 * r + 2 * s)
-    weights = (r, s) if weights_corrected else None
+    weights = (r, s) if weights_corrected else (1, 1)
     here = bracket_matrix(f, h, point, weights)
     there = bracket_matrix(F, H, image, weights)
     main = factor * (j @ here @ j.T)

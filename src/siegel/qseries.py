@@ -7,8 +7,8 @@ integers (Kronecker substitution), membership solves are fraction-free
 
 The weight-2 Eisenstein series is normalized as G2 = (pi/3) E2, the unique
 scaling for which i G2 obeys the same transformation defect 2c/(cz+d) as
-i/y; transcendental prefactors are kept as symbolic tags on the series
-rather than folded into coefficients.
+i/y; the series keeps the exact E2 and the float G2_FACTOR = pi/3
+multiplies it where G2 is evaluated.
 
 The holomorphic weight-raising derivative is computed in the
 theta-normalization  v_w f = theta f - (w/12) E2 f  with theta = q d/dq,
@@ -20,13 +20,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .symplectic import DegeneracyError
 
 # largest estimated truncation tail that evaluate accepts
 _TAIL_TOL = 1e-9
+
+# G2 = G2_FACTOR E2
+G2_FACTOR = math.pi / 3
 
 
 class TruncationError(ArithmeticError):
@@ -168,18 +170,6 @@ def _product_head(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
             for i in range(0, width, size)]
 
 
-@dataclass(frozen=True)
-class TaggedSeries:
-    """A rational series times a symbolic prefactor rational * pi^pi_power."""
-
-    series: QSeries
-    rational: Fraction = Fraction(1)
-    pi_power: int = 0
-
-    def prefactor(self) -> float:
-        return float(self.rational) * math.pi ** self.pi_power
-
-
 def _divisor_sum(m: int, power: int) -> int:
     total = 0
     d = 1
@@ -208,10 +198,10 @@ def eisenstein(k: int, n: int) -> QSeries:
     return QSeries._exact(nums, 1, k)
 
 
-def g2_series(n: int) -> TaggedSeries:
-    """G2 = (pi/3) E2; i G2 then satisfies
+def g2_series(n: int) -> QSeries:
+    """The exact E2 of G2 = G2_FACTOR E2; i G2 satisfies
     i G2(gamma z)/(cz+d)^2 = i G2(z) + 2c/(cz+d)."""
-    return TaggedSeries(eisenstein(2, n), Fraction(1, 3), 1)
+    return eisenstein(2, n)
 
 
 def delta(n: int) -> QSeries:
@@ -240,7 +230,7 @@ def bracket1_classical(f: QSeries, h: QSeries) -> QSeries:
     return out._with_weight(f.weight + h.weight + 2)
 
 
-def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
+def evaluate(f: QSeries, z: complex) -> complex:
     """Evaluate at q = exp(2 pi i z), guarding the truncation tail.
 
     The tail is estimated through |c_m| <= A (m+1)^p with p the declared
@@ -248,10 +238,6 @@ def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
     TruncationError reports the length that would bring it to _TAIL_TOL.
     ValueError for a z that is not finite or not in the upper half plane.
     """
-    prefactor = 1.0
-    if isinstance(f, TaggedSeries):
-        prefactor = f.prefactor()
-        f = f.series
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {z}")
     if z.imag <= 0:
@@ -263,7 +249,7 @@ def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
         # weight-0 forms are constants, so a length-one series of weight 0
         # is exact; any other length-one series is a truncation like any
         # other and goes through the tail guard
-        return prefactor * complex(coeffs[0])
+        return complex(coeffs[0])
     p = f.weight if f.weight is not None else 12
     p = max(p, 1)
     A = max(abs(c) / (m + 1) ** p for m, c in enumerate(coeffs))
@@ -286,7 +272,7 @@ def evaluate(f: QSeries | TaggedSeries, z: complex) -> complex:
     total = 0j
     for c in reversed(coeffs):
         total = total * q + c
-    return prefactor * total
+    return total
 
 
 def dim_modular_forms(w: int) -> int:
@@ -402,7 +388,7 @@ def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
         raise ValueError("matrix must have determinant 1")
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {z}")
-    g2 = g2_series(n)
+    e2 = g2_series(n)
     den = c * z + d
     gz = (a * z + b) / den
     if not (cmath.isfinite(gz) and gz.imag > 0):
@@ -412,6 +398,6 @@ def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
     if factor == 0 or not cmath.isfinite(factor):
         raise DegeneracyError(f"automorphy factor (cz+d)^2 at {z} is not "
                               f"representable")
-    lhs = 1j * evaluate(g2, gz) / factor
-    rhs = 1j * evaluate(g2, z) + 2.0 * c / den
+    lhs = 1j * (G2_FACTOR * evaluate(e2, gz)) / factor
+    rhs = 1j * (G2_FACTOR * evaluate(e2, z)) + 2.0 * c / den
     return abs(lhs - rhs)

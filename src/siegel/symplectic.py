@@ -601,7 +601,7 @@ def random_symplectic(g: int, word_length: int,
     is validated as, an element, by one test of M J M^t = J."""
     if word_length < 0:
         raise ValueError("word length must be >= 0")
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = np.random.default_rng(seed)
     out = np.eye(2 * g, dtype=np.int64)
     for _ in range(word_length):
         kind = rng.integers(0, 3)
@@ -628,7 +628,7 @@ def random_symplectic(g: int, word_length: int,
 def random_point(g: int, seed: int | np.random.Generator,
                  spread: float = 1.0) -> SiegelPoint:
     """Random point with X in [-spread, spread] entries and Y = A A^t + I."""
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = np.random.default_rng(seed)
     X = rng.uniform(-spread, spread, size=(g, g))
     X = (X + X.T) / 2.0
     A = rng.uniform(-spread, spread, size=(g, g)) / np.sqrt(g)

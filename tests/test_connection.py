@@ -364,8 +364,10 @@ def test_kron_trace_contraction():
         value = kron_trace(A, B, C, D)
         swapped = kron_trace(A, C, B, D)
         factored = np.trace(A @ D) * np.trace(B @ C)
+        literal = np.trace(np.kron(A, B) @ np.kron(D, C))
         assert abs(value - swapped) < 1e-12
         assert abs(value - factored) < 1e-12
+        assert abs(value - literal) < 1e-12
 
 
 def test_equivariance_identity_element():
@@ -430,6 +432,10 @@ def test_transport_residuals_beyond_degree_two(g):
     m = omega_size(g)
     for k in (1, 2):
         gamma = random_symplectic(g, int(rng.integers(1, 7)), rng)
+        # a word that multiplies out to the identity would check nothing
+        while gamma == SymplecticElement.identity(g):
+            gamma = random_symplectic(g, int(rng.integers(1, 7)), rng)
+        assert gamma != SymplecticElement.identity(g)
         point = random_point(g, rng)
         f = random_test_function(g, rng)
         terms = {tuple(sorted(int(i) for i in rng.integers(0, m, size=d))):

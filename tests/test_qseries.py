@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from siegel.cli import main
-from siegel.qseries import (ModularBasis, QSeries, SL2_WORDS, TaggedSeries,
+from siegel.qseries import (G2_FACTOR, ModularBasis, QSeries, SL2_WORDS,
                             TruncationError, _solve_exact, anomaly_residual,
                             bracket1_classical, delta, dim_modular_forms,
                             eisenstein, evaluate, g2_series, membership_in_Mw,
@@ -141,13 +141,11 @@ def test_evaluate_refuses_a_point_that_is_not_finite(z):
 
 
 def test_g2_normalization_and_anomaly():
-    tagged = g2_series(50)
-    assert isinstance(tagged, TaggedSeries)
-    assert tagged.rational == Fraction(1, 3)
-    assert tagged.pi_power == 1
+    e2 = g2_series(50)
+    assert e2 == eisenstein(2, 50)
+    assert G2_FACTOR == float(Fraction(1, 3)) * math.pi
     # leading term pi/3 at deep imaginary points
-    import math
-    value = evaluate(tagged, 0.0 + 40j)
+    value = G2_FACTOR * evaluate(e2, 0.0 + 40j)
     assert abs(value - math.pi / 3) < 1e-12
 
     zs = [complex(0.05 * t - 0.2, 0.9 + 0.1 * t) for t in range(10)]
@@ -352,7 +350,7 @@ def test_evaluate_rounds_each_coefficient_like_float_of_fraction():
 
 def test_eisenstein_is_reused_across_calls():
     assert eisenstein(2, 300) is eisenstein(2, 300)
-    assert eisenstein(2, 300) is g2_series(300).series
+    assert eisenstein(2, 300) is g2_series(300)
     # a shared series cannot be changed under its other holders
     with pytest.raises(AttributeError):
         eisenstein(2, 300).weight = 4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
+from siegel.functions import random_test_function
 from siegel.metric import metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
                                SymplecticElement, act, cocycle,
@@ -400,6 +401,17 @@ def test_random_symplectic_contract():
     for seed in range(20):
         el = random_symplectic(2, 8, seed=seed)
         assert is_symplectic(el.matrix)
+
+
+def test_a_numpy_integer_seed_draws_as_the_plain_int():
+    # the drawers hand the seed to default_rng, which takes numpy integers
+    # as well as a Generator
+    seed = np.int64(5)
+    assert random_symplectic(2, 3, seed) == random_symplectic(2, 3, 5)
+    a, b = random_point(2, seed), random_point(2, 5)
+    assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+    assert random_test_function(2, seed).terms == random_test_function(
+        2, 5).terms
 
 
 def test_generator_word_expansion_is_symplectic():
