@@ -71,7 +71,7 @@ from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
                        omega_size, row_col_indices, sym_to_coords)
 from .metric import dR_tensor, dY_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
-from .symplectic import (DimensionError, SiegelPoint, SymplecticElement,
+from .symplectic import (SiegelPoint, SymplecticElement, _require_one_point,
                          act, pushforward_matrix,
                          pushforward_matrix_derivative)
 
@@ -107,13 +107,6 @@ def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for a in out:
         a.setflags(write=False)
     return out
-
-
-def _require_one_point(point: SiegelPoint) -> None:
-    if point.Y.ndim != 2:
-        raise DimensionError(
-            "a connection table is built at one point, got a stack of "
-            f"shape {point.Y.shape[:-2]}")
 
 
 def gamma_closed(point: SiegelPoint) -> np.ndarray:

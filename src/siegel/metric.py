@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .indexing import basis_stack, row_col_indices
-from .symplectic import DegeneracyError, SiegelPoint
+from .symplectic import DegeneracyError, SiegelPoint, _require_one_point
 
 
 @lru_cache(maxsize=16)
@@ -82,9 +82,8 @@ class MetricPair(NamedTuple):
 def _metric_pair(point: SiegelPoint) -> MetricPair:
     g = point.g
     Y = point.Y
-    # the Cholesky factor of Y that validating the point computed, after
-    # it held cond(Y) to COND_LIMIT
-    inv_cho = np.linalg.inv(point.cholesky)
+    # validation held cond(Y) to COND_LIMIT, so Y has a Cholesky factor
+    inv_cho = np.linalg.inv(np.linalg.cholesky(Y))
     # Y^-1 of a subnormal Y, or the Grams Y (x) Y and Y^-1 (x) Y^-1 of a Y
     # near either end of the float range, overflow: a degeneracy.  W holds
     # the squares of R's entries, so a non-finite R leaves W non-finite.
@@ -112,7 +111,9 @@ def metric_pair(point: SiegelPoint) -> MetricPair:
 
 
 def metric_form(point: SiegelPoint, V1: np.ndarray, V2: np.ndarray) -> complex:
-    """The invariant Hermitian pairing Tr(Y^{-1} V1 Y^{-1} conj(V2))."""
+    """The invariant Hermitian pairing Tr(Y^{-1} V1 Y^{-1} conj(V2)) at one
+    point; DimensionError for a stack of points."""
+    _require_one_point(point)
     R = metric_pair(point).R
     return complex(np.trace(R @ V1 @ R @ np.conj(V2)))
 

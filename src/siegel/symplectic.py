@@ -80,11 +80,11 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
 
 
 def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
-    """Symmetrized, read-only X and Y, the read-only ascending eigenvalues
-    of Y and its read-only lower Cholesky factor, after one batched pass of
-    checks over every point of a stack: finite entries, symmetry against
-    _POINT_TOL times the entry scale, and one spectral test of Y, which
-    must have lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min.
+    """Symmetrized, read-only X and Y and the read-only ascending
+    eigenvalues of Y, after one batched pass of checks over every point of
+    a stack: finite entries, symmetry against _POINT_TOL times the entry
+    scale, and one spectral test of Y, which must have lambda_min > 0 and
+    lambda_max <= COND_LIMIT * lambda_min.
 
     The finiteness test is folded into the entry scale: a NaN or infinite
     entry leaves max|entry| non-finite.  Each test is one reduction over
@@ -126,10 +126,8 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
                          f"(eigenvalues {low[bad]:.3e} to {high[bad]:.3e}, "
                          f"condition number above {COND_LIMIT:.0e})"
                          f"{_at(bad)}")
-    L = np.linalg.cholesky(Y)
     spectrum.setflags(write=False)
-    L.setflags(write=False)
-    return X, Y, spectrum, L
+    return X, Y, spectrum
 
 
 def _json_object(text: str, *keys: str) -> tuple[int, dict]:
@@ -176,23 +174,20 @@ class SiegelPoint:
     point keeps one memo of what is derived from it: its images under the
     action, its cocycles, its metric and the values of test functions at
     it (see ``derived``).  ``spectrum`` holds the eigenvalues of Y in
-    ascending order, shape (..., g), and ``cholesky`` the lower Cholesky
-    factor of Y, both as validation computed them.  Z, X, Y, the spectrum,
-    the factor and every memoized array are read-only.
+    ascending order, shape (..., g), as validation computed them.  Z, X,
+    Y, the spectrum and every memoized array are read-only.
     """
 
     g: int
     X: np.ndarray
     Y: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
-    cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        X, Y, spectrum, L = _validated(self.g, self.X, self.Y)
+        X, Y, spectrum = _validated(self.g, self.X, self.Y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "cholesky", L)
 
     @cached_property
     def Z(self) -> np.ndarray:
@@ -234,8 +229,15 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SiegelPoint":
+        """One point; ValueError for X or Y other than a g x g matrix, a
+        stack of them included."""
         g, data = _json_object(text, "X", "Y")
-        return cls(g, *(_json_array(data, key, float) for key in "XY"))
+        blocks = [_json_array(data, key, float) for key in "XY"]
+        for key, block in zip("XY", blocks):
+            if block.shape != (g, g):
+                raise ValueError(f"{key} must be a {g}x{g} matrix, got "
+                                 f"shape {block.shape}")
+        return cls(g, *blocks)
 
 
 # an integer product whose partial sums are bounded by max|a| max|b| n
@@ -483,8 +485,17 @@ def cocycle_condition(gamma: SymplecticElement,
     return point.derived(_cocycle_condition, gamma)
 
 
+def _require_one_point(point: SiegelPoint) -> None:
+    """The one-point gate: DimensionError for a stack of points."""
+    if point.Y.ndim != 2:
+        raise DimensionError(f"expected one point, got a stack of shape "
+                             f"{point.Y.shape[:-2]}")
+
+
 def _cocycle_inverse(gamma: SymplecticElement,
                      point: SiegelPoint) -> np.ndarray:
+    # read by both pushforward functions, which act on one point
+    _require_one_point(point)
     point.derived(_cocycle_condition, gamma)
     Q = np.linalg.inv(point.derived(_cocycle, gamma))
     Q.setflags(write=False)
@@ -536,8 +547,10 @@ def _tangent(V, g: int) -> np.ndarray:
 
 def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
                         V: np.ndarray) -> np.ndarray:
-    """Differential of the action: (Z C^t + D^t)^{-1} V (C Z + D)^{-1};
-    V passes the tangent gate (_tangent)."""
+    """Differential of the action: (Z C^t + D^t)^{-1} V (C Z + D)^{-1} at
+    one point (DimensionError for a stack); V passes the tangent gate
+    (_tangent)."""
+    _require_one_point(point)
     V = _tangent(V, point.g)
     den_t = point.derived(_cocycle, gamma).T  # Z C^t + D^t, Z symmetric
     out = np.linalg.solve(den_t, V)
@@ -570,8 +583,8 @@ def pushforward_matrix(gamma: SymplecticElement,
                        point: SiegelPoint) -> np.ndarray:
     """Row-convention cocycle S(gamma, Z) on Omega coordinates: row (a, b)
     holds the coordinates of the symmetrized outer product of rows a and b
-    of (C Z + D)^{-1}.  Computed once per (gamma, point) and kept on the
-    point, read-only."""
+    of (C Z + D)^{-1}, at one point (DimensionError for a stack).
+    Computed once per (gamma, point) and kept on the point, read-only."""
     return point.derived(_pushforward_matrix, gamma)
 
 
@@ -580,8 +593,8 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
                                   V: np.ndarray) -> np.ndarray:
     """Directional derivative of Z -> S(gamma, Z) along the symmetric V,
     from d(C Z + D)^{-1} = -(C Z + D)^{-1} C V (C Z + D)^{-1}, with the
-    inverse that pushforward_matrix keeps on the point; V passes the
-    tangent gate (_tangent)."""
+    inverse that pushforward_matrix keeps on the point, so at one point
+    (DimensionError for a stack); V passes the tangent gate (_tangent)."""
     V = _tangent(V, point.g)
     Q = point.derived(_cocycle_inverse, gamma)
     dQ = -Q @ (gamma.C @ V) @ Q

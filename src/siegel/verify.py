@@ -3,9 +3,10 @@
 Each suite is a generator of cases (check, params, kind, fn).  A residual
 case names a tolerance kind and passes iff fn() is below that tolerance; an
 exact case has kind None and passes iff fn() is true.  Case inputs are
-drawn deterministically from the base seed, so a report is reproducible
-given (version, seed, flags).  Cases run serially, each one as soon as it
-is drawn, and records keep the draw order.
+drawn deterministically from the base seed, each case's from the rng that
+_cases keys on its params, so a report is reproducible given (version,
+seed, flags) and a record's params name its draw.  Cases run serially,
+each one as soon as it is drawn, and records keep the draw order.
 """
 
 from __future__ import annotations
@@ -162,6 +163,19 @@ def _case_rng(seed: int, *tags) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(mix))
 
 
+def _cases(seed: int, tag: str, count: int,
+           **index) -> Iterator[tuple[np.random.Generator, dict]]:
+    """The rng and params of each of the count cases of one group: params
+    is index with the case number appended, and the rng is keyed on the
+    group's tag and the values of params in their order, so a record's
+    params name its draw.  A group appends to params only values its case
+    draws; closed_form_degree_one alone names its records by the drawn y
+    instead."""
+    for case in range(count):
+        params = {**index, "case": case}
+        yield _case_rng(seed, tag, *params.values()), params
+
+
 def _random_tangent(rng, g: int) -> np.ndarray:
     V = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
     return (V + V.T) / 2.0
@@ -201,21 +215,18 @@ def _clip_range(g_range: tuple[int, int], low: int, high: int) -> range:
 
 def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
     for g in _clip_range(g_range, 1, MAX_DEGREE):
-        for case in range(100):
-            rng = _case_rng(seed, "metric", g, case)
+        for rng, params in _cases(seed, "metric", 100, g=g):
             point = random_point(g, rng)
 
             def inverse():
                 pair = metric_pair(point)
                 return np.abs(pair.M @ pair.W - np.eye(omega_size(g))).max()
-            yield "inverse_pair", {"g": g, "case": case}, "linear", inverse
-        for case in range(10):
-            rng = _case_rng(seed, "metric-pd", g, case)
+            yield "inverse_pair", params, "linear", inverse
+        for rng, params in _cases(seed, "metric-pd", 10, g=g):
             point = random_point(g, rng)
-            yield ("gram_positive_definite", {"g": g, "case": case}, None,
+            yield ("gram_positive_definite", params, None,
                    lambda: np.linalg.eigvalsh(metric_pair(point).W).min() > 0)
-        for case in range(10):
-            rng = _case_rng(seed, "metric-form", g, case)
+        for rng, params in _cases(seed, "metric-form", 10, g=g):
             point = random_point(g, rng)
             V1, V2 = _random_tangent(rng, g), _random_tangent(rng, g)
 
@@ -227,10 +238,8 @@ def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 v2 = sym_to_coords(V2)
                 total = 2.0 * (v1 @ pair.W @ np.conj(v2))
                 return abs(total - metric_form(point, V1, V2))
-            yield ("trace_form_recombination", {"g": g, "case": case},
-                   "entry", recombination)
-        for case in range(10):
-            rng = _case_rng(seed, "metric-inv", g, case)
+            yield "trace_form_recombination", params, "entry", recombination
+        for rng, params in _cases(seed, "metric-inv", 10, g=g):
             point = random_point(g, rng)
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             V1, V2 = _random_tangent(rng, g), _random_tangent(rng, g)
@@ -249,11 +258,9 @@ def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
                     np.abs(R0 @ V1 @ R0 @ np.conj(V2)).max(),
                     np.abs(R1 @ W1 @ R1 @ np.conj(W2)).max())
                 return abs(after - before) / max(1.0, summand)
-            yield ("pairing_invariance", {"g": g, "case": case}, "linear",
-                   invariance)
+            yield "pairing_invariance", params, "linear", invariance
     for g in _clip_range(g_range, 1, 3):
-        for case in range(3):
-            rng = _case_rng(seed, "metric-fd", g, case)
+        for rng, params in _cases(seed, "metric-fd", 3, g=g):
             point = random_point(g, rng)
 
             def derivative_fd():
@@ -262,8 +269,7 @@ def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 grad = fd_gradient(lambda pt: metric_pair(pt).M, point)
                 exact = dM_tensor(point.Y)
                 return np.abs(np.moveaxis(grad, 0, -1) - exact).max()
-            yield ("inverse_derivative_fd", {"g": g, "case": case}, "fd",
-                   derivative_fd)
+            yield "inverse_derivative_fd", params, "fd", derivative_fd
 
 
 # ------------------------------------------------------------ connection
@@ -271,8 +277,7 @@ def metric_suite(g_range: tuple[int, int], seed: int) -> Cases:
 
 def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
     for g in _clip_range(g_range, 1, 4):
-        for case in range(20):
-            rng = _case_rng(seed, "conn-paths", g, case)
+        for rng, params in _cases(seed, "conn-paths", 20, g=g):
             point = random_point(g, rng)
 
             def agreement():
@@ -282,17 +287,15 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                     worst = max(worst, np.abs(
                         gamma_from_metric(point, path) - closed).max())
                 return worst
-            yield "path_agreement", {"g": g, "case": case}, "entry", agreement
-        for case in range(3):
-            rng = _case_rng(seed, "conn-cases", g, case)
+            yield "path_agreement", params, "entry", agreement
+        for rng, params in _cases(seed, "conn-cases", 3, g=g):
             point = random_point(g, rng)
-            yield ("case_analysis", {"g": g, "case": case}, None,
+            yield ("case_analysis", params, None,
                    lambda: case_analysis_residual(point) == 0.0)
-            yield ("symmetry_sparsity", {"g": g, "case": case}, None,
+            yield ("symmetry_sparsity", params, None,
                    lambda: _symmetry_sparsity_exact(point, g))
     if g_range[0] <= 1 <= g_range[1]:
-        for case in range(5):
-            rng = _case_rng(seed, "conn-g1", 1, case)
+        for rng, params in _cases(seed, "conn-g1", 5, g=1):
             y = float(rng.uniform(0.5, 3.0))
             x = float(rng.uniform(-1.0, 1.0))
             point = SiegelPoint.from_complex(complex(x, y))
@@ -300,15 +303,13 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                    lambda: abs(gamma_closed(point)[0, 0, 0] - 1j / y))
 
     for g in _clip_range(g_range, 1, 3):
-        for case in range(50):
-            rng = _case_rng(seed, "conn-mcc", g, case)
+        for rng, params in _cases(seed, "conn-mcc", 50, g=g):
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
             V = _random_tangent(rng, g)
-            yield ("modular_law", {"g": g, "case": case}, "mcc",
+            yield ("modular_law", params, "mcc",
                    lambda: mcc_residual(gamma, point, V))
-        for case in range(10):
-            rng = _case_rng(seed, "conn-coc", g, case)
+        for rng, params in _cases(seed, "conn-coc", 10, g=g):
             g1 = random_symplectic(g, int(rng.integers(0, 7)), rng)
             g2 = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
@@ -318,22 +319,20 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 lhs = cocycle(g1 @ g2, point)
                 rhs = cocycle(g1, act(g2, point)) @ cocycle(g2, point)
                 return relative_residual(lhs - rhs, lhs)
-            yield ("cocycle_identity", {"g": g, "case": case}, "entry",
-                   cocycle_identity)
+            yield "cocycle_identity", params, "entry", cocycle_identity
 
             def action_composition():
                 lhs = act(g1 @ g2, point).Z
                 rhs = act(g1, act(g2, point)).Z
                 return relative_residual(lhs - rhs, lhs)
-            yield ("action_composition", {"g": g, "case": case}, "entry",
-                   action_composition)
+            yield "action_composition", params, "entry", action_composition
 
             def pushforward_cocycle():
                 S12 = pushforward_matrix(g1 @ g2, point)
                 S = pushforward_matrix(g2, point) @ pushforward_matrix(
                     g1, act(g2, point))
                 return relative_residual(S12 - S, S12)
-            yield ("pushforward_cocycle", {"g": g, "case": case}, "entry",
+            yield ("pushforward_cocycle", params, "entry",
                    pushforward_cocycle)
 
             def ds_fd():
@@ -345,15 +344,14 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 Sm = pushforward_matrix(g1, SiegelPoint(
                     g, point.X - h * re, point.Y - h * im))
                 return relative_residual((Sp - Sm) / (2 * h) - dS, dS)
-            yield "cocycle_derivative_fd", {"g": g, "case": case}, "fd", ds_fd
+            yield "cocycle_derivative_fd", params, "fd", ds_fd
 
     # operator D against the closed quadratic, determinant and trace forms,
     # all evaluated at the probe vectors v, with V the matrices of v
     for g in _clip_range(g_range, 1, 4):
         v = probe_vectors(g)
         V = coords_to_sym(v, g)
-        for case in range(3):
-            rng = _case_rng(seed, "conn-D", g, case)
+        for rng, params in _cases(seed, "conn-D", 3, g=g):
             point = random_point(g, rng)
             table = gamma_closed(point)
 
@@ -366,9 +364,8 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                     worst = max(worst, _against_closed(
                         got, closed[:, s - 1, r - 1]))
                 return worst
-            yield ("curvature_quadratic", {"g": g, "case": case}, "entry",
-                   quadratic)
-            yield ("determinant_derivative", {"g": g, "case": case}, "entry",
+            yield "curvature_quadratic", params, "entry", quadratic
+            yield ("determinant_derivative", params, "entry",
                    lambda: _against_closed(apply_D(table, det_dz(g), v),
                                            d_det_closed(point, V)))
 
@@ -376,8 +373,7 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
             for k in (1, 2):
                 if k == 2 and g > 3:
                     continue
-                yield ("scalar_det_power", {"g": g, "k": k, "case": case},
-                       "entry",
+                yield ("scalar_det_power", {**params, "k": k}, "entry",
                        lambda: _against_closed(
                            apply_D(table, _f_det_form(f, k, point), v),
                            d_f_detk(point, f, k, V)))
@@ -388,23 +384,25 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                 jets = [[Jet.at(fn, point) for fn in row] for row in entries]
                 return _against_closed(apply_D(table, trace_form(jets, g), v),
                                        d_trace_form(point, jets, V))
-            yield ("trace_form_derivative", {"g": g, "case": case}, "entry",
+            yield ("trace_form_derivative", params, "entry",
                    trace_derivative)
 
+            # the two forms come from an rng of their own, keyed on the
+            # case's params and then its tag
+            rng2 = _case_rng(seed, *params.values(), "leibniz")
+            a = _random_form(g, rng2, 4, _random_number)
+            b = _random_form(g, rng2, 4, _random_number)
+
             def leibniz():
-                rng2 = _case_rng(seed, g, case, "leibniz")
-                a = _random_form(g, rng2, 4, _random_number)
-                b = _random_form(g, rng2, 4, _random_number)
                 lhs, size = apply_D(table, a * b, v)
                 da, a_size = apply_D(table, a, v)
                 db, b_size = apply_D(table, b, v)
                 av, bv = a.evaluate(v), b.evaluate(v)
                 return relative_residual(lhs - (da * bv + av * db), size,
                                          a_size * abs(bv) + abs(av) * b_size)
-            yield "leibniz_rule", {"g": g, "case": case}, "entry", leibniz
+            yield "leibniz_rule", params, "entry", leibniz
 
-    for case in range(100):
-        rng = _case_rng(seed, "kron", case)
+    for rng, params in _cases(seed, "kron", 100):
         mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                 for _ in range(4)]
 
@@ -416,21 +414,19 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
             swapped = kron_trace(A, C, B, D)
             factored = np.trace(A @ D) * np.trace(B @ C)
             return max(abs(swapped - value), abs(factored - value))
-        yield "kron_trace_identity", {"case": case}, "kron", kron_identity
+        yield "kron_trace_identity", params, "kron", kron_identity
 
     for g in _clip_range(g_range, 1, 2):
-        for case in range(20):
-            rng = _case_rng(seed, "conn-equi", g, case)
+        for rng, params in _cases(seed, "conn-equi", 20, g=g):
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
             form = _random_form(g, rng, 3, lambda rng: random_test_function(
                 g, rng, max_degree=2, n_terms=2))
-            yield ("equivariance", {"g": g, "case": case}, "mcc",
+            yield ("equivariance", params, "mcc",
                    lambda: equivariance_residual(gamma, point, form))
             f = random_test_function(g, rng)
             k = int(rng.integers(1, 3))
-            yield ("det_power_invariance", {"g": g, "k": k, "case": case},
-                   "mcc",
+            yield ("det_power_invariance", {**params, "k": k}, "mcc",
                    lambda: invariance_residual(gamma, point, f, k))
 
 
@@ -490,8 +486,7 @@ def _random_number(rng) -> complex:
 def operators_suite(g_range: tuple[int, int], seed: int,
                     ks: tuple[int, ...] = (1, 2)) -> Cases:
     for g in _clip_range(g_range, 1, 3):
-        for case in range(10):
-            rng = _case_rng(seed, "op-grad", g, case)
+        for rng, params in _cases(seed, "op-grad", 10, g=g):
             point = random_point(g, rng)
             f = random_test_function(g, rng)
 
@@ -500,29 +495,24 @@ def operators_suite(g_range: tuple[int, int], seed: int,
                 paired = np.trace(sym_gradient(f, point) @ basis_stack(g),
                                   axis1=-2, axis2=-1)
                 return np.abs(paired - f.gradient(point)).max()
-            yield "gradient_pairing", {"g": g, "case": case}, "entry", pairing
+            yield "gradient_pairing", params, "entry", pairing
 
         for k in ks:
-            for case in range(30):
-                rng = _case_rng(seed, "op-nabla", g, k, case)
+            for rng, params in _cases(seed, "op-nabla", 30, g=g, k=k):
                 gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
                 point = random_point(g, rng)
                 f = random_test_function(g, rng)
-                yield ("nabla_transform", {"g": g, "k": k, "case": case},
-                       "transform",
+                yield ("nabla_transform", params, "transform",
                        lambda: verify_nabla_transform(f, gamma, point, k))
-                yield ("nabla_transform_fd", {"g": g, "k": k, "case": case},
-                       "fd_loose",
+                yield ("nabla_transform_fd", params, "fd_loose",
                        lambda: verify_nabla_transform(f, gamma, point, k,
                                                       grad="fd"))
 
                 def det_factor():
                     value = det_nabla_weight_residual(f, gamma, point, k)
                     return 0.0 if value is None else value
-                yield ("det_weight_factor", {"g": g, "k": k, "case": case},
-                       "transform", det_factor)
-            for case in range(5):
-                rng = _case_rng(seed, "op-ext", g, k, case)
+                yield "det_weight_factor", params, "transform", det_factor
+            for rng, params in _cases(seed, "op-ext", 5, g=g, k=k):
                 gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
                 point = random_point(g, rng)
                 f = random_test_function(g, rng)
@@ -532,17 +522,14 @@ def operators_suite(g_range: tuple[int, int], seed: int,
                     exact = ext.gradient(point)
                     approx = ext.gradient_fd(point)
                     return relative_residual(exact - approx, exact)
-                yield ("extension_gradient_fd", {"g": g, "k": k, "case": case},
-                       "fd", ext_fd)
+                yield "extension_gradient_fd", params, "fd", ext_fd
 
-        for case in range(20):
-            rng = _case_rng(seed, "op-glaw", g, case)
+        for rng, params in _cases(seed, "op-glaw", 20, g=g):
             gamma, point = _conditioned_pair(rng, g)
-            yield ("G_law_im_inverse", {"g": g, "case": case}, "entry",
+            yield ("G_law_im_inverse", params, "entry",
                    lambda: verify_G_law(im_inverse, gamma, point))
 
-        for case in range(5):
-            rng = _case_rng(seed, "op-default", g, case)
+        for rng, params in _cases(seed, "op-default", 5, g=g):
             point = random_point(g, rng)
             f = random_test_function(g, rng)
 
@@ -551,28 +538,26 @@ def operators_suite(g_range: tuple[int, int], seed: int,
                 expected = (sym_gradient(f, point) - 2 * f.value(point)
                             * 1j * np.linalg.inv(point.Y))
                 return np.abs(nabla(f, point, 2) - expected).max()
-            yield ("default_field_consistency", {"g": g, "case": case},
-                   "kron", default_field)
+            yield ("default_field_consistency", params, "kron",
+                   default_field)
 
-        for case in range(10):
-            rng = _case_rng(seed, "op-bracket", g, case)
+        for rng, params in _cases(seed, "op-bracket", 10, g=g):
             gamma = random_symplectic(g, int(rng.integers(0, 7)), rng)
             point = random_point(g, rng)
             f = random_test_function(g, rng)
             h = random_test_function(g, rng)
             r = int(rng.integers(1, 3))
-            yield ("bracket_equal_weight", {"g": g, "r": r, "case": case},
-                   "transform",
+            yield ("bracket_equal_weight", {**params, "r": r}, "transform",
                    lambda: bracket1_transform_residual(f, h, r, r, gamma,
                                                        point)[0])
-            yield ("bracket_antisymmetry", {"g": g, "case": case}, None,
+            yield ("bracket_antisymmetry", params, None,
                    lambda: bracket1(f, f, point) == 0.0)
             yield ("bracket_defect_prediction",
-                   {"g": g, "r": 1, "s": 2, "case": case}, "transform",
+                   {**params, "r": 1, "s": 2}, "transform",
                    lambda: bracket1_transform_residual(f, h, 1, 2, gamma,
                                                        point)[1])
             yield ("bracket_weight_corrected",
-                   {"g": g, "r": 1, "s": 2, "case": case}, "transform",
+                   {**params, "r": 1, "s": 2}, "transform",
                    lambda: bracket1_transform_residual(
                        f, h, 1, 2, gamma, point, weights_corrected=True)[0])
 
@@ -589,11 +574,10 @@ def _degree_one_holomorphic_cases(seed: int) -> Cases:
     f = QSeriesFunction(e4)
     v4 = serre_derivative(e4)
 
-    for case in range(5):
-        rng = _case_rng(seed, "op-ig2", case)
+    for rng, params in _cases(seed, "op-ig2", 5):
         gamma = random_symplectic(1, int(rng.integers(1, 5)), rng)
         point = random_point(1, rng)
-        yield ("ig2_transformation_law", {"case": case}, "series",
+        yield ("ig2_transformation_law", params, "series",
                lambda: verify_G_law(G2, gamma, point))
 
     def op(z):

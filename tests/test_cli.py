@@ -690,6 +690,19 @@ def test_point_file_missing_a_key_names_it(tmp_path, capsys, command,
                    f"missing key '{missing}'\n")
 
 
+@pytest.mark.parametrize("command", ["gamma", "metric"])
+def test_point_file_holds_one_point(tmp_path, capsys, command):
+    # a stack of two 2 x 2 points passes point validation, but a point
+    # file names one point
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"g": 2, "X": [np.zeros((2, 2)).tolist()] * 2,
+                                "Y": [np.eye(2).tolist()] * 2}))
+    code, out, err = run_cli(capsys, command, "--point", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read point file {path}: X must be a 2x2 "
+                   f"matrix, got shape (2, 2, 2)\n")
+
+
 def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):
     path = tmp_path / "point.json"
     path.write_text('{"g": 1, "X": [[1e308]], "Y": [[1.0]]}')

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
 from siegel.functions import random_test_function
-from siegel.metric import metric_pair
+from siegel.metric import metric_form, metric_pair
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                is_symplectic, random_point, random_symplectic,
@@ -64,7 +64,9 @@ def test_y_is_accepted_by_its_condition_number_alone():
     Y = np.diag([1000.0, 1.0, 1.0, 1.0, 1.0])
     point = SiegelPoint(5, np.zeros((5, 5)), Y)
     np.testing.assert_array_equal(point.spectrum, [1.0] * 4 + [1000.0])
-    assert np.array_equal(point.cholesky, np.sqrt(Y))
+    # and metric_pair factors it: R = Y^-1 to roundoff
+    np.testing.assert_allclose(metric_pair(point).R, np.diag(1.0 / np.diag(Y)),
+                               rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("Y", [np.diag([1.0, 1e-14]), _ILL_CONDITIONED],
@@ -353,6 +355,25 @@ def test_tangent_of_another_shape_or_not_symmetric_is_refused(pushforward):
     for wrong in (np.eye(3), np.eye(1), np.ones(2)):
         with pytest.raises(DimensionError, match="2x2 tangent"):
             pushforward(gamma, point, wrong)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_point_functions_refuse_a_stack(n):
+    # tangent_pushforward on a stack of two points returned an array that
+    # matched neither point's pushforward, and of three died in numpy's
+    # solve; the others died in a numpy broadcast or a TypeError
+    rng = np.random.default_rng(5)
+    gamma = random_symplectic(2, 4, rng)
+    stack = SiegelPoint.from_matrix(
+        np.stack([random_point(2, rng).Z for _ in range(n)]))
+    V = np.array([[1.0, 0.5], [0.5, -1.0]])
+    for call in (lambda: tangent_pushforward(gamma, stack, V),
+                 lambda: pushforward_matrix(gamma, stack),
+                 lambda: pushforward_matrix_derivative(gamma, stack, V),
+                 lambda: metric_form(stack, V, V)):
+        with pytest.raises(DimensionError, match="one point, got a stack of "
+                           rf"shape \({n},\)"):
+            call()
 
 
 def test_tangent_pushforward_degree_one_inversion():

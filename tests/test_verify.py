@@ -211,6 +211,56 @@ _DEFAULT_JOB = {
 }
 
 
+# records whose params are not the values their case rng is keyed on:
+# closed_form_degree_one names the drawn y, and the ig2 checks below run
+# at fixed z and draw no rng (nor does any qseries case)
+_NAMED_OTHERWISE = {"closed_form_degree_one"}
+_UNDRAWN = {"ig2_serre_match", "ig2_holomorphy"}
+
+
+def test_params_name_the_draw(monkeypatch):
+    # the suites are drawn without running any check
+    keys = []
+    case_rng = verify_module._case_rng
+
+    def keyed(seed, *tags):
+        keys.append(tags)
+        return case_rng(seed, *tags)
+    monkeypatch.setattr(verify_module, "_case_rng", keyed)
+    suites = {"metric": verify_module.metric_suite((1, 5), 0),
+              "connection": verify_module.connection_suite((1, 5), 0),
+              "operators": verify_module.operators_suite((1, 5), 0),
+              "qseries": verify_module.qseries_suite()}
+    named = 0
+    for suite, cases in suites.items():
+        drawn = len(keys)
+        for check, params, _, _ in cases:
+            if suite == "qseries" or check in _UNDRAWN:
+                assert len(keys) == drawn, (suite, check, params)
+                continue
+            drawn = len(keys)
+            if check in _NAMED_OTHERWISE:
+                continue
+            # the latest group key, (tag, *values); leibniz_rule's second
+            # rng is keyed on (*values, "leibniz")
+            tag, *values = next(key for key in reversed(keys)
+                                if isinstance(key[0], str))
+            assert list(params.values())[:len(values)] == values, (
+                suite, check, tag, params)
+            named += 1
+    assert named == sum(
+        count for (suite, check), count in _DEFAULT_JOB.items()
+        if suite != "qseries" and check not in _NAMED_OTHERWISE | _UNDRAWN)
+
+
+def test_record_keys_are_distinct(full_job_report):
+    # the benchmark pairs records by (suite, check, params), and a replay
+    # finds one record by them
+    keys = {(r.suite, r.check, json.dumps(r.params, sort_keys=True))
+            for r in full_job_report.records}
+    assert len(keys) == len(full_job_report.records) == 2180
+
+
 def test_default_job_counts(full_job_report):
     report = full_job_report
     counts = {}
