@@ -16,8 +16,6 @@ Zippel, EUROSAM 1979), so forms, and D of a form, are compared at the
 fixed ``probe_vectors`` of each degree, never coefficient by coefficient.
 
 A form's terms keep the order in which their monomials first appeared.
-Forms built from other forms take their keys as already sorted
-(``FormPolynomial.canonical``).
 """
 
 from __future__ import annotations
@@ -52,16 +50,6 @@ class FormPolynomial:
                 self.terms[mono] = total
 
     @classmethod
-    def canonical(cls, g: int, terms: dict) -> "FormPolynomial":
-        """A form from terms whose monomials are already sorted tuples, so
-        they are not sorted again; zero coefficients are dropped."""
-        out = cls.__new__(cls)
-        out.g = g
-        out.terms = {mono: coef for mono, coef in terms.items()
-                     if coef != 0}
-        return out
-
-    @classmethod
     def generator(cls, g: int, pair: Pair) -> "FormPolynomial":
         return cls(g, {(position(pair, g),): 1.0 + 0j})
 
@@ -79,11 +67,11 @@ class FormPolynomial:
                     out[mono] = out[mono] + c
                 else:
                     out[mono] = c
-        return FormPolynomial.canonical(self.g, out)
+        return FormPolynomial(self.g, out)
 
     def map_coefficients(self, fn) -> "FormPolynomial":
-        return FormPolynomial.canonical(
-            self.g, {m: fn(c) for m, c in self.terms.items()})
+        return FormPolynomial(self.g,
+                              {m: fn(c) for m, c in self.terms.items()})
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         """The value sum_mono c prod_t v[mono_t] at the tangent vector v,

@@ -24,7 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .indexing import basis_stack, row_col_indices
-from .symplectic import DegeneracyError, SiegelPoint, _require_one_point
+from .symplectic import (DegeneracyError, SiegelPoint, _require_one_point,
+                         _tangent)
 
 
 @lru_cache(maxsize=16)
@@ -112,8 +113,10 @@ def metric_pair(point: SiegelPoint) -> MetricPair:
 
 def metric_form(point: SiegelPoint, V1: np.ndarray, V2: np.ndarray) -> complex:
     """The invariant Hermitian pairing Tr(Y^{-1} V1 Y^{-1} conj(V2)) at one
-    point; DimensionError for a stack of points."""
+    point; DimensionError for a stack of points.  V1 and V2 pass the
+    tangent gate (symplectic._tangent)."""
     _require_one_point(point)
+    V1, V2 = _tangent(V1, point.g), _tangent(V2, point.g)
     R = metric_pair(point).R
     return complex(np.trace(R @ V1 @ R @ np.conj(V2)))
 
@@ -135,23 +138,12 @@ def _pair_gram_derivative(dMat: np.ndarray, Mat: np.ndarray) -> np.ndarray:
     along every coordinate, from dMat[..., c], the derivative of Mat along
     coordinate c: the C-contiguous (m, m, m) array whose [:, :, c] is
     dMat_ir Mat_js + Mat_ir dMat_js + dMat_jr Mat_is + Mat_jr dMat_is,
-    summed in that order."""
-    ii, jj = row_col_indices(Mat.shape[-1])
-
-    def product(moving_rows, moving_cols, fixed_rows, fixed_cols,
-                moving_first):
-        # written into the gathered (m, m, m) factor, so at most two such
-        # arrays are alive; the factors keep the order of the sum
-        moving = dMat[moving_rows[:, None], moving_cols[None, :]]
-        fixed = Mat[fixed_rows[:, None], fixed_cols[None, :], None]
-        if moving_first:
-            return np.multiply(moving, fixed, out=moving)
-        return np.multiply(fixed, moving, out=moving)
-    out = product(ii, ii, jj, jj, True)
-    out += product(jj, jj, ii, ii, False)
-    out += product(jj, ii, ii, jj, True)
-    out += product(ii, jj, jj, ii, False)
-    return out
+    summed in that order, with the factors gathered by the Gram's plan."""
+    g = Mat.shape[-1]
+    plan = _pair_gram_plan(g)
+    d_ii, d_jj, d_ji, d_ij = dMat.reshape(g * g, -1)[plan]
+    ii_ii, jj_jj, jj_ii, ii_jj = Mat.reshape(g * g)[plan][..., None]
+    return d_ii * jj_jj + ii_ii * d_jj + d_ji * ii_jj + jj_ii * d_ij
 
 
 def dM_tensor(Y: np.ndarray) -> np.ndarray:

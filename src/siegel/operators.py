@@ -257,28 +257,24 @@ def bracket1(f, h, point: SiegelPoint) -> complex:
 
 def bracket1_transform_residual(f, h, r: int, s: int,
                                 gamma: SymplecticElement, point: SiegelPoint,
-                                weights_corrected: bool = False
-                                ) -> tuple[float, float]:
-    """(raw, defect_corrected) residuals for the transformation of the
-    bracket matrix built from extensions of weights 2r and 2s.
+                                weights: tuple[int, int] = (1, 1)) -> float:
+    """Residual of the bracket law for extensions F, H of f, h of weights
+    2r and 2s along gamma, with bracket weights (a, b) = weights:
 
-    raw compares against det(CZ+D)^{2r+2s} j W j^t alone; the corrected
-    residual also subtracts the curvature mismatch term
-    det(CZ+D)^{2r+2s} . 2(r-s) f h . C j^t, which vanishes iff r = s.
-    For the weight-corrected variant the defect term is identically zero.
-    """
+        [F, H](gamma Z) = det(CZ+D)^{2r+2s} (j [f, h] j^t
+                                             + 2(r b - s a) f h C j^t),
+
+    with j = CZ+D and [f, h] = bracket_matrix(f, h, Z, weights).  The
+    curvature term vanishes for equal weights and for the weight-corrected
+    bracket (a, b) = (r, s)."""
     F = ModularExtension(f, 2 * r, gamma)
     H = ModularExtension(h, 2 * s, gamma)
     image = act(gamma, point)
     j = cocycle(gamma, point)
     factor = _weight_factor(j, 2 * r + 2 * s)
-    weights = (r, s) if weights_corrected else (1, 1)
-    here = bracket_matrix(f, h, point, weights)
+    a, b = weights
     there = bracket_matrix(F, H, image, weights)
-    main = factor * (j @ here @ j.T)
-    raw = relative_residual(there - main, there, main)
-    if weights_corrected:
-        return raw, raw
-    defect = (factor * 2.0 * (r - s)
-              * f.value(point) * h.value(point) * (gamma.C @ j.T))
-    return raw, relative_residual(there - main - defect, there, main)
+    main = factor * (j @ bracket_matrix(f, h, point, weights) @ j.T)
+    curvature = (factor * 2.0 * (r * b - s * a)
+                 * f.value(point) * h.value(point) * (gamma.C @ j.T))
+    return relative_residual(there - main - curvature, there, main)

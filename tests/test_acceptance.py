@@ -292,7 +292,7 @@ def test_criterion_10_exact_degree_one_suite():
            f"{zero_ok and not e2_ok}")
 
 
-def test_criterion_11_bracket():
+def test_criterion_11_bracket(bracket_law_without_curvature):
     worst_equal = 0.0
     worst_defect = 0.0
     detected = True
@@ -303,10 +303,10 @@ def test_criterion_11_bracket():
             point = random_point(g, rng)
             f = random_test_function(g, rng)
             h = random_test_function(g, rng)
-            raw, _ = bracket1_transform_residual(f, h, 2, 2, gamma, point)
-            worst_equal = max(worst_equal, raw)
-            raw, corrected = bracket1_transform_residual(f, h, 1, 2, gamma,
-                                                         point)
+            worst_equal = max(worst_equal, bracket1_transform_residual(
+                f, h, 2, 2, gamma, point))
+            corrected = bracket1_transform_residual(f, h, 1, 2, gamma, point)
+            raw = bracket_law_without_curvature(f, h, 1, 2, gamma, point)
             worst_defect = max(worst_defect, corrected)
             if (np.abs(gamma.C).max() > 0
                     and abs(f.value(point) * h.value(point)) > 1e-3):

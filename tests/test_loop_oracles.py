@@ -604,7 +604,7 @@ def _add_term(terms, mono, coef):
 def _form_sum(a, b):
     """a + b as the dZ algebra added forms: a's monomials in place, new
     ones appended."""
-    return FormPolynomial.canonical(a.g, _dict_add(a.terms, b.terms))
+    return FormPolynomial(a.g, _dict_add(a.terms, b.terms))
 
 
 def _scaled(form, scalar):
@@ -625,7 +625,7 @@ def test_form_sum_and_product_match_dict_reference(g):
             for mono, coef in form.terms.items():
                 _add_term(terms, mono, coef)
             reference = _dict_add(reference, form.terms)
-        assert _same_terms(FormPolynomial.canonical(g, terms), reference)
+        assert _same_terms(FormPolynomial(g, terms), reference)
 
 
 def _quadratics_loop(table):
@@ -673,7 +673,7 @@ def _curvature_quadratics(table, g):
     upper = table[:, a, b]
     coefs = 0j + np.where(a == b, -upper, -2.0 * upper)
     monos = list(zip(a.tolist(), b.tolist()))
-    return [FormPolynomial.canonical(g, dict(zip(monos, row)))
+    return [FormPolynomial(g, dict(zip(monos, row)))
             for row in coefs.tolist()]
 
 
@@ -700,7 +700,7 @@ def _apply_D_coefficients(table, form):
                 c = cval * c2
                 if c != 0:
                     _add_term(out, tuple(sorted(rest + m2)), c)
-    return FormPolynomial.canonical(form.g, out)
+    return FormPolynomial(form.g, out)
 
 
 def _max_coefficient_diff(f1, f2):
@@ -921,7 +921,7 @@ def _gamma_act_on_form(gamma, point, form):
                 entries[l][k] for l, k in zip(assignment, mono)]) \
                 if mono else pulled
             _add_term(terms, tuple(sorted(assignment)), jet)
-    return FormPolynomial.canonical(point.g, terms)
+    return FormPolynomial(point.g, terms)
 
 
 def _substitute_basis(form, S):
@@ -939,7 +939,7 @@ def _substitute_basis(form, S):
             expanded = expanded * linear[k]
         for out_mono, out_coef in expanded.terms.items():
             _add_term(terms, out_mono, out_coef)
-    return FormPolynomial.canonical(form.g, terms)
+    return FormPolynomial(form.g, terms)
 
 
 def _substitute_basis_chain(form, S):

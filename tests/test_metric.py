@@ -8,8 +8,9 @@ from siegel.functions import fd_gradient
 from siegel.indexing import (omega_list, position, position_table,
                              sym_to_coords)
 from siegel.metric import dM_tensor, metric_form, metric_pair
-from siegel.symplectic import DegeneracyError, SiegelPoint, act, random_point, \
-    random_symplectic, tangent_pushforward
+from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
+                               act, random_point, random_symplectic,
+                               tangent_pushforward)
 
 
 def test_enumerate_omega_order_and_rank():
@@ -80,6 +81,23 @@ def test_recombination_against_trace_form():
             total = 2.0 * (sym_to_coords(V1) @ pair.W
                            @ np.conj(sym_to_coords(V2)))
             assert abs(total - metric_form(point, V1, V2)) < 1e-10
+
+
+@pytest.mark.parametrize("V, error", [
+    # died in numpy's matmul with a raw ValueError
+    (np.eye(3), DimensionError),
+    # returned a number for a tangent that is not symmetric
+    ([[0.0, 1.0], [0.0, 0.0]], ValueError),
+    # returned nan+0j
+    ([[np.nan, 0.0], [0.0, 1.0]], ValueError),
+])
+def test_metric_form_refuses_what_is_not_a_tangent(V, error):
+    point = random_point(2, 3)
+    good = np.eye(2)
+    with pytest.raises(error):
+        metric_form(point, V, good)
+    with pytest.raises(error):
+        metric_form(point, good, V)
 
 
 def test_pairing_invariance_under_action():

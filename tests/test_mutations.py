@@ -153,6 +153,18 @@ def _bracket_weights_swapped(monkeypatch):
                        "r, s = weights", "s, r = weights")
 
 
+def _bracket_without_curvature(monkeypatch):
+    # the bracket law loses its curvature term 2(r b - s a) f h C j^t
+    _replace_in_source(monkeypatch, operators, "bracket1_transform_residual",
+                       "2.0 * (r * b - s * a)", "0.0")
+
+
+def _bracket_weight_exponent_off_by_one(monkeypatch):
+    # the bracket law's weight factor det(CZ+D)^{2r+2s} gains a power
+    _replace_in_source(monkeypatch, operators, "bracket1_transform_residual",
+                       "2 * r + 2 * s", "2 * r + 2 * s + 1")
+
+
 def _jet_with_zero_gradient(monkeypatch):
     def mutant(cls, fn, point):
         grad = fn.gradient(point)
@@ -180,7 +192,9 @@ def _jet_with_zero_gradient(monkeypatch):
 # q is a derivation.  dR reaches the checks only through metric path A,
 # which contracts it with the pair matrices Mt_K; path B contracts dY with
 # the pair matrices Wt_I, and path_agreement alone reads either pair
-# matrix.  The Serre derivative is read by the classical
+# matrix.  Of the bracket checks only bracket_defect_prediction has
+# r b != s a, so only it reads the bracket law's curvature term; the weight
+# factor is read by all three.  The Serre derivative is read by the classical
 # weight-raising checks and by the degree-one i G2 check of the operators
 # suite
 MUTANTS = {
@@ -227,6 +241,13 @@ MUTANTS = {
     "bracket_weights_swapped": (
         _bracket_weights_swapped,
         {"operators": {"bracket_weight_corrected"}}),
+    "bracket_without_curvature": (
+        _bracket_without_curvature,
+        {"operators": {"bracket_defect_prediction"}}),
+    "bracket_weight_exponent_off_by_one": (
+        _bracket_weight_exponent_off_by_one,
+        {"operators": {"bracket_equal_weight", "bracket_defect_prediction",
+                       "bracket_weight_corrected"}}),
 }
 
 

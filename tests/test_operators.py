@@ -232,30 +232,44 @@ def test_bracket_antisymmetry_and_wronskian():
 
 
 @pytest.mark.parametrize("g", [1, 2])
-def test_bracket_transformation(g):
+def test_bracket_transformation(g, bracket_law_without_curvature):
     rng = np.random.default_rng(30 + g)
     for _ in range(6):
         gamma = random_symplectic(g, int(rng.integers(1, 6)), rng)
         point = random_point(g, rng)
         f = random_test_function(g, rng)
         h = random_test_function(g, rng)
-        raw, corrected = bracket1_transform_residual(f, h, 2, 2, gamma,
-                                                     point)
-        assert raw < 1e-7
+        assert bracket1_transform_residual(f, h, 2, 2, gamma, point) < 1e-7
 
-        raw, corrected = bracket1_transform_residual(f, h, 1, 2, gamma,
-                                                     point)
+        corrected = bracket1_transform_residual(f, h, 1, 2, gamma, point)
+        raw = bracket_law_without_curvature(f, h, 1, 2, gamma, point)
         # the defect is real for words containing an inversion, and the
-        # predicted correction always absorbs it
+        # predicted curvature term always absorbs it
         assert corrected < 1e-7
         if np.abs(gamma.C).max() > 0:
             fh = abs(f.value(point) * h.value(point))
             if fh > 1e-3:
                 assert raw > corrected
 
-        weighted, _ = bracket1_transform_residual(f, h, 1, 2, gamma, point,
-                                                  weights_corrected=True)
+        weighted = bracket1_transform_residual(f, h, 1, 2, gamma, point,
+                                               (1, 2))
         assert weighted < 1e-7
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("r, s", [(1, 2), (2, 1), (2, 3)])
+def test_bracket_law_at_any_weights(g, r, s):
+    # the one formula, curvature term 2(r b - s a) f h C j^t, away from the
+    # three (r, s, weights) that verify uses
+    rng = np.random.default_rng([g, r, s])
+    for _ in range(6):
+        gamma = random_symplectic(g, int(rng.integers(1, 6)), rng)
+        point = random_point(g, rng)
+        f = random_test_function(g, rng)
+        h = random_test_function(g, rng)
+        for weights in ((1, 1), (2, 3), (3, -1), (r, s)):
+            assert bracket1_transform_residual(f, h, r, s, gamma, point,
+                                               weights) < 1e-7
 
 
 def test_degree_one_wronskian_defect_formula():
