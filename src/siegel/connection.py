@@ -362,14 +362,6 @@ def d_f_detk(point: SiegelPoint, f, k: int, V: np.ndarray) -> np.ndarray:
     return _trace(nabla(f, point, k) @ V) * np.linalg.det(V) ** k
 
 
-def _det_power(g: int, k: int) -> FormPolynomial:
-    """det(dZ)^k, multiplied out from the scalar 1."""
-    out = FormPolynomial.scalar(g, 1.0 + 0j)
-    for _ in range(k):
-        out = out * det_dz(g)
-    return out
-
-
 def _require_symmetric_entries(Gfield, g: int) -> None:
     """Entries (i, j) and (j, i) must be one jet, or equal in value and in
     gradient."""
@@ -478,16 +470,25 @@ def invariance_residual(gamma: SymplecticElement, point: SiegelPoint, f,
     image = act(gamma, point)
     extension = ModularExtension(f, 2 * k, gamma)
     v = probe_vectors(point.g)
-    here, here_size = apply_D(gamma_closed(point),
-                              _f_det_form(f, k, point), v)
-    there, there_size = apply_D(gamma_closed(image),
-                                _f_det_form(extension, k, image),
-                                v @ pushforward_matrix(gamma, point))
-    return relative_residual(here - there, here_size, there_size)
+    here = _d_f_det_power(gamma_closed(point), f, k, point, v)
+    there = _d_f_det_power(gamma_closed(image), extension, k, image,
+                           v @ pushforward_matrix(gamma, point))
+    return relative_residual(here[0] - there[0], here[1], there[1])
 
 
-def _f_det_form(f, k: int, point: SiegelPoint) -> FormPolynomial:
-    """f det(dZ)^k at point: det(dZ)^k with each coefficient scaled by the
-    jet of the point function f there."""
+def _d_f_det_power(table: np.ndarray, f, k: int, point: SiegelPoint,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D(f det(dZ)^k) at point, k >= 1, and its summed term magnitude, at
+    each tangent vector of the stack v.  For k > 1, D is a derivation:
+    D(f det^k) = D(f det) P + (k - 1) f P D(det), P = det(dZ)^(k-1), and
+    det(dZ) with |coefficients| at |v|, to the k - 1, bounds P's terms."""
     jet = Jet.at(f, point)
-    return _det_power(point.g, k).map_coefficients(lambda c: c * jet)
+    det = det_dz(point.g)
+    value, size = apply_D(table, det.map_coefficients(lambda c: c * jet), v)
+    if k == 1:
+        return value, size
+    d_det, d_det_size = apply_D(table, det, v)
+    power = det.evaluate(v) ** (k - 1)
+    power_size = det.map_coefficients(abs).evaluate(np.abs(v)).real ** (k - 1)
+    return (value * power + (k - 1) * jet.value * power * d_det,
+            (size + (k - 1) * abs(jet.value) * d_det_size) * power_size)

@@ -53,10 +53,6 @@ class FormPolynomial:
     def generator(cls, g: int, pair: Pair) -> "FormPolynomial":
         return cls(g, {(position(pair, g),): 1.0 + 0j})
 
-    @classmethod
-    def scalar(cls, g: int, coef) -> "FormPolynomial":
-        return cls(g, {(): coef})
-
     def __mul__(self, other: "FormPolynomial") -> "FormPolynomial":
         out: dict = {}
         for m1, c1 in self.terms.items():

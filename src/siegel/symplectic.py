@@ -8,13 +8,15 @@ coordinate basis the differential is recorded as a row-vector cocycle:
 the K-th coordinate of the pushforward of the L-th basis direction.
 
 Group elements carry exact integer blocks; floating point enters only when
-they are applied to a point.
+they are applied to a point.  A unimodular block is tested, and inverted,
+by exact fraction-free solves.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -319,6 +321,63 @@ def is_symplectic(M: np.ndarray) -> bool:
     return _blocks_symplectic(_integer_matrix(M, "is_symplectic"))
 
 
+def _solve_exact(columns: list[list[int]],
+                 target: list[int]) -> list[Fraction] | None:
+    """Solve sum_j x_j columns[j] = target exactly over the integers, or
+    report failure (None).  Free unknowns are set to zero.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of the augmented matrix, so each division by the previous
+    pivot is exact, and each pivot row ends with the last pivot on its
+    diagonal, which is the common denominator of the solution.
+    """
+    n_cols = len(columns)
+    rows = [list(row) for row in zip(*columns, target)]
+    pivots = []
+    previous = 1
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead_row = rows[rank]
+        lead = lead_row[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                factor = row[col]
+                rows[r] = [(lead * v - factor * u) // previous
+                           for v, u in zip(row, lead_row)]
+        previous = lead
+        pivots.append(col)
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivots):
+        solution[col] = Fraction(rows[r][n_cols], previous)
+    return solution
+
+
+def _unimodular_inverse_t(U: np.ndarray) -> np.ndarray:
+    """U^-t of the square integer matrix U, exactly: row j solves
+    U x = e_j (_solve_exact).  ValueError unless every solution is
+    integral, that is unless U is unimodular; DegeneracyError for an entry
+    beyond the 64-bit integer range."""
+    columns = U.T.tolist()  # Python ints, which do not wrap
+    rows = []
+    for e in np.eye(len(U), dtype=np.int64).tolist():
+        x = _solve_exact(columns, e)
+        if x is None or any(c.denominator != 1 for c in x):
+            raise ValueError("embedding block must be unimodular")
+        rows.append([int(c) for c in x])
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise DegeneracyError("inverse has entries beyond the 64-bit "
+                              "integer range") from None
+
+
 def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
     """The 2g x 2g int64 matrix of one generator: "J" the inversion
     (O, I; -I, O), "T" the translation (I, B; O, I) by the symmetric
@@ -339,13 +398,10 @@ def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
         M[:g, :g] = M[g:, g:] = np.eye(g, dtype=np.int64)
     elif tag == "U":
         U = _int64_entries(param, "embedding block")
-        if round(abs(np.linalg.det(U.astype(float)))) != 1:
-            raise ValueError("embedding block must be unimodular")
         if U.shape != (g, g):
             raise DimensionError(f"block A must be {g}x{g}")
         M[:g, :g] = U
-        M[g:, g:] = np.rint(np.linalg.inv(U.astype(float))).astype(
-            np.int64).T
+        M[g:, g:] = _unimodular_inverse_t(U)
     else:
         raise ValueError(f"unknown generator tag {tag!r}")
     return M
@@ -608,10 +664,12 @@ def random_symplectic(g: int, word_length: int,
                       seed: int | np.random.Generator) -> SymplecticElement:
     """Deterministic product of word_length random generators: inversions,
     symmetric translations and unimodular embeddings.  Each generator's
-    matrix is built as it is drawn, with its own checks (a symmetric T, a
-    unimodular U), and multiplied into the product exactly, in int64 or
-    through Python ints (see _int_matmul); only the product becomes, and
-    is validated as, an element, by one test of M J M^t = J."""
+    matrix is built as it is drawn, and multiplied into the product
+    exactly, in int64 or through Python ints (see _int_matmul); only the
+    product becomes, and is validated as, an element, by one test of
+    M J M^t = J.  T is drawn symmetric.  U is built by row operations
+    U[j] += c U[i], unimodular by construction, and U^-t beside it by
+    V[i] -= c V[j], so neither is tested or solved for."""
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     rng = np.random.default_rng(seed)
@@ -619,22 +677,27 @@ def random_symplectic(g: int, word_length: int,
     for _ in range(word_length):
         kind = rng.integers(0, 3)
         if kind == 0:
-            tag, param = "J", None
+            step = _generator_matrix(g, "J", None)
         elif kind == 1:
             B = rng.integers(-2, 3, size=(g, g))
-            tag, param = "T", np.triu(B) + np.triu(B, 1).T
+            step = _generator_matrix(g, "T", np.triu(B) + np.triu(B, 1).T)
         else:
-            U = np.eye(g, dtype=np.int64)
+            # U and U^-t, built in place as the diagonal blocks of step
+            step = np.eye(2 * g, dtype=np.int64)
+            U, V = step[:g, :g], step[g:, g:]
             for _ in range(int(rng.integers(1, 4))):
                 i, j = rng.integers(0, g, size=2)
                 if g > 1 and i == j:
                     j = (j + 1) % g
                 if g == 1:
-                    U[0, 0] *= -1 if rng.integers(0, 2) else 1
+                    sign = -1 if rng.integers(0, 2) else 1
+                    U *= sign
+                    V *= sign
                 else:
-                    U[j, :] += int(rng.integers(-2, 3)) * U[i, :]
-            tag, param = "U", U
-        out = _int_matmul(out, _generator_matrix(g, tag, param))
+                    c = int(rng.integers(-2, 3))
+                    U[j, :] += c * U[i, :]
+                    V[i, :] -= c * V[j, :]
+        out = _int_matmul(out, step)
     return SymplecticElement.from_matrix(out)
 
 

@@ -25,7 +25,7 @@ from .connection import (apply_D, case_analysis_residual, d_det_closed,
                          d_dz_closed, d_f_detk, d_trace_form,
                          equivariance_residual, gamma_closed,
                          gamma_from_metric, invariance_residual, kron_trace,
-                         mcc_residual, _f_det_form)
+                         mcc_residual)
 from .forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from .functions import Jet, fd_gradient, random_test_function
 from .indexing import (basis_stack, coords_to_sym, omega_list, omega_size,
@@ -369,13 +369,15 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
                                            d_det_closed(point, V)))
 
             f = random_test_function(g, rng)
-            for k in (1, 2):
-                if k == 2 and g > 3:
-                    continue
-                yield ("scalar_det_power", {**params, "k": k}, "entry",
-                       lambda: _against_closed(
-                           apply_D(table, _f_det_form(f, k, point), v),
-                           d_f_detk(point, f, k, V)))
+            for k in (1, 2) if g <= 3 else (1,):
+                def f_detk():
+                    # D of the product f det(dZ)^k, multiplied out
+                    form = FormPolynomial(g, {(): Jet.at(f, point)})
+                    for _ in range(k):
+                        form = form * det_dz(g)
+                    return _against_closed(apply_D(table, form, v),
+                                           d_f_detk(point, f, k, V))
+                yield "scalar_det_power", {**params, "k": k}, "entry", f_detk
 
             entries = _random_symmetric_functions(g, rng)
 

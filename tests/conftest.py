@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siegel.forms import FormPolynomial, det_dz
 from siegel.operators import (ModularExtension, bracket_matrix,
                               relative_residual)
 from siegel.symplectic import act, cocycle
@@ -27,6 +28,23 @@ def _bracket_law_without_curvature(f, h, r, s, gamma, point) -> float:
     there = bracket_matrix(F, H, act(gamma, point))
     main = factor * (j @ bracket_matrix(f, h, point) @ j.T)
     return relative_residual(there - main, there, main)
+
+
+def _f_det_power(f, k: int, g: int) -> FormPolynomial:
+    """f det(dZ)^k multiplied out: the scalar 1 times det(dZ), k times, by
+    FormPolynomial.__mul__, then each coefficient c scaled to c * f, for f
+    a number, a jet or a point function."""
+    power = FormPolynomial(g, {(): 1.0 + 0j})
+    for _ in range(k):
+        power = power * det_dz(g)
+    return power.map_coefficients(lambda c: c * f)
+
+
+@pytest.fixture
+def f_det_power():
+    """f det(dZ)^k multiplied out, the reference for D of a determinant
+    power, which the library evaluates by the derivation rule instead."""
+    return _f_det_power
 
 
 @pytest.fixture

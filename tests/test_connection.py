@@ -5,8 +5,7 @@ from siegel.connection import (apply_D, case_analysis_residual, d_det_closed,
                                d_dz_closed, d_f_detk, d_trace_form,
                                equivariance_residual, gamma_closed,
                                gamma_from_metric, invariance_residual,
-                               kron_trace, mcc_residual, _det_power,
-                               _f_det_form)
+                               kron_trace, mcc_residual, _d_f_det_power)
 from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import coords_to_sym, omega_list, omega_size
@@ -276,7 +275,7 @@ def test_scalar_det_power_cases():
         d_f_detk(point, f, -1, V)
 
 
-def test_scalar_det_power_against_expansion():
+def test_scalar_det_power_against_expansion(f_det_power):
     g = 2
     point = random_point(g, seed=63)
     table = gamma_closed(point)
@@ -285,8 +284,31 @@ def test_scalar_det_power_against_expansion():
     f = z11 * z22
     v, V = _probes(g)
     got = d_f_detk(point, f, 1, V)
-    expect = apply_D(table, _f_det_form(f, 1, point), v)[0]
+    expect = apply_D(table, f_det_power(Jet.at(f, point), 1, g), v)[0]
     assert np.abs(got - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_derivation_rule_matches_the_multiplied_out_power(g, f_det_power):
+    # D(f det(dZ)^k) by the derivation rule against apply_D on f det(dZ)^k
+    # multiplied out: the same terms at k = 1, so bit for bit, and within
+    # a few ulps of the larger summed magnitude at k = 2, 3
+    rng = np.random.default_rng(150 + g)
+    v = probe_vectors(g)
+    for _ in range(2):
+        point = random_point(g, rng)
+        table = gamma_closed(point)
+        f = random_test_function(g, rng)
+        for k in (1, 2, 3):
+            value, size = _d_f_det_power(table, f, k, point, v)
+            expect, expect_size = apply_D(
+                table, f_det_power(Jet.at(f, point), k, g), v)
+            if k == 1:
+                assert value.tobytes() == expect.tobytes()
+                assert size.tobytes() == expect_size.tobytes()
+            else:
+                assert (abs(value - expect) <= 8 * np.finfo(float).eps
+                        * np.maximum(size, expect_size)).all()
 
 
 def test_trace_form_derivative_constant_degree_one():
@@ -423,11 +445,10 @@ def test_gamma_transform_form_det_weight():
         1, abs(detj ** -2))
 
 
-@pytest.mark.parametrize("g", [3, 4])
-def test_transport_residuals_beyond_degree_two(g):
-    # the evaluated checks reach degrees the coefficient transport could
-    # not: a random form of degree <= 2 and f det(dZ)^k for equivariance,
-    # and D(f det(dZ)^k) for invariance
+def _beyond_degree_two(g):
+    """(k, gamma, point, f, terms) for k = 1, 2, drawn from seed 1200 + g:
+    gamma a word other than the identity, f a test function and terms the
+    coefficients of a random form of degree <= 2."""
     rng = np.random.default_rng(1200 + g)
     m = omega_size(g)
     for k in (1, 2):
@@ -441,7 +462,22 @@ def test_transport_residuals_beyond_degree_two(g):
         terms = {tuple(sorted(int(i) for i in rng.integers(0, m, size=d))):
                  random_test_function(g, rng, max_degree=2, n_terms=2)
                  for d in (0, 1, 2)}
-        for form in (FormPolynomial(g, terms),
-                     _det_power(g, k).map_coefficients(lambda c: c * f)):
+        yield k, gamma, point, f, terms
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_transport_residuals_beyond_degree_two(g, f_det_power):
+    # the evaluated checks reach degrees the coefficient transport could
+    # not: a random form of degree <= 2 and f det(dZ)^k for equivariance,
+    # and D(f det(dZ)^k) for invariance
+    for k, gamma, point, f, terms in _beyond_degree_two(g):
+        for form in (FormPolynomial(g, terms), f_det_power(f, k, g)):
             assert equivariance_residual(gamma, point, form) < 1e-8
+        assert invariance_residual(gamma, point, f, k) < 1e-8
+
+
+def test_invariance_residual_at_degree_five():
+    # the derivation rule never multiplies out det(dZ)^2, which has 2,021
+    # monomials at g = 5
+    for k, gamma, point, f, _ in _beyond_degree_two(5):
         assert invariance_residual(gamma, point, f, k) < 1e-8

@@ -265,7 +265,7 @@ def test_pullback_chain_rule():
     # D(gamma . f)(v) of a function f is the differential of f(gamma Z)
     # at v, against a central-difference gradient of f(gamma Z)
     jet = Jet.at(f, act(gamma, point))
-    pulled = _transported_D(gamma, point, FormPolynomial.scalar(g, jet))[0]
+    pulled = _transported_D(gamma, point, FormPolynomial(g, {(): jet}))[0]
     approx = fd_gradient(lambda p: f.value(act(gamma, p)), point)
     expected = probe_vectors(g) @ approx
     assert np.abs(pulled - expected).max() < \

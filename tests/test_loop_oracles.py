@@ -30,11 +30,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
-from siegel.connection import (_det_power, _f_det_form, _jets_at,
-                               _transported_D, apply_D, d_det_closed,
-                               d_dz_closed, d_f_detk, d_trace_form,
-                               equivariance_residual, gamma_closed,
-                               gamma_from_metric)
+from siegel.connection import (_jets_at, _transported_D, apply_D,
+                               d_det_closed, d_dz_closed, d_f_detk,
+                               d_trace_form, equivariance_residual,
+                               gamma_closed, gamma_from_metric)
 from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.indexing import (basis_stack, coords_to_sym, omega_list,
@@ -780,7 +779,7 @@ def _random_jets(g, point, rng):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_apply_D_matches_dict_reference(g):
+def test_apply_D_matches_dict_reference(g, f_det_power):
     # the coefficient D, against the point-function dicts that jets
     # replaced, bit for bit
     rng = np.random.default_rng(60 + g)
@@ -796,7 +795,7 @@ def test_apply_D_matches_dict_reference(g):
         numeric = [det_dz(g), FormPolynomial(g, _random_terms(g, rng, 8))]
         numeric += [FormPolynomial.generator(g, K) for K in omega_list(g)]
         pairs = [(form, form.terms) for form in numeric]
-        pairs.append((_f_det_form(f, 1, point),
+        pairs.append((f_det_power(jet, 1, g),
                       {mono: _ScaledFunction(f, c)
                        for mono, c in det_dz(g).terms.items()}))
         pairs.append((trace_form(np.array([[jet] * g] * g, dtype=object), g),
@@ -822,7 +821,7 @@ def _ulps_of_terms(size, coefficients, v):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_evaluated_D_matches_the_coefficient_D(g):
+def test_evaluated_D_matches_the_coefficient_D(g, f_det_power):
     # apply_D at the probes against the coefficient D evaluated there
     rng = np.random.default_rng(130 + g)
     v = probe_vectors(g)
@@ -831,7 +830,7 @@ def test_evaluated_D_matches_the_coefficient_D(g):
         f = random_test_function(g, rng)
         forms = [FormPolynomial.generator(g, K) for K in omega_list(g)]
         forms += [det_dz(g), trace_form(_random_jets(g, point, rng), g)]
-        forms += [_f_det_form(f, k, point) for k in (1, 2)
+        forms += [f_det_power(Jet.at(f, point), k, g) for k in (1, 2)
                   if k == 1 or g <= 3]
         forms += [FormPolynomial(g, _random_terms(g, rng, 8))
                   for _ in range(2)]
@@ -843,7 +842,7 @@ def test_evaluated_D_matches_the_coefficient_D(g):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_closed_forms_at_V_match_their_coefficient_forms(g):
+def test_closed_forms_at_V_match_their_coefficient_forms(g, f_det_power):
     # each closed form at the matrices V of the probes against the same
     # closed form multiplied out as a form and evaluated at the probes,
     # on the scale of D's own terms on that input
@@ -863,9 +862,10 @@ def test_closed_forms_at_V_match_their_coefficient_forms(g):
                       _scaled(trace_form(R, g), -1j) * det_dz(g)))
         f = random_test_function(g, rng)
         for k in (1, 2) if g <= 3 else (1,):
-            cases.append((_f_det_form(f, k, point), d_f_detk(point, f, k, V),
+            cases.append((f_det_power(Jet.at(f, point), k, g),
+                          d_f_detk(point, f, k, V),
                           trace_form(nabla(f, point, k), g)
-                          * _det_power(g, k)))
+                          * f_det_power(1, k, g)))
         jets = _random_jets(g, point, rng)
         cases.append((trace_form(jets, g), d_trace_form(point, jets, V),
                       _d_trace_form_loop(point, jets)))
@@ -931,7 +931,7 @@ def _substitute_basis(form, S):
     linear = {}
     terms = {}
     for mono, coef in form.terms.items():
-        expanded = FormPolynomial.scalar(form.g, coef)
+        expanded = FormPolynomial(form.g, {(): coef})
         for k in mono:
             if k not in linear:
                 linear[k] = FormPolynomial(
@@ -947,7 +947,7 @@ def _substitute_basis_chain(form, S):
     m = omega_size(form.g)
     out = FormPolynomial(form.g, {})
     for mono, coef in form.terms.items():
-        expanded = FormPolynomial.scalar(form.g, coef)
+        expanded = FormPolynomial(form.g, {(): coef})
         for k in mono:
             lin = FormPolynomial(form.g, {(l,): S[l, k] for l in range(m)
                                           if S[l, k] != 0})

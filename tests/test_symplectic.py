@@ -465,6 +465,9 @@ def test_word_expansion_validates_only_the_product(monkeypatch):
     ("T", ((0, 1), (2, 0)), "translation block must be symmetric"),
     ("U", ((2, 0), (0, 1)), "embedding block must be unimodular"),
     ("U", ((1, 2), (2, 4)), "embedding block must be unimodular"),
+    # det -2, which a floating-point determinant rounds away
+    ("U", ((3, 2 ** 52 + 1), (1, (2 ** 52 + 1) // 3)),
+     "embedding block must be unimodular"),
 ])
 def test_bad_generators_are_rejected_in_words_and_alone(tag, param, match):
     # the generator matrix random_symplectic builds for each draw, and the
@@ -730,6 +733,29 @@ def test_uint64_entries_beyond_int64_are_refused_not_wrapped(build):
     one = np.ones((1, 1), dtype=np.uint64)
     assert SymplecticElement(1, one, zero, zero, one) == \
         SymplecticElement.identity(1)
+
+
+@pytest.mark.parametrize("U, D", [
+    # det -1, with entries whose floating-point determinant is not +-1
+    (((10 ** 8 + 1, 10 ** 8), (10 ** 8, 10 ** 8 - 1)),
+     ((-99999999, 10 ** 8), (10 ** 8, -100000001))),
+    # det 1, with an entry that a float inverse rounds to 2^53
+    (((1, 2 ** 53 + 1), (0, 1)), ((1, 0), (-9007199254740993, 1))),
+])
+def test_unimodular_blocks_are_tested_and_inverted_exactly(U, D):
+    embedding = SymplecticElement.unimodular(np.array(U))
+    assert is_symplectic(embedding.matrix)
+    assert embedding.D.tolist() == [list(row) for row in D]
+
+
+@pytest.mark.parametrize("U", [
+    ((1, -2 ** 63), (0, 1)),
+    ((1, 2 ** 40, 0), (0, 1, 2 ** 40), (0, 0, 1)),
+])
+def test_a_unimodular_inverse_beyond_int64_is_degenerate(U):
+    # U^-1 has the entry 2^63, or 2^80 = 2^40 * 2^40
+    with pytest.raises(DegeneracyError, match="64-bit integer range"):
+        SymplecticElement.unimodular(np.array(U, dtype=np.int64))
 
 
 def test_non_symplectic_unimodular_blocks_are_rejected():
