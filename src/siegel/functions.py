@@ -248,14 +248,16 @@ def fd_gradient(value_fn, point: SiegelPoint,
     of a function given by value_fn.
 
     h may be one step or a tuple of steps; for a tuple the result is a
-    tuple with one gradient per step.  Every stencil point (each step, X
-    and Y, each offset, each coordinate) goes into one stack of points, and
-    value_fn is called once on it: it must return one value per stacked
-    point.  A value may be an array: the returned shape starts with the
-    stack's and may carry trailing axes, and the gradient axis comes first
-    in the result, of shape (|Omega|,) + the trailing axes.  order=4 uses
-    the five-point stencil.  Each step is clipped to 0.05 times the
-    smallest eigenvalue of Y so perturbed points stay in the domain.
+    tuple with one gradient per step.  The stencil points of every step go
+    into one stack of points, one per distinct offset (h/2 doubled is h, so
+    steps h/2, h and 2h at order 4 need 8 offsets, not 12), direction (X or
+    Y) and coordinate, and value_fn is called once on it: it must return
+    one value per stacked point.  A value may be an array: the returned
+    shape starts with the stack's and may carry trailing axes, and the
+    gradient axis comes first in the result, of shape (|Omega|,) + the
+    trailing axes.  order=4 uses the five-point stencil.  Each step is
+    clipped to 0.05 times the smallest eigenvalue of Y so perturbed points
+    stay in the domain.
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
@@ -276,20 +278,23 @@ def fd_gradient(value_fn, point: SiegelPoint,
     margin = float(point.spectrum.min())
     steps = [min(step, 0.05 * margin) for step in steps]
 
-    # stencil axes: (step, X or Y direction, offset, coordinate)
+    # each step's offsets, and where each sits among the distinct ones;
+    # stack axes: (X or Y direction, distinct offset, coordinate)
     offsets = np.array(steps)[:, None] * np.array(
         [1.0, -1.0] if order == 2 else [1.0, -1.0, 2.0, -2.0])
-    shift = offsets[:, :, None, None, None] * basis_stack(g)
+    distinct, at = np.unique(offsets, return_inverse=True)
+    shift = distinct[:, None, None, None] * basis_stack(g)
     still = np.zeros_like(shift)
-    stack = SiegelPoint(g, point.X + np.stack([shift, still], axis=1),
-                        point.Y + np.stack([still, shift], axis=1))
+    stack = SiegelPoint(g, point.X + np.stack([shift, still]),
+                        point.Y + np.stack([still, shift]))
     values = np.asarray(value_fn(stack))
     leading = stack.X.shape[:-2]
     if values.shape[:len(leading)] != leading:
         raise ValueError(f"value_fn returned shape {values.shape} for a "
                          f"stack of shape {leading}")
     grads = []
-    for step, v in zip(steps, values):
+    for step, where in zip(steps, at.reshape(offsets.shape)):
+        v = values[:, where]
         if order == 2:
             d = (v[:, 0] - v[:, 1]) / (2 * step)
         else:

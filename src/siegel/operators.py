@@ -221,19 +221,29 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
     return relative_residual(lhs - rhs, lhs, rhs)
 
 
+def _finite_det_nabla(f, point: SiegelPoint, k: int) -> complex:
+    """det nabla_k f at the point; DegeneracyError when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = det_nabla(f, point, k)
+    if not cmath.isfinite(value):
+        raise DegeneracyError(f"det nabla_{k} leaves the float range")
+    return value
+
+
 def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
                               k: int) -> float | None:
     """Relative defect of det nabla_k F (gamma Z) =
     det(CZ+D)^{2gk+2} det nabla_k f(Z), with G = i Y^{-1}; None when
     |det nabla_k f(Z)| is at most _DET_FLOOR (relative error is meaningless
-    near zeros)."""
+    near zeros), DegeneracyError when either determinant leaves the float
+    range."""
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
-    here = det_nabla(f, point, k)
+    here = _finite_det_nabla(f, point, k)
     if abs(here) <= _DET_FLOOR:
         return None
     factor = _weight_factor(cocycle(gamma, point), 2 * point.g * k + 2)
-    lhs = det_nabla(extension, image, k)
+    lhs = _finite_det_nabla(extension, image, k)
     rhs = factor * here
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
 

@@ -176,31 +176,27 @@ class SiegelPoint:
     point keeps one memo of what is derived from it: its images under the
     action, its cocycles, its metric and the values of test functions at
     it (see ``derived``).  ``spectrum`` holds the eigenvalues of Y in
-    ascending order, shape (..., g), as validation computed them.  Z, X,
-    Y, the spectrum and every memoized array are read-only.
+    ascending order, shape (..., g), as validation computed them.  The
+    constructor builds Z = X + iY and the memo.  Z, X, Y, the spectrum
+    and every memoized array are read-only.
     """
 
     g: int
     X: np.ndarray
     Y: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False)
+    Z: np.ndarray = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         X, Y, spectrum = _validated(self.g, self.X, self.Y)
+        Z = X + 1j * Y
+        Z.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "spectrum", spectrum)
-
-    @cached_property
-    def Z(self) -> np.ndarray:
-        """X + iY, built on first access and read-only."""
-        Z = self.X + 1j * self.Y
-        Z.setflags(write=False)
-        return Z
-
-    @cached_property
-    def _memo(self) -> dict:
-        return {}
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "_memo", {})
 
     def derived(self, build, *args):
         """build(*args, self), computed on the first request and kept on
@@ -413,8 +409,8 @@ class SymplecticElement:
 
     The element keeps one read-only int64 2g x 2g matrix; A, B, C and D are
     read-only views of its blocks.  Elements compare by exact value and
-    hash by g and the bytes of that matrix; the hash is computed once per
-    element.
+    hash by g and the bytes of that matrix; the constructor computes the
+    hash, and ``inverse`` builds the inverse on first call.
     """
 
     g: int
@@ -423,6 +419,7 @@ class SymplecticElement:
     C: np.ndarray
     D: np.ndarray
     matrix: np.ndarray = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.g
@@ -440,12 +437,9 @@ class SymplecticElement:
             raise ValueError("blocks do not satisfy the symplectic relation")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "_hash", hash((g, M.tobytes())))
         for name, at in blocks.items():
             object.__setattr__(self, name, M[at])
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.g, self.matrix.tobytes()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticElement):

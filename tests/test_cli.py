@@ -422,6 +422,23 @@ def test_weight_factor_overflow_is_a_degeneracy(capsys, tmp_path, argv,
     assert not report.exists()
 
 
+def test_det_nabla_beyond_the_float_range_is_a_degeneracy(capsys, tmp_path):
+    # det_weight_factor case 6 at g = 3, k = 18: det(CZ+D)^110 is about
+    # 1e307, but det nabla_18 F(gamma Z) is beyond the float range
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--suite", "operators",
+                                 "--g", "3", "--seed", "0", "--k", "18",
+                                 "--quiet", "--report", str(report))
+    assert code == 3
+    assert out == ""
+    assert err == ("error: numerical degeneracy: det nabla_18 leaves the "
+                   "float range\n")
+    assert not report.exists()
+    assert caught == []
+
+
 def test_writer_texts_are_built_once_per_degree_and_read_only():
     assert cli_module._entry_layout() is cli_module._entry_layout()
     for g in (1, 4):

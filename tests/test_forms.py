@@ -205,6 +205,38 @@ def test_fd_gradient_evaluates_one_stack():
     assert all(grad.shape == (6,) for grad in grads)
 
 
+@pytest.mark.parametrize("lambda_min, distinct", [
+    # steps h/2, h and 2h: 12 offsets, of which 8 are distinct
+    (1.0, 8),
+    # 2h is clipped to 0.05 lambda_min = 1.5h: 10 distinct offsets
+    (6e-4, 10),
+])
+def test_fd_gradient_evaluates_each_distinct_offset_once(lambda_min,
+                                                         distinct):
+    g, h = 3, 2e-5
+    m = g * (g + 1) // 2
+    rng = np.random.default_rng(12)
+    f = random_test_function(g, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((g, g)))
+    Y = (Q * np.array([lambda_min, 1.5, 2.0])) @ Q.T
+    X = rng.uniform(-1.0, 1.0, size=(g, g))
+    point = SiegelPoint(g, (X + X.T) / 2, (Y + Y.T) / 2)
+    clipped = 0.05 * float(point.spectrum.min()) < 2 * h
+    assert clipped == (distinct == 10)
+    stacks = []
+
+    def counted(stack):
+        stacks.append(stack)
+        return f.value(stack)
+    steps = (0.5 * h, h, 2 * h)
+    grads = fd_gradient(counted, point, steps, order=4)
+    assert len(stacks) == 1
+    assert stacks[0].X.shape == (2, distinct, m, g, g)
+    for step, grad in zip(steps, grads):
+        alone = fd_gradient(f.value, point, step, order=4)
+        assert grad.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_fd_gradient_of_an_array_value_matches_each_entry(g):
     # M over every stacked point: the stack's axes, then (m, m); the

@@ -364,6 +364,26 @@ def test_ig2_operator_output_is_holomorphic():
 _STEEP = SymplecticElement(1, *(np.array([[v]]) for v in (1, 0, 10 ** 6, 1)))
 
 
+@pytest.mark.parametrize("c, N", [
+    # det nabla_1 f(Z) is about 1e198 and det(CZ+D)^8 about 1.7e199, so
+    # det nabla_1 F(gamma Z), their product, is beyond the float range
+    (10 ** 66, 2 * 10 ** 8),
+    # det nabla_1 f(Z) itself is about 1e330
+    (10 ** 110, 1),
+], ids=["at-the-image", "at-the-point"])
+def test_det_nabla_beyond_the_float_range_is_a_degeneracy(c, N):
+    # f = c at Z = iI, g = 3, along (I, 0; N I, I)
+    eye = np.eye(3, dtype=np.int64)
+    gamma = SymplecticElement(3, eye, 0 * eye, N * eye, eye)
+    point = SiegelPoint(3, np.zeros((3, 3)), np.eye(3))
+    f = TestFunction.constant(3, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError,
+                           match=r"det nabla_1 leaves the float range"):
+            det_nabla_weight_residual(f, gamma, point, 1)
+
+
 @pytest.mark.parametrize("name, residual", [
     # det(CZ+D)^{2k} with k = 30: |N i + 1|^60 is about 1e360
     ("nabla_transform", lambda f, point: verify_nabla_transform(

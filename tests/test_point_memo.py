@@ -1,6 +1,8 @@
 """The memo on each SiegelPoint: what is derived from a point is computed
 once per point object, shared by every caller, and read-only."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,13 @@ def test_metric_pair_computes_no_condition_number(monkeypatch):
         for point in points + [stack]:
             metric.metric_pair(point)
     assert conds == []
+
+
+def test_a_point_builds_z_and_its_memo_in_the_constructor():
+    point = random_point(2, seed=7)
+    assert {"Z", "_memo"} <= vars(point).keys()
+    assert not point.Z.flags.writeable and point._memo == {}
+    assert not any(isinstance(attr, cached_property)
+                   for attr in vars(SiegelPoint).values())
+    gamma = random_symplectic(2, 3, seed=7)
+    assert vars(gamma)["_hash"] == hash(gamma)
