@@ -101,8 +101,9 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        da, db = self._den, other._den
-        return all(a * db == b * da for a, b in zip(self._nums, other._nums))
+        # the stored form is reduced with den > 0, so it is unique: equal
+        # series store equal numbers, and series of different lengths differ
+        return self._den == other._den and self._nums == other._nums
 
     def __add__(self, other: "QSeries") -> "QSeries":
         w = self.weight if self.weight == other.weight else None

@@ -374,35 +374,6 @@ def _unimodular_inverse_t(U: np.ndarray) -> np.ndarray:
                               "integer range") from None
 
 
-def _generator_matrix(g: int, tag: str, param) -> np.ndarray:
-    """The 2g x 2g int64 matrix of one generator: "J" the inversion
-    (O, I; -I, O), "T" the translation (I, B; O, I) by the symmetric
-    integer matrix param, "U" the embedding (U, O; O, U^-t) of the
-    unimodular integer matrix param.  The matrix is not tested against
-    M J M^t = J; the element built from it (or from a product of such
-    matrices) is.  The inversion's is the shared read-only J."""
-    if tag == "J":
-        return _symplectic_form(g)
-    M = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    if tag == "T":
-        B = _int64_entries(param, "translation block")
-        if not np.array_equal(B, B.T):
-            raise ValueError("translation block must be symmetric")
-        if B.shape != (g, g):
-            raise DimensionError(f"block B must be {g}x{g}")
-        M[:g, g:] = B
-        M[:g, :g] = M[g:, g:] = np.eye(g, dtype=np.int64)
-    elif tag == "U":
-        U = _int64_entries(param, "embedding block")
-        if U.shape != (g, g):
-            raise DimensionError(f"block A must be {g}x{g}")
-        M[:g, :g] = U
-        M[g:, g:] = _unimodular_inverse_t(U)
-    else:
-        raise ValueError(f"unknown generator tag {tag!r}")
-    return M
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticElement:
     """Integer block matrix (A, B; C, D) with M J M^t = J.
@@ -462,15 +433,29 @@ class SymplecticElement:
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticElement":
-        return cls.from_matrix(_generator_matrix(g, "J", None))
+        """J = (O, I; -I, O)."""
+        return cls.from_matrix(_symplectic_form(g))
 
     @classmethod
     def translation(cls, B: np.ndarray) -> "SymplecticElement":
-        return cls.from_matrix(_generator_matrix(np.shape(B)[0], "T", B))
+        """(I, B; O, I) for the symmetric integer matrix B, whose shape
+        the constructor tests."""
+        B = _int64_entries(B, "translation block")
+        if not np.array_equal(B, B.T):
+            raise ValueError("translation block must be symmetric")
+        g = B.shape[0]
+        I = np.eye(g, dtype=np.int64)
+        return cls(g, I, B, np.zeros_like(I), I)
 
     @classmethod
     def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
-        return cls.from_matrix(_generator_matrix(np.shape(U)[0], "U", U))
+        """(U, O; O, U^-t) for the unimodular integer matrix U."""
+        U = _int64_entries(U, "embedding block")
+        g = U.shape[0]
+        if U.shape != (g, g):
+            raise DimensionError(f"block A must be {g}x{g}")
+        O = np.zeros((g, g), dtype=np.int64)
+        return cls(g, U, O, O, _unimodular_inverse_t(U))
 
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         if self.g != other.g:
@@ -531,7 +516,7 @@ def cocycle_condition(gamma: SymplecticElement,
                       point: SiegelPoint) -> np.ndarray:
     """cond(C Z + D) (one per point of a stack); DegeneracyError when any
     exceeds COND_LIMIT.  Tested once per (gamma, point) and kept on the
-    point; the action and the pushforward rely on this test."""
+    point; the action and every pushforward rely on this test."""
     return point.derived(_cocycle_condition, gamma)
 
 
@@ -599,9 +584,10 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
                         V: np.ndarray) -> np.ndarray:
     """Differential of the action: (Z C^t + D^t)^{-1} V (C Z + D)^{-1} at
     one point (DimensionError for a stack); V passes the tangent gate
-    (_tangent)."""
+    (_tangent) and C Z + D the conditioning test (cocycle_condition)."""
     _require_one_point(point)
     V = _tangent(V, point.g)
+    point.derived(_cocycle_condition, gamma)
     den_t = point.derived(_cocycle, gamma).T  # Z C^t + D^t, Z symmetric
     out = np.linalg.solve(den_t, V)
     out = np.linalg.solve(den_t, out.T).T
@@ -657,27 +643,27 @@ def pushforward_matrix_derivative(gamma: SymplecticElement,
 def random_symplectic(g: int, word_length: int,
                       seed: int | np.random.Generator) -> SymplecticElement:
     """Deterministic product of word_length random generators: inversions,
-    symmetric translations and unimodular embeddings.  Each generator's
-    matrix is built as it is drawn, and multiplied into the product
-    exactly, in int64 or through Python ints (see _int_matmul); only the
-    product becomes, and is validated as, an element, by one test of
-    M J M^t = J.  T is drawn symmetric.  U is built by row operations
-    U[j] += c U[i], unimodular by construction, and U^-t beside it by
-    V[i] -= c V[j], so neither is tested or solved for."""
+    symmetric translations and unimodular embeddings.  Each drawn
+    generator is written straight into its step matrix, unvalidated, and
+    multiplied into the product exactly, in int64 or through Python ints
+    (see _int_matmul); only the product becomes, and is validated as, an
+    element, by one test of M J M^t = J.  B is drawn symmetric.  U is
+    built by row operations U[j] += c U[i], unimodular by construction,
+    and U^-t beside it by V[i] -= c V[j], so neither is tested or solved
+    for."""
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     rng = np.random.default_rng(seed)
     out = np.eye(2 * g, dtype=np.int64)
     for _ in range(word_length):
         kind = rng.integers(0, 3)
-        if kind == 0:
-            step = _generator_matrix(g, "J", None)
-        elif kind == 1:
+        step = (_symplectic_form(g) if kind == 0
+                else np.eye(2 * g, dtype=np.int64))
+        if kind == 1:
             B = rng.integers(-2, 3, size=(g, g))
-            step = _generator_matrix(g, "T", np.triu(B) + np.triu(B, 1).T)
-        else:
+            step[:g, g:] = np.triu(B) + np.triu(B, 1).T
+        elif kind == 2:
             # U and U^-t, built in place as the diagonal blocks of step
-            step = np.eye(2 * g, dtype=np.int64)
             U, V = step[:g, :g], step[g:, g:]
             for _ in range(int(rng.integers(1, 4))):
                 i, j = rng.integers(0, g, size=2)

@@ -13,7 +13,8 @@ coefficients (``modular_law``, ``path_agreement``, ``case_analysis`` and
 ``apply_D``, and three break the left side of ``equivariance``,
 D(gamma . alpha) evaluated at a probe vector.  The operators suite holds
 the laws of the gradient, of G = i Y^-1 and of the brackets, and the
-qseries suite the Serre derivative.  A jet's gradient is
+qseries suite the Serre derivative.  The metric suite's
+``pairing_invariance`` reads the tangent pushforward.  A jet's gradient is
 also compared with a central-difference gradient, which no suite check
 does.
 """
@@ -31,6 +32,7 @@ import siegel.indexing as indexing
 import siegel.metric as metric
 import siegel.operators as operators
 import siegel.qseries as qseries
+import siegel.symplectic as symplectic
 from siegel.functions import Jet, fd_gradient, random_test_function
 from siegel.symplectic import random_point
 from siegel.verify import run_suite
@@ -165,6 +167,14 @@ def _bracket_weight_exponent_off_by_one(monkeypatch):
                        "2 * r + 2 * s", "2 * r + 2 * s + 1")
 
 
+def _pushforward_by_untransposed_cocycle(monkeypatch):
+    # the tangent pushforward solves against C Z + D where its transpose
+    # Z C^t + D^t belongs
+    _replace_in_source(monkeypatch, symplectic, "tangent_pushforward",
+                       "point.derived(_cocycle, gamma).T",
+                       "point.derived(_cocycle, gamma)")
+
+
 def _jet_with_zero_gradient(monkeypatch):
     def mutant(cls, fn, point):
         grad = fn.gradient(point)
@@ -196,7 +206,8 @@ def _jet_with_zero_gradient(monkeypatch):
 # r b != s a, so only it reads the bracket law's curvature term; the weight
 # factor is read by all three.  The Serre derivative is read by the classical
 # weight-raising checks and by the degree-one i G2 check of the operators
-# suite
+# suite.  The untransposed cocycle is caught at g = 2 only: at g = 1 the
+# cocycle is its own transpose
 MUTANTS = {
     "closed_form_undivided": (
         _closed_form_undivided,
@@ -248,11 +259,14 @@ MUTANTS = {
         _bracket_weight_exponent_off_by_one,
         {"operators": {"bracket_equal_weight", "bracket_defect_prediction",
                        "bracket_weight_corrected"}}),
+    "pushforward_by_untransposed_cocycle": (
+        _pushforward_by_untransposed_cocycle,
+        {"metric": {"pairing_invariance"}}),
 }
 
 
 def test_the_unmutated_suite_passes():
-    for suite in ("connection", "operators", "qseries"):
+    for suite in ("metric", "connection", "operators", "qseries"):
         assert _failing_checks(suite) == Counter()
 
 

@@ -39,6 +39,13 @@ def test_delta_head_and_relation():
     assert d.coeffs[0] == 0
 
 
+def test_series_of_different_lengths_are_not_equal():
+    # only the common prefix was compared, so both read as equal
+    assert QSeries([1, 2]) != QSeries([1])
+    assert QSeries([1]) != QSeries([1, 99, -5])
+    assert QSeries([1, Fraction(1, 2)]) == QSeries([Fraction(2, 2), 0.5])
+
+
 def test_series_arithmetic_is_exact_and_truncation_aware():
     a = QSeries([1, Fraction(1, 2), 3], weight=4)
     b = QSeries([2, 0, -1, 7], weight=4)

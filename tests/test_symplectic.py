@@ -327,6 +327,18 @@ def test_tangent_pushforward_basics():
         tangent_pushforward(ident, point, np.array([[0, 1], [0, 0]]))
 
 
+def test_tangent_pushforward_refuses_an_ill_conditioned_cocycle():
+    # a valid point where C Z + D = -Z for the inversion has condition
+    # number 2e13: pushforward_matrix refused it, while tangent_pushforward
+    # returned entries of 5e25
+    point = SiegelPoint.from_matrix(np.ones((2, 2)) + 1e-13j * np.eye(2))
+    gamma = SymplecticElement.inversion(2)
+    with pytest.raises(DegeneracyError, match="numerically singular"):
+        pushforward_matrix(gamma, point)
+    with pytest.raises(DegeneracyError, match="numerically singular"):
+        tangent_pushforward(gamma, point, np.eye(2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("pushforward", [
     tangent_pushforward, pushforward_matrix_derivative],
@@ -435,15 +447,54 @@ def test_a_numpy_integer_seed_draws_as_the_plain_int():
         2, 5).terms
 
 
-def test_generator_word_expansion_is_symplectic():
-    # the generator matrices random_symplectic multiplies, and their product
-    J = symplectic._generator_matrix(2, "J", None)
-    T = symplectic._generator_matrix(2, "T", np.array([[1, 2], [2, 0]]))
-    U = symplectic._generator_matrix(2, "U", np.array([[1, 1], [0, 1]]))
+def test_generator_word_expansion_is_symplectic(monkeypatch):
+    # the three generators, their products, and the steps random_symplectic
+    # writes straight into its word: each is its constructor's matrix
+    J = SymplecticElement.inversion(2).matrix
+    T = SymplecticElement.translation(np.array([[1, 2], [2, 0]])).matrix
+    U = SymplecticElement.unimodular(np.array([[1, 1], [0, 1]])).matrix
     for M in (J, T, U, symplectic._int_matmul(J, T), J @ T @ U):
         assert is_symplectic(M)
-    with pytest.raises(ValueError, match="unknown generator"):
-        symplectic._generator_matrix(2, "X", None)
+    steps = []
+    multiply = symplectic._int_matmul
+
+    def recorded(a, b):
+        steps.append(b.copy())
+        return multiply(a, b)
+    monkeypatch.setattr(symplectic, "_int_matmul", recorded)
+    g = 3
+    for seed in range(10):
+        random_symplectic(g, 12, seed)
+    assert len(steps) == 120
+    kinds = set()
+    for step in steps:
+        if np.array_equal(step, symplectic._symplectic_form(g)):
+            kinds.add("inversion")
+        elif np.array_equal(step[:g, :g], np.eye(g)):
+            assert step.tobytes() == SymplecticElement.translation(
+                step[:g, g:]).matrix.tobytes()
+            kinds.add("translation")
+        else:
+            assert step.tobytes() == SymplecticElement.unimodular(
+                step[:g, :g]).matrix.tobytes()
+            kinds.add("unimodular")
+    assert kinds == {"inversion", "translation", "unimodular"}
+
+
+def test_drawing_a_word_checks_only_the_product_blocks(monkeypatch):
+    # the element built from the product checks its four blocks; no drawn
+    # generator block is checked on its own
+    calls = []
+    check = symplectic._int64_entries
+
+    def counted(M, what):
+        calls.append(what)
+        return check(M, what)
+    monkeypatch.setattr(symplectic, "_int64_entries", counted)
+    for seed in range(10):
+        calls.clear()
+        random_symplectic(3, 12, seed)
+        assert calls == [f"block {name}" for name in "ABCD"]
 
 
 def test_word_expansion_validates_only_the_product(monkeypatch):
@@ -470,14 +521,22 @@ def test_word_expansion_validates_only_the_product(monkeypatch):
      "embedding block must be unimodular"),
 ])
 def test_bad_generators_are_rejected_in_words_and_alone(tag, param, match):
-    # the generator matrix random_symplectic builds for each draw, and the
-    # element built from it alone
-    with pytest.raises(ValueError, match=match):
-        symplectic._generator_matrix(2, tag, np.array(param))
+    # a bad block written into a word, as random_symplectic writes its
+    # draws, fails the product's one test; the generator's constructor
+    # refuses it alone, with its own message
+    block = np.array(param)
+    step = np.eye(4, dtype=np.int64)
+    if tag == "T":
+        step[:2, 2:] = block
+    else:
+        step[:2, :2] = block
+    word = symplectic._int_matmul(symplectic._symplectic_form(2), step)
+    with pytest.raises(ValueError, match="symplectic relation"):
+        SymplecticElement.from_matrix(word)
     build = (SymplecticElement.translation if tag == "T"
              else SymplecticElement.unimodular)
     with pytest.raises(ValueError, match=match):
-        build(np.array(param))
+        build(block)
 
 
 def test_the_symplectic_form_is_built_once_and_read_only():
