@@ -199,7 +199,7 @@ def _gamma_path_b_expanded(point: SiegelPoint) -> np.ndarray:
     return table
 
 
-def gamma_from_metric(point: SiegelPoint, path: str = "A") -> np.ndarray:
+def gamma_from_metric(point: SiegelPoint, path: str) -> np.ndarray:
     """Levi-Civita coefficients derived from the metric matrices, read-only,
     axes (K, I, J); DimensionError for a stack of points."""
     _require_one_point(point)

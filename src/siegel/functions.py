@@ -5,9 +5,10 @@ gradient(point) -> length-|Omega| array of holomorphic coordinate
 derivatives d/dZ_I.  Values broadcast: given a stack of points (X and Y of
 shape (..., g, g)), value returns one value per point.  The workhorse is
 TestFunction, a sparse polynomial in the upper-triangle entries Z_I and
-optionally their conjugates, with exact Gaussian-rational coefficients so
-that derivative bookkeeping stays exact until a value is requested at a
-numeric point, where it is evaluated from exponent arrays compiled once.
+optionally their conjugates.  Its coefficients are Python numbers, kept as
+given, so derivative bookkeeping stays exact for int and Fraction
+coefficients until a value is requested at a numeric point, where it is
+evaluated from exponent arrays compiled once.
 
 A Jet is what the form layer keeps of a point function: its value and
 holomorphic gradient at one point (``Jet.at``).  Jets add and scale by
@@ -16,8 +17,7 @@ numbers, which is all the dZ algebra does to a coefficient that D reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -26,48 +26,13 @@ from .indexing import Pair, basis_stack, omega_size, position, sym_to_coords
 from .symplectic import SiegelPoint
 
 
-@dataclass(frozen=True)
-class QC:
-    """Gaussian rational re + im*i with exact Fraction parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, value) -> "QC":
-        if isinstance(value, QC):
-            return value
-        if isinstance(value, (int, Fraction, float)):
-            return cls(Fraction(value))
-        if isinstance(value, complex):
-            return cls(Fraction(value.real), Fraction(value.imag))
-        raise TypeError(f"cannot coerce {type(value)} to a Gaussian rational")
-
-    def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
-    def __mul__(self, other: "QC") -> "QC":
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-
 class TestFunction:
     """Sparse polynomial in {Z_I} and {conj Z_I}, I in Omega.
 
-    Terms map (holo_exponents, anti_exponents) -> QC coefficient, the
-    exponent tuples having one slot per Omega position.
+    Terms map (holo_exponents, anti_exponents) -> coefficient, the
+    exponent tuples having one slot per Omega position.  A coefficient is
+    any Python number, kept as given; sums, products and partial use
+    Python's own arithmetic, exact for int and Fraction.
     """
 
     __test__ = False  # not a pytest case, despite the name
@@ -77,7 +42,9 @@ class TestFunction:
         self.m = omega_size(g)
         self.terms = {}
         for key, coef in (terms or {}).items():
-            coef = QC.of(coef)
+            if not isinstance(coef, numbers.Number):
+                raise TypeError(f"coefficient must be a number, got "
+                                f"{type(coef).__name__}")
             if coef:
                 self.terms[key] = coef
 
@@ -85,7 +52,7 @@ class TestFunction:
     def constant(cls, g: int, value) -> "TestFunction":
         m = omega_size(g)
         zero = (0,) * m
-        return cls(g, {(zero, zero): QC.of(value)})
+        return cls(g, {(zero, zero): value})
 
     @classmethod
     def coordinate(cls, g: int, pair: Pair, conj: bool = False) -> "TestFunction":
@@ -94,18 +61,18 @@ class TestFunction:
         exps = tuple(1 if t == pos else 0 for t in range(m))
         zero = (0,) * m
         key = (zero, exps) if conj else (exps, zero)
-        return cls(g, {key: QC.of(1)})
+        return cls(g, {key: 1})
 
     def _lift(self, other) -> "TestFunction":
         """other, with a number made a constant function."""
-        if isinstance(other, (int, Fraction, float, complex, QC)):
+        if isinstance(other, numbers.Number):
             return TestFunction.constant(self.g, other)
         return other
 
     def __add__(self, other):
         out: dict = dict(self.terms)
         for key, coef in self._lift(other).terms.items():
-            out[key] = out.get(key, QC()) + coef
+            out[key] = out.get(key, 0) + coef
         return TestFunction(self.g, out)
 
     __radd__ = __add__
@@ -123,7 +90,7 @@ class TestFunction:
             for (h2, a2), c2 in other.terms.items():
                 key = (tuple(x + y for x, y in zip(h1, h2)),
                        tuple(x + y for x, y in zip(a1, a2)))
-                c = out.get(key, QC()) + c1 * c2
+                c = out.get(key, 0) + c1 * c2
                 if c:
                     out[key] = c
                 elif key in out:
@@ -149,7 +116,7 @@ class TestFunction:
             new = list(holo)
             new[pos] = e - 1
             key = (tuple(new), anti)
-            out[key] = out.get(key, QC()) + coef * QC.of(e)
+            out[key] = out.get(key, 0) + coef * e
         return TestFunction(self.g, out)
 
     @cached_property
@@ -159,7 +126,7 @@ class TestFunction:
         keys = list(self.terms)
         holo = np.array([h for h, _ in keys], dtype=np.int64)
         anti = np.array([a for _, a in keys], dtype=np.int64)
-        coef = np.array([c.to_complex() for c in self.terms.values()],
+        coef = np.array([complex(c) for c in self.terms.values()],
                         dtype=complex)
         shape = (len(keys), self.m)
         return holo.reshape(shape), anti.reshape(shape), coef
@@ -323,7 +290,7 @@ def random_test_function(g: int, seed: int | np.random.Generator,
                 holo[pos] += 1
         coef = int(rng.integers(-3, 4)) or 1
         key = (tuple(holo), tuple(anti))
-        terms[key] = terms.get(key, QC()) + QC.of(coef)
+        terms[key] = terms.get(key, 0) + coef
     fn = TestFunction(g, terms)
     if not fn.terms:
         fn = TestFunction.constant(g, 1)

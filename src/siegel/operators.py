@@ -75,7 +75,7 @@ class QSeriesFunction:
         return np.array(values).reshape(zs.shape + (1,))
 
 
-def ig2_field(n_terms: int = 300):
+def ig2_field(n_terms: int):
     """The holomorphic degree-one field i G2 = i (pi/3) E2 as a function of
     the point, evaluated from its q-expansion."""
     e2 = g2_series(n_terms)

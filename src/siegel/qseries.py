@@ -340,7 +340,7 @@ SL2_WORDS = {
 
 
 def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
-                     n: int = 300) -> float:
+                     n: int) -> float:
     """|i G2(gamma z)/(cz+d)^2 - i G2(z) - 2c/(cz+d)| at a point.
 
     ValueError for a z that is not finite; DegeneracyError when gamma z

@@ -39,6 +39,20 @@ class DegeneracyError(ArithmeticError):
     is no longer a valid point."""
 
 
+def _degree(g: int) -> int:
+    """g, after the one degree gate: DimensionError unless g >= 1."""
+    if g < 1:
+        raise DimensionError(f"degree must be at least 1, got {g}")
+    return g
+
+
+def _square_size(M: np.ndarray, what: str) -> int:
+    """n of the n x n matrix M; DimensionError for any other shape."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionError(f"{what} must be square, got shape {M.shape}")
+    return M.shape[0]
+
+
 def _mT(M: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack of shape (..., g, g)."""
     return M.swapaxes(-1, -2)
@@ -91,6 +105,7 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
     The finiteness test is folded into the entry scale: a NaN or infinite
     entry leaves max|entry| non-finite.  Each test is one reduction over
     the stack; only a failed one looks for the first bad member."""
+    _degree(g)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
@@ -135,7 +150,7 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
 def _json_object(text: str, *keys: str) -> tuple[int, dict]:
     """The degree and the fields of a JSON object with an integer "g" and
     the given keys; ValueError for any other text, a missing key
-    included."""
+    included, and DimensionError for a degree below 1."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object with keys g, "
@@ -146,7 +161,7 @@ def _json_object(text: str, *keys: str) -> tuple[int, dict]:
     g = data["g"]
     if type(g) is not int:  # a bool is an int to isinstance
         raise ValueError(f"g must be an integer, got {g!r}")
-    return g, data
+    return _degree(g), data
 
 
 def _json_array(data: dict, key: str, dtype) -> np.ndarray:
@@ -292,6 +307,15 @@ def _int64_entries(M, what: str) -> np.ndarray:
     return M
 
 
+def _symplectic_degree(M: np.ndarray) -> int:
+    """g of the 2g x 2g matrix M, g >= 1; DimensionError for any other
+    shape.  The shape test of from_matrix and is_symplectic."""
+    n = _square_size(M, "symplectic matrix")
+    if n % 2 != 0:
+        raise DimensionError(f"symplectic matrices have even size, got {n}")
+    return _degree(n // 2)
+
+
 def _blocks_symplectic(M: np.ndarray) -> bool:
     """Whether the integer block matrix M = (A, B; C, D) satisfies
     M J M^t = J, tested as one exact product.  An int64 M is multiplied in
@@ -309,11 +333,7 @@ def is_symplectic(M: np.ndarray) -> bool:
     """Whether the integer matrix M satisfies M J M^t = J, tested exactly by
     the product of the constructor; ValueError for any other dtype."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {M.shape}")
-    if M.shape[0] % 2 != 0:
-        raise DimensionError(f"symplectic matrices have even size, "
-                             f"got {M.shape[0]}")
+    _symplectic_degree(M)
     return _blocks_symplectic(_integer_matrix(M, "is_symplectic"))
 
 
@@ -393,7 +413,7 @@ class SymplecticElement:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = self.g
+        g = _degree(self.g)
         top, bottom = slice(0, g), slice(g, 2 * g)
         blocks = {"A": (top, top), "B": (top, bottom), "C": (bottom, top),
                   "D": (bottom, bottom)}
@@ -424,26 +444,25 @@ class SymplecticElement:
     @classmethod
     def from_matrix(cls, M: np.ndarray) -> "SymplecticElement":
         M = np.asarray(M)
-        g = M.shape[0] // 2
+        g = _symplectic_degree(M)
         return cls(g, M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:])
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        return cls.from_matrix(np.eye(2 * g, dtype=np.int64))
+        return cls.from_matrix(np.eye(2 * _degree(g), dtype=np.int64))
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticElement":
         """J = (O, I; -I, O)."""
-        return cls.from_matrix(_symplectic_form(g))
+        return cls.from_matrix(_symplectic_form(_degree(g)))
 
     @classmethod
     def translation(cls, B: np.ndarray) -> "SymplecticElement":
-        """(I, B; O, I) for the symmetric integer matrix B, whose shape
-        the constructor tests."""
+        """(I, B; O, I) for the symmetric integer matrix B."""
         B = _int64_entries(B, "translation block")
+        g = _degree(_square_size(B, "translation block"))
         if not np.array_equal(B, B.T):
             raise ValueError("translation block must be symmetric")
-        g = B.shape[0]
         I = np.eye(g, dtype=np.int64)
         return cls(g, I, B, np.zeros_like(I), I)
 
@@ -451,9 +470,7 @@ class SymplecticElement:
     def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
         """(U, O; O, U^-t) for the unimodular integer matrix U."""
         U = _int64_entries(U, "embedding block")
-        g = U.shape[0]
-        if U.shape != (g, g):
-            raise DimensionError(f"block A must be {g}x{g}")
+        g = _degree(_square_size(U, "embedding block"))
         O = np.zeros((g, g), dtype=np.int64)
         return cls(g, U, O, O, _unimodular_inverse_t(U))
 
@@ -651,6 +668,7 @@ def random_symplectic(g: int, word_length: int,
     built by row operations U[j] += c U[i], unimodular by construction,
     and U^-t beside it by V[i] -= c V[j], so neither is tested or solved
     for."""
+    _degree(g)
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     rng = np.random.default_rng(seed)
@@ -684,6 +702,7 @@ def random_symplectic(g: int, word_length: int,
 def random_point(g: int, seed: int | np.random.Generator,
                  spread: float = 1.0) -> SiegelPoint:
     """Random point with X in [-spread, spread] entries and Y = A A^t + I."""
+    _degree(g)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-spread, spread, size=(g, g))
     X = (X + X.T) / 2.0

@@ -5,7 +5,7 @@ import pytest
 
 from siegel.forms import FormPolynomial, det_dz, probe_vectors, trace_form
 from siegel.connection import _transported_D
-from siegel.functions import (QC, Jet, TestFunction, fd_gradient,
+from siegel.functions import (Jet, TestFunction, fd_gradient,
                               random_test_function)
 from siegel.indexing import (covector_to_sym, omega_list, position,
                              position_table, sym_to_covector)
@@ -14,15 +14,26 @@ from siegel.symplectic import (SiegelPoint, act, random_point,
                                random_symplectic)
 
 
-def test_gaussian_rational_arithmetic():
-    a = QC(Fraction(1, 2), Fraction(1, 3))
-    b = QC(Fraction(2), Fraction(-1))
-    prod = a * b
-    assert prod.re == Fraction(1) + Fraction(1, 3)
-    assert prod.im == Fraction(1, 6)
-    assert (a + (-a)).to_complex() == 0
-    assert not QC()
-    assert QC.of(2 + 1j) == QC(Fraction(2), Fraction(1))
+def test_fraction_coefficients_stay_exact():
+    # a coefficient is kept as the number it was given; sums, products and
+    # partial derivatives use Python's own arithmetic, exact for Fraction
+    z11, z12 = (TestFunction.coordinate(2, pair) for pair in ((1, 1), (1, 2)))
+    f = z11 * Fraction(1, 3) * z11
+    (coef,) = f.partial((1, 1)).terms.values()
+    assert coef == Fraction(2, 3) and type(coef) is Fraction
+    total = f + Fraction(1, 6) * z12 + Fraction(1, 2)
+    assert sorted(total.terms.values()) == [Fraction(1, 6), Fraction(1, 3),
+                                            Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in total.terms.values())
+    # a sum that cancels exactly drops its term
+    assert not (f - Fraction(1, 3) * z11 ** 2).terms
+
+
+def test_coefficient_that_is_not_a_number_is_refused():
+    with pytest.raises(TypeError, match="coefficient must be a number"):
+        TestFunction(1, {((0,), (0,)): "a"})
+    with pytest.raises(TypeError, match="coefficient must be a number"):
+        TestFunction.constant(2, "a")
 
 
 def test_form_commutativity():
@@ -152,7 +163,7 @@ def _value_by_terms(f, point):
     coords = [point.Z[i - 1, j - 1] for i, j in omega_list(f.g)]
     total, size = 0j, 0.0
     for (holo, anti), coef in f.terms.items():
-        term = coef.to_complex()
+        term = complex(coef)
         for c, e, a in zip(coords, holo, anti):
             term *= c ** e * np.conj(c) ** a
         total += term
@@ -315,8 +326,8 @@ def test_product_function_rule():
     with pytest.raises(TypeError):
         jf * jh
     for jet, fn in ((jf + jh, f + h),
-                    (jf * (0.5 - 1j), f * QC(Fraction(1, 2), Fraction(-1))),
-                    (np.complex128(2j) * jf, f * QC(im=Fraction(2)))):
+                    (jf * (0.5 - 1j), f * (0.5 - 1j)),
+                    (np.complex128(2j) * jf, f * 2j)):
         exact = Jet.at(fn, point)
         assert abs(jet.value - exact.value) < 1e-12 * max(1, abs(exact.value))
         assert np.abs(jet.grad - exact.grad).max() < \

@@ -42,6 +42,44 @@ def test_is_symplectic_dimension_errors():
         is_symplectic(np.ones((2, 4)))
 
 
+_EMPTY = np.zeros((0, 0), dtype=np.int64)
+_DEGREE_0 = "degree must be at least 1, got 0"
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SymplecticElement.translation(5),
+     r"translation block must be square, got shape \(\)"),
+    (lambda: SymplecticElement.unimodular(5),
+     r"embedding block must be square, got shape \(\)"),
+    (lambda: SymplecticElement.translation(_EMPTY), _DEGREE_0),
+    (lambda: SymplecticElement.unimodular(_EMPTY), _DEGREE_0),
+    (lambda: SymplecticElement.inversion(0), _DEGREE_0),
+    (lambda: SymplecticElement.identity(0), _DEGREE_0),
+    (lambda: SymplecticElement.identity(-1),
+     "degree must be at least 1, got -1"),
+    (lambda: SymplecticElement(0, _EMPTY, _EMPTY, _EMPTY, _EMPTY),
+     _DEGREE_0),
+    (lambda: SymplecticElement.from_matrix(_EMPTY), _DEGREE_0),
+    (lambda: SymplecticElement.from_matrix(np.eye(3, dtype=int)),
+     "symplectic matrices have even size, got 3"),
+    (lambda: SymplecticElement.from_matrix(np.ones(4, dtype=int)),
+     r"symplectic matrix must be square, got shape \(4,\)"),
+    (lambda: is_symplectic(_EMPTY), _DEGREE_0),
+    (lambda: SiegelPoint(0, np.zeros((0, 0)), np.zeros((0, 0))), _DEGREE_0),
+    (lambda: random_point(0, 1), _DEGREE_0),
+    (lambda: random_symplectic(0, 3, 1), _DEGREE_0),
+], ids=["translation-scalar", "unimodular-scalar", "translation-0x0",
+        "unimodular-0x0", "inversion-0", "identity-0", "identity-negative",
+        "constructor-0", "from_matrix-0x0", "from_matrix-odd",
+        "from_matrix-1d", "is_symplectic-0x0", "point-0", "random_point-0",
+        "random_symplectic-0"])
+def test_degenerate_degrees_and_shapes_raise_dimension_error(build, match):
+    # one degree gate: an element or a point has degree g >= 1, and a block
+    # or a matrix of another shape names its shape
+    with pytest.raises(DimensionError, match=match):
+        build()
+
+
 def test_point_construction_symmetrizes_and_rejects():
     X = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
     point = SiegelPoint(2, X, np.eye(2))
@@ -587,6 +625,7 @@ def test_json_round_trips():
     ('{{"g": true, {blocks}}}', "g must be an integer"),
     ('{{"g": 1.7, {blocks}}}', "g must be an integer"),
     ('{{"g": 1.0, {blocks}}}', "g must be an integer"),
+    ('{{"g": 0, {blocks}}}', "degree must be at least 1, got 0"),
     ('{{{blocks}, "g": 1, "{first}": {{"a": 1}}}}', "not a matrix of numbers"),
 ])
 def test_json_rejects_what_is_not_an_object_of_degree_and_blocks(
