@@ -25,8 +25,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .indexing import (Pair, omega_size, position, position_table,
-                       sym_to_covector)
+from .indexing import (Pair, _degree, _same_degree, omega_size, position,
+                       position_table, sym_to_covector)
 
 Monomial = tuple[int, ...]
 
@@ -34,10 +34,10 @@ Monomial = tuple[int, ...]
 class FormPolynomial:
     """Sparse element of the commutative dZ algebra.  The constructor
     sorts each key; coefficients of keys that sort to one monomial add,
-    and a sum that cancels is dropped."""
+    and a sum that cancels is dropped; two degrees never multiply."""
 
     def __init__(self, g: int, terms: dict | None = None):
-        self.g = g
+        self.g = _degree(g)
         self.terms: dict[Monomial, object] = {}
         for mono, coef in (terms or {}).items():
             if coef == 0:
@@ -54,6 +54,7 @@ class FormPolynomial:
         return cls(g, {(position(pair, g),): 1.0 + 0j})
 
     def __mul__(self, other: "FormPolynomial") -> "FormPolynomial":
+        _same_degree("form", self.g, "form", other.g)
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import Pair, basis_stack, omega_size, position, sym_to_coords
+from .indexing import (Pair, _degree, _same_degree, basis_stack, omega_size,
+                       position, sym_to_coords)
 from .symplectic import SiegelPoint
 
 
@@ -32,13 +33,14 @@ class TestFunction:
     Terms map (holo_exponents, anti_exponents) -> coefficient, the
     exponent tuples having one slot per Omega position.  A coefficient is
     any Python number, kept as given; sums, products and partial use
-    Python's own arithmetic, exact for int and Fraction.
+    Python's own arithmetic, exact for int and Fraction.  A sum or product
+    of two degrees, or a value at a point of another, is a DimensionError.
     """
 
     __test__ = False  # not a pytest case, despite the name
 
     def __init__(self, g: int, terms: dict | None = None):
-        self.g = g
+        self.g = _degree(g)
         self.m = omega_size(g)
         self.terms = {}
         for key, coef in (terms or {}).items():
@@ -50,8 +52,7 @@ class TestFunction:
 
     @classmethod
     def constant(cls, g: int, value) -> "TestFunction":
-        m = omega_size(g)
-        zero = (0,) * m
+        zero = (0,) * omega_size(g)
         return cls(g, {(zero, zero): value})
 
     @classmethod
@@ -64,9 +65,10 @@ class TestFunction:
         return cls(g, {key: 1})
 
     def _lift(self, other) -> "TestFunction":
-        """other, with a number made a constant function."""
+        """other, with a number made a constant function of this degree."""
         if isinstance(other, numbers.Number):
             return TestFunction.constant(self.g, other)
+        _same_degree("function", self.g, "function", other.g)
         return other
 
     def __add__(self, other):
@@ -154,11 +156,13 @@ class TestFunction:
 
 
 def _test_value(fn: TestFunction, point: SiegelPoint) -> complex:
+    _same_degree("function", fn.g, "point", point.g)
     coords = sym_to_coords(point.Z)[..., None, :]
     return _evaluate(coords, *fn._compiled)
 
 
 def _test_gradient(fn: TestFunction, point: SiegelPoint) -> np.ndarray:
+    _same_degree("function", fn.g, "point", point.g)
     coords = sym_to_coords(point.Z)[..., None, None, :]
     return _evaluate(coords, *fn._compiled_gradient())
 
@@ -276,7 +280,7 @@ def random_test_function(g: int, seed: int | np.random.Generator,
     """Sparse polynomial with small integer coefficients; holomorphic unless
     conj is set."""
     rng = np.random.default_rng(seed)
-    m = omega_size(g)
+    m = omega_size(_degree(g))
     terms: dict = {}
     for _ in range(n_terms):
         deg = int(rng.integers(0, max_degree + 1))

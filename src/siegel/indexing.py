@@ -7,7 +7,8 @@ vectors over Omega always use this ordering.
 
 This module is the one place that knows the layout: the position table,
 the two pairs of conversions between symmetric matrices and Omega vectors
-(coordinates, and covectors paired with dZ) and the basis directions.
+(coordinates, and covectors paired with dZ) and the basis directions, and
+the degree gates every layer shares (_degree, _same_degree).
 """
 
 from __future__ import annotations
@@ -19,14 +20,31 @@ import numpy as np
 Pair = tuple[int, int]
 
 
+class DimensionError(ValueError):
+    """Matrix sizes incompatible with the requested operation."""
+
+
+def _degree(g: int) -> int:
+    """g, after the one degree gate: DimensionError unless g >= 1."""
+    if g < 1:
+        raise DimensionError(f"degree must be at least 1, got {g}")
+    return g
+
+
+def _same_degree(what: str, g: int, other: str, h: int) -> None:
+    """The one mixed-degree gate: DimensionError naming both sides."""
+    if g != h:
+        raise DimensionError(f"degree mismatch: {what} has g={g}, "
+                             f"{other} has g={h}")
+
+
 def omega_size(g: int) -> int:
     return g * (g + 1) // 2
 
 
 def omega_list(g: int) -> list[Pair]:
     """All pairs (i, j) with 1 <= i <= j <= g, in dictionary order."""
-    if g < 1:
-        raise ValueError(f"degree must be >= 1, got {g}")
+    _degree(g)
     return [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
 
 

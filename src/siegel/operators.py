@@ -21,7 +21,7 @@ import cmath
 import numpy as np
 
 from .functions import fd_gradient
-from .indexing import coords_to_sym, covector_to_sym, omega_size
+from .indexing import _same_degree, coords_to_sym, covector_to_sym, omega_size
 from .metric import metric_pair
 from .qseries import G2_FACTOR, evaluate, g2_series
 from .symplectic import (DegeneracyError, SiegelPoint, SymplecticElement,
@@ -101,8 +101,13 @@ def _nabla(grad, f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
 
 
 def det_nabla(f, point: SiegelPoint, k: int) -> complex:
-    """det nabla_k f at the point, with G = i Y^{-1}."""
-    return complex(np.linalg.det(nabla(f, point, k)))
+    """det nabla_k f at the point, with G = i Y^{-1}; DegeneracyError when
+    it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.linalg.det(nabla(f, point, k)))
+    if not cmath.isfinite(value):
+        raise DegeneracyError(f"det nabla_{k} leaves the float range")
+    return value
 
 
 class ModularExtension:
@@ -117,6 +122,7 @@ class ModularExtension:
     def __init__(self, f, weight: int, gamma: SymplecticElement):
         if weight % 2 != 0 or weight < 0:
             raise ValueError("weight must be an even nonnegative integer")
+        _same_degree("function", f.g, "element", gamma.g)
         self.f = f
         self.g = gamma.g
         self.weight = weight
@@ -221,15 +227,6 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
     return relative_residual(lhs - rhs, lhs, rhs)
 
 
-def _finite_det_nabla(f, point: SiegelPoint, k: int) -> complex:
-    """det nabla_k f at the point; DegeneracyError when it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = det_nabla(f, point, k)
-    if not cmath.isfinite(value):
-        raise DegeneracyError(f"det nabla_{k} leaves the float range")
-    return value
-
-
 def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
                               k: int) -> float | None:
     """Relative defect of det nabla_k F (gamma Z) =
@@ -239,11 +236,11 @@ def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,
     range."""
     extension = ModularExtension(f, 2 * k, gamma)
     image = act(gamma, point)
-    here = _finite_det_nabla(f, point, k)
+    here = det_nabla(f, point, k)
     if abs(here) <= _DET_FLOOR:
         return None
     factor = _weight_factor(cocycle(gamma, point), 2 * point.g * k + 2)
-    lhs = _finite_det_nabla(extension, image, k)
+    lhs = det_nabla(extension, image, k)
     rhs = factor * here
     return abs(lhs - rhs) / max(abs(rhs), _DET_FLOOR)
 

@@ -21,7 +21,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .indexing import row_col_indices, sym_to_coords
+from .indexing import (DimensionError, _degree, _same_degree,
+                       row_col_indices, sym_to_coords)
 
 # largest condition number accepted for Y of a point and for C Z + D
 COND_LIMIT = 1e12
@@ -30,20 +31,9 @@ COND_LIMIT = 1e12
 _POINT_TOL = 1e-12
 
 
-class DimensionError(ValueError):
-    """Matrix sizes incompatible with the requested operation."""
-
-
 class DegeneracyError(ArithmeticError):
     """A cocycle factor is numerically singular, or the image of the action
     is no longer a valid point."""
-
-
-def _degree(g: int) -> int:
-    """g, after the one degree gate: DimensionError unless g >= 1."""
-    if g < 1:
-        raise DimensionError(f"degree must be at least 1, got {g}")
-    return g
 
 
 def _square_size(M: np.ndarray, what: str) -> int:
@@ -309,7 +299,7 @@ def _int64_entries(M, what: str) -> np.ndarray:
 
 def _symplectic_degree(M: np.ndarray) -> int:
     """g of the 2g x 2g matrix M, g >= 1; DimensionError for any other
-    shape.  The shape test of from_matrix and is_symplectic."""
+    shape.  The shape test of the element constructor and is_symplectic."""
     n = _square_size(M, "symplectic matrix")
     if n % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, got {n}")
@@ -394,67 +384,56 @@ def _unimodular_inverse_t(U: np.ndarray) -> np.ndarray:
                               "integer range") from None
 
 
+def _assembled(A, B, C, D) -> np.ndarray:
+    """The int64 block matrix (A, B; C, D) of four g x g integer blocks."""
+    g = len(A)
+    M = np.empty((2 * g, 2 * g), dtype=np.int64)
+    M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:] = A, B, C, D
+    return M
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticElement:
-    """Integer block matrix (A, B; C, D) with M J M^t = J.
+    """The element of Sp(2g, Z) with the integer matrix M = (A, B; C, D).
 
-    The element keeps one read-only int64 2g x 2g matrix; A, B, C and D are
-    read-only views of its blocks.  Elements compare by exact value and
-    hash by g and the bytes of that matrix; the constructor computes the
-    hash, and ``inverse`` builds the inverse on first call.
+    The one constructor takes M: one integer check, one shape test (2g x 2g,
+    g >= 1) and one exact test of M J M^t = J.  It keeps a read-only int64
+    copy as ``matrix``, whose size gives the degree ``g`` and whose blocks
+    ``A``, ``B``, ``C`` and ``D`` are read-only views.  Elements compare by
+    exact value and hash by the bytes of the matrix, computed here;
+    ``inverse`` builds the inverse on first call.
     """
 
-    g: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    matrix: np.ndarray
 
     def __post_init__(self):
-        g = _degree(self.g)
-        top, bottom = slice(0, g), slice(g, 2 * g)
-        blocks = {"A": (top, top), "B": (top, bottom), "C": (bottom, top),
-                  "D": (bottom, bottom)}
-        # a new matrix, so that the caller's arrays stay writable
-        M = np.empty((2 * g, 2 * g), dtype=np.int64)
-        for name, at in blocks.items():
-            block = _int64_entries(getattr(self, name), f"block {name}")
-            if block.shape != (g, g):
-                raise DimensionError(f"block {name} must be {g}x{g}")
-            M[at] = block
+        M = _int64_entries(self.matrix, "symplectic matrix")
+        g = _symplectic_degree(M)
+        # a new matrix, so that the caller's array stays writable
+        M = M.astype(np.int64)
         if not _blocks_symplectic(M):
             raise ValueError("blocks do not satisfy the symplectic relation")
         M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "_hash", hash((g, M.tobytes())))
-        for name, at in blocks.items():
-            object.__setattr__(self, name, M[at])
+        # the instance is frozen, so its attributes go into its dict
+        vars(self).update(matrix=M, g=g, _hash=hash(M.tobytes()),
+                          A=M[:g, :g], B=M[:g, g:], C=M[g:, :g], D=M[g:, g:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymplecticElement):
             return NotImplemented
-        return self.g == other.g and np.array_equal(self.matrix,
-                                                    other.matrix)
+        return np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self) -> int:
         return self._hash
 
     @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "SymplecticElement":
-        M = np.asarray(M)
-        g = _symplectic_degree(M)
-        return cls(g, M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:])
-
-    @classmethod
     def identity(cls, g: int) -> "SymplecticElement":
-        return cls.from_matrix(np.eye(2 * _degree(g), dtype=np.int64))
+        return cls(np.eye(2 * _degree(g), dtype=np.int64))
 
     @classmethod
     def inversion(cls, g: int) -> "SymplecticElement":
         """J = (O, I; -I, O)."""
-        return cls.from_matrix(_symplectic_form(_degree(g)))
+        return cls(_symplectic_form(_degree(g)))
 
     @classmethod
     def translation(cls, B: np.ndarray) -> "SymplecticElement":
@@ -464,21 +443,18 @@ class SymplecticElement:
         if not np.array_equal(B, B.T):
             raise ValueError("translation block must be symmetric")
         I = np.eye(g, dtype=np.int64)
-        return cls(g, I, B, np.zeros_like(I), I)
+        return cls(_assembled(I, B, 0, I))
 
     @classmethod
     def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
         """(U, O; O, U^-t) for the unimodular integer matrix U."""
         U = _int64_entries(U, "embedding block")
         g = _degree(_square_size(U, "embedding block"))
-        O = np.zeros((g, g), dtype=np.int64)
-        return cls(g, U, O, O, _unimodular_inverse_t(U))
+        return cls(_assembled(U, 0, 0, _unimodular_inverse_t(U)))
 
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
-        if self.g != other.g:
-            raise DimensionError("degree mismatch")
-        return SymplecticElement.from_matrix(
-            _int_matmul(self.matrix, other.matrix))
+        _same_degree("element", self.g, "element", other.g)
+        return SymplecticElement(_int_matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "SymplecticElement":
         """The exact inverse, built on first call and kept."""
@@ -490,8 +466,8 @@ class SymplecticElement:
         if min(self.B.min(initial=0), self.C.min(initial=0)) == -2 ** 63:
             raise DegeneracyError("inverse has entries beyond the 64-bit "
                                   "integer range")
-        return SymplecticElement(self.g, self.D.T, -self.B.T,
-                                 -self.C.T, self.A.T)
+        return SymplecticElement(_assembled(self.D.T, -self.B.T, -self.C.T,
+                                            self.A.T))
 
     def to_json(self) -> str:
         return json.dumps({"g": self.g, "A": self.A.tolist(),
@@ -500,14 +476,17 @@ class SymplecticElement:
 
     @classmethod
     def from_json(cls, text: str) -> "SymplecticElement":
+        """One element from its blocks, each g x g (DimensionError)."""
         g, data = _json_object(text, "A", "B", "C", "D")
-        return cls(g, *(_json_array(data, key, np.int64) for key in "ABCD"))
+        blocks = [_json_array(data, key, np.int64) for key in "ABCD"]
+        for key, block in zip("ABCD", blocks):
+            if block.shape != (g, g):
+                raise DimensionError(f"block {key} must be {g}x{g}")
+        return cls(_assembled(*blocks))
 
 
 def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
-    if gamma.g != point.g:
-        raise DimensionError(f"degree mismatch: element has g={gamma.g}, "
-                             f"point has g={point.g}")
+    _same_degree("element", gamma.g, "point", point.g)
     den = gamma.C @ point.Z + gamma.D
     den.setflags(write=False)
     return den
@@ -696,7 +675,7 @@ def random_symplectic(g: int, word_length: int,
                     U[j, :] += c * U[i, :]
                     V[i, :] -= c * V[j, :]
         out = _int_matmul(out, step)
-    return SymplecticElement.from_matrix(out)
+    return SymplecticElement(out)
 
 
 def random_point(g: int, seed: int | np.random.Generator,

@@ -1162,11 +1162,10 @@ def test_one_product_check_matches_the_block_identities(M):
     assert symplectic.is_symplectic(M) is expected
     if M.dtype == np.int64:
         if expected:
-            assert SymplecticElement.from_matrix(M).matrix.tobytes() == \
-                M.tobytes()
+            assert SymplecticElement(M).matrix.tobytes() == M.tobytes()
         else:
             with pytest.raises(ValueError, match="symplectic relation"):
-                SymplecticElement.from_matrix(M)
+                SymplecticElement(M)
 
 
 # ------------------------------------------------------------ reuse

@@ -276,7 +276,7 @@ def test_degree_one_wronskian_defect_formula():
     # the transformation defect of h f' - f h' for unequal weights is
     # 2 c (r - s) (cz+d)^{2r+2s+1} f h, checked at determinant level
     r, s = 1, 2
-    gamma = SymplecticElement(1, *(np.array([[v]]) for v in (1, 1, 1, 2)))
+    gamma = SymplecticElement(np.array([[1, 1], [1, 2]]))
     point = SiegelPoint.from_complex(0.3 + 1.1j)
     rng = np.random.default_rng(41)
     f = random_test_function(1, rng)
@@ -361,7 +361,7 @@ def test_ig2_operator_output_is_holomorphic():
 
 
 # (1, 0; N, 1) sends i to i / (N i + 1), with det(C Z + D) = N i + 1
-_STEEP = SymplecticElement(1, *(np.array([[v]]) for v in (1, 0, 10 ** 6, 1)))
+_STEEP = SymplecticElement(np.array([[1, 0], [10 ** 6, 1]]))
 
 
 @pytest.mark.parametrize("c, N", [
@@ -374,7 +374,7 @@ _STEEP = SymplecticElement(1, *(np.array([[v]]) for v in (1, 0, 10 ** 6, 1)))
 def test_det_nabla_beyond_the_float_range_is_a_degeneracy(c, N):
     # f = c at Z = iI, g = 3, along (I, 0; N I, I)
     eye = np.eye(3, dtype=np.int64)
-    gamma = SymplecticElement(3, eye, 0 * eye, N * eye, eye)
+    gamma = SymplecticElement(np.block([[eye, 0 * eye], [N * eye, eye]]))
     point = SiegelPoint(3, np.zeros((3, 3)), np.eye(3))
     f = TestFunction.constant(3, c)
     with warnings.catch_warnings():
@@ -382,6 +382,17 @@ def test_det_nabla_beyond_the_float_range_is_a_degeneracy(c, N):
         with pytest.raises(DegeneracyError,
                            match=r"det nabla_1 leaves the float range"):
             det_nabla_weight_residual(f, gamma, point, 1)
+
+
+def test_det_nabla_beyond_the_float_range_is_a_degeneracy_alone():
+    # det nabla_1 of the constant 1e200 is about i 1e600 / det Y: a
+    # degeneracy, not a NaN residual with two numpy warnings
+    f = TestFunction.constant(3, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError,
+                           match=r"det nabla_1 leaves the float range"):
+            det_nabla(f, random_point(3, 7), 1)
 
 
 @pytest.mark.parametrize("name, residual", [

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import siegel.symplectic as symplectic
-from siegel.functions import random_test_function
+from siegel.connection import invariance_residual
+from siegel.forms import FormPolynomial
+from siegel.functions import Jet, TestFunction, random_test_function
+from siegel.indexing import omega_list
 from siegel.metric import metric_form, metric_pair
+from siegel.operators import (ModularExtension, bracket1, nabla,
+                              verify_nabla_transform)
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
                                SymplecticElement, act, cocycle,
                                is_symplectic, random_point, random_symplectic,
@@ -57,25 +62,72 @@ _DEGREE_0 = "degree must be at least 1, got 0"
     (lambda: SymplecticElement.identity(0), _DEGREE_0),
     (lambda: SymplecticElement.identity(-1),
      "degree must be at least 1, got -1"),
-    (lambda: SymplecticElement(0, _EMPTY, _EMPTY, _EMPTY, _EMPTY),
+    (lambda: SymplecticElement(_EMPTY), _DEGREE_0),
+    # the range check of a uint64 matrix passes an empty one to the gate
+    (lambda: SymplecticElement(np.zeros((0, 0), dtype=np.uint64)),
      _DEGREE_0),
-    (lambda: SymplecticElement.from_matrix(_EMPTY), _DEGREE_0),
-    (lambda: SymplecticElement.from_matrix(np.eye(3, dtype=int)),
+    (lambda: SymplecticElement(np.eye(3, dtype=int)),
      "symplectic matrices have even size, got 3"),
-    (lambda: SymplecticElement.from_matrix(np.ones(4, dtype=int)),
+    (lambda: SymplecticElement(np.ones(4, dtype=int)),
      r"symplectic matrix must be square, got shape \(4,\)"),
     (lambda: is_symplectic(_EMPTY), _DEGREE_0),
     (lambda: SiegelPoint(0, np.zeros((0, 0)), np.zeros((0, 0))), _DEGREE_0),
     (lambda: random_point(0, 1), _DEGREE_0),
     (lambda: random_symplectic(0, 3, 1), _DEGREE_0),
+    (lambda: omega_list(0), _DEGREE_0),
+    (lambda: TestFunction(0), _DEGREE_0),
+    (lambda: TestFunction(-1), "degree must be at least 1, got -1"),
+    (lambda: TestFunction.constant(0, 1), _DEGREE_0),
+    (lambda: random_test_function(0, 1), _DEGREE_0),
+    (lambda: FormPolynomial(0), _DEGREE_0),
 ], ids=["translation-scalar", "unimodular-scalar", "translation-0x0",
         "unimodular-0x0", "inversion-0", "identity-0", "identity-negative",
-        "constructor-0", "from_matrix-0x0", "from_matrix-odd",
-        "from_matrix-1d", "is_symplectic-0x0", "point-0", "random_point-0",
-        "random_symplectic-0"])
+        "constructor-0", "from_matrix-0x0", "constructor-odd",
+        "constructor-1d",
+        "is_symplectic-0x0", "point-0", "random_point-0",
+        "random_symplectic-0", "omega_list-0", "test_function-0",
+        "test_function-negative", "constant_function-0",
+        "random_test_function-0", "form-0"])
 def test_degenerate_degrees_and_shapes_raise_dimension_error(build, match):
-    # one degree gate: an element or a point has degree g >= 1, and a block
-    # or a matrix of another shape names its shape
+    # one degree gate: an element, a point, a test function or a form has
+    # degree g >= 1, and a block or a matrix of another shape names its
+    # shape
+    with pytest.raises(DimensionError, match=match):
+        build()
+
+
+_F2 = random_test_function(2, 1)
+_F3 = random_test_function(3, 1)
+_P3 = random_point(3, 1)
+_G3 = random_symplectic(3, 3, 1)
+_FUNCTION_AND_POINT = "degree mismatch: function has g=2, point has g=3"
+_FUNCTION_AND_ELEMENT = "degree mismatch: function has g=2, element has g=3"
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _F2 + _F3, "degree mismatch: function has g=2, function has g=3"),
+    (lambda: _F2 - _F3, "degree mismatch: function has g=2, function has g=3"),
+    (lambda: _F2 * _F3, "degree mismatch: function has g=2, function has g=3"),
+    (lambda: FormPolynomial(2, {(0,): 1.0}) * FormPolynomial(3, {(0,): 1.0}),
+     "degree mismatch: form has g=2, form has g=3"),
+    (lambda: SymplecticElement.identity(2) @ _G3,
+     "degree mismatch: element has g=2, element has g=3"),
+    (lambda: _F2.value(_P3), _FUNCTION_AND_POINT),
+    (lambda: _F2.gradient(_P3), _FUNCTION_AND_POINT),
+    (lambda: nabla(_F2, _P3, 1), _FUNCTION_AND_POINT),
+    (lambda: Jet.at(_F2, _P3), _FUNCTION_AND_POINT),
+    (lambda: bracket1(_F2, _F2, _P3), _FUNCTION_AND_POINT),
+    (lambda: ModularExtension(_F2, 2, _G3), _FUNCTION_AND_ELEMENT),
+    (lambda: verify_nabla_transform(_F2, _G3, _P3, 1), _FUNCTION_AND_ELEMENT),
+    (lambda: invariance_residual(_G3, _P3, _F2, 1), _FUNCTION_AND_ELEMENT),
+], ids=["function-sum", "function-difference", "function-product",
+        "form-product", "element-product", "value", "gradient", "nabla",
+        "jet", "bracket1", "extension", "nabla_transform",
+        "invariance_residual"])
+def test_objects_of_two_degrees_do_not_mix(build, match):
+    # one mixed-degree gate, with act's wording: a degree-2 function is
+    # neither combined with a degree-3 one nor read at a degree-3 point,
+    # and is not extended along a degree-3 element
     with pytest.raises(DimensionError, match=match):
         build()
 
@@ -286,7 +338,7 @@ def test_translation_shifts_real_part():
 
 def test_moebius_degree_one():
     # (a, b; c, d) = (1, 1; 1, 2) sends i to (i+1)/(i+2) = (3+i)/5
-    gamma = SymplecticElement(1, *(np.array([[v]]) for v in (1, 1, 1, 2)))
+    gamma = SymplecticElement(np.array([[1, 1], [1, 2]]))
     image = act(gamma, SiegelPoint.from_complex(1j))
     assert abs(complex(image.Z[0, 0]) - (3 + 1j) / 5) < 1e-15
 
@@ -520,7 +572,7 @@ def test_generator_word_expansion_is_symplectic(monkeypatch):
 
 
 def test_drawing_a_word_checks_only_the_product_blocks(monkeypatch):
-    # the element built from the product checks its four blocks; no drawn
+    # the element built from the product checks its one matrix; no drawn
     # generator block is checked on its own
     calls = []
     check = symplectic._int64_entries
@@ -532,7 +584,7 @@ def test_drawing_a_word_checks_only_the_product_blocks(monkeypatch):
     for seed in range(10):
         calls.clear()
         random_symplectic(3, 12, seed)
-        assert calls == [f"block {name}" for name in "ABCD"]
+        assert calls == ["symplectic matrix"]
 
 
 def test_word_expansion_validates_only_the_product(monkeypatch):
@@ -570,7 +622,7 @@ def test_bad_generators_are_rejected_in_words_and_alone(tag, param, match):
         step[:2, :2] = block
     word = symplectic._int_matmul(symplectic._symplectic_form(2), step)
     with pytest.raises(ValueError, match="symplectic relation"):
-        SymplecticElement.from_matrix(word)
+        SymplecticElement(word)
     build = (SymplecticElement.translation if tag == "T"
              else SymplecticElement.unimodular)
     with pytest.raises(ValueError, match=match):
@@ -612,6 +664,18 @@ def test_json_round_trips():
     data = json.loads(gamma.to_json())
     assert set(data) == {"g", "A", "B", "C", "D"}
     assert all(isinstance(v, int) for row in data["A"] for v in row)
+
+
+@pytest.mark.parametrize("key", "ABCD")
+def test_element_json_names_a_block_of_another_shape(key):
+    # the file keeps one block per key, and each is checked as a g x g
+    # matrix before the blocks are assembled into the element's matrix
+    for block in ([[1, 0]], [[1]], [1, 0], [[[1, 0]]]):
+        fields = {"g": 2, "A": [[1, 0], [0, 1]], "B": [[0, 0], [0, 0]],
+                  "C": [[0, 0], [0, 0]], "D": [[1, 0], [0, 1]], key: block}
+        with pytest.raises(DimensionError,
+                           match=f"^block {key} must be 2x2$"):
+            SymplecticElement.from_json(json.dumps(fields))
 
 
 @pytest.mark.parametrize("cls, blocks", [
@@ -709,7 +773,7 @@ def test_integer_products_never_wrap_around():
     M = np.array([[1, 2 ** 32], [-2 ** 32, 1]], dtype=np.int64)
     assert not is_symplectic(M)
     with pytest.raises(ValueError):
-        SymplecticElement.from_matrix(M)
+        SymplecticElement(M)
     # a symplectic element whose check passes 2^63 on the way
     big = SymplecticElement.translation(np.array([[2 ** 40]]))
     assert is_symplectic(big.matrix)
@@ -759,27 +823,27 @@ def _finite_or_degenerate(compute) -> bool:
 
 
 def test_element_copies_the_callers_blocks():
-    I = np.eye(2, dtype=np.int64)
-    B = np.zeros((2, 2), dtype=np.int64)
-    O = np.zeros((2, 2), dtype=np.int64)
-    element = SymplecticElement(2, I, B, O, I)
-    B[0, 0] = 1  # the caller's array stays writable and is not shared
-    I[1, 1] = 5
+    M = np.eye(4, dtype=np.int64)
+    element = SymplecticElement(M)
+    assert element.g == 2
+    # the caller's matrix stays writable and is not shared
+    assert M.flags.writeable and not np.shares_memory(M, element.matrix)
+    M[0, 2] = 1
+    M[1, 1] = 5
     assert element.B[0, 0] == 0 and element.A[1, 1] == 1
+    assert not element.matrix.flags.writeable
     for block in (element.A, element.B, element.C, element.D):
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 1
 
 
-def _reject_both_ways(g, A, B, C, D):
-    """is_symplectic and the constructor both reject the blocks."""
+def _reject_both_ways(A, B, C, D):
+    """is_symplectic and the constructor both reject the block matrix."""
     M = np.block([[A, B], [C, D]]).astype(np.int64)
     assert not is_symplectic(M)
     with pytest.raises(ValueError, match="symplectic relation"):
-        SymplecticElement(g, A, B, C, D)
-    with pytest.raises(ValueError, match="symplectic relation"):
-        SymplecticElement.from_matrix(M)
+        SymplecticElement(M)
 
 
 def test_element_blocks_are_views_of_its_one_matrix():
@@ -796,13 +860,12 @@ def test_element_blocks_are_views_of_its_one_matrix():
 @pytest.mark.parametrize("build", ["constructor", "from_matrix",
                                    "translation", "unimodular"])
 def test_float_blocks_are_refused_not_truncated(build):
-    # each of these floats truncates to the identity's entries
-    identity = np.array([[1.9]]), np.array([[0.7]]), np.array([[0.0]]), \
-        np.array([[1.2]])
+    # each of these floats truncates to the identity's entries, and a float
+    # matrix is refused even when its entries are whole
     calls = {
-        "constructor": lambda: SymplecticElement(1, *identity),
-        "from_matrix": lambda: SymplecticElement.from_matrix(
+        "constructor": lambda: SymplecticElement(
             np.array([[1.9, 0.7], [0.0, 1.2]])),
+        "from_matrix": lambda: SymplecticElement(np.eye(2)),
         "translation": lambda: SymplecticElement.translation([[0.7]]),
         "unimodular": lambda: SymplecticElement.unimodular([[1.2]]),
     }
@@ -814,13 +877,15 @@ def test_float_blocks_are_refused_not_truncated(build):
                                    "translation", "unimodular"])
 def test_uint64_entries_beyond_int64_are_refused_not_wrapped(build):
     # 2^64 - 1 wraps to -1 in int64: diag(A, A) would be read as -I, the
-    # translation by B as the one by -1, and (1, B; 0, 1) as unimodular
+    # whole matrix (1, B; 0, 1) and the translation by B as the translation
+    # by -1, and the block (1, B; 0, 1) as unimodular
     big = np.array([[2 ** 64 - 1]], dtype=np.uint64)
     zero = np.zeros((1, 1), dtype=np.uint64)
     calls = {
-        "constructor": lambda: SymplecticElement(1, big, zero, zero, big),
-        "from_matrix": lambda: SymplecticElement.from_matrix(
+        "constructor": lambda: SymplecticElement(
             np.block([[big, zero], [zero, big]])),
+        "from_matrix": lambda: SymplecticElement(
+            np.array([[1, 2 ** 64 - 1], [0, 1]], dtype=np.uint64)),
         "translation": lambda: SymplecticElement.translation(big),
         "unimodular": lambda: SymplecticElement.unimodular(
             np.array([[1, 2 ** 64 - 1], [0, 1]], dtype=np.uint64)),
@@ -828,8 +893,7 @@ def test_uint64_entries_beyond_int64_are_refused_not_wrapped(build):
     with pytest.raises(ValueError, match="64-bit integer range"):
         calls[build]()
     # a uint64 entry inside the range is taken as it is
-    one = np.ones((1, 1), dtype=np.uint64)
-    assert SymplecticElement(1, one, zero, zero, one) == \
+    assert SymplecticElement(np.eye(2, dtype=np.uint64)) == \
         SymplecticElement.identity(1)
 
 
@@ -860,7 +924,7 @@ def test_non_symplectic_unimodular_blocks_are_rejected():
     # diag(U, U) with U unimodular: A D^t = U U^t is not I
     U = np.array([[1, 1], [0, 1]], dtype=np.int64)
     O = np.zeros((2, 2), dtype=np.int64)
-    _reject_both_ways(2, U, O, O, U)
+    _reject_both_ways(U, O, O, U)
     # diag(U, U^-t) is the embedding, which passes both checks
     embedding = SymplecticElement.unimodular(U)
     assert is_symplectic(embedding.matrix)
@@ -870,7 +934,7 @@ def test_translation_with_a_non_symmetric_block_is_rejected():
     # A B^t = B^t is not symmetric
     I = np.eye(2, dtype=np.int64)
     O = np.zeros((2, 2), dtype=np.int64)
-    _reject_both_ways(2, I, np.array([[0, 1], [0, 0]]), O, I)
+    _reject_both_ways(I, np.array([[0, 1], [0, 0]]), O, I)
 
 
 def test_entries_near_2_31_are_checked_in_python_ints():
@@ -880,7 +944,7 @@ def test_entries_near_2_31_are_checked_in_python_ints():
     I = np.eye(g, dtype=np.int64)
     big = np.full((g, g), 2 ** 31, dtype=np.int64)
     assert np.array_equal(I - big @ big.T, I)  # what int64 would see
-    _reject_both_ways(g, I, big, big, I)
+    _reject_both_ways(I, big, big, I)
     # the same in narrower and unsigned integer types: 2^15 ones(4) wraps
     # the products of int32, and uint64 does not fit int64 arithmetic
     small = np.full((g, g), 2 ** 15, dtype=np.int32)
