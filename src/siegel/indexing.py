@@ -73,7 +73,8 @@ def position_table(g: int) -> np.ndarray:
 
 def position(pair: Pair, g: int) -> int:
     """Omega position of a caller's 1-based upper-triangle pair;
-    ValueError for a pair outside Omega."""
+    DimensionError for g < 1, ValueError for a pair outside Omega."""
+    _degree(g)
     i, j = pair
     if not (1 <= i <= j <= g):
         raise ValueError(f"{pair} is not an upper-triangle index for g={g}")

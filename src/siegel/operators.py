@@ -62,6 +62,7 @@ class QSeriesFunction:
         self.theta_series = series.theta()
 
     def value(self, point: SiegelPoint) -> complex:
+        _same_degree("function", self.g, "point", point.g)
         zs = point.Z[..., 0, 0]
         values = [evaluate(self.series, complex(z)) for z in zs.flat]
         return np.array(values).reshape(zs.shape)[()]
@@ -69,6 +70,7 @@ class QSeriesFunction:
     def gradient(self, point: SiegelPoint) -> np.ndarray:
         """The gradient at a point, or at every point of a stack, with
         shape (..., 1)."""
+        _same_degree("function", self.g, "point", point.g)
         zs = point.Z[..., 0, 0]
         values = [2j * np.pi * evaluate(self.theta_series, complex(z))
                   for z in zs.flat]

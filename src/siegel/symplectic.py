@@ -485,35 +485,32 @@ class SymplecticElement:
         return cls(_assembled(*blocks))
 
 
-def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
+def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> tuple:
+    """(C Z + D, its condition number), built and tested once per (gamma,
+    point): the one COND_LIMIT test of every reader of C Z + D."""
     _same_degree("element", gamma.g, "point", point.g)
     den = gamma.C @ point.Z + gamma.D
+    cond = np.linalg.cond(den)
+    if (cond > COND_LIMIT).any():
+        raise DegeneracyError("cocycle factor is numerically singular")
     den.setflags(write=False)
-    return den
+    if isinstance(cond, np.ndarray):  # not the scalar of one point
+        cond.setflags(write=False)
+    return den, cond
 
 
 def cocycle(gamma: SymplecticElement, point: SiegelPoint) -> np.ndarray:
-    """The automorphy factor C Z + D (one per point of a stack), computed
-    once per (gamma, point) and kept on the point, read-only."""
-    return point.derived(_cocycle, gamma)
-
-
-def _cocycle_condition(gamma: SymplecticElement,
-                       point: SiegelPoint) -> np.ndarray:
-    cond = np.linalg.cond(point.derived(_cocycle, gamma))
-    if (cond > COND_LIMIT).any():
-        raise DegeneracyError("cocycle factor is numerically singular")
-    if isinstance(cond, np.ndarray):  # not the scalar of one point
-        cond.setflags(write=False)
-    return cond
+    """The automorphy factor C Z + D (one per point of a stack), built
+    once per (gamma, point) and kept on the point, read-only;
+    DegeneracyError when its condition number exceeds COND_LIMIT."""
+    return point.derived(_cocycle, gamma)[0]
 
 
 def cocycle_condition(gamma: SymplecticElement,
                       point: SiegelPoint) -> np.ndarray:
-    """cond(C Z + D) (one per point of a stack); DegeneracyError when any
-    exceeds COND_LIMIT.  Tested once per (gamma, point) and kept on the
-    point; the action and every pushforward rely on this test."""
-    return point.derived(_cocycle_condition, gamma)
+    """cond(C Z + D) (one per point of a stack), kept beside it by its
+    builder, which raises DegeneracyError above COND_LIMIT."""
+    return point.derived(_cocycle, gamma)[1]
 
 
 def _require_one_point(point: SiegelPoint) -> None:
@@ -525,17 +522,15 @@ def _require_one_point(point: SiegelPoint) -> None:
 
 def _cocycle_inverse(gamma: SymplecticElement,
                      point: SiegelPoint) -> np.ndarray:
-    # read by both pushforward functions, which act on one point
+    """(C Z + D)^{-1} at one point, for both pushforwards; see _cocycle."""
     _require_one_point(point)
-    point.derived(_cocycle_condition, gamma)
-    Q = np.linalg.inv(point.derived(_cocycle, gamma))
+    Q = np.linalg.inv(point.derived(_cocycle, gamma)[0])
     Q.setflags(write=False)
     return Q
 
 
 def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
-    point.derived(_cocycle_condition, gamma)
-    Z, den = point.Z, point.derived(_cocycle, gamma)
+    Z, den = point.Z, point.derived(_cocycle, gamma)[0]
     num = gamma.A @ Z + gamma.B
     den_t = _mT(den)
     W = _mT(np.linalg.solve(den_t, _mT(num)))
@@ -580,11 +575,10 @@ def tangent_pushforward(gamma: SymplecticElement, point: SiegelPoint,
                         V: np.ndarray) -> np.ndarray:
     """Differential of the action: (Z C^t + D^t)^{-1} V (C Z + D)^{-1} at
     one point (DimensionError for a stack); V passes the tangent gate
-    (_tangent) and C Z + D the conditioning test (cocycle_condition)."""
+    (_tangent) and C Z + D the COND_LIMIT test of its builder (_cocycle)."""
     _require_one_point(point)
     V = _tangent(V, point.g)
-    point.derived(_cocycle_condition, gamma)
-    den_t = point.derived(_cocycle, gamma).T  # Z C^t + D^t, Z symmetric
+    den_t = point.derived(_cocycle, gamma)[0].T  # Z C^t + D^t, Z symmetric
     out = np.linalg.solve(den_t, V)
     out = np.linalg.solve(den_t, out.T).T
     return (out + out.T) / 2.0

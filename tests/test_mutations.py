@@ -171,8 +171,8 @@ def _pushforward_by_untransposed_cocycle(monkeypatch):
     # the tangent pushforward solves against C Z + D where its transpose
     # Z C^t + D^t belongs
     _replace_in_source(monkeypatch, symplectic, "tangent_pushforward",
-                       "point.derived(_cocycle, gamma).T",
-                       "point.derived(_cocycle, gamma)")
+                       "point.derived(_cocycle, gamma)[0].T",
+                       "point.derived(_cocycle, gamma)[0]")
 
 
 def _jet_with_zero_gradient(monkeypatch):

@@ -11,11 +11,14 @@ from siegel.forms import FormPolynomial
 from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import omega_list
 from siegel.metric import metric_form, metric_pair
-from siegel.operators import (ModularExtension, bracket1, nabla,
+from siegel.operators import (ModularExtension, QSeriesFunction, bracket1,
+                              im_inverse, nabla, verify_G_law,
                               verify_nabla_transform)
+from siegel.qseries import eisenstein
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
                                SymplecticElement, act, cocycle,
-                               is_symplectic, random_point, random_symplectic,
+                               cocycle_condition, is_symplectic,
+                               random_point, random_symplectic,
                                tangent_pushforward, pushforward_matrix,
                                pushforward_matrix_derivative)
 
@@ -80,6 +83,8 @@ _DEGREE_0 = "degree must be at least 1, got 0"
     (lambda: TestFunction.constant(0, 1), _DEGREE_0),
     (lambda: random_test_function(0, 1), _DEGREE_0),
     (lambda: FormPolynomial(0), _DEGREE_0),
+    (lambda: TestFunction.coordinate(0, (1, 1)), _DEGREE_0),
+    (lambda: FormPolynomial.generator(0, (1, 1)), _DEGREE_0),
 ], ids=["translation-scalar", "unimodular-scalar", "translation-0x0",
         "unimodular-0x0", "inversion-0", "identity-0", "identity-negative",
         "constructor-0", "from_matrix-0x0", "constructor-odd",
@@ -87,7 +92,8 @@ _DEGREE_0 = "degree must be at least 1, got 0"
         "is_symplectic-0x0", "point-0", "random_point-0",
         "random_symplectic-0", "omega_list-0", "test_function-0",
         "test_function-negative", "constant_function-0",
-        "random_test_function-0", "form-0"])
+        "random_test_function-0", "form-0", "coordinate-0",
+        "generator-0"])
 def test_degenerate_degrees_and_shapes_raise_dimension_error(build, match):
     # one degree gate: an element, a point, a test function or a form has
     # degree g >= 1, and a block or a matrix of another shape names its
@@ -102,6 +108,10 @@ _P3 = random_point(3, 1)
 _G3 = random_symplectic(3, 3, 1)
 _FUNCTION_AND_POINT = "degree mismatch: function has g=2, point has g=3"
 _FUNCTION_AND_ELEMENT = "degree mismatch: function has g=2, element has g=3"
+# a degree-one q-series function read at a degree-two point
+_Q1 = QSeriesFunction(eisenstein(4, 20))
+_P2 = random_point(2, 1)
+_SERIES_AND_POINT = "degree mismatch: function has g=1, point has g=2"
 
 
 @pytest.mark.parametrize("build, match", [
@@ -120,14 +130,17 @@ _FUNCTION_AND_ELEMENT = "degree mismatch: function has g=2, element has g=3"
     (lambda: ModularExtension(_F2, 2, _G3), _FUNCTION_AND_ELEMENT),
     (lambda: verify_nabla_transform(_F2, _G3, _P3, 1), _FUNCTION_AND_ELEMENT),
     (lambda: invariance_residual(_G3, _P3, _F2, 1), _FUNCTION_AND_ELEMENT),
+    (lambda: _Q1.value(_P2), _SERIES_AND_POINT),
+    (lambda: _Q1.gradient(_P2), _SERIES_AND_POINT),
 ], ids=["function-sum", "function-difference", "function-product",
         "form-product", "element-product", "value", "gradient", "nabla",
         "jet", "bracket1", "extension", "nabla_transform",
-        "invariance_residual"])
+        "invariance_residual", "series-value", "series-gradient"])
 def test_objects_of_two_degrees_do_not_mix(build, match):
     # one mixed-degree gate, with act's wording: a degree-2 function is
     # neither combined with a degree-3 one nor read at a degree-3 point,
-    # and is not extended along a degree-3 element
+    # and is not extended along a degree-3 element; a degree-1 q-series
+    # function is not read at a degree-2 point
     with pytest.raises(DimensionError, match=match):
         build()
 
@@ -427,6 +440,25 @@ def test_tangent_pushforward_refuses_an_ill_conditioned_cocycle():
         pushforward_matrix(gamma, point)
     with pytest.raises(DegeneracyError, match="numerically singular"):
         tangent_pushforward(gamma, point, np.eye(2))
+
+
+@pytest.mark.parametrize("read", [
+    cocycle, cocycle_condition, act, pushforward_matrix,
+    lambda gamma, point: pushforward_matrix_derivative(gamma, point,
+                                                       np.eye(2)),
+    lambda gamma, point: tangent_pushforward(gamma, point, np.eye(2)),
+    lambda gamma, point: verify_G_law(im_inverse, gamma, point),
+], ids=["cocycle", "cocycle_condition", "act", "pushforward_matrix",
+        "pushforward_matrix_derivative", "tangent_pushforward",
+        "verify_G_law"])
+def test_every_reader_of_the_cocycle_refuses_an_ill_conditioned_one(read):
+    # C Z + D = -Z with cond(Z) about 2e12, above the limit of 1e12: the
+    # test runs where C Z + D is built, so no reader gets past it, the
+    # public cocycle included
+    point = SiegelPoint(2, 1e12 * np.ones((2, 2)), np.eye(2))
+    gamma = SymplecticElement.inversion(2)
+    with pytest.raises(DegeneracyError, match="numerically singular"):
+        read(gamma, point)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
