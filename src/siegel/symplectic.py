@@ -85,22 +85,35 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
     return skew, np.where(np.isfinite(mean), mean, XY / 2.0 + XYt / 2.0)
 
 
+def _real_block(M, what: str) -> np.ndarray:
+    """M as a float array; ValueError unless its dtype is an integer or a
+    float type, tested before any cast (a complex, string, bool or object
+    block is not read as a real one)."""
+    M = np.asarray(M)
+    if M.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a block of real numbers (integers "
+                         f"or floats), got dtype {M.dtype}")
+    return M.astype(float, copy=False)
+
+
 def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
     """Symmetrized, read-only X and Y and the read-only ascending
     eigenvalues of Y, after one batched pass of checks over every point of
-    a stack: finite entries, symmetry against _POINT_TOL times the entry
-    scale, and one spectral test of Y, which must have lambda_min > 0 and
-    lambda_max <= COND_LIMIT * lambda_min.
+    a stack: real entries, finite entries, symmetry against _POINT_TOL
+    times the entry scale, and one spectral test of Y, which must have
+    lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min.
 
     The finiteness test is folded into the entry scale: a NaN or infinite
     entry leaves max|entry| non-finite.  Each test is one reduction over
     the stack; only a failed one looks for the first bad member."""
     _degree(g)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X = _real_block(X, "X")
+    Y = _real_block(Y, "Y")
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
         raise DimensionError(f"expected {g}x{g} blocks, got "
                              f"{X.shape} and {Y.shape}")
+    if X.size == 0:
+        raise DimensionError(f"empty stack of points, shape {X.shape}")
     XY = np.array((X, Y))
     scale = np.maximum(1.0, _max_abs(XY))
     top = scale.max()
@@ -175,7 +188,10 @@ def _json_array(data: dict, key: str, dtype) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
     """A point Z = X + iY with X, Y real symmetric and Y positive definite,
-    or a stack of such points when X and Y have shape (..., g, g).
+    or a non-empty stack of such points when X and Y have shape
+    (..., g, g).  ``SiegelPoint(g, X, Y)`` is the one constructor: X and Y
+    are integer or float blocks; a complex matrix Z enters as
+    ``SiegelPoint(g, Z.real, Z.imag)``.
 
     Points compare and hash by identity: their entries are floats.  Each
     point keeps one memo of what is derived from it: its images under the
@@ -216,15 +232,6 @@ class SiegelPoint:
         if value is _MISSING:
             value = memo[key] = build(*args, self)
         return value
-
-    @classmethod
-    def from_matrix(cls, Z: np.ndarray) -> "SiegelPoint":
-        Z = np.asarray(Z, dtype=complex)
-        return cls(Z.shape[-1], Z.real, Z.imag)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "SiegelPoint":
-        return cls(1, np.array([[z.real]]), np.array([[z.imag]]))
 
     def to_json(self) -> str:
         return json.dumps({"g": self.g, "X": self.X.tolist(),
@@ -541,8 +548,9 @@ def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
     Wt = _mT(W)
     if (_max_abs(W - Wt) > 1e-6 * np.maximum(1.0, _max_abs(W))).any():
         raise DegeneracyError("action lost symmetry beyond roundoff")
+    W = (W + Wt) / 2.0
     try:
-        return SiegelPoint.from_matrix((W + Wt) / 2.0)
+        return SiegelPoint(point.g, W.real, W.imag)
     except ValueError as exc:
         raise DegeneracyError(f"image of the action is not a Siegel point: "
                               f"{exc}") from exc
@@ -674,8 +682,12 @@ def random_symplectic(g: int, word_length: int,
 
 def random_point(g: int, seed: int | np.random.Generator,
                  spread: float = 1.0) -> SiegelPoint:
-    """Random point with X in [-spread, spread] entries and Y = A A^t + I."""
+    """Random point with X in [-spread, spread] entries and Y = A A^t + I;
+    ValueError for a spread that is negative or not finite."""
     _degree(g)
+    if not (np.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be finite and non-negative, got "
+                         f"{spread!r}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(-spread, spread, size=(g, g))
     X = (X + X.T) / 2.0

@@ -297,7 +297,7 @@ def connection_suite(g_range: tuple[int, int], seed: int) -> Cases:
         for rng, params in _cases(seed, "conn-g1", 5, g=1):
             y = float(rng.uniform(0.5, 3.0))
             x = float(rng.uniform(-1.0, 1.0))
-            point = SiegelPoint.from_complex(complex(x, y))
+            point = SiegelPoint(1, [[x]], [[y]])
             yield ("closed_form_degree_one", {"y": y}, "tight",
                    lambda: abs(gamma_closed(point)[0, 0, 0] - 1j / y))
 
@@ -582,7 +582,7 @@ def _degree_one_holomorphic_cases(seed: int) -> Cases:
                lambda: verify_G_law(G2, gamma, point))
 
     def op(z):
-        return nabla(f, SiegelPoint.from_complex(z), 2, G2)[0, 0]
+        return nabla(f, SiegelPoint(1, [[z.real]], [[z.imag]]), 2, G2)[0, 0]
 
     for z in (complex(0.1 * t - 0.3, 0.9 + 0.13 * t) for t in range(5)):
         def serre_match():

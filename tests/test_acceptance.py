@@ -80,7 +80,7 @@ def test_criterion_02_connection_equivalence():
     rng = _rng("paths-g1")
     for _ in range(20):
         y = float(rng.uniform(0.4, 3.0))
-        point = SiegelPoint.from_complex(complex(rng.uniform(-1, 1), y))
+        point = SiegelPoint(1, [[rng.uniform(-1, 1)]], [[y]])
         worst_g1 = max(worst_g1,
                        abs(gamma_closed(point)[0, 0, 0] - 1j / y))
     elapsed = time.perf_counter() - start
@@ -222,7 +222,7 @@ def test_criterion_08_generic_field_pipeline():
     worst_holo = worst_match = 0.0
     for t in range(5):
         z = complex(0.1 * t - 0.25, 0.9 + 0.14 * t)
-        point = SiegelPoint.from_complex(z)
+        point = SiegelPoint(1, [[z.real]], [[z.imag]])
         got = nabla(f, point, 2, G2)[0, 0]
         expect = 2j * np.pi * evaluate(v4, z)
         worst_match = max(worst_match, abs(got - expect) / abs(expect))
@@ -230,7 +230,8 @@ def test_criterion_08_generic_field_pipeline():
         h = 1e-5
 
         def op(zz):
-            return nabla(f, SiegelPoint.from_complex(zz), 2, G2)[0, 0]
+            return nabla(f, SiegelPoint(1, [[zz.real]], [[zz.imag]]), 2,
+                         G2)[0, 0]
         dx = (op(z + h) - op(z - h)) / (2 * h)
         dy = (op(z + 1j * h) - op(z - 1j * h)) / (2 * h)
         worst_holo = max(worst_holo, abs(0.5 * (dx + 1j * dy)))

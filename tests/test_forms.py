@@ -285,7 +285,8 @@ def test_fd_gradient_rejects_unknown_orders(order):
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-6, float("nan"), float("inf"),
-                               (1e-6, 0.0), (float("nan"), 1e-6)])
+                               (1e-6, 0.0), (float("nan"), 1e-6), (), True,
+                               np.True_, (1e-6, True)])
 def test_fd_gradient_rejects_steps_that_are_not_finite_and_positive(h):
     point = random_point(2, seed=5)
     f = random_test_function(2, 5)

@@ -65,7 +65,7 @@ def test_nabla_reduces_to_gradient_at_weight_zero():
 
 def test_nabla_degree_one_formula():
     y = 1.2
-    point = SiegelPoint.from_complex(0.4 + 1j * y)
+    point = SiegelPoint(1, [[0.4]], [[y]])
     f = TestFunction.coordinate(1, (1, 1)) ** 3
     z = point.Z[0, 0]
     for k in (1, 2):
@@ -205,7 +205,7 @@ def test_G_law_fails_for_wrong_field():
     def field(point):
         return np.array([[point.Z[0, 0]]])
     gamma = SymplecticElement.inversion(1)
-    point = SiegelPoint.from_complex(0.3 + 0.8j)
+    point = SiegelPoint(1, [[0.3]], [[0.8]])
     assert verify_G_law(field, gamma, point) > 1e-3
 
 
@@ -221,7 +221,7 @@ def test_generic_field_agrees_with_default():
 
 def test_bracket_antisymmetry_and_wronskian():
     g = 1
-    point = SiegelPoint.from_complex(0.25 + 1.5j)
+    point = SiegelPoint(1, [[0.25]], [[1.5]])
     f = TestFunction.coordinate(g, (1, 1)) ** 2
     h = TestFunction.coordinate(g, (1, 1)) ** 3 + 2
     assert bracket1(f, f, point) == 0
@@ -277,7 +277,7 @@ def test_degree_one_wronskian_defect_formula():
     # 2 c (r - s) (cz+d)^{2r+2s+1} f h, checked at determinant level
     r, s = 1, 2
     gamma = SymplecticElement(np.array([[1, 1], [1, 2]]))
-    point = SiegelPoint.from_complex(0.3 + 1.1j)
+    point = SiegelPoint(1, [[0.3]], [[1.1]])
     rng = np.random.default_rng(41)
     f = random_test_function(1, rng)
     h = random_test_function(1, rng)
@@ -298,7 +298,7 @@ def test_qseries_function_and_ig2_field():
     e4 = eisenstein(4, 200)
     f = QSeriesFunction(e4)
     z = 0.21 + 1.4j
-    point = SiegelPoint.from_complex(z)
+    point = SiegelPoint(1, [[z.real]], [[z.imag]])
     assert abs(f.value(point) - evaluate(e4, z)) < 1e-14
     approx = fd_gradient(f.value, point)
     assert abs(f.gradient(point)[0] - approx[0]) < 1e-6 * max(
@@ -320,7 +320,7 @@ def test_qseries_function_gradient_broadcasts_over_a_stack():
     grads = f.gradient(stack)
     assert grads.shape == (2, 1)
     for z, grad in zip(zs, grads):
-        single = f.gradient(SiegelPoint.from_complex(z))
+        single = f.gradient(SiegelPoint(1, [[z.real]], [[z.imag]]))
         assert single.shape == (1,)
         assert grad.tobytes() == single.tobytes()
 
@@ -332,7 +332,7 @@ def test_ig2_operator_matches_exact_weight_raising():
     G2 = ig2_field(n)
     v4 = serre_derivative(e4)
     for z in (0.3 + 1.2j, -0.2 + 0.9j, 0.05 + 1.6j):
-        point = SiegelPoint.from_complex(z)
+        point = SiegelPoint(1, [[z.real]], [[z.imag]])
         got = nabla(f, point, 2, G2)[0, 0]
         expect = 2j * np.pi * evaluate(v4, z)
         assert abs(got - expect) < 1e-8 * abs(expect)
@@ -344,7 +344,7 @@ def test_ig2_operator_output_is_holomorphic():
     G2 = ig2_field(n)
 
     def op(z):
-        return nabla(f, SiegelPoint.from_complex(z), 2, G2)[0, 0]
+        return nabla(f, SiegelPoint(1, [[z.real]], [[z.imag]]), 2, G2)[0, 0]
 
     z = 0.3 + 1.2j
     h = 1e-5
@@ -354,7 +354,7 @@ def test_ig2_operator_output_is_holomorphic():
 
     # contrast: the default non-holomorphic field fails the same test
     def op_im(z):
-        return nabla(f, SiegelPoint.from_complex(z), 2)[0, 0]
+        return nabla(f, SiegelPoint(1, [[z.real]], [[z.imag]]), 2)[0, 0]
     dx = (op_im(z + h) - op_im(z - h)) / (2 * h)
     dy = (op_im(z + 1j * h) - op_im(z - 1j * h)) / (2 * h)
     assert abs(0.5 * (dx + 1j * dy)) > 1e-3
@@ -410,7 +410,7 @@ def test_det_nabla_beyond_the_float_range_is_a_degeneracy_alone():
 ])
 def test_weight_factor_beyond_the_float_range_is_a_degeneracy(name,
                                                               residual):
-    point = SiegelPoint.from_complex(1j)
+    point = SiegelPoint(1, [[0.0]], [[1.0]])
     f = random_test_function(1, np.random.default_rng(5))
     assert abs(det_nabla(f, point, 30)) > 1e-8
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,6 +86,11 @@ _DEGREE_0 = "degree must be at least 1, got 0"
     (lambda: FormPolynomial(0), _DEGREE_0),
     (lambda: TestFunction.coordinate(0, (1, 1)), _DEGREE_0),
     (lambda: FormPolynomial.generator(0, (1, 1)), _DEGREE_0),
+    # an empty stack died in numpy's "zero-size array to reduction"
+    (lambda: SiegelPoint(2, np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+     r"empty stack of points, shape \(0, 2, 2\)"),
+    (lambda: SiegelPoint(2, np.zeros((3, 0, 2, 2)), np.zeros((3, 0, 2, 2))),
+     r"empty stack of points, shape \(3, 0, 2, 2\)"),
 ], ids=["translation-scalar", "unimodular-scalar", "translation-0x0",
         "unimodular-0x0", "inversion-0", "identity-0", "identity-negative",
         "constructor-0", "from_matrix-0x0", "constructor-odd",
@@ -93,7 +99,7 @@ _DEGREE_0 = "degree must be at least 1, got 0"
         "random_symplectic-0", "omega_list-0", "test_function-0",
         "test_function-negative", "constant_function-0",
         "random_test_function-0", "form-0", "coordinate-0",
-        "generator-0"])
+        "generator-0", "point-empty-stack", "point-empty-inner-stack"])
 def test_degenerate_degrees_and_shapes_raise_dimension_error(build, match):
     # one degree gate: an element, a point, a test function or a form has
     # degree g >= 1, and a block or a matrix of another shape names its
@@ -153,6 +159,11 @@ def test_point_construction_symmetrizes_and_rejects():
         SiegelPoint(2, np.array([[0.0, 1.0], [2.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError, match="positive definite"):
         SiegelPoint(2, np.zeros((2, 2)), np.diag([1.0, -1.0]))
+    # integer and float blocks of any width are read as float64
+    point = SiegelPoint(2, np.zeros((2, 2), dtype=np.int32),
+                        np.eye(2, dtype=np.float32))
+    assert point.X.dtype == point.Y.dtype == np.float64
+    assert np.array_equal(point.Y, np.eye(2))
 
 
 # Y = L L^t with L = [[1, 0], [10, 1.2e-5]]: every Cholesky pivot is
@@ -202,6 +213,24 @@ def test_point_rejects_non_finite_entries(part, bad):
     blocks[part][1, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         SiegelPoint(2, blocks["X"], blocks["Y"])
+
+
+@pytest.mark.parametrize("X, Y, part", [
+    (np.array([[1 + 2j]]), np.array([[1.0]]), "X"),
+    ([[0.0]], np.array([[1 + 0j]]), "Y"),
+    ([["1"]], [[1.0]], "X"),
+    ([[0.0]], [[True]], "Y"),
+    ([[Fraction(1, 2)]], [[1.0]], "X"),
+    ([[0.0]], [[2 ** 70]], "Y"),
+], ids=["complex", "complex-zero-imaginary", "string", "bool", "fraction",
+        "beyond-int64"])
+def test_point_blocks_must_be_real_numbers(X, Y, part):
+    # a complex block kept its real part with only a ComplexWarning, a
+    # string was parsed and a bool read as 1.0; each is refused, naming its
+    # block, before any cast
+    with pytest.raises(ValueError,
+                       match=f"^{part} must be a block of real numbers"):
+        SiegelPoint(1, X, Y)
 
 
 @pytest.mark.parametrize("X", [
@@ -352,7 +381,7 @@ def test_translation_shifts_real_part():
 def test_moebius_degree_one():
     # (a, b; c, d) = (1, 1; 1, 2) sends i to (i+1)/(i+2) = (3+i)/5
     gamma = SymplecticElement(np.array([[1, 1], [1, 2]]))
-    image = act(gamma, SiegelPoint.from_complex(1j))
+    image = act(gamma, SiegelPoint(1, [[0.0]], [[1.0]]))
     assert abs(complex(image.Z[0, 0]) - (3 + 1j) / 5) < 1e-15
 
 
@@ -400,7 +429,7 @@ def test_imaginary_part_of_the_action_matches_the_congruence():
     assert np.abs(_im_by_congruence(gamma, point) - point.Y).max() < 1e-14
     # degree one inversion: Im(-1/(iy)) = 1/y
     y = 1.7
-    point = SiegelPoint.from_complex(1j * y)
+    point = SiegelPoint(1, [[0.0]], [[y]])
     gamma = SymplecticElement.inversion(1)
     assert abs(act(gamma, point).Y[0, 0] - 1 / y) < 1e-14
     assert abs(_im_by_congruence(gamma, point)[0, 0] - 1 / y) < 1e-14
@@ -434,7 +463,7 @@ def test_tangent_pushforward_refuses_an_ill_conditioned_cocycle():
     # a valid point where C Z + D = -Z for the inversion has condition
     # number 2e13: pushforward_matrix refused it, while tangent_pushforward
     # returned entries of 5e25
-    point = SiegelPoint.from_matrix(np.ones((2, 2)) + 1e-13j * np.eye(2))
+    point = SiegelPoint(2, np.ones((2, 2)), 1e-13 * np.eye(2))
     gamma = SymplecticElement.inversion(2)
     with pytest.raises(DegeneracyError, match="numerically singular"):
         pushforward_matrix(gamma, point)
@@ -498,8 +527,8 @@ def test_one_point_functions_refuse_a_stack(n):
     # solve; the others died in a numpy broadcast or a TypeError
     rng = np.random.default_rng(5)
     gamma = random_symplectic(2, 4, rng)
-    stack = SiegelPoint.from_matrix(
-        np.stack([random_point(2, rng).Z for _ in range(n)]))
+    Z = np.stack([random_point(2, rng).Z for _ in range(n)])
+    stack = SiegelPoint(2, Z.real, Z.imag)
     V = np.array([[1.0, 0.5], [0.5, -1.0]])
     for call in (lambda: tangent_pushforward(gamma, stack, V),
                  lambda: pushforward_matrix(gamma, stack),
@@ -514,7 +543,7 @@ def test_tangent_pushforward_degree_one_inversion():
     z = 0.4 + 1.3j
     v = 0.7 - 0.2j
     got = tangent_pushforward(SymplecticElement.inversion(1),
-                              SiegelPoint.from_complex(z),
+                              SiegelPoint(1, [[z.real]], [[z.imag]]),
                               np.array([[v]]))
     assert abs(got[0, 0] - v / z ** 2) < 1e-14
 
@@ -556,6 +585,18 @@ def test_random_symplectic_contract():
     for seed in range(20):
         el = random_symplectic(2, 8, seed=seed)
         assert is_symplectic(el.matrix)
+
+
+def test_random_point_spread_must_be_finite_and_non_negative():
+    # a NaN or infinite spread died in numpy's "high - low range exceeds
+    # valid bounds", and a negative one drew as its magnitude
+    for spread in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError,
+                           match="spread must be finite and non-negative"):
+            random_point(2, 0, spread=spread)
+    point = random_point(2, 0, spread=0)
+    assert np.array_equal(point.X, np.zeros((2, 2)))
+    assert np.array_equal(point.Y, np.eye(2))
 
 
 def test_a_numpy_integer_seed_draws_as_the_plain_int():
