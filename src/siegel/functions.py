@@ -242,9 +242,12 @@ def fd_gradient(value_fn, point: SiegelPoint,
             # roundoff, which stays far below these magnitudes
             h = 2e-6 * (1.0 + 0.01 * scale)
     steps = h if isinstance(h, tuple) else (h,)
-    for step in steps or (h,):
-        # a bool is not a step, and an empty tuple holds none
-        if (not steps or isinstance(step, (bool, np.bool_))
+    if not steps:  # an empty tuple holds no step
+        raise ValueError("finite-difference step must be finite and "
+                         "positive, got ()")
+    for step in steps:
+        # a bool is not a step
+        if (isinstance(step, (bool, np.bool_))
                 or not (np.isfinite(step) and step > 0)):
             raise ValueError(f"finite-difference step must be finite and "
                              f"positive, got {step!r}")

@@ -85,15 +85,46 @@ def _skew_and_mean_near_overflow(XY: np.ndarray, XYt: np.ndarray):
     return skew, np.where(np.isfinite(mean), mean, XY / 2.0 + XYt / 2.0)
 
 
-def _real_block(M, what: str) -> np.ndarray:
-    """M as a float array; ValueError unless its dtype is an integer or a
-    float type, tested before any cast (a complex, string, bool or object
-    block is not read as a real one)."""
-    M = np.asarray(M)
-    if M.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be a block of real numbers (integers "
-                         f"or floats), got dtype {M.dtype}")
-    return M.astype(float, copy=False)
+# per kind of block: the exact Python types of a list entry (a bool is an
+# int to isinstance), the dtype kinds of an array, and what it must hold
+_INTEGER = ((int,), "iu", "integers")
+_REAL = ((int, float), "iuf", "real numbers (integers or floats)")
+_COMPLEX = ((int, float, complex), "iufc", "numbers")
+
+
+def _bad_entry(entries, types: tuple, kinds: str):
+    """The first entry, in lists or tuples nested to any depth, of neither
+    a type in types nor a dtype kind in kinds; _MISSING if there is none."""
+    for entry in entries:
+        if type(entry) in types:  # the cheap test of a plain number first
+            continue
+        if isinstance(entry, (list, tuple)):
+            entry = _bad_entry(entry, types, kinds)
+            if entry is not _MISSING:
+                return entry
+        elif np.asarray(entry).dtype.kind not in kinds:
+            return entry
+    return _MISSING
+
+
+def _entries(M, kind: tuple, what: str) -> np.ndarray:
+    """M as an array, after the one entry gate of every matrix a caller
+    hands in: ValueError naming the block unless each entry is of the kind
+    (_INTEGER, _REAL or _COMPLEX), tested before any cast, by the dtype of
+    an array and entry by entry in a list; DimensionError if it is ragged."""
+    types, kinds, noun = kind
+    if not isinstance(M, np.ndarray):
+        bad = _bad_entry((M,), types, kinds)
+        if bad is not _MISSING:
+            raise ValueError(f"{what} must be a block of {noun}, got {bad!r}")
+        try:
+            M = np.asarray(M)
+        except ValueError:  # numpy's refusal of an inhomogeneous shape
+            raise DimensionError(f"{what} is a ragged list") from None
+    if M.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be a block of {noun}, got dtype "
+                         f"{M.dtype}")
+    return M
 
 
 def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
@@ -107,11 +138,11 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
     entry leaves max|entry| non-finite.  Each test is one reduction over
     the stack; only a failed one looks for the first bad member."""
     _degree(g)
-    X = _real_block(X, "X")
-    Y = _real_block(Y, "Y")
+    X = _entries(X, _REAL, "X").astype(float, copy=False)
+    Y = _entries(Y, _REAL, "Y").astype(float, copy=False)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
-        raise DimensionError(f"expected {g}x{g} blocks, got "
-                             f"{X.shape} and {Y.shape}")
+        raise DimensionError(f"expected {g}x{g} blocks, got X of shape "
+                             f"{X.shape} and Y of shape {Y.shape}")
     if X.size == 0:
         raise DimensionError(f"empty stack of points, shape {X.shape}")
     XY = np.array((X, Y))
@@ -148,41 +179,6 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
                          f"{_at(bad)}")
     spectrum.setflags(write=False)
     return X, Y, spectrum
-
-
-def _json_object(text: str, *keys: str) -> tuple[int, dict]:
-    """The degree and the fields of a JSON object with an integer "g" and
-    the given keys; ValueError for any other text, a missing key
-    included, and DimensionError for a degree below 1."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object with keys g, "
-                         f"{', '.join(keys)}; got {type(data).__name__}")
-    for key in ("g",) + keys:
-        if key not in data:
-            raise ValueError(f"missing key {key!r}")
-    g = data["g"]
-    if type(g) is not int:  # a bool is an int to isinstance
-        raise ValueError(f"g must be an integer, got {g!r}")
-    return _degree(g), data
-
-
-def _json_array(data: dict, key: str, dtype) -> np.ndarray:
-    """data[key] as an array; its entries must be JSON integers for an
-    integer dtype and JSON numbers else (a bool, a string or null is not
-    coerced)."""
-    integer = np.issubdtype(dtype, np.integer)
-    entries = np.array(data[key], dtype=object)
-    for entry in entries.flat:
-        if type(entry) not in ((int,) if integer else (int, float)):
-            # a bool is an int to isinstance
-            raise ValueError(f"{key} is not a matrix of numbers: {entry!r} "
-                             f"is not a JSON "
-                             f"{'integer' if integer else 'number'}")
-    try:
-        return entries.astype(dtype)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{key} is not a matrix of numbers ({exc})") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,15 +235,25 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SiegelPoint":
-        """One point; ValueError for X or Y other than a g x g matrix, a
-        stack of them included."""
-        g, data = _json_object(text, "X", "Y")
-        blocks = [_json_array(data, key, float) for key in "XY"]
-        for key, block in zip("XY", blocks):
-            if block.shape != (g, g):
-                raise ValueError(f"{key} must be a {g}x{g} matrix, got "
-                                 f"shape {block.shape}")
-        return cls(g, *blocks)
+        """One point from a JSON object with an integer "g", "X" and "Y",
+        whose lists pass the constructor's entry gate; ValueError for any
+        other text, a missing key included, and for X or Y other than a
+        g x g matrix, a stack of them included."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object with keys g, X, Y; "
+                             f"got {type(data).__name__}")
+        for key in "gXY":
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        g = data["g"]
+        if type(g) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"g must be an integer, got {g!r}")
+        point = cls(g, data["X"], data["Y"])
+        if point.X.shape != (g, g):
+            raise ValueError(f"X must be a {g}x{g} matrix, got shape "
+                             f"{point.X.shape}")
+        return point
 
 
 # an integer product whose partial sums are bounded by max|a| max|b| n
@@ -286,19 +292,10 @@ def _symplectic_form(g: int) -> np.ndarray:
     return J
 
 
-def _integer_matrix(M, what: str) -> np.ndarray:
-    """M as an array; ValueError unless its dtype is an integer type."""
-    M = np.asarray(M)
-    if not np.issubdtype(M.dtype, np.integer):
-        raise ValueError(f"{what}: integer matrices only, got dtype "
-                         f"{M.dtype}")
-    return M
-
-
 def _int64_entries(M, what: str) -> np.ndarray:
     """M as an integer array whose entries fit int64, the type an element
     keeps; ValueError else (a uint64 entry of 2^63 or more would wrap)."""
-    M = _integer_matrix(M, what)
+    M = _entries(M, _INTEGER, what)
     if M.dtype == np.uint64 and M.max(initial=0) > np.iinfo(np.int64).max:
         raise ValueError(f"{what}: entries beyond the 64-bit integer range")
     return M
@@ -328,10 +325,11 @@ def _blocks_symplectic(M: np.ndarray) -> bool:
 
 def is_symplectic(M: np.ndarray) -> bool:
     """Whether the integer matrix M satisfies M J M^t = J, tested exactly by
-    the product of the constructor; ValueError for any other dtype."""
-    M = np.asarray(M)
+    the product of the constructor, after the constructor's entry and
+    shape tests."""
+    M = _entries(M, _INTEGER, "symplectic matrix")
     _symplectic_degree(M)
-    return _blocks_symplectic(_integer_matrix(M, "is_symplectic"))
+    return _blocks_symplectic(M)
 
 
 def _solve_exact(columns: list[list[int]],
@@ -476,21 +474,6 @@ class SymplecticElement:
         return SymplecticElement(_assembled(self.D.T, -self.B.T, -self.C.T,
                                             self.A.T))
 
-    def to_json(self) -> str:
-        return json.dumps({"g": self.g, "A": self.A.tolist(),
-                           "B": self.B.tolist(), "C": self.C.tolist(),
-                           "D": self.D.tolist()}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymplecticElement":
-        """One element from its blocks, each g x g (DimensionError)."""
-        g, data = _json_object(text, "A", "B", "C", "D")
-        blocks = [_json_array(data, key, np.int64) for key in "ABCD"]
-        for key, block in zip("ABCD", blocks):
-            if block.shape != (g, g):
-                raise DimensionError(f"block {key} must be {g}x{g}")
-        return cls(_assembled(*blocks))
-
 
 def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> tuple:
     """(C Z + D, its condition number), built and tested once per (gamma,
@@ -565,10 +548,11 @@ def act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
 
 
 def _tangent(V, g: int) -> np.ndarray:
-    """V as a complex array, the one gate for a tangent matrix: ValueError
-    for a NaN or infinite entry, DimensionError for a shape other than
-    g x g, ValueError for a V that is not symmetric."""
-    V = np.asarray(V, dtype=complex)
+    """V as a complex array, the one gate for a tangent matrix: the entry
+    gate (_entries), then ValueError for a NaN or infinite entry,
+    DimensionError for a shape other than g x g, ValueError for a V that
+    is not symmetric."""
+    V = _entries(V, _COMPLEX, "tangent matrix").astype(complex, copy=False)
     if not np.isfinite(V).all():
         raise ValueError("tangent matrix must be finite")
     if V.shape != (g, g):
@@ -683,9 +667,10 @@ def random_symplectic(g: int, word_length: int,
 def random_point(g: int, seed: int | np.random.Generator,
                  spread: float = 1.0) -> SiegelPoint:
     """Random point with X in [-spread, spread] entries and Y = A A^t + I;
-    ValueError for a spread that is negative or not finite."""
+    ValueError for a spread that is negative, not finite or a bool."""
     _degree(g)
-    if not (np.isfinite(spread) and spread >= 0):
+    if (isinstance(spread, (bool, np.bool_))
+            or not (np.isfinite(spread) and spread >= 0)):
         raise ValueError(f"spread must be finite and non-negative, got "
                          f"{spread!r}")
     rng = np.random.default_rng(seed)

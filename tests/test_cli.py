@@ -680,6 +680,8 @@ def test_float_texts_spell_each_value_as_json(values):
     '{"g": 1, "X": [[0.5]], "Y": [[true]]}',
     '{"g": 1, "X": [[null]], "Y": [[1.0]]}',
     '{"g": 2, "X": [[0.0, 0.0], [0.0, false]], "Y": [[1, 0], [0, 1]]}',
+    pytest.param('{"g": 2, "X": [[0.0, 0.0], [0.0]], "Y": [[1, 0], [0, 1]]}',
+                 id="ragged-row"),
     pytest.param('{"g": 2, "X": [[0, 0], [0, 0]], "Y": [[1, 0], [0, 1e-13]]}',
                  id="cond-Y-above-limit"),
 ])
