@@ -8,7 +8,6 @@ degeneracy.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .connection import gamma_closed, gamma_from_metric
-from .indexing import omega_list
+from .indexing import _degree, omega_list
 from .metric import metric_pair
 from .qseries import (SL2_WORDS, QSeries, TruncationError, anomaly_residual,
                       delta, eisenstein, g2_series, serre_derivative)
@@ -67,9 +66,7 @@ def _load_point(args) -> SiegelPoint:
             raise UsageError(f"cannot read point file {args.point}: {exc}")
     if args.g is None:
         raise UsageError("either --point FILE or --g N is required")
-    g = args.g
-    if g < 1:
-        raise UsageError(f"--g must be >= 1, got {g}")
+    g = _degree(args.g)
     return SiegelPoint(g, np.zeros((g, g)), np.eye(g))
 
 
@@ -171,8 +168,6 @@ def _named_series(form: str, terms: int, names: Sequence[str]) -> QSeries:
     if form not in names:
         raise UsageError(f"unknown form {form!r}; "
                          f"choose from {', '.join(names)}")
-    if terms < 1:
-        raise UsageError("--terms must be >= 1")
     return _SERIES[form](terms)
 
 
@@ -194,15 +189,9 @@ def _cmd_serre(args) -> int:
 
 def _cmd_anomaly(args) -> int:
     z = _parse_complex(args.z)
-    if not cmath.isfinite(z):
-        raise UsageError(f"--z must be finite, got {args.z!r}")
-    if z.imag <= 0:
-        raise UsageError("--z must lie in the upper half plane")
     if args.gamma not in SL2_WORDS:
         raise UsageError(f"unknown element {args.gamma!r}; "
                          f"choose from {', '.join(SL2_WORDS)}")
-    if args.terms < 1:
-        raise UsageError("--terms must be >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     residual = anomaly_residual(SL2_WORDS[args.gamma], z, args.terms)
@@ -418,9 +407,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # a refused input is a ValueError (UsageError and DimensionError among
+    # them), worded by the gate that owns the input
     try:
         return args.func(args)
-    except (UsageError, TruncationError) as exc:
+    except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegeneracyError as exc:

@@ -357,8 +357,6 @@ def d_det_closed(point: SiegelPoint, V: np.ndarray) -> np.ndarray:
 def d_f_detk(point: SiegelPoint, f, k: int, V: np.ndarray) -> np.ndarray:
     """Factored form of D(f det(dZ)^k) at V: Tr(nabla_k f V) det(V)^k,
     with nabla_k f = (grad - i k Y^{-1}) f at the point."""
-    if k < 0:
-        raise ValueError("determinant power must be >= 0")
     return _trace(nabla(f, point, k) @ V) * np.linalg.det(V) ** k
 
 

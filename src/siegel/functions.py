@@ -41,7 +41,7 @@ class TestFunction:
 
     def __init__(self, g: int, terms: dict | None = None):
         self.g = _degree(g)
-        self.m = omega_size(g)
+        self.m = omega_size(self.g)
         self.terms = {}
         for key, coef in (terms or {}).items():
             if not isinstance(coef, numbers.Number):

@@ -13,6 +13,7 @@ the degree gates every layer shares (_degree, _same_degree).
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,12 @@ class DimensionError(ValueError):
 
 
 def _degree(g: int) -> int:
-    """g, after the one degree gate: DimensionError unless g >= 1."""
+    """g as a plain int, after the one degree gate: DimensionError unless g
+    is an integer (a numpy integer too, a bool not) and g >= 1."""
+    if type(g) is not int:  # a bool is an int to isinstance
+        if isinstance(g, bool) or not isinstance(g, numbers.Integral):
+            raise DimensionError(f"degree must be an integer, got {g!r}")
+        g = int(g)
     if g < 1:
         raise DimensionError(f"degree must be at least 1, got {g}")
     return g
@@ -44,7 +50,7 @@ def omega_size(g: int) -> int:
 
 def omega_list(g: int) -> list[Pair]:
     """All pairs (i, j) with 1 <= i <= j <= g, in dictionary order."""
-    _degree(g)
+    g = _degree(g)
     return [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
 
 
@@ -74,7 +80,7 @@ def position_table(g: int) -> np.ndarray:
 def position(pair: Pair, g: int) -> int:
     """Omega position of a caller's 1-based upper-triangle pair;
     DimensionError for g < 1, ValueError for a pair outside Omega."""
-    _degree(g)
+    g = _degree(g)
     i, j = pair
     if not (1 <= i <= j <= g):
         raise ValueError(f"{pair} is not an upper-triangle index for g={g}")

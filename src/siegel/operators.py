@@ -102,14 +102,19 @@ def _nabla(grad, f, point: SiegelPoint, k: int, G=im_inverse) -> np.ndarray:
     return covector_to_sym(grad, point.g) - k * G(point) * f.value(point)
 
 
+def _finite(value, what: str):
+    """value; DegeneracyError unless every entry of it is finite."""
+    if not np.isfinite(value).all():
+        raise DegeneracyError(f"{what} leaves the float range")
+    return value
+
+
 def det_nabla(f, point: SiegelPoint, k: int) -> complex:
     """det nabla_k f at the point, with G = i Y^{-1}; DegeneracyError when
     it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(np.linalg.det(nabla(f, point, k)))
-    if not cmath.isfinite(value):
-        raise DegeneracyError(f"det nabla_{k} leaves the float range")
-    return value
+    return _finite(value, f"det nabla_{k}")
 
 
 class ModularExtension:
@@ -138,13 +143,15 @@ class ModularExtension:
         return base, cocycle(self.gamma, base)
 
     def value(self, point) -> complex:
-        """F at a point, or at every point of a stack."""
+        """F at a point, or at every point of a stack; DegeneracyError
+        when a value leaves the float range."""
         base, den = self._parts(point)
-        return np.linalg.det(den) ** self.weight * self.f.value(base)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.linalg.det(den) ** self.weight * self.f.value(base)
+        return _finite(value, f"weight-{self.weight} extension")
 
     def gradient(self, point) -> np.ndarray:
         base, den = self._parts(point)
-        det_pow = np.linalg.det(den) ** self.weight
         P = np.linalg.solve(den, self.gamma.C.astype(complex))
         S_mu = pushforward_matrix(self.mu, point)
         fval = self.f.value(base)
@@ -153,11 +160,13 @@ class ModularExtension:
         traces = np.trace(P @ coords_to_sym(S_mu, self.g), axis1=-2, axis2=-1)
         chain = S_mu @ fgrad
         out = np.empty(omega_size(self.g), dtype=complex)
-        # scalar arithmetic: a vectorized product rounds differently
-        for pos in range(out.size):
-            out[pos] = det_pow * (self.weight * traces[pos] * fval
-                                  + chain[pos])
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_pow = np.linalg.det(den) ** self.weight
+            # scalar arithmetic: a vectorized product rounds differently
+            for pos in range(out.size):
+                out[pos] = det_pow * (self.weight * traces[pos] * fval
+                                      + chain[pos])
+        return _finite(out, f"weight-{self.weight} extension gradient")
 
     def gradient_fd(self, point) -> np.ndarray:
         # Richardson-extrapolated fourth-order stencils at an adaptively
@@ -216,17 +225,20 @@ def verify_nabla_transform(f, gamma: SymplecticElement, point: SiegelPoint,
     image = act(gamma, point)
     j = cocycle(gamma, point)
     factor = _weight_factor(j, 2 * k)
-    if grad == "exact":
-        lhs = nabla(extension, image, k)
-        here = nabla(f, point, k)
-    elif grad == "fd":
-        lhs = _nabla(extension.gradient_fd(image), extension, image, k)
-        here = _nabla(fd_gradient(f.value, point), f, point, k)
-    else:
-        raise ValueError(f"unknown gradient mode {grad!r}")
-    # j.T = Z C^t + D^t, as Z is symmetric
-    rhs = factor * (j @ here @ j.T)
-    return relative_residual(lhs - rhs, lhs, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grad == "exact":
+            lhs = nabla(extension, image, k)
+            here = nabla(f, point, k)
+        elif grad == "fd":
+            lhs = _nabla(extension.gradient_fd(image), extension, image, k)
+            here = _nabla(fd_gradient(f.value, point), f, point, k)
+        else:
+            raise ValueError(f"unknown gradient mode {grad!r}")
+        # j.T = Z C^t + D^t, as Z is symmetric
+        rhs = factor * (j @ here @ j.T)
+        # not finite when either side is not
+        defect = _finite(lhs - rhs, f"a side of the nabla_{k} law")
+    return relative_residual(defect, lhs, rhs)
 
 
 def det_nabla_weight_residual(f, gamma: SymplecticElement, point: SiegelPoint,

@@ -34,10 +34,6 @@ G2_FACTOR = math.pi / 3
 class TruncationError(ArithmeticError):
     """Requested evaluation cannot meet the tail tolerance."""
 
-    def __init__(self, message: str, required: int):
-        super().__init__(message)
-        self.required = required
-
 
 class QSeries:
     """Truncated power series in q with exact rational coefficients.
@@ -257,8 +253,7 @@ def evaluate(f: QSeries, z: complex) -> complex:
     growth = (1.0 + 1.0 / n) ** p
     aq = abs(q)
     if aq * growth >= 1.0:
-        raise TruncationError("q too large for a geometric tail estimate",
-                              required=4 * n)
+        raise TruncationError("q too large for a geometric tail estimate")
     tail = A * (n + 1) ** p * aq ** n / (1.0 - aq * growth)
     if tail > _TAIL_TOL:
         need = n
@@ -269,7 +264,7 @@ def evaluate(f: QSeries, z: complex) -> complex:
                 break
         raise TruncationError(
             f"tail estimate {tail:.2e} exceeds {_TAIL_TOL:.1e}; "
-            f"about {need} terms required", required=need)
+            f"about {need} terms required")
     total = 0j
     for c in reversed(coeffs):
         total = total * q + c
@@ -289,8 +284,6 @@ class ModularBasis:
     """Monomials E4^a E6^b with 4a + 6b = w, in lex order on (a, b)."""
 
     def __init__(self, weight: int, n: int):
-        self.weight = weight
-        self.n = n
         self.elements: list[QSeries] = []
         if weight >= 0 and weight % 2 == 0:
             e4 = eisenstein(4, n)
@@ -343,14 +336,17 @@ def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
                      n: int) -> float:
     """|i G2(gamma z)/(cz+d)^2 - i G2(z) - 2c/(cz+d)| at a point.
 
-    ValueError for a z that is not finite; DegeneracyError when gamma z
-    leaves the representable upper half plane (not finite, or its
-    imaginary part rounds to 0) or (cz+d)^2 overflows or rounds to 0."""
+    ValueError for a z that is not finite or not in the upper half plane,
+    and from g2_series for n < 1; DegeneracyError when gamma z leaves the
+    representable upper half plane (not finite, or its imaginary part
+    rounds to 0) or (cz+d)^2 overflows or rounds to 0."""
     a, b, c, d = abcd
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {z}")
+    if z.imag <= 0:
+        raise ValueError("evaluation point must lie in the upper half plane")
     e2 = g2_series(n)
     den = c * z + d
     gz = (a * z + b) / den

@@ -128,16 +128,16 @@ def _entries(M, kind: tuple, what: str) -> np.ndarray:
 
 
 def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
-    """Symmetrized, read-only X and Y and the read-only ascending
-    eigenvalues of Y, after one batched pass of checks over every point of
-    a stack: real entries, finite entries, symmetry against _POINT_TOL
-    times the entry scale, and one spectral test of Y, which must have
-    lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min.
+    """Symmetrized, read-only X and Y of the gated degree g and the
+    read-only ascending eigenvalues of Y, after one batched pass of checks
+    over every point of a stack: real entries, finite entries, symmetry
+    against _POINT_TOL times the entry scale, and one spectral test of Y,
+    which must have lambda_min > 0 and lambda_max <= COND_LIMIT *
+    lambda_min.
 
     The finiteness test is folded into the entry scale: a NaN or infinite
     entry leaves max|entry| non-finite.  Each test is one reduction over
     the stack; only a failed one looks for the first bad member."""
-    _degree(g)
     X = _entries(X, _REAL, "X").astype(float, copy=False)
     Y = _entries(Y, _REAL, "Y").astype(float, copy=False)
     if X.shape[-2:] != (g, g) or Y.shape != X.shape:
@@ -206,14 +206,12 @@ class SiegelPoint:
     _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        X, Y, spectrum = _validated(self.g, self.X, self.Y)
+        g = _degree(self.g)
+        X, Y, spectrum = _validated(g, self.X, self.Y)
         Z = X + 1j * Y
         Z.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "_memo", {})
+        # the instance is frozen, so its attributes go into its dict
+        vars(self).update(g=g, X=X, Y=Y, spectrum=spectrum, Z=Z, _memo={})
 
     def derived(self, build, *args):
         """build(*args, self), computed on the first request and kept on
@@ -235,10 +233,9 @@ class SiegelPoint:
 
     @classmethod
     def from_json(cls, text: str) -> "SiegelPoint":
-        """One point from a JSON object with an integer "g", "X" and "Y",
-        whose lists pass the constructor's entry gate; ValueError for any
-        other text, a missing key included, and for X or Y other than a
-        g x g matrix, a stack of them included."""
+        """One point from a JSON object with keys "g", "X" and "Y", which
+        pass the constructor's gates; ValueError for any other text, a
+        missing key included, and DimensionError for a stack of points."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object with keys g, X, Y; "
@@ -246,13 +243,8 @@ class SiegelPoint:
         for key in "gXY":
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
-        g = data["g"]
-        if type(g) is not int:  # a bool is an int to isinstance
-            raise ValueError(f"g must be an integer, got {g!r}")
-        point = cls(g, data["X"], data["Y"])
-        if point.X.shape != (g, g):
-            raise ValueError(f"X must be a {g}x{g} matrix, got shape "
-                             f"{point.X.shape}")
+        point = cls(data["g"], data["X"], data["Y"])
+        _require_one_point(point)
         return point
 
 
@@ -633,7 +625,7 @@ def random_symplectic(g: int, word_length: int,
     built by row operations U[j] += c U[i], unimodular by construction,
     and U^-t beside it by V[i] -= c V[j], so neither is tested or solved
     for."""
-    _degree(g)
+    g = _degree(g)
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     rng = np.random.default_rng(seed)
@@ -668,7 +660,7 @@ def random_point(g: int, seed: int | np.random.Generator,
                  spread: float = 1.0) -> SiegelPoint:
     """Random point with X in [-spread, spread] entries and Y = A A^t + I;
     ValueError for a spread that is negative, not finite or a bool."""
-    _degree(g)
+    g = _degree(g)
     if (isinstance(spread, (bool, np.bool_))
             or not (np.isfinite(spread) and spread >= 0)):
         raise ValueError(f"spread must be finite and non-negative, got "

@@ -341,6 +341,7 @@ def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
     ("gamma", "--g", "0"),
     ("gamma", "--g", "-2"),
     ("metric", "--g", "0"),
+    ("metric", "--g", "-2"),
     ("anomaly", "--z", "0.1+1i", "--terms", "0"),
     ("anomaly", "--z", "0.1+1i", "--tol", "nan"),
     ("anomaly", "--z", "0.1+1i", "--tol", "0"),
@@ -348,6 +349,9 @@ def test_metric_rejects_non_finite_point_file(tmp_path, capsys, part, bad):
     ("anomaly", "--z", "inf+1i"),
     ("anomaly", "--z", "0+nani"),
     ("anomaly", "--z", "nan+nani", "--gamma", "T"),
+    # refused by anomaly_residual before it divides by c z + d
+    ("anomaly", "--z", "0+0i"),
+    ("anomaly", "--z", "0.5-0.5i"),
 ])
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -362,7 +366,8 @@ def test_non_finite_z_is_reported_as_not_finite(capsys, z):
     code, out, err = run_cli(capsys, "anomaly", "--z", z)
     assert code == 2
     assert out == ""
-    assert err == f"error: --z must be finite, got {z!r}\n"
+    assert err == (f"error: evaluation point must be finite, got "
+                   f"{complex(z[:-1] + 'j')}\n")
 
 
 @pytest.mark.parametrize("z, gamma", [
@@ -718,8 +723,8 @@ def test_point_file_holds_one_point(tmp_path, capsys, command):
                                 "Y": [np.eye(2).tolist()] * 2}))
     code, out, err = run_cli(capsys, command, "--point", str(path))
     assert (code, out) == (2, "")
-    assert err == (f"error: cannot read point file {path}: X must be a 2x2 "
-                   f"matrix, got shape (2, 2, 2)\n")
+    assert err == (f"error: cannot read point file {path}: expected one "
+                   f"point, got a stack of shape (2,)\n")
 
 
 def test_point_near_the_largest_float_is_printed_finite(tmp_path, capsys):

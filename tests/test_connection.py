@@ -271,7 +271,7 @@ def test_scalar_det_power_cases():
         z = p1.Z[0, 0]
         expect = (2 * z - 1j * k * z * z / y) * v1[:, 0] ** (k + 1)
         assert np.abs(out - expect).max() < 1e-13
-    with pytest.raises(ValueError, match="power"):
+    with pytest.raises(ValueError, match="weight parameter must be >= 0"):
         d_f_detk(point, f, -1, V)
 
 

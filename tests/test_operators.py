@@ -15,6 +15,7 @@ from siegel.qseries import eisenstein, evaluate, serre_derivative
 from siegel.symplectic import (DegeneracyError, SiegelPoint,
                                SymplecticElement, act,
                                random_point, random_symplectic)
+from siegel.verify import run_suite
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -419,3 +420,28 @@ def test_weight_factor_beyond_the_float_range_is_a_degeneracy(name,
                            match=r"weight factor det\(CZ\+D\)\^\d+ "
                                  r"overflows the float range"):
             residual(f, point)
+
+
+@pytest.mark.parametrize("method", ["value", "gradient"])
+def test_an_extension_beyond_the_float_range_is_a_degeneracy(method):
+    # at gamma(i) the weight-2 factor det(C Z + D)^2 = (N i + 1)^2 is
+    # about 1e12, which takes the constant 1e300 past the float range
+    f = TestFunction.constant(1, 1e300)
+    image = act(_STEEP, SiegelPoint(1, [[0.0]], [[1.0]]))
+    extension = ModularExtension(f, 2, _STEEP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError,
+                           match=r"^weight-2 extension( gradient)? leaves "
+                                 r"the float range$"):
+            getattr(extension, method)(image)
+
+
+def test_the_operators_suite_at_a_weight_beyond_the_float_range_degenerates():
+    # at k = 284 the weight-568 extension leaves the float range before any
+    # determinant is taken; with numpy's warnings as errors the suite
+    # stops at a DegeneracyError, not at an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegeneracyError, match="leaves the float range"):
+            run_suite("operators", (1, 1), seed=0, ks=(284,))

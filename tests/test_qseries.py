@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -130,9 +131,14 @@ def test_evaluate_modularity_of_eisenstein():
 
 def test_evaluate_tail_guard():
     short = QSeries([1] * 5, weight=12)
-    with pytest.raises(TruncationError) as info:
+    with pytest.raises(TruncationError, match="q too large"):
         evaluate(short, 0.0 + 0.05j)
-    assert info.value.required > 5
+    # where the tail can be estimated, the message says how long a series
+    # would meet the tolerance
+    with pytest.raises(TruncationError) as info:
+        evaluate(short, 0.0 + 0.5j)
+    required = re.search(r"about (\d+) terms required", str(info.value))
+    assert int(required.group(1)) > 5
     with pytest.raises(ValueError):
         evaluate(short, 0.3 - 1j)
 
@@ -167,6 +173,14 @@ def test_g2_normalization_and_anomaly():
 def test_anomaly_rejects_a_point_that_is_not_finite(z):
     with pytest.raises(ValueError, match="must be finite"):
         anomaly_residual(SL2_WORDS["S"], z, 300)
+
+
+@pytest.mark.parametrize("z", [0j, 0.5 - 0.5j])
+def test_anomaly_rejects_a_point_off_the_upper_half_plane(z):
+    # refused before c z + d is divided by: at z = 0 under S it is 0, and
+    # 0.5 - 0.5i is bad input, not a numerical degeneracy
+    with pytest.raises(ValueError, match="must lie in the upper half plane"):
+        anomaly_residual(SL2_WORDS["S"], z, 50)
 
 
 @pytest.mark.parametrize("word, z, what", [

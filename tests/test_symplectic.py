@@ -86,6 +86,14 @@ _DEGREE_0 = "degree must be at least 1, got 0"
     (lambda: TestFunction(-1), "degree must be at least 1, got -1"),
     (lambda: TestFunction.constant(0, 1), _DEGREE_0),
     (lambda: random_test_function(0, 1), _DEGREE_0),
+    # a bool or a float is not a degree, though True == 1.0 == 1
+    (lambda: SiegelPoint(True, [[0.0]], [[1.0]]),
+     "degree must be an integer, got True"),
+    (lambda: SiegelPoint(1.0, [[0.0]], [[1.0]]),
+     "degree must be an integer, got 1.0"),
+    (lambda: TestFunction(True), "degree must be an integer, got True"),
+    (lambda: random_test_function(True, 0),
+     "degree must be an integer, got True"),
     (lambda: FormPolynomial(0), _DEGREE_0),
     (lambda: TestFunction.coordinate(0, (1, 1)), _DEGREE_0),
     (lambda: FormPolynomial.generator(0, (1, 1)), _DEGREE_0),
@@ -101,8 +109,9 @@ _DEGREE_0 = "degree must be at least 1, got 0"
         "is_symplectic-0x0", "point-0", "random_point-0",
         "random_symplectic-0", "omega_list-0", "test_function-0",
         "test_function-negative", "constant_function-0",
-        "random_test_function-0", "form-0", "coordinate-0",
-        "generator-0", "point-empty-stack", "point-empty-inner-stack"])
+        "random_test_function-0", "point-bool", "point-float",
+        "test_function-bool", "random_test_function-bool", "form-0",
+        "coordinate-0", "generator-0", "point-empty-stack", "point-empty-inner-stack"])
 def test_degenerate_degrees_and_shapes_raise_dimension_error(build, match):
     # one degree gate: an element, a point, a test function or a form has
     # degree g >= 1, and a block or a matrix of another shape names its
@@ -794,6 +803,10 @@ def test_json_round_trips():
     np.testing.assert_array_equal(again.Y, point.Y)
     data = json.loads(point.to_json())
     assert set(data) == {"g", "X", "Y"}
+    # json cannot write an np.int64: the degree gate keeps a plain int
+    point = SiegelPoint(np.int64(2), point.X, point.Y)
+    assert type(point.g) is int
+    assert SiegelPoint.from_json(point.to_json()).g == 2
 
 
 @pytest.mark.parametrize("cls, blocks", [
@@ -802,10 +815,10 @@ def test_json_round_trips():
 @pytest.mark.parametrize("text, match", [
     ('"hello"', "expected a JSON object"),
     ("[1, 2]", "expected a JSON object"),
-    ('{{"g": null, {blocks}}}', "g must be an integer"),
-    ('{{"g": true, {blocks}}}', "g must be an integer"),
-    ('{{"g": 1.7, {blocks}}}', "g must be an integer"),
-    ('{{"g": 1.0, {blocks}}}', "g must be an integer"),
+    ('{{"g": null, {blocks}}}', "degree must be an integer, got None"),
+    ('{{"g": true, {blocks}}}', "degree must be an integer, got True"),
+    ('{{"g": 1.7, {blocks}}}', "degree must be an integer, got 1.7"),
+    ('{{"g": 1.0, {blocks}}}', "degree must be an integer, got 1.0"),
     ('{{"g": 0, {blocks}}}', "degree must be at least 1, got 0"),
     ('{{{blocks}, "g": 1, "{first}": {{"a": 1}}}}',
      "X must be a block of real numbers"),
@@ -857,11 +870,11 @@ _I2 = np.eye(2).tolist()
     ([[0.0, 0.0, 0.0]] * 3, _I2, r"X of shape \(3, 3\)"),
     ([0.0, 0.0], _I2, r"X of shape \(2,\)"),
     ([[[0.0, 0.0], [0.0, 0.0]]] * 2, [_I2] * 2,
-     r"^X must be a 2x2 matrix, got shape \(2, 2, 2\)$"),
+     r"^expected one point, got a stack of shape \(2,\)$"),
 ])
 def test_point_json_names_a_block_that_is_not_one_g_by_g_matrix(X, Y, match):
-    # the shape test moved into the constructor, which names the block;
-    # a stack passes it, and the file refuses it after
+    # the shape test is the constructor's, which names the block; a stack
+    # passes it, and the one-point gate refuses it after
     with pytest.raises(ValueError, match=match):
         SiegelPoint.from_json(json.dumps({"g": 2, "X": X, "Y": Y}))
 
