@@ -869,8 +869,9 @@ _I2 = np.eye(2).tolist()
 @pytest.mark.parametrize("X, Y, match", [
     ([[0.0, 0.0, 0.0]] * 3, _I2, r"X of shape \(3, 3\)"),
     ([0.0, 0.0], _I2, r"X of shape \(2,\)"),
-    ([[[0.0, 0.0], [0.0, 0.0]]] * 2, [_I2] * 2,
-     r"^expected one point, got a stack of shape \(2,\)$"),
+    pytest.param([[[0.0, 0.0], [0.0, 0.0]]] * 2, [_I2] * 2,
+                 r"^expected one point, got a stack of shape \(2,\)$",
+                 id="stack"),
 ])
 def test_point_json_names_a_block_that_is_not_one_g_by_g_matrix(X, Y, match):
     # the shape test is the constructor's, which names the block; a stack
