@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .connection import gamma_closed, gamma_from_metric
-from .indexing import _degree, omega_list
+from .indexing import _degree, _per_degree, omega_list
 from .metric import metric_pair
 from .qseries import (SL2_WORDS, QSeries, TruncationError, anomaly_residual,
                       delta, eisenstein, g2_series, serre_derivative)
@@ -261,19 +261,16 @@ def _entry_layout() -> tuple[str, ...]:
         dict.fromkeys(("I", "J", "K", "im", "re"), ["%s"]), 2)).split("%s"))
 
 
-@functools.lru_cache(maxsize=16)
+@_per_degree
 def _field_texts(g: int) -> tuple[np.ndarray, ...]:
     """Per pair of Omega, the read-only texts of an entry's "I" field (with
     the close of the previous entry), "J" field and "K" field (with the
     "im" key), built once per degree."""
     _, between, _, key_i, key_j, key_k, key_im, _, close = _entry_layout()
     pairs = _pair_texts(g, 3)
-    texts = (np.array([close + between + key_i + t for t in pairs], object),
-             np.array([key_j + t for t in pairs], object),
-             np.array([key_k + t + key_im for t in pairs], object))
-    for column in texts:
-        column.setflags(write=False)
-    return texts
+    return (np.array([close + between + key_i + t for t in pairs], object),
+            np.array([key_j + t for t in pairs], object),
+            np.array([key_k + t + key_im for t in pairs], object))
 
 
 def _entry_texts(point: SiegelPoint, method: str) -> str:

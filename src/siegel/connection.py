@@ -61,14 +61,14 @@ P(w), so no coefficient of a transported form is ever multiplied out.
 from __future__ import annotations
 
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
 from .forms import FormPolynomial, det_dz, probe_vectors
 from .functions import Jet
-from .indexing import (Pair, coords_to_sym, covector_to_sym, omega_list,
-                       omega_size, row_col_indices, sym_to_coords)
+from .indexing import (Pair, _per_degree, _read_only, coords_to_sym,
+                       covector_to_sym, omega_list, omega_size,
+                       row_col_indices, sym_to_coords)
 from .metric import dR_tensor, dY_tensor, metric_pair
 from .operators import ModularExtension, nabla, relative_residual
 from .symplectic import (SiegelPoint, SymplecticElement, _require_one_point,
@@ -76,7 +76,7 @@ from .symplectic import (SiegelPoint, SymplecticElement, _require_one_point,
                          pushforward_matrix_derivative)
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
     """Where the closed form is nonzero, built once per degree: the flat
@@ -101,12 +101,9 @@ def _closed_pattern(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     first = i_in & j_in
     hit = first | (i_in2 & j_in2)
     halved = (r != s) & ~np.eye(ii.size, dtype=bool)
-    out = (np.flatnonzero(hit), np.where(first, i1, i2)[hit],
-           np.where(first, j1, j2)[hit],
-           np.where(np.broadcast_to(halved, hit.shape)[hit], 2.0, 1.0))
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return (np.flatnonzero(hit), np.where(first, i1, i2)[hit],
+            np.where(first, j1, j2)[hit],
+            np.where(np.broadcast_to(halved, hit.shape)[hit], 2.0, 1.0))
 
 
 def gamma_closed(point: SiegelPoint) -> np.ndarray:
@@ -119,8 +116,7 @@ def gamma_closed(point: SiegelPoint) -> np.ndarray:
     where, i, j, divisor = _closed_pattern(g)
     table = np.zeros((m, m, m), dtype=complex)
     table.flat[where] = 1j * R[i, j] / divisor
-    table.setflags(write=False)
-    return table
+    return _read_only(table)
 
 
 def _symmetrized_times_i(half: np.ndarray) -> np.ndarray:
@@ -211,8 +207,7 @@ def gamma_from_metric(point: SiegelPoint, path: str) -> np.ndarray:
         table = _gamma_path_b_expanded(point)
     else:
         raise ValueError(f"unknown derivation path {path!r}")
-    table.setflags(write=False)
-    return table
+    return _read_only(table)
 
 
 def case_analysis_residual(point: SiegelPoint) -> float:

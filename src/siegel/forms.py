@@ -20,13 +20,12 @@ A form's terms keep the order in which their monomials first appeared.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from .indexing import (Pair, _degree, _same_degree, omega_size, position,
-                       position_table, sym_to_covector)
+from .indexing import (Pair, _degree, _per_degree, _same_degree, omega_size,
+                       position, position_table, sym_to_covector)
 
 Monomial = tuple[int, ...]
 
@@ -112,13 +111,11 @@ def trace_form(Gmat, g: int) -> FormPolynomial:
     return FormPolynomial(g, {(pos,): c for pos, c in enumerate(covector)})
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def probe_vectors(g: int) -> np.ndarray:
     """Three fixed complex tangent vectors of degree g, shape (3, |Omega|),
     each scaled to max-norm 1; drawn from a fixed seed on first use and
     read-only."""
     rng = np.random.default_rng(20240601 + g)
     v = rng.standard_normal((3, omega_size(g), 2)) @ np.array([1.0, 1j])
-    v /= np.abs(v).max(axis=1, keepdims=True)
-    v.setflags(write=False)
-    return v
+    return v / np.abs(v).max(axis=1, keepdims=True)

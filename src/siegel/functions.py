@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .indexing import (Pair, _degree, _same_degree, basis_stack, omega_size,
-                       position, sym_to_coords)
+from .indexing import (Pair, _degree, _read_only, _same_degree, basis_stack,
+                       omega_size, position, sym_to_coords)
 from .symplectic import SiegelPoint
 
 
@@ -131,7 +131,7 @@ class TestFunction:
         coef = np.array([complex(c) for c in self.terms.values()],
                         dtype=complex)
         shape = (len(keys), self.m)
-        return holo.reshape(shape), anti.reshape(shape), coef
+        return _read_only((holo.reshape(shape), anti.reshape(shape), coef))
 
     def _compiled_gradient(self) -> tuple[np.ndarray, np.ndarray,
                                           np.ndarray]:
@@ -170,14 +170,10 @@ def _test_gradient(fn: TestFunction, point: SiegelPoint) -> np.ndarray:
 def _evaluate(coords: np.ndarray, holo: np.ndarray, anti: np.ndarray,
               coef: np.ndarray) -> np.ndarray:
     """sum_t coef_t prod_I coords_I^holo_tI conj(coords_I)^anti_tI, with
-    the term axis last but one in holo and anti and last in coef; an array
-    result is read-only."""
+    the term axis last but one in holo and anti and last in coef."""
     terms = (np.power(coords, holo).prod(axis=-1)
              * np.power(np.conj(coords), anti).prod(axis=-1))
-    out = (terms * coef).sum(axis=-1)
-    if isinstance(out, np.ndarray):  # not the scalar of one point's value
-        out.setflags(write=False)
-    return out
+    return (terms * coef).sum(axis=-1)
 
 
 class Jet:

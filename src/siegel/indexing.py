@@ -7,14 +7,15 @@ vectors over Omega always use this ordering.
 
 This module is the one place that knows the layout: the position table,
 the two pairs of conversions between symmetric matrices and Omega vectors
-(coordinates, and covectors paired with dZ) and the basis directions, and
-the degree gates every layer shares (_degree, _same_degree).
+(coordinates, and covectors paired with dZ) and the basis directions.  It
+also holds what every layer shares: the degree gates (_degree,
+_same_degree) and the rules for kept values (_read_only, _per_degree).
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,27 @@ def _same_degree(what: str, g: int, other: str, h: int) -> None:
                              f"{other} has g={h}")
 
 
+def _read_only(value):
+    """The one read-only rule for kept values: value made read-only in
+    place, an ndarray or each ndarray of a tuple (a NamedTuple too), and
+    returned; anything else is returned as it is."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return value
+
+
+def _per_degree(build):
+    """The one built-once rule: build(g) computed on the first request for
+    its degree, kept for the last 16 degrees asked and read-only
+    (_read_only).  The kept function keeps build's name, doc and source."""
+    @functools.lru_cache(maxsize=16)
+    @functools.wraps(build)
+    def kept(g):
+        return _read_only(build(g))
+    return kept
+
+
 def omega_size(g: int) -> int:
     return g * (g + 1) // 2
 
@@ -54,26 +76,22 @@ def omega_list(g: int) -> list[Pair]:
     return [(i, j) for i in range(1, g + 1) for j in range(i, g + 1)]
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def row_col_indices(g: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based read-only arrays ii, jj with (ii[a], jj[a]) the a-th pair of
     Omega, built once per degree."""
     pairs = omega_list(g)
-    ii = np.array([p[0] - 1 for p in pairs])
-    jj = np.array([p[1] - 1 for p in pairs])
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
+    return (np.array([p[0] - 1 for p in pairs]),
+            np.array([p[1] - 1 for p in pairs]))
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def position_table(g: int) -> np.ndarray:
     """0-based read-only (g, g) table of Omega positions: entry [i, j] is
     the position of Z_{i+1, j+1}, in both orders since Z is symmetric."""
     ii, jj = row_col_indices(g)
     table = np.empty((g, g), dtype=int)
     table[ii, jj] = table[jj, ii] = np.arange(ii.size)
-    table.setflags(write=False)
     return table
 
 
@@ -123,10 +141,8 @@ def covector_to_sym(v: np.ndarray, g: int) -> np.ndarray:
     return coords_to_sym(np.where(ii == jj, v, v / 2.0), g)
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def basis_stack(g: int) -> np.ndarray:
     """Read-only stack of the symmetric basis directions, one per Omega
     position: E_ij + E_ji off the diagonal, E_ii on it."""
-    E = coords_to_sym(np.eye(omega_size(g)), g)
-    E.setflags(write=False)
-    return E
+    return coords_to_sym(np.eye(omega_size(g)), g)

@@ -18,46 +18,39 @@ E_J the symmetric basis direction of coordinate J.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .indexing import basis_stack, row_col_indices
+from .indexing import _per_degree, basis_stack, row_col_indices
 from .symplectic import (DegeneracyError, SiegelPoint, _require_one_point,
                          _tangent)
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def _power_table(g: int) -> np.ndarray:
     """2^{-delta(i_a, j_a) - delta(i_b, j_b)} over Omega x Omega, read-only
     and built once per degree."""
     ii, jj = row_col_indices(g)
     d = (ii == jj).astype(float)
-    table = 2.0 ** (-(d[:, None] + d[None, :]))
-    table.setflags(write=False)
-    return table
+    return 2.0 ** (-(d[:, None] + d[None, :]))
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def _pair_gram_plan(g: int) -> np.ndarray:
     """The flat positions in a g x g matrix of the four (m, m) factors of
     the pair Gram, (i_a, i_b), (j_a, j_b), (j_a, i_b) and (i_a, j_b), as
     one read-only (4, m, m) array built once per degree."""
     ii, jj = row_col_indices(g)
-    plan = np.stack([rows[:, None] * g + cols[None, :]
+    return np.stack([rows[:, None] * g + cols[None, :]
                      for rows, cols in ((ii, ii), (jj, jj), (jj, ii),
                                         (ii, jj))])
-    plan.setflags(write=False)
-    return plan
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def _two_identity(g: int) -> np.ndarray:
     """2 I of size g, read-only and built once per degree."""
-    two = 2.0 * np.eye(g)
-    two.setflags(write=False)
-    return two
+    return 2.0 * np.eye(g)
 
 
 def _pair_gram(Mat: np.ndarray) -> np.ndarray:
@@ -100,8 +93,6 @@ def _metric_pair(point: SiegelPoint) -> MetricPair:
     # W is the Gram of R times powers of 2, finite exactly where it is
     if not np.isfinite(grams).all():
         raise DegeneracyError("the metric overflows the float range")
-    for Mat in (W, M, R):
-        Mat.setflags(write=False)
     return MetricPair(W, M, R)
 
 

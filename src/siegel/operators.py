@@ -79,10 +79,12 @@ class QSeriesFunction:
 
 def ig2_field(n_terms: int):
     """The holomorphic degree-one field i G2 = i (pi/3) E2 as a function of
-    the point, evaluated from its q-expansion."""
+    the point, evaluated from its q-expansion; a point of another degree
+    is a DimensionError."""
     e2 = g2_series(n_terms)
 
     def field(point: SiegelPoint) -> np.ndarray:
+        _same_degree("field", 1, "point", point.g)
         z = complex(point.Z[0, 0])
         return np.array([[1j * (G2_FACTOR * evaluate(e2, z))]],
                         dtype=complex)

@@ -233,13 +233,15 @@ def evaluate(f: QSeries, z: complex) -> complex:
     The tail is estimated through |c_m| <= A (m+1)^p with p the declared
     weight (12 when undeclared) and A fitted to the stored coefficients; a
     TruncationError reports the length that would bring it to _TAIL_TOL.
-    ValueError for a z that is not finite or not in the upper half plane.
+    ValueError for a z that is not finite or not in the upper half plane;
+    DegeneracyError for |Re z| >= 2^23, where one ulp of Re z exceeds
+    _TAIL_TOL, so the float z does not fix the phase of q to it (a
+    weight-0 constant aside, which is exact at every z).
     """
     if not cmath.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {z}")
     if z.imag <= 0:
         raise ValueError("evaluation point must lie in the upper half plane")
-    q = cmath.exp(2j * math.pi * z)
     n = len(f)
     coeffs = f._float_coeffs()
     if n == 1 and f.weight == 0:
@@ -247,6 +249,12 @@ def evaluate(f: QSeries, z: complex) -> complex:
         # is exact; any other length-one series is a truncation like any
         # other and goes through the tail guard
         return complex(coeffs[0])
+    if math.ulp(z.real) > _TAIL_TOL:
+        raise DegeneracyError(f"phase of q is not resolved at Re z = "
+                              f"{z.real:.3e}, whose ulp "
+                              f"{math.ulp(z.real):.1e} exceeds "
+                              f"{_TAIL_TOL:.1e}")
+    q = cmath.exp(2j * math.pi * z)
     p = f.weight if f.weight is not None else 12
     p = max(p, 1)
     A = max(abs(c) / (m + 1) ** p for m, c in enumerate(coeffs))
@@ -339,7 +347,9 @@ def anomaly_residual(abcd: tuple[int, int, int, int], z: complex,
     ValueError for a z that is not finite or not in the upper half plane,
     and from g2_series for n < 1; DegeneracyError when gamma z leaves the
     representable upper half plane (not finite, or its imaginary part
-    rounds to 0) or (cz+d)^2 overflows or rounds to 0."""
+    rounds to 0), when (cz+d)^2 overflows or rounds to 0, or when z or
+    gamma z has |Re| >= 2^23, where evaluate cannot resolve the phase of
+    q."""
     a, b, c, d = abcd
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .indexing import (DimensionError, _degree, _same_degree,
-                       row_col_indices, sym_to_coords)
+from .indexing import (DimensionError, _degree, _per_degree, _read_only,
+                       _same_degree, row_col_indices, sym_to_coords)
 
 # largest condition number accepted for Y of a point and for C Z + D
 COND_LIMIT = 1e12
@@ -162,9 +162,7 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
         bad = _first_bad(asymmetric)
         raise ValueError(f"{_PARTS[bad[0]]} is not symmetric (asymmetry "
                          f"{skew[bad]:.3e}){_at(bad[1:])}")
-    XY = mean
-    XY.setflags(write=False)
-    X, Y = XY
+    X, Y = _read_only(mean)
     spectrum = np.linalg.eigvalsh(Y)
     low, high = spectrum[..., 0], spectrum[..., -1]
     if ((low <= 0) | (high / COND_LIMIT > low)).any():
@@ -177,8 +175,7 @@ def _validated(g: int, X, Y) -> tuple[np.ndarray, ...]:
                          f"(eigenvalues {low[bad]:.3e} to {high[bad]:.3e}, "
                          f"condition number above {COND_LIMIT:.0e})"
                          f"{_at(bad)}")
-    spectrum.setflags(write=False)
-    return X, Y, spectrum
+    return X, Y, _read_only(spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +205,7 @@ class SiegelPoint:
     def __post_init__(self):
         g = _degree(self.g)
         X, Y, spectrum = _validated(g, self.X, self.Y)
-        Z = X + 1j * Y
-        Z.setflags(write=False)
+        Z = _read_only(X + 1j * Y)
         # the instance is frozen, so its attributes go into its dict
         vars(self).update(g=g, X=X, Y=Y, spectrum=spectrum, Z=Z, _memo={})
 
@@ -218,13 +214,13 @@ class SiegelPoint:
         this point under the key (build, *args), so every later request
         returns the same object.  Group elements in args compare by value,
         so equal elements share one entry.  A build that raises stores
-        nothing.  The memo lives and dies with the point; builders return
-        read-only values."""
+        nothing.  The memo lives and dies with the point; what it keeps is
+        read-only (_read_only)."""
         key = (build,) + args
         memo = self._memo
         value = memo.get(key, _MISSING)
         if value is _MISSING:
-            value = memo[key] = build(*args, self)
+            value = memo[key] = _read_only(build(*args, self))
         return value
 
     def to_json(self) -> str:
@@ -273,14 +269,13 @@ def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                               "integer range") from None
 
 
-@lru_cache(maxsize=16)
+@_per_degree
 def _symplectic_form(g: int) -> np.ndarray:
     """The read-only int64 matrix J = (O, I; -I, O) of degree g, built once
     per degree."""
     J = np.zeros((2 * g, 2 * g), dtype=np.int64)
     J[:g, g:] = np.eye(g, dtype=np.int64)
     J[g:, :g] = -J[:g, g:]
-    J.setflags(write=False)
     return J
 
 
@@ -407,10 +402,9 @@ class SymplecticElement:
         M = _int64_entries(self.matrix, "symplectic matrix")
         g = _symplectic_degree(M)
         # a new matrix, so that the caller's array stays writable
-        M = M.astype(np.int64)
+        M = _read_only(M.astype(np.int64))
         if not _blocks_symplectic(M):
             raise ValueError("blocks do not satisfy the symplectic relation")
-        M.setflags(write=False)
         # the instance is frozen, so its attributes go into its dict
         vars(self).update(matrix=M, g=g, _hash=hash(M.tobytes()),
                           A=M[:g, :g], B=M[:g, g:], C=M[g:, :g], D=M[g:, g:])
@@ -475,9 +469,6 @@ def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> tuple:
     cond = np.linalg.cond(den)
     if (cond > COND_LIMIT).any():
         raise DegeneracyError("cocycle factor is numerically singular")
-    den.setflags(write=False)
-    if isinstance(cond, np.ndarray):  # not the scalar of one point
-        cond.setflags(write=False)
     return den, cond
 
 
@@ -506,9 +497,7 @@ def _cocycle_inverse(gamma: SymplecticElement,
                      point: SiegelPoint) -> np.ndarray:
     """(C Z + D)^{-1} at one point, for both pushforwards; see _cocycle."""
     _require_one_point(point)
-    Q = np.linalg.inv(point.derived(_cocycle, gamma)[0])
-    Q.setflags(write=False)
-    return Q
+    return np.linalg.inv(point.derived(_cocycle, gamma)[0])
 
 
 def _act(gamma: SymplecticElement, point: SiegelPoint) -> SiegelPoint:
@@ -584,9 +573,7 @@ def _pushforward_matrix(gamma: SymplecticElement,
                         point: SiegelPoint) -> np.ndarray:
     Q = point.derived(_cocycle_inverse, gamma)
     ii, jj = row_col_indices(point.g)
-    S = _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
-    S.setflags(write=False)
-    return S
+    return _symmetrized_rows(Q[ii, :, None] * Q[jj, None, :])
 
 
 def pushforward_matrix(gamma: SymplecticElement,

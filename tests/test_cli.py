@@ -377,6 +377,7 @@ def test_non_finite_z_is_reported_as_not_finite(capsys, z):
     ("0+5e-324i", "W"),     # Im((z + 1)/(z + 2)) rounds to 0
     ("0+1e-300i", "S"),     # (cz+d)^2 rounds to 0
     ("0+1e300i", "ST"),     # (cz+d)^2 overflows
+    ("1e300+1i", "T"),      # z + 1 rounds to z: the phase of q is noise
 ])
 def test_anomaly_image_outside_the_upper_half_plane_exits_3(capsys, z,
                                                             gamma):

@@ -3,7 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+import siegel.cli as cli
+import siegel.connection as connection
+import siegel.forms as forms
+import siegel.indexing as indexing
 import siegel.metric as metric
+import siegel.symplectic as symplectic
 from siegel.functions import fd_gradient
 from siegel.indexing import (omega_list, position, position_table,
                              sym_to_coords)
@@ -183,12 +188,20 @@ def test_metric_near_the_float_range_is_kept():
     assert abs(pair.M[0, 0] / (2 * y * y) - 1) < 1e-14
 
 
+# every builder behind the one built-once rule, indexing._per_degree
+_PER_DEGREE = (indexing.row_col_indices, indexing.position_table,
+               indexing.basis_stack, symplectic._symplectic_form,
+               metric._power_table, metric._pair_gram_plan,
+               metric._two_identity, connection._closed_pattern,
+               forms.probe_vectors, cli._field_texts)
+
+
 @pytest.mark.parametrize("g", [1, 3, 5])
 def test_per_degree_plans_are_built_once_and_read_only(g):
-    for build in (metric._power_table, metric._pair_gram_plan,
-                  metric._two_identity):
+    for build in _PER_DEGREE:
         plan = build(g)
         assert plan is build(g)
-        assert not plan.flags.writeable
-        with pytest.raises(ValueError):
-            plan[0, 0] = 0
+        for array in plan if isinstance(plan, tuple) else (plan,):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0

@@ -76,11 +76,26 @@ def test_derived_arrays_are_read_only():
               metric.metric_pair(point).W, metric.metric_pair(point).M,
               cocycle(gamma, point), pushforward_matrix(gamma, point),
               act(gamma, point).Z,
-              f.value(stack), f.gradient(point)]
+              f.value(stack), f.gradient(point), *f._compiled]
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
+
+
+def test_a_kept_tuple_of_arrays_is_read_only():
+    # the memo freezes what it keeps, each array of a tuple too, whatever
+    # the builder returned
+    def build(point):
+        return np.zeros(2), np.ones(3)
+
+    point = random_point(2, seed=3)
+    kept = point.derived(build)
+    assert kept is point.derived(build)
+    for array in kept:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_a_failed_action_is_not_kept(monkeypatch):

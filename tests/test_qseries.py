@@ -188,11 +188,21 @@ def test_anomaly_rejects_a_point_off_the_upper_half_plane(z):
     ("W", 5e-324j, "image"),
     ("S", 1e-300j, "automorphy factor"),
     ("ST", 1e300j, "automorphy factor"),
+    ("T", 1e300 + 1j, "phase"),
 ])
 def test_anomaly_image_outside_the_upper_half_plane_is_a_degeneracy(
         word, z, what):
     with pytest.raises(DegeneracyError, match=what):
         anomaly_residual(SL2_WORDS[word], z, 300)
+
+
+def test_evaluate_refuses_a_phase_it_cannot_resolve():
+    # one ulp of Re z is 2^-29 > 1e-9 at 2^23 and 2^-30 < 1e-9 at 2^22,
+    # where q = exp(2 pi i z) is still q at z - 2^22
+    e2 = g2_series(300)
+    with pytest.raises(DegeneracyError, match="phase"):
+        evaluate(e2, 2.0 ** 23 + 1j)
+    assert abs(evaluate(e2, 2.0 ** 22 + 1j) - evaluate(e2, 1j)) < 1e-8
 
 
 def test_anomaly_translation_is_periodicity():

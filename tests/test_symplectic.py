@@ -13,7 +13,7 @@ from siegel.functions import Jet, TestFunction, random_test_function
 from siegel.indexing import omega_list
 from siegel.metric import metric_form, metric_pair
 from siegel.operators import (ModularExtension, QSeriesFunction, bracket1,
-                              im_inverse, nabla, verify_G_law,
+                              ig2_field, im_inverse, nabla, verify_G_law,
                               verify_nabla_transform)
 from siegel.qseries import eisenstein
 from siegel.symplectic import (DegeneracyError, DimensionError, SiegelPoint,
@@ -130,6 +130,8 @@ _FUNCTION_AND_ELEMENT = "degree mismatch: function has g=2, element has g=3"
 _Q1 = QSeriesFunction(eisenstein(4, 20))
 _P2 = random_point(2, 1)
 _SERIES_AND_POINT = "degree mismatch: function has g=1, point has g=2"
+# the degree-one field i G2 under nabla at a degree-two point
+_FIELD_AND_POINT = "degree mismatch: field has g=1, point has g=2"
 
 
 @pytest.mark.parametrize("build, match", [
@@ -150,15 +152,17 @@ _SERIES_AND_POINT = "degree mismatch: function has g=1, point has g=2"
     (lambda: invariance_residual(_G3, _P3, _F2, 1), _FUNCTION_AND_ELEMENT),
     (lambda: _Q1.value(_P2), _SERIES_AND_POINT),
     (lambda: _Q1.gradient(_P2), _SERIES_AND_POINT),
+    (lambda: nabla(random_test_function(2, 0), _P2, 2, ig2_field(300)),
+     _FIELD_AND_POINT),
 ], ids=["function-sum", "function-difference", "function-product",
         "form-product", "element-product", "value", "gradient", "nabla",
         "jet", "bracket1", "extension", "nabla_transform",
-        "invariance_residual", "series-value", "series-gradient"])
+        "invariance_residual", "series-value", "series-gradient", "field"])
 def test_objects_of_two_degrees_do_not_mix(build, match):
     # one mixed-degree gate, with act's wording: a degree-2 function is
     # neither combined with a degree-3 one nor read at a degree-3 point,
     # and is not extended along a degree-3 element; a degree-1 q-series
-    # function is not read at a degree-2 point
+    # function or field is not read at a degree-2 point
     with pytest.raises(DimensionError, match=match):
         build()
 
