@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .indexing import omega_list
 from .symplectic import (SiegelPoint, SymplecticElement, DimensionError,
-                         DegeneracyError, is_symplectic, act,
+                         DegeneracyError, act,
                          cocycle, tangent_pushforward,
                          pushforward_matrix, pushforward_matrix_derivative,
                          random_symplectic, random_point)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .indexing import (Pair, _degree, _read_only, _same_degree, basis_stack,
                        omega_size, position, sym_to_coords)
-from .symplectic import SiegelPoint
+from .symplectic import DegeneracyError, SiegelPoint
 
 
 class TestFunction:
@@ -170,10 +170,15 @@ def _test_gradient(fn: TestFunction, point: SiegelPoint) -> np.ndarray:
 def _evaluate(coords: np.ndarray, holo: np.ndarray, anti: np.ndarray,
               coef: np.ndarray) -> np.ndarray:
     """sum_t coef_t prod_I coords_I^holo_tI conj(coords_I)^anti_tI, with
-    the term axis last but one in holo and anti and last in coef."""
-    terms = (np.power(coords, holo).prod(axis=-1)
-             * np.power(np.conj(coords), anti).prod(axis=-1))
-    return (terms * coef).sum(axis=-1)
+    the term axis last but one in holo and anti and last in coef;
+    DegeneracyError, with no numpy warning, when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (np.power(coords, holo).prod(axis=-1)
+                 * np.power(np.conj(coords), anti).prod(axis=-1))
+        out = (terms * coef).sum(axis=-1)
+    if not np.isfinite(out).all():
+        raise DegeneracyError("test function leaves the float range")
+    return out
 
 
 class Jet:

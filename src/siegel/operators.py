@@ -79,15 +79,13 @@ class QSeriesFunction:
 
 def ig2_field(n_terms: int):
     """The holomorphic degree-one field i G2 = i (pi/3) E2 as a function of
-    the point, evaluated from its q-expansion; a point of another degree
-    is a DimensionError."""
-    e2 = g2_series(n_terms)
+    the point, evaluated from its q-expansion: one 1 x 1 matrix per point
+    of a stack; a point of another degree is a DimensionError."""
+    e2 = QSeriesFunction(g2_series(n_terms))
 
     def field(point: SiegelPoint) -> np.ndarray:
         _same_degree("field", 1, "point", point.g)
-        z = complex(point.Z[0, 0])
-        return np.array([[1j * (G2_FACTOR * evaluate(e2, z))]],
-                        dtype=complex)
+        return (1j * (G2_FACTOR * e2.value(point)))[..., None, None]
     return field
 
 

@@ -22,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .symplectic import DegeneracyError, _solve_exact
+from .symplectic import DegeneracyError
 
 # largest estimated truncation tail that evaluate accepts
 _TAIL_TOL = 1e-9
@@ -310,6 +310,44 @@ class ModularBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _solve_exact(columns: list[list[int]],
+                 target: list[int]) -> list[Fraction] | None:
+    """Solve sum_j x_j columns[j] = target exactly over the integers, or
+    report failure (None).  Free unknowns are set to zero.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of the augmented matrix, so each division by the previous
+    pivot is exact, and each pivot row ends with the last pivot on its
+    diagonal, which is the common denominator of the solution.
+    """
+    n_cols = len(columns)
+    rows = [list(row) for row in zip(*columns, target)]
+    pivots = []
+    previous = 1
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead_row = rows[rank]
+        lead = lead_row[col]
+        for r, row in enumerate(rows):
+            if r != rank:
+                factor = row[col]
+                rows[r] = [(lead * v - factor * u) // previous
+                           for v, u in zip(row, lead_row)]
+        previous = lead
+        pivots.append(col)
+    if any(row[n_cols] for row in rows[len(pivots):]):
+        return None
+    solution = [Fraction(0)] * n_cols
+    for r, col in enumerate(pivots):
+        solution[col] = Fraction(rows[r][n_cols], previous)
+    return solution
 
 
 def membership_in_Mw(f: QSeries,

@@ -8,15 +8,13 @@ coordinate basis the differential is recorded as a row-vector cocycle:
 the K-th coordinate of the pushforward of the L-th basis direction.
 
 Group elements carry exact integer blocks; floating point enters only when
-they are applied to a point.  A unimodular block is tested, and inverted,
-by exact fraction-free solves.
+they are applied to a point.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -34,13 +32,6 @@ _POINT_TOL = 1e-12
 class DegeneracyError(ArithmeticError):
     """A cocycle factor is numerically singular, or the image of the action
     is no longer a valid point."""
-
-
-def _square_size(M: np.ndarray, what: str) -> int:
-    """n of the n x n matrix M; DimensionError for any other shape."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {M.shape}")
-    return M.shape[0]
 
 
 def _mT(M: np.ndarray) -> np.ndarray:
@@ -290,98 +281,24 @@ def _int64_entries(M, what: str) -> np.ndarray:
 
 def _symplectic_degree(M: np.ndarray) -> int:
     """g of the 2g x 2g matrix M, g >= 1; DimensionError for any other
-    shape.  The shape test of the element constructor and is_symplectic."""
-    n = _square_size(M, "symplectic matrix")
+    shape.  The shape test of the element constructor."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionError(f"symplectic matrix must be square, got shape "
+                             f"{M.shape}")
+    n = M.shape[0]
     if n % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, got {n}")
     return _degree(n // 2)
 
 
 def _blocks_symplectic(M: np.ndarray) -> bool:
-    """Whether the integer block matrix M = (A, B; C, D) satisfies
-    M J M^t = J, tested as one exact product.  An int64 M is multiplied in
-    int64 while the partial sums, at most 2g max|M|^2, stay in range; any
-    other integer type, whose own products would wrap sooner (or not fit
-    in int64 at all), goes through Python ints."""
+    """Whether the int64 block matrix M = (A, B; C, D) satisfies
+    M J M^t = J, tested as one exact product: in int64 while the partial
+    sums, at most 2g max|M|^2, stay in range, through Python ints else."""
     J = _symplectic_form(M.shape[0] // 2)
-    if (M.dtype != np.int64
-            or _magnitude(M) ** 2 * M.shape[0] >= _INT64_SAFE):
+    if _magnitude(M) ** 2 * M.shape[0] >= _INT64_SAFE:
         M = M.astype(object)  # Python ints, which do not wrap
     return bool((M @ J @ M.T == J).all())
-
-
-def is_symplectic(M: np.ndarray) -> bool:
-    """Whether the integer matrix M satisfies M J M^t = J, tested exactly by
-    the product of the constructor, after the constructor's entry and
-    shape tests."""
-    M = _entries(M, _INTEGER, "symplectic matrix")
-    _symplectic_degree(M)
-    return _blocks_symplectic(M)
-
-
-def _solve_exact(columns: list[list[int]],
-                 target: list[int]) -> list[Fraction] | None:
-    """Solve sum_j x_j columns[j] = target exactly over the integers, or
-    report failure (None).  Free unknowns are set to zero.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
-    integer minor of the augmented matrix, so each division by the previous
-    pivot is exact, and each pivot row ends with the last pivot on its
-    diagonal, which is the common denominator of the solution.
-    """
-    n_cols = len(columns)
-    rows = [list(row) for row in zip(*columns, target)]
-    pivots = []
-    previous = 1
-    for col in range(n_cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead_row = rows[rank]
-        lead = lead_row[col]
-        for r, row in enumerate(rows):
-            if r != rank:
-                factor = row[col]
-                rows[r] = [(lead * v - factor * u) // previous
-                           for v, u in zip(row, lead_row)]
-        previous = lead
-        pivots.append(col)
-    if any(row[n_cols] for row in rows[len(pivots):]):
-        return None
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        solution[col] = Fraction(rows[r][n_cols], previous)
-    return solution
-
-
-def _unimodular_inverse_t(U: np.ndarray) -> np.ndarray:
-    """U^-t of the square integer matrix U, exactly: row j solves
-    U x = e_j (_solve_exact).  ValueError unless every solution is
-    integral, that is unless U is unimodular; DegeneracyError for an entry
-    beyond the 64-bit integer range."""
-    columns = U.T.tolist()  # Python ints, which do not wrap
-    rows = []
-    for e in np.eye(len(U), dtype=np.int64).tolist():
-        x = _solve_exact(columns, e)
-        if x is None or any(c.denominator != 1 for c in x):
-            raise ValueError("embedding block must be unimodular")
-        rows.append([int(c) for c in x])
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise DegeneracyError("inverse has entries beyond the 64-bit "
-                              "integer range") from None
-
-
-def _assembled(A, B, C, D) -> np.ndarray:
-    """The int64 block matrix (A, B; C, D) of four g x g integer blocks."""
-    g = len(A)
-    M = np.empty((2 * g, 2 * g), dtype=np.int64)
-    M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:] = A, B, C, D
-    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,32 +334,6 @@ class SymplecticElement:
     def __hash__(self) -> int:
         return self._hash
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticElement":
-        return cls(np.eye(2 * _degree(g), dtype=np.int64))
-
-    @classmethod
-    def inversion(cls, g: int) -> "SymplecticElement":
-        """J = (O, I; -I, O)."""
-        return cls(_symplectic_form(_degree(g)))
-
-    @classmethod
-    def translation(cls, B: np.ndarray) -> "SymplecticElement":
-        """(I, B; O, I) for the symmetric integer matrix B."""
-        B = _int64_entries(B, "translation block")
-        g = _degree(_square_size(B, "translation block"))
-        if not np.array_equal(B, B.T):
-            raise ValueError("translation block must be symmetric")
-        I = np.eye(g, dtype=np.int64)
-        return cls(_assembled(I, B, 0, I))
-
-    @classmethod
-    def unimodular(cls, U: np.ndarray) -> "SymplecticElement":
-        """(U, O; O, U^-t) for the unimodular integer matrix U."""
-        U = _int64_entries(U, "embedding block")
-        g = _degree(_square_size(U, "embedding block"))
-        return cls(_assembled(U, 0, 0, _unimodular_inverse_t(U)))
-
     def __matmul__(self, other: "SymplecticElement") -> "SymplecticElement":
         _same_degree("element", self.g, "element", other.g)
         return SymplecticElement(_int_matmul(self.matrix, other.matrix))
@@ -457,8 +348,8 @@ class SymplecticElement:
         if min(self.B.min(initial=0), self.C.min(initial=0)) == -2 ** 63:
             raise DegeneracyError("inverse has entries beyond the 64-bit "
                                   "integer range")
-        return SymplecticElement(_assembled(self.D.T, -self.B.T, -self.C.T,
-                                            self.A.T))
+        return SymplecticElement(np.block([[self.D.T, -self.B.T],
+                                           [-self.C.T, self.A.T]]))
 
 
 def _cocycle(gamma: SymplecticElement, point: SiegelPoint) -> tuple:

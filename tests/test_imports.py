@@ -56,3 +56,11 @@ def test_internal_import_graph_is_acyclic():
     assert "operators" in graph["connection"]
     assert "connection" not in graph["operators"]
 
+
+def test_qseries_takes_only_the_degeneracy_error_from_symplectic():
+    # the exact solver lives beside its one caller, membership_in_Mw
+    taken = [alias.name for node in ast.walk(_trees()["qseries"])
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "symplectic"
+             for alias in node.names]
+    assert taken == ["DegeneracyError"]

@@ -1066,18 +1066,19 @@ def test_evaluated_sides_match_the_coefficient_transport(g):
 
 def _draw_step_by_step(g, word_length, rng):
     """random_symplectic as a product of validated elements, each generator
-    redrawn by a copy of its draw loop."""
-    out = SymplecticElement.identity(g)
+    redrawn by a copy of its draw loop and written as its block matrix:
+    J = (O, I; -I, O), (I, B; O, I) or (U, O; O, U^-t)."""
+    I, O = np.eye(g, dtype=np.int64), np.zeros((g, g), dtype=np.int64)
+    out = SymplecticElement(np.eye(2 * g, dtype=np.int64))
     for _ in range(word_length):
         kind = rng.integers(0, 3)
         if kind == 0:
-            step = SymplecticElement.inversion(g)
+            step = np.block([[O, I], [-I, O]])
         elif kind == 1:
             B = rng.integers(-2, 3, size=(g, g))
-            step = SymplecticElement.translation(np.triu(B)
-                                                 + np.triu(B, 1).T)
+            step = np.block([[I, np.triu(B) + np.triu(B, 1).T], [O, I]])
         else:
-            U = np.eye(g, dtype=np.int64)
+            U = I.copy()
             for _ in range(int(rng.integers(1, 4))):
                 i, j = rng.integers(0, g, size=2)
                 if g > 1 and i == j:
@@ -1086,8 +1087,12 @@ def _draw_step_by_step(g, word_length, rng):
                     U[0, 0] *= -1 if rng.integers(0, 2) else 1
                 else:
                     U[j, :] += int(rng.integers(-2, 3)) * U[i, :]
-            step = SymplecticElement.unimodular(U)
-        out = out @ step
+            # U^-t from a rounded float inverse, tested exactly, not from
+            # the row operations that random_symplectic applies beside U
+            U_inv_t = np.rint(np.linalg.inv(U)).astype(np.int64).T
+            assert np.array_equal(U @ U_inv_t.T, I)
+            step = np.block([[U, O], [O, U_inv_t]])
+        out = out @ SymplecticElement(step)
     return out
 
 
@@ -1143,8 +1148,9 @@ def _integer_block_matrices(draw):
         B[0, 0] = draw(st.one_of(st.integers(-2, 2),
                                  st.sampled_from(_EDGE_ENTRIES[:5])))
         B = np.triu(B) + np.triu(B, 1).T
+        I, O = np.eye(g, dtype=np.int64), np.zeros((g, g), dtype=np.int64)
         element = (random_symplectic(g, 3, rng)
-                   @ SymplecticElement.translation(B))
+                   @ SymplecticElement(np.block([[I, B], [O, I]])))
         entries = element.matrix.ravel().tolist()
         if kind == "moved":
             at = draw(st.integers(0, len(entries) - 1))
@@ -1157,15 +1163,17 @@ def _integer_block_matrices(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(M=_integer_block_matrices())
 def test_one_product_check_matches_the_block_identities(M):
-    expected = _block_identities(M)
-    assert symplectic._blocks_symplectic(M) is expected
-    assert symplectic.is_symplectic(M) is expected
-    if M.dtype == np.int64:
-        if expected:
-            assert SymplecticElement(M).matrix.tobytes() == M.tobytes()
-        else:
-            with pytest.raises(ValueError, match="symplectic relation"):
-                SymplecticElement(M)
+    # the constructor accepts M exactly when the block identities hold,
+    # once its entry gate has refused a uint64 entry beyond int64
+    if M.dtype == np.uint64 and M.max() > np.iinfo(np.int64).max:
+        with pytest.raises(ValueError, match="64-bit integer range"):
+            SymplecticElement(M)
+    elif _block_identities(M):
+        assert (SymplecticElement(M).matrix.tobytes()
+                == M.astype(np.int64).tobytes())
+    else:
+        with pytest.raises(ValueError, match="symplectic relation"):
+            SymplecticElement(M)
 
 
 # ------------------------------------------------------------ reuse
@@ -1213,4 +1221,4 @@ def test_extensions_on_one_element_share_its_inverse(monkeypatch):
                                    gamma) for k in (1, 2, 3)]
     assert len(built) == 1
     assert all(ext.mu is built[0] for ext in extensions)
-    assert gamma @ built[0] == SymplecticElement.identity(3)
+    assert gamma @ built[0] == SymplecticElement(np.eye(6, dtype=int))

@@ -153,7 +153,7 @@ def test_modular_extension_gradient_against_finite_differences():
 
 
 def test_modular_extension_rejects_odd_weight():
-    gamma = SymplecticElement.identity(1)
+    gamma = SymplecticElement([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         ModularExtension(TestFunction.constant(1, 1), 3, gamma)
 
@@ -162,8 +162,8 @@ def test_nabla_transform_identity_element():
     g = 2
     point = random_point(g, seed=8)
     f = random_test_function(g, np.random.default_rng(9))
-    residual = verify_nabla_transform(f, SymplecticElement.identity(g),
-                                      point, 1)
+    identity = SymplecticElement(np.eye(2 * g, dtype=int))
+    residual = verify_nabla_transform(f, identity, point, 1)
     assert residual < 1e-14
 
 
@@ -187,8 +187,8 @@ def test_G_law_translation_reduces_to_invariance():
     # C = 0: the law says G(Z + B) = G(Z) exactly
     g = 2
     point = random_point(g, seed=11)
-    B = np.array([[1, 2], [2, 0]])
-    gamma = SymplecticElement.translation(B)
+    I, B = np.eye(g, dtype=int), np.array([[1, 2], [2, 0]])
+    gamma = SymplecticElement(np.block([[I, B], [0 * I, I]]))
     assert verify_G_law(im_inverse, gamma, point) < 1e-12
 
 
@@ -205,7 +205,7 @@ def test_G_law_fails_for_wrong_field():
     # a polynomial G(z) = z violates the law for a generic inversion word
     def field(point):
         return np.array([[point.Z[0, 0]]])
-    gamma = SymplecticElement.inversion(1)
+    gamma = SymplecticElement([[0, 1], [-1, 0]])
     point = SiegelPoint(1, [[0.3]], [[0.8]])
     assert verify_G_law(field, gamma, point) > 1e-3
 
@@ -326,6 +326,20 @@ def test_qseries_function_gradient_broadcasts_over_a_stack():
         assert grad.tobytes() == single.tobytes()
 
 
+def test_ig2_field_is_one_matrix_per_point_of_a_stack():
+    # a stack of points died in numpy's TypeError
+    G2 = ig2_field(300)
+    zs = (0.21 + 1.4j, -0.3 + 0.9j)
+    stack = SiegelPoint(1, np.array([[[z.real]] for z in zs]),
+                        np.array([[[z.imag]] for z in zs]))
+    fields = G2(stack)
+    assert fields.shape == (2, 1, 1)
+    for z, field in zip(zs, fields):
+        single = G2(SiegelPoint(1, [[z.real]], [[z.imag]]))
+        assert single.shape == (1, 1)
+        assert field.tobytes() == single.tobytes()
+
+
 def test_ig2_operator_matches_exact_weight_raising():
     n = 300
     e4 = eisenstein(4, n)
@@ -435,6 +449,40 @@ def test_an_extension_beyond_the_float_range_is_a_degeneracy(method):
                            match=r"^weight-2 extension( gradient)? leaves "
                                  r"the float range$"):
             getattr(extension, method)(image)
+
+
+# a test function whose value at a valid point leaves the float range:
+# (seed of random_test_function(1, seed), X, Y); both values were NaN
+_TEST_FUNCTION_OVERFLOWS = {"y-1e160": (0, 0.0, 1e160),
+                            "x-1e300": (1, 1e300, 1e-100)}
+
+
+@pytest.mark.parametrize("det_first", [False, True],
+                         ids=["alone", "after-det_nabla"])
+@pytest.mark.parametrize("read", [
+    lambda f, point: f.value(point),
+    lambda f, point: f.gradient(point),
+    lambda f, point: sym_gradient(f, point),
+    lambda f, point: nabla(f, point, 1),
+    lambda f, point: fd_gradient(f.value, point),
+], ids=["value", "gradient", "sym_gradient", "nabla", "fd_gradient"])
+@pytest.mark.parametrize("case", list(_TEST_FUNCTION_OVERFLOWS))
+def test_a_test_function_beyond_the_float_range_is_a_degeneracy(
+        case, read, det_first):
+    # det_nabla ignores overflow while it takes the determinant; the NaN
+    # value and gradient it built under that were kept on the point, and
+    # every later read returned them with no warning
+    seed, x, y = _TEST_FUNCTION_OVERFLOWS[case]
+    f = random_test_function(1, seed)
+    point = SiegelPoint(1, [[x]], [[y]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if det_first:
+            with pytest.raises(DegeneracyError):
+                det_nabla(f, point, 1)
+        with pytest.raises(DegeneracyError,
+                           match="^test function leaves the float range$"):
+            read(f, point)
 
 
 def test_the_operators_suite_at_a_weight_beyond_the_float_range_degenerates():

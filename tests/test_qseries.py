@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from siegel.cli import main
 from siegel.qseries import (G2_FACTOR, ModularBasis, QSeries, SL2_WORDS,
-                            TruncationError, anomaly_residual,
+                            TruncationError, _solve_exact, anomaly_residual,
                             bracket1_classical, delta, dim_modular_forms,
                             eisenstein, evaluate, g2_series, membership_in_Mw,
                             serre_derivative)
-from siegel.symplectic import DegeneracyError, _solve_exact
+from siegel.symplectic import DegeneracyError
 
 
 def test_eisenstein_heads():
