@@ -73,9 +73,27 @@ _EMPTY = np.zeros((0, 0), dtype=np.int64)
 _DEGREE_0 = "degree must be at least 1, got 0"
 
 
+_I0, _O0 = _blocks(0)
+
+
+# the ids named after a deleted generator or is_symplectic keep their
+# cases on the one constructor: a generator's block matrix written at
+# degree 0, a scalar block handed alone, and an empty matrix of another
+# integer type
 @pytest.mark.parametrize("build, match", [
     (lambda: SymplecticElement(5),
      r"symplectic matrix must be square, got shape \(\)"),
+    (lambda: SymplecticElement(np.array(5)),
+     r"symplectic matrix must be square, got shape \(\)"),
+    (lambda: SymplecticElement(np.int64(1)),
+     r"symplectic matrix must be square, got shape \(\)"),
+    (lambda: SymplecticElement(np.block([[_I0, _EMPTY], [_O0, _I0]])),
+     _DEGREE_0),
+    (lambda: SymplecticElement(np.block([[_EMPTY, _O0], [_O0, _EMPTY]])),
+     _DEGREE_0),
+    (lambda: SymplecticElement(np.block([[_O0, _I0], [-_I0, _O0]])),
+     _DEGREE_0),
+    (lambda: SymplecticElement(np.eye(0, dtype=np.int64)), _DEGREE_0),
     (lambda: SymplecticElement(_EMPTY), _DEGREE_0),
     # the range check of a uint64 matrix passes an empty one to the gate
     (lambda: SymplecticElement(np.zeros((0, 0), dtype=np.uint64)),
@@ -84,6 +102,7 @@ _DEGREE_0 = "degree must be at least 1, got 0"
      "symplectic matrices have even size, got 3"),
     (lambda: SymplecticElement(np.ones(4, dtype=int)),
      r"symplectic matrix must be square, got shape \(4,\)"),
+    (lambda: SymplecticElement(np.zeros((0, 0), dtype=np.int32)), _DEGREE_0),
     (lambda: SiegelPoint(0, np.zeros((0, 0)), np.zeros((0, 0))), _DEGREE_0),
     (lambda: random_point(0, 1), _DEGREE_0),
     (lambda: random_symplectic(0, 3, 1), _DEGREE_0),
@@ -108,9 +127,10 @@ _DEGREE_0 = "degree must be at least 1, got 0"
      r"empty stack of points, shape \(0, 2, 2\)"),
     (lambda: SiegelPoint(2, np.zeros((3, 0, 2, 2)), np.zeros((3, 0, 2, 2))),
      r"empty stack of points, shape \(3, 0, 2, 2\)"),
-], ids=["constructor-scalar",
+], ids=["constructor-scalar", "translation-scalar", "unimodular-scalar",
+        "translation-0x0", "unimodular-0x0", "inversion-0", "identity-0",
         "constructor-0", "from_matrix-0x0", "constructor-odd",
-        "constructor-1d", "point-0", "random_point-0",
+        "constructor-1d", "is_symplectic-0x0", "point-0", "random_point-0",
         "random_symplectic-0", "omega_list-0", "test_function-0",
         "test_function-negative", "constant_function-0",
         "random_test_function-0", "point-bool", "point-float",
@@ -273,6 +293,10 @@ _ENTRY_POINTS = {
         _block_rows([[1, 0], [0, 1]], B))),
     "unimodular": ("symplectic matrix", lambda U: SymplecticElement(
         _block_rows(U, [[0, 0], [0, 0]]))),
+    # the lists as an object array (1-d of lists when ragged), which the
+    # gate refuses by its dtype
+    "is_symplectic": ("symplectic matrix", lambda M: SymplecticElement(
+        np.array(M, dtype=object))),
     "metric_form-V1": ("tangent matrix",
                        lambda V: metric_form(_P2, V, np.eye(2))),
     "metric_form-V2": ("tangent matrix",
